@@ -4,22 +4,17 @@
 // once and the blocked kernel at several thread counts, reporting GFLOP/s
 // (or Mcell/s for the string kernels) and the speedup over naive.
 //
-//   micro_kernels [--out FILE] [--quick] [--smoke] [--autotune]
+//   micro_kernels [--out FILE] [--quick] [--smoke]
 //
 //   --out FILE   where to write the JSON (default BENCH_kernels.json in
 //                the working directory, matching overload_soak's
 //                BENCH_overload.json convention)
 //   --quick      small shapes only (fast CI sanity run)
 //   --smoke      run the kernel-vs-naive parity checks on small shapes
-//                plus a perf-regression gate (tuned kernel vs naive, with
-//                a 10% tolerance; timing is skipped under sanitizers or
-//                CEAFF_SKIP_PERF_GATE=1) and exit non-zero on any failure
-//                — this is what the `bench` ctest label runs
-//   --autotune   additionally benchmark each GEMM/SpMM shape with a
-//                measured per-shape configuration (la/autotune.h),
-//                emitting *_tuned rows next to the default-config rows;
-//                every tuned output is parity-checked bit-identical to
-//                the default-config output
+//                plus a perf-regression gate (default-options kernel vs
+//                naive, with a 10% tolerance; timing is skipped under
+//                sanitizers or CEAFF_SKIP_PERF_GATE=1) and exit non-zero
+//                on any failure — this is what the `bench` ctest label runs
 //
 // Every timed configuration is also parity-checked (bit-identical or the
 // documented O(d·eps) tolerance), so a benchmark run can never report a
@@ -38,7 +33,6 @@
 
 #include "ceaff/common/random.h"
 #include "ceaff/common/thread_pool.h"
-#include "ceaff/la/autotune.h"
 #include "ceaff/la/csls.h"
 #include "ceaff/la/kernels.h"
 #include "ceaff/la/ops.h"
@@ -115,11 +109,6 @@ struct BenchRow {
 std::vector<BenchRow> g_rows;
 int g_failures = 0;
 
-/// Non-null when --autotune is set: a shared in-memory tuner (no persisted
-/// cache — rows must reflect this run's measurements) consulted by the
-/// GEMM/SpMM benches for their *_tuned rows.
-la::KernelAutotuner* g_tuner = nullptr;
-
 void Fail(const std::string& what) {
   std::fprintf(stderr, "PARITY FAILURE: %s\n", what.c_str());
   ++g_failures;
@@ -174,23 +163,6 @@ void BenchCosine(size_t n, size_t d, const std::vector<int>& thread_counts,
     }
     g_rows.push_back({"cosine_kernel", shape, threads, s, flops / s / 1e9,
                       "gflops", naive_s / s});
-
-    if (g_tuner != nullptr) {
-      KernelContext tuned = ctx;
-      tuned.tuner = g_tuner;
-      // First call pays the measurement; timed reps then use the cached
-      // choice, which is what a warmed workload sees.
-      (void)la::CosineSimilarityK(tuned, a, b);
-      Matrix tout;
-      const double ts =
-          TimeBest(reps, [&] { tout = la::CosineSimilarityK(tuned, a, b); });
-      if (!BitIdentical(tout, out)) {
-        Fail("cosine tuned config not bit-identical to default at " +
-             std::string(shape));
-      }
-      g_rows.push_back({"cosine_tuned", shape, threads, ts, flops / ts / 1e9,
-                        "gflops", naive_s / ts});
-    }
   }
 }
 
@@ -223,21 +195,6 @@ void BenchMatMulBT(size_t m, size_t n, size_t d,
     }
     g_rows.push_back({"matmul_bt_kernel", shape, threads, s, flops / s / 1e9,
                       "gflops", naive_s / s});
-
-    if (g_tuner != nullptr) {
-      KernelContext tuned = ctx;
-      tuned.tuner = g_tuner;
-      (void)la::MatMulBTK(tuned, a, b);
-      Matrix tout;
-      const double ts =
-          TimeBest(reps, [&] { tout = la::MatMulBTK(tuned, a, b); });
-      if (!BitIdentical(tout, out)) {
-        Fail("matmul_bt tuned config not bit-identical to default at " +
-             std::string(shape));
-      }
-      g_rows.push_back({"matmul_bt_tuned", shape, threads, ts,
-                        flops / ts / 1e9, "gflops", naive_s / ts});
-    }
   }
 }
 
@@ -438,51 +395,29 @@ void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
     }
     g_rows.push_back({"spmm_kernel", shape, threads, s, flops / s / 1e9,
                       "gflops", naive_s / s});
-
-    if (g_tuner != nullptr) {
-      KernelContext tuned = ctx;
-      tuned.tuner = g_tuner;
-      (void)la::SpMMK(tuned, a, x);
-      Matrix tout;
-      const double ts = TimeBest(reps, [&] { tout = la::SpMMK(tuned, a, x); });
-      if (!BitIdentical(tout, out)) {
-        Fail("spmm tuned config not bit-identical to default at " +
-             std::string(shape));
-      }
-      g_rows.push_back({"spmm_tuned", shape, threads, ts, flops / ts / 1e9,
-                        "gflops", naive_s / ts});
-    }
   }
 }
 
-/// The --smoke perf-regression gate: times naive vs tuned kernel on modest
-/// shapes (min-of-5 wall) and fails when a tuned kernel is more than 10%
-/// slower than its naive baseline — the blocked kernels exist to beat
-/// naive, so losing to it by a margin is a regression no matter what the
-/// absolute numbers are. Skipped under sanitizers and when
+/// The --smoke perf-regression gate: times naive vs the default-options
+/// kernel on modest shapes (min-of-7 wall) and fails when a kernel is more
+/// than 10% slower than its naive baseline — the blocked kernels exist to
+/// beat naive, so losing to it by a margin is a regression no matter what
+/// the absolute numbers are. Skipped under sanitizers and when
 /// CEAFF_SKIP_PERF_GATE=1 (debug boxes); the bit-identity parity checks in
 /// RunSmoke still run either way.
 [[maybe_unused]] void RunSmokePerfGate() {
   constexpr double kTolerance = 1.10;
   constexpr int kReps = 7;
-  la::AutotuneOptions tune_options;
-  tune_options.mode = la::AutotuneMode::kOn;
-  la::KernelAutotuner tuner(tune_options);
-  if (!tuner.Init().ok()) {
-    Fail("perf gate: tuner init failed");
-    return;
-  }
-  KernelContext ctx;
-  ctx.tuner = &tuner;
+  const KernelContext ctx;
 
-  const auto gate = [&](const char* name, double naive_s, double tuned_s) {
-    if (tuned_s > naive_s * kTolerance) {
-      Fail(std::string("perf gate: tuned ") + name + " is " +
-           std::to_string(tuned_s / naive_s) + "x the naive baseline " +
+  const auto gate = [&](const char* name, double naive_s, double kernel_s) {
+    if (kernel_s > naive_s * kTolerance) {
+      Fail(std::string("perf gate: kernel ") + name + " is " +
+           std::to_string(kernel_s / naive_s) + "x the naive baseline " +
            "(tolerance " + std::to_string(kTolerance) + "x)");
     } else {
-      std::fprintf(stderr, "perf gate: %-10s tuned/naive = %.2f (<= %.2f)\n",
-                   name, tuned_s / naive_s, kTolerance);
+      std::fprintf(stderr, "perf gate: %-10s kernel/naive = %.2f (<= %.2f)\n",
+                   name, kernel_s / naive_s, kTolerance);
     }
   };
 
@@ -490,22 +425,20 @@ void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
     const Matrix a = RandomMatrix(256, 64, 11);
     const Matrix b = RandomMatrix(256, 64, 12);
     Matrix out;
-    (void)la::MatMulBTK(ctx, a, b);  // pay the measurement outside the gate
-    const double tuned_s =
+    const double kernel_s =
         TimeBest(kReps, [&] { out = la::MatMulBTK(ctx, a, b); });
     const double naive_s = TimeBest(kReps, [&] { out = la::MatMulBT(a, b); });
-    gate("matmul_bt", naive_s, tuned_s);
+    gate("matmul_bt", naive_s, kernel_s);
   }
   {
     const Matrix a = RandomMatrix(256, 48, 13);
     const Matrix b = RandomMatrix(256, 48, 14);
     Matrix out;
-    (void)la::CosineSimilarityK(ctx, a, b);
-    const double tuned_s =
+    const double kernel_s =
         TimeBest(kReps, [&] { out = la::CosineSimilarityK(ctx, a, b); });
     const double naive_s =
         TimeBest(kReps, [&] { out = la::CosineSimilarity(a, b); });
-    gate("cosine", naive_s, tuned_s);
+    gate("cosine", naive_s, kernel_s);
   }
   {
     Rng rng(15);
@@ -523,10 +456,10 @@ void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
         la::SparseMatrix::Build(n, n, std::move(triplets));
     const Matrix x = RandomMatrix(n, d, 16);
     Matrix out;
-    (void)la::SpMMK(ctx, a, x);
-    const double tuned_s = TimeBest(kReps, [&] { out = la::SpMMK(ctx, a, x); });
+    const double kernel_s =
+        TimeBest(kReps, [&] { out = la::SpMMK(ctx, a, x); });
     const double naive_s = TimeBest(kReps, [&] { out = a.Multiply(x); });
-    gate("spmm", naive_s, tuned_s);
+    gate("spmm", naive_s, kernel_s);
   }
 }
 
@@ -574,41 +507,6 @@ int RunSmoke() {
       Fail("csls parity");
     }
   }
-  {
-    // Tuned-config bit-identity: whatever blocking the tuner measures for
-    // these shapes must reproduce the default-config output exactly.
-    la::AutotuneOptions tune_options;
-    tune_options.mode = la::AutotuneMode::kOn;
-    la::KernelAutotuner tuner(tune_options);
-    if (!tuner.Init().ok()) {
-      Fail("smoke: tuner init");
-    } else {
-      KernelContext tuned_par = par;
-      tuned_par.tuner = &tuner;
-      const Matrix a = RandomMatrix(63, 33, 8);
-      const Matrix b = RandomMatrix(49, 33, 9);
-      if (!BitIdentical(la::MatMulBTK(tuned_par, a, b),
-                        la::MatMulBTK(par, a, b))) {
-        Fail("matmul_bt tuned config not bit-identical to default");
-      }
-      Rng rng(10);
-      std::vector<la::Triplet> triplets;
-      for (size_t r = 0; r < 61; ++r) {
-        for (size_t i = 0; i < 5; ++i) {
-          triplets.push_back({static_cast<uint32_t>(r),
-                              static_cast<uint32_t>(rng.NextBounded(61)),
-                              static_cast<float>(rng.NextUniform(-1.0, 1.0))});
-        }
-      }
-      const la::SparseMatrix sp =
-          la::SparseMatrix::Build(61, 61, std::move(triplets));
-      const Matrix x = RandomMatrix(61, 17, 11);
-      if (!BitIdentical(la::SpMMK(tuned_par, sp, x), la::SpMMK(par, sp, x))) {
-        Fail("spmm tuned config not bit-identical to default");
-      }
-    }
-  }
-
   const char* skip_gate = std::getenv("CEAFF_SKIP_PERF_GATE");
 #if defined(CEAFF_BENCH_SANITIZED)
   std::fprintf(stderr, "perf gate: skipped (sanitizer build)\n");
@@ -658,37 +556,21 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_kernels.json";
   bool quick = false;
   bool smoke = false;
-  bool autotune = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--autotune") {
-      autotune = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: micro_kernels [--out FILE] [--quick] [--smoke] "
-                   "[--autotune]\n");
+                   "usage: micro_kernels [--out FILE] [--quick] [--smoke]\n");
       return 2;
     }
   }
   if (smoke) return RunSmoke();
-
-  std::unique_ptr<la::KernelAutotuner> tuner;
-  if (autotune) {
-    la::AutotuneOptions tune_options;
-    tune_options.mode = la::AutotuneMode::kOn;
-    tuner = std::make_unique<la::KernelAutotuner>(tune_options);
-    if (!tuner->Init().ok()) {
-      std::fprintf(stderr, "cannot initialise the autotuner\n");
-      return 2;
-    }
-    g_tuner = tuner.get();
-  }
 
   const std::vector<int> threads = {1, 2, 4, 8};
   if (quick) {

@@ -423,18 +423,6 @@ StatusOr<std::string> GenerationalStore::Get(
   }
   auto it = entries_.find(name);
   if (it == entries_.end() || it->second.empty()) {
-    // Pre-generational layout: a flat `<dir>/<name>` file written by an
-    // older build. Validator-only trust, never quarantined by us.
-    const std::string legacy = dir_ + "/" + name;
-    std::error_code ec;
-    if (fs::exists(legacy, ec)) {
-      auto bytes_or = ReadFileToString(legacy);
-      if (bytes_or.ok() &&
-          (validate == nullptr || validate(bytes_or.value()).ok())) {
-        return bytes_or;
-      }
-      return Status::DataLoss(legacy + ": legacy artifact is corrupt");
-    }
     return Status::NotFound("artifact '" + name + "' has no generation in " +
                             dir_);
   }
@@ -496,9 +484,7 @@ StatusOr<std::string> GenerationalStore::Get(
 bool GenerationalStore::Has(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
-  if (it != entries_.end() && !it->second.empty()) return true;
-  std::error_code ec;
-  return fs::exists(dir_ + "/" + name, ec);  // legacy flat layout
+  return it != entries_.end() && !it->second.empty();
 }
 
 Status GenerationalStore::Remove(const std::string& name) {
@@ -527,11 +513,6 @@ Status GenerationalStore::Remove(const std::string& name) {
     std::error_code rm_ec;
     fs::remove(entry.path(), rm_ec);
   }
-  fs::remove(dir_ + "/" + name, ec);  // legacy flat layout
-  if (ec) {
-    return Status::IOError("remove " + dir_ + "/" + name + ": " +
-                           ec.message());
-  }
   return Status::OK();
 }
 
@@ -545,9 +526,6 @@ StatusOr<std::string> GenerationalStore::CurrentPath(
     StampAccessLocked(name, it->second.back().gen);
     return GenPath(name, it->second.back().gen);
   }
-  const std::string legacy = dir_ + "/" + name;
-  std::error_code ec;
-  if (fs::exists(legacy, ec)) return legacy;
   return Status::NotFound("artifact '" + name + "' has no generation in " +
                           dir_);
 }

@@ -36,13 +36,13 @@ class CheckpointStore {
 
   const std::string& dir() const { return store_.dir(); }
 
-  /// Whether any committed generation (or a legacy flat file) exists for
-  /// the artifact. No validation — Load still decides.
+  /// Whether any committed generation exists for the artifact. No
+  /// validation — Load still decides.
   bool Has(const std::string& name) const;
 
-  /// Path of the newest committed generation file (or the legacy flat
-  /// file). kNotFound when the artifact does not exist. For tooling and
-  /// tests that need to poke the bytes on disk.
+  /// Path of the newest committed generation file. kNotFound when the
+  /// artifact does not exist. For tooling and tests that need to poke the
+  /// bytes on disk.
   StatusOr<std::string> CurrentPath(const std::string& name) const;
 
   /// Committed generation numbers for the artifact, oldest first.
@@ -61,8 +61,7 @@ class CheckpointStore {
   Status Remove(const std::string& name) const;
 
  private:
-  /// GenerationalStore artifact name; also the legacy flat-file name, so
-  /// pre-generational checkpoints are found as the fallback path.
+  /// GenerationalStore artifact name.
   static std::string ArtifactName(const std::string& name) {
     return name + ".ckpt";
   }

@@ -26,7 +26,6 @@ namespace {
 /// interrupts even a single huge similarity matrix mid-build.
 struct KernelRuntime {
   std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<la::KernelAutotuner> tuner;
   la::KernelContext ctx;
 };
 
@@ -38,22 +37,6 @@ KernelRuntime MakeKernelRuntime(const CeaffOptions& options) {
   rt.ctx.pool = rt.pool.get();
   rt.ctx.opts.OverrideBlock(options.block_size);
   rt.ctx.cancel = options.cancel;
-  if (options.autotune != la::AutotuneMode::kOff) {
-    la::AutotuneOptions tune_options;
-    tune_options.mode = options.autotune;
-    tune_options.cache_dir = options.tune_cache_dir;
-    rt.tuner = std::make_unique<la::KernelAutotuner>(tune_options);
-    const Status s = rt.tuner->Init();
-    if (s.ok()) {
-      rt.ctx.tuner = rt.tuner.get();
-    } else {
-      // A broken tune cache must never fail an align run: warn and run
-      // with the static blocking instead.
-      CEAFF_LOG(Warning) << "autotune disabled for this run: "
-                         << s.ToString();
-      rt.tuner.reset();
-    }
-  }
   return rt;
 }
 

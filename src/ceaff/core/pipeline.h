@@ -15,7 +15,6 @@
 #include "ceaff/kg/attribute_similarity.h"
 #include "ceaff/kg/relation_similarity.h"
 #include "ceaff/kg/knowledge_graph.h"
-#include "ceaff/la/autotune.h"
 #include "ceaff/la/matrix.h"
 #include "ceaff/matching/matching.h"
 #include "ceaff/matching/sinkhorn.h"
@@ -131,14 +130,6 @@ struct CeaffOptions {
   /// 0 (default) keeps the built-in L2-sized blocks; values only shift the
   /// panel partition, never the numerical result.
   size_t block_size = 0;
-  /// Measured per-shape kernel tuning (la/autotune.h). kOn measures missing
-  /// shape classes on first use; kCacheOnly reuses persisted measurements
-  /// only; kOff (default) keeps the static blocking above. Tuning shifts
-  /// panel partitions only — results are bit-identical either way.
-  la::AutotuneMode autotune = la::AutotuneMode::kOff;
-  /// GenerationalStore directory for the persisted tune_cache (empty keeps
-  /// measurements in-process for this run only).
-  std::string tune_cache_dir;
 };
 
 /// Everything a CEAFF run produces. Feature/fused matrices are restricted

@@ -21,7 +21,6 @@ namespace {
 
 struct Runtime {
   std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<la::KernelAutotuner> tuner;
   la::KernelContext ctx;
 };
 
@@ -33,21 +32,6 @@ Runtime MakeRuntime(const DeltaApplyOptions& options) {
   rt.ctx.pool = rt.pool.get();
   rt.ctx.opts.OverrideBlock(options.block_size);
   rt.ctx.cancel = options.cancel;
-  if (options.autotune != la::AutotuneMode::kOff) {
-    la::AutotuneOptions tune_options;
-    tune_options.mode = options.autotune;
-    tune_options.cache_dir = options.tune_cache_dir;
-    rt.tuner = std::make_unique<la::KernelAutotuner>(tune_options);
-    const Status s = rt.tuner->Init();
-    if (s.ok()) {
-      rt.ctx.tuner = rt.tuner.get();
-    } else {
-      // A broken tune cache must never fail a delta cycle.
-      CEAFF_LOG(Warning) << "autotune disabled for this cycle: "
-                         << s.ToString();
-      rt.tuner.reset();
-    }
-  }
   return rt;
 }
 

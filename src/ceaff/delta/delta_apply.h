@@ -10,7 +10,6 @@
 #include "ceaff/delta/delta_repair.h"
 #include "ceaff/delta/delta_state.h"
 #include "ceaff/delta/delta_verify.h"
-#include "ceaff/la/autotune.h"
 #include "ceaff/serve/alignment_index.h"
 
 namespace ceaff::delta {
@@ -31,12 +30,6 @@ struct DeltaApplyOptions {
   size_t ann_centroids = 0;
   size_t num_threads = 1;
   size_t block_size = 0;
-  /// Measured per-shape kernel tuning for the repair kernels
-  /// (la/autotune.h); kOff keeps the static blocking. Bit-identical either
-  /// way — tuning only shifts panel partitions.
-  la::AutotuneMode autotune = la::AutotuneMode::kOff;
-  /// Persisted tune_cache directory (empty = in-process only).
-  std::string tune_cache_dir;
   const CancellationToken* cancel = nullptr;  // not owned
 };
 

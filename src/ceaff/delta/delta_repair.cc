@@ -377,7 +377,12 @@ la::Matrix ExtendInputFeatures(const la::Matrix& x,
                                uint64_t gcn_seed) {
   if (g.num_entities() == x.rows()) return x;
   la::Matrix out(g.num_entities(), x.cols());
-  std::memcpy(out.data(), x.data(), x.size() * sizeof(float));
+  // An empty matrix has a null data(), and memcpy with a null pointer is
+  // undefined even for zero bytes.
+  if (out.size() == 0) return out;
+  if (x.size() > 0) {
+    std::memcpy(out.data(), x.data(), x.size() * sizeof(float));
+  }
   for (size_t e = x.rows(); e < g.num_entities(); ++e) {
     const std::string& uri = g.entity_uri(static_cast<uint32_t>(e));
     Rng rng(Rng::SplitMix64(HashBytes(uri.data(), uri.size()) ^ gcn_seed));

@@ -7,27 +7,10 @@
 #include <functional>
 
 #include "ceaff/common/logging.h"
-#include "ceaff/la/autotune.h"
 
 namespace ceaff::la {
 
 namespace {
-
-/// Resolves the context a kernel actually runs with: when a tuner is
-/// attached, its measured per-shape KernelOptions replace ctx.opts (the
-/// returned context drops the tuner so the measurement sub-kernels can
-/// never recurse into Choose). Blocking parameters only partition output
-/// elements, so a tuned context is bit-identical to the default one by
-/// the determinism contract above.
-KernelContext TunedContext(const KernelContext& ctx, const char* kernel,
-                           size_t m, size_t n, size_t d) {
-  KernelContext out = ctx;
-  out.tuner = nullptr;
-  if (ctx.tuner != nullptr) {
-    out.opts = ctx.tuner->Choose(kernel, m, n, d, ctx.pool, ctx.opts);
-  }
-  return out;
-}
 
 /// Accumulator lane count for the blocked dot products. Eight independent
 /// float chains with unit-stride loads is the shape compilers auto-vectorise
@@ -58,14 +41,13 @@ inline float DotLanes(const float* a, const float* b, size_t d) {
 /// max(block, ctx.opts.grain), parallel across ctx.pool. The grain floor
 /// keeps small shapes from splitting into tasks too fine to pay for their
 /// dispatch; when it leaves a single panel the sweep runs inline on the
-/// caller's thread, skipping the pool entirely (a grain >= n is how a
-/// tuned config serializes a kernel that loses under fan-out). The
-/// partition depends only on n, `block` and the grain — never the thread
-/// count — so each output element is produced by exactly one task whose
-/// internal order is thread-count independent. Once the context's
-/// cancellation token fires, remaining panels are skipped — callers must
-/// surface the error via KernelContext::CheckCancelled and discard the
-/// (partial) output.
+/// caller's thread, skipping the pool entirely (a grain >= n serializes
+/// the kernel). The partition depends only on n, `block` and the grain —
+/// never the thread count — so each output element is produced by exactly
+/// one task whose internal order is thread-count independent. Once the
+/// context's cancellation token fires, remaining panels are skipped —
+/// callers must surface the error via KernelContext::CheckCancelled and
+/// discard the (partial) output.
 void ParallelPanels(const KernelContext& ctx, size_t n, size_t block,
                     const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
@@ -109,14 +91,12 @@ std::vector<float> InverseRowNorms(const KernelContext& ctx, const Matrix& m) {
 /// optional per-row/per-column scale (null = unscaled). B is walked in
 /// col_block-row panels so one panel stays L2-resident while a row panel
 /// of A streams over it.
-Matrix BlockedMatMulBT(const KernelContext& caller_ctx, const Matrix& a,
+Matrix BlockedMatMulBT(const KernelContext& ctx, const Matrix& a,
                        const Matrix& b, const float* scale_a,
                        const float* scale_b) {
   CEAFF_CHECK(a.cols() == b.cols())
       << "matmulBT shape mismatch: " << a.rows() << "x" << a.cols() << " * ("
       << b.rows() << "x" << b.cols() << ")^T";
-  const KernelContext ctx =
-      TunedContext(caller_ctx, "matmul_bt", a.rows(), b.rows(), a.cols());
   Matrix out(a.rows(), b.rows());
   const size_t d = a.cols();
   const size_t col_block = std::max<size_t>(1, ctx.opts.col_block);
@@ -169,13 +149,10 @@ Matrix MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
   return BlockedMatMulBT(ctx, a, b, nullptr, nullptr);
 }
 
-Matrix MatMulK(const KernelContext& caller_ctx, const Matrix& a,
-               const Matrix& b) {
+Matrix MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
   CEAFF_CHECK(a.cols() == b.rows())
       << "matmul shape mismatch: " << a.rows() << "x" << a.cols() << " * "
       << b.rows() << "x" << b.cols();
-  const KernelContext ctx =
-      TunedContext(caller_ctx, "matmul", a.rows(), b.cols(), a.cols());
   Matrix out(a.rows(), b.cols());
   const size_t k = a.cols(), n = b.cols();
   // i-k-j per row panel: out rows accumulate over k in ascending order, the
@@ -245,15 +222,12 @@ StatusOr<Matrix> CosineSimilarityChecked(const KernelContext& ctx,
 // Sparse-dense (GCN layer)
 // ---------------------------------------------------------------------------
 
-Matrix SpMMK(const KernelContext& caller_ctx, const SparseMatrix& a,
+Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a,
              const Matrix& x) {
   CEAFF_CHECK(a.cols() == x.rows())
       << "spmm shape mismatch: " << a.rows() << "x" << a.cols() << " * "
       << x.rows() << "x" << x.cols();
   const size_t rows = a.rows();
-  const size_t avg_nnz = rows == 0 ? 0 : a.nnz() / rows;
-  const KernelContext ctx =
-      TunedContext(caller_ctx, "spmm", rows, x.cols(), avg_nnz);
   Matrix out(rows, x.cols());
   const size_t n = x.cols();
   const uint32_t* rp = a.row_ptr().data();

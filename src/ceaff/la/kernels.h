@@ -36,8 +36,6 @@ namespace ceaff::la {
 /// O(d · eps_f32) per element (the parity tests in tests/la/kernels_test.cc
 /// pin the bound).
 
-class KernelAutotuner;
-
 /// Blocking parameters. Defaults target a ~1 MiB L2: a column panel of
 /// `col_block` B-rows x 128 floats (64 KiB) stays resident while a row
 /// panel of A streams over it.
@@ -51,10 +49,8 @@ struct KernelOptions {
   /// floor so small shapes stop over-partitioning, and when one panel
   /// covers the whole output the sweep runs inline on the caller's thread
   /// — no pool dispatch at all. A grain at least as large as the output
-  /// therefore serializes the kernel, which is what the autotuner selects
-  /// on boxes where the fan-out measurably loses (oversubscribed cores,
-  /// L2 thrash). Partitioning only: the grain can never change output
-  /// bits.
+  /// therefore serializes the kernel. Partitioning only: the grain can
+  /// never change output bits.
   size_t grain = 8;
   /// Zero keeps every default; a non-zero value overrides col_block and
   /// scales row_block to match (the CLI's --block_size plumbs in here).
@@ -62,16 +58,13 @@ struct KernelOptions {
 };
 
 /// Shared context threaded through every kernel call site: the worker pool
-/// (null = sequential), the blocking parameters, an optional cooperative
-/// cancellation token polled once per row panel, and an optional autotuner
-/// consulted at kernel entry for measured per-shape blocking (la/autotune.h
-/// — the GEMM/SpMM family only; a null tuner keeps `opts` as-is). Not
-/// owned; the context must outlive the kernel call.
+/// (null = sequential), the blocking parameters every kernel runs with,
+/// and an optional cooperative cancellation token polled once per row
+/// panel. Not owned; the context must outlive the kernel call.
 struct KernelContext {
   ThreadPool* pool = nullptr;
   KernelOptions opts;
   const CancellationToken* cancel = nullptr;
-  KernelAutotuner* tuner = nullptr;
 
   /// Cancellation verdict after (or before) a kernel: OK when no token is
   /// armed or it has not fired.

@@ -303,18 +303,21 @@ TEST(GenerationalStoreTest, CorruptManifestIsQuarantinedAndRebuilt) {
   EXPECT_EQ(store.Get("b", ok_validator).value(), "payload-b");
 }
 
-TEST(GenerationalStoreTest, LegacyFlatFileIsReadable) {
-  ScratchDir dir("gen_legacy");
-  WriteText(dir.File("old_artifact"), "pre-generational bytes");
+TEST(GenerationalStoreTest, StrayFlatFileIsNotAnArtifact) {
+  // Only committed generations are artifacts: a flat `<dir>/<name>` file
+  // (no writer produces one) is never read, listed or handed out.
+  ScratchDir dir("gen_flat");
+  WriteText(dir.File("stray"), "flat bytes");
   GenerationalStore store(dir.path());
   ASSERT_TRUE(store.Init().ok());
-  EXPECT_TRUE(store.Has("old_artifact"));
-  EXPECT_EQ(store.Get("old_artifact").value(), "pre-generational bytes");
-  EXPECT_EQ(store.CurrentPath("old_artifact").value(),
-            dir.File("old_artifact"));
-  // The first Put moves it to the generational layout.
-  ASSERT_TRUE(store.Put("old_artifact", "new bytes").ok());
-  EXPECT_EQ(store.Get("old_artifact").value(), "new bytes");
+  EXPECT_FALSE(store.Has("stray"));
+  EXPECT_EQ(store.Get("stray").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.CurrentPath("stray").status().code(),
+            StatusCode::kNotFound);
+  // A Put publishes generations beside it; reads see only those.
+  ASSERT_TRUE(store.Put("stray", "new bytes").ok());
+  EXPECT_EQ(store.Get("stray").value(), "new bytes");
+  EXPECT_NE(store.CurrentPath("stray").value(), dir.File("stray"));
 }
 
 TEST(GenerationalStoreTest, InitSweepsLeftoverTempFiles) {

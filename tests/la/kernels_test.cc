@@ -76,9 +76,11 @@ void ExpectNear(const Matrix& got, const Matrix& want, double rel_tol) {
 // while still catching any wrong-element bug outright.
 constexpr double kGemmRelTol = 1e-4;
 
-/// Runs `compute` under: no pool, a 4-thread pool (default blocks), and a
-/// 4-thread pool with a tiny block override, asserting all three results
-/// are bit-identical. Returns the sequential result for further checks.
+/// Runs `compute` under: no pool, a 4-thread pool (default blocks), a
+/// 4-thread pool with a tiny block override, and a 4-thread pool whose
+/// grain covers the whole output (one inline panel, no pool dispatch),
+/// asserting all four results are bit-identical. Returns the sequential
+/// result for further checks.
 template <typename Fn>
 Matrix CheckDeterministic(Fn compute) {
   KernelContext seq;
@@ -96,6 +98,12 @@ Matrix CheckDeterministic(Fn compute) {
   tiny.opts.col_block = 5;
   EXPECT_TRUE(BitIdentical(base, compute(tiny)))
       << "tiny-block result differs from default blocks";
+
+  KernelContext serial;
+  serial.pool = &pool;
+  serial.opts.grain = 1u << 20;
+  EXPECT_TRUE(BitIdentical(base, compute(serial)))
+      << "serialize-grain result differs from the fanned-out one";
   return base;
 }
 
@@ -247,10 +255,11 @@ TEST(KernelSpmmTest, FusedSweepMatchesReferenceAtEveryThreadCount) {
   }
 }
 
-// The tuner's serialize-grain candidate sets grain >= rows so the whole
-// kernel runs as one inline panel without pool dispatch. That must be a
-// pure scheduling change: bit-identical to the fanned-out result, for
-// dense and sparse kernels alike.
+// A grain >= rows runs the whole kernel as one inline panel without pool
+// dispatch, and a tiny block splits it into many panels. Both must be pure
+// scheduling changes: bit-identical to the default blocks at every pool
+// size, for dense and sparse kernels alike, on hand-picked shapes and on a
+// seeded random-shape sweep.
 TEST(KernelSpmmTest, SerializeGrainIsBitIdenticalToFanOut) {
   const SparseMatrix a = RandomSparse(90, 110, 700, 21);
   const Matrix x = RandomMatrix(110, 13, 22);
@@ -269,6 +278,44 @@ TEST(KernelSpmmTest, SerializeGrainIsBitIdenticalToFanOut) {
   KernelContext seq;  // and both equal the no-pool path
   EXPECT_TRUE(BitIdentical(SpMMK(seq, a, x), SpMMK(serial, a, x)));
   EXPECT_TRUE(BitIdentical(MatMulBTK(seq, da, db), MatMulBTK(serial, da, db)));
+
+  Rng rng(2026);
+  ThreadPool pool2(2);
+  ThreadPool pool3(3);
+  for (int trial = 0; trial < 6; ++trial) {
+    const size_t m = 1 + rng.NextBounded(120);
+    const size_t n = 1 + rng.NextBounded(120);
+    const size_t d = 1 + rng.NextBounded(48);
+    const Matrix ra = RandomMatrix(m, d, 100 + trial);
+    const Matrix rbt = RandomMatrix(n, d, 200 + trial);
+    const Matrix rb = RandomMatrix(d, n, 300 + trial);
+    const SparseMatrix rsp = RandomSparse(m, m, m * 4, 400 + trial);
+    const Matrix rx = RandomMatrix(m, n, 500 + trial);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool2, &pool3}) {
+      KernelContext base;
+      base.pool = p;
+      KernelContext tiny = base;
+      tiny.opts.row_block = 3;
+      tiny.opts.col_block = 5;
+      KernelContext grain = base;
+      grain.opts.grain = 1u << 20;
+      const Matrix want_bt = MatMulBTK(base, ra, rbt);
+      const Matrix want_mm = MatMulK(base, ra, rb);
+      const Matrix want_sp = SpMMK(base, rsp, rx);
+      for (const KernelContext* ctx : {&tiny, &grain}) {
+        const std::string label =
+            std::to_string(m) + "x" + std::to_string(n) + "x" +
+            std::to_string(d) + (ctx == &tiny ? " tiny" : " grain") +
+            " threads " + std::to_string(p ? p->num_threads() : 1);
+        EXPECT_TRUE(BitIdentical(MatMulBTK(*ctx, ra, rbt), want_bt))
+            << "matmul_bt " << label;
+        EXPECT_TRUE(BitIdentical(MatMulK(*ctx, ra, rb), want_mm))
+            << "matmul " << label;
+        EXPECT_TRUE(BitIdentical(SpMMK(*ctx, rsp, rx), want_sp))
+            << "spmm " << label;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,13 +14,16 @@ Exit status is 1 when:
   * the candidate reports parity_failures > 0 (wrong answers trump any
     timing), or
   * any matched row's speedup dropped by more than --threshold relative
-    to the baseline, i.e. candidate < baseline * (1 - threshold).
+    to the baseline, i.e. candidate < baseline * (1 - threshold), or
+  * a baseline row is missing from the candidate (a dropped kernel or
+    shape must not leave the gate silently).
 
 The default threshold (0.5) is deliberately loose: micro-benchmarks on a
 shared/virtualised box jitter by tens of percent, and this gate exists to
 catch "the kernel fell off a cliff" (a lost fast path, a serialized
-parallel path), not 10% scheduler noise. Rows present in only one file
-are reported but never fail the gate — benchmarks grow over time.
+parallel path), not 10% scheduler noise. Rows present only in the
+candidate are reported but never fail the gate — benchmarks grow over
+time; retiring a row means regenerating the committed baseline.
 """
 
 import argparse
@@ -83,7 +86,9 @@ def main():
               f"base {b:6.2f}x  cand {c:6.2f}x  ({ratio:6.1%}){flag}")
     for key in only_base:
         print(f"  {key[0]:<20} {key[1]:<24} {key[2]:>2}t  "
-              f"base {base[key]:6.2f}x  cand      -  (row gone)")
+              f"base {base[key]:6.2f}x  cand      -  << ROW GONE")
+        failures.append(f"{key[0]} {key[1]} @{key[2]}t: baseline row "
+                        f"missing from the candidate")
     for key in only_cand:
         print(f"  {key[0]:<20} {key[1]:<24} {key[2]:>2}t  "
               f"base      -  cand {cand[key]:6.2f}x  (new row)")

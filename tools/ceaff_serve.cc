@@ -37,7 +37,6 @@
 
 #include "ceaff/common/cancellation.h"
 #include "ceaff/common/flags.h"
-#include "ceaff/la/autotune.h"
 #include "ceaff/serve/degradation.h"
 #include "ceaff/serve/protocol.h"
 #include "ceaff/serve/router.h"
@@ -107,8 +106,6 @@ int Usage() {
                "[--respawn_cooldown_ms N]\n"
                "                   [--ann on|off] [--nprobe N] "
                "[--shortlist N]\n"
-               "                   [--autotune on|off|cache-only] "
-               "[--tune_cache DIR]\n"
                "Reads protocol requests (PAIR/TOPK/BATCH/RELOAD/STATS/"
                "HEALTH/READY/QUIT)\n"
                "line by line from --requests or stdin; responses go to "
@@ -379,8 +376,6 @@ int Run(const FlagParser& flags) {
     (void)flags.GetInt("threads", 4);
     (void)flags.GetInt("cache", 1024);
     (void)flags.GetInt("scrub_ms", 0);
-    (void)flags.GetString("autotune", "off");
-    (void)flags.GetString("tune_cache", "");
     return RunSharded(flags, static_cast<size_t>(shards),
                       static_cast<size_t>(replicas));
   }
@@ -426,50 +421,6 @@ int Run(const FlagParser& flags) {
                  index->dataset.c_str(), index->num_sources(),
                  index->num_targets(), index->pairs.size(),
                  service->num_threads());
-
-    // Tune at index load, before the first request: warm the kernel tuner
-    // for the loaded index's similarity shapes and persist the table.
-    // Serving itself uses fixed scans, so this is cache pre-population for
-    // co-located batch/delta workloads sharing --tune_cache; a failure
-    // warns and serving proceeds untouched.
-    const std::string autotune_text = flags.GetString("autotune", "off");
-    auto autotune_or = la::ParseAutotuneMode(autotune_text);
-    if (!autotune_or.ok()) {
-      std::fprintf(stderr, "ceaff_serve: %s\n",
-                   autotune_or.status().message().c_str());
-      return 2;
-    }
-    if (*autotune_or != la::AutotuneMode::kOff) {
-      la::AutotuneOptions tune_options;
-      tune_options.mode = *autotune_or;
-      tune_options.cache_dir = flags.GetString("tune_cache", "");
-      la::KernelAutotuner tuner(tune_options);
-      Status st = tuner.Init();
-      if (st.ok() && *autotune_or == la::AutotuneMode::kOn) {
-        std::vector<la::TuneShape> shapes;
-        const size_t m = index->num_sources();
-        const size_t n = index->num_targets();
-        if (!index->source_name_emb.empty()) {
-          shapes.push_back({"matmul_bt", m, n, index->source_name_emb.cols()});
-        }
-        if (!index->source_struct_emb.empty()) {
-          shapes.push_back(
-              {"matmul_bt", m, n, index->source_struct_emb.cols()});
-        }
-        st = tuner.Warm(shapes, {1, service->num_threads()});
-      }
-      if (st.ok()) {
-        std::fprintf(stderr, "autotune %s: %zu shape classes (%zu measured "
-                     "at load)\n",
-                     la::AutotuneModeName(*autotune_or), tuner.entries(),
-                     tuner.measured_count());
-      } else {
-        std::fprintf(stderr, "autotune disabled: %s\n",
-                     st.ToString().c_str());
-      }
-    } else {
-      (void)flags.GetString("tune_cache", "");
-    }
   }
 
   std::ifstream file;

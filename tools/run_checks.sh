@@ -66,8 +66,6 @@ if [[ "$skip_sanitize" == 0 ]]; then
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L ann
   echo "==> Delta-ingestion suite under ASan"
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L delta
-  echo "==> Autotuner suite under ASan"
-  ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L tune
 fi
 
 if [[ "$skip_tsan" == 0 ]]; then
@@ -99,21 +97,20 @@ if [[ "$skip_smoke" == 0 ]]; then
   ctest --test-dir "$repo/build" --output-on-failure -L bench
   kbench="$(mktemp -d)"
   trap 'rm -rf "$kbench"' EXIT
-  # Full (tracked) shapes with --autotune so the rows line up with the
-  # committed BENCH_kernels.json; the run itself exits non-zero on any
+  # Full (tracked) shapes so the rows line up with the committed
+  # BENCH_kernels.json; the run itself exits non-zero on any
   # kernel-vs-naive divergence (the --smoke perf gate ran as part of
-  # `-L bench` above). The JSON must also record a clean parity bill, at
-  # least one kernel row, and at least one autotuned row.
-  "$repo/build/bench/micro_kernels" --autotune \
-    --out "$kbench/BENCH_kernels.json"
+  # `-L bench` above). The JSON must also record a clean parity bill and at
+  # least one kernel row.
+  "$repo/build/bench/micro_kernels" --out "$kbench/BENCH_kernels.json"
   grep -q '"parity_failures": 0' "$kbench/BENCH_kernels.json"
   grep -q '"kernel": "cosine_kernel"' "$kbench/BENCH_kernels.json"
-  grep -q '_tuned"' "$kbench/BENCH_kernels.json"
 
   echo "==> Perf-regression gate: fresh run vs committed BENCH_kernels.json"
   # speedup_vs_naive is machine-relative, so the committed baseline still
   # gates a different box; the loose threshold tolerates benchmark jitter
-  # while catching a kernel that fell off a cliff.
+  # while catching a kernel that fell off a cliff. A baseline row missing
+  # from the fresh run fails the gate too.
   python3 "$repo/tools/bench_diff.py" "$repo/BENCH_kernels.json" \
     "$kbench/BENCH_kernels.json" --threshold 0.5
 
@@ -354,6 +351,16 @@ if [[ "$skip_smoke" == 0 ]]; then
   printf 'serve_entity\t1\thttp://smoke/brand_new\n' >> "$delta/patch.tsv"
   "$repo/build/tools/ceaff" delta append \
     --journal "$delta/wal" --patch "$delta/patch.tsv"
+  # Sizing flags are validated like align's: a zero thread count or a
+  # negative block size is a usage error (exit 2), never a wrapped size_t.
+  for bad in '--threads 0' '--block_size -1'; do
+    rc=0
+    "$repo/build/tools/ceaff" delta append --journal "$delta/wal_bad" \
+      --patch "$delta/patch.tsv" $bad >/dev/null 2>&1 || rc=$?
+    if [[ "$rc" != 2 ]]; then
+      echo "delta append $bad exited $rc, expected 2" >&2; exit 1
+    fi
+  done
   # Serve the pre-apply generation: the renamed name must NOT answer yet.
   delta_fifo="$delta/req.fifo"
   mkfifo "$delta_fifo"
