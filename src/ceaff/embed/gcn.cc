@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ceaff/common/logging.h"
+#include "ceaff/common/thread_pool.h"
 
 namespace ceaff::embed {
 
@@ -16,86 +18,109 @@ const la::KernelContext& Ctx(const GcnOptions& options) {
   return options.kernel != nullptr ? *options.kernel : kDefault;
 }
 
+/// Gives `m` the shape rows x cols, allocating only when it differs. The
+/// training loop sizes its buffers this way on the calling thread before
+/// any per-KG task runs: memory a pool worker allocates comes from that
+/// worker's malloc arena, which keeps the pages resident after Train()
+/// frees them.
+void Shape(la::Matrix* m, size_t rows, size_t cols) {
+  if (m->rows() != rows || m->cols() != cols) *m = la::Matrix(rows, cols);
+}
+
 }  // namespace
 
 GcnAligner::GcnAligner(la::SparseMatrix a1, la::SparseMatrix a2,
                        const GcnOptions& options)
-    : options_(options), a1_(std::move(a1)), a2_(std::move(a2)) {
-  CEAFF_CHECK(a1_.rows() == a1_.cols()) << "A1 must be square";
-  CEAFF_CHECK(a2_.rows() == a2_.cols()) << "A2 must be square";
+    : options_(options) {
+  CEAFF_CHECK(a1.rows() == a1.cols()) << "A1 must be square";
+  CEAFF_CHECK(a2.rows() == a2.cols()) << "A2 must be square";
+  kg_[0].a = std::move(a1);
+  kg_[1].a = std::move(a2);
   Rng rng(options_.seed);
-  // "The initial feature matrix X is sampled from truncated normal
-  // distribution with L2-normalization on rows" (Sec. IV-A).
-  x1_ = la::Matrix::TruncatedNormal(a1_.rows(), options_.dim, 1.0f, &rng);
-  x1_.L2NormalizeRows();
-  x2_ = la::Matrix::TruncatedNormal(a2_.rows(), options_.dim, 1.0f, &rng);
-  x2_.L2NormalizeRows();
+  for (Side& side : kg_) {
+    side.at = side.a.Transposed();
+    // "The initial feature matrix X is sampled from truncated normal
+    // distribution with L2-normalization on rows" (Sec. IV-A).
+    side.x = la::Matrix::TruncatedNormal(side.a.rows(), options_.dim, 1.0f,
+                                         &rng);
+    side.x.L2NormalizeRows();
+  }
   w1_ = la::Matrix::GlorotUniform(options_.dim, options_.dim, &rng);
   w2_ = la::Matrix::GlorotUniform(options_.dim, options_.dim, &rng);
   Forward();
 }
 
-void GcnAligner::ForwardKg(const la::SparseMatrix& a, const la::Matrix& x,
-                           ForwardCache* cache, la::Matrix* z) const {
-  const la::KernelContext& ctx = Ctx(options_);
-  cache->ax = la::SpMMK(ctx, a, x);
-  if (options_.use_weight_transform) {
-    cache->pre = la::MatMulK(ctx, cache->ax, w1_);
-  } else {
-    cache->pre = cache->ax;
+void GcnAligner::ForEachKg(
+    const std::function<void(const la::KernelContext&, size_t)>& fn) const {
+  // The two KGs' chains are independent, and at GCN shapes a kernel is too
+  // short to pay for fanning out: one pool dispatch per phase, with the
+  // kernels inside each task inline, beats one dispatch per kernel.
+  const la::KernelContext& caller = Ctx(options_);
+  la::KernelContext inline_ctx = caller;
+  inline_ctx.pool = nullptr;
+  ParallelFor(caller.pool, 2, [&](size_t k) { fn(inline_ctx, k); });
+}
+
+void GcnAligner::ForwardKg(const la::KernelContext& ctx, Side* side,
+                           Workspace* ws) const {
+  if (!options_.use_weight_transform) {
+    // Z = A·(A·X): pure propagation.
+    la::SpMMKInto(ctx, side->a, side->x, &ws->tmp);
+    la::SpMMKInto(ctx, side->a, ws->tmp, &side->z);
+    return;
   }
-  cache->h1 = cache->pre;
-  if (options_.use_relu && options_.use_weight_transform) {
-    cache->h1.ReluInPlace();
-  }
-  cache->ah1 = la::SpMMK(ctx, a, cache->h1);
-  if (options_.use_weight_transform) {
-    *z = la::MatMulK(ctx, cache->ah1, w2_);
-  } else {
-    *z = cache->ah1;
-  }
+  // Z = A·ReLU(A·X·W1)·W2
+  la::SpMMKInto(ctx, side->a, side->x, &ws->ax);
+  ws->pre = la::MatMulK(ctx, ws->ax, w1_);
+  ws->h1 = ws->pre;
+  if (options_.use_relu) ws->h1.ReluInPlace();
+  la::SpMMKInto(ctx, side->a, ws->h1, &ws->ah1);
+  side->z = la::MatMulK(ctx, ws->ah1, w2_);
 }
 
 void GcnAligner::Forward() {
-  ForwardCache c1, c2;
-  ForwardKg(a1_, x1_, &c1, &z1_);
-  ForwardKg(a2_, x2_, &c2, &z2_);
+  Workspace ws[2];
+  for (size_t k = 0; k < 2; ++k) {
+    Shape(&ws[k].tmp, kg_[k].x.rows(), options_.dim);
+    Shape(&kg_[k].z, kg_[k].x.rows(), options_.dim);
+  }
+  ForEachKg([&](const la::KernelContext& ctx, size_t k) {
+    ForwardKg(ctx, &kg_[k], &ws[k]);
+  });
 }
 
-void GcnAligner::BackwardKg(const la::SparseMatrix& a,
-                            const la::Matrix& /*x*/,
-                            const ForwardCache& cache, const la::Matrix& dz,
-                            la::Matrix* dw1, la::Matrix* dw2,
-                            la::Matrix* dx) const {
-  const la::KernelContext& ctx = Ctx(options_);
+void GcnAligner::BackwardKg(const la::KernelContext& ctx, float lr,
+                            Side* side, Workspace* ws) const {
   if (!options_.use_weight_transform) {
-    // Z = A·(A·X): pure propagation; dX = A^T A^T dZ.
-    if (dx != nullptr) {
-      *dx = la::SpMMTransposedK(ctx, a, la::SpMMTransposedK(ctx, a, dz));
+    // Z = A·(A·X): dX = Aᵀ·(Aᵀ·dZ).
+    if (!options_.train_inputs) return;
+    la::SpMMKInto(ctx, side->at, ws->dz, &ws->tmp);
+    la::SpMMKInto(ctx, side->at, ws->tmp, &ws->dx);
+  } else {
+    // Z = (A·H1)·W2
+    ws->dw2 = la::MatMulATK(ctx, ws->ah1, ws->dz);
+    // dL/dH1 = Aᵀ·(dZ·W2ᵀ), masked by the ReLU.
+    la::SpMMKInto(ctx, side->at, la::MatMulBTK(ctx, ws->dz, w2_), &ws->tmp);
+    if (options_.use_relu) {
+      for (size_t i = 0; i < ws->tmp.size(); ++i) {
+        if (ws->pre.data()[i] <= 0.0f) ws->tmp.data()[i] = 0.0f;
+      }
     }
-    return;
+    // P = (A·X)·W1
+    ws->dw1 = la::MatMulATK(ctx, ws->ax, ws->tmp);
+    if (!options_.train_inputs) return;
+    la::SpMMKInto(ctx, side->at, la::MatMulBTK(ctx, ws->tmp, w1_), &ws->dx);
   }
-  // Z = (A·H1)·W2
-  dw2->Add(la::MatMulATK(ctx, cache.ah1, dz));
-  // dL/dH1 = A^T · (dZ · W2^T).
-  la::Matrix dh1 = la::SpMMTransposedK(ctx, a, la::MatMulBTK(ctx, dz, w2_));
-  // ReLU mask.
-  if (options_.use_relu) {
-    for (size_t i = 0; i < dh1.size(); ++i) {
-      if (cache.pre.data()[i] <= 0.0f) dh1.data()[i] = 0.0f;
-    }
-  }
-  // P = (A·X)·W1
-  dw1->Add(la::MatMulATK(ctx, cache.ax, dh1));
-  if (dx != nullptr) {
-    *dx = la::SpMMTransposedK(ctx, a, la::MatMulBTK(ctx, dh1, w1_));
-  }
+  side->x.Axpy(-lr, ws->dx);
+  if (options_.renormalize_inputs) side->x.L2NormalizeRows();
 }
 
 StatusOr<double> GcnAligner::Train(
     const std::vector<kg::AlignmentPair>& seed_pairs) {
+  la::Matrix& x1 = kg_[0].x;
+  la::Matrix& x2 = kg_[1].x;
   for (const kg::AlignmentPair& p : seed_pairs) {
-    if (p.source >= a1_.rows() || p.target >= a2_.rows()) {
+    if (p.source >= x1.rows() || p.target >= x2.rows()) {
       return Status::InvalidArgument("seed pair id outside KG");
     }
   }
@@ -105,9 +130,9 @@ StatusOr<double> GcnAligner::Train(
   }
   if (options_.tie_seed_features) {
     for (const kg::AlignmentPair& p : seed_pairs) {
-      const float* src = x1_.row(p.source);
-      float* dst = x2_.row(p.target);
-      for (size_t c = 0; c < x1_.cols(); ++c) dst[c] = src[c];
+      const float* src = x1.row(p.source);
+      float* dst = x2.row(p.target);
+      for (size_t c = 0; c < x1.cols(); ++c) dst[c] = src[c];
     }
   }
   Rng rng(Rng::SplitMix64(options_.seed ^ 0x5eedull));
@@ -115,46 +140,51 @@ StatusOr<double> GcnAligner::Train(
   double mean_loss = 0.0;
   const float lr = options_.learning_rate /
                    static_cast<float>(seed_pairs.size());
+  Workspace ws[2];
+  for (size_t k = 0; k < 2; ++k) {
+    for (la::Matrix* m : {&ws[k].tmp, &ws[k].dz, &ws[k].dx, &kg_[k].z}) {
+      Shape(m, kg_[k].x.rows(), options_.dim);
+    }
+  }
+  la::Matrix dw1(w1_.rows(), w1_.cols());
+  la::Matrix dw2(w2_.rows(), w2_.cols());
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "gcn training"));
-    ForwardCache c1, c2;
-    ForwardKg(a1_, x1_, &c1, &z1_);
-    ForwardKg(a2_, x2_, &c2, &z2_);
+    ForEachKg([&](const la::KernelContext& ctx, size_t k) {
+      ForwardKg(ctx, &kg_[k], &ws[k]);
+    });
+    const la::Matrix& z1 = kg_[0].z;
+    const la::Matrix& z2 = kg_[1].z;
     if (epoch % std::max<size_t>(1, options_.negative_resample_every) == 0) {
       if (options_.hard_negative_topk > 0) {
-        negatives = SampleHardNegatives(seed_pairs, z1_, z2_,
+        negatives = SampleHardNegatives(seed_pairs, z1, z2,
                                         options_.negatives_per_positive,
                                         options_.hard_negative_topk, &rng);
       } else {
-        negatives = SampleNegatives(seed_pairs, a1_.rows(), a2_.rows(),
+        negatives = SampleNegatives(seed_pairs, z1.rows(), z2.rows(),
                                     options_.negatives_per_positive, &rng);
       }
     }
 
-    la::Matrix dz1(z1_.rows(), z1_.cols());
-    la::Matrix dz2(z2_.rows(), z2_.cols());
-    double loss = MarginRankingLossGrad(z1_, z2_, seed_pairs, negatives,
-                                        options_.margin, &dz1, &dz2);
+    double loss = MarginRankingLossGrad(z1, z2, seed_pairs, negatives,
+                                        options_.margin, &ws[0].dz,
+                                        &ws[1].dz);
     mean_loss = loss / static_cast<double>(seed_pairs.size());
 
-    la::Matrix dw1(w1_.rows(), w1_.cols());
-    la::Matrix dw2(w2_.rows(), w2_.cols());
-    la::Matrix dx1, dx2;
-    BackwardKg(a1_, x1_, c1, dz1, &dw1, &dw2,
-               options_.train_inputs ? &dx1 : nullptr);
-    BackwardKg(a2_, x2_, c2, dz2, &dw1, &dw2,
-               options_.train_inputs ? &dx2 : nullptr);
-
+    ForEachKg([&](const la::KernelContext& ctx, size_t k) {
+      BackwardKg(ctx, lr, &kg_[k], &ws[k]);
+    });
+    if (!options_.use_weight_transform) continue;
+    // Each task filled its own share; sum them into zeroed buffers, KG1 then
+    // KG2, exactly as the serial loop accumulated them.
+    dw1.SetZero();
+    dw2.SetZero();
+    for (const Workspace& w : ws) {
+      dw1.Add(w.dw1);
+      dw2.Add(w.dw2);
+    }
     w1_.Axpy(-lr, dw1);
     w2_.Axpy(-lr, dw2);
-    if (options_.train_inputs) {
-      x1_.Axpy(-lr, dx1);
-      x2_.Axpy(-lr, dx2);
-      if (options_.renormalize_inputs) {
-        x1_.L2NormalizeRows();
-        x2_.L2NormalizeRows();
-      }
-    }
     // Rescale weights that outgrow the cap; the margin objective otherwise
     // inflates the embedding scale without bound.
     const float cap = options_.weight_norm_cap_factor *
@@ -164,13 +194,15 @@ StatusOr<double> GcnAligner::Train(
       if (norm > cap) w->Scale(cap / norm);
     }
   }
-  Forward();
+  ForEachKg([&](const la::KernelContext& ctx, size_t k) {
+    ForwardKg(ctx, &kg_[k], &ws[k]);
+  });
   return mean_loss;
 }
 
 size_t GcnAligner::NumParameters() const {
   size_t n = 2 * options_.dim * options_.dim;
-  if (options_.train_inputs) n += x1_.size() + x2_.size();
+  if (options_.train_inputs) n += kg_[0].x.size() + kg_[1].x.size();
   return n;
 }
 
@@ -283,7 +315,9 @@ double MarginRankingLossGrad(const la::Matrix& z1, const la::Matrix& z2,
     if (hinge <= 0.0) continue;
     loss += hinge;
 
-    // d|u - v| / du = sign(u - v); subgradient 0 at equality.
+    // d|u - v| / du = sign(u - v); subgradient 0 at equality. The signs
+    // are computed without branches: their pattern is data-dependent, and
+    // mispredicted branches took about half of this function's time.
     const float* up = z1.row(pos.source);
     const float* vp = z2.row(pos.target);
     float* dup = dz1->row(pos.source);
@@ -291,10 +325,10 @@ double MarginRankingLossGrad(const la::Matrix& z1, const la::Matrix& z2,
     float* dun = dz1->row(np.source);
     float* dvn = dz2->row(np.target);
     for (size_t c = 0; c < d; ++c) {
-      float sp = up[c] > vp[c] ? 1.0f : (up[c] < vp[c] ? -1.0f : 0.0f);
+      const float sp = static_cast<float>((up[c] > vp[c]) - (up[c] < vp[c]));
       dup[c] += sp;
       dvp[c] -= sp;
-      float sn = un[c] > vn[c] ? 1.0f : (un[c] < vn[c] ? -1.0f : 0.0f);
+      const float sn = static_cast<float>((un[c] > vn[c]) - (un[c] < vn[c]));
       dun[c] -= sn;
       dvn[c] += sn;
     }

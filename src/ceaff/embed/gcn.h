@@ -2,6 +2,7 @@
 #define CEAFF_EMBED_GCN_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "ceaff/common/cancellation.h"
@@ -67,10 +68,11 @@ struct GcnOptions {
   /// epoch. Train() returns kCancelled/kDeadlineExceeded when it fires
   /// (embeddings reflect the last completed epoch). Not owned.
   const CancellationToken* cancel = nullptr;
-  /// Optional kernel context (thread pool + block sizes) for the forward
-  /// and backward passes. Null runs the blocked kernels sequentially with
-  /// default blocks; the embeddings are identical either way (the kernels
-  /// are thread-count deterministic). Not owned.
+  /// Optional kernel context for the forward and backward passes. Each
+  /// KG's chain runs as one task on its pool, with its block sizes and
+  /// cancellation token; null runs both chains sequentially with default
+  /// blocks. The embeddings are identical either way (the kernels are
+  /// thread-count deterministic). Not owned.
   const la::KernelContext* kernel = nullptr;
 };
 
@@ -94,16 +96,16 @@ class GcnAligner {
   StatusOr<double> Train(const std::vector<kg::AlignmentPair>& seed_pairs);
 
   /// Embeddings of KG1 / KG2 entities after (or before) training.
-  const la::Matrix& embeddings1() const { return z1_; }
-  const la::Matrix& embeddings2() const { return z2_; }
+  const la::Matrix& embeddings1() const { return kg_[0].z; }
+  const la::Matrix& embeddings2() const { return kg_[1].z; }
 
   /// Trained input feature matrices X1 / X2 — the frozen-model inputs the
   /// incremental delta path persists. In the default propagation-only
   /// configuration (use_weight_transform = false) the forward pass is a
   /// pure function of (A, X), so a caller holding X can recompute any
   /// embedding row after a local adjacency change without retraining.
-  const la::Matrix& features1() const { return x1_; }
-  const la::Matrix& features2() const { return x2_; }
+  const la::Matrix& features1() const { return kg_[0].x; }
+  const la::Matrix& features2() const { return kg_[1].x; }
 
   /// Whether this aligner applies the W1/W2 weight transforms (the delta
   /// path only supports the propagation-only default).
@@ -118,26 +120,40 @@ class GcnAligner {
   size_t NumParameters() const;
 
  private:
-  struct ForwardCache {
-    la::Matrix ax;    // A · X
-    la::Matrix pre;   // A · X · W1 (pre-activation)
-    la::Matrix h1;    // ReLU(pre)
-    la::Matrix ah1;   // A · H1
+  /// One KG's half of the model. The backward pass multiplies by Aᵀ, which
+  /// the constructor builds once.
+  struct Side {
+    la::SparseMatrix a, at;
+    la::Matrix x;  // input features (trainable when train_inputs)
+    la::Matrix z;  // output embeddings
   };
 
-  void ForwardKg(const la::SparseMatrix& a, const la::Matrix& x,
-                 ForwardCache* cache, la::Matrix* z) const;
-  /// Accumulates dL/dW1, dL/dW2 (and optionally dL/dX) for one KG given
-  /// dL/dZ.
-  void BackwardKg(const la::SparseMatrix& a, const la::Matrix& x,
-                  const ForwardCache& cache, const la::Matrix& dz,
-                  la::Matrix* dw1, la::Matrix* dw2, la::Matrix* dx) const;
+  /// One KG's epoch buffers. Train() sizes them before the first epoch and
+  /// the kernels write into them in place, so on the default path no epoch
+  /// allocates a matrix; they are freed when Train() returns. ax/pre/h1/ah1
+  /// and dw1/dw2 are used only with use_weight_transform.
+  struct Workspace {
+    la::Matrix tmp;               // A·X forward, Aᵀ·(·) backward
+    la::Matrix dz, dx;            // dL/dZ, dL/dX
+    la::Matrix ax, pre, h1, ah1;  // A·X, A·X·W1, ReLU(pre), A·H1
+    la::Matrix dw1, dw2;          // this KG's share of dL/dW1, dL/dW2
+  };
+
+  /// Runs fn(0) and fn(1) — one call per KG — as two tasks on the kernel
+  /// pool, and hands each the caller's kernel context without its pool so
+  /// the kernels inside run inline on the task's thread.
+  void ForEachKg(
+      const std::function<void(const la::KernelContext&, size_t)>& fn) const;
+  void ForwardKg(const la::KernelContext& ctx, Side* side,
+                 Workspace* ws) const;
+  /// dL/dX (and this KG's dL/dW1, dL/dW2 with use_weight_transform) from
+  /// ws->dz; then, when train_inputs, applies the SGD step to side->x.
+  void BackwardKg(const la::KernelContext& ctx, float lr, Side* side,
+                  Workspace* ws) const;
 
   GcnOptions options_;
-  la::SparseMatrix a1_, a2_;
-  la::Matrix x1_, x2_;  // input features (trainable when train_inputs)
+  Side kg_[2];
   la::Matrix w1_, w2_;  // shared layer weights
-  la::Matrix z1_, z2_;  // output embeddings
 };
 
 /// A corrupted (negative) seed pair plus the positive it was derived from.

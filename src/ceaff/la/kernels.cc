@@ -222,14 +222,19 @@ StatusOr<Matrix> CosineSimilarityChecked(const KernelContext& ctx,
 // Sparse-dense (GCN layer)
 // ---------------------------------------------------------------------------
 
-Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a,
-             const Matrix& x) {
+void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
+               const Matrix& x, Matrix* out) {
   CEAFF_CHECK(a.cols() == x.rows())
       << "spmm shape mismatch: " << a.rows() << "x" << a.cols() << " * "
       << x.rows() << "x" << x.cols();
+  CEAFF_CHECK(out != &x) << "spmm output must not alias its dense operand";
   const size_t rows = a.rows();
-  Matrix out(rows, x.cols());
   const size_t n = x.cols();
+  if (out->rows() == rows && out->cols() == n) {
+    out->SetZero();
+  } else {
+    *out = Matrix(rows, n);
+  }
   const uint32_t* rp = a.row_ptr().data();
   const uint32_t* ci = a.col_idx().data();
   const float* vals = a.values().data();
@@ -253,7 +258,7 @@ Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a,
   const auto sweep = [&](size_t r0, size_t r1) {
     constexpr size_t kPrefetchAhead = 6;
     for (size_t r = r0; r < r1; ++r) {
-      float* orow = out.row(r);
+      float* orow = out->row(r);
       const uint32_t k1 = rp[r + 1];
       for (uint32_t k = rp[r]; k < k1; ++k) {
         if (use_prefetch && k + kPrefetchAhead < nnz) {
@@ -278,42 +283,21 @@ Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a,
         std::max<size_t>(1, std::max(ctx.opts.row_block, ctx.opts.grain));
     for (size_t r0 = 0; r0 < rows; r0 += block) {
       if (ctx.cancel != nullptr && !ctx.cancel->Check("kernel panel").ok()) {
-        return out;  // partial; surfaced via KernelContext::CheckCancelled
+        return;  // partial; surfaced via KernelContext::CheckCancelled
       }
       sweep(r0, std::min(rows, r0 + block));
     }
-    return out;
+    return;
   }
   // Parallel path: each task owns a panel of output rows and runs the same
   // fused sweep over it.
   ParallelPanels(ctx, rows, ctx.opts.row_block, sweep);
-  return out;
 }
 
-Matrix SpMMTransposedK(const KernelContext& ctx, const SparseMatrix& a,
-                       const Matrix& x) {
-  CEAFF_CHECK(a.rows() == x.rows())
-      << "spmmT shape mismatch: (" << a.rows() << "x" << a.cols() << ")^T * "
-      << x.rows() << "x" << x.cols();
-  Matrix out(a.cols(), x.cols());
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  const auto& values = a.values();
-  // aᵀ·x scatters into output rows keyed by col_idx, so row panels would
-  // race. Parallelise over output *columns* instead: each task owns columns
-  // [c0, c1) of every output row and replays the full nnz scan restricted
-  // to that column range — disjoint writes, and per element the accumulation
-  // order (ascending r, ascending nnz) matches MultiplyTransposed exactly.
-  ParallelPanels(ctx, x.cols(), ctx.opts.col_block, [&](size_t c0, size_t c1) {
-    for (size_t r = 0; r < a.rows(); ++r) {
-      const float* drow = x.row(r);
-      for (uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        const float v = values[k];
-        float* orow = out.row(col_idx[k]);
-        for (size_t j = c0; j < c1; ++j) orow[j] += v * drow[j];
-      }
-    }
-  });
+Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a,
+             const Matrix& x) {
+  Matrix out;
+  SpMMKInto(ctx, a, x, &out);
   return out;
 }
 

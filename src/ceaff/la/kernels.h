@@ -106,15 +106,17 @@ StatusOr<Matrix> CosineSimilarityChecked(const KernelContext& ctx,
 // ---------------------------------------------------------------------------
 
 /// out = a · x (CSR (m,k) x dense (k,n) -> dense (m,n)), parallel over
-/// output row panels. Bit-identical to SparseMatrix::Multiply.
+/// output row panels. Bit-identical to SparseMatrix::Multiply. For aᵀ · x,
+/// pass a.Transposed(): its rows list entries in ascending source row, so
+/// every output element accumulates in SparseMatrix::MultiplyTransposed's
+/// order and the result is bit-identical to it.
 Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x);
 
-/// out = aᵀ · x ((m,k)ᵀ x (m,n) -> (k,n)), parallel over output *column*
-/// panels — each task scans the full CSR but touches a disjoint column
-/// range of every output row, so the result is race-free and bit-identical
-/// to SparseMatrix::MultiplyTransposed at any thread count.
-Matrix SpMMTransposedK(const KernelContext& ctx, const SparseMatrix& a,
-                       const Matrix& x);
+/// SpMMK writing into a caller-owned `out`: an `out` already shaped (m,n)
+/// is zero-filled and reused without allocating, any other is replaced by
+/// a fresh (m,n) matrix. `out` must not alias `x`. Same bits as SpMMK.
+void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
+               const Matrix& x, Matrix* out);
 
 // ---------------------------------------------------------------------------
 // Sinkhorn normalisation

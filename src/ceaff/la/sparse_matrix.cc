@@ -91,6 +91,17 @@ Matrix SparseMatrix::MultiplyTransposed(const Matrix& dense) const {
   return out;
 }
 
+SparseMatrix SparseMatrix::Transposed() const {
+  std::vector<Triplet> swapped;
+  swapped.reserve(nnz());
+  for (size_t r = 0; r < rows_; ++r) {
+    for (uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      swapped.push_back({col_idx_[k], static_cast<uint32_t>(r), values_[k]});
+    }
+  }
+  return Build(cols_, rows_, std::move(swapped));
+}
+
 SparseMatrix SparseMatrix::RowNormalized() const {
   SparseMatrix out = *this;
   for (size_t r = 0; r < rows_; ++r) {

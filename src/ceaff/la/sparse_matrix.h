@@ -48,6 +48,12 @@ class SparseMatrix {
   /// out = this^T * dense ((m,k)^T x (m,n) -> (k,n)). Backprop helper.
   Matrix MultiplyTransposed(const Matrix& dense) const;
 
+  /// The (cols x rows) transpose in CSR. Row c lists this matrix's column-c
+  /// entries in ascending source row, so Transposed().Multiply(x)
+  /// accumulates every output element in MultiplyTransposed's order and is
+  /// bit-identical to it.
+  SparseMatrix Transposed() const;
+
   /// Returns a copy with every row scaled to sum 1 (rows summing to zero
   /// are left as-is) — random-walk normalisation  D^-1 (A).
   SparseMatrix RowNormalized() const;

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
+#include "ceaff/common/thread_pool.h"
+#include "ceaff/data/synthetic.h"
 #include "ceaff/kg/adjacency.h"
 #include "ceaff/la/ops.h"
 
@@ -130,6 +135,107 @@ TEST(GcnAlignerTest, NumParametersAccounting) {
   GcnAligner gcn2(kg::BuildAdjacency(g1), kg::BuildAdjacency(g2), opt);
   EXPECT_EQ(gcn2.NumParameters(),
             2 * 16u * 16u + (g1.num_entities() + g2.num_entities()) * 16u);
+}
+
+/// A fixed DBP15K_ZH_EN-shaped pair from the synthetic generator (100 gold
+/// pairs, 30 of them seeds).
+const kg::KgPair& SyntheticPair() {
+  static const kg::KgPair pair = [] {
+    auto cfg = data::BenchmarkConfigByName("DBP15K_ZH_EN", 0.1, 7).value();
+    return data::GenerateBenchmark(cfg).value().pair;
+  }();
+  return pair;
+}
+
+/// 64-bit FNV-1a over the raw bytes of every matrix, in order.
+uint64_t Fnv1a(std::initializer_list<const la::Matrix*> matrices) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const la::Matrix* m : matrices) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(m->data());
+    for (size_t i = 0; i < m->size() * sizeof(float); ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+struct TrainedGcn {
+  double loss;
+  la::Matrix x1, x2, z1, z2;
+};
+
+TrainedGcn TrainSynthetic(bool weight_transform,
+                          const la::KernelContext* kernel) {
+  const kg::KgPair& pair = SyntheticPair();
+  GcnOptions o;
+  o.dim = 32;
+  o.epochs = 20;
+  o.seed = 5;
+  o.use_weight_transform = weight_transform;
+  o.kernel = kernel;
+  GcnAligner gcn(kg::BuildAdjacency(pair.kg1), kg::BuildAdjacency(pair.kg2),
+                 o);
+  TrainedGcn out;
+  out.loss = gcn.Train(pair.seed_alignment).value();
+  out.x1 = gcn.features1();
+  out.x2 = gcn.features2();
+  out.z1 = gcn.embeddings1();
+  out.z2 = gcn.embeddings2();
+  return out;
+}
+
+bool SameBits(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Training runs its two KG chains as pool tasks and the kernels inline in
+// them; neither the pool size nor the blocking may change a bit of the
+// features, the embeddings or the loss.
+void ExpectThreadDeterministic(bool weight_transform) {
+  const TrainedGcn base = TrainSynthetic(weight_transform, nullptr);
+  ThreadPool pool1(1), pool4(4);
+  la::KernelContext one, four, tiny;
+  one.pool = &pool1;
+  four.pool = &pool4;
+  tiny.pool = &pool4;
+  tiny.opts.row_block = 3;
+  tiny.opts.grain = 1;
+  for (const la::KernelContext* ctx : {&one, &four, &tiny}) {
+    const TrainedGcn got = TrainSynthetic(weight_transform, ctx);
+    const std::string label =
+        ctx == &one ? "1 thread" : ctx == &four ? "4 threads" : "tiny blocks";
+    EXPECT_EQ(got.loss, base.loss) << label;
+    EXPECT_TRUE(SameBits(got.x1, base.x1)) << label;
+    EXPECT_TRUE(SameBits(got.x2, base.x2)) << label;
+    EXPECT_TRUE(SameBits(got.z1, base.z1)) << label;
+    EXPECT_TRUE(SameBits(got.z2, base.z2)) << label;
+  }
+}
+
+TEST(GcnAlignerTest, TrainIsThreadDeterministic) {
+  ExpectThreadDeterministic(/*weight_transform=*/false);
+}
+
+TEST(GcnAlignerTest, WeightTransformTrainIsThreadDeterministic) {
+  ExpectThreadDeterministic(/*weight_transform=*/true);
+}
+
+// Golden pins: hashes of x1, x2, z1, z2 after 20 epochs, recorded from the
+// implementation that scattered Aᵀ·dZ column panel by column panel and
+// allocated every epoch's buffers afresh. Any change to a bit of the
+// trained model fails here.
+TEST(GcnAlignerTest, TrainedModelMatchesGoldenHash) {
+  const TrainedGcn got = TrainSynthetic(false, nullptr);
+  EXPECT_EQ(Fnv1a({&got.x1, &got.x2, &got.z1, &got.z2}),
+            0x145659f95581b422ull);
+}
+
+TEST(GcnAlignerTest, WeightTransformModelMatchesGoldenHash) {
+  const TrainedGcn got = TrainSynthetic(true, nullptr);
+  EXPECT_EQ(Fnv1a({&got.x1, &got.x2, &got.z1, &got.z2}),
+            0x4911a2540b417c79ull);
 }
 
 TEST(SampleNegativesTest, CorruptsExactlyOneSide) {

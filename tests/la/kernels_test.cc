@@ -223,13 +223,52 @@ TEST(KernelSpmmTest, SpMMMatchesCsrReferenceBitwise) {
   EXPECT_TRUE(BitIdentical(fast, naive));
 }
 
-TEST(KernelSpmmTest, SpMMTransposedMatchesCsrReferenceBitwise) {
-  const SparseMatrix a = RandomSparse(30, 40, 150, 17);
-  const Matrix x = RandomMatrix(30, 9, 18);
-  const Matrix naive = a.MultiplyTransposed(x);
-  const Matrix fast = CheckDeterministic(
-      [&](const KernelContext& ctx) { return SpMMTransposedK(ctx, a, x); });
-  EXPECT_TRUE(BitIdentical(fast, naive));
+// Aᵀ·x as SpMMK over the stored transpose: row c of a.Transposed() lists
+// column c's entries in ascending source row, so every output element
+// accumulates in MultiplyTransposed's order. Non-square shapes with empty
+// rows (a zero input row of x never contributes) and empty columns (an
+// all-zero output row) in both orientations.
+TEST(KernelSpmmTest, SpMMOverTransposeMatchesMultiplyTransposedBitwise) {
+  const struct {
+    size_t rows, cols, d;
+  } shapes[] = {{30, 40, 9}, {57, 13, 17}, {1, 6, 3}, {6, 1, 5}};
+  for (const auto& s : shapes) {
+    Rng rng(17 + s.rows * 31 + s.cols);
+    std::vector<Triplet> triplets;
+    for (size_t r = 0; r < s.rows; ++r) {
+      if (r % 3 == 1) continue;  // empty row
+      for (size_t c = 0; c < s.cols; ++c) {
+        if (c % 4 == 2 || rng.NextBounded(3) != 0) continue;  // empty column
+        triplets.push_back({static_cast<uint32_t>(r),
+                            static_cast<uint32_t>(c),
+                            static_cast<float>(rng.NextUniform(-1.0, 1.0))});
+      }
+    }
+    const SparseMatrix a =
+        SparseMatrix::Build(s.rows, s.cols, std::move(triplets));
+    const SparseMatrix at = a.Transposed();
+    const Matrix x = RandomMatrix(s.rows, s.d, 18 + s.rows);
+    const Matrix naive = a.MultiplyTransposed(x);
+    const Matrix fast = CheckDeterministic(
+        [&](const KernelContext& ctx) { return SpMMK(ctx, at, x); });
+    EXPECT_TRUE(BitIdentical(fast, naive)) << s.rows << "x" << s.cols;
+  }
+}
+
+// SpMMKInto reuses a correctly shaped output (overwriting whatever it
+// held) and replaces a mis-shaped one; both give SpMMK's bits.
+TEST(KernelSpmmTest, IntoVariantOverwritesOrReshapesOutput) {
+  const SparseMatrix a = RandomSparse(30, 40, 150, 25);
+  const Matrix x = RandomMatrix(40, 9, 26);
+  const Matrix want = a.Multiply(x);
+  Matrix reused = RandomMatrix(30, 9, 27);
+  const float* storage = reused.data();
+  SpMMKInto(KernelContext(), a, x, &reused);
+  EXPECT_TRUE(BitIdentical(reused, want));
+  EXPECT_EQ(reused.data(), storage);
+  Matrix reshaped = RandomMatrix(4, 2, 28);
+  SpMMKInto(KernelContext(), a, x, &reshaped);
+  EXPECT_TRUE(BitIdentical(reshaped, want));
 }
 
 // The fused single-sweep CSR path is the default for the parallel case

@@ -67,6 +67,30 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
   }
 }
 
+TEST(SparseMatrixTest, TransposedRoundTripsToTheSameArrays) {
+  Rng rng(9);
+  std::vector<Triplet> triplets;
+  for (int i = 0; i < 60; ++i) {
+    triplets.push_back({static_cast<uint32_t>(rng.NextBounded(11)),
+                        static_cast<uint32_t>(rng.NextBounded(7)),
+                        static_cast<float>(rng.NextUniform(0.5, 2.0))});
+  }
+  const SparseMatrix m = SparseMatrix::Build(13, 7, std::move(triplets));
+  const SparseMatrix t = m.Transposed();
+  EXPECT_EQ(t.rows(), 7u);
+  EXPECT_EQ(t.cols(), 13u);
+  EXPECT_EQ(t.nnz(), m.nnz());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) EXPECT_EQ(t.at(c, r), m.at(r, c));
+  }
+  const SparseMatrix back = t.Transposed();
+  EXPECT_EQ(back.rows(), m.rows());
+  EXPECT_EQ(back.cols(), m.cols());
+  EXPECT_EQ(back.row_ptr(), m.row_ptr());
+  EXPECT_EQ(back.col_idx(), m.col_idx());
+  EXPECT_EQ(back.values(), m.values());
+}
+
 TEST(SparseMatrixTest, MultiplyTransposedMatchesDense) {
   SparseMatrix m = SparseMatrix::Build(
       2, 4, {{0, 0, 1.0f}, {0, 3, 2.0f}, {1, 1, -1.0f}});

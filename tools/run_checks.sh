@@ -8,9 +8,11 @@
 # a kernels smoke (the `bench`-labelled parity ctest plus a quick
 # micro_kernels run asserting a clean parity bill), an end-to-end serving
 # smoke (export an index from a tiny synthetic run, then drive ceaff_serve
-# against it), an ANN smoke (the exported artifact must be format v3,
-# ANN answers must overlap >= 95% with exhaustive top-10 over 20 queries,
-# and STATS must show the ANN path engaged with zero fallbacks; the
+# against it), a thread-count identity drill (`align --threads 1` and
+# `--threads 4` must write byte-identical predictions and index), an ANN
+# smoke (the exported artifact must be format v3, ANN answers must overlap
+# >= 95% with exhaustive top-10 over 20 queries, and STATS must show the
+# ANN path engaged with zero fallbacks; the
 # `ann`-labelled suites also rerun under ASan), an overload smoke (soak the service past capacity, assert
 # it sheds, that the failpoint chaos phases stay clean, and that SIGTERM
 # during the soak drains cleanly), and a sharded smoke (router + 3 shard
@@ -72,10 +74,10 @@ if [[ "$skip_tsan" == 0 ]]; then
   echo "==> TSan build + concurrency & chaos tests"
   cmake -B "$repo/build-tsan" -S "$repo" -DCEAFF_TSAN=ON
   cmake --build "$repo/build-tsan" -j "$jobs" \
-    --target common_test la_test serve_test serve_hammer_test \
+    --target common_test la_test embed_test serve_test serve_hammer_test \
       serve_chaos_test serve_shard_replication_test
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|ParallelFor|ThreadLocalRng|Logging|Serve|AlignmentService|AlignmentIndex|IndexMmap|ParseRequest|Admission|RetryPolicy|CircuitBreaker|Degradation|OverloadChaos|Kernel|ShardReplicationTest.WorkerDeathMidReload'
+    -R 'ThreadPool|ParallelFor|ThreadLocalRng|Logging|Serve|AlignmentService|AlignmentIndex|IndexMmap|ParseRequest|Admission|RetryPolicy|CircuitBreaker|Degradation|OverloadChaos|Kernel|GcnAligner|ShardReplicationTest.WorkerDeathMidReload'
 fi
 
 if [[ "$skip_crash" == 0 ]]; then
@@ -172,6 +174,20 @@ if [[ "$skip_smoke" == 0 ]]; then
   grep -q 'ERR' "$smoke/fp_replies.txt"
   grep -q 'OK PAIR' "$smoke/fp_replies.txt"
   grep -q '"scrub"' "$smoke/fp_replies.txt"
+
+  echo "==> Thread-count identity: align --threads 1 vs --threads 4"
+  # GCN training runs one pool task per KG and every kernel is thread-count
+  # deterministic, so neither the predictions nor the exported index may
+  # differ by a byte between pool sizes.
+  "$repo/build/tools/ceaff" generate --config DBP15K_ZH_EN --scale 0.25 \
+    --out "$smoke/tdata"
+  for t in 1 4; do
+    "$repo/build/tools/ceaff" align --data "$smoke/tdata" --threads "$t" \
+      --export_index "$smoke/threads$t.idx" --out "$smoke/threads$t.tsv" \
+      > /dev/null
+  done
+  cmp "$smoke/threads1.tsv" "$smoke/threads4.tsv"
+  cmp "$smoke/threads1.idx" "$smoke/threads4.idx"
 
   echo "==> ANN smoke: v3 artifact, recall@10 vs exhaustive, ANN serving path"
   # The serving smoke's corpus is too small for ANN to engage (the range
