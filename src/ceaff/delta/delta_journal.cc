@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "ceaff/common/bin_codec.h"
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/durable_io.h"
 #include "ceaff/common/failpoint.h"
@@ -47,12 +48,11 @@ Status WriteAll(int fd, const char* data, size_t len,
 }
 
 std::string SegmentHeader(uint64_t seq) {
-  std::string h(kMagic, sizeof(kMagic));
-  char buf[12];
-  std::memcpy(buf, &kVersion, 4);
-  std::memcpy(buf + 4, &seq, 8);
-  h.append(buf, sizeof(buf));
-  return h;
+  BinWriter w;
+  w.Bytes(kMagic, sizeof(kMagic));
+  w.U32(kVersion);
+  w.U64(seq);
+  return w.Take();
 }
 
 struct SegmentScan {
@@ -79,13 +79,16 @@ StatusOr<SegmentScan> ScanSegment(const std::string& path,
     scan.torn_header = true;
     return scan;
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::DataLoss("bad WAL magic in " + path);
-  }
+  BinReader r(bytes);
+  const char* magic = nullptr;
   uint32_t version = 0;
   uint64_t seq = 0;
-  std::memcpy(&version, bytes.data() + 8, 4);
-  std::memcpy(&seq, bytes.data() + 12, 8);
+  r.View(sizeof(kMagic), &magic);  // the size check above covers the header
+  r.U32(&version);
+  r.U64(&seq);
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::DataLoss("bad WAL magic in " + path);
+  }
   if (version != kVersion) {
     return Status::DataLoss(
         StrFormat("unsupported WAL version %u in %s", version, path.c_str()));
@@ -96,32 +99,22 @@ StatusOr<SegmentScan> ScanSegment(const std::string& path,
                   path.c_str(), static_cast<unsigned long long>(seq),
                   static_cast<unsigned long long>(expected_seq)));
   }
-  size_t off = kHeaderBytes;
-  scan.valid_bytes = off;
-  while (off < bytes.size()) {
-    if (bytes.size() - off < kFrameBytes) {
-      scan.torn_tail = true;
-      return scan;
-    }
+  scan.valid_bytes = kHeaderBytes;
+  while (r.remaining() > 0) {
     uint32_t len = 0;
     uint32_t crc = 0;
-    std::memcpy(&len, bytes.data() + off, 4);
-    std::memcpy(&crc, bytes.data() + off + 4, 4);
-    if (len > kMaxPayloadBytes || bytes.size() - off - kFrameBytes < len) {
-      scan.torn_tail = true;
-      return scan;
-    }
-    const std::string_view payload(bytes.data() + off + kFrameBytes, len);
-    if (Crc32Of(payload.data(), payload.size()) != crc) {
+    const char* payload = nullptr;
+    if (!r.U32(&len) || !r.U32(&crc) || len > kMaxPayloadBytes ||
+        !r.View(len, &payload) || Crc32Of(payload, len) != crc) {
       scan.torn_tail = true;
       return scan;
     }
     // CRC held, so the bytes are exactly what Append wrote; a payload that
     // still fails to decode is a format bug, not a torn write.
-    CEAFF_ASSIGN_OR_RETURN(PatchRecord record, DecodePatchPayload(payload));
+    CEAFF_ASSIGN_OR_RETURN(PatchRecord record,
+                           DecodePatchPayload(std::string_view(payload, len)));
     scan.records.push_back(std::move(record));
-    off += kFrameBytes + len;
-    scan.valid_bytes = off;
+    scan.valid_bytes = bytes.size() - r.remaining();
   }
   return scan;
 }
@@ -288,13 +281,11 @@ StatusOr<uint64_t> DeltaJournal::Append(const PatchRecord& record) {
   PatchRecord assigned = record;
   assigned.id = last_record_id_ + 1;
   const std::string payload = EncodePatchPayload(assigned);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32Of(payload.data(), payload.size());
-  std::string frame;
-  frame.reserve(kFrameBytes + payload.size());
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  frame.append(reinterpret_cast<const char*>(&crc), 4);
-  frame.append(payload);
+  BinWriter w;
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U32(Crc32Of(payload.data(), payload.size()));
+  w.Bytes(payload.data(), payload.size());
+  const std::string frame = w.Take();
 
   const std::string path = SegmentPath(tail_seq_);
   Status st = WriteAll(tail_fd_, frame.data(), frame.size(), path);

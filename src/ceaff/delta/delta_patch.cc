@@ -1,51 +1,11 @@
 #include "ceaff/delta/delta_patch.h"
 
-#include <cstring>
-
+#include "ceaff/common/bin_codec.h"
 #include "ceaff/common/string_util.h"
 
 namespace ceaff::delta {
 
 namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool TakeU32(std::string_view* in, uint32_t* v) {
-  if (in->size() < 4) return false;
-  std::memcpy(v, in->data(), 4);
-  in->remove_prefix(4);
-  return true;
-}
-
-bool TakeU64(std::string_view* in, uint64_t* v) {
-  if (in->size() < 8) return false;
-  std::memcpy(v, in->data(), 8);
-  in->remove_prefix(8);
-  return true;
-}
-
-bool TakeString(std::string_view* in, std::string* s) {
-  uint32_t len = 0;
-  if (!TakeU32(in, &len) || in->size() < len) return false;
-  s->assign(in->data(), len);
-  in->remove_prefix(len);
-  return true;
-}
 
 const char* OpName(PatchOp op) {
   switch (op) {
@@ -61,27 +21,25 @@ const char* OpName(PatchOp op) {
 }  // namespace
 
 std::string EncodePatchPayload(const PatchRecord& record) {
-  std::string out;
-  PutU64(&out, record.id);
-  out.push_back(static_cast<char>(record.op));
-  out.push_back(static_cast<char>(record.kg));
-  PutString(&out, record.uri);
-  PutString(&out, record.name);
-  PutString(&out, record.head);
-  PutString(&out, record.rel);
-  PutString(&out, record.tail);
-  return out;
+  BinWriter w;
+  w.U64(record.id);
+  w.U8(static_cast<uint8_t>(record.op));
+  w.U8(record.kg);
+  w.Str(record.uri);
+  w.Str(record.name);
+  w.Str(record.head);
+  w.Str(record.rel);
+  w.Str(record.tail);
+  return w.Take();
 }
 
 StatusOr<PatchRecord> DecodePatchPayload(std::string_view payload) {
   PatchRecord record;
-  std::string_view in = payload;
-  if (!TakeU64(&in, &record.id) || in.size() < 2) {
+  BinReader r(payload);
+  uint8_t op = 0;
+  if (!r.U64(&record.id) || !r.U8(&op) || !r.U8(&record.kg)) {
     return Status::DataLoss("truncated patch payload");
   }
-  const uint8_t op = static_cast<uint8_t>(in[0]);
-  record.kg = static_cast<uint8_t>(in[1]);
-  in.remove_prefix(2);
   if (op < static_cast<uint8_t>(PatchOp::kAddEntity) ||
       op > static_cast<uint8_t>(PatchOp::kServeEntity)) {
     return Status::DataLoss(StrFormat("unknown patch op %u", op));
@@ -91,9 +49,8 @@ StatusOr<PatchRecord> DecodePatchPayload(std::string_view payload) {
     return Status::DataLoss(StrFormat("patch kg %u is not 1 or 2",
                                       record.kg));
   }
-  if (!TakeString(&in, &record.uri) || !TakeString(&in, &record.name) ||
-      !TakeString(&in, &record.head) || !TakeString(&in, &record.rel) ||
-      !TakeString(&in, &record.tail) || !in.empty()) {
+  if (!r.Str(&record.uri) || !r.Str(&record.name) || !r.Str(&record.head) ||
+      !r.Str(&record.rel) || !r.Str(&record.tail) || !r.Done()) {
     return Status::DataLoss("malformed patch payload strings");
   }
   return record;

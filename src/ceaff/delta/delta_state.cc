@@ -1,8 +1,8 @@
 #include "ceaff/delta/delta_state.h"
 
 #include <cstring>
-#include <sstream>
 
+#include "ceaff/common/bin_codec.h"
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/la/matrix_io.h"
@@ -17,148 +17,91 @@ constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'D', 'L', 'T'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kTrailerBytes = 4;
 
-// ---- little-endian stream writers/readers ----------------------------------
+}  // namespace
 
-void PutU8(std::ostream& out, uint8_t v) {
-  out.put(static_cast<char>(v));
-}
-
-void PutU32(std::ostream& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.write(buf, 4);
-}
-
-void PutU64(std::ostream& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
-}
-
-void PutDouble(std::ostream& out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
-}
-
-void PutStr(std::ostream& out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-Status TakeU8(std::istream& in, uint8_t* v) {
-  char c;
-  if (!in.get(c)) return Status::DataLoss("truncated delta state (u8)");
-  *v = static_cast<uint8_t>(c);
-  return Status::OK();
-}
-
-Status TakeU32(std::istream& in, uint32_t* v) {
-  char buf[4];
-  if (!in.read(buf, 4)) return Status::DataLoss("truncated delta state (u32)");
-  std::memcpy(v, buf, 4);
-  return Status::OK();
-}
-
-Status TakeU64(std::istream& in, uint64_t* v) {
-  char buf[8];
-  if (!in.read(buf, 8)) return Status::DataLoss("truncated delta state (u64)");
-  std::memcpy(v, buf, 8);
-  return Status::OK();
-}
-
-Status TakeDouble(std::istream& in, double* v) {
-  char buf[8];
-  if (!in.read(buf, 8)) {
-    return Status::DataLoss("truncated delta state (double)");
+Status ValidateDeltaStateBytes(std::string_view bytes) {
+  if (bytes.size() < sizeof(kMagic) + sizeof(kVersion) + kTrailerBytes) {
+    return Status::DataLoss("delta state too small");
   }
-  std::memcpy(v, buf, 8);
-  return Status::OK();
-}
-
-Status TakeStr(std::istream& in, std::string* s, uint64_t remaining) {
-  uint32_t len = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU32(in, &len));
-  if (len > remaining) return Status::DataLoss("oversized delta-state string");
-  s->resize(len);
-  if (len > 0 && !in.read(s->data(), len)) {
-    return Status::DataLoss("truncated delta state (string)");
+  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+    return Status::DataLoss("bad delta-state magic");
+  }
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
+  if (version != kVersion) {
+    return Status::DataLoss(
+        StrFormat("unsupported delta-state version %u", version));
+  }
+  uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - kTrailerBytes,
+              sizeof(stored));
+  if (stored != Crc32Of(bytes.data(), bytes.size() - kTrailerBytes)) {
+    return Status::DataLoss("delta-state CRC mismatch");
   }
   return Status::OK();
 }
 
-Status TakeBool(std::istream& in, bool* v) {
-  uint8_t b = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU8(in, &b));
-  if (b > 1) return Status::DataLoss("delta-state bool out of range");
-  *v = b != 0;
-  return Status::OK();
+namespace {
+
+/// Minimum encoded sizes, for BinReader::Count on declared lengths.
+constexpr size_t kEntityBytes = 2 * sizeof(uint32_t);  // two empty strings
+constexpr size_t kRelationBytes = sizeof(uint32_t);
+constexpr size_t kTripleBytes = 3 * sizeof(uint32_t);
+/// Weight vectors hold one entry per fused feature matrix.
+constexpr uint32_t kMaxWeights = 64;
+
+void WriteWeights(const std::vector<double>& v, BinWriter* w) {
+  w->U32(static_cast<uint32_t>(v.size()));
+  w->Bytes(v.data(), v.size() * sizeof(double));
 }
 
-void PutDoubleVec(std::ostream& out, const std::vector<double>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (double d : v) PutDouble(out, d);
-}
-
-Status TakeDoubleVec(std::istream& in, std::vector<double>* v) {
+bool ReadWeights(BinReader* r, std::vector<double>* v) {
   uint32_t n = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU32(in, &n));
-  if (n > 64) return Status::DataLoss("implausible delta-state weight count");
+  if (!r->Count32(&n, sizeof(double)) || n > kMaxWeights) return false;
   v->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    CEAFF_RETURN_IF_ERROR(TakeDouble(in, &(*v)[i]));
-  }
-  return Status::OK();
+  return r->Bytes(v->data(), v->size() * sizeof(double));
 }
 
-void PutU32Vec(std::ostream& out, const std::vector<uint32_t>& v) {
-  PutU64(out, v.size());
-  for (uint32_t x : v) PutU32(out, x);
+void WriteIds(const std::vector<uint32_t>& v, BinWriter* w) {
+  w->U64(v.size());
+  w->Bytes(v.data(), v.size() * sizeof(uint32_t));
 }
 
-Status TakeU32Vec(std::istream& in, std::vector<uint32_t>* v,
-                  uint64_t remaining) {
+bool ReadIds(BinReader* r, std::vector<uint32_t>* v) {
   uint64_t n = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &n));
-  if (n * 4 > remaining) {
-    return Status::DataLoss("oversized delta-state id vector");
-  }
+  if (!r->Count64(&n, sizeof(uint32_t))) return false;
   v->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    CEAFF_RETURN_IF_ERROR(TakeU32(in, &(*v)[i]));
-  }
-  return Status::OK();
+  return r->Bytes(v->data(), v->size() * sizeof(uint32_t));
 }
 
-void PutKg(std::ostream& out, const kg::KnowledgeGraph& g) {
-  PutU64(out, g.num_entities());
+void WriteKg(const kg::KnowledgeGraph& g, BinWriter* w) {
+  w->U64(g.num_entities());
   for (uint32_t e = 0; e < g.num_entities(); ++e) {
-    PutStr(out, g.entity_uri(e));
-    PutStr(out, g.entity_name(e));
+    w->Str(g.entity_uri(e));
+    w->Str(g.entity_name(e));
   }
-  PutU64(out, g.num_relations());
+  w->U64(g.num_relations());
   for (uint32_t r = 0; r < g.num_relations(); ++r) {
-    PutStr(out, g.relation_uri(r));
+    w->Str(g.relation_uri(r));
   }
-  PutU64(out, g.num_triples());
+  w->U64(g.num_triples());
   for (const kg::Triple& t : g.triples()) {
-    PutU32(out, t.head);
-    PutU32(out, t.relation);
-    PutU32(out, t.tail);
+    w->U32(t.head);
+    w->U32(t.relation);
+    w->U32(t.tail);
   }
 }
 
-Status TakeKg(std::istream& in, kg::KnowledgeGraph* g, uint64_t remaining) {
+Status ReadKg(BinReader* r, kg::KnowledgeGraph* g) {
   uint64_t num_entities = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &num_entities));
-  // Each entity costs at least the two length prefixes.
-  if (num_entities * 8 > remaining) {
-    return Status::DataLoss("oversized delta-state entity count");
+  if (!r->Count64(&num_entities, kEntityBytes)) {
+    return Status::DataLoss("truncated delta-state entity table");
   }
+  std::string uri, name;
   for (uint64_t e = 0; e < num_entities; ++e) {
-    std::string uri, name;
-    CEAFF_RETURN_IF_ERROR(TakeStr(in, &uri, remaining));
-    CEAFF_RETURN_IF_ERROR(TakeStr(in, &name, remaining));
+    if (!r->Str(&uri) || !r->Str(&name)) {
+      return Status::DataLoss("truncated delta-state entity table");
+    }
     const uint32_t id = g->AddEntity(uri);
     if (id != e) {
       return Status::DataLoss("duplicate entity URI in delta-state snapshot");
@@ -168,168 +111,126 @@ Status TakeKg(std::istream& in, kg::KnowledgeGraph* g, uint64_t remaining) {
     g->SetEntityName(id, name);
   }
   uint64_t num_relations = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &num_relations));
-  if (num_relations * 4 > remaining) {
-    return Status::DataLoss("oversized delta-state relation count");
+  if (!r->Count64(&num_relations, kRelationBytes)) {
+    return Status::DataLoss("truncated delta-state relation table");
   }
-  for (uint64_t r = 0; r < num_relations; ++r) {
-    std::string uri;
-    CEAFF_RETURN_IF_ERROR(TakeStr(in, &uri, remaining));
-    if (g->AddRelation(uri) != r) {
+  for (uint64_t rel = 0; rel < num_relations; ++rel) {
+    if (!r->Str(&uri)) {
+      return Status::DataLoss("truncated delta-state relation table");
+    }
+    if (g->AddRelation(uri) != rel) {
       return Status::DataLoss(
           "duplicate relation URI in delta-state snapshot");
     }
   }
   uint64_t num_triples = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &num_triples));
-  if (num_triples * 12 > remaining) {
-    return Status::DataLoss("oversized delta-state triple count");
+  if (!r->Count64(&num_triples, kTripleBytes)) {
+    return Status::DataLoss("truncated delta-state triple table");
   }
   for (uint64_t t = 0; t < num_triples; ++t) {
-    uint32_t head, rel, tail;
-    CEAFF_RETURN_IF_ERROR(TakeU32(in, &head));
-    CEAFF_RETURN_IF_ERROR(TakeU32(in, &rel));
-    CEAFF_RETURN_IF_ERROR(TakeU32(in, &tail));
-    Status st = g->AddTriple(head, rel, tail);
-    if (!st.ok()) {
+    uint32_t head = 0, rel = 0, tail = 0;
+    r->U32(&head);  // in bounds: Count passed
+    r->U32(&rel);
+    r->U32(&tail);
+    if (!g->AddTriple(head, rel, tail).ok()) {
       return Status::DataLoss("out-of-range triple in delta-state snapshot");
     }
   }
   return Status::OK();
 }
 
-uint64_t Remaining(std::istream& in, size_t total) {
-  const std::streampos pos = in.tellg();
-  if (pos < 0) return 0;
-  const size_t at = static_cast<size_t>(pos);
-  return at >= total ? 0 : total - at;
-}
-
 }  // namespace
 
 std::string SerializeDeltaState(const DeltaState& state) {
-  std::ostringstream out;
-  out.write(kMagic, sizeof(kMagic));
-  PutU32(out, kVersion);
-  PutU64(out, state.watermark);
-  PutStr(out, state.dataset);
-  PutU32(out, state.semantic_dim);
-  PutU64(out, state.semantic_seed);
-  PutU32(out, state.gcn_dim);
-  PutU64(out, state.gcn_seed);
-  PutU8(out, state.use_structural ? 1 : 0);
-  PutU8(out, state.use_semantic ? 1 : 0);
-  PutU8(out, state.use_string ? 1 : 0);
-  PutU8(out, state.string_metric);
-  PutU8(out, state.two_stage ? 1 : 0);
-  PutU8(out, state.adj_functionality_weighted ? 1 : 0);
-  PutU8(out, state.adj_add_self_loops ? 1 : 0);
-  PutU8(out, state.adj_symmetric_normalize ? 1 : 0);
-  PutDoubleVec(out, state.textual_weights);
-  PutDoubleVec(out, state.final_weights);
-  PutKg(out, state.kg1);
-  PutKg(out, state.kg2);
-  PutU32Vec(out, state.source_ids);
-  PutU32Vec(out, state.target_ids);
+  BinWriter w;
+  w.Bytes(kMagic, sizeof(kMagic));
+  w.U32(kVersion);
+  w.U64(state.watermark);
+  w.Str(state.dataset);
+  w.U32(state.semantic_dim);
+  w.U64(state.semantic_seed);
+  w.U32(state.gcn_dim);
+  w.U64(state.gcn_seed);
+  w.Bool(state.use_structural);
+  w.Bool(state.use_semantic);
+  w.Bool(state.use_string);
+  w.U8(state.string_metric);
+  w.Bool(state.two_stage);
+  w.Bool(state.adj_functionality_weighted);
+  w.Bool(state.adj_add_self_loops);
+  w.Bool(state.adj_symmetric_normalize);
+  WriteWeights(state.textual_weights, &w);
+  WriteWeights(state.final_weights, &w);
+  WriteKg(state.kg1, &w);
+  WriteKg(state.kg2, &w);
+  WriteIds(state.source_ids, &w);
+  WriteIds(state.target_ids, &w);
   for (const la::Matrix* m :
        {&state.x1, &state.x2, &state.src_struct_emb, &state.tgt_struct_emb,
         &state.src_name_emb, &state.tgt_name_emb, &state.fused}) {
-    // ostringstream never fails short of OOM; the Status is structural.
-    Status st = la::WriteMatrixSection(*m, out);
-    CEAFF_CHECK(st.ok()) << st.message();
+    la::WriteMatrixSection(*m, &w);
   }
-  PutU64(out, state.prefs.size());
-  PutU64(out, state.target_ids.size());
+  w.U64(state.prefs.size());
+  w.U64(state.target_ids.size());
   for (const std::vector<uint32_t>& row : state.prefs) {
     CEAFF_CHECK(row.size() == state.target_ids.size());
-    for (uint32_t x : row) PutU32(out, x);
+    w.Bytes(row.data(), row.size() * sizeof(uint32_t));
   }
-  std::string bytes = std::move(out).str();
+  std::string bytes = w.Take();
   const uint32_t crc = Crc32Of(bytes.data(), bytes.size());
-  char trailer[4];
-  std::memcpy(trailer, &crc, 4);
-  bytes.append(trailer, 4);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
   return bytes;
 }
 
-Status ValidateDeltaStateBytes(const std::string& bytes) {
-  if (bytes.size() < sizeof(kMagic) + 4 + kTrailerBytes) {
-    return Status::DataLoss("delta state too small");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::DataLoss("bad delta-state magic");
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, 4);
-  if (version != kVersion) {
-    return Status::DataLoss(
-        StrFormat("unsupported delta-state version %u", version));
-  }
-  uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - 4, 4);
-  const uint32_t actual = Crc32Of(bytes.data(), bytes.size() - 4);
-  if (stored != actual) {
-    return Status::DataLoss("delta-state CRC mismatch");
-  }
-  return Status::OK();
-}
-
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
-  const std::string owned(bytes);
-  CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(owned));
-  const std::string content = owned.substr(0, owned.size() - kTrailerBytes);
-  std::istringstream in(content);
-  in.seekg(sizeof(kMagic) + 4);
+  CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
+  // Parse in place: the reader borrows the caller's bytes.
+  BinReader r(bytes.substr(0, bytes.size() - kTrailerBytes));
+  const char* header = nullptr;
+  r.View(sizeof(kMagic) + sizeof(kVersion), &header);  // validated above
 
   DeltaState state;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &state.watermark));
-  CEAFF_RETURN_IF_ERROR(
-      TakeStr(in, &state.dataset, Remaining(in, content.size())));
-  CEAFF_RETURN_IF_ERROR(TakeU32(in, &state.semantic_dim));
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &state.semantic_seed));
-  CEAFF_RETURN_IF_ERROR(TakeU32(in, &state.gcn_dim));
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &state.gcn_seed));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.use_structural));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.use_semantic));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.use_string));
-  CEAFF_RETURN_IF_ERROR(TakeU8(in, &state.string_metric));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.two_stage));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.adj_functionality_weighted));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.adj_add_self_loops));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.adj_symmetric_normalize));
-  CEAFF_RETURN_IF_ERROR(TakeDoubleVec(in, &state.textual_weights));
-  CEAFF_RETURN_IF_ERROR(TakeDoubleVec(in, &state.final_weights));
-  CEAFF_RETURN_IF_ERROR(
-      TakeKg(in, &state.kg1, Remaining(in, content.size())));
-  CEAFF_RETURN_IF_ERROR(
-      TakeKg(in, &state.kg2, Remaining(in, content.size())));
-  CEAFF_RETURN_IF_ERROR(
-      TakeU32Vec(in, &state.source_ids, Remaining(in, content.size())));
-  CEAFF_RETURN_IF_ERROR(
-      TakeU32Vec(in, &state.target_ids, Remaining(in, content.size())));
+  if (!r.U64(&state.watermark) || !r.Str(&state.dataset) ||
+      !r.U32(&state.semantic_dim) || !r.U64(&state.semantic_seed) ||
+      !r.U32(&state.gcn_dim) || !r.U64(&state.gcn_seed) ||
+      !r.Bool(&state.use_structural) || !r.Bool(&state.use_semantic) ||
+      !r.Bool(&state.use_string) || !r.U8(&state.string_metric) ||
+      !r.Bool(&state.two_stage) ||
+      !r.Bool(&state.adj_functionality_weighted) ||
+      !r.Bool(&state.adj_add_self_loops) ||
+      !r.Bool(&state.adj_symmetric_normalize)) {
+    return Status::DataLoss("malformed delta-state header");
+  }
+  if (!ReadWeights(&r, &state.textual_weights) ||
+      !ReadWeights(&r, &state.final_weights)) {
+    return Status::DataLoss("malformed delta-state fusion weights");
+  }
+  CEAFF_RETURN_IF_ERROR(ReadKg(&r, &state.kg1));
+  CEAFF_RETURN_IF_ERROR(ReadKg(&r, &state.kg2));
+  if (!ReadIds(&r, &state.source_ids) || !ReadIds(&r, &state.target_ids)) {
+    return Status::DataLoss("malformed delta-state serving split");
+  }
   for (la::Matrix* m :
        {&state.x1, &state.x2, &state.src_struct_emb, &state.tgt_struct_emb,
         &state.src_name_emb, &state.tgt_name_emb, &state.fused}) {
-    CEAFF_ASSIGN_OR_RETURN(
-        *m, la::ReadMatrixSection(in, Remaining(in, content.size())));
+    CEAFF_ASSIGN_OR_RETURN(*m, la::ReadMatrixSection(&r));
   }
   uint64_t pref_rows = 0;
   uint64_t pref_cols = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &pref_rows));
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &pref_cols));
-  if (pref_rows != state.source_ids.size() ||
+  // pref_cols equals target_ids.size(), which the buffer already bounds,
+  // so the row size below cannot overflow.
+  if (!r.U64(&pref_rows) || !r.U64(&pref_cols) ||
+      pref_rows != state.source_ids.size() ||
       pref_cols != state.target_ids.size() ||
-      pref_rows * pref_cols * 4 > Remaining(in, content.size())) {
+      (pref_cols > 0 && !r.Count(pref_rows, pref_cols * sizeof(uint32_t)))) {
     return Status::DataLoss("delta-state preference shape mismatch");
   }
   state.prefs.resize(pref_rows);
-  for (uint64_t r = 0; r < pref_rows; ++r) {
-    state.prefs[r].resize(pref_cols);
-    for (uint64_t c = 0; c < pref_cols; ++c) {
-      CEAFF_RETURN_IF_ERROR(TakeU32(in, &state.prefs[r][c]));
-    }
+  for (std::vector<uint32_t>& row : state.prefs) {
+    row.resize(pref_cols);
+    r.Bytes(row.data(), row.size() * sizeof(uint32_t));  // Count passed
   }
-  if (Remaining(in, content.size()) != 0) {
+  if (!r.Done()) {
     return Status::DataLoss("trailing bytes in delta state");
   }
   return state;
@@ -387,8 +288,8 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
       !options.force_exact_string_kernel) {
     return Status::FailedPrecondition(
         "delta export with the Levenshtein metric requires "
-        "force_exact_string_kernel (the banded auto-kernel depends on "
-        "global matrix shape)");
+        "force_exact_string_kernel (the pruned kernel ChooseStringKernel "
+        "may pick stores row-dependent upper bounds)");
   }
   if (result.fused.empty() || result.match.target_of_source.empty()) {
     return Status::FailedPrecondition("delta export needs a finished run");

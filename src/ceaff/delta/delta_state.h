@@ -96,7 +96,7 @@ std::string SerializeDeltaState(const DeltaState& state);
 /// Cheap integrity check (magic, version, whole-file CRC) — the
 /// GenerationalStore validator, so a corrupt newest generation falls back
 /// to the previous one instead of failing the load.
-Status ValidateDeltaStateBytes(const std::string& bytes);
+Status ValidateDeltaStateBytes(std::string_view bytes);
 
 /// Full parse. kDataLoss on any corruption.
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes);
@@ -121,8 +121,10 @@ StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store);
 ///   - fusion_mode kLearned
 ///   - gcn.use_weight_transform (repair relies on propagation-only Z)
 ///   - the Levenshtein string metric without
-///     CeaffOptions::force_exact_string_kernel (the banded auto-kernel is
-///     an approximation whose band depends on global matrix shape)
+///     CeaffOptions::force_exact_string_kernel (la::ChooseStringKernel may
+///     pick the pruned kernel, whose non-maximal cells are upper bounds
+///     that depend on the rest of the row, so a recomputed row is not
+///     bitwise equal to a rebuilt one)
 /// `features` must carry structural_x1/x2 and structural_src/tgt_emb when
 /// the structural feature is enabled (run the pipeline with delta export
 /// in mind — see pipeline.h).

@@ -492,44 +492,6 @@ double LevenshteinRatioFast(std::string_view a, std::string_view b) {
   return static_cast<double>(total - lev) / static_cast<double>(total);
 }
 
-size_t LevenshteinDistanceBanded(std::string_view a, std::string_view b,
-                                 size_t limit, size_t sub_cost) {
-  StripCommonAffixes(&a, &b);
-  if (a.size() < b.size()) std::swap(a, b);  // keep rows short
-  const size_t n = b.size();
-  if (a.size() - n > limit) return limit + 1;  // distance >= |len diff|
-  if (n == 0) return a.size();
-
-  // Two-row DP restricted to the |i − j| <= limit diagonal band: any path
-  // leaving the band already costs more than `limit` (each off-diagonal
-  // step costs >= 1), so out-of-band cells can be treated as infinite.
-  const size_t kInf = limit + 1;
-  std::vector<size_t> prev(n + 1), cur(n + 1);
-  for (size_t j = 0; j <= n; ++j) prev[j] = j <= limit ? j : kInf;
-  for (size_t i = 1; i <= a.size(); ++i) {
-    const size_t lo = i > limit ? i - limit : 0;
-    const size_t hi = std::min(n, i + limit);
-    cur[0] = i <= limit ? i : kInf;
-    if (lo > 0) cur[lo - 1] = kInf;  // left band edge for the j loop below
-    const char ai = a[i - 1];
-    size_t row_min = kInf;
-    for (size_t j = std::max<size_t>(1, lo); j <= hi; ++j) {
-      const size_t del = prev[j] >= kInf ? kInf : prev[j] + 1;
-      const size_t ins = cur[j - 1] >= kInf ? kInf : cur[j - 1] + 1;
-      const size_t sub =
-          prev[j - 1] >= kInf
-              ? kInf
-              : prev[j - 1] + (ai == b[j - 1] ? 0 : sub_cost);
-      cur[j] = std::min({del, ins, sub, kInf});
-      row_min = std::min(row_min, cur[j]);
-    }
-    if (hi < n) cur[hi + 1] = kInf;  // right band edge for the next row
-    if (row_min >= kInf) return kInf;  // every band cell blew the limit
-    std::swap(prev, cur);
-  }
-  return std::min(prev[n], kInf);
-}
-
 Matrix StringSimilarityMatrixK(const KernelContext& ctx,
                                const std::vector<std::string>& source_names,
                                const std::vector<std::string>& target_names) {

@@ -154,14 +154,6 @@ Matrix CslsRescaleK(const KernelContext& ctx, const Matrix& m, size_t k);
 /// to text::LevenshteinRatio for all inputs (parity-tested).
 double LevenshteinRatioFast(std::string_view a, std::string_view b);
 
-/// Banded early-exit Levenshtein: the classic two-row DP restricted to the
-/// |i−j| <= limit band (any path leaving it costs > limit), abandoning the
-/// scan as soon as a full row exceeds `limit`. Returns limit+1 when the
-/// true distance exceeds `limit`, the exact distance otherwise.
-/// `sub_cost` is 1 for classic Levenshtein, 2 for lev*.
-size_t LevenshteinDistanceBanded(std::string_view a, std::string_view b,
-                                 size_t limit, size_t sub_cost = 1);
-
 /// Full pairwise lev*-ratio matrix via LevenshteinRatioFast, parallel over
 /// source-row panels. Exactly equal to the naive
 /// text::StringSimilarityMatrix at any thread count.

@@ -13,89 +13,55 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'M', 'A', 'T'};
 constexpr uint32_t kVersion = 1;
-constexpr size_t kPrefixBytes = 16;  // magic + version + reserved
-constexpr size_t kHeaderBytes = 32;  // prefix + rows + cols
+constexpr size_t kHeaderBytes = 32;  // magic, version, reserved, shape
 constexpr size_t kFooterBytes = 4;
-
-/// The fixed artifact preamble preceding the matrix section.
-struct Prefix {
-  char magic[8];
-  uint32_t version;
-  uint32_t reserved;
-};
-static_assert(sizeof(Prefix) == kPrefixBytes, "artifact prefix must pack");
 
 }  // namespace
 
-Status WriteMatrixSection(const Matrix& m, std::ostream& out, Crc32* crc) {
-  const uint64_t rows = m.rows();
-  const uint64_t cols = m.cols();
-  out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  out.write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(m.size() * sizeof(float)));
-  if (!out) return Status::IOError("matrix section write failed");
-  if (crc != nullptr) {
-    crc->Update(&rows, sizeof(rows));
-    crc->Update(&cols, sizeof(cols));
-    crc->Update(m.data(), m.size() * sizeof(float));
-  }
-  return Status::OK();
+void WriteMatrixSection(const Matrix& m, BinWriter* w) {
+  w->U64(m.rows());
+  w->U64(m.cols());
+  w->Bytes(m.data(), m.size() * sizeof(float));
 }
 
-StatusOr<Matrix> ReadMatrixSection(std::istream& in,
-                                   uint64_t max_payload_bytes, Crc32* crc) {
+StatusOr<Matrix> ReadMatrixSection(BinReader* r, bool view) {
   uint64_t rows = 0, cols = 0;
-  in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!in) return Status::DataLoss("cannot read matrix section shape");
-
-  // Validate the declared shape against what the caller can accept *before*
-  // allocating, so a corrupted header cannot trigger a huge allocation.
+  if (!r->U64(&rows) || !r->U64(&cols)) {
+    return Status::DataLoss("cannot read matrix section shape");
+  }
   const uint64_t elems = rows * cols;
   if (cols != 0 && rows != elems / cols) {
     return Status::DataLoss("matrix section shape overflows");
   }
-  if (elems > max_payload_bytes / sizeof(float)) {
+  const char* payload = nullptr;
+  if (!r->Count(elems, sizeof(float)) ||
+      !r->View(static_cast<size_t>(elems) * sizeof(float), &payload)) {
     return Status::DataLoss(StrFormat(
-        "matrix section declares %llux%llu (%llu bytes) but only %llu bytes "
-        "remain — truncated or corrupted artifact",
+        "matrix section declares %llux%llu but only %zu bytes remain — "
+        "truncated or corrupted artifact",
         static_cast<unsigned long long>(rows),
-        static_cast<unsigned long long>(cols),
-        static_cast<unsigned long long>(elems * sizeof(float)),
-        static_cast<unsigned long long>(max_payload_bytes)));
+        static_cast<unsigned long long>(cols), r->remaining()));
   }
-
+  if (elems == 0) {
+    return Matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
+  }
+  if (view && reinterpret_cast<uintptr_t>(payload) % alignof(float) == 0) {
+    return Matrix::ConstView(reinterpret_cast<const float*>(payload),
+                             static_cast<size_t>(rows),
+                             static_cast<size_t>(cols));
+  }
   Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  in.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(elems * sizeof(float)));
-  if (!in) return Status::DataLoss("cannot read matrix section payload");
-  if (crc != nullptr) {
-    crc->Update(&rows, sizeof(rows));
-    crc->Update(&cols, sizeof(cols));
-    crc->Update(m.data(), m.size() * sizeof(float));
-  }
+  std::memcpy(m.data(), payload, static_cast<size_t>(elems) * sizeof(float));
   return m;
 }
 
 std::string SerializeMatrixArtifact(const Matrix& m) {
-  Prefix prefix;
-  std::memcpy(prefix.magic, kMagic, sizeof(kMagic));
-  prefix.version = kVersion;
-  prefix.reserved = 0;
-
-  const uint64_t rows = m.rows();
-  const uint64_t cols = m.cols();
-  const size_t payload = m.size() * sizeof(float);
-
-  std::string bytes;
-  bytes.reserve(kHeaderBytes + payload + kFooterBytes);
-  bytes.append(reinterpret_cast<const char*>(&prefix), sizeof(prefix));
-  bytes.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  bytes.append(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  if (payload > 0) {  // empty matrix: data() is null
-    bytes.append(reinterpret_cast<const char*>(m.data()), payload);
-  }
+  BinWriter w;
+  w.Bytes(kMagic, sizeof(kMagic));
+  w.U32(kVersion);
+  w.U32(0);  // reserved
+  WriteMatrixSection(m, &w);
+  std::string bytes = w.Take();
   const uint32_t checksum = Crc32Of(bytes.data(), bytes.size());
   bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   return bytes;
@@ -111,39 +77,21 @@ StatusOr<Matrix> ParseMatrixArtifact(std::string_view bytes,
                   kHeaderBytes + kFooterBytes));
   }
 
-  Prefix prefix;
-  std::memcpy(&prefix, bytes.data(), sizeof(prefix));
-  if (std::memcmp(prefix.magic, kMagic, sizeof(kMagic)) != 0) {
+  BinReader r(bytes.substr(0, bytes.size() - kFooterBytes));
+  char magic[sizeof(kMagic)];
+  uint32_t version = 0;
+  uint32_t reserved = 0;
+  r.Bytes(magic, sizeof(magic));  // the size check above covers these
+  r.U32(&version);
+  r.U32(&reserved);
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::DataLoss(context +
                             ": bad magic, not a CEAFF matrix artifact");
   }
-  if (prefix.version != kVersion) {
+  if (version != kVersion) {
     return Status::DataLoss(
         StrFormat("%s: unsupported artifact version %u (expected %u)",
-                  context.c_str(), prefix.version, kVersion));
-  }
-
-  uint64_t rows = 0, cols = 0;
-  std::memcpy(&rows, bytes.data() + kPrefixBytes, sizeof(rows));
-  std::memcpy(&cols, bytes.data() + kPrefixBytes + sizeof(rows),
-              sizeof(cols));
-  const uint64_t elems = rows * cols;
-  if (cols != 0 && rows != elems / cols) {
-    return Status::DataLoss(context + ": matrix section shape overflows");
-  }
-
-  // The single-matrix artifact is exactly prefix + section + footer; any
-  // slack either way means truncation or a foreign file.
-  const uint64_t payload = elems * sizeof(float);
-  const uint64_t expected = kHeaderBytes + payload + kFooterBytes;
-  if (bytes.size() != expected) {
-    return Status::DataLoss(StrFormat(
-        "%s: size mismatch (%llu bytes, %llu expected for %llux%llu)"
-        " — truncated or corrupted artifact",
-        context.c_str(), static_cast<unsigned long long>(bytes.size()),
-        static_cast<unsigned long long>(expected),
-        static_cast<unsigned long long>(rows),
-        static_cast<unsigned long long>(cols)));
+                  context.c_str(), version, kVersion));
   }
 
   uint32_t stored_crc = 0;
@@ -156,10 +104,12 @@ StatusOr<Matrix> ParseMatrixArtifact(std::string_view bytes,
         context.c_str(), stored_crc, computed));
   }
 
-  Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  if (payload > 0) {  // empty matrix: data() is null, memcpy(null,…,0) is UB
-    std::memcpy(m.data(), bytes.data() + kHeaderBytes,
-                static_cast<size_t>(payload));
+  // The single-matrix artifact is exactly prefix + section + footer; any
+  // slack either way means a writer bug or a foreign file.
+  auto m = ReadMatrixSection(&r);
+  if (!m.ok()) return Status::DataLoss(context + ": " + m.status().message());
+  if (!r.Done()) {
+    return Status::DataLoss(context + ": trailing bytes after matrix section");
   }
   return m;
 }

@@ -2,12 +2,10 @@
 #define CEAFF_LA_MATRIX_IO_H_
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <string_view>
 
-#include "ceaff/common/crc32.h"
+#include "ceaff/common/bin_codec.h"
 #include "ceaff/common/statusor.h"
 #include "ceaff/la/matrix.h"
 
@@ -55,25 +53,23 @@ Status SaveMatrixArtifact(const Matrix& m, const std::string& path,
 /// wrong size, CRC mismatch).
 StatusOr<Matrix> LoadMatrixArtifact(const std::string& path);
 
-/// Stream-level framing blocks — the shared building blocks of the
-/// single-matrix artifact above and of composite artifacts (the serving
-/// layer's AlignmentIndex container embeds many matrices in one file).
-/// A section is: rows (uint64) + cols (uint64) + rows*cols float32
-/// payload, row-major, little-endian. When `crc` is non-null every byte
-/// written/read is also fed into it, so composite writers accumulate a
-/// single checksum across all their sections.
+/// Section framing — the shared building block of the single-matrix
+/// artifact above and of composite artifacts (the serving layer's
+/// AlignmentIndex and the delta state embed many matrices in one file). A
+/// section is: rows (uint64) + cols (uint64) + rows*cols float32 payload,
+/// row-major, little-endian. Composite formats checksum the whole image,
+/// so sections carry no CRC of their own.
 
-/// Appends one matrix section to `out`. kIOError on stream failure.
-Status WriteMatrixSection(const Matrix& m, std::ostream& out,
-                          Crc32* crc = nullptr);
+/// Appends one matrix section.
+void WriteMatrixSection(const Matrix& m, BinWriter* w);
 
-/// Reads one matrix section. `max_payload_bytes` bounds the payload this
-/// caller is prepared to accept (typically derived from the remaining file
-/// size) so a corrupted shape header can never trigger an oversized
-/// allocation; a declared shape exceeding it is kDataLoss.
-StatusOr<Matrix> ReadMatrixSection(std::istream& in,
-                                   uint64_t max_payload_bytes,
-                                   Crc32* crc = nullptr);
+/// Reads one matrix section. The declared shape must fit in the reader's
+/// unread bytes (BinReader::Count) before anything is allocated, so a
+/// corrupted header can never trigger an oversized allocation; kDataLoss
+/// otherwise. With `view` set and the payload float-aligned in memory, the
+/// result is a read-only view into the reader's buffer (the caller keeps
+/// that buffer alive); otherwise it is a copy.
+StatusOr<Matrix> ReadMatrixSection(BinReader* r, bool view = false);
 
 }  // namespace ceaff::la
 

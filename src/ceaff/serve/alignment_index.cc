@@ -7,14 +7,15 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string_view>
 
+#include "ceaff/common/bin_codec.h"
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/durable_io.h"
 #include "ceaff/common/failpoint.h"
 #include "ceaff/common/mmap_file.h"
 #include "ceaff/common/string_util.h"
+#include "ceaff/la/matrix_io.h"
 
 namespace ceaff::serve {
 
@@ -23,239 +24,120 @@ namespace {
 constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'I', 'D', 'X'};
 /// v2 zero-pads each embedded matrix section to kSectionAlign so the float
 /// payloads are naturally aligned in the file and can be served as views
-/// straight out of a memory mapping. v1 (no pads) is still read, always
-/// through the heap-copy path. v3 appends the optional ANN sections (IVF
-/// centroids + posting lists + int8 codes/scales) after the trigram
+/// straight out of a memory mapping. v3 appends the optional ANN sections
+/// (IVF centroids + posting lists + int8 codes/scales) after the trigram
 /// counts; an index without ANN sections serializes as v2, byte-identical
-/// to pre-ANN writers.
+/// to pre-ANN writers. The unpadded v1 layout is no longer read.
 constexpr uint32_t kVersionAnn = 3;
 constexpr uint32_t kVersionAligned = 2;
-constexpr uint32_t kMinVersion = 1;
+constexpr uint32_t kMinVersion = kVersionAligned;
 constexpr size_t kPrefixBytes = 16;
 constexpr size_t kFooterBytes = 4;
 constexpr size_t kTrigramWidth = 3;
 constexpr size_t kSectionAlign = alignof(float);
-// The body starts right after the fixed prefix; prefix size being a
-// multiple of the alignment makes body-relative offsets equal file offsets
-// modulo kSectionAlign, so the writer's AlignTo(pad) counter aligns the
-// payloads within the *file* (and hence within a page-aligned mapping).
+// Pads are counted from the writer's (or reader's) first byte: the whole
+// image when serializing, the body alone when hashing or parsing it. The
+// prefix size being a multiple of the alignment makes both agree, and
+// aligns the payloads within the *file* (hence within a page-aligned
+// mapping).
 static_assert(kPrefixBytes % kSectionAlign == 0,
               "body-relative alignment must match file alignment");
 
-/// Caps any single declared collection so a corrupted count can never
-/// trigger a multi-gigabyte allocation before the CRC verdict.
-constexpr uint64_t kMaxDeclaredElems = 1ull << 32;
+/// Minimum encoded sizes, for BinReader::Count on declared lengths.
+constexpr size_t kStrBytes = sizeof(uint32_t);  // an empty string
+constexpr size_t kIdBytes = sizeof(uint32_t);
+constexpr size_t kPairBytes = 2 * sizeof(uint32_t) + sizeof(float);
+constexpr size_t kPostingBytes = kStrBytes + sizeof(uint32_t);
 
-struct Prefix {
-  char magic[8];
-  uint32_t version;
-  uint32_t reserved;
-};
-static_assert(sizeof(Prefix) == kPrefixBytes, "index prefix must pack");
+void WriteIds(const std::vector<uint32_t>& ids, BinWriter* w) {
+  w->U32(static_cast<uint32_t>(ids.size()));
+  w->Bytes(ids.data(), ids.size() * sizeof(uint32_t));
+}
 
-/// Serialisation cursor over `out` that feeds every byte into one CRC and
-/// tracks the body-relative position so AlignTo can pad matrix payloads.
-class CrcWriter {
- public:
-  CrcWriter(std::ostream& out, Crc32* crc) : out_(out), crc_(crc) {}
+bool ReadIds(BinReader* r, std::vector<uint32_t>* ids) {
+  uint32_t n = 0;
+  if (!r->Count32(&n, kIdBytes)) return false;
+  ids->resize(n);
+  return r->Bytes(ids->data(), ids->size() * sizeof(uint32_t));
+}
 
-  void Bytes(const void* data, size_t len) {
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(len));
-    crc_->Update(data, len);
-    pos_ += len;
+/// la/matrix_io section framing, padded so the payload lands on a
+/// kSectionAlign boundary: the loader can then point a Matrix view at the
+/// mapped bytes without misaligned reads.
+void WriteAlignedSection(const la::Matrix& m, BinWriter* w) {
+  w->PadTo(kSectionAlign);
+  la::WriteMatrixSection(m, w);
+}
+
+StatusOr<la::Matrix> ReadAlignedSection(BinReader* r, bool zero_copy) {
+  if (!r->SkipPad(kSectionAlign)) {
+    return Status::DataLoss("cannot read matrix section padding");
   }
-  void U32(uint32_t v) { Bytes(&v, sizeof(v)); }
-  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
-  void F32(float v) { Bytes(&v, sizeof(v)); }
-  void F64(double v) { Bytes(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
-  /// Zero-pads the body up to the next multiple of `align`.
-  void AlignTo(size_t align) {
-    static constexpr char kZeros[8] = {0};
-    const size_t rem = pos_ % align;
-    if (rem != 0) Bytes(kZeros, align - rem);
-  }
+  return la::ReadMatrixSection(r, zero_copy);
+}
 
-  bool ok() const { return static_cast<bool>(out_); }
-
- private:
-  std::ostream& out_;
-  Crc32* crc_;
-  size_t pos_ = 0;  // bytes written so far, relative to the body start
-};
-
-/// Deserialisation cursor over the in-memory body (heap buffer or file
-/// mapping). All reads are bounds-checked; the caller verifies the file
-/// CRC *before* trusting any parsed value, so failures here mean a
-/// writer/reader format disagreement (kDataLoss), never a crash.
-class Reader {
- public:
-  explicit Reader(std::string_view buf) : buf_(buf) {}
-
-  bool Bytes(void* data, size_t len) {
-    if (len > buf_.size() - pos_) return false;
-    std::memcpy(data, buf_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  bool U32(uint32_t* v) { return Bytes(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Bytes(v, sizeof(*v)); }
-  bool F32(float* v) { return Bytes(v, sizeof(*v)); }
-  bool F64(double* v) { return Bytes(v, sizeof(*v)); }
-  bool Str(std::string* s) {
-    uint32_t len = 0;
-    if (!U32(&len)) return false;
-    if (len > kMaxDeclaredElems) return false;
-    if (len > buf_.size() - pos_) return false;
-    s->assign(buf_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  bool Skip(size_t len) {
-    if (len > buf_.size() - pos_) return false;
-    pos_ += len;
-    return true;
-  }
-  /// Skips the pad the writer's AlignTo emitted at this position.
-  bool SkipAlignment(size_t align) {
-    const size_t rem = pos_ % align;
-    return rem == 0 || Skip(align - rem);
-  }
-
-  const char* cursor() const { return buf_.data() + pos_; }
-  size_t remaining() const { return buf_.size() - pos_; }
-  bool AtEnd() const { return pos_ == buf_.size(); }
-
- private:
-  std::string_view buf_;
-  size_t pos_ = 0;
-};
-
-Status WriteBody(const AlignmentIndex& index, std::ostream& out, Crc32* crc) {
-  CrcWriter w(out, crc);
-  w.Str(index.dataset);
-  w.U64(index.source_names.size());
-  w.U64(index.target_names.size());
-  w.U64(index.pairs.size());
-  w.F64(index.weight_structural);
-  w.F64(index.weight_semantic);
-  w.F64(index.weight_string);
-  w.U64(index.semantic_seed);
-  for (const std::string& name : index.source_names) w.Str(name);
-  for (const std::string& name : index.target_names) w.Str(name);
+void WriteBody(const AlignmentIndex& index, BinWriter* w) {
+  w->Str(index.dataset);
+  w->U64(index.source_names.size());
+  w->U64(index.target_names.size());
+  w->U64(index.pairs.size());
+  w->F64(index.weight_structural);
+  w->F64(index.weight_semantic);
+  w->F64(index.weight_string);
+  w->U64(index.semantic_seed);
+  for (const std::string& name : index.source_names) w->Str(name);
+  for (const std::string& name : index.target_names) w->Str(name);
   for (const AlignedPair& p : index.pairs) {
-    w.U32(p.source);
-    w.U32(p.target);
-    w.F32(p.score);
+    w->U32(p.source);
+    w->U32(p.target);
+    w->F32(p.score);
   }
   for (const la::Matrix* m :
        {&index.source_name_emb, &index.target_name_emb,
         &index.source_struct_emb, &index.target_struct_emb}) {
-    // la/matrix_io section framing (rows, cols, row-major payload), padded
-    // so the payload lands on a kSectionAlign boundary: the loader can then
-    // point a Matrix view at the mapped bytes without misaligned reads.
-    w.AlignTo(kSectionAlign);
-    w.U64(m->rows());
-    w.U64(m->cols());
-    if (m->size() > 0) w.Bytes(m->data(), m->size() * sizeof(float));
+    WriteAlignedSection(*m, w);
   }
-  w.U64(index.trigram_keys.size());
+  w->U64(index.trigram_keys.size());
   for (size_t i = 0; i < index.trigram_keys.size(); ++i) {
-    w.Str(index.trigram_keys[i]);
-    w.U32(static_cast<uint32_t>(index.trigram_postings[i].size()));
-    for (uint32_t id : index.trigram_postings[i]) w.U32(id);
+    w->Str(index.trigram_keys[i]);
+    WriteIds(index.trigram_postings[i], w);
   }
-  for (uint32_t c : index.target_trigram_counts) w.U32(c);
+  w->Bytes(index.target_trigram_counts.data(),
+           index.target_trigram_counts.size() * sizeof(uint32_t));
   if (index.has_ann()) {
     // ANN sections (v3 only — has_ann() drives the serialized version, so
     // a v2 reader never sees these bytes). The float matrices reuse the
     // aligned section framing and are zero-copy-able like any other; the
     // int8 code payload is aligned too, purely for frame symmetry.
-    w.U64(index.ann_seed);
-    for (const la::Matrix* m : {&index.ann_centroids, &index.ann_scales}) {
-      w.AlignTo(kSectionAlign);
-      w.U64(m->rows());
-      w.U64(m->cols());
-      if (m->size() > 0) w.Bytes(m->data(), m->size() * sizeof(float));
-    }
-    w.U64(index.ann_lists.size());
+    w->U64(index.ann_seed);
+    WriteAlignedSection(index.ann_centroids, w);
+    WriteAlignedSection(index.ann_scales, w);
+    w->U64(index.ann_lists.size());
     for (const std::vector<uint32_t>& list : index.ann_lists) {
-      w.U32(static_cast<uint32_t>(list.size()));
-      for (uint32_t id : list) w.U32(id);
+      WriteIds(list, w);
     }
-    w.AlignTo(kSectionAlign);
-    w.U64(index.ann_codes.rows());
-    w.U64(index.ann_codes.cols());
-    if (index.ann_codes.size() > 0) {
-      w.Bytes(index.ann_codes.data(), index.ann_codes.size());
-    }
+    w->PadTo(kSectionAlign);
+    w->U64(index.ann_codes.rows());
+    w->U64(index.ann_codes.cols());
+    w->Bytes(index.ann_codes.data(), index.ann_codes.size());
   }
-  if (!w.ok()) return Status::IOError("index body write failed");
-  return Status::OK();
 }
 
-/// Reads one matrix section at the cursor. v2 bodies (`padded`) carry an
-/// alignment pad before the section; when `zero_copy` is set and the
-/// payload sits on an aligned address, the result is a view into `r`'s
-/// buffer (the caller owns keeping that buffer alive), otherwise a copy.
-StatusOr<la::Matrix> ReadMatrixAt(Reader& r, bool padded, bool zero_copy) {
-  if (padded && !r.SkipAlignment(kSectionAlign)) {
-    return Status::DataLoss("cannot read matrix section padding");
-  }
-  uint64_t rows = 0, cols = 0;
-  if (!r.U64(&rows) || !r.U64(&cols)) {
-    return Status::DataLoss("cannot read matrix section shape");
-  }
-  const uint64_t elems = rows * cols;
-  if (cols != 0 && rows != elems / cols) {
-    return Status::DataLoss("matrix section shape overflows");
-  }
-  if (elems > r.remaining() / sizeof(float)) {
-    return Status::DataLoss("matrix section truncated");
-  }
-  const char* payload = r.cursor();
-  if (!r.Skip(static_cast<size_t>(elems) * sizeof(float))) {
-    return Status::DataLoss("cannot read matrix section payload");
-  }
-  if (elems == 0) {
-    return la::Matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  }
-  if (zero_copy &&
-      reinterpret_cast<uintptr_t>(payload) % alignof(float) == 0) {
-    return la::Matrix::ConstView(reinterpret_cast<const float*>(payload),
-                                 static_cast<size_t>(rows),
-                                 static_cast<size_t>(cols));
-  }
-  la::Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  std::memcpy(m.data(), payload, static_cast<size_t>(elems) * sizeof(float));
-  return m;
-}
-
-/// Reads one int8 matrix section (same aligned framing as the float
+/// Reads the int8 code section (same aligned framing as the float
 /// sections; int8 payloads have no alignment requirement of their own, so
 /// zero-copy only needs a live backing buffer).
-StatusOr<ann::Int8Matrix> ReadInt8MatrixAt(Reader& r, bool zero_copy) {
-  if (!r.SkipAlignment(kSectionAlign)) {
-    return Status::DataLoss("cannot read int8 section padding");
-  }
+StatusOr<ann::Int8Matrix> ReadInt8Section(BinReader* r, bool zero_copy) {
   uint64_t rows = 0, cols = 0;
-  if (!r.U64(&rows) || !r.U64(&cols)) {
+  if (!r->SkipPad(kSectionAlign) || !r->U64(&rows) || !r->U64(&cols)) {
     return Status::DataLoss("cannot read int8 section shape");
   }
   const uint64_t elems = rows * cols;
   if (cols != 0 && rows != elems / cols) {
     return Status::DataLoss("int8 section shape overflows");
   }
-  if (elems > r.remaining()) {
+  const char* payload = nullptr;
+  if (!r->View(static_cast<size_t>(elems), &payload)) {
     return Status::DataLoss("int8 section truncated");
-  }
-  const char* payload = r.cursor();
-  if (!r.Skip(static_cast<size_t>(elems))) {
-    return Status::DataLoss("cannot read int8 section payload");
   }
   if (elems == 0) {
     return ann::Int8Matrix(static_cast<size_t>(rows),
@@ -273,19 +155,14 @@ StatusOr<ann::Int8Matrix> ReadInt8MatrixAt(Reader& r, bool zero_copy) {
 
 StatusOr<AlignmentIndex> ReadBody(std::string_view body, uint32_t version,
                                   bool zero_copy) {
-  const bool padded = version >= 2;
   AlignmentIndex index;
-  Reader r(body);
+  BinReader r(body);
   uint64_t n_src = 0, n_tgt = 0, n_pairs = 0;
-  if (!r.Str(&index.dataset) || !r.U64(&n_src) || !r.U64(&n_tgt) ||
-      !r.U64(&n_pairs) || !r.F64(&index.weight_structural) ||
-      !r.F64(&index.weight_semantic) || !r.F64(&index.weight_string) ||
-      !r.U64(&index.semantic_seed)) {
+  if (!r.Str(&index.dataset) || !r.Count64(&n_src, kStrBytes) ||
+      !r.Count64(&n_tgt, kStrBytes) || !r.U64(&n_pairs) ||
+      !r.F64(&index.weight_structural) || !r.F64(&index.weight_semantic) ||
+      !r.F64(&index.weight_string) || !r.U64(&index.semantic_seed)) {
     return Status::DataLoss("cannot read index header");
-  }
-  if (n_src > kMaxDeclaredElems || n_tgt > kMaxDeclaredElems ||
-      n_pairs > kMaxDeclaredElems) {
-    return Status::DataLoss("index header declares absurd sizes");
   }
   index.source_names.resize(n_src);
   for (std::string& name : index.source_names) {
@@ -294,6 +171,9 @@ StatusOr<AlignmentIndex> ReadBody(std::string_view body, uint32_t version,
   index.target_names.resize(n_tgt);
   for (std::string& name : index.target_names) {
     if (!r.Str(&name)) return Status::DataLoss("cannot read target names");
+  }
+  if (!r.Count(n_pairs, kPairBytes)) {
+    return Status::DataLoss("cannot read alignment pairs");
   }
   index.pairs.resize(n_pairs);
   for (AlignedPair& p : index.pairs) {
@@ -304,87 +184,62 @@ StatusOr<AlignmentIndex> ReadBody(std::string_view body, uint32_t version,
   for (la::Matrix* m :
        {&index.source_name_emb, &index.target_name_emb,
         &index.source_struct_emb, &index.target_struct_emb}) {
-    auto section = ReadMatrixAt(r, padded, zero_copy);
-    if (!section.ok()) return section.status();
-    *m = std::move(section).value();
+    CEAFF_ASSIGN_OR_RETURN(*m, ReadAlignedSection(&r, zero_copy));
   }
   uint64_t n_keys = 0;
-  if (!r.U64(&n_keys) || n_keys > kMaxDeclaredElems) {
+  if (!r.Count64(&n_keys, kPostingBytes)) {
     return Status::DataLoss("cannot read trigram table size");
   }
   index.trigram_keys.resize(n_keys);
   index.trigram_postings.resize(n_keys);
   for (size_t i = 0; i < n_keys; ++i) {
-    uint32_t n_ids = 0;
-    if (!r.Str(&index.trigram_keys[i]) || !r.U32(&n_ids) ||
-        n_ids > kMaxDeclaredElems) {
+    if (!r.Str(&index.trigram_keys[i]) ||
+        !ReadIds(&r, &index.trigram_postings[i])) {
       return Status::DataLoss("cannot read trigram posting list");
     }
-    index.trigram_postings[i].resize(n_ids);
-    for (uint32_t& id : index.trigram_postings[i]) {
-      if (!r.U32(&id)) {
-        return Status::DataLoss("cannot read trigram posting list");
-      }
-    }
+  }
+  if (!r.Count(n_tgt, sizeof(uint32_t))) {
+    return Status::DataLoss("cannot read trigram counts");
   }
   index.target_trigram_counts.resize(n_tgt);
-  for (uint32_t& c : index.target_trigram_counts) {
-    if (!r.U32(&c)) return Status::DataLoss("cannot read trigram counts");
-  }
+  r.Bytes(index.target_trigram_counts.data(),  // in bounds: Count passed
+          index.target_trigram_counts.size() * sizeof(uint32_t));
   if (version >= kVersionAnn) {
     if (!r.U64(&index.ann_seed)) {
       return Status::DataLoss("cannot read ann header");
     }
-    for (la::Matrix* m : {&index.ann_centroids, &index.ann_scales}) {
-      auto section = ReadMatrixAt(r, /*padded=*/true, zero_copy);
-      if (!section.ok()) return section.status();
-      *m = std::move(section).value();
-    }
+    CEAFF_ASSIGN_OR_RETURN(index.ann_centroids,
+                           ReadAlignedSection(&r, zero_copy));
+    CEAFF_ASSIGN_OR_RETURN(index.ann_scales,
+                           ReadAlignedSection(&r, zero_copy));
     uint64_t n_lists = 0;
-    if (!r.U64(&n_lists) || n_lists > kMaxDeclaredElems) {
+    if (!r.Count64(&n_lists, kIdBytes)) {
       return Status::DataLoss("cannot read ann posting table size");
     }
     index.ann_lists.resize(n_lists);
     for (std::vector<uint32_t>& list : index.ann_lists) {
-      uint32_t n_ids = 0;
-      if (!r.U32(&n_ids) || n_ids > kMaxDeclaredElems) {
+      if (!ReadIds(&r, &list)) {
         return Status::DataLoss("cannot read ann posting list");
       }
-      list.resize(n_ids);
-      for (uint32_t& id : list) {
-        if (!r.U32(&id)) {
-          return Status::DataLoss("cannot read ann posting list");
-        }
-      }
     }
-    auto codes = ReadInt8MatrixAt(r, zero_copy);
-    if (!codes.ok()) return codes.status();
-    index.ann_codes = std::move(codes).value();
+    CEAFF_ASSIGN_OR_RETURN(index.ann_codes, ReadInt8Section(&r, zero_copy));
   }
   // Trailing slack after a clean parse means the writer and reader disagree
   // about the format — refuse rather than serve a partial view.
-  if (!r.AtEnd()) {
+  if (!r.Done()) {
     return Status::DataLoss("trailing bytes after index body");
   }
   return index;
 }
 
-/// Discards everything written to it; lets ComputeContentCrc run the
-/// canonical WriteBody serialization purely for its CRC side channel.
-struct NullBuffer : std::streambuf {
-  int overflow(int c) override { return c; }
-  std::streamsize xsputn(const char*, std::streamsize n) override {
-    return n;
-  }
-};
-
 }  // namespace
 
 uint32_t AlignmentIndex::ComputeContentCrc() const {
-  NullBuffer sink;
-  std::ostream null_stream(&sink);
+  // Streams the canonical body straight into the CRC: the scrubber runs
+  // this on the live snapshot, so no copy of the body is built.
   Crc32 crc;
-  (void)WriteBody(*this, null_stream, &crc);
+  BinWriter sink(&crc);
+  WriteBody(*this, &sink);
   return crc.value();
 }
 
@@ -585,28 +440,28 @@ GenerationalStore::Options IndexStoreOptions(size_t keep_generations) {
 /// Shared parse of one complete container image: prefix, CRC verdict,
 /// body, Finalize. `label` names the source in error messages; `backing`
 /// (optional) is the mapping the bytes live in — passing it enables the
-/// v2 zero-copy path and hands ownership to the returned index.
+/// zero-copy path and hands ownership to the returned index.
 StatusOr<AlignmentIndex> ParseIndexBytes(
     std::string_view bytes, const std::string& label,
     std::shared_ptr<const MappedFile> backing) {
   // Settle the CRC verdict up front — every later parse step then runs
-  // over bytes known to be exactly what the writer produced (size caps
-  // above still guard against writer bugs).
+  // over bytes known to be exactly what the writer produced (the reader's
+  // count rule still guards against writer bugs and forged CRCs).
   if (bytes.size() < kPrefixBytes + kFooterBytes) {
     return Status::DataLoss(
         StrFormat("%s: truncated index (%zu bytes, need at least %zu)",
                   label.c_str(), bytes.size(), kPrefixBytes + kFooterBytes));
   }
-  Prefix prefix;
-  std::memcpy(&prefix, bytes.data(), sizeof(prefix));
-  if (std::memcmp(prefix.magic, kMagic, sizeof(kMagic)) != 0) {
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
+  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::DataLoss(label +
                             ": bad magic, not a CEAFF alignment index");
   }
-  if (prefix.version < kMinVersion || prefix.version > kVersionAnn) {
+  if (version < kMinVersion || version > kVersionAnn) {
     return Status::DataLoss(
         StrFormat("%s: unsupported index version %u (expected %u..%u)",
-                  label.c_str(), prefix.version, kMinVersion, kVersionAnn));
+                  label.c_str(), version, kMinVersion, kVersionAnn));
   }
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes.data() + bytes.size() - kFooterBytes,
@@ -619,12 +474,12 @@ StatusOr<AlignmentIndex> ParseIndexBytes(
         label.c_str(), stored_crc, computed_crc));
   }
 
-  // Zero-copy needs both the aligned (v2) layout and a mapping whose
-  // lifetime the index can own; v1 files and heap loads always copy.
-  const bool zero_copy = backing != nullptr && prefix.version >= 2;
+  // Zero-copy needs a mapping whose lifetime the index can own; heap
+  // loads always copy.
+  const bool zero_copy = backing != nullptr;
   const std::string_view body = bytes.substr(
       kPrefixBytes, bytes.size() - kPrefixBytes - kFooterBytes);
-  auto index = ReadBody(body, prefix.version, zero_copy);
+  auto index = ReadBody(body, version, zero_copy);
   if (!index.ok()) {
     return Status::DataLoss(label + ": " + index.status().message());
   }
@@ -686,24 +541,18 @@ StatusOr<AlignmentIndex> LoadAlignmentIndexGenerational(
 
 }  // namespace
 
-StatusOr<std::string> SerializeAlignmentIndex(const AlignmentIndex& index) {
-  Prefix prefix;
-  std::memcpy(prefix.magic, kMagic, sizeof(kMagic));
+std::string SerializeAlignmentIndex(const AlignmentIndex& index) {
+  BinWriter w;
+  w.Bytes(kMagic, sizeof(kMagic));
   // ANN-less indexes keep writing v2 so their artifacts stay byte-identical
   // to pre-ANN exports (and older readers keep loading them).
-  prefix.version = index.has_ann() ? kVersionAnn : kVersionAligned;
-  prefix.reserved = 0;
-
-  std::ostringstream out(std::ios::binary);
-  Crc32 crc;
-  crc.Update(&prefix, sizeof(prefix));
-  out.write(reinterpret_cast<const char*>(&prefix), sizeof(prefix));
-  Status body = WriteBody(index, out, &crc);
-  if (!body.ok()) return Status::IOError("index serialization failed");
-  const uint32_t checksum = crc.value();
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  if (!out) return Status::IOError("index serialization failed");
-  return std::move(out).str();
+  w.U32(index.has_ann() ? kVersionAnn : kVersionAligned);
+  w.U32(0);  // reserved
+  WriteBody(index, &w);
+  std::string bytes = w.Take();
+  const uint32_t checksum = Crc32Of(bytes.data(), bytes.size());
+  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return bytes;
 }
 
 Status ValidateAlignmentIndexBytes(const std::string& bytes) {
@@ -713,7 +562,7 @@ Status ValidateAlignmentIndexBytes(const std::string& bytes) {
 Status SaveAlignmentIndexGenerational(const AlignmentIndex& index,
                                       const std::string& dir,
                                       size_t keep_generations) {
-  CEAFF_ASSIGN_OR_RETURN(std::string bytes, SerializeAlignmentIndex(index));
+  std::string bytes = SerializeAlignmentIndex(index);
   GenerationalStore store(dir, IndexStoreOptions(keep_generations));
   CEAFF_RETURN_IF_ERROR(store.Init());
   return store.Put(kGenerationalArtifact, bytes);
@@ -729,7 +578,7 @@ Status SaveAlignmentIndex(const AlignmentIndex& index,
   // directory). Concurrent exporters to the same path no longer race on a
   // shared temp file, and a kill -9 at any point leaves either the old
   // index or the new one.
-  CEAFF_ASSIGN_OR_RETURN(std::string bytes, SerializeAlignmentIndex(index));
+  std::string bytes = SerializeAlignmentIndex(index);
   return WriteFileAtomic(path, std::move(bytes), "index");
 }
 

@@ -42,8 +42,9 @@ struct AlignedPair {
 /// matrix section to a 4-byte boundary so the float payloads are naturally
 /// aligned within the file; the loader memory-maps the artifact and serves
 /// those payloads as read-only Matrix views straight out of the mapping
-/// (no heap copy of the embedding tables). Version-1 files and any file
-/// whose mapping fails are still loaded through the heap-copy path.
+/// (no heap copy of the embedding tables). A file whose mapping fails is
+/// loaded through the heap-copy path; the unpadded version-1 layout is
+/// refused.
 /// Version 3 appends the optional ANN retrieval sections (IVF centroids +
 /// posting lists + int8-quantized fused embeddings, see below); exports
 /// without ANN sections still write version 2, byte-identical to before. A
@@ -193,7 +194,7 @@ StatusOr<AlignmentIndex> BuildAlignmentIndex(AlignmentIndexInput input);
 
 /// Serializes the index to its on-disk container bytes (prefix + body +
 /// CRC-32 footer) without touching the filesystem.
-StatusOr<std::string> SerializeAlignmentIndex(const AlignmentIndex& index);
+std::string SerializeAlignmentIndex(const AlignmentIndex& index);
 
 /// Full validation of candidate container bytes: magic, version range,
 /// whole-file CRC, body parse, and Finalize()'s cross-field invariants.

@@ -19,6 +19,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Encoded size of a candidate with an empty name, for BinReader::Count.
+constexpr size_t kCandidateBytes = 2 * sizeof(uint32_t) + 4 * sizeof(float);
+
 int64_t MillisUntil(Clock::time_point deadline) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
                                                                Clock::now())
@@ -125,10 +128,6 @@ Status MessagePipe::Send(IpcType type, const std::string& payload) {
         StrFormat("ipc payload of %zu bytes exceeds the %u-byte frame cap",
                   payload.size(), kMaxIpcFrameBytes));
   }
-  std::string frame;
-  frame.reserve(8 + 1 + payload.size());
-  const uint32_t body_len = static_cast<uint32_t>(payload.size() + 1);
-  frame.append(reinterpret_cast<const char*>(&body_len), sizeof body_len);
   const char tag = static_cast<char>(type);
   Crc32 crc;
   crc.Update(&tag, 1);
@@ -140,9 +139,12 @@ Status MessagePipe::Send(IpcType type, const std::string& payload) {
   if (!failpoint::Hit("shard.ipc.corrupt_reply").ok()) {
     checksum ^= 0xDEADBEEFu;
   }
-  frame.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-  frame.push_back(tag);
-  frame.append(payload);
+  BinWriter w;
+  w.U32(static_cast<uint32_t>(payload.size() + 1));
+  w.U32(checksum);
+  w.Bytes(&tag, 1);
+  w.Bytes(payload.data(), payload.size());
+  const std::string frame = w.Take();
   return SendAll(fd_, frame.data(), frame.size());
 }
 
@@ -157,8 +159,9 @@ StatusOr<IpcMessage> MessagePipe::Recv(int64_t timeout_ms) {
       RecvAll(fd_, header, sizeof header, block_forever, deadline));
   uint32_t body_len = 0;
   uint32_t checksum = 0;
-  std::memcpy(&body_len, header, sizeof body_len);
-  std::memcpy(&checksum, header + 4, sizeof checksum);
+  BinReader header_reader(std::string_view(header, sizeof header));
+  header_reader.U32(&body_len);  // the 8 bytes are all there
+  header_reader.U32(&checksum);
   if (body_len == 0 || body_len > kMaxIpcFrameBytes) {
     // A zero or absurd length means the stream is not at a frame boundary;
     // nothing downstream of this byte can be trusted.
@@ -201,10 +204,10 @@ Status DecodeStatusPayload(BinReader* reader, Status* out) {
 std::string EncodeTopKResult(const TopKResult& result) {
   BinWriter w;
   w.Str(result.query);
-  w.U8(result.structural_used ? 1 : 0);
+  w.Bool(result.structural_used);
   w.U8(static_cast<uint8_t>(result.tier));
-  w.U8(result.degraded ? 1 : 0);
-  w.U8(result.ann_used ? 1 : 0);
+  w.Bool(result.degraded);
+  w.Bool(result.ann_used);
   w.U32(result.ann_probes);
   w.U32(result.ann_shortlist);
   w.U64(result.generation);
@@ -222,25 +225,19 @@ std::string EncodeTopKResult(const TopKResult& result) {
 
 StatusOr<TopKResult> DecodeTopKResult(BinReader* reader) {
   TopKResult result;
-  uint8_t structural_used = 0;
   uint8_t tier = 0;
-  uint8_t degraded = 0;
-  uint8_t ann_used = 0;
   uint32_t count = 0;
-  if (!reader->Str(&result.query) || !reader->U8(&structural_used) ||
-      !reader->U8(&tier) || !reader->U8(&degraded) ||
-      !reader->U8(&ann_used) || !reader->U32(&result.ann_probes) ||
+  if (!reader->Str(&result.query) || !reader->Bool(&result.structural_used) ||
+      !reader->U8(&tier) || !reader->Bool(&result.degraded) ||
+      !reader->Bool(&result.ann_used) || !reader->U32(&result.ann_probes) ||
       !reader->U32(&result.ann_shortlist) || !reader->U64(&result.generation) ||
-      !reader->U32(&count)) {
+      !reader->Count32(&count, kCandidateBytes)) {
     return Status::DataLoss("malformed ipc topk payload");
   }
   if (tier > static_cast<uint8_t>(ServiceTier::kPairOnly)) {
     return Status::DataLoss("ipc topk payload carries an unknown tier");
   }
-  result.structural_used = structural_used != 0;
   result.tier = static_cast<ServiceTier>(tier);
-  result.degraded = degraded != 0;
-  result.ann_used = ann_used != 0;
   result.candidates.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Candidate c;
@@ -279,12 +276,9 @@ namespace {
 template <typename T>
 std::string EncodeResponse(const StatusOr<T>& value,
                            std::string (*encode)(const T&)) {
-  BinWriter w;
-  w.U8(value.ok() ? 1 : 0);
-  std::string body =
-      value.ok() ? encode(value.value()) : EncodeStatusPayload(value.status());
-  std::string out = w.Take();
-  out += body;
+  std::string out(1, value.ok() ? '\1' : '\0');
+  out += value.ok() ? encode(value.value())
+                    : EncodeStatusPayload(value.status());
   return out;
 }
 
@@ -292,11 +286,11 @@ template <typename T>
 StatusOr<T> DecodeResponse(const std::string& payload,
                            StatusOr<T> (*decode)(BinReader*)) {
   BinReader reader(payload);
-  uint8_t ok = 0;
-  if (!reader.U8(&ok)) {
+  bool ok = false;
+  if (!reader.Bool(&ok)) {
     return Status::DataLoss("malformed ipc response payload");
   }
-  if (ok != 0) {
+  if (ok) {
     StatusOr<T> value = decode(&reader);
     if (value.ok() && !reader.Done()) {
       return Status::DataLoss("trailing bytes after ipc response payload");

@@ -2,10 +2,9 @@
 #define CEAFF_SERVE_IPC_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
-#include <vector>
 
+#include "ceaff/common/bin_codec.h"
 #include "ceaff/common/statusor.h"
 #include "ceaff/serve/service_types.h"
 
@@ -20,9 +19,9 @@ namespace ceaff::serve {
 ///
 /// `length` counts the body bytes; `crc32` covers exactly the body. The
 /// body's first byte is the IpcType tag, the rest is the type-specific
-/// payload encoded with BinWriter/BinReader below. Error mapping on the
-/// receive side, chosen so the router's failure matrix falls out of the
-/// status code alone:
+/// payload encoded with common/bin_codec.h's BinWriter/BinReader. Error
+/// mapping on the receive side, chosen so the router's failure matrix falls
+/// out of the status code alone:
 ///
 ///   kUnavailable       peer closed / EPIPE / ECONNRESET — the shard died
 ///   kDeadlineExceeded  poll timed out — the shard is hung (or just slow)
@@ -96,84 +95,6 @@ class MessagePipe {
 /// lost). Generous: the largest real message is a TopKResponse, k
 /// candidates x (name + 4 floats).
 inline constexpr uint32_t kMaxIpcFrameBytes = 16u << 20;
-
-/// Little-endian-on-host primitive serialisation for message payloads.
-/// Floats cross the wire as raw IEEE-754 bit patterns (memcpy through
-/// uint32_t), never through text formatting — the sharded merge is only
-/// bit-identical to single-process scoring if scores survive the boundary
-/// exactly.
-class BinWriter {
- public:
-  void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { Raw(&v, sizeof v); }
-  void U64(uint64_t v) { Raw(&v, sizeof v); }
-  void I64(int64_t v) { Raw(&v, sizeof v); }
-  void F32(float v) {
-    uint32_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    U32(bits);
-  }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    buf_.append(s);
-  }
-  std::string Take() { return std::move(buf_); }
-
- private:
-  void Raw(const void* p, size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  std::string buf_;
-};
-
-/// Cursor over a payload. Every getter returns false on underrun and latches
-/// the failure; decode functions check ok() once at the end.
-class BinReader {
- public:
-  explicit BinReader(const std::string& buf) : buf_(buf) {}
-  // The reader only borrows the buffer; a temporary would dangle after the
-  // constructor's full expression.
-  explicit BinReader(std::string&&) = delete;
-
-  bool U8(uint8_t* v) { return Raw(v, sizeof *v); }
-  bool U32(uint32_t* v) { return Raw(v, sizeof *v); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof *v); }
-  bool I64(int64_t* v) { return Raw(v, sizeof *v); }
-  bool F32(float* v) {
-    uint32_t bits = 0;
-    if (!U32(&bits)) return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint32_t n = 0;
-    if (!U32(&n)) return false;
-    if (buf_.size() - pos_ < n) return Fail();
-    s->assign(buf_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-  /// True when every read so far succeeded AND the payload was consumed
-  /// exactly (trailing garbage means a framing/versioning bug, not a
-  /// shorter message).
-  bool Done() const { return ok_ && pos_ == buf_.size(); }
-  bool ok() const { return ok_; }
-
- private:
-  bool Raw(void* p, size_t n) {
-    if (buf_.size() - pos_ < n) return Fail();
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool Fail() {
-    ok_ = false;
-    return false;
-  }
-  const std::string& buf_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 /// Payload codecs for the composite messages. Encode never fails; Decode
 /// returns kDataLoss on a malformed payload (the frame CRC passed, so a

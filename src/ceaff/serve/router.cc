@@ -43,7 +43,7 @@ std::string EncodeTopKRequestPayload(const std::string& query, size_t k,
   BinWriter w;
   w.Str(query);
   w.U64(k);
-  w.U8(allow_structural ? 1 : 0);
+  w.Bool(allow_structural);
   w.U64(deadline_ms);
   return w.Take();
 }

@@ -429,18 +429,6 @@ std::vector<StatusOr<TopKResult>> AlignmentService::BatchTopK(
     done_cv.wait(lock, [&remaining] { return remaining == 0; });
   }
 
-  if (options_.hedge_batch_sheds) {
-    // One hedged attempt, inline and sequential, for the slots the service
-    // shed (kUnavailable only — anything else is not transient). Off by
-    // default: under sustained overload this adds load right after the
-    // service asked for less.
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok() && results[i].status().IsUnavailable()) {
-        results[i] = TopK(names[i], k, cancel);
-      }
-    }
-  }
-
   bool all_ok = true;
   for (const StatusOr<TopKResult>& r : results) {
     if (!r.ok()) all_ok = false;

@@ -48,11 +48,6 @@ struct ServiceOptions {
   /// Backoff for BatchTopK sub-queries whose pool submission is shed
   /// (queue full). Only kUnavailable is ever retried.
   RetryOptions batch_retry;
-  /// After retries are exhausted, give each still-kUnavailable batch slot
-  /// one hedged attempt inline on the caller's thread. Default off: under
-  /// sustained overload the inline attempt adds load exactly when the
-  /// service asked for less — enable for latency-tolerant offline callers.
-  bool hedge_batch_sheds = false;
   /// Stops re-validating a repeatedly-corrupt index path on every RELOAD:
   /// after `failure_threshold` consecutive failures the breaker opens and
   /// reloads are refused (kUnavailable) until `cooldown_ns` elapses.
@@ -147,8 +142,8 @@ class AlignmentService {
   /// pool task (the caller blocks on the pool). The returned vector always
   /// has names.size() entries; individual queries fail independently.
   /// Submissions shed at the queue are retried per `batch_retry` (capped
-  /// exponential backoff + jitter); with `hedge_batch_sheds`, slots still
-  /// kUnavailable after the fan-out get one inline hedged attempt.
+  /// exponential backoff + jitter); a slot still shed after that answers
+  /// kUnavailable.
   std::vector<StatusOr<TopKResult>> BatchTopK(
       const std::vector<std::string>& names, size_t k,
       const CancellationToken* cancel = nullptr);

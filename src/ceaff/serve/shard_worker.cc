@@ -24,13 +24,9 @@ struct TopKRequest {
 
 bool DecodeTopKRequest(const std::string& payload, TopKRequest* request) {
   BinReader reader(payload);
-  uint8_t allow = 0;
-  if (!reader.Str(&request->query) || !reader.U64(&request->k) ||
-      !reader.U8(&allow) || !reader.U64(&request->deadline_ms)) {
-    return false;
-  }
-  request->allow_structural = allow != 0;
-  return reader.Done();
+  return reader.Str(&request->query) && reader.U64(&request->k) &&
+         reader.Bool(&request->allow_structural) &&
+         reader.U64(&request->deadline_ms) && reader.Done();
 }
 
 }  // namespace

@@ -282,42 +282,5 @@ TEST(DeltaJournalTest, DuplicateIdAfterManualSurgeryFirstWins) {
   EXPECT_EQ((*records)[0].op, PatchOp::kAddEntity);  // the FIRST id-1 record
 }
 
-TEST(DeltaPatchTest, TextRoundTrip) {
-  const std::string text =
-      "# comment\n"
-      "add_entity\t1\thttp://a/e1\tEntity One\n"
-      "\n"
-      "add_triple\t2\thttp://b/e1\thttp://b/r\thttp://b/e2\n"
-      "remove_triple\t2\thttp://b/e1\thttp://b/r\thttp://b/e2\n"
-      "rename_entity\t1\thttp://a/e1\tNew Name\n"
-      "serve_entity\t1\thttp://a/e1\n";
-  auto records = ParsePatchText(text);
-  ASSERT_TRUE(records.ok()) << records.status().ToString();
-  ASSERT_EQ(records->size(), 5u);
-  EXPECT_EQ((*records)[0].op, PatchOp::kAddEntity);
-  EXPECT_EQ((*records)[0].name, "Entity One");
-  EXPECT_EQ((*records)[1].op, PatchOp::kAddTriple);
-  EXPECT_EQ((*records)[4].op, PatchOp::kServeEntity);
-  for (const PatchRecord& r : *records) {
-    auto reparsed = ParsePatchText(PatchToText(r));
-    ASSERT_TRUE(reparsed.ok());
-    ASSERT_EQ(reparsed->size(), 1u);
-    EXPECT_EQ((*reparsed)[0], r);
-  }
-  // Binary payload round trip too.
-  for (PatchRecord r : *records) {
-    r.id = 42;
-    auto decoded = DecodePatchPayload(EncodePatchPayload(r));
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(*decoded, r);
-  }
-}
-
-TEST(DeltaPatchTest, ParseRejectsMalformedLines) {
-  EXPECT_FALSE(ParsePatchText("add_entity\t3\turi\n").ok());  // bad kg
-  EXPECT_FALSE(ParsePatchText("frobnicate\t1\turi\n").ok());  // bad op
-  EXPECT_FALSE(ParsePatchText("add_triple\t1\th\tr\n").ok());  // missing tail
-}
-
 }  // namespace
 }  // namespace ceaff::delta

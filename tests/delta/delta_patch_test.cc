@@ -1,0 +1,100 @@
+// Patch records (text and WAL payload codecs) and the CEAFFDLT delta-state
+// codec.
+
+#include "ceaff/delta/delta_patch.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "ceaff/common/crc32.h"
+#include "ceaff/delta/delta_state.h"
+
+namespace ceaff::delta {
+namespace {
+
+TEST(DeltaPatchTest, TextRoundTrip) {
+  const std::string text =
+      "# comment\n"
+      "add_entity\t1\thttp://a/e1\tEntity One\n"
+      "\n"
+      "add_triple\t2\thttp://b/e1\thttp://b/r\thttp://b/e2\n"
+      "remove_triple\t2\thttp://b/e1\thttp://b/r\thttp://b/e2\n"
+      "rename_entity\t1\thttp://a/e1\tNew Name\n"
+      "serve_entity\t1\thttp://a/e1\n";
+  auto records = ParsePatchText(text);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 5u);
+  EXPECT_EQ((*records)[0].op, PatchOp::kAddEntity);
+  EXPECT_EQ((*records)[0].name, "Entity One");
+  EXPECT_EQ((*records)[1].op, PatchOp::kAddTriple);
+  EXPECT_EQ((*records)[4].op, PatchOp::kServeEntity);
+  for (const PatchRecord& r : *records) {
+    auto reparsed = ParsePatchText(PatchToText(r));
+    ASSERT_TRUE(reparsed.ok());
+    ASSERT_EQ(reparsed->size(), 1u);
+    EXPECT_EQ((*reparsed)[0], r);
+  }
+  // Binary payload round trip too.
+  for (PatchRecord r : *records) {
+    r.id = 42;
+    auto decoded = DecodePatchPayload(EncodePatchPayload(r));
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(*decoded, r);
+  }
+}
+
+TEST(DeltaPatchTest, ParseRejectsMalformedLines) {
+  EXPECT_FALSE(ParsePatchText("add_entity\t3\turi\n").ok());  // bad kg
+  EXPECT_FALSE(ParsePatchText("frobnicate\t1\turi\n").ok());  // bad op
+  EXPECT_FALSE(ParsePatchText("add_triple\t1\th\tr\n").ok());  // missing tail
+}
+
+DeltaState SmallState() {
+  DeltaState s;
+  s.watermark = 3;
+  s.dataset = "codec";
+  s.textual_weights = {0.5, 0.5};
+  s.final_weights = {1.0};
+  for (kg::KnowledgeGraph* g : {&s.kg1, &s.kg2}) {
+    const uint32_t a = g->AddEntity("http://x/a", "A");
+    const uint32_t b = g->AddEntity("http://x/b");
+    g->SetEntityName(b, "");  // an exact empty name must survive
+    CEAFF_CHECK(g->AddTriple(a, g->AddRelation("http://x/r"), b).ok());
+  }
+  s.source_ids = {0, 1};
+  s.target_ids = {1};
+  s.x1 = la::Matrix(2, 2);
+  s.x1.Fill(0.5f);
+  s.fused = la::Matrix(2, 1);
+  s.fused.Fill(-1.0f);
+  s.prefs = {{0}, {0}};
+  return s;
+}
+
+TEST(DeltaStateCodecTest, RoundTripIsByteIdentical) {
+  const std::string bytes = SerializeDeltaState(SmallState());
+  auto parsed = ParseDeltaState(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->kg2.entity_name(1), "");
+  EXPECT_EQ(parsed->prefs, SmallState().prefs);
+  EXPECT_EQ(SerializeDeltaState(*parsed), bytes);
+}
+
+TEST(DeltaStateCodecTest, EveryResealedTruncationIsDataLoss) {
+  const std::string bytes = SerializeDeltaState(SmallState());
+  // Cut the body at every length and re-seal the CRC, so each cut reaches
+  // the field decoders instead of stopping at the checksum.
+  for (size_t keep = 12; keep + 4 < bytes.size(); ++keep) {
+    std::string cut = bytes.substr(0, keep);
+    const uint32_t crc = Crc32Of(cut.data(), cut.size());
+    cut.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    auto parsed = ParseDeltaState(cut);
+    ASSERT_FALSE(parsed.ok()) << "cut at " << keep;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss) << keep;
+  }
+}
+
+}  // namespace
+}  // namespace ceaff::delta

@@ -1,8 +1,8 @@
 // Zero-copy (mmap) index loading: the v2 artifact's matrix payloads are
 // served as read-only views into the file mapping. These tests pin the
-// three contracts that make that safe: the mmap and heap-fallback paths
-// produce identical indexes, version-1 (unpadded) artifacts still load,
-// and corruption fails the load on the mmap path exactly as it does on the
+// contracts that make that safe: the mmap and heap-fallback paths produce
+// identical indexes, the unpadded version-1 layout is refused, and
+// corruption fails the load on the mmap path exactly as it does on the
 // heap path.
 
 #include <gtest/gtest.h>
@@ -124,84 +124,27 @@ TEST(IndexMmapTest, CopyingAMappedIndexMaterialisesTheViews) {
             0);
 }
 
-/// Serialises `index` in the retired v1 container layout (same field
-/// order, no alignment pads before matrix sections) so the loader's
-/// backwards-compat path can be exercised against a genuine v1 file.
-std::string SerializeV1(const AlignmentIndex& index) {
-  std::string out;
-  auto bytes = [&](const void* p, size_t n) {
-    out.append(static_cast<const char*>(p), n);
-  };
-  auto u32 = [&](uint32_t v) { bytes(&v, sizeof(v)); };
-  auto u64 = [&](uint64_t v) { bytes(&v, sizeof(v)); };
-  auto f32 = [&](float v) { bytes(&v, sizeof(v)); };
-  auto f64 = [&](double v) { bytes(&v, sizeof(v)); };
-  auto str = [&](const std::string& s) {
-    u32(static_cast<uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-  };
-
-  out.append("CEAFFIDX", 8);
-  u32(1);  // version
-  u32(0);  // reserved
-  str(index.dataset);
-  u64(index.source_names.size());
-  u64(index.target_names.size());
-  u64(index.pairs.size());
-  f64(index.weight_structural);
-  f64(index.weight_semantic);
-  f64(index.weight_string);
-  u64(index.semantic_seed);
-  for (const std::string& name : index.source_names) str(name);
-  for (const std::string& name : index.target_names) str(name);
-  for (const AlignedPair& p : index.pairs) {
-    u32(p.source);
-    u32(p.target);
-    f32(p.score);
-  }
-  for (const la::Matrix* m :
-       {&index.source_name_emb, &index.target_name_emb,
-        &index.source_struct_emb, &index.target_struct_emb}) {
-    u64(m->rows());
-    u64(m->cols());
-    if (m->size() > 0) bytes(m->data(), m->size() * sizeof(float));
-  }
-  u64(index.trigram_keys.size());
-  for (size_t i = 0; i < index.trigram_keys.size(); ++i) {
-    str(index.trigram_keys[i]);
-    u32(static_cast<uint32_t>(index.trigram_postings[i].size()));
-    for (uint32_t id : index.trigram_postings[i]) u32(id);
-  }
-  for (uint32_t c : index.target_trigram_counts) u32(c);
-
-  const uint32_t crc = Crc32Of(out.data(), out.size());
-  bytes(&crc, sizeof(crc));
-  return out;
-}
-
-TEST(IndexMmapTest, VersionOneArtifactsStillLoad) {
+TEST(IndexMmapTest, VersionOneArtifactsAreRefused) {
   ScratchDir dir("idx_mmap_v1");
-  const std::string v1_path = dir.File("v1.idx");
-  const std::string v2_path = dir.File("v2.idx");
-  const AlignmentIndex index = SmallIndex();
-  ASSERT_TRUE(SaveAlignmentIndex(index, v2_path).ok());
+  const std::string path = dir.File("v1.idx");
+  // A v1 prefix over an otherwise CRC-valid image: the version alone must
+  // refuse it.
+  std::string v1 = SerializeAlignmentIndex(SmallIndex());
+  const uint32_t version = 1;
+  std::memcpy(&v1[8], &version, sizeof(version));
+  const uint32_t crc = Crc32Of(v1.data(), v1.size() - sizeof(crc));
+  std::memcpy(&v1[v1.size() - sizeof(crc)], &crc, sizeof(crc));
   {
-    std::ofstream out(v1_path, std::ios::binary);
-    const std::string v1_bytes = SerializeV1(index);
-    out.write(v1_bytes.data(),
-              static_cast<std::streamsize>(v1_bytes.size()));
+    std::ofstream out(path, std::ios::binary);
+    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
     ASSERT_TRUE(out.good());
   }
 
-  auto v1 = LoadAlignmentIndex(v1_path);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  // v1 files never serve views: unpadded payloads cannot be safely aliased.
-  EXPECT_EQ(v1->backing, nullptr);
-  EXPECT_FALSE(v1->source_name_emb.is_view());
-
-  auto v2 = LoadAlignmentIndex(v2_path);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ExpectIndexesEqual(*v1, *v2);
+  auto loaded = LoadAlignmentIndex(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("version 1"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(IndexMmapTest, CorruptionFailsTheMmapPathToo) {

@@ -28,8 +28,11 @@
 # the `shard`-labelled drills — including the
 # replication/rolling-reload/rollback suite — also rerun under ASan, the
 # `delta`-labelled suites (WAL units, repair-vs-rebuild equivalence,
-# kill-at-every-site crash drills) also rerun under ASan, and the
-# RELOAD-vs-HEALTH-reap race test runs under TSan.
+# kill-at-every-site crash drills) also rerun under ASan, the
+# `codec`-labelled suites (the shared byte codec, golden byte pins,
+# hostile declared lengths, and the CEAFFMAT/CEAFFIDX/CEAFFDLT/patch/IPC
+# codecs) also rerun under ASan, and the RELOAD-vs-HEALTH-reap race test
+# runs under TSan.
 #
 # Usage: tools/run_checks.sh [--skip-sanitize] [--skip-tsan] [--skip-smoke]
 #                            [--skip-crash]
@@ -68,14 +71,16 @@ if [[ "$skip_sanitize" == 0 ]]; then
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L ann
   echo "==> Delta-ingestion suite under ASan"
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L delta
+  echo "==> Binary-codec suite under ASan"
+  ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L codec
 fi
 
 if [[ "$skip_tsan" == 0 ]]; then
   echo "==> TSan build + concurrency & chaos tests"
   cmake -B "$repo/build-tsan" -S "$repo" -DCEAFF_TSAN=ON
   cmake --build "$repo/build-tsan" -j "$jobs" \
-    --target common_test la_test embed_test serve_test serve_hammer_test \
-      serve_chaos_test serve_shard_replication_test
+    --target common_test la_test codec_test embed_test serve_test \
+      serve_hammer_test serve_chaos_test serve_shard_replication_test
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
     -R 'ThreadPool|ParallelFor|ThreadLocalRng|Logging|Serve|AlignmentService|AlignmentIndex|IndexMmap|ParseRequest|Admission|RetryPolicy|CircuitBreaker|Degradation|OverloadChaos|Kernel|GcnAligner|ShardReplicationTest.WorkerDeathMidReload'
 fi
