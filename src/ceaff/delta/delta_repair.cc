@@ -538,18 +538,26 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
   return out;
 }
 
+void PropagateStructEmbeddings(DeltaState* state,
+                               const la::KernelContext& ctx) {
+  DeltaState& s = *state;
+  // Serial on purpose: at GCN shapes a pool fan-out of SpMMK is no faster
+  // than one sweep, and grain never changes bits (DESIGN.md §11).
+  la::KernelContext serial = ctx;
+  serial.pool = nullptr;
+  const kg::AdjacencyOptions opts = AdjOptionsOf(s);
+  const la::SparseMatrix a1 = kg::BuildAdjacency(s.kg1, opts);
+  const la::SparseMatrix a2 = kg::BuildAdjacency(s.kg2, opts);
+  const la::Matrix z1 = la::SpMMK(serial, a1, la::SpMMK(serial, a1, s.x1));
+  const la::Matrix z2 = la::SpMMK(serial, a2, la::SpMMK(serial, a2, s.x2));
+  s.src_struct_emb = core::GatherRows(z1, s.source_ids);
+  s.tgt_struct_emb = core::GatherRows(z2, s.target_ids);
+}
+
 Status RecomputeStateExhaustive(DeltaState* state,
                                 const la::KernelContext& ctx) {
   DeltaState& s = *state;
-  if (s.use_structural) {
-    const kg::AdjacencyOptions opts = AdjOptionsOf(s);
-    const la::SparseMatrix a1 = kg::BuildAdjacency(s.kg1, opts);
-    const la::SparseMatrix a2 = kg::BuildAdjacency(s.kg2, opts);
-    const la::Matrix z1 = la::SpMMK(ctx, a1, la::SpMMK(ctx, a1, s.x1));
-    const la::Matrix z2 = la::SpMMK(ctx, a2, la::SpMMK(ctx, a2, s.x2));
-    s.src_struct_emb = core::GatherRows(z1, s.source_ids);
-    s.tgt_struct_emb = core::GatherRows(z2, s.target_ids);
-  }
+  if (s.use_structural) PropagateStructEmbeddings(&s, ctx);
   std::vector<uint32_t> all_rows(s.source_ids.size());
   for (size_t i = 0; i < all_rows.size(); ++i) {
     all_rows[i] = static_cast<uint32_t>(i);

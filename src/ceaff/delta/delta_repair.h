@@ -110,6 +110,13 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
     const DeltaState& old_state, const std::vector<PatchRecord>& records,
     const la::KernelContext& ctx);
 
+/// The full two-hop structural propagation Z = A·(A·X) for both KGs from
+/// `state`'s stored graphs and frozen features, gathered onto the serving
+/// rows and written to its struct embeddings. Runs on `ctx` without its
+/// pool. Shared by the exhaustive oracle and the verification gate.
+void PropagateStructEmbeddings(DeltaState* state,
+                               const la::KernelContext& ctx);
+
 /// The from-scratch oracle: recomputes struct embeddings (full two-hop
 /// propagation), every enabled feature matrix, the fused matrix, the
 /// preference lists and the matching of `state` exhaustively from its own

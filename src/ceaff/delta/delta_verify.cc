@@ -11,7 +11,6 @@
 #include "ceaff/common/random.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/delta/delta_repair.h"
-#include "ceaff/kg/adjacency.h"
 #include "ceaff/matching/matching.h"
 
 namespace ceaff::delta {
@@ -169,15 +168,7 @@ Status VerifyDeltaState(const DeltaState& candidate,
   // similarity matrices) rather than trusting the repair's strips.
   DeltaState oracle = s;
   if (s.use_structural) {
-    const kg::AdjacencyOptions adj{s.adj_functionality_weighted,
-                                   s.adj_add_self_loops,
-                                   s.adj_symmetric_normalize};
-    const la::SparseMatrix a1 = kg::BuildAdjacency(s.kg1, adj);
-    const la::SparseMatrix a2 = kg::BuildAdjacency(s.kg2, adj);
-    const la::Matrix z1 = la::SpMMK(ctx, a1, la::SpMMK(ctx, a1, s.x1));
-    const la::Matrix z2 = la::SpMMK(ctx, a2, la::SpMMK(ctx, a2, s.x2));
-    oracle.src_struct_emb = core::GatherRows(z1, s.source_ids);
-    oracle.tgt_struct_emb = core::GatherRows(z2, s.target_ids);
+    PropagateStructEmbeddings(&oracle, ctx);
     for (uint32_t i : audit) {
       if (std::memcmp(oracle.src_struct_emb.row(i), s.src_struct_emb.row(i),
                       s.src_struct_emb.cols() * sizeof(float)) != 0) {

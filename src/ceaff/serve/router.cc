@@ -73,6 +73,19 @@ const char* BreakerStateName(CircuitBreaker::State state) {
   return "unknown";
 }
 
+/// Ends a worker process: closes the router's end of its pipe, SIGKILLs it
+/// unless it is already exiting on its own (`kill` false after a drain
+/// ack), and reaps it. Workers are stateless (their index is a read-only
+/// mmap), so SIGKILL loses nothing and bounds the wait even if a worker is
+/// wedged mid-scan. The router's one blocking waitpid.
+void StopProcess(MessagePipe* pipe, pid_t pid, bool kill) {
+  pipe->Close();
+  if (kill) ::kill(pid, SIGKILL);
+  int wstatus = 0;
+  while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
+  }
+}
+
 /// RAII latch for reload_in_progress_: the rolling cycle must release the
 /// fleet on every exit path, including early aborts.
 class ReloadGuard {
@@ -95,15 +108,9 @@ ShardRouter::~ShardRouter() {
   for (size_t i = 0; i < workers_.size(); ++i) {
     WorkerState& worker = *workers_[i];
     if (!worker.alive) continue;
-    // Best-effort clean shutdown, then the certain one. Workers are
-    // stateless (their index is a read-only mmap), so SIGKILL loses
-    // nothing and bounds the join even if a worker is wedged mid-scan.
+    // Best-effort clean shutdown, then the certain one.
     (void)worker.pipe.Send(IpcType::kShutdown, "");
-    worker.pipe.Close();
-    ::kill(worker.pid, SIGKILL);
-    int wstatus = 0;
-    while (::waitpid(worker.pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
+    StopProcess(&worker.pipe, worker.pid, /*kill=*/true);
     worker.alive = false;
   }
 }
@@ -116,23 +123,17 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Start(
   if (options.num_replicas == 0) {
     return Status::InvalidArgument("a sharded router needs >= 1 replica");
   }
-  // One validating load in the router: learn the target count for range
-  // assignment and refuse to fork a fleet against a corrupt artifact. The
-  // copy is discarded — the router itself never scores anything.
-  size_t n_targets = 0;
-  {
-    CEAFF_ASSIGN_OR_RETURN(AlignmentIndex probe,
-                           LoadAlignmentIndex(index_path));
-    n_targets = probe.num_targets();
-  }
-  if (n_targets == 0) {
+  // Refuse to fork a fleet against a corrupt artifact; the load also
+  // learns the target count for range assignment.
+  CEAFF_ASSIGN_OR_RETURN(GenerationInfo gen, ProbeGeneration(index_path));
+  if (gen.n_targets == 0) {
     return Status::FailedPrecondition("index has no target entities");
   }
 
   ShardRouterOptions effective = options;
   // Never hand a shard an empty range: more ranges than targets would mean
   // workers that can only ever answer PAIR.
-  effective.num_shards = std::min(effective.num_shards, n_targets);
+  effective.num_shards = std::min(effective.num_shards, gen.n_targets);
 
   std::unique_ptr<ShardRouter> router(new ShardRouter(effective));
   router->ranges_total_ = effective.num_shards;
@@ -140,21 +141,8 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Start(
   router->rollback_breaker_ =
       std::make_unique<CircuitBreaker>(effective.rollback_breaker);
 
-  GenerationInfo gen;
   gen.id = router->next_generation_id_++;
-  gen.path = index_path;
-  gen.resolved = index_path;
-  gen.n_targets = n_targets;
-  gen.ranges = SplitRanges(n_targets, router->ranges_total_);
-  // Generational directories pin each worker to the CURRENT generation
-  // file, not the directory — a respawn after a concurrent Put must not
-  // silently load a newer index under an old generation id.
-  auto store_gen = AlignmentIndexDirGeneration(index_path);
-  if (store_gen.ok()) {
-    gen.store_gen = store_gen.value();
-    auto resolved = AlignmentIndexDirCurrentFile(index_path);
-    if (resolved.ok()) gen.resolved = resolved.value();
-  }
+  gen.ranges = SplitRanges(gen.n_targets, router->ranges_total_);
   router->current_gen_ = gen;
 
   const size_t n_workers = router->ranges_total_ * effective.num_replicas;
@@ -162,10 +150,7 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Start(
     auto worker = std::make_unique<WorkerState>();
     worker->range = w / effective.num_replicas;
     worker->replica = w % effective.num_replicas;
-    worker->begin = gen.ranges[worker->range].first;
-    worker->end = gen.ranges[worker->range].second;
-    worker->generation = gen.id;
-    worker->index_path = gen.resolved;
+    RetargetWorker(*worker, gen);
     if (w < effective.shard_failpoints.size()) {
       worker->failpoint_spec = effective.shard_failpoints[w];
     }
@@ -235,11 +220,7 @@ Status ShardRouter::SpawnWorker(size_t worker_idx) {
   // range and generation it will serve. A worker that cannot come up is
   // reaped here so the caller sees one clean error, not a zombie.
   auto fail_spawn = [&](Status why) {
-    parent_end.Close();
-    ::kill(pid, SIGKILL);
-    int wstatus = 0;
-    while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
+    StopProcess(&parent_end, pid, /*kill=*/true);
     return why;
   };
   Status sent = parent_end.Send(IpcType::kPing, "");
@@ -279,12 +260,10 @@ void ShardRouter::MarkDead(size_t worker_idx, bool already_reaped,
   WorkerState& worker = *workers_[worker_idx];
   if (!worker.alive) return;
   worker.alive = false;
-  worker.pipe.Close();
-  if (!already_reaped) {
-    ::kill(worker.pid, SIGKILL);
-    int wstatus = 0;
-    while (::waitpid(worker.pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
+  if (already_reaped) {
+    worker.pipe.Close();
+  } else {
+    StopProcess(&worker.pipe, worker.pid, /*kill=*/true);
   }
   ++worker.deaths;
   const uint64_t now = NowNanos();
@@ -322,12 +301,7 @@ void ShardRouter::TryRespawnDeadWorkers() {
     // it on a stale generation id would be silently wrong for flat-file
     // reloads (same path, new bytes, old label) and pointlessly old for
     // generational directories.
-    if (worker.generation != current_gen_.id) {
-      worker.generation = current_gen_.id;
-      worker.begin = current_gen_.ranges[worker.range].first;
-      worker.end = current_gen_.ranges[worker.range].second;
-      worker.index_path = current_gen_.resolved;
-    }
+    RetargetWorker(worker, current_gen_);
     const Status spawned = SpawnWorker(w);
     if (spawned.ok()) {
       ++worker.respawns;
@@ -655,28 +629,23 @@ StatusOr<PairAnswer> ShardRouter::LookupPair(const std::string& source_name,
       workers_.size()));
 }
 
-StatusOr<ShardRouter::GenerationInfo> ShardRouter::ValidateGeneration(
+StatusOr<ShardRouter::GenerationInfo> ShardRouter::ProbeGeneration(
     const std::string& index_path) {
-  // Validate before touching the fleet: a corrupt artifact must refuse the
-  // swap while the current workers keep serving. For generational
-  // directories the load also settles quarantine, so the store generation
-  // read right after names a file known good a moment ago.
-  size_t n_targets = 0;
+  // One validating load, discarded — the router itself never scores
+  // anything. A corrupt artifact is refused before the fleet is touched.
+  // For generational directories the load also settles quarantine, so the
+  // store generation read right after names a file known good a moment ago.
+  GenerationInfo gen;
   {
     CEAFF_ASSIGN_OR_RETURN(AlignmentIndex probe,
                            LoadAlignmentIndex(index_path));
-    n_targets = probe.num_targets();
+    gen.n_targets = probe.num_targets();
   }
-  if (n_targets < ranges_total_) {
-    return Status::FailedPrecondition(StrFormat(
-        "new index has %zu targets, fewer than the %zu shards",
-        n_targets, ranges_total_));
-  }
-  GenerationInfo gen;
   gen.path = index_path;
   gen.resolved = index_path;
-  gen.n_targets = n_targets;
-  gen.ranges = SplitRanges(n_targets, ranges_total_);
+  // Generational directories pin each worker to the CURRENT generation
+  // file, not the directory — a respawn after a concurrent Put must not
+  // silently load a newer index under an old generation id.
   auto store_gen = AlignmentIndexDirGeneration(index_path);
   if (store_gen.ok()) {
     gen.store_gen = store_gen.value();
@@ -684,6 +653,14 @@ StatusOr<ShardRouter::GenerationInfo> ShardRouter::ValidateGeneration(
     if (resolved.ok()) gen.resolved = resolved.value();
   }
   return gen;
+}
+
+void ShardRouter::RetargetWorker(WorkerState& worker,
+                                 const GenerationInfo& gen) {
+  worker.begin = gen.ranges[worker.range].first;
+  worker.end = gen.ranges[worker.range].second;
+  worker.generation = gen.id;
+  worker.index_path = gen.resolved;
 }
 
 Status ShardRouter::CycleWorkerTo(size_t worker_idx,
@@ -697,19 +674,12 @@ Status ShardRouter::CycleWorkerTo(size_t worker_idx,
       auto ack = worker.pipe.Recv(options_.drain_ack_ms);
       acked = ack.ok() && ack.value().type == IpcType::kDrainAck;
     }
-    worker.pipe.Close();
-    if (!acked) ::kill(worker.pid, SIGKILL);
-    int wstatus = 0;
-    while (::waitpid(worker.pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
+    StopProcess(&worker.pipe, worker.pid, /*kill=*/!acked);
     worker.alive = false;
     worker.probe_pending = false;
     // Deliberate restart: the breaker is not fed.
   }
-  worker.begin = next.ranges[worker.range].first;
-  worker.end = next.ranges[worker.range].second;
-  worker.generation = next.id;
-  worker.index_path = next.resolved;
+  RetargetWorker(worker, next);
   const Status spawned = SpawnWorker(worker_idx);
   if (spawned.ok()) {
     ++worker.respawns;
@@ -727,90 +697,42 @@ Status ShardRouter::MoveFleetTo(const GenerationInfo& next, bool arm_canary) {
   baseline_queries_ = lifetime_queries_;
   baseline_errors_ = lifetime_errors_;
 
-  if (options_.num_replicas == 1) {
-    // Stop-the-world: with no replication there is no way to keep a range
-    // served while its only worker restarts, and staggering would let two
-    // generations meet in one merge. Deliberate restart — no breaker food.
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      WorkerState& worker = *workers_[w];
-      if (!worker.alive) continue;
-      (void)worker.pipe.Send(IpcType::kShutdown, "");
-      worker.pipe.Close();
-      ::kill(worker.pid, SIGKILL);
-      int wstatus = 0;
-      while (::waitpid(worker.pid, &wstatus, 0) < 0 && errno == EINTR) {
-      }
-      worker.alive = false;
-      worker.probe_pending = false;
-    }
-    Status last_error = Status::OK();
-    size_t alive = 0;
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      WorkerState& worker = *workers_[w];
-      worker.begin = next.ranges[worker.range].first;
-      worker.end = next.ranges[worker.range].second;
-      worker.generation = next.id;
-      worker.index_path = next.resolved;
-      const Status spawned = SpawnWorker(w);
-      if (spawned.ok()) {
-        ++worker.respawns;
-        ++alive;
-      } else {
-        last_error = spawned;
-        worker.breaker->RecordFailure(NowNanos());
-        CEAFF_LOG(Warning) << "worker " << w << " failed to restart on "
-                           << "reload: " << spawned.ToString();
-      }
-    }
-    previous_gen_ = current_gen_;
-    current_gen_ = next;
-    if (alive == 0) {
-      return Status(last_error.code(),
-                    "reload validated but no worker came back: " +
-                        last_error.message());
-    }
-  } else {
-    // Rolling restart, replica-major: cycle replica 0 of every range, then
-    // replica 1, ... — at any instant the not-yet-cycled replica set still
-    // covers every range on ONE generation, so the scatter pin always has
-    // a complete fleet to aim at and queries flow mid-reload.
-    const ReloadGuard guard(&reload_in_progress_);
-    bool any_on_next = false;
-    for (size_t replica = 0; replica < options_.num_replicas; ++replica) {
-      for (size_t range = 0; range < ranges_total_; ++range) {
-        const size_t w = worker_index(range, replica);
-        const Status cycled = CycleWorkerTo(w, next);
-        if (!cycled.ok()) {
-          if (!any_on_next) {
-            // The very first worker refused the new generation — nothing
-            // serves it yet, so abort the reload and put the worker back
-            // on the current one (best effort; its breaker catches a
-            // repeat failure).
-            WorkerState& worker = *workers_[w];
-            worker.begin = current_gen_.ranges[worker.range].first;
-            worker.end = current_gen_.ranges[worker.range].second;
-            worker.generation = current_gen_.id;
-            worker.index_path = current_gen_.resolved;
-            const Status restored = SpawnWorker(w);
-            if (restored.ok()) ++worker.respawns;
-            return Status(cycled.code(),
-                          "rolling reload aborted on the first worker: " +
-                              cycled.message());
-          }
-          // Later failures leave the slot dead; it respawns onto the new
-          // generation through its breaker after the cycle completes.
-          CEAFF_LOG(Warning)
-              << "worker " << w << " failed to cycle onto generation "
-              << next.id << ": " << cycled.ToString();
-        } else {
-          any_on_next = true;
+  // Rolling restart, replica-major: cycle replica 0 of every range, then
+  // replica 1, ... With R >= 2 the not-yet-cycled replica set still covers
+  // every range on ONE generation at any instant, so the scatter pin always
+  // has a complete fleet to aim at. With R = 1 the cycle drains and
+  // respawns range by range; the pin still keeps each merge on a single
+  // generation, degraded while a range is between generations.
+  const ReloadGuard guard(&reload_in_progress_);
+  bool any_on_next = false;
+  for (size_t replica = 0; replica < options_.num_replicas; ++replica) {
+    for (size_t range = 0; range < ranges_total_; ++range) {
+      const size_t w = worker_index(range, replica);
+      const Status cycled = CycleWorkerTo(w, next);
+      if (!cycled.ok()) {
+        if (!any_on_next) {
+          // The very first worker refused the new generation — nothing
+          // serves it yet, so abort the reload and put the worker back on
+          // the current one (best effort; its breaker catches a repeat
+          // failure).
+          (void)CycleWorkerTo(w, current_gen_);
+          return Status(cycled.code(),
+                        "rolling reload aborted on the first worker: " +
+                            cycled.message());
         }
-        if (reload_cycle_hook_) reload_cycle_hook_(w);
+        // Later failures leave the slot dead; it respawns onto the new
+        // generation through its breaker after the cycle completes.
+        CEAFF_LOG(Warning) << "worker " << w
+                           << " failed to cycle onto generation " << next.id
+                           << ": " << cycled.ToString();
+      } else {
+        any_on_next = true;
       }
+      if (reload_cycle_hook_) reload_cycle_hook_(w);
     }
-    previous_gen_ = current_gen_;
-    current_gen_ = next;
   }
+  previous_gen_ = current_gen_;
+  current_gen_ = next;
 
   if (arm_canary && options_.canary_window > 0) {
     canary_active_ = true;
@@ -831,8 +753,14 @@ Status ShardRouter::Reload(const std::string& index_path) {
   // `serve.reload` failpoint refuses the swap while the fleet keeps
   // serving the current generation.
   CEAFF_RETURN_IF_ERROR(failpoint::Hit("serve.reload"));
-  CEAFF_ASSIGN_OR_RETURN(GenerationInfo next, ValidateGeneration(index_path));
+  CEAFF_ASSIGN_OR_RETURN(GenerationInfo next, ProbeGeneration(index_path));
+  if (next.n_targets < ranges_total_) {
+    return Status::FailedPrecondition(StrFormat(
+        "new index has %zu targets, fewer than the %zu shards",
+        next.n_targets, ranges_total_));
+  }
   next.id = next_generation_id_++;
+  next.ranges = SplitRanges(next.n_targets, ranges_total_);
   CEAFF_RETURN_IF_ERROR(MoveFleetTo(next, /*arm_canary=*/true));
   ++reloads_;
   size_t alive = 0;
@@ -841,9 +769,7 @@ Status ShardRouter::Reload(const std::string& index_path) {
   }
   CEAFF_LOG(Info) << "sharded reload: " << alive << "/" << workers_.size()
                   << " workers serving " << index_path << " (generation "
-                  << current_gen_.id << ", "
-                  << (options_.num_replicas > 1 ? "rolling" : "stop-the-world")
-                  << ")";
+                  << current_gen_.id << ")";
   return Status::OK();
 }
 
@@ -1105,21 +1031,12 @@ Status ShardRouter::RestartShard(size_t worker_idx) {
   WorkerState& worker = *workers_[worker_idx];
   if (worker.alive) {
     // Deliberate restart, not a failure: bypass the breaker bookkeeping.
+    StopProcess(&worker.pipe, worker.pid, /*kill=*/true);
     worker.alive = false;
-    worker.pipe.Close();
-    ::kill(worker.pid, SIGKILL);
-    int wstatus = 0;
-    while (::waitpid(worker.pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
     worker.probe_pending = false;
   }
   // Like every respawn, the slot comes back on the current generation.
-  if (worker.generation != current_gen_.id) {
-    worker.generation = current_gen_.id;
-    worker.begin = current_gen_.ranges[worker.range].first;
-    worker.end = current_gen_.ranges[worker.range].second;
-    worker.index_path = current_gen_.resolved;
-  }
+  RetargetWorker(worker, current_gen_);
   const Status spawned = SpawnWorker(worker_idx);
   if (spawned.ok()) ++worker.respawns;
   return spawned;

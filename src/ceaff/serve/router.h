@@ -30,7 +30,8 @@ struct ShardRouterOptions {
   /// invisible: the scatter fails over to the next replica of the range and
   /// the merged answer stays bit-identical and non-degraded; the survivor
   /// merge remains only as the last resort when a whole replica set is
-  /// down. R >= 2 also unlocks the rolling reload (see Reload).
+  /// down. R >= 2 also keeps every range served through a rolling reload
+  /// (see Reload).
   size_t num_replicas = 1;
   /// Per-shard reply deadline when the request carries no deadline of its
   /// own; with a deadline token, the shard gets min(remaining, this). This
@@ -187,18 +188,15 @@ class ShardRouter {
   /// swap and the current fleet keeps serving, mirroring
   /// AlignmentService::Reload).
   ///
-  /// With num_replicas == 1 the swap is stop-the-world (restart every
-  /// worker under the new path) — with no replication there is no way to
-  /// keep a range served while its only worker restarts, and staggering
-  /// would let two generations meet in one merge.
-  ///
-  /// With num_replicas >= 2 the swap is a ROLLING restart: replica 0 of
-  /// every range is drained (kDrain → ack → exit at a frame boundary) and
-  /// respawned on the new generation, then replica 1, and so on — at every
-  /// instant at least one complete generation covers all ranges, so queries
-  /// keep flowing mid-reload with zero failures. The scatter's
-  /// mixed-generation pin decides per query which generation answers;
-  /// merges never mix. Workers that fail to come back on the new generation
+  /// One rule for every fleet shape: the swap is a ROLLING restart,
+  /// replica-major — replica 0 of every range is drained (kDrain → ack →
+  /// exit at a frame boundary) and respawned on the new generation, then
+  /// replica 1, and so on. The scatter's mixed-generation pin decides per
+  /// query which generation answers; merges never mix. With R >= 2 at
+  /// every instant at least one complete generation covers all ranges, so
+  /// queries keep flowing mid-reload with zero failures; with R = 1 the
+  /// cycle moves range by range and a query landing between two steps is
+  /// marked degraded. Workers that fail to come back on the new generation
   /// are left dead (their slot respawns later through its breaker); if the
   /// FIRST worker cannot spawn on the new generation the reload is aborted
   /// and that worker is restored to the current one.
@@ -323,11 +321,17 @@ class ShardRouter {
   /// Drains (or reaps) one worker and respawns it on `next`. Used by the
   /// rolling reload and rollback cycles.
   Status CycleWorkerTo(size_t worker, const GenerationInfo& next);
-  /// Builds a GenerationInfo for `index_path` after validating the
-  /// artifact (full load, target count, range split).
-  StatusOr<GenerationInfo> ValidateGeneration(const std::string& index_path);
-  /// Rolling (R >= 2) or stop-the-world (R == 1) fleet move onto `next`.
-  /// On success swaps current/previous generation state.
+  /// Validates the artifact at `index_path` with one full load and resolves
+  /// what workers will load (the current generation file of a generational
+  /// directory). Fills path, resolved, store_gen and n_targets; the caller
+  /// assigns the id and the range split.
+  static StatusOr<GenerationInfo> ProbeGeneration(
+      const std::string& index_path);
+  /// Points `worker`'s next (re)spawn at generation `gen`: its range on
+  /// that generation, the id and the resolved artifact.
+  static void RetargetWorker(WorkerState& worker, const GenerationInfo& gen);
+  /// The rolling replica-major fleet move onto `next` (see Reload). On
+  /// success swaps current/previous generation state.
   Status MoveFleetTo(const GenerationInfo& next, bool arm_canary);
   /// Canary bookkeeping after each scatter pinned to `pinned`; evaluates
   /// the rollback rules at this safe point (never mid-gather).

@@ -19,11 +19,15 @@ namespace {
 void MakeRingPair(kg::KnowledgeGraph* g1, kg::KnowledgeGraph* g2,
                   size_t n = 12) {
   for (size_t i = 0; i < n; ++i) {
-    std::string a = "u" + std::to_string(i);
-    std::string b = "u" + std::to_string((i + 1) % n);
+    std::string a = "u";
+    a += std::to_string(i);
+    std::string b = "u";
+    b += std::to_string((i + 1) % n);
     g1->AddTriple(a, "next", b);
-    std::string c = "v" + std::to_string(i);
-    std::string d = "v" + std::to_string((i + 1) % n);
+    std::string c = "v";
+    c += std::to_string(i);
+    std::string d = "v";
+    d += std::to_string((i + 1) % n);
     g2->AddTriple(c, "next", d);
   }
   g1->AddTriple("u0", "chord", "u5");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ceaff::eval {
 namespace {
 
@@ -38,7 +40,11 @@ TEST(AccuracyByDegreeTest, BucketsAndCounts) {
 TEST(AccuracyByDegreeTest, UnboundedTopBucket) {
   kg::KnowledgeGraph g;
   for (int i = 0; i < 20; ++i) {
-    g.AddTriple("hub", "r" + std::to_string(i), "e" + std::to_string(i));
+    std::string relation = "r";
+    relation += std::to_string(i);
+    std::string tail = "e";
+    tail += std::to_string(i);
+    g.AddTriple("hub", relation, tail);
   }
   uint32_t hub = g.FindEntity("hub").value();
   matching::MatchResult match;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ceaff::kg {
 namespace {
 
@@ -95,7 +97,9 @@ TEST(AttributeSimilarityTest, IdfDownweightsUbiquitousAttributes) {
   KnowledgeGraph g1, g2;
   for (auto* g : {&g1, &g2}) {
     for (int i = 0; i < 4; ++i) {
-      g->AddEntity((g == &g1 ? "e" : "f") + std::to_string(i));
+      std::string name = g == &g1 ? "e" : "f";
+      name += std::to_string(i);
+      g->AddEntity(name);
     }
     g->AddAttribute("common");
     g->AddAttribute("rare");

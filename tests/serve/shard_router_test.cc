@@ -278,5 +278,104 @@ TEST_F(ShardRouterTest, ReloadSwapsFleetAndRefusesCorruptArtifact) {
   ExpectCandidatesIdentical(got->candidates, want.candidates);
 }
 
+// With one replica per range a reload is the same rolling cycle as with
+// R >= 2, range by range: each worker is drained and respawned on the new
+// generation before the next one moves. A query issued between two steps
+// never mixes generations — it is exact over the ranges its pinned
+// generation covers, and degraded whenever a range is missing.
+TEST_F(ShardRouterTest, SingleReplicaReloadRollsRangeByRange) {
+  ShardRouterOptions options;
+  options.num_shards = 3;
+  auto router_or = ShardRouter::Start(index_path_, options);
+  ASSERT_TRUE(router_or.ok()) << router_or.status().ToString();
+  ShardRouter& router = **router_or;
+  const uint64_t gen_before = router.current_generation();
+
+  const AlignmentIndex next_index = ShardIndex(30);
+  const std::string next = dir_->File("next.idx");
+  ASSERT_TRUE(SaveAlignmentIndex(next_index, next).ok());
+  const auto store_old = ShardEmbedder(index_);
+  const auto store_new = ShardEmbedder(next_index);
+
+  size_t hook_calls = 0;
+  size_t degraded = 0;
+  router.SetReloadCycleHook([&](size_t cycled) {
+    EXPECT_EQ(cycled, hook_calls);  // range-major order, one call each
+    ++hook_calls;
+    auto got = router.TopK("source entity 2", 5);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::vector<std::pair<size_t, size_t>> ranges;
+    for (size_t w = 0; w < router.num_shards(); ++w) {
+      if (router.shard_alive(w) &&
+          router.shard_generation(w) == got->generation) {
+        ranges.push_back(router.shard_range(w));
+      }
+    }
+    EXPECT_EQ(got->degraded, ranges.size() < router.num_ranges());
+    if (got->degraded) ++degraded;
+    const bool on_old = got->generation == gen_before;
+    const TopKResult want =
+        RangeReference(on_old ? index_ : next_index,
+                       on_old ? store_old : store_new, "source entity 2", 5,
+                       ranges);
+    ExpectCandidatesIdentical(got->candidates, want.candidates);
+  });
+  ASSERT_TRUE(router.Reload(next).ok());
+  router.SetReloadCycleHook(nullptr);
+
+  EXPECT_EQ(hook_calls, router.num_shards());
+  // Every step but the last leaves some range on the old generation.
+  EXPECT_EQ(degraded, router.num_shards() - 1);
+  EXPECT_EQ(router.reloads(), 1u);
+  for (size_t w = 0; w < router.num_shards(); ++w) {
+    EXPECT_TRUE(router.shard_alive(w));
+    EXPECT_EQ(router.shard_generation(w), router.current_generation());
+  }
+  auto got = router.TopK("source entity 27", 5);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got->degraded);
+  const TopKResult want = RangeReference(
+      next_index, store_new, "source entity 27", 5,
+      {{0, next_index.num_targets()}});
+  ExpectCandidatesIdentical(got->candidates, want.candidates);
+}
+
+// The rolling failure rule holds for R = 1 too: when the first worker
+// cannot come up on the new generation, the reload aborts, nothing moves,
+// and the fleet heals back to full fidelity on the old generation.
+TEST_F(ShardRouterTest, SingleReplicaReloadAbortsOnFirstWorkerFailure) {
+  ShardRouterOptions options;
+  options.num_shards = 2;
+  auto router_or = ShardRouter::Start(index_path_, options);
+  ASSERT_TRUE(router_or.ok()) << router_or.status().ToString();
+  ShardRouter& router = **router_or;
+  const uint64_t gen_before = router.current_generation();
+
+  // A malformed spec makes the respawned worker 0 exit at start-up.
+  router.SetShardFailpoints(0, "not-a-spec");
+  const std::string next = dir_->File("next.idx");
+  ASSERT_TRUE(SaveAlignmentIndex(ShardIndex(30), next).ok());
+  const Status reloaded = router.Reload(next);
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_NE(reloaded.message().find("aborted on the first worker"),
+            std::string::npos)
+      << reloaded.ToString();
+  EXPECT_EQ(router.current_generation(), gen_before);
+  EXPECT_EQ(router.reloads(), 0u);
+  EXPECT_TRUE(router.shard_alive(1));
+  EXPECT_EQ(router.shard_generation(1), gen_before);
+
+  router.SetShardFailpoints(0, "");
+  router.CheckHealth();
+  auto got = router.TopK("source entity 9", 4);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(got->degraded);
+  EXPECT_EQ(got->generation, gen_before);
+  const auto store = ShardEmbedder(index_);
+  const TopKResult want = RangeReference(
+      index_, store, "source entity 9", 4, {{0, index_.num_targets()}});
+  ExpectCandidatesIdentical(got->candidates, want.candidates);
+}
+
 }  // namespace
 }  // namespace ceaff::serve

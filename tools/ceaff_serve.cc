@@ -13,10 +13,13 @@
 // worker dying mid-query degrades that answer (marked `degraded=partial`)
 // until its breaker respawns it; with R >= 2 the scatter fails over to the
 // range's next replica, so losing any single worker keeps answers
-// bit-identical and non-degraded, RELOAD becomes a rolling restart that
-// never stops serving, and a post-reload canary auto-rolls-back a
+// bit-identical and non-degraded. RELOAD follows one rule at every R: a
+// rolling replica-major restart, each query pinned to one generation, and
+// an abort if the first worker cannot come up on the new one (with
+// R >= 2 it never stops serving). A post-reload canary auto-rolls-back a
 // regressed generation. --shards=1 --replicas=1 (the defaults) is the
-// unchanged single-process fast path.
+// single-process path. Both modes share one request loop; only the backend
+// behind it differs.
 //
 // Lifecycle: SIGTERM (and SIGINT) triggers a graceful drain — intake stops
 // after the current line, requests already in flight finish, the final
@@ -34,6 +37,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ceaff/common/cancellation.h"
 #include "ceaff/common/flags.h"
@@ -116,10 +120,14 @@ int Usage() {
   return 2;
 }
 
-void PrintTopK(const serve::TopKResult& topk) {
+void PrintError(const Status& status) {
+  std::printf("%s\n", serve::FormatErrorResponse(status).c_str());
+}
+
+void PrintTopK(const serve::TopKResult& topk, const char* degraded_tag) {
   if (topk.degraded) {
     std::printf("OK TOPK %zu degraded=%s\n", topk.candidates.size(),
-                serve::ServiceTierName(topk.tier));
+                degraded_tag);
   } else {
     std::printf("OK TOPK %zu\n", topk.candidates.size());
   }
@@ -131,11 +139,198 @@ void PrintTopK(const serve::TopKResult& topk) {
   }
 }
 
-/// Request loop for sharded mode: the same line protocol, answered by the
-/// router's scatter/gather instead of an in-process AlignmentService.
-/// Degraded TOPK answers (a shard's range missing from the merge) print
-/// `degraded=partial`; HEALTH/READY report live-shard counts so a
-/// supervisor can see a shard die and come back.
+// What the two backends do differently; the request loop calls these
+// overloads and the backends' shared LookupPair/TopK/Reload directly.
+
+std::vector<StatusOr<serve::TopKResult>> Batch(
+    serve::AlignmentService& service, const std::vector<std::string>& names,
+    size_t k, const CancellationToken* cancel) {
+  return service.BatchTopK(names, k, cancel);
+}
+
+/// The router answers a BATCH as sequential scatters.
+std::vector<StatusOr<serve::TopKResult>> Batch(
+    serve::ShardRouter& router, const std::vector<std::string>& names,
+    size_t k, const CancellationToken* cancel) {
+  std::vector<StatusOr<serve::TopKResult>> results;
+  results.reserve(names.size());
+  for (const std::string& name : names) {
+    results.push_back(router.TopK(name, k, cancel));
+  }
+  return results;
+}
+
+/// A degraded service answer names the tier it was served at.
+const char* DegradedTag(const serve::AlignmentService&,
+                        const serve::TopKResult& topk) {
+  return serve::ServiceTierName(topk.tier);
+}
+
+/// A degraded router answer is missing a range from the merge.
+const char* DegradedTag(const serve::ShardRouter&, const serve::TopKResult&) {
+  return "partial";
+}
+
+std::string StatsJson(const serve::AlignmentService& service) {
+  return service.Stats().ToJson();
+}
+
+std::string StatsJson(const serve::ShardRouter& router) {
+  return "{\"router\": " + router.StatsJson() + "}";
+}
+
+void PrintHealth(serve::AlignmentService&) { std::printf("OK HEALTH\n"); }
+
+/// The router reports live-worker counts so a supervisor can see a shard
+/// die and come back.
+void PrintHealth(serve::ShardRouter& router) {
+  const auto health = router.CheckHealth();
+  if (router.num_replicas() > 1) {
+    // Replicated fleets report range coverage too: dead workers with every
+    // range still covered means answers are still exact.
+    std::printf("OK HEALTH shards=%zu/%zu ranges=%zu/%zu%s\n", health.alive,
+                health.total, health.ranges_covered, health.ranges_total,
+                health.degraded ? " degraded" : "");
+  } else {
+    std::printf("OK HEALTH shards=%zu/%zu%s\n", health.alive, health.total,
+                health.degraded ? " degraded" : "");
+  }
+}
+
+void PrintReady(serve::AlignmentService& service) {
+  std::printf("OK READY tier=%s\n", serve::ServiceTierName(service.tier()));
+}
+
+void PrintReady(serve::ShardRouter& router) {
+  const auto health = router.CheckHealth();
+  if (health.alive == 0) {
+    std::printf("ERR Unavailable no live shards\n");
+  } else {
+    std::printf("OK READY shards=%zu/%zu\n", health.alive, health.total);
+  }
+}
+
+/// The request loop, shared by both backends (AlignmentService or
+/// ShardRouter): reads protocol lines from --requests or stdin until QUIT,
+/// EOF or a drain signal, and answers each on stdout. Final stats go to
+/// stderr.
+template <typename Backend>
+int ServeRequests(Backend& backend, const FlagParser& flags) {
+  std::ifstream file;
+  const std::string requests_path = flags.GetString("requests", "");
+  if (!requests_path.empty()) {
+    file.open(requests_path);
+    if (!file) {
+      std::fprintf(stderr, "ceaff_serve: cannot open requests file %s\n",
+                   requests_path.c_str());
+      return 2;
+    }
+  }
+  std::istream& in = requests_path.empty() ? std::cin : file;
+  const int64_t deadline_ms = flags.GetInt("deadline_ms", 0);
+
+  InstallDrainHandler();
+
+  std::string line;
+  // The drain flag is checked before every read AND getline is interrupted
+  // by the signal (no SA_RESTART), so a SIGTERM arriving while blocked on
+  // an idle stdin still begins the drain immediately.
+  while (g_drain == 0 && std::getline(in, line)) {
+    auto request_or = serve::ParseRequest(line);
+    if (!request_or.ok()) {
+      if (request_or.status().code() != StatusCode::kNotFound) {
+        PrintError(request_or.status());
+        std::fflush(stdout);
+      }
+      continue;
+    }
+    const serve::Request& request = request_or.value();
+
+    // Each request gets its own deadline window.
+    CancellationToken token;
+    const CancellationToken* cancel = nullptr;
+    if (deadline_ms > 0) {
+      token.SetDeadlineAfterMillis(deadline_ms);
+      cancel = &token;
+    }
+
+    switch (request.type) {
+      case serve::RequestType::kPair: {
+        auto answer = backend.LookupPair(request.names[0], cancel);
+        if (answer.ok()) {
+          std::printf("OK PAIR %s\t%s\t%.6f\n",
+                      answer->source_name.c_str(),
+                      answer->target_name.c_str(), answer->score);
+        } else if (answer.status().code() == StatusCode::kNotFound) {
+          std::printf("NONE PAIR %s\n", request.names[0].c_str());
+        } else {
+          PrintError(answer.status());
+        }
+        break;
+      }
+      case serve::RequestType::kTopK: {
+        auto topk = backend.TopK(request.names[0], request.k, cancel);
+        if (topk.ok()) {
+          PrintTopK(topk.value(), DegradedTag(backend, topk.value()));
+        } else {
+          PrintError(topk.status());
+        }
+        break;
+      }
+      case serve::RequestType::kBatch: {
+        auto results = Batch(backend, request.names, request.k, cancel);
+        std::printf("OK BATCH %zu\n", results.size());
+        for (const auto& r : results) {
+          if (r.ok()) {
+            PrintTopK(r.value(), DegradedTag(backend, r.value()));
+          } else {
+            PrintError(r.status());
+          }
+        }
+        break;
+      }
+      case serve::RequestType::kReload: {
+        const Status st = backend.Reload(request.path);
+        if (st.ok()) {
+          std::printf("OK RELOAD %s\n", request.path.c_str());
+        } else {
+          PrintError(st);
+        }
+        break;
+      }
+      case serve::RequestType::kStats:
+        std::printf("OK STATS %s\n", StatsJson(backend).c_str());
+        break;
+      case serve::RequestType::kHealth:
+        PrintHealth(backend);
+        break;
+      case serve::RequestType::kReady:
+        if (g_drain != 0) {
+          std::printf("ERR Unavailable draining\n");
+        } else {
+          PrintReady(backend);
+        }
+        break;
+      case serve::RequestType::kQuit:
+        std::fflush(stdout);
+        std::fprintf(stderr, "final stats: %s\n", StatsJson(backend).c_str());
+        return 0;
+    }
+    std::fflush(stdout);
+  }
+
+  // Drain: intake has stopped (signal or EOF). The caller destroys the
+  // backend after this returns, which finishes work still in flight (the
+  // service flushes its pool before the workers join).
+  if (g_drain != 0) {
+    std::fprintf(stderr, "draining: intake stopped, flushing in-flight "
+                         "requests\n");
+  }
+  std::fflush(stdout);
+  std::fprintf(stderr, "final stats: %s\n", StatsJson(backend).c_str());
+  return 0;
+}
+
 int RunSharded(const FlagParser& flags, size_t num_shards,
                size_t num_replicas) {
   const std::string index_path = flags.GetString("index", "");
@@ -197,151 +392,7 @@ int RunSharded(const FlagParser& flags, size_t num_shards,
                  range.second, suffix.c_str(),
                  router->shard_alive(i) ? "" : " (down)");
   }
-
-  std::ifstream file;
-  const std::string requests_path = flags.GetString("requests", "");
-  if (!requests_path.empty()) {
-    file.open(requests_path);
-    if (!file) {
-      std::fprintf(stderr, "ceaff_serve: cannot open requests file %s\n",
-                   requests_path.c_str());
-      return 2;
-    }
-  }
-  std::istream& in = requests_path.empty() ? std::cin : file;
-
-  InstallDrainHandler();
-
-  auto print_topk = [](const serve::TopKResult& topk) {
-    if (topk.degraded) {
-      std::printf("OK TOPK %zu degraded=partial\n", topk.candidates.size());
-    } else {
-      std::printf("OK TOPK %zu\n", topk.candidates.size());
-    }
-    for (size_t r = 0; r < topk.candidates.size(); ++r) {
-      const serve::Candidate& c = topk.candidates[r];
-      std::printf("CAND %zu\t%s\t%.6f\t%.6f\t%.6f\t%.6f\n", r + 1,
-                  c.target_name.c_str(), c.combined, c.string_score,
-                  c.semantic_score, c.structural_score);
-    }
-  };
-
-  std::string line;
-  while (g_drain == 0 && std::getline(in, line)) {
-    auto request_or = serve::ParseRequest(line);
-    if (!request_or.ok()) {
-      if (request_or.status().code() == StatusCode::kNotFound) continue;
-      std::printf("%s\n",
-                  serve::FormatErrorResponse(request_or.status()).c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    const serve::Request& request = request_or.value();
-
-    CancellationToken token;
-    const CancellationToken* cancel = nullptr;
-    if (deadline_ms > 0) {
-      token.SetDeadlineAfterMillis(deadline_ms);
-      cancel = &token;
-    }
-
-    switch (request.type) {
-      case serve::RequestType::kPair: {
-        auto answer = router->LookupPair(request.names[0], cancel);
-        if (answer.ok()) {
-          std::printf("OK PAIR %s\t%s\t%.6f\n",
-                      answer->source_name.c_str(),
-                      answer->target_name.c_str(), answer->score);
-        } else if (answer.status().code() == StatusCode::kNotFound) {
-          std::printf("NONE PAIR %s\n", request.names[0].c_str());
-        } else {
-          std::printf("%s\n",
-                      serve::FormatErrorResponse(answer.status()).c_str());
-        }
-        break;
-      }
-      case serve::RequestType::kTopK: {
-        auto topk = router->TopK(request.names[0], request.k, cancel);
-        if (topk.ok()) {
-          print_topk(topk.value());
-        } else {
-          std::printf("%s\n",
-                      serve::FormatErrorResponse(topk.status()).c_str());
-        }
-        break;
-      }
-      case serve::RequestType::kBatch: {
-        std::printf("OK BATCH %zu\n", request.names.size());
-        for (const std::string& name : request.names) {
-          auto topk = router->TopK(name, request.k, cancel);
-          if (topk.ok()) {
-            print_topk(topk.value());
-          } else {
-            std::printf("%s\n",
-                        serve::FormatErrorResponse(topk.status()).c_str());
-          }
-        }
-        break;
-      }
-      case serve::RequestType::kReload: {
-        Status st = router->Reload(request.path);
-        if (st.ok()) {
-          std::printf("OK RELOAD %s\n", request.path.c_str());
-        } else {
-          std::printf("%s\n", serve::FormatErrorResponse(st).c_str());
-        }
-        break;
-      }
-      case serve::RequestType::kStats:
-        std::printf("OK STATS {\"router\": %s}\n",
-                    router->StatsJson().c_str());
-        break;
-      case serve::RequestType::kHealth: {
-        const auto health = router->CheckHealth();
-        if (router->num_replicas() > 1) {
-          // Replicated fleets report range coverage too: dead workers with
-          // every range still covered means answers are still exact.
-          std::printf("OK HEALTH shards=%zu/%zu ranges=%zu/%zu%s\n",
-                      health.alive, health.total, health.ranges_covered,
-                      health.ranges_total,
-                      health.degraded ? " degraded" : "");
-        } else {
-          std::printf("OK HEALTH shards=%zu/%zu%s\n", health.alive,
-                      health.total, health.degraded ? " degraded" : "");
-        }
-        break;
-      }
-      case serve::RequestType::kReady: {
-        if (g_drain != 0) {
-          std::printf("ERR Unavailable draining\n");
-          break;
-        }
-        const auto health = router->CheckHealth();
-        if (health.alive == 0) {
-          std::printf("ERR Unavailable no live shards\n");
-        } else {
-          std::printf("OK READY shards=%zu/%zu\n", health.alive,
-                      health.total);
-        }
-        break;
-      }
-      case serve::RequestType::kQuit:
-        std::fflush(stdout);
-        std::fprintf(stderr, "final stats: {\"router\": %s}\n",
-                     router->StatsJson().c_str());
-        return 0;
-    }
-    std::fflush(stdout);
-  }
-
-  if (g_drain != 0) {
-    std::fprintf(stderr, "draining: intake stopped, flushing in-flight "
-                         "requests\n");
-  }
-  std::fflush(stdout);
-  std::fprintf(stderr, "final stats: {\"router\": %s}\n",
-               router->StatsJson().c_str());
-  return 0;
+  return ServeRequests(*router, flags);
 }
 
 int Run(const FlagParser& flags) {
@@ -403,7 +454,6 @@ int Run(const FlagParser& flags) {
     return 2;
   }
   options.scrub_interval_ms = static_cast<uint64_t>(scrub_ms);
-  const int64_t deadline_ms = flags.GetInt("deadline_ms", 0);
 
   auto service_or = serve::AlignmentService::Open(index_path, options);
   if (!service_or.ok()) {
@@ -422,126 +472,7 @@ int Run(const FlagParser& flags) {
                  index->num_targets(), index->pairs.size(),
                  service->num_threads());
   }
-
-  std::ifstream file;
-  const std::string requests_path = flags.GetString("requests", "");
-  if (!requests_path.empty()) {
-    file.open(requests_path);
-    if (!file) {
-      std::fprintf(stderr, "ceaff_serve: cannot open requests file %s\n",
-                   requests_path.c_str());
-      return 2;
-    }
-  }
-  std::istream& in = requests_path.empty() ? std::cin : file;
-
-  InstallDrainHandler();
-
-  std::string line;
-  // The drain flag is checked before every read AND getline is interrupted
-  // by the signal (no SA_RESTART), so a SIGTERM arriving while blocked on
-  // an idle stdin still begins the drain immediately.
-  while (g_drain == 0 && std::getline(in, line)) {
-    auto request_or = serve::ParseRequest(line);
-    if (!request_or.ok()) {
-      if (request_or.status().code() == StatusCode::kNotFound) continue;
-      std::printf("%s\n",
-                  serve::FormatErrorResponse(request_or.status()).c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    const serve::Request& request = request_or.value();
-
-    // Each request gets its own deadline window.
-    CancellationToken token;
-    const CancellationToken* cancel = nullptr;
-    if (deadline_ms > 0) {
-      token.SetDeadlineAfterMillis(deadline_ms);
-      cancel = &token;
-    }
-
-    switch (request.type) {
-      case serve::RequestType::kPair: {
-        auto answer = service->LookupPair(request.names[0], cancel);
-        if (answer.ok()) {
-          std::printf("OK PAIR %s\t%s\t%.6f\n",
-                      answer->source_name.c_str(),
-                      answer->target_name.c_str(), answer->score);
-        } else if (answer.status().code() == StatusCode::kNotFound) {
-          std::printf("NONE PAIR %s\n", request.names[0].c_str());
-        } else {
-          std::printf("%s\n",
-                      serve::FormatErrorResponse(answer.status()).c_str());
-        }
-        break;
-      }
-      case serve::RequestType::kTopK: {
-        auto topk = service->TopK(request.names[0], request.k, cancel);
-        if (topk.ok()) {
-          PrintTopK(topk.value());
-        } else {
-          std::printf("%s\n",
-                      serve::FormatErrorResponse(topk.status()).c_str());
-        }
-        break;
-      }
-      case serve::RequestType::kBatch: {
-        auto results = service->BatchTopK(request.names, request.k, cancel);
-        std::printf("OK BATCH %zu\n", results.size());
-        for (const auto& r : results) {
-          if (r.ok()) {
-            PrintTopK(r.value());
-          } else {
-            std::printf("%s\n",
-                        serve::FormatErrorResponse(r.status()).c_str());
-          }
-        }
-        break;
-      }
-      case serve::RequestType::kReload: {
-        Status st = service->Reload(request.path);
-        if (st.ok()) {
-          std::printf("OK RELOAD %s\n", request.path.c_str());
-        } else {
-          std::printf("%s\n", serve::FormatErrorResponse(st).c_str());
-        }
-        break;
-      }
-      case serve::RequestType::kStats:
-        std::printf("OK STATS %s\n", service->Stats().ToJson().c_str());
-        break;
-      case serve::RequestType::kHealth:
-        std::printf("OK HEALTH\n");
-        break;
-      case serve::RequestType::kReady:
-        if (g_drain != 0) {
-          std::printf("ERR Unavailable draining\n");
-        } else {
-          std::printf("OK READY tier=%s\n",
-                      serve::ServiceTierName(service->tier()));
-        }
-        break;
-      case serve::RequestType::kQuit:
-        std::fflush(stdout);
-        std::fprintf(stderr, "final stats: %s\n",
-                     service->Stats().ToJson().c_str());
-        return 0;
-    }
-    std::fflush(stdout);
-  }
-
-  // Drain: intake has stopped (signal or EOF). Destroying the service
-  // flushes everything still queued on its pool before workers join, so
-  // in-flight batch work completes; then the final stats go to stderr.
-  if (g_drain != 0) {
-    std::fprintf(stderr, "draining: intake stopped, flushing in-flight "
-                         "requests\n");
-  }
-  std::fflush(stdout);
-  std::fprintf(stderr, "final stats: %s\n",
-               service->Stats().ToJson().c_str());
-  service.reset();
-  return 0;
+  return ServeRequests(*service, flags);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 # replication drill (3 ranges x 2 replicas, SIGKILL one replica per range
 # in turn: every answer must stay byte-identical to single-process serving
 # and the degraded counter must stay 0), and a rolling-reload hammer
-# (RELOAD mid-session on a replicated fleet: zero failed queries, also
+# (RELOAD mid-session on a 2x1 and a 2x2 fleet: zero failed queries, also
 # rerun under ASan), and a delta smoke (journal a patch batch, apply it
 # beside a live server and assert RELOAD serves the patch, then SIGKILL
 # mid-publish and assert the journal replay converges on the next apply);
@@ -328,14 +328,17 @@ if [[ "$skip_smoke" == 0 ]]; then
       | diff - <(head -n 6 "$smoke/single_out.txt")
   done
 
-  echo "==> Rolling-reload hammer: RELOAD under load, zero failed queries"
+  echo "==> Rolling-reload hammer: RELOAD under load, 2x1 and 2x2 fleets"
   { for _ in $(seq 10); do printf 'TOPK 5 %s\n' "$name"; done
     printf 'RELOAD %s\n' "$smoke/run.idx"
     for _ in $(seq 10); do printf 'TOPK 5 %s\n' "$name"; done
     printf 'STATS\nQUIT\n'; } > "$smoke/roll_req.txt"
+  # Same gates for every topology: with R = 1 the cycle moves range by
+  # range, and the single-threaded loop never queries mid-cycle.
   run_roll_hammer() {
-    local serve_bin="$1" out="$2"
-    "$serve_bin" --index "$smoke/run.idx" --shards 2 --replicas 2 \
+    local serve_bin="$1" out="$2" shards="$3" replicas="$4"
+    "$serve_bin" --index "$smoke/run.idx" --shards "$shards" \
+      --replicas "$replicas" \
       < "$smoke/roll_req.txt" > "$out" 2> /dev/null
     if grep -q '^ERR' "$out"; then
       echo "rolling reload failed a query" >&2; exit 1
@@ -344,11 +347,16 @@ if [[ "$skip_smoke" == 0 ]]; then
     [[ "$(grep -c '^OK TOPK 5$' "$out")" -eq 20 ]]
     grep -q '"reloads": 1' "$out"
   }
-  run_roll_hammer "$repo/build/tools/ceaff_serve" "$smoke/roll_out.txt"
+  for replicas in 1 2; do
+    run_roll_hammer "$repo/build/tools/ceaff_serve" \
+      "$smoke/roll_out_r$replicas.txt" 2 "$replicas"
+  done
   if [[ "$skip_sanitize" == 0 ]]; then
     echo "==> Rolling-reload hammer under ASan"
-    run_roll_hammer "$repo/build-asan/tools/ceaff_serve" \
-      "$smoke/roll_asan_out.txt"
+    for replicas in 1 2; do
+      run_roll_hammer "$repo/build-asan/tools/ceaff_serve" \
+        "$smoke/roll_asan_out_r$replicas.txt" 2 "$replicas"
+    done
   fi
 
   echo "==> Delta smoke: journal -> apply -> RELOAD, kill mid-apply -> replay"
