@@ -1,8 +1,9 @@
-// Microbenchmark of the la/kernels.h compute layer against the retained
-// naive references, emitting BENCH_kernels.json (tracked in-repo as the
-// perf baseline). For every (kernel, shape) it times the naive reference
-// once and the blocked kernel at several thread counts, reporting GFLOP/s
-// (or Mcell/s for the string kernels) and the speedup over naive.
+// Microbenchmark of the la/kernels.h compute layer, IVF k-means training
+// and CRC-32 against their retained naive references, emitting
+// BENCH_kernels.json (tracked in-repo as the perf baseline). For every
+// (kernel, shape) it times the naive reference once and the kernel at
+// several thread counts, reporting GFLOP/s (Mcell/s for the string and
+// CSLS kernels, MB/s for CRC-32) and the speedup over naive.
 //
 //   micro_kernels [--out FILE] [--quick] [--smoke]
 //
@@ -26,11 +27,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "ceaff/ann/ivf.h"
+#include "ceaff/common/crc32.h"
 #include "ceaff/common/random.h"
 #include "ceaff/common/thread_pool.h"
 #include "ceaff/la/csls.h"
@@ -357,9 +362,10 @@ void BenchCsls(size_t n, size_t k, const std::vector<int>& thread_counts,
   }
 }
 
-void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
-               const std::vector<int>& thread_counts, int reps) {
-  Rng rng(106);
+/// n x n CSR with `nnz_per_row` uniformly placed entries per row
+/// (duplicates merge, so nnz can come out slightly lower).
+la::SparseMatrix RandomSparse(size_t n, size_t nnz_per_row, uint64_t seed) {
+  Rng rng(seed);
   std::vector<la::Triplet> triplets;
   triplets.reserve(n * nnz_per_row);
   for (size_t r = 0; r < n; ++r) {
@@ -369,7 +375,12 @@ void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
                           static_cast<float>(rng.NextUniform(-1.0, 1.0))});
     }
   }
-  const la::SparseMatrix a = la::SparseMatrix::Build(n, n, std::move(triplets));
+  return la::SparseMatrix::Build(n, n, std::move(triplets));
+}
+
+void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
+               const std::vector<int>& thread_counts, int reps) {
+  const la::SparseMatrix a = RandomSparse(n, nnz_per_row, 106);
   const Matrix x = RandomMatrix(n, d, 107);
   char shape[64];
   std::snprintf(shape, sizeof(shape), "%zux%zu nnz=%zu d=%zu", n, n, a.nnz(),
@@ -394,6 +405,160 @@ void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
       Fail("spmm kernel diverged from naive at " + std::string(shape));
     }
     g_rows.push_back({"spmm_kernel", shape, threads, s, flops / s / 1e9,
+                      "gflops", naive_s / s});
+  }
+}
+
+/// Byte-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: the
+/// implementation the slicing-by-8 Crc32::Update replaced.
+uint32_t NaiveCrc32(const unsigned char* data, size_t len) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+void BenchCrc32(size_t bytes, int reps) {
+  Rng rng(110);
+  std::vector<unsigned char> data(bytes);
+  for (unsigned char& b : data) {
+    b = static_cast<unsigned char>(rng.NextBounded(256));
+  }
+  char shape[64];
+  std::snprintf(shape, sizeof(shape), "%zu MiB", bytes >> 20);
+  const double mb = static_cast<double>(bytes) / 1e6;
+
+  uint32_t naive_crc = 0;
+  const double naive_s = TimeBest(
+      reps, [&] { naive_crc = NaiveCrc32(data.data(), data.size()); });
+  g_rows.push_back({"crc32_naive", shape, 0, naive_s, mb / naive_s, "mbytes",
+                    1.0});
+  uint32_t crc = 0;
+  const double s =
+      TimeBest(reps, [&] { crc = Crc32Of(data.data(), data.size()); });
+  if (crc != naive_crc) {
+    Fail("crc32 diverged from the byte-at-a-time reference at " +
+         std::string(shape));
+  }
+  g_rows.push_back({"crc32_kernel", shape, 1, s, mb / s, "mbytes",
+                    naive_s / s});
+}
+
+/// K-means with one sequential squared-L2 loop per point and centroid: the
+/// assignment ann::TrainIvf replaced, with its init and update unchanged.
+ann::IvfIndex NaiveTrainIvf(const Matrix& points,
+                            const ann::IvfOptions& options) {
+  const size_t n = points.rows();
+  const size_t d = points.cols();
+  const size_t k = std::min(std::max<size_t>(options.num_centroids, 1), n);
+  Rng rng(options.seed);
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  for (size_t i = 0; i < k; ++i) {
+    std::swap(ids[i], ids[i + static_cast<size_t>(rng.NextBounded(n - i))]);
+  }
+  ann::IvfIndex index;
+  index.centroids = Matrix(k, d);
+  for (size_t c = 0; c < k; ++c) {
+    std::copy(points.row(ids[c]), points.row(ids[c]) + d,
+              index.centroids.row(c));
+  }
+  std::vector<uint32_t> assign(n, 0);
+  for (size_t iter = 0; iter < std::max<size_t>(options.max_iters, 1);
+       ++iter) {
+    bool changed = false;
+    for (size_t i = 0; i < n; ++i) {
+      const float* p = points.row(i);
+      float best = std::numeric_limits<float>::infinity();
+      uint32_t best_c = 0;
+      for (size_t c = 0; c < k; ++c) {
+        const float* q = index.centroids.row(c);
+        float dist = 0.0f;
+        for (size_t j = 0; j < d; ++j) {
+          const float diff = p[j] - q[j];
+          dist += diff * diff;
+        }
+        if (dist < best) {
+          best = dist;
+          best_c = static_cast<uint32_t>(c);
+        }
+      }
+      changed |= assign[i] != best_c;
+      assign[i] = best_c;
+    }
+    if (!changed && iter > 0) break;
+    std::vector<double> sums(k * d, 0.0);
+    std::vector<uint32_t> counts(k, 0);
+    for (size_t i = 0; i < n; ++i) {
+      double* sum = sums.data() + static_cast<size_t>(assign[i]) * d;
+      for (size_t j = 0; j < d; ++j) sum[j] += points.at(i, j);
+      ++counts[assign[i]];
+    }
+    for (size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) continue;
+      const double inv = 1.0 / counts[c];
+      for (size_t j = 0; j < d; ++j) {
+        index.centroids.at(c, j) = static_cast<float>(sums[c * d + j] * inv);
+      }
+    }
+  }
+  index.lists.assign(k, {});
+  for (size_t i = 0; i < n; ++i) {
+    index.lists[assign[i]].push_back(static_cast<uint32_t>(i));
+  }
+  return index;
+}
+
+bool SameIvf(const ann::IvfIndex& a, const ann::IvfIndex& b) {
+  return BitIdentical(a.centroids, b.centroids) && a.lists == b.lists;
+}
+
+/// IVF k-means training, naive vs the lane-blocked assignment. The rate is
+/// nominal: 3·n·k·d flops per iteration over max_iters iterations (uniform
+/// random points do not converge that early).
+void BenchIvfTrain(size_t n, size_t d, size_t k,
+                   const std::vector<int>& thread_counts, int reps) {
+  const Matrix points = RandomMatrix(n, d, 111);
+  ann::IvfOptions options;
+  options.num_centroids = k;
+  options.max_iters = 3;
+  char shape[64];
+  std::snprintf(shape, sizeof(shape), "%zux%zu k=%zu", n, d, k);
+  const double flops = 3.0 * static_cast<double>(n) * k * d *
+                       static_cast<double>(options.max_iters);
+
+  ann::IvfIndex naive_out;
+  const double naive_s = TimeBest(
+      reps, [&] { naive_out = NaiveTrainIvf(points, options); });
+  g_rows.push_back({"ivf_train_naive", shape, 0, naive_s,
+                    flops / naive_s / 1e9, "gflops", 1.0});
+
+  for (int threads : thread_counts) {
+    std::unique_ptr<ThreadPool> pool;
+    KernelContext ctx;
+    if (threads > 1) {
+      pool = std::make_unique<ThreadPool>(threads);
+      ctx.pool = pool.get();
+    }
+    ann::IvfIndex out;
+    const double s = TimeBest(
+        reps, [&] { out = ann::TrainIvf(ctx, points, options).value(); });
+    if (!SameIvf(out, naive_out)) {
+      Fail("ivf_train diverged from naive at " + std::string(shape));
+    }
+    g_rows.push_back({"ivf_train_kernel", shape, threads, s, flops / s / 1e9,
                       "gflops", naive_s / s});
   }
 }
@@ -441,20 +606,10 @@ void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
     gate("cosine", naive_s, kernel_s);
   }
   {
-    Rng rng(15);
-    std::vector<la::Triplet> triplets;
-    const size_t n = 4000, nnz_per_row = 8, d = 32;
-    triplets.reserve(n * nnz_per_row);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t i = 0; i < nnz_per_row; ++i) {
-        triplets.push_back({static_cast<uint32_t>(r),
-                            static_cast<uint32_t>(rng.NextBounded(n)),
-                            static_cast<float>(rng.NextUniform(-1.0, 1.0))});
-      }
-    }
-    const la::SparseMatrix a =
-        la::SparseMatrix::Build(n, n, std::move(triplets));
-    const Matrix x = RandomMatrix(n, d, 16);
+    // A cache-resident dense operand (512 KiB): what the gate times is the
+    // register-blocked sweep against the naive load-add-store per nonzero.
+    const la::SparseMatrix a = RandomSparse(4000, 8, 15);
+    const Matrix x = RandomMatrix(4000, 32, 16);
     Matrix out;
     const double kernel_s =
         TimeBest(kReps, [&] { out = la::SpMMK(ctx, a, x); });
@@ -505,6 +660,36 @@ int RunSmoke() {
     const Matrix m = RandomMatrix(14, 19, 7);
     if (!BitIdentical(la::CslsRescaleK(par, m, 5), la::CslsRescale(m, 5))) {
       Fail("csls parity");
+    }
+  }
+  {
+    // Cache-resident dense operand: the sweep without prefetch.
+    const la::SparseMatrix a = RandomSparse(4000, 8, 15);
+    const Matrix x = RandomMatrix(4000, 32, 16);
+    if (!BitIdentical(la::SpMMK(seq, a, x), a.Multiply(x)) ||
+        !BitIdentical(la::SpMMK(par, a, x), a.Multiply(x))) {
+      Fail("spmm parity");
+    }
+  }
+  {
+    const Matrix points = RandomMatrix(203, 19, 8);
+    ann::IvfOptions options;
+    options.num_centroids = 10;
+    if (!SameIvf(ann::TrainIvf(par, points, options).value(),
+                 NaiveTrainIvf(points, options))) {
+      Fail("ivf_train parity");
+    }
+  }
+  {
+    Rng rng(9);
+    std::vector<unsigned char> bytes(77);
+    for (unsigned char& b : bytes) {
+      b = static_cast<unsigned char>(rng.NextBounded(256));
+    }
+    for (size_t len = 0; len <= bytes.size(); ++len) {
+      if (Crc32Of(bytes.data(), len) != NaiveCrc32(bytes.data(), len)) {
+        Fail("crc32 parity at length " + std::to_string(len));
+      }
     }
   }
   const char* skip_gate = std::getenv("CEAFF_SKIP_PERF_GATE");
@@ -580,6 +765,8 @@ int main(int argc, char** argv) {
     BenchStringMatrixMultiWord(120, threads, 3);
     BenchCsls(256, 10, threads, 3);
     BenchSpmm(2000, 32, 8, threads, 3);
+    BenchIvfTrain(2000, 64, 45, threads, 3);
+    BenchCrc32(size_t{4} << 20, 3);
   } else {
     BenchCosine(512, 64, threads, 5);
     // The tracked headline shape: 2k x 2k pairwise cosine at d = 128.
@@ -592,6 +779,11 @@ int main(int argc, char** argv) {
     BenchStringMatrixMultiWord(400, threads, 3);
     BenchCsls(1024, 10, threads, 5);
     BenchSpmm(20000, 64, 10, threads, 5);
+    // The TOPK index's ANN training shape: 10k fused target rows of
+    // 300 + 200 dims, ceil(sqrt(n)) centroids.
+    BenchIvfTrain(10000, 500, 100, threads, 3);
+    // About the size of that index's CEAFFIDX file.
+    BenchCrc32(size_t{40} << 20, 5);
   }
   WriteJson(out);
 

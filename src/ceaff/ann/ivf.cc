@@ -2,28 +2,104 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <utility>
 
 #include "ceaff/common/random.h"
+#include "ceaff/common/thread_pool.h"
 
 namespace ceaff::ann {
 
 namespace {
 
-float SquaredL2(const float* a, const float* b, size_t d) {
-  float acc = 0.0f;
-  for (size_t i = 0; i < d; ++i) {
-    const float diff = a[i] - b[i];
-    acc += diff * diff;
+/// Four float lanes in one 16-byte vector register: one block of centroids
+/// in the assignment tile. An explicit vector type, because left to itself
+/// the compiler vectorises the distance along the dimension axis, which
+/// gains nothing.
+typedef float Lanes __attribute__((vector_size(16)));
+constexpr size_t kLanes = 4;
+/// Points per assignment tile: six accumulator registers per centroid
+/// block keep six independent add chains in flight.
+constexpr size_t kTile = 6;
+/// Rows per parallel assignment task; a multiple of kTile.
+constexpr size_t kPanelRows = 16 * kTile;
+
+/// The centroids transposed into lane panels: panel b holds centroids
+/// [4b, 4b + 4) as d consecutive 4-float vectors, so panel b's vector j is
+/// dimension j of those four centroids. Lanes past k keep whatever they
+/// hold (zeros from allocation); they are never compared.
+void TransposeCentroids(const la::Matrix& centroids, std::vector<float>* ct) {
+  const size_t k = centroids.rows();
+  const size_t d = centroids.cols();
+  for (size_t c = 0; c < k; ++c) {
+    const float* row = centroids.row(c);
+    float* panel = ct->data() + (c / kLanes) * d * kLanes + c % kLanes;
+    for (size_t j = 0; j < d; ++j) panel[j * kLanes] = row[j];
   }
-  return acc;
+}
+
+/// Assigns rows [r0, r1) of `points` to their nearest centroid and reports
+/// whether any assignment changed. Each lane of `acc` sums diff * diff in
+/// float over ascending dimension, the same chain as a scalar squared-L2
+/// loop, so every distance is bit-identical to it. Lanes are compared with
+/// strict < in ascending centroid order (ties keep the smaller id), and
+/// padded lanes are never compared.
+bool AssignPanel(const la::Matrix& points, const std::vector<float>& ct,
+                 size_t k, size_t r0, size_t r1, uint32_t* assign) {
+  const size_t d = points.cols();
+  // The tile's points interleaved by dimension: tile[j * kTile + t] is
+  // dimension j of point t. A short last tile repeats its final row; the
+  // copies are never stored.
+  std::vector<float> tile(d * kTile);
+  bool changed = false;
+  for (size_t i0 = r0; i0 < r1; i0 += kTile) {
+    const size_t m = std::min(kTile, r1 - i0);
+    for (size_t t = 0; t < kTile; ++t) {
+      const float* row = points.row(i0 + std::min(t, m - 1));
+      for (size_t j = 0; j < d; ++j) tile[j * kTile + t] = row[j];
+    }
+    float best[kTile];
+    uint32_t best_c[kTile];
+    std::fill(best, best + kTile, std::numeric_limits<float>::infinity());
+    std::fill(best_c, best_c + kTile, 0u);
+    for (size_t c0 = 0; c0 < k; c0 += kLanes) {
+      const float* panel = ct.data() + (c0 / kLanes) * d * kLanes;
+      const float* x = tile.data();
+      Lanes acc[kTile] = {};
+      for (size_t j = 0; j < d; ++j, x += kTile) {
+        Lanes cv;
+        std::memcpy(&cv, panel + j * kLanes, sizeof(cv));
+        for (size_t t = 0; t < kTile; ++t) {
+          const Lanes diff = x[t] - cv;
+          acc[t] += diff * diff;
+        }
+      }
+      const size_t lanes = std::min(kLanes, k - c0);
+      for (size_t t = 0; t < m; ++t) {
+        for (size_t l = 0; l < lanes; ++l) {
+          if (acc[t][l] < best[t]) {
+            best[t] = acc[t][l];
+            best_c[t] = static_cast<uint32_t>(c0 + l);
+          }
+        }
+      }
+    }
+    for (size_t t = 0; t < m; ++t) {
+      if (assign[i0 + t] != best_c[t]) {
+        assign[i0 + t] = best_c[t];
+        changed = true;
+      }
+    }
+  }
+  return changed;
 }
 
 }  // namespace
 
-StatusOr<IvfIndex> TrainIvf(const la::Matrix& points,
+StatusOr<IvfIndex> TrainIvf(const la::KernelContext& ctx,
+                            const la::Matrix& points,
                             const IvfOptions& options) {
   const size_t n = points.rows();
   const size_t d = points.cols();
@@ -56,27 +132,25 @@ StatusOr<IvfIndex> TrainIvf(const la::Matrix& points,
   std::vector<uint32_t> assign(n, 0);
   std::vector<double> sums(k * d);
   std::vector<uint32_t> counts(k);
+  std::vector<float> ct(((k + kLanes - 1) / kLanes) * kLanes * d);
+  const size_t panels = (n + kPanelRows - 1) / kPanelRows;
+  std::vector<uint8_t> panel_changed(panels);
   for (size_t iter = 0; iter < std::max<size_t>(options.max_iters, 1);
        ++iter) {
-    // Assignment: nearest centroid by squared L2, ties toward the smaller
-    // centroid id (strict < keeps the first minimum).
-    bool changed = false;
-    for (size_t i = 0; i < n; ++i) {
-      const float* p = points.row(i);
-      float best = std::numeric_limits<float>::infinity();
-      uint32_t best_c = 0;
-      for (size_t c = 0; c < k; ++c) {
-        const float dist = SquaredL2(p, index.centroids.row(c), d);
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<uint32_t>(c);
-        }
-      }
-      if (assign[i] != best_c) {
-        assign[i] = best_c;
-        changed = true;
-      }
-    }
+    CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("ivf training"));
+    // Assignment: nearest centroid by squared L2, in fixed row panels on
+    // the caller's pool. Rows are independent, so the panels can run in any
+    // order; their changed flags are combined afterwards.
+    TransposeCentroids(index.centroids, &ct);
+    ParallelFor(ctx.pool, panels, [&](size_t b) {
+      const size_t r0 = b * kPanelRows;
+      panel_changed[b] = AssignPanel(points, ct, k, r0,
+                                     std::min(n, r0 + kPanelRows),
+                                     assign.data());
+    });
+    const bool changed =
+        std::find(panel_changed.begin(), panel_changed.end(), 1) !=
+        panel_changed.end();
     if (!changed && iter > 0) break;
 
     // Update: per-cluster means, accumulated in ascending row order in

@@ -6,14 +6,17 @@
 #include <vector>
 
 #include "ceaff/common/statusor.h"
+#include "ceaff/la/kernels.h"
 #include "ceaff/la/matrix.h"
 
 namespace ceaff::ann {
 
-/// IVF coarse-quantizer training knobs. Everything is seeded and the
-/// training loop is strictly sequential, so (points, options) fully
-/// determine the result — the exported artifact is reproducible
-/// bit-for-bit, the property every CEAFF stage holds.
+/// IVF coarse-quantizer training knobs. Everything is seeded, and
+/// (points, options) fully determine the result at any thread count — the
+/// exported artifact is reproducible bit-for-bit, the property every CEAFF
+/// stage holds. What stays fixed: each squared-L2 distance sums
+/// diff * diff in float over ascending dimension, ties go to the smaller
+/// centroid id, and the update step accumulates in ascending row order.
 struct IvfOptions {
   /// Number of k-means centroids; 0 picks ceil(sqrt(n)) clamped to [1, n].
   size_t num_centroids = 0;
@@ -36,9 +39,14 @@ struct IvfIndex {
 /// toward the smaller centroid id; means accumulate in ascending row order
 /// in double precision — deterministic at any call site). Initial
 /// centroids are a seeded sample of distinct rows. A centroid that loses
-/// all members keeps its previous position. InvalidArgument when `points`
-/// is empty.
-StatusOr<IvfIndex> TrainIvf(const la::Matrix& points,
+/// all members keeps its previous position. The assignment step runs in
+/// fixed row panels on ctx.pool (null runs them inline) and is
+/// lane-blocked: a tile of points against blocks of four centroids, each
+/// lane keeping the scalar per-distance summation order, so the result is
+/// bit-identical at any thread count. The token in ctx.cancel is polled
+/// once per Lloyd iteration. InvalidArgument when `points` is empty.
+StatusOr<IvfIndex> TrainIvf(const la::KernelContext& ctx,
+                            const la::Matrix& points,
                             const IvfOptions& options);
 
 /// The `nprobe` centroid ids with the largest inner product against `q`

@@ -609,7 +609,8 @@ Status CeaffPipeline::ExportIndex(const CeaffFeatures& features,
   if (options_.export_ann) {
     serve::AnnBuildOptions ann_options;
     ann_options.num_centroids = options_.ann_centroids;
-    const Status ann = serve::BuildAnnSections(&index, ann_options);
+    const KernelRuntime rt = MakeKernelRuntime(options_);
+    const Status ann = serve::BuildAnnSections(&index, ann_options, rt.ctx);
     if (ann.ok()) {
       CEAFF_LOG(Info) << "trained ANN sections: "
                       << index.ann_centroids.rows() << " centroids over "

@@ -48,13 +48,13 @@ Status WriteQuarantineMarker(const std::string& journal_dir,
 /// crash between the two leaves the state watermark stale and the next
 /// cycle replays the same records and republishes both idempotently.
 Status PublishState(const DeltaState& state, const DeltaApplyOptions& options,
-                    DeltaApplyReport* report) {
+                    const la::KernelContext& ctx, DeltaApplyReport* report) {
   if (!options.index_dir.empty()) {
     CEAFF_FAILPOINT("delta.publish.index");
     CEAFF_ASSIGN_OR_RETURN(
         const serve::AlignmentIndex index,
         BuildIndexFromState(state, options.export_ann,
-                            options.ann_centroids));
+                            options.ann_centroids, ctx));
     CEAFF_RETURN_IF_ERROR(
         serve::SaveAlignmentIndexGenerational(index, options.index_dir));
     CEAFF_ASSIGN_OR_RETURN(
@@ -133,7 +133,8 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options) {
   }
 
   timer.Restart();
-  CEAFF_RETURN_IF_ERROR(PublishState(outcome->state, options, &report));
+  CEAFF_RETURN_IF_ERROR(
+      PublishState(outcome->state, options, rt.ctx, &report));
   report.seconds_publish = timer.ElapsedSeconds();
   report.watermark_after = outcome->state.watermark;
   CEAFF_LOG(Info) << "delta apply: " << report.stats.records_applied
@@ -197,7 +198,7 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
   report.seconds_verify = timer.ElapsedSeconds();
 
   timer.Restart();
-  CEAFF_RETURN_IF_ERROR(PublishState(state, options, &report));
+  CEAFF_RETURN_IF_ERROR(PublishState(state, options, rt.ctx, &report));
   report.seconds_publish = timer.ElapsedSeconds();
   report.watermark_after = state.watermark;
 
@@ -211,9 +212,9 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
   return report;
 }
 
-StatusOr<serve::AlignmentIndex> BuildIndexFromState(const DeltaState& s,
-                                                    bool export_ann,
-                                                    size_t ann_centroids) {
+StatusOr<serve::AlignmentIndex> BuildIndexFromState(
+    const DeltaState& s, bool export_ann, size_t ann_centroids,
+    const la::KernelContext& ctx) {
   serve::AlignmentIndexInput input;
   input.dataset = s.dataset;
   input.source_names = core::GatherNames(s.kg1, s.source_ids);
@@ -268,7 +269,7 @@ StatusOr<serve::AlignmentIndex> BuildIndexFromState(const DeltaState& s,
   if (export_ann) {
     serve::AnnBuildOptions ann_options;
     ann_options.num_centroids = ann_centroids;
-    const Status ann = serve::BuildAnnSections(&index, ann_options);
+    const Status ann = serve::BuildAnnSections(&index, ann_options, ctx);
     if (!ann.ok() && !ann.IsFailedPrecondition()) return ann;
     if (ann.IsFailedPrecondition()) {
       CEAFF_LOG(Info) << "delta publish: skipping ANN sections: "

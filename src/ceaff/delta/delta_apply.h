@@ -81,8 +81,10 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options);
 /// implied by (fused, prefs), L2-normalised embeddings, flattened fusion
 /// weights, optional ANN sections. Mirrors the batch pipeline's export
 /// stage, so a delta publish is indistinguishable to the serving layer.
+/// ANN training runs on `ctx` (same bits at any thread count).
 StatusOr<serve::AlignmentIndex> BuildIndexFromState(
-    const DeltaState& state, bool export_ann, size_t ann_centroids);
+    const DeltaState& state, bool export_ann, size_t ann_centroids,
+    const la::KernelContext& ctx = {});
 
 }  // namespace ceaff::delta
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 
 #include "ceaff/common/logging.h"
@@ -35,6 +36,38 @@ inline float DotLanes(const float* a, const float* b, size_t d) {
               ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
   for (; i < d; ++i) sum += a[i] * b[i];
   return sum;
+}
+
+/// Four float lanes in one 16-byte vector register.
+typedef float Lanes4 __attribute__((vector_size(16)));
+
+/// Output columns [j0, j0 + 4·kVecs) of one SpMM row over CSR entries
+/// [k0, k1): the partial sums stay in registers across the nnz walk and
+/// are stored once. Each lane adds v·x in ascending k from 0.0f, the
+/// per-element chain of the naive CSR product. With `prefetch`, the first
+/// two cache lines of the dense row kPrefetchAhead nonzeros later are
+/// requested.
+template <size_t kVecs>
+inline void SpmmRowBlock(const uint32_t* ci, const float* vals, uint32_t k0,
+                         uint32_t k1, size_t nnz, const Matrix& x, size_t j0,
+                         bool prefetch, float* orow) {
+  constexpr size_t kPrefetchAhead = 6;
+  Lanes4 acc[kVecs] = {};
+  for (uint32_t k = k0; k < k1; ++k) {
+    if (prefetch && k + kPrefetchAhead < nnz) {
+      const float* next = x.row(ci[k + kPrefetchAhead]);
+      __builtin_prefetch(next);
+      __builtin_prefetch(next + 16);
+    }
+    const float v = vals[k];
+    const float* drow = x.row(ci[k]) + j0;
+    for (size_t i = 0; i < kVecs; ++i) {
+      Lanes4 xv;
+      std::memcpy(&xv, drow + 4 * i, sizeof(xv));
+      acc[i] += v * xv;
+    }
+  }
+  std::memcpy(orow + j0, acc, sizeof(acc));
 }
 
 /// Runs fn(begin, end) over the fixed partition of [0, n) into panels of
@@ -239,36 +272,44 @@ void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
   const uint32_t* ci = a.col_idx().data();
   const float* vals = a.values().data();
   const size_t nnz = a.nnz();
-  // Fused single-sweep CSR panel: one pass walks row_ptr/col_idx/values
-  // with raw pointers hoisted out of the loop, and — when the dense
-  // operand is too big to sit in L2 — prefetches the dense row of a
-  // *later* nonzero while the current one streams. The gathers
-  // x.row(col_idx[k]) are the kernel's only random accesses; on feature
-  // matrices bigger than L2 the miss latency dominates (measured 1.7x on
-  // the 20000x20000 nnz/row=10 d=64 bench shape), while on operands that
-  // stay cache-resident the same prefetches are pure overhead, so the
-  // footprint decides once per call. col_idx is contiguous across row
+  // Fused CSR panel sweep with raw pointers hoisted out of the loop. Each
+  // output row is built in column blocks of 16 floats (then 4, then a
+  // scalar remainder): a block's partial sums stay in registers for the
+  // whole nnz walk of the row and are stored once, instead of a load and a
+  // store of the output row per nonzero. Every lane still adds v·x over
+  // ascending nonzeros starting from 0.0f — SparseMatrix::Multiply's
+  // per-element chain — so the result is bit-identical to it at any thread
+  // count and blocking. When the dense operand is too big to sit in L2,
+  // the walk also prefetches the head of a *later* nonzero's dense row:
+  // the gathers x.row(col_idx[k]) are the kernel's only random accesses,
+  // and on cache-resident operands the prefetches are pure overhead, so
+  // the footprint decides once per call. col_idx is contiguous across row
   // boundaries, so the lookahead index k + dist is valid anywhere below
   // nnz (prefetching into a neighbouring task's rows is harmless —
-  // prefetch has no architectural effect). Per output row the nnz walk and
-  // per-element accumulation order are exactly SparseMatrix::Multiply's,
-  // so the result is bit-identical to it at any thread count, any blocking
-  // and either prefetch decision.
+  // prefetch has no architectural effect).
   const bool use_prefetch = x.size() * sizeof(float) > (size_t{1} << 20);
   const auto sweep = [&](size_t r0, size_t r1) {
-    constexpr size_t kPrefetchAhead = 6;
     for (size_t r = r0; r < r1; ++r) {
       float* orow = out->row(r);
+      const uint32_t k0 = rp[r];
       const uint32_t k1 = rp[r + 1];
-      for (uint32_t k = rp[r]; k < k1; ++k) {
-        if (use_prefetch && k + kPrefetchAhead < nnz) {
-          const float* next = x.row(ci[k + kPrefetchAhead]);
-          __builtin_prefetch(next);
-          __builtin_prefetch(next + 16);
-        }
+      // Only the row's first column block prefetches: the later blocks
+      // re-walk the same nonzeros, and a prefetch per block cost more
+      // than it saved at the GCN's d = 128.
+      size_t j0 = 0;
+      for (; j0 + 16 <= n; j0 += 16) {
+        SpmmRowBlock<4>(ci, vals, k0, k1, nnz, x, j0,
+                        use_prefetch && j0 == 0, orow);
+      }
+      for (; j0 + 4 <= n; j0 += 4) {
+        SpmmRowBlock<1>(ci, vals, k0, k1, nnz, x, j0,
+                        use_prefetch && j0 == 0, orow);
+      }
+      if (j0 == n) continue;
+      for (uint32_t k = k0; k < k1; ++k) {
         const float v = vals[k];
         const float* drow = x.row(ci[k]);
-        for (size_t j = 0; j < n; ++j) orow[j] += v * drow[j];
+        for (size_t j = j0; j < n; ++j) orow[j] += v * drow[j];
       }
     }
   };

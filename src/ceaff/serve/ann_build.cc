@@ -9,7 +9,8 @@
 namespace ceaff::serve {
 
 Status BuildAnnSections(AlignmentIndex* index,
-                        const AnnBuildOptions& options) {
+                        const AnnBuildOptions& options,
+                        const la::KernelContext& ctx) {
   const size_t n = index->num_targets();
   const size_t d_sem = index->target_name_emb.cols();
   const size_t d_struct = index->target_struct_emb.cols();
@@ -67,7 +68,8 @@ Status BuildAnnSections(AlignmentIndex* index,
   ivf_options.num_centroids = options.num_centroids;
   ivf_options.max_iters = options.max_iters;
   ivf_options.seed = options.ann_seed;
-  CEAFF_ASSIGN_OR_RETURN(ann::IvfIndex ivf, TrainIvf(weighted, ivf_options));
+  CEAFF_ASSIGN_OR_RETURN(ann::IvfIndex ivf,
+                         TrainIvf(ctx, weighted, ivf_options));
 
   ann::QuantizedRows quantized = ann::QuantizeRowsInt8(fused);
   index->ann_centroids = std::move(ivf.centroids);

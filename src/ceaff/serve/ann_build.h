@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "ceaff/common/status.h"
+#include "ceaff/la/kernels.h"
 #include "ceaff/serve/alignment_index.h"
 
 namespace ceaff::serve {
@@ -27,12 +28,16 @@ struct AnnBuildOptions {
 /// vectors to per-row symmetric int8, and re-finalizes the index (so
 /// content_crc covers the new sections and the artifact serializes as v3).
 ///
+/// The k-means assignment runs on ctx.pool and polls ctx.cancel; the
+/// trained sections are the same bits at any thread count.
+///
 /// FailedPrecondition when the index has no dense target features to fuse
 /// (both embedding matrices empty), no targets, or zero fusion weight on
 /// both dense features — callers treat that as "this export stays v2",
 /// not as corruption.
 Status BuildAnnSections(AlignmentIndex* index,
-                        const AnnBuildOptions& options = {});
+                        const AnnBuildOptions& options = {},
+                        const la::KernelContext& ctx = {});
 
 }  // namespace ceaff::serve
 

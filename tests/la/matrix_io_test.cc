@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "ceaff/common/crc32.h"
 #include "testing/fault_injection.h"
 
 namespace ceaff::la {
@@ -22,20 +21,6 @@ Matrix TestMatrix(size_t rows, size_t cols) {
     }
   }
   return m;
-}
-
-TEST(Crc32Test, MatchesKnownVector) {
-  // IEEE 802.3 CRC-32 of "123456789" is the classic check value.
-  EXPECT_EQ(Crc32Of("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32Of("", 0), 0u);
-}
-
-TEST(Crc32Test, IncrementalMatchesOneShot) {
-  const char data[] = "collective entity alignment";
-  Crc32 crc;
-  crc.Update(data, 10);
-  crc.Update(data + 10, sizeof(data) - 1 - 10);
-  EXPECT_EQ(crc.value(), Crc32Of(data, sizeof(data) - 1));
 }
 
 TEST(MatrixIoTest, RoundTripsExactly) {
