@@ -1,6 +1,7 @@
-// Microbenchmarks of the feature-generation substrates: Levenshtein
-// (unit-cost vs lev*), string/semantic similarity matrices, one GCN
-// training epoch, and the adaptive fusion stage itself.
+// Microbenchmarks of the feature-generation substrates as production runs
+// them: the lev* ratio and the string matrix (la::LevenshteinRatioFast,
+// la::StringSimilarityMatrixK), the n-gram and semantic matrices, the
+// cosine kernel, one GCN training epoch, and the adaptive fusion stage.
 
 #include <benchmark/benchmark.h>
 
@@ -9,8 +10,7 @@
 #include "ceaff/embed/gcn.h"
 #include "ceaff/fusion/adaptive_fusion.h"
 #include "ceaff/kg/adjacency.h"
-#include "ceaff/la/ops.h"
-#include "ceaff/text/levenshtein.h"
+#include "ceaff/la/kernels.h"
 #include "ceaff/text/ngram_similarity.h"
 #include "ceaff/text/name_embedding.h"
 
@@ -28,30 +28,22 @@ std::vector<std::string> RandomNames(size_t n, uint64_t seed) {
   return names;
 }
 
-void BM_LevenshteinUnit(benchmark::State& state) {
+void BM_LevenshteinRatioFast(benchmark::State& state) {
   std::string a = "collective entity alignment";
   std::string b = "adaptive feature fusion!";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(text::LevenshteinDistance(a, b));
+    benchmark::DoNotOptimize(la::LevenshteinRatioFast(a, b));
   }
 }
-BENCHMARK(BM_LevenshteinUnit);
-
-void BM_LevenshteinRatioSub2(benchmark::State& state) {
-  std::string a = "collective entity alignment";
-  std::string b = "adaptive feature fusion!";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(text::LevenshteinRatio(a, b));
-  }
-}
-BENCHMARK(BM_LevenshteinRatioSub2);
+BENCHMARK(BM_LevenshteinRatioFast);
 
 void BM_StringSimilarityMatrix(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   std::vector<std::string> src = RandomNames(n, 1);
   std::vector<std::string> dst = RandomNames(n, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(text::StringSimilarityMatrix(src, dst));
+    benchmark::DoNotOptimize(
+        la::StringSimilarityMatrixK(la::KernelContext(), src, dst));
   }
 }
 BENCHMARK(BM_StringSimilarityMatrix)->Arg(100)->Arg(300);
@@ -84,7 +76,7 @@ void BM_CosineSimilarity(benchmark::State& state) {
   la::Matrix a = la::Matrix::TruncatedNormal(n, 128, 1.0f, &rng);
   la::Matrix b = la::Matrix::TruncatedNormal(n, 128, 1.0f, &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(la::CosineSimilarity(a, b));
+    benchmark::DoNotOptimize(la::CosineSimilarityK(la::KernelContext(), a, b));
   }
 }
 BENCHMARK(BM_CosineSimilarity)->Arg(250)->Arg(1000);

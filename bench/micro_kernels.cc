@@ -1,5 +1,6 @@
 // Microbenchmark of the la/kernels.h compute layer, IVF k-means training
-// and CRC-32 against their retained naive references, emitting
+// and CRC-32 against their naive references (ceaff_reference and the
+// bench-local ones below), emitting
 // BENCH_kernels.json (tracked in-repo as the perf baseline). For every
 // (kernel, shape) it times the naive reference once and the kernel at
 // several thread counts, reporting GFLOP/s (Mcell/s for the string and
@@ -38,11 +39,10 @@
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/random.h"
 #include "ceaff/common/thread_pool.h"
-#include "ceaff/la/csls.h"
 #include "ceaff/la/kernels.h"
-#include "ceaff/la/ops.h"
 #include "ceaff/la/sparse_matrix.h"
-#include "ceaff/text/levenshtein.h"
+#include "ceaff/reference/la_reference.h"
+#include "ceaff/reference/text_reference.h"
 
 // Timing gates are meaningless under sanitizer instrumentation (10-50x
 // uniform slowdowns with different constants per code path), so the smoke
@@ -251,20 +251,11 @@ void BenchStringMatrixNamed(const std::vector<std::string>& src,
   const size_t n = src.size();
   const double cells = static_cast<double>(n) * n;
 
-  // text::StringSimilarityMatrix delegates to the kernel these days, so the
-  // naive baseline here is the retained full-DP scalar reference applied
-  // cell by cell — the pre-kernel implementation.
+  // The naive baseline is the full-DP scalar ratio applied cell by cell —
+  // the pre-kernel implementation.
   Matrix naive_out;
-  const double naive_s = TimeBest(reps, [&] {
-    Matrix out(src.size(), tgt.size());
-    for (size_t i = 0; i < src.size(); ++i) {
-      for (size_t j = 0; j < tgt.size(); ++j) {
-        out.at(i, j) =
-            static_cast<float>(text::LevenshteinRatio(src[i], tgt[j]));
-      }
-    }
-    naive_out = std::move(out);
-  });
+  const double naive_s = TimeBest(
+      reps, [&] { naive_out = text::LevenshteinRatioMatrix(src, tgt); });
   g_rows.push_back({"string_naive", shape, 0, naive_s,
                     cells / naive_s / 1e6, "mcells", 1.0});
 
@@ -388,7 +379,8 @@ void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
   const double flops = 2.0 * static_cast<double>(a.nnz()) * d;
 
   Matrix naive_out;
-  const double naive_s = TimeBest(reps, [&] { naive_out = a.Multiply(x); });
+  const double naive_s =
+      TimeBest(reps, [&] { naive_out = la::SparseMultiply(a, x); });
   g_rows.push_back({"spmm_naive", shape, 0, naive_s, flops / naive_s / 1e9,
                     "gflops", 1.0});
 
@@ -613,7 +605,8 @@ void BenchIvfTrain(size_t n, size_t d, size_t k,
     Matrix out;
     const double kernel_s =
         TimeBest(kReps, [&] { out = la::SpMMK(ctx, a, x); });
-    const double naive_s = TimeBest(kReps, [&] { out = a.Multiply(x); });
+    const double naive_s =
+        TimeBest(kReps, [&] { out = la::SparseMultiply(a, x); });
     gate("spmm", naive_s, kernel_s);
   }
 }
@@ -644,7 +637,7 @@ int RunSmoke() {
   {
     const Matrix a = RandomMatrix(18, 25, 3);
     const Matrix b = RandomMatrix(25, 11, 4);
-    if (!BitIdentical(la::MatMulK(par, a, b), MatMul(a, b))) {
+    if (!BitIdentical(la::MatMulK(par, a, b), la::MatMul(a, b))) {
       Fail("matmul parity");
     }
   }
@@ -652,7 +645,7 @@ int RunSmoke() {
     const auto src = RandomNames(15, 20, 5);
     const auto tgt = RandomNames(13, 20, 6);
     if (!BitIdentical(la::StringSimilarityMatrixK(par, src, tgt),
-                      text::StringSimilarityMatrix(src, tgt))) {
+                      text::LevenshteinRatioMatrix(src, tgt))) {
       Fail("string matrix parity");
     }
   }
@@ -666,8 +659,9 @@ int RunSmoke() {
     // Cache-resident dense operand: the sweep without prefetch.
     const la::SparseMatrix a = RandomSparse(4000, 8, 15);
     const Matrix x = RandomMatrix(4000, 32, 16);
-    if (!BitIdentical(la::SpMMK(seq, a, x), a.Multiply(x)) ||
-        !BitIdentical(la::SpMMK(par, a, x), a.Multiply(x))) {
+    const Matrix naive = la::SparseMultiply(a, x);
+    if (!BitIdentical(la::SpMMK(seq, a, x), naive) ||
+        !BitIdentical(la::SpMMK(par, a, x), naive)) {
       Fail("spmm parity");
     }
   }

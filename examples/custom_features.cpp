@@ -15,8 +15,8 @@
 #include "ceaff/data/synthetic.h"
 #include "ceaff/eval/metrics.h"
 #include "ceaff/fusion/adaptive_fusion.h"
+#include "ceaff/la/kernels.h"
 #include "ceaff/matching/matching.h"
-#include "ceaff/text/levenshtein.h"
 #include "ceaff/text/tokenizer.h"
 
 using namespace ceaff;
@@ -110,8 +110,8 @@ int main() {
   // Three features: two custom ones plus the library's string feature.
   la::Matrix neighbour = NeighbourTokenJaccard(bench.pair, test_src, test_tgt);
   la::Matrix name_jac = NameTokenJaccard(bench.pair, test_src, test_tgt);
-  la::Matrix lev = text::StringSimilarityMatrix(
-      core::GatherNames(bench.pair.kg1, test_src),
+  la::Matrix lev = la::StringSimilarityMatrixK(
+      la::KernelContext(), core::GatherNames(bench.pair.kg1, test_src),
       core::GatherNames(bench.pair.kg2, test_tgt));
 
   std::printf("custom-feature alignment on %s (%zu test pairs)\n\n",

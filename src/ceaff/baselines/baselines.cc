@@ -8,6 +8,7 @@
 #include "ceaff/embed/bootstrap.h"
 #include "ceaff/kg/adjacency.h"
 #include "ceaff/kg/attribute_similarity.h"
+#include "ceaff/la/kernels.h"
 #include "ceaff/la/ops.h"
 #include "ceaff/matching/matching.h"
 #include "ceaff/text/name_embedding.h"
@@ -33,8 +34,9 @@ la::Matrix TestSimilarity(const kg::KgPair& pair, const la::Matrix& emb1,
                           const la::Matrix& emb2) {
   std::vector<uint32_t> test_src, test_tgt;
   core::TestIds(pair, &test_src, &test_tgt);
-  return la::CosineSimilarity(core::GatherRows(emb1, test_src),
-                              core::GatherRows(emb2, test_tgt));
+  return la::CosineSimilarityK(la::KernelContext(),
+                               core::GatherRows(emb1, test_src),
+                               core::GatherRows(emb2, test_tgt));
 }
 
 /// Merged-KG triple list for shared-space TransE: KG2 entity ids offset by
@@ -319,7 +321,7 @@ StatusOr<BaselineResult> IPTransE::Run(const kg::KgPair& pair) {
     // Harvest confident new links over the full entity sets.
     embed::BootstrapOptions bopt;
     bopt.min_similarity = options_.harvest_threshold;
-    la::Matrix sim = la::CosineSimilarity(emb1, emb2);
+    la::Matrix sim = la::CosineSimilarityK(la::KernelContext(), emb1, emb2);
     std::vector<kg::AlignmentPair> fresh =
         embed::HarvestConfidentPairs(sim, links, bopt);
     if (fresh.empty() && it + 1 < options_.iterations) break;
@@ -350,8 +352,8 @@ StatusOr<BaselineResult> BootEALite::Run(const kg::KgPair& pair) {
     CEAFF_RETURN_IF_ERROR(gcn.Train(links).status());
     embed::BootstrapOptions bopt;
     bopt.min_similarity = options_.harvest_threshold;
-    la::Matrix sim =
-        la::CosineSimilarity(gcn.embeddings1(), gcn.embeddings2());
+    la::Matrix sim = la::CosineSimilarityK(
+        la::KernelContext(), gcn.embeddings1(), gcn.embeddings2());
     std::vector<kg::AlignmentPair> fresh =
         embed::HarvestConfidentPairs(sim, links, bopt);
     if (fresh.empty()) break;

@@ -11,7 +11,6 @@
 #include "ceaff/la/ops.h"
 #include "ceaff/serve/alignment_index.h"
 #include "ceaff/serve/ann_build.h"
-#include "ceaff/text/levenshtein.h"
 #include "ceaff/text/name_embedding.h"
 #include "ceaff/text/ngram_similarity.h"
 
@@ -21,9 +20,9 @@ namespace {
 
 /// The pipeline's shared kernel runtime: one pool for every stage (created
 /// only when the caller asked for threads) plus the KernelContext that
-/// threads it — with the run's block sizes and cancellation token — through
-/// each kernel call. Kernels poll the token per row panel, so a deadline
-/// interrupts even a single huge similarity matrix mid-build.
+/// threads it — with the run's cancellation token — through each kernel
+/// call. Kernels poll the token per row panel, so a deadline interrupts
+/// even a single huge similarity matrix mid-build.
 struct KernelRuntime {
   std::unique_ptr<ThreadPool> pool;
   la::KernelContext ctx;
@@ -35,7 +34,6 @@ KernelRuntime MakeKernelRuntime(const CeaffOptions& options) {
     rt.pool = std::make_unique<ThreadPool>(options.num_threads);
   }
   rt.ctx.pool = rt.pool.get();
-  rt.ctx.opts.OverrideBlock(options.block_size);
   rt.ctx.cancel = options.cancel;
   return rt;
 }
@@ -236,17 +234,17 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
       features.structural_tgt_emb = GatherRows(gcn.embeddings2(), test_tgt);
       features.structural_x1 = gcn.features1();
       features.structural_x2 = gcn.features2();
-      CEAFF_ASSIGN_OR_RETURN(
-          features.structural,
-          la::CosineSimilarityChecked(rt.ctx, features.structural_src_emb,
-                                      features.structural_tgt_emb));
+      features.structural =
+          la::CosineSimilarityK(rt.ctx, features.structural_src_emb,
+                                features.structural_tgt_emb);
       if (!seed_src.empty()) {
-        CEAFF_ASSIGN_OR_RETURN(
-            features.seed_structural,
-            la::CosineSimilarityChecked(
-                rt.ctx, GatherRows(gcn.embeddings1(), seed_src),
-                GatherRows(gcn.embeddings2(), seed_tgt)));
+        features.seed_structural = la::CosineSimilarityK(
+            rt.ctx, GatherRows(gcn.embeddings1(), seed_src),
+            GatherRows(gcn.embeddings2(), seed_tgt));
       }
+      // A token firing mid-kernel leaves the matrices partially built; the
+      // panel polls only skip work, so surface the cancellation here.
+      CEAFF_RETURN_IF_ERROR(rt.ctx.CheckCancelled("structural stage"));
       CEAFF_RETURN_IF_ERROR(persist_stage("structural", features.structural,
                                           &features.seed_structural,
                                           &features.gcn_final_loss));

@@ -68,7 +68,7 @@ struct CeaffOptions {
   fusion::FusionOptions fusion;  // θ1 / θ2 ("w/o θ1,θ2" via use_score_clamp)
   /// Apply CSLS hubness correction with this neighbourhood size to the
   /// fused matrix before the decision stage. 0 (default, the paper's
-  /// setting) disables it; an extension ablation, see la/csls.h.
+  /// setting) disables it; an extension ablation, see la::CslsRescaleK.
   size_t csls_k = 0;
   fusion::LrOptions lr;          // kLearned parameters
   embed::GcnOptions gcn;         // structural feature training
@@ -126,10 +126,6 @@ struct CeaffOptions {
   /// keeps everything single-threaded; the kernels are thread-count
   /// deterministic, so results do not change with this knob.
   size_t num_threads = 1;
-  /// Cache-block override for the kernels (la::KernelOptions::OverrideBlock).
-  /// 0 (default) keeps the built-in L2-sized blocks; values only shift the
-  /// panel partition, never the numerical result.
-  size_t block_size = 0;
 };
 
 /// Everything a CEAFF run produces. Feature/fused matrices are restricted

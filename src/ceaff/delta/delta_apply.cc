@@ -30,7 +30,6 @@ Runtime MakeRuntime(const DeltaApplyOptions& options) {
     rt.pool = std::make_unique<ThreadPool>(options.num_threads);
   }
   rt.ctx.pool = rt.pool.get();
-  rt.ctx.opts.OverrideBlock(options.block_size);
   rt.ctx.cancel = options.cancel;
   return rt;
 }

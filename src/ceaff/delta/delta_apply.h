@@ -29,7 +29,6 @@ struct DeltaApplyOptions {
   bool export_ann = true;
   size_t ann_centroids = 0;
   size_t num_threads = 1;
-  size_t block_size = 0;
   const CancellationToken* cancel = nullptr;  // not owned
 };
 

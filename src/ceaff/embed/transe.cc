@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "ceaff/common/logging.h"
+#include "ceaff/la/kernels.h"
 
 namespace ceaff::embed {
 
@@ -149,7 +150,7 @@ la::Matrix LearnLinearTransform(const la::Matrix& src, const la::Matrix& dst,
 }
 
 la::Matrix ApplyLinearTransform(const la::Matrix& src, const la::Matrix& m) {
-  return la::MatMulBT(src, m);
+  return la::MatMulBTK(la::KernelContext(), src, m);
 }
 
 }  // namespace ceaff::embed

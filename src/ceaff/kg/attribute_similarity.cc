@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "ceaff/text/levenshtein.h"
+#include "ceaff/la/kernels.h"
 
 namespace ceaff::kg {
 
@@ -130,8 +130,8 @@ la::Matrix AttributeSimilarityMatrix(
             for (size_t a = 0; a < n1; ++a) {
               for (size_t b = 0; b < n2; ++b) {
                 best = std::max(best,
-                                text::LevenshteinRatio(*it1->second[a],
-                                                       *it2->second[b]));
+                                la::LevenshteinRatioFast(*it1->second[a],
+                                                         *it2->second[b]));
               }
             }
             value_sim_sum += best;

@@ -168,12 +168,6 @@ double TopKMeanSortedDesc(std::vector<float>* values, size_t k) {
 
 }  // namespace
 
-void KernelOptions::OverrideBlock(size_t block) {
-  if (block == 0) return;
-  col_block = block;
-  row_block = std::max<size_t>(1, block / 2);
-}
-
 // ---------------------------------------------------------------------------
 // GEMM family
 // ---------------------------------------------------------------------------
@@ -241,16 +235,6 @@ Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
   return BlockedMatMulBT(ctx, a, b, inv_a.data(), inv_b.data());
 }
 
-StatusOr<Matrix> CosineSimilarityChecked(const KernelContext& ctx,
-                                         const Matrix& a, const Matrix& b) {
-  CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("cosine similarity"));
-  Matrix out = CosineSimilarityK(ctx, a, b);
-  // A token that fired mid-kernel left later panels unwritten; reject the
-  // partial result here rather than hand it back.
-  CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("cosine similarity"));
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Sparse-dense (GCN layer)
 // ---------------------------------------------------------------------------
@@ -277,7 +261,7 @@ void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
   // scalar remainder): a block's partial sums stay in registers for the
   // whole nnz walk of the row and are stored once, instead of a load and a
   // store of the output row per nonzero. Every lane still adds v·x over
-  // ascending nonzeros starting from 0.0f — SparseMatrix::Multiply's
+  // ascending nonzeros starting from 0.0f — la::SparseMultiply's
   // per-element chain — so the result is bit-identical to it at any thread
   // count and blocking. When the dense operand is too big to sit in L2,
   // the walk also prefetches the head of a *later* nonzero's dense row:

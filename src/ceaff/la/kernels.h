@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "ceaff/common/cancellation.h"
-#include "ceaff/common/statusor.h"
+#include "ceaff/common/status.h"
 #include "ceaff/common/thread_pool.h"
 #include "ceaff/la/matrix.h"
 #include "ceaff/la/sparse_matrix.h"
@@ -27,10 +27,13 @@ namespace ceaff::la {
 /// kernel produces bit-identical output regardless of the thread count
 /// (including pool == nullptr). Parallelism only ever partitions *output*
 /// elements across workers; the per-element accumulation order is a pure
-/// function of the shape and block sizes. Agreement with the retained
-/// naive references is documented per kernel: the Sinkhorn and CSLS
-/// kernels are bit-identical to their references; the GEMM-family kernels
-/// (MatMulBTK, CosineSimilarityK, MatMulK, MatMulATK, SpMM) use float
+/// function of the shape and block sizes. These kernels are the only
+/// production implementation of each operation; the naive sequential
+/// references live in the `ceaff_reference` library
+/// (ceaff/reference/la_reference.h, text_reference.h), which only tests/
+/// and bench/ link. Agreement with them is documented per kernel: the
+/// Sinkhorn, CSLS, SpMM, MatMulK and MatMulATK kernels are bit-identical
+/// to their references; MatMulBTK and CosineSimilarityK use float
 /// lane-split accumulation instead of the references' sequential
 /// double-precision order, so they agree to a relative error of
 /// O(d · eps_f32) per element (the parity tests in tests/la/kernels_test.cc
@@ -52,9 +55,6 @@ struct KernelOptions {
   /// therefore serializes the kernel. Partitioning only: the grain can
   /// never change output bits.
   size_t grain = 8;
-  /// Zero keeps every default; a non-zero value overrides col_block and
-  /// scales row_block to match (the CLI's --block_size plumbs in here).
-  void OverrideBlock(size_t block);
 };
 
 /// Shared context threaded through every kernel call site: the worker pool
@@ -95,21 +95,16 @@ Matrix MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b);
 Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
                          const Matrix& b);
 
-/// Cancellation-aware wrapper: polls ctx.cancel per row panel and returns
-/// kCancelled/kDeadlineExceeded instead of a matrix when it fires
-/// (remaining panels are skipped, not computed).
-StatusOr<Matrix> CosineSimilarityChecked(const KernelContext& ctx,
-                                         const Matrix& a, const Matrix& b);
-
 // ---------------------------------------------------------------------------
 // Sparse-dense (GCN layer)
 // ---------------------------------------------------------------------------
 
 /// out = a · x (CSR (m,k) x dense (k,n) -> dense (m,n)), parallel over
-/// output row panels. Bit-identical to SparseMatrix::Multiply. For aᵀ · x,
-/// pass a.Transposed(): its rows list entries in ascending source row, so
-/// every output element accumulates in SparseMatrix::MultiplyTransposed's
-/// order and the result is bit-identical to it.
+/// output row panels. Bit-identical to the reference la::SparseMultiply.
+/// For aᵀ · x, pass a.Transposed(): its rows list entries in ascending
+/// source row, so every output element accumulates in
+/// la::SparseMultiplyTransposed's order and the result is bit-identical to
+/// it.
 Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x);
 
 /// SpMMK writing into a caller-owned `out`: an `out` already shaped (m,n)
@@ -137,10 +132,24 @@ void ColNormalizeK(const KernelContext& ctx, Matrix* m, double target);
 // CSLS
 // ---------------------------------------------------------------------------
 
-/// CSLS hubness rescaling (see la/csls.h), blocked and parallel: row
-/// top-k means are parallel over rows, column top-k means gather each
-/// column panel with one row-major sweep (instead of a strided column
-/// walk). Bit-identical to CslsRescale at any thread count.
+/// Cross-domain Similarity Local Scaling (Conneau et al., ICLR'18), the
+/// hubness correction used throughout the EA literature (and by several of
+/// the paper's competitors). Each similarity is penalised by the mean
+/// similarity of its row's and column's k nearest neighbours:
+///
+///   csls(i, j) = 2·sim(i, j) − r_row(i) − r_col(j)
+///
+/// where r_row(i) is the mean of row i's top-k entries and r_col(j) the
+/// mean of column j's top-k entries. Hub targets that are near everything
+/// lose score; mutually-close pairs gain. An optional rescaling of the
+/// fused matrix (an extension ablation; the paper's CEAFF uses raw
+/// cosine). k is clamped to the matrix dimensions; k = 0 returns `m`
+/// unchanged.
+///
+/// Blocked and parallel: row top-k means are parallel over rows, column
+/// top-k means gather each column panel with one row-major sweep (instead
+/// of a strided column walk). Bit-identical to the reference
+/// la::CslsRescale at any thread count.
 Matrix CslsRescaleK(const KernelContext& ctx, const Matrix& m, size_t k);
 
 // ---------------------------------------------------------------------------
@@ -151,12 +160,14 @@ Matrix CslsRescaleK(const KernelContext& ctx, const Matrix& m, size_t k);
 /// common prefixes/suffixes are stripped in O(1) per char, then
 /// lev* = |a|+|b| − 2·LCS is computed with the bit-parallel LCS recurrence
 /// (64 positions per machine word) instead of the full DP. Exactly equal
-/// to text::LevenshteinRatio for all inputs (parity-tested).
+/// to the full-DP reference text::LevenshteinRatio for all inputs
+/// (parity-tested).
 double LevenshteinRatioFast(std::string_view a, std::string_view b);
 
-/// Full pairwise lev*-ratio matrix via LevenshteinRatioFast, parallel over
-/// source-row panels. Exactly equal to the naive
-/// text::StringSimilarityMatrix at any thread count.
+/// The string similarity matrix Ml: out(i, j) = lev*-ratio of source i and
+/// target j via LevenshteinRatioFast, parallel over source-row panels.
+/// Exactly equal to the reference text::LevenshteinRatioMatrix (a plain
+/// loop over the full-DP ratio) at any thread count.
 Matrix StringSimilarityMatrixK(const KernelContext& ctx,
                                const std::vector<std::string>& source_names,
                                const std::vector<std::string>& target_names);

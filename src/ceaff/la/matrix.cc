@@ -148,62 +148,4 @@ std::string Matrix::ToString(int precision) const {
   return os.str();
 }
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  CEAFF_CHECK(a.cols() == b.rows())
-      << "matmul shape mismatch: " << a.rows() << "x" << a.cols() << " * "
-      << b.rows() << "x" << b.cols();
-  Matrix out(a.rows(), b.cols());
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  // i-k-j loop order: unit-stride access of both b and out inner rows.
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (size_t kk = 0; kk < k; ++kk) {
-      float aik = arow[kk];
-      if (aik == 0.0f) continue;
-      const float* brow = b.row(kk);
-      for (size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
-Matrix MatMulBT(const Matrix& a, const Matrix& b) {
-  CEAFF_CHECK(a.cols() == b.cols())
-      << "matmulBT shape mismatch: " << a.rows() << "x" << a.cols() << " * ("
-      << b.rows() << "x" << b.cols() << ")^T";
-  Matrix out(a.rows(), b.rows());
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (size_t j = 0; j < n; ++j) {
-      const float* brow = b.row(j);
-      double acc = 0.0;
-      for (size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      orow[j] = static_cast<float>(acc);
-    }
-  }
-  return out;
-}
-
-Matrix MatMulAT(const Matrix& a, const Matrix& b) {
-  CEAFF_CHECK(a.rows() == b.rows())
-      << "matmulAT shape mismatch: (" << a.rows() << "x" << a.cols()
-      << ")^T * " << b.rows() << "x" << b.cols();
-  Matrix out(a.cols(), b.cols());
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (size_t kk = 0; kk < k; ++kk) {
-    const float* arow = a.row(kk);
-    const float* brow = b.row(kk);
-    for (size_t i = 0; i < m; ++i) {
-      float aki = arow[i];
-      if (aki == 0.0f) continue;
-      float* orow = out.row(i);
-      for (size_t j = 0; j < n; ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
-}
-
 }  // namespace ceaff::la

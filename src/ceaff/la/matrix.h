@@ -128,16 +128,6 @@ class Matrix {
   const float* view_ = nullptr;
 };
 
-/// out = a * b. Shapes must agree ((m,k) x (k,n) -> (m,n)).
-Matrix MatMul(const Matrix& a, const Matrix& b);
-
-/// out = a * b^T ((m,k) x (n,k) -> (m,n)). The layout-friendly product used
-/// for similarity matrices and backprop.
-Matrix MatMulBT(const Matrix& a, const Matrix& b);
-
-/// out = a^T * b ((k,m) x (k,n) -> (m,n)).
-Matrix MatMulAT(const Matrix& a, const Matrix& b);
-
 }  // namespace ceaff::la
 
 #endif  // CEAFF_LA_MATRIX_H_

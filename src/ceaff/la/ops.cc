@@ -1,54 +1,8 @@
 #include "ceaff/la/ops.h"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
-
 #include "ceaff/common/logging.h"
 
 namespace ceaff::la {
-
-namespace {
-
-/// Per-row inverse L2 norms, hoisted out of the pairwise loop. Zero-norm
-/// rows map to an inverse of exactly 0, so every similarity involving a
-/// zero vector comes out as an exact 0.0f — never NaN, never denormal dust.
-std::vector<double> InverseRowNorms(const Matrix& m) {
-  std::vector<double> inv(m.rows(), 0.0);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    const float* p = m.row(r);
-    double sq = 0.0;
-    for (size_t c = 0; c < m.cols(); ++c) sq += static_cast<double>(p[c]) * p[c];
-    if (sq > 0.0) inv[r] = 1.0 / std::sqrt(sq);
-  }
-  return inv;
-}
-
-}  // namespace
-
-Matrix CosineSimilarity(const Matrix& a, const Matrix& b) {
-  CEAFF_CHECK(a.cols() == b.cols())
-      << "cosine similarity dimension mismatch: " << a.cols() << " vs "
-      << b.cols();
-  // Hoisted norms + one a·bᵀ pass — no normalised copies of the inputs.
-  // This stays the sequential double-accumulation reference the blocked
-  // la/kernels.h CosineSimilarityK is parity-tested and benchmarked against.
-  const std::vector<double> inv_a = InverseRowNorms(a);
-  const std::vector<double> inv_b = InverseRowNorms(b);
-  Matrix out(a.rows(), b.rows());
-  const size_t d = a.cols();
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const float* ai = a.row(i);
-    float* oi = out.row(i);
-    for (size_t j = 0; j < b.rows(); ++j) {
-      const float* bj = b.row(j);
-      double acc = 0.0;
-      for (size_t k = 0; k < d; ++k) acc += ai[k] * bj[k];
-      oi[j] = static_cast<float>(acc * inv_a[i] * inv_b[j]);
-    }
-  }
-  return out;
-}
 
 std::vector<size_t> RowArgmax(const Matrix& m) {
   std::vector<size_t> out(m.rows(), 0);
@@ -80,31 +34,6 @@ std::vector<size_t> ColArgmax(const Matrix& m) {
   return out;
 }
 
-std::vector<size_t> RowTopK(const Matrix& m, size_t r, size_t k) {
-  k = std::min(k, m.cols());
-  const float* p = m.row(r);
-  std::vector<size_t> idx(m.cols());
-  std::iota(idx.begin(), idx.end(), size_t{0});
-  std::partial_sort(idx.begin(), idx.begin() + static_cast<long>(k), idx.end(),
-                    [p](size_t x, size_t y) {
-                      return p[x] != p[y] ? p[x] > p[y] : x < y;
-                    });
-  idx.resize(k);
-  return idx;
-}
-
-std::vector<size_t> RowRanks(const Matrix& m, size_t r) {
-  const float* p = m.row(r);
-  std::vector<size_t> order(m.cols());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [p](size_t x, size_t y) {
-    return p[x] != p[y] ? p[x] > p[y] : x < y;
-  });
-  std::vector<size_t> ranks(m.cols());
-  for (size_t pos = 0; pos < order.size(); ++pos) ranks[order[pos]] = pos + 1;
-  return ranks;
-}
-
 Matrix WeightedSum(const std::vector<const Matrix*>& mats,
                    const std::vector<double>& weights) {
   CEAFF_CHECK(!mats.empty());
@@ -115,24 +44,6 @@ Matrix WeightedSum(const std::vector<const Matrix*>& mats,
     out.Axpy(static_cast<float>(weights[k]), *mats[k]);
   }
   return out;
-}
-
-void MinMaxNormalize(Matrix* m) {
-  if (m->empty()) return;
-  float lo = m->data()[0], hi = m->data()[0];
-  for (size_t i = 0; i < m->size(); ++i) {
-    lo = std::min(lo, m->data()[i]);
-    hi = std::max(hi, m->data()[i]);
-  }
-  float range = hi - lo;
-  if (range <= 0.0f) {
-    m->SetZero();
-    return;
-  }
-  float inv = 1.0f / range;
-  for (size_t i = 0; i < m->size(); ++i) {
-    m->data()[i] = (m->data()[i] - lo) * inv;
-  }
 }
 
 }  // namespace ceaff::la

@@ -8,32 +8,16 @@
 
 namespace ceaff::la {
 
-/// Pairwise cosine similarity: out(i, j) = cos(a_i, b_j) for row vectors of
-/// `a` (n1 x d) and `b` (n2 x d). Zero rows yield similarity 0.
-Matrix CosineSimilarity(const Matrix& a, const Matrix& b);
-
 /// Index of the maximum entry of each row (first one on ties).
 std::vector<size_t> RowArgmax(const Matrix& m);
 
 /// Index of the maximum entry of each column (first one on ties).
 std::vector<size_t> ColArgmax(const Matrix& m);
 
-/// Indices of the k largest entries of row `r`, in descending value order
-/// (ties broken by lower index). k is clamped to cols().
-std::vector<size_t> RowTopK(const Matrix& m, size_t r, size_t k);
-
-/// Dense descending ranking of row `r`: out[j] = rank (1-based) of column j.
-/// Used for MRR / Hits@k evaluation.
-std::vector<size_t> RowRanks(const Matrix& m, size_t r);
-
 /// out = sum_k weights[k] * mats[k]. All matrices must share a shape and
 /// `weights.size() == mats.size()`.
 Matrix WeightedSum(const std::vector<const Matrix*>& mats,
                    const std::vector<double>& weights);
-
-/// Min-max normalises the matrix into [0, 1] in place. A constant matrix
-/// maps to all zeros.
-void MinMaxNormalize(Matrix* m);
 
 }  // namespace ceaff::la
 

@@ -57,40 +57,6 @@ float SparseMatrix::at(size_t r, size_t c) const {
   return values_[static_cast<size_t>(it - col_idx_.data())];
 }
 
-Matrix SparseMatrix::Multiply(const Matrix& dense) const {
-  CEAFF_CHECK(cols_ == dense.rows())
-      << "spmm shape mismatch: " << rows_ << "x" << cols_ << " * "
-      << dense.rows() << "x" << dense.cols();
-  Matrix out(rows_, dense.cols());
-  const size_t n = dense.cols();
-  for (size_t r = 0; r < rows_; ++r) {
-    float* orow = out.row(r);
-    for (uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const float v = values_[k];
-      const float* drow = dense.row(col_idx_[k]);
-      for (size_t j = 0; j < n; ++j) orow[j] += v * drow[j];
-    }
-  }
-  return out;
-}
-
-Matrix SparseMatrix::MultiplyTransposed(const Matrix& dense) const {
-  CEAFF_CHECK(rows_ == dense.rows())
-      << "spmmT shape mismatch: (" << rows_ << "x" << cols_ << ")^T * "
-      << dense.rows() << "x" << dense.cols();
-  Matrix out(cols_, dense.cols());
-  const size_t n = dense.cols();
-  for (size_t r = 0; r < rows_; ++r) {
-    const float* drow = dense.row(r);
-    for (uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const float v = values_[k];
-      float* orow = out.row(col_idx_[k]);
-      for (size_t j = 0; j < n; ++j) orow[j] += v * drow[j];
-    }
-  }
-  return out;
-}
-
 SparseMatrix SparseMatrix::Transposed() const {
   std::vector<Triplet> swapped;
   swapped.reserve(nnz());

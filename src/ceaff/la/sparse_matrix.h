@@ -42,16 +42,10 @@ class SparseMatrix {
   /// Value at (r, c); 0 if not stored. O(log nnz(row)).
   float at(size_t r, size_t c) const;
 
-  /// out = this * dense ((m,k) sparse x (k,n) dense -> (m,n) dense).
-  Matrix Multiply(const Matrix& dense) const;
-
-  /// out = this^T * dense ((m,k)^T x (m,n) -> (k,n)). Backprop helper.
-  Matrix MultiplyTransposed(const Matrix& dense) const;
-
   /// The (cols x rows) transpose in CSR. Row c lists this matrix's column-c
-  /// entries in ascending source row, so Transposed().Multiply(x)
-  /// accumulates every output element in MultiplyTransposed's order and is
-  /// bit-identical to it.
+  /// entries in ascending source row, so a product over Transposed()
+  /// (la::SpMMK) accumulates every output element of thisᵀ·x in ascending
+  /// source row.
   SparseMatrix Transposed() const;
 
   /// Returns a copy with every row scaled to sum 1 (rows summing to zero

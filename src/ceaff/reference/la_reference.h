@@ -1,0 +1,54 @@
+#ifndef CEAFF_REFERENCE_LA_REFERENCE_H_
+#define CEAFF_REFERENCE_LA_REFERENCE_H_
+
+#include <cstddef>
+
+#include "ceaff/la/matrix.h"
+#include "ceaff/la/sparse_matrix.h"
+
+namespace ceaff::la {
+
+/// Naive sequential references for the la/kernels.h operations. They are
+/// the oracles the kernel tests and benchmarks compare against and are
+/// linked only by tests/ and bench/ (the `ceaff_reference` library);
+/// production code calls the kernels. Each documents its accumulation
+/// order, which is what the kernels' parity claims are stated against.
+
+/// out = a * b ((m,k) x (k,n) -> (m,n)), i-k-j order: every output element
+/// accumulates in float over ascending k, skipping zero entries of `a`.
+Matrix MatMul(const Matrix& a, const Matrix& b);
+
+/// out = a * b^T ((m,k) x (n,k) -> (m,n)), one sequential double
+/// accumulator per element.
+Matrix MatMulBT(const Matrix& a, const Matrix& b);
+
+/// out = a^T * b ((k,m) x (k,n) -> (m,n)), same per-element order as MatMul.
+Matrix MatMulAT(const Matrix& a, const Matrix& b);
+
+/// Pairwise cosine similarity: out(i, j) = cos(a_i, b_j) for row vectors of
+/// `a` (n1 x d) and `b` (n2 x d), with double-precision inverse row norms
+/// and dot products. Zero rows yield similarity 0.
+Matrix CosineSimilarity(const Matrix& a, const Matrix& b);
+
+/// Cross-domain Similarity Local Scaling (Conneau et al., ICLR'18), the
+/// hubness correction used throughout the EA literature:
+///
+///   csls(i, j) = 2·sim(i, j) − r_row(i) − r_col(j)
+///
+/// where r_row(i) is the mean of row i's top-k entries and r_col(j) the
+/// mean of column j's top-k entries, each summed in descending order. k is
+/// clamped to the matrix dimensions; k = 0 returns `m` unchanged.
+Matrix CslsRescale(const Matrix& m, size_t k = 10);
+
+/// out = a * dense (CSR (m,k) x dense (k,n) -> (m,n)): per output row, the
+/// nonzeros in ascending column order, each adding v·x to every element.
+Matrix SparseMultiply(const SparseMatrix& a, const Matrix& dense);
+
+/// out = a^T * dense ((m,k)^T x (m,n) -> (k,n)): scatters source rows in
+/// ascending order, so each output element accumulates over ascending
+/// source row.
+Matrix SparseMultiplyTransposed(const SparseMatrix& a, const Matrix& dense);
+
+}  // namespace ceaff::la
+
+#endif  // CEAFF_REFERENCE_LA_REFERENCE_H_

@@ -1,11 +1,7 @@
-#include "ceaff/text/levenshtein.h"
+#include "ceaff/reference/text_reference.h"
 
 #include <algorithm>
 #include <numeric>
-#include <string>
-#include <vector>
-
-#include "ceaff/la/kernels.h"
 
 namespace ceaff::text {
 
@@ -57,16 +53,17 @@ double LevenshteinRatioUnitCost(std::string_view a, std::string_view b) {
   return static_cast<double>(total - lev) / static_cast<double>(total);
 }
 
-la::Matrix StringSimilarityMatrix(
+la::Matrix LevenshteinRatioMatrix(
     const std::vector<std::string>& source_names,
-    const std::vector<std::string>& target_names,
-    ThreadPool* pool) {
-  // The kernel path computes every cell with the bit-parallel LCS identity
-  // (la::LevenshteinRatioFast), which equals LevenshteinRatio exactly —
-  // the matrix is unchanged, just much cheaper per pair.
-  la::KernelContext ctx;
-  ctx.pool = pool;
-  return la::StringSimilarityMatrixK(ctx, source_names, target_names);
+    const std::vector<std::string>& target_names) {
+  la::Matrix out(source_names.size(), target_names.size());
+  for (size_t i = 0; i < source_names.size(); ++i) {
+    for (size_t j = 0; j < target_names.size(); ++j) {
+      out.at(i, j) = static_cast<float>(
+          LevenshteinRatio(source_names[i], target_names[j]));
+    }
+  }
+  return out;
 }
 
 }  // namespace ceaff::text

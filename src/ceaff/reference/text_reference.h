@@ -1,13 +1,18 @@
-#ifndef CEAFF_TEXT_LEVENSHTEIN_H_
-#define CEAFF_TEXT_LEVENSHTEIN_H_
+#ifndef CEAFF_REFERENCE_TEXT_REFERENCE_H_
+#define CEAFF_REFERENCE_TEXT_REFERENCE_H_
 
 #include <cstddef>
+#include <string>
 #include <string_view>
+#include <vector>
 
-#include "ceaff/common/thread_pool.h"
 #include "ceaff/la/matrix.h"
 
 namespace ceaff::text {
+
+/// Full-DP edit distances: the oracles for la::LevenshteinRatioFast and the
+/// string-matrix kernels, linked only by tests/ and bench/ (the
+/// `ceaff_reference` library). Production code calls la/kernels.h.
 
 /// Classic Levenshtein edit distance (Eq. 2 of the paper): unit cost for
 /// insertion, deletion and substitution. O(|a|·|b|) time, O(min) space.
@@ -23,19 +28,15 @@ double LevenshteinRatio(std::string_view a, std::string_view b);
 
 /// Ratio variant computed from the unit-cost distance — kept only to
 /// demonstrate the paper's 'a' vs 'c' motivating example; the pipeline uses
-/// LevenshteinRatio.
+/// lev*.
 double LevenshteinRatioUnitCost(std::string_view a, std::string_view b);
 
-/// Full pairwise string similarity matrix Ml: out(i, j) =
-/// LevenshteinRatio(source_names[i], target_names[j]). The O(n²) pair loop
-/// is embarrassingly parallel; pass a ThreadPool to split it by source row
-/// (null keeps the single-threaded path — the result is identical either
-/// way).
-la::Matrix StringSimilarityMatrix(
+/// The string similarity matrix Ml as a plain loop:
+/// out(i, j) = LevenshteinRatio(source_names[i], target_names[j]).
+la::Matrix LevenshteinRatioMatrix(
     const std::vector<std::string>& source_names,
-    const std::vector<std::string>& target_names,
-    ThreadPool* pool = nullptr);
+    const std::vector<std::string>& target_names);
 
 }  // namespace ceaff::text
 
-#endif  // CEAFF_TEXT_LEVENSHTEIN_H_
+#endif  // CEAFF_REFERENCE_TEXT_REFERENCE_H_

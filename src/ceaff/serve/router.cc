@@ -21,6 +21,36 @@ namespace ceaff::serve {
 
 namespace {
 
+/// Handshake budget for a freshly forked worker (it must mmap-load the
+/// index before it can answer the Ping).
+constexpr int64_t kSpawnHandshakeMs = 30'000;
+/// How long the rolling reload waits for a worker's kDrainAck before
+/// falling back to SIGKILL. Workers ack at a frame boundary, so this only
+/// triggers on a wedged worker.
+constexpr int64_t kDrainAckMs = 2'000;
+/// Flapping deaths (within flap_window_ns of the spawn) that trip a
+/// worker's respawn breaker open.
+constexpr int kRespawnFailureThreshold = 3;
+/// p99 regression bound: the canary generation fails when its p99 exceeds
+/// baseline p99 × this factor. Deliberately generous — the canary is
+/// hunting order-of-magnitude regressions (a generation that thrashes),
+/// not noise.
+constexpr double kCanaryP99Factor = 8.0;
+/// Baseline scatters required before the p99 rule may fire at all; a
+/// fleet that reloads immediately after boot has no meaningful baseline.
+constexpr size_t kCanaryMinBaseline = 16;
+/// Worker deaths on the canary generation that fail it outright (a
+/// generation whose workers keep crashing is bad regardless of latency).
+constexpr size_t kCanaryDeathThreshold = 2;
+/// Gates automatic rollbacks: each rollback feeds a failure, so two
+/// rollbacks in quick succession trip it open and further rollbacks are
+/// suppressed for 60 s — a fleet bouncing between two bad generations must
+/// settle, not oscillate.
+constexpr CircuitBreaker::Options kRollbackBreaker{
+    /*failure_threshold=*/2,
+    /*cooldown_ns=*/60'000'000'000ull,
+};
+
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -139,7 +169,7 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Start(
   router->ranges_total_ = effective.num_shards;
   router->lifetime_hist_ = std::make_unique<LatencyHistogram>();
   router->rollback_breaker_ =
-      std::make_unique<CircuitBreaker>(effective.rollback_breaker);
+      std::make_unique<CircuitBreaker>(kRollbackBreaker);
 
   gen.id = router->next_generation_id_++;
   gen.ranges = SplitRanges(gen.n_targets, router->ranges_total_);
@@ -155,7 +185,8 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Start(
       worker->failpoint_spec = effective.shard_failpoints[w];
     }
     worker->breaker =
-        std::make_unique<CircuitBreaker>(effective.respawn_breaker);
+        std::make_unique<CircuitBreaker>(CircuitBreaker::Options{
+            kRespawnFailureThreshold, effective.respawn_breaker.cooldown_ns});
     router->workers_.push_back(std::move(worker));
   }
 
@@ -225,7 +256,7 @@ Status ShardRouter::SpawnWorker(size_t worker_idx) {
   };
   Status sent = parent_end.Send(IpcType::kPing, "");
   if (!sent.ok()) return fail_spawn(std::move(sent));
-  auto pong = parent_end.Recv(options_.spawn_handshake_ms);
+  auto pong = parent_end.Recv(kSpawnHandshakeMs);
   if (!pong.ok()) {
     return fail_spawn(Status(pong.status().code(),
                              StrFormat("worker %zu handshake failed: %s",
@@ -671,7 +702,7 @@ Status ShardRouter::CycleWorkerTo(size_t worker_idx,
     // Only a wedged worker (no ack inside the budget) eats a SIGKILL.
     bool acked = false;
     if (worker.pipe.Send(IpcType::kDrain, "").ok()) {
-      auto ack = worker.pipe.Recv(options_.drain_ack_ms);
+      auto ack = worker.pipe.Recv(kDrainAckMs);
       acked = ack.ok() && ack.value().type == IpcType::kDrainAck;
     }
     StopProcess(&worker.pipe, worker.pid, /*kill=*/!acked);
@@ -805,13 +836,13 @@ void ShardRouter::EvaluateCanary() {
                        static_cast<unsigned long long>(canary_dataloss_),
                        canary_dataloss_ == 1 ? "y" : "ies",
                        static_cast<unsigned long long>(canary_gen_));
-  } else if (canary_deaths_ >= options_.canary_death_threshold) {
+  } else if (canary_deaths_ >= kCanaryDeathThreshold) {
     reason = StrFormat(
         "%llu worker death%s on canary generation %llu (threshold %zu)",
         static_cast<unsigned long long>(canary_deaths_),
         canary_deaths_ == 1 ? "" : "s",
         static_cast<unsigned long long>(canary_gen_),
-        options_.canary_death_threshold);
+        kCanaryDeathThreshold);
   } else if (canary_seen_ >= options_.canary_window) {
     const double canary_ratio =
         static_cast<double>(canary_errors_) / canary_seen_;
@@ -826,19 +857,19 @@ void ShardRouter::EvaluateCanary() {
           "(%.2f vs baseline %.2f)",
           static_cast<unsigned long long>(canary_gen_), canary_ratio,
           baseline_ratio);
-    } else if (baseline_queries_ >= options_.canary_min_baseline &&
+    } else if (baseline_queries_ >= kCanaryMinBaseline &&
                baseline_p99_ns_ > 0) {
       const uint64_t canary_p99 = canary_hist_->QuantileNanos(0.99);
       if (static_cast<double>(canary_p99) >
           static_cast<double>(baseline_p99_ns_) *
-              options_.canary_p99_factor) {
+              kCanaryP99Factor) {
         reason = StrFormat(
             "p99 regression on canary generation %llu (%llu ns vs "
             "baseline %llu ns, factor %.1f)",
             static_cast<unsigned long long>(canary_gen_),
             static_cast<unsigned long long>(canary_p99),
             static_cast<unsigned long long>(baseline_p99_ns_),
-            options_.canary_p99_factor);
+            kCanaryP99Factor);
       }
     }
     if (reason.empty()) {

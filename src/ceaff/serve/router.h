@@ -39,20 +39,13 @@ struct ShardRouterOptions {
   /// the same instant the frontend's AdmissionController would have called
   /// the request dead.
   int64_t default_shard_deadline_ms = 5'000;
-  /// Handshake budget for a freshly forked worker (it must mmap-load the
-  /// index before it can answer the Ping).
-  int64_t spawn_handshake_ms = 30'000;
-  /// How long the rolling reload waits for a worker's kDrainAck before
-  /// falling back to SIGKILL. Workers ack at a frame boundary, so this only
-  /// triggers on a wedged worker.
-  int64_t drain_ack_ms = 2'000;
   /// Per-worker respawn circuit breaker. A worker that keeps dying right
-  /// after spawn trips it open; its slot stays empty (no respawn attempts,
-  /// no fork storm) until the cooldown admits a half-open probe.
-  CircuitBreaker::Options respawn_breaker{
-      /*failure_threshold=*/3,
-      /*cooldown_ns=*/2'000'000'000ull,  // 2 s
-  };
+  /// after spawn trips it open after three flapping deaths; its slot stays
+  /// empty (no respawn attempts, no fork storm) until the cooldown admits
+  /// a half-open probe.
+  struct RespawnBreaker {
+    uint64_t cooldown_ns = 2'000'000'000ull;  // 2 s
+  } respawn_breaker;
   /// A death within this window of the spawn counts as flapping and feeds
   /// the breaker; a death after a long healthy run does not (a one-off kill
   /// should respawn immediately, not march toward an open breaker).
@@ -69,27 +62,9 @@ struct ShardRouterOptions {
   /// --- Post-reload canary (see DESIGN.md §14) ---
   /// Scatters observed on a freshly reloaded generation before it is
   /// considered promoted. 0 disables the canary (and with it automatic
-  /// rollback).
+  /// rollback). The canary's thresholds and the rollback breaker are fixed
+  /// constants in router.cc.
   size_t canary_window = 64;
-  /// p99 regression bound: the canary generation fails when its p99 exceeds
-  /// baseline p99 × this factor. Deliberately generous — the canary is
-  /// hunting order-of-magnitude regressions (a generation that thrashes),
-  /// not noise.
-  double canary_p99_factor = 8.0;
-  /// Baseline scatters required before the p99 rule may fire at all; a
-  /// fleet that reloads immediately after boot has no meaningful baseline.
-  size_t canary_min_baseline = 16;
-  /// Worker deaths on the canary generation that fail it outright (a
-  /// generation whose workers keep crashing is bad regardless of latency).
-  size_t canary_death_threshold = 2;
-  /// Gates automatic rollbacks: each rollback feeds a failure, so
-  /// `failure_threshold` rollbacks in quick succession trip it open and
-  /// further rollbacks are suppressed for the cooldown — a fleet bouncing
-  /// between two bad generations must settle, not oscillate.
-  CircuitBreaker::Options rollback_breaker{
-      /*failure_threshold=*/2,
-      /*cooldown_ns=*/60'000'000'000ull,  // 60 s
-  };
 };
 
 /// Supervisor + scatter/gather router over an S×R fleet of forked shard

@@ -65,7 +65,6 @@ AlignmentService::AlignmentService(
       pool_(options.num_threads, options.queue_capacity),
       admission_(options.admission),
       degradation_(options.degradation),
-      batch_retry_(options.batch_retry),
       reload_breaker_(options.reload_breaker) {
   CEAFF_CHECK(index_ != nullptr) << "AlignmentService needs an index";
   // Query embeddings are dotted against the stored target name embeddings,

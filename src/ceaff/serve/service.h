@@ -45,9 +45,6 @@ struct ServiceOptions {
   AdmissionController::Options admission;
   /// Tier thresholds & hysteresis (see serve/degradation.h).
   DegradationOptions degradation;
-  /// Backoff for BatchTopK sub-queries whose pool submission is shed
-  /// (queue full). Only kUnavailable is ever retried.
-  RetryOptions batch_retry;
   /// Stops re-validating a repeatedly-corrupt index path on every RELOAD:
   /// after `failure_threshold` consecutive failures the breaker opens and
   /// reloads are refused (kUnavailable) until `cooldown_ns` elapses.
@@ -141,9 +138,9 @@ class AlignmentService {
   /// per-name results in input order. Must not be called from inside a
   /// pool task (the caller blocks on the pool). The returned vector always
   /// has names.size() entries; individual queries fail independently.
-  /// Submissions shed at the queue are retried per `batch_retry` (capped
-  /// exponential backoff + jitter); a slot still shed after that answers
-  /// kUnavailable.
+  /// Submissions shed at the queue are retried with RetryOptions' default
+  /// backoff (3 attempts, capped exponential backoff + jitter); a slot
+  /// still shed after that answers kUnavailable.
   std::vector<StatusOr<TopKResult>> BatchTopK(
       const std::vector<std::string>& names, size_t k,
       const CancellationToken* cancel = nullptr);
@@ -207,6 +204,7 @@ class AlignmentService {
   /// queue-delay estimate both controllers run on.
   AdmissionController admission_;
   DegradationPolicy degradation_;
+  /// BatchTopK's shed-retry backoff: RetryOptions' defaults.
   RetryPolicy batch_retry_;
   CircuitBreaker reload_breaker_;
   std::atomic<int64_t> in_flight_{0};

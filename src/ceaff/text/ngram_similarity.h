@@ -30,7 +30,7 @@ double NgramSimilarity(std::string_view a, std::string_view b,
                        const NgramOptions& options = {});
 
 /// Full pairwise n-gram similarity matrix (drop-in alternative to
-/// StringSimilarityMatrix).
+/// la::StringSimilarityMatrixK).
 la::Matrix NgramSimilarityMatrix(const std::vector<std::string>& source_names,
                                  const std::vector<std::string>& target_names,
                                  const NgramOptions& options = {});

@@ -80,14 +80,6 @@ TEST_F(PipelineTest, ThreadCountDoesNotChangeAlignmentResults) {
   EXPECT_EQ(std::memcmp(rs.fused.data(), rp.fused.data(),
                         rs.fused.size() * sizeof(float)),
             0);
-
-  CeaffOptions blocked = FastOptions();
-  blocked.num_threads = 4;
-  blocked.block_size = 48;  // non-default, non-multiple-of-shape
-  CeaffResult rb =
-      CeaffPipeline(&bench_->pair, &bench_->store, blocked).Run().value();
-  EXPECT_EQ(rs.accuracy, rb.accuracy);
-  EXPECT_EQ(rs.match.target_of_source, rb.match.target_of_source);
 }
 
 TEST_F(PipelineTest, DeterministicAcrossRuns) {

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "ceaff/data/name_generator.h"
-#include "ceaff/text/levenshtein.h"
+#include "ceaff/reference/text_reference.h"
 
 namespace ceaff::data {
 namespace {

@@ -6,6 +6,7 @@
 
 #include "ceaff/embed/bootstrap.h"
 #include "ceaff/la/ops.h"
+#include "ceaff/reference/la_reference.h"
 
 namespace ceaff::embed {
 namespace {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <numeric>
 #include <string>
+#include <vector>
+
+#include "ceaff/data/synthetic.h"
 
 namespace ceaff::kg {
 namespace {
@@ -115,6 +121,47 @@ TEST(AttributeSimilarityTest, IdfDownweightsUbiquitousAttributes) {
   // Entity 0 (rare+common agreement with f0) must beat the off-diagonal
   // common-only agreement by a clear margin.
   EXPECT_GT(m.at(0, 0), m.at(1, 0) + 0.05f);
+}
+
+/// 64-bit FNV-1a over the raw bytes of the matrix.
+uint64_t Fnv1a(const la::Matrix& m) {
+  uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  for (size_t i = 0; i < m.size() * sizeof(float); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Golden pin of the value-comparing matrix on a synthetic pair, recorded
+// when the literal values were compared with the full-DP lev* ratio. The
+// values now go through la::LevenshteinRatioFast; the pin proves that
+// routing is bit-identical. The types-only matrix must differ, so the
+// value path is really exercised.
+TEST(AttributeSimilarityTest, SyntheticPairValueMatrixIsPinned) {
+  const data::SyntheticBenchmark bench =
+      data::GenerateBenchmark(
+          data::BenchmarkConfigByName("DBP15K_FR_EN", 0.1).value())
+          .value();
+  const KgPair& pair = bench.pair;
+  ASSERT_GT(pair.kg1.num_attribute_triples(), 0u);
+  std::vector<uint32_t> sources(pair.kg1.num_entities());
+  std::vector<uint32_t> targets(pair.kg2.num_entities());
+  std::iota(sources.begin(), sources.end(), 0u);
+  std::iota(targets.begin(), targets.end(), 0u);
+
+  AttributeSimilarityOptions values;
+  values.use_values = true;
+  const la::Matrix m =
+      AttributeSimilarityMatrix(pair.kg1, pair.kg2, sources, targets, values);
+  AttributeSimilarityOptions types_only;
+  types_only.use_values = false;
+  const la::Matrix t = AttributeSimilarityMatrix(pair.kg1, pair.kg2, sources,
+                                                 targets, types_only);
+  ASSERT_TRUE(m.SameShape(t));
+  EXPECT_NE(std::memcmp(m.data(), t.data(), m.size() * sizeof(float)), 0);
+  EXPECT_EQ(Fnv1a(m), 0x1857e3817a6103ddull) << std::hex << Fnv1a(m);
 }
 
 }  // namespace

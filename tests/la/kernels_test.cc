@@ -1,6 +1,6 @@
 // Parity and property tests for the blocked/parallel compute kernels
-// (la/kernels.h) against their retained naive references. The determinism
-// contract — bit-identical output at every thread count — and the
+// (la/kernels.h) against the naive references of ceaff_reference. The
+// determinism contract — bit-identical output at every thread count — and the
 // documented agreement with the references (bit-identical for the
 // Sinkhorn/CSLS/SpMM family, O(d·eps) relative for the float-accumulating
 // GEMM family) are pinned here; a kernel change that silently reorders an
@@ -19,11 +19,10 @@
 #include "ceaff/common/cancellation.h"
 #include "ceaff/common/random.h"
 #include "ceaff/common/thread_pool.h"
-#include "ceaff/la/csls.h"
-#include "ceaff/la/ops.h"
 #include "ceaff/la/sparse_matrix.h"
 #include "ceaff/matching/sinkhorn.h"
-#include "ceaff/text/levenshtein.h"
+#include "ceaff/reference/la_reference.h"
+#include "ceaff/reference/text_reference.h"
 
 namespace ceaff::la {
 namespace {
@@ -198,16 +197,24 @@ TEST(KernelGemmTest, OddShapesMatchNaive) {
   }
 }
 
+// The pipeline's cancellation pattern: a fired token makes the kernel skip
+// its panels, and CheckCancelled after the call surfaces the error.
 TEST(KernelGemmTest, CheckedVariantHonoursCancellation) {
   const Matrix a = RandomMatrix(64, 16, 13);
   const Matrix b = RandomMatrix(64, 16, 14);
   CancellationToken token;
-  token.RequestCancel();
   KernelContext ctx;
   ctx.cancel = &token;
-  auto result = CosineSimilarityChecked(ctx, a, b);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  const Matrix full = CosineSimilarityK(ctx, a, b);
+  EXPECT_TRUE(ctx.CheckCancelled("cosine").ok());
+  EXPECT_GT(full.FrobeniusNorm(), 0.0f);
+
+  token.RequestCancel();
+  const Matrix skipped = CosineSimilarityK(ctx, a, b);
+  EXPECT_EQ(skipped.FrobeniusNorm(), 0.0f);  // no panel was computed
+  const Status status = ctx.CheckCancelled("cosine");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
 }
 
 // ---------------------------------------------------------------------------
@@ -217,7 +224,7 @@ TEST(KernelGemmTest, CheckedVariantHonoursCancellation) {
 TEST(KernelSpmmTest, SpMMMatchesCsrReferenceBitwise) {
   const SparseMatrix a = RandomSparse(30, 40, 150, 15);
   const Matrix x = RandomMatrix(40, 9, 16);
-  const Matrix naive = a.Multiply(x);
+  const Matrix naive = SparseMultiply(a, x);
   const Matrix fast = CheckDeterministic(
       [&](const KernelContext& ctx) { return SpMMK(ctx, a, x); });
   EXPECT_TRUE(BitIdentical(fast, naive));
@@ -225,9 +232,9 @@ TEST(KernelSpmmTest, SpMMMatchesCsrReferenceBitwise) {
 
 // Aᵀ·x as SpMMK over the stored transpose: row c of a.Transposed() lists
 // column c's entries in ascending source row, so every output element
-// accumulates in MultiplyTransposed's order. Non-square shapes with empty
-// rows (a zero input row of x never contributes) and empty columns (an
-// all-zero output row) in both orientations.
+// accumulates in SparseMultiplyTransposed's order. Non-square shapes with
+// empty rows (a zero input row of x never contributes) and empty columns
+// (an all-zero output row) in both orientations.
 TEST(KernelSpmmTest, SpMMOverTransposeMatchesMultiplyTransposedBitwise) {
   const struct {
     size_t rows, cols, d;
@@ -248,7 +255,7 @@ TEST(KernelSpmmTest, SpMMOverTransposeMatchesMultiplyTransposedBitwise) {
         SparseMatrix::Build(s.rows, s.cols, std::move(triplets));
     const SparseMatrix at = a.Transposed();
     const Matrix x = RandomMatrix(s.rows, s.d, 18 + s.rows);
-    const Matrix naive = a.MultiplyTransposed(x);
+    const Matrix naive = SparseMultiplyTransposed(a, x);
     const Matrix fast = CheckDeterministic(
         [&](const KernelContext& ctx) { return SpMMK(ctx, at, x); });
     EXPECT_TRUE(BitIdentical(fast, naive)) << s.rows << "x" << s.cols;
@@ -260,7 +267,7 @@ TEST(KernelSpmmTest, SpMMOverTransposeMatchesMultiplyTransposedBitwise) {
 TEST(KernelSpmmTest, IntoVariantOverwritesOrReshapesOutput) {
   const SparseMatrix a = RandomSparse(30, 40, 150, 25);
   const Matrix x = RandomMatrix(40, 9, 26);
-  const Matrix want = a.Multiply(x);
+  const Matrix want = SparseMultiply(a, x);
   Matrix reused = RandomMatrix(30, 9, 27);
   const float* storage = reused.data();
   SpMMKInto(KernelContext(), a, x, &reused);
@@ -283,7 +290,7 @@ TEST(KernelSpmmTest, FusedSweepMatchesReferenceAtEveryThreadCount) {
   for (const auto& s : shapes) {
     const SparseMatrix a = RandomSparse(s.rows, s.cols, s.nnz, 19 + s.rows);
     const Matrix x = RandomMatrix(s.cols, s.d, 20 + s.rows);
-    const Matrix naive = a.Multiply(x);
+    const Matrix naive = SparseMultiply(a, x);
     for (const size_t threads : {1, 2, 3, 4, 8}) {
       ThreadPool pool(threads);
       KernelContext ctx;
@@ -461,7 +468,7 @@ std::vector<std::string> RandomNames(size_t n, size_t max_len, uint64_t seed) {
 TEST(KernelStringTest, SimilarityMatrixMatchesNaiveExactly) {
   const auto src = RandomNames(23, 20, 24);
   const auto tgt = RandomNames(17, 20, 25);
-  const Matrix naive = text::StringSimilarityMatrix(src, tgt);
+  const Matrix naive = text::LevenshteinRatioMatrix(src, tgt);
   const Matrix fast = CheckDeterministic([&](const KernelContext& ctx) {
     return StringSimilarityMatrixK(ctx, src, tgt);
   });
@@ -471,7 +478,9 @@ TEST(KernelStringTest, SimilarityMatrixMatchesNaiveExactly) {
 TEST(KernelStringTest, PrunedMatrixKeepsExactRowMaximaAndUpperBounds) {
   const auto src = RandomNames(20, 24, 26);
   const auto tgt = RandomNames(30, 24, 27);
-  const Matrix exact = text::StringSimilarityMatrix(src, tgt);
+  const Matrix exact = text::LevenshteinRatioMatrix(src, tgt);
+  EXPECT_TRUE(
+      BitIdentical(StringSimilarityMatrixK(KernelContext(), src, tgt), exact));
   const Matrix pruned = CheckDeterministic([&](const KernelContext& ctx) {
     return StringSimilarityMatrixPruned(ctx, src, tgt);
   });
@@ -548,7 +557,8 @@ TEST(KernelStringTest, AutoDispatchKeepsRowMaximaExactOnLongNames) {
   StringKernelChoice choice;
   const Matrix autod = StringSimilarityMatrixAuto(ctx, src, tgt, &choice);
   ASSERT_TRUE(choice.pruned);
-  const Matrix exact = text::StringSimilarityMatrix(src, tgt);
+  const Matrix exact = text::LevenshteinRatioMatrix(src, tgt);
+  EXPECT_TRUE(BitIdentical(StringSimilarityMatrixK(ctx, src, tgt), exact));
   for (size_t r = 0; r < exact.rows(); ++r) {
     float exact_max = 0.0f, auto_max = 0.0f;
     for (size_t c = 0; c < exact.cols(); ++c) {
@@ -563,8 +573,9 @@ TEST(KernelStringTest, AutoDispatchKeepsRowMaximaExactOnLongNames) {
 TEST(KernelStringTest, PrunedMatrixHonoursFloor) {
   const auto src = RandomNames(12, 18, 28);
   const auto tgt = RandomNames(12, 18, 29);
-  const Matrix exact = text::StringSimilarityMatrix(src, tgt);
+  const Matrix exact = text::LevenshteinRatioMatrix(src, tgt);
   KernelContext ctx;
+  EXPECT_TRUE(BitIdentical(StringSimilarityMatrixK(ctx, src, tgt), exact));
   const double floor = 0.8;
   const Matrix pruned = StringSimilarityMatrixPruned(ctx, src, tgt, floor);
   // Entries above the floor are exact; the rest are upper bounds.

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "ceaff/common/random.h"
+#include "ceaff/reference/la_reference.h"
 
 namespace ceaff::la {
 namespace {

@@ -5,26 +5,42 @@
 #include <cmath>
 
 #include "ceaff/common/random.h"
+#include "ceaff/la/kernels.h"
+#include "ceaff/reference/la_reference.h"
 
 namespace ceaff::la {
 namespace {
 
+/// The cosine properties below hold for the production kernel and for the
+/// reference it is parity-tested against; every test runs both.
+using CosineFn = Matrix (*)(const Matrix&, const Matrix&);
+
+Matrix KernelCosine(const Matrix& a, const Matrix& b) {
+  return CosineSimilarityK(KernelContext(), a, b);
+}
+
+constexpr CosineFn kCosines[] = {&KernelCosine, &CosineSimilarity};
+
 TEST(CosineSimilarityTest, KnownVectors) {
   Matrix a = Matrix::FromRows({{1, 0}, {1, 1}});
   Matrix b = Matrix::FromRows({{0, 1}, {1, 0}, {-1, 0}});
-  Matrix sim = CosineSimilarity(a, b);
-  ASSERT_EQ(sim.rows(), 2u);
-  ASSERT_EQ(sim.cols(), 3u);
-  EXPECT_NEAR(sim.at(0, 0), 0.0f, 1e-6);
-  EXPECT_NEAR(sim.at(0, 1), 1.0f, 1e-6);
-  EXPECT_NEAR(sim.at(0, 2), -1.0f, 1e-6);
-  EXPECT_NEAR(sim.at(1, 0), 1.0f / std::sqrt(2.0f), 1e-6);
+  for (CosineFn cosine : kCosines) {
+    Matrix sim = cosine(a, b);
+    ASSERT_EQ(sim.rows(), 2u);
+    ASSERT_EQ(sim.cols(), 3u);
+    EXPECT_NEAR(sim.at(0, 0), 0.0f, 1e-6);
+    EXPECT_NEAR(sim.at(0, 1), 1.0f, 1e-6);
+    EXPECT_NEAR(sim.at(0, 2), -1.0f, 1e-6);
+    EXPECT_NEAR(sim.at(1, 0), 1.0f / std::sqrt(2.0f), 1e-6);
+  }
 }
 
 TEST(CosineSimilarityTest, ZeroRowsYieldZeroSimilarity) {
   Matrix a = Matrix::FromRows({{0, 0}});
   Matrix b = Matrix::FromRows({{1, 2}});
-  EXPECT_EQ(CosineSimilarity(a, b).at(0, 0), 0.0f);
+  for (CosineFn cosine : kCosines) {
+    EXPECT_EQ(cosine(a, b).at(0, 0), 0.0f);
+  }
 }
 
 // Property: cosine similarity of arbitrary vectors lies in [-1, 1] and the
@@ -36,15 +52,17 @@ TEST_P(CosinePropertyTest, BoundedAndReflexive) {
   size_t n = 3 + rng.NextBounded(10);
   size_t d = 1 + rng.NextBounded(16);
   Matrix a = Matrix::TruncatedNormal(n, d, 1.0f, &rng);
-  Matrix sim = CosineSimilarity(a, a);
-  for (size_t i = 0; i < n; ++i) {
-    if (std::fabs(a.row(i)[0]) + a.FrobeniusNorm() > 0) {
-      EXPECT_NEAR(sim.at(i, i), 1.0f, 1e-4);
-    }
-    for (size_t j = 0; j < n; ++j) {
-      EXPECT_GE(sim.at(i, j), -1.0f - 1e-4);
-      EXPECT_LE(sim.at(i, j), 1.0f + 1e-4);
-      EXPECT_NEAR(sim.at(i, j), sim.at(j, i), 1e-4);
+  for (CosineFn cosine : kCosines) {
+    Matrix sim = cosine(a, a);
+    for (size_t i = 0; i < n; ++i) {
+      if (std::fabs(a.row(i)[0]) + a.FrobeniusNorm() > 0) {
+        EXPECT_NEAR(sim.at(i, i), 1.0f, 1e-4);
+      }
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_GE(sim.at(i, j), -1.0f - 1e-4);
+        EXPECT_LE(sim.at(i, j), 1.0f + 1e-4);
+        EXPECT_NEAR(sim.at(i, j), sim.at(j, i), 1e-4);
+      }
     }
   }
 }
@@ -68,40 +86,12 @@ TEST(ColArgmaxTest, PicksMaxFirstOnTies) {
   EXPECT_EQ(am[2], 0u);
 }
 
-TEST(RowTopKTest, DescendingOrderAndClamping) {
-  Matrix m = Matrix::FromRows({{0.1f, 0.9f, 0.5f, 0.7f}});
-  EXPECT_EQ(RowTopK(m, 0, 2), (std::vector<size_t>{1, 3}));
-  EXPECT_EQ(RowTopK(m, 0, 99), (std::vector<size_t>{1, 3, 2, 0}));
-}
-
-TEST(RowRanksTest, OneBasedDenseRanks) {
-  Matrix m = Matrix::FromRows({{0.2f, 0.8f, 0.5f}});
-  std::vector<size_t> ranks = RowRanks(m, 0);
-  EXPECT_EQ(ranks[1], 1u);
-  EXPECT_EQ(ranks[2], 2u);
-  EXPECT_EQ(ranks[0], 3u);
-}
-
 TEST(WeightedSumTest, CombinesWithWeights) {
   Matrix a = Matrix::FromRows({{1, 2}});
   Matrix b = Matrix::FromRows({{10, 20}});
   Matrix f = WeightedSum({&a, &b}, {0.25, 0.75});
   EXPECT_NEAR(f.at(0, 0), 7.75f, 1e-6);
   EXPECT_NEAR(f.at(0, 1), 15.5f, 1e-6);
-}
-
-TEST(MinMaxNormalizeTest, MapsToUnitInterval) {
-  Matrix m = Matrix::FromRows({{-2, 0}, {2, 1}});
-  MinMaxNormalize(&m);
-  EXPECT_EQ(m.at(0, 0), 0.0f);
-  EXPECT_EQ(m.at(1, 0), 1.0f);
-  EXPECT_NEAR(m.at(0, 1), 0.5f, 1e-6);
-}
-
-TEST(MinMaxNormalizeTest, ConstantMatrixBecomesZero) {
-  Matrix m = Matrix::FromRows({{3, 3}, {3, 3}});
-  MinMaxNormalize(&m);
-  EXPECT_EQ(m.Sum(), 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "ceaff/common/random.h"
+#include "ceaff/la/kernels.h"
+#include "ceaff/reference/la_reference.h"
 
 namespace ceaff::la {
 namespace {
@@ -50,9 +52,11 @@ TEST(SparseMatrixTest, IdentityActsAsIdentity) {
   SparseMatrix eye = SparseMatrix::Identity(4);
   Rng rng(3);
   Matrix x = Matrix::TruncatedNormal(4, 6, 1.0f, &rng);
-  Matrix y = eye.Multiply(x);
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(y.data()[i], x.data()[i]);
+  for (const Matrix& y :
+       {SparseMultiply(eye, x), SpMMK(KernelContext(), eye, x)}) {
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(y.data()[i], x.data()[i]);
+    }
   }
 }
 
@@ -60,7 +64,7 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
   SparseMatrix m = SmallSample();
   Rng rng(4);
   Matrix x = Matrix::TruncatedNormal(3, 5, 1.0f, &rng);
-  Matrix got = m.Multiply(x);
+  Matrix got = SparseMultiply(m, x);
   Matrix expected = MatMul(m.ToDense(), x);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-5);
@@ -96,7 +100,7 @@ TEST(SparseMatrixTest, MultiplyTransposedMatchesDense) {
       2, 4, {{0, 0, 1.0f}, {0, 3, 2.0f}, {1, 1, -1.0f}});
   Rng rng(5);
   Matrix x = Matrix::TruncatedNormal(2, 3, 1.0f, &rng);
-  Matrix got = m.MultiplyTransposed(x);
+  Matrix got = SparseMultiplyTransposed(m, x);
   Matrix expected = MatMul(m.ToDense().Transposed(), x);
   ASSERT_EQ(got.rows(), 4u);
   for (size_t i = 0; i < got.size(); ++i) {
@@ -159,8 +163,8 @@ TEST(SparseMatrixTest, EmptyMatrixIsUsable) {
   EXPECT_EQ(m.nnz(), 0u);
   Matrix x(2, 4);
   x.Fill(1.0f);
-  Matrix y = m.Multiply(x);
-  EXPECT_EQ(y.Sum(), 0.0);
+  EXPECT_EQ(SparseMultiply(m, x).Sum(), 0.0);
+  EXPECT_EQ(SpMMK(KernelContext(), m, x).Sum(), 0.0);
 }
 
 }  // namespace

@@ -44,7 +44,6 @@ class ShardCrashTest : public ::testing::Test {
   ShardRouterOptions FastOptions(size_t shards) {
     ShardRouterOptions options;
     options.num_shards = shards;
-    options.respawn_breaker.failure_threshold = 3;
     options.respawn_breaker.cooldown_ns = 200'000'000;  // 200 ms
     return options;
   }

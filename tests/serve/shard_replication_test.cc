@@ -44,7 +44,6 @@ class ShardReplicationTest : public ::testing::Test {
     ShardRouterOptions options;
     options.num_shards = shards;
     options.num_replicas = replicas;
-    options.respawn_breaker.failure_threshold = 3;
     options.respawn_breaker.cooldown_ns = 200'000'000;  // 200 ms
     return options;
   }

@@ -1,10 +1,14 @@
-#include "ceaff/text/levenshtein.h"
+// The full-DP Levenshtein references, and the production string-matrix
+// kernel on hand-checked inputs.
+
+#include "ceaff/reference/text_reference.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "ceaff/common/random.h"
+#include "ceaff/la/kernels.h"
 
 namespace ceaff::text {
 namespace {
@@ -111,8 +115,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LevenshteinPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55));
 
 TEST(StringSimilarityMatrixTest, ComputesAllPairs) {
-  la::Matrix m = StringSimilarityMatrix({"paris", "rome"},
-                                        {"paris", "roma", "berlin"});
+  la::Matrix m = la::StringSimilarityMatrixK(
+      la::KernelContext(), {"paris", "rome"}, {"paris", "roma", "berlin"});
   ASSERT_EQ(m.rows(), 2u);
   ASSERT_EQ(m.cols(), 3u);
   EXPECT_FLOAT_EQ(m.at(0, 0), 1.0f);
@@ -121,9 +125,9 @@ TEST(StringSimilarityMatrixTest, ComputesAllPairs) {
 }
 
 TEST(StringSimilarityMatrixTest, EmptyInputs) {
-  la::Matrix m = StringSimilarityMatrix({}, {"x"});
+  la::Matrix m = la::StringSimilarityMatrixK(la::KernelContext(), {}, {"x"});
   EXPECT_EQ(m.rows(), 0u);
-  la::Matrix m2 = StringSimilarityMatrix({"x"}, {});
+  la::Matrix m2 = la::StringSimilarityMatrixK(la::KernelContext(), {"x"}, {});
   EXPECT_EQ(m2.cols(), 0u);
 }
 

@@ -4,7 +4,7 @@
 
 #include "ceaff/common/random.h"
 #include "ceaff/data/name_generator.h"
-#include "ceaff/text/levenshtein.h"
+#include "ceaff/reference/text_reference.h"
 
 namespace ceaff::text {
 namespace {

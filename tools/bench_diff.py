@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_kernels.json files and flag perf regressions.
+"""Compare fresh BENCH_kernels.json runs against a baseline and flag perf
+regressions.
 
 Usage:
-  tools/bench_diff.py BASELINE.json CANDIDATE.json [--threshold 0.5]
+  tools/bench_diff.py BASELINE.json CANDIDATE.json [CANDIDATE.json ...]
+                      [--threshold 0.5]
 
 Rows are matched on (kernel, shape, threads) and compared on
 `speedup_vs_naive` — a machine-relative metric, so a committed baseline
 from one box is still meaningful on another (absolute seconds are not).
 Naive rows (threads == 0) are the 1.0 reference by construction and are
-skipped.
+skipped. With several candidate files (back-to-back runs of one build),
+each row is gated on the median of its candidate speedups: one noisy run
+of an oversubscribed row cannot fail the gate by itself, while a kernel
+that really fell off a cliff is slow in most runs.
 
 Exit status is 1 when:
-  * the candidate reports parity_failures > 0 (wrong answers trump any
+  * any candidate reports parity_failures > 0 (wrong answers trump any
     timing), or
-  * any matched row's speedup dropped by more than --threshold relative
-    to the baseline, i.e. candidate < baseline * (1 - threshold), or
-  * a baseline row is missing from the candidate (a dropped kernel or
+  * any matched row's median speedup dropped by more than --threshold
+    relative to the baseline, i.e. median < baseline * (1 - threshold), or
+  * a baseline row is missing from a candidate (a dropped kernel or
     shape must not leave the gate silently).
 
 The default threshold (0.5) is deliberately loose: micro-benchmarks on a
@@ -28,6 +33,7 @@ time; retiring a row means regenerating the committed baseline.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -46,30 +52,38 @@ def load_rows(path):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Diff two micro_kernels JSON reports for regressions.")
+        description="Diff micro_kernels JSON reports for regressions.")
     parser.add_argument("baseline")
-    parser.add_argument("candidate")
+    parser.add_argument("candidates", nargs="+", metavar="candidate")
     parser.add_argument(
         "--threshold", type=float, default=0.5,
         help="max allowed relative drop in speedup_vs_naive (default 0.5 "
              "= candidate may not be slower than half the baseline ratio)")
     args = parser.parse_args()
 
-    base_doc, base = load_rows(args.baseline)
-    cand_doc, cand = load_rows(args.candidate)
-
+    _, base = load_rows(args.baseline)
     failures = []
-    parity = int(cand_doc.get("parity_failures", 0))
-    if parity > 0:
-        failures.append(f"candidate reports {parity} parity failure(s)")
+    runs = []
+    for path in args.candidates:
+        cand_doc, rows = load_rows(path)
+        parity = int(cand_doc.get("parity_failures", 0))
+        if parity > 0:
+            failures.append(f"{path} reports {parity} parity failure(s)")
+        runs.append(rows)
 
+    # A row is compared only when every run has it; one missing from any
+    # run counts as gone.
+    in_all = set.intersection(*(set(rows) for rows in runs))
+    cand = {key: statistics.median(rows[key] for rows in runs)
+            for key in in_all}
     shared = sorted(set(base) & set(cand))
     only_base = sorted(set(base) - set(cand))
     only_cand = sorted(set(cand) - set(base))
 
-    print(f"bench_diff: {len(shared)} shared rows, "
-          f"{len(only_base)} baseline-only, {len(only_cand)} candidate-only "
-          f"(threshold: drop > {args.threshold:.0%} fails)")
+    print(f"bench_diff: {len(runs)} candidate run(s), {len(shared)} shared "
+          f"rows, {len(only_base)} baseline-only, {len(only_cand)} "
+          f"candidate-only (median speedup gated; drop > "
+          f"{args.threshold:.0%} fails)")
     worst = None
     for key in shared:
         b, c = base[key], cand[key]
@@ -88,7 +102,7 @@ def main():
         print(f"  {key[0]:<20} {key[1]:<24} {key[2]:>2}t  "
               f"base {base[key]:6.2f}x  cand      -  << ROW GONE")
         failures.append(f"{key[0]} {key[1]} @{key[2]}t: baseline row "
-                        f"missing from the candidate")
+                        f"missing from a candidate run")
     for key in only_cand:
         print(f"  {key[0]:<20} {key[1]:<24} {key[2]:>2}t  "
               f"base      -  cand {cand[key]:6.2f}x  (new row)")

@@ -60,9 +60,10 @@ ParseOptions IoOptionsFromFlags(const FlagParser& flags) {
   return options;
 }
 
-/// Reads an integer flag that sizes something (a thread count, a block, a
-/// row budget). False (after printing a usage error) when the value is
-/// below `min`, so a negative value can never wrap to a huge size_t.
+/// Reads an integer flag that sizes something (a thread count, a centroid
+/// count, a row budget). False (after printing a usage error) when the
+/// value is below `min`, so a negative value can never wrap to a huge
+/// size_t.
 bool SizeFlag(const FlagParser& flags, const char* cmd, const char* name,
               int64_t fallback, int64_t min, size_t* out) {
   const int64_t value = flags.GetInt(name, fallback);
@@ -154,7 +155,7 @@ int Usage() {
                "[--deadline_ms N]\n"
                "           [--export_index FILE] [--export_ann BOOL] "
                "[--ann_centroids N]\n"
-               "           [--threads N] [--block_size N]\n"
+               "           [--threads N]\n"
                "           [--export_delta_state DIR]  also publish a delta "
                "ingestion state\n"
                "  eval     --data DIR --pred FILE\n"
@@ -163,7 +164,7 @@ int Usage() {
                "           [--index DIR] [--patch FILE] [--audit_rows N] "
                "[--audit_tolerance X]\n"
                "           [--export_ann BOOL] [--ann_centroids N] "
-               "[--threads N] [--block_size N]\n"
+               "[--threads N]\n"
                "common:    [--lenient_io] [--io_error_budget N]  skip up to N "
                "malformed\n"
                "           input lines instead of failing on the first one\n"
@@ -267,11 +268,10 @@ int CmdAlign(const FlagParser& flags) {
   options.export_index_path = flags.GetString("export_index", "");
   options.export_dataset = flags.GetString("export_dataset", "ceaff");
   options.export_ann = flags.GetBool("export_ann", true);
-  // --ann_centroids 0 = auto, --block_size 0 = the built-in blocks.
+  // --ann_centroids 0 = auto.
   if (!SizeFlag(flags, "align", "ann_centroids", 0, 0,
                 &options.ann_centroids) ||
-      !SizeFlag(flags, "align", "threads", 1, 1, &options.num_threads) ||
-      !SizeFlag(flags, "align", "block_size", 0, 0, &options.block_size)) {
+      !SizeFlag(flags, "align", "threads", 1, 1, &options.num_threads)) {
     return 2;
   }
   options.use_structural = !flags.GetBool("no-structural", false);
@@ -432,8 +432,7 @@ int CmdDelta(const FlagParser& flags) {
                 &options.verify.audit_rows) ||
       !SizeFlag(flags, "delta", "ann_centroids", 0, 0,
                 &options.ann_centroids) ||
-      !SizeFlag(flags, "delta", "threads", 1, 1, &options.num_threads) ||
-      !SizeFlag(flags, "delta", "block_size", 0, 0, &options.block_size)) {
+      !SizeFlag(flags, "delta", "threads", 1, 1, &options.num_threads)) {
     return 2;
   }
   options.cancel = &g_cancel;
