@@ -1,12 +1,15 @@
 // Microbenchmarks for the Sec. VI discussion: deferred acceptance is far
 // cheaper than Hungarian (max-weight) matching while staying collective,
 // which underpins the paper's "<10 minutes end-to-end" claim (Sec. VII-C).
+// BM_DeferredAcceptanceFullSort times the full-sort reference from
+// `ceaff_reference` next to the lazy production engine.
 
 #include <benchmark/benchmark.h>
 
 #include "ceaff/common/random.h"
 #include "ceaff/la/matrix.h"
 #include "ceaff/matching/matching.h"
+#include "ceaff/reference/matching_reference.h"
 
 namespace {
 
@@ -35,6 +38,15 @@ void BM_DeferredAcceptance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeferredAcceptance)->Arg(100)->Arg(400)->Arg(1600);
+
+void BM_DeferredAcceptanceFullSort(benchmark::State& state) {
+  Matrix m = RandomSimilarity(static_cast<size_t>(state.range(0)), 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ceaff::matching::DeferredAcceptanceFullSort(m));
+  }
+}
+BENCHMARK(BM_DeferredAcceptanceFullSort)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_GreedyOneToOne(benchmark::State& state) {
   Matrix m = RandomSimilarity(static_cast<size_t>(state.range(0)), 3);

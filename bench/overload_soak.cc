@@ -76,6 +76,7 @@
 #include "ceaff/delta/delta_repair.h"
 #include "ceaff/delta/delta_state.h"
 #include "ceaff/la/kernels.h"
+#include "ceaff/matching/matching.h"
 #include "ceaff/serve/alignment_index.h"
 #include "ceaff/serve/degradation.h"
 #include "ceaff/serve/router.h"
@@ -641,7 +642,8 @@ int Main() {
       const Status saved = delta::SaveDeltaState(base, store->get());
       CEAFF_CHECK(saved.ok()) << saved.ToString();
     }
-    auto base_index = delta::BuildIndexFromState(base, false, 0);
+    auto base_index = delta::BuildIndexFromState(
+        base, matching::DeferredAcceptance(base.fused), false, 0);
     CEAFF_CHECK(base_index.ok()) << base_index.status().ToString();
     const Status index_saved = serve::SaveAlignmentIndexGenerational(
         *base_index, apply_options.index_dir);

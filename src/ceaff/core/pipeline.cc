@@ -510,7 +510,7 @@ StatusOr<CeaffResult> CeaffPipeline::RunOnFeatures(
     case DecisionMode::kCollective: {
       CEAFF_ASSIGN_OR_RETURN(
           result.match,
-          matching::DeferredAcceptanceChecked(result.fused, options_.cancel));
+          matching::DeferredAcceptanceChecked(result.fused, rt.ctx));
       break;
     }
     case DecisionMode::kIndependent:

@@ -9,6 +9,7 @@
 #include "ceaff/common/durable_io.h"
 #include "ceaff/common/failpoint.h"
 #include "ceaff/common/logging.h"
+#include "ceaff/common/string_util.h"
 #include "ceaff/common/thread_pool.h"
 #include "ceaff/common/timer.h"
 #include "ceaff/delta/delta_journal.h"
@@ -46,13 +47,16 @@ Status WriteQuarantineMarker(const std::string& journal_dir,
 /// Publishes index (when configured) then state — in that order, so a
 /// crash between the two leaves the state watermark stale and the next
 /// cycle replays the same records and republishes both idempotently.
-Status PublishState(const DeltaState& state, const DeltaApplyOptions& options,
+/// `match` is the matching the verification gate checked.
+Status PublishState(const DeltaState& state,
+                    const matching::MatchResult& match,
+                    const DeltaApplyOptions& options,
                     const la::KernelContext& ctx, DeltaApplyReport* report) {
   if (!options.index_dir.empty()) {
     CEAFF_FAILPOINT("delta.publish.index");
     CEAFF_ASSIGN_OR_RETURN(
         const serve::AlignmentIndex index,
-        BuildIndexFromState(state, options.export_ann,
+        BuildIndexFromState(state, match, options.export_ann,
                             options.ann_centroids, ctx));
     CEAFF_RETURN_IF_ERROR(
         serve::SaveAlignmentIndexGenerational(index, options.index_dir));
@@ -117,32 +121,30 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options) {
   report.stats = outcome->stats;
 
   timer.Restart();
-  const Status verdict = VerifyDeltaState(outcome->state, outcome->dirty_rows,
-                                          options.verify, rt.ctx);
+  const StatusOr<matching::MatchResult> verdict = VerifyDeltaState(
+      outcome->state, outcome->dirty_rows, options.verify, rt.ctx);
   report.seconds_verify = timer.ElapsedSeconds();
   if (!verdict.ok()) {
-    if (verdict.IsDataLoss()) {
+    if (verdict.status().IsDataLoss()) {
       // A verification *verdict* failure (divergence, broken invariant):
       // quarantine the batch. Transient failures (I/O, cancellation)
       // propagate and the batch is retried by the next cycle.
       CEAFF_RETURN_IF_ERROR(
-          WriteQuarantineMarker(options.journal_dir, verdict));
+          WriteQuarantineMarker(options.journal_dir, verdict.status()));
     }
-    return verdict;
+    return verdict.status();
   }
 
   timer.Restart();
   CEAFF_RETURN_IF_ERROR(
-      PublishState(outcome->state, options, rt.ctx, &report));
+      PublishState(outcome->state, *verdict, options, rt.ctx, &report));
   report.seconds_publish = timer.ElapsedSeconds();
   report.watermark_after = outcome->state.watermark;
   CEAFF_LOG(Info) << "delta apply: " << report.stats.records_applied
                   << " records (watermark " << report.watermark_before
                   << " -> " << report.watermark_after << "), "
                   << report.stats.dirty_rows << " dirty rows, "
-                  << report.stats.dirty_cols << " dirty cols, "
-                  << report.stats.resorted_pref_rows
-                  << " preference rows re-sorted";
+                  << report.stats.dirty_cols << " dirty cols";
   return report;
 }
 
@@ -192,12 +194,14 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
   report.seconds_repair = timer.ElapsedSeconds();
 
   timer.Restart();
-  CEAFF_RETURN_IF_ERROR(
+  CEAFF_ASSIGN_OR_RETURN(
+      const matching::MatchResult match,
       VerifyDeltaState(state, /*dirty_rows=*/{}, options.verify, rt.ctx));
   report.seconds_verify = timer.ElapsedSeconds();
 
   timer.Restart();
-  CEAFF_RETURN_IF_ERROR(PublishState(state, options, rt.ctx, &report));
+  CEAFF_RETURN_IF_ERROR(
+      PublishState(state, match, options, rt.ctx, &report));
   report.seconds_publish = timer.ElapsedSeconds();
   report.watermark_after = state.watermark;
 
@@ -212,16 +216,18 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
 }
 
 StatusOr<serve::AlignmentIndex> BuildIndexFromState(
-    const DeltaState& s, bool export_ann, size_t ann_centroids,
-    const la::KernelContext& ctx) {
+    const DeltaState& s, const matching::MatchResult& match, bool export_ann,
+    size_t ann_centroids, const la::KernelContext& ctx) {
+  if (match.target_of_source.size() != s.fused.rows()) {
+    return Status::InvalidArgument(
+        StrFormat("match covers %zu sources, the state serves %zu",
+                  match.target_of_source.size(), s.fused.rows()));
+  }
   serve::AlignmentIndexInput input;
   input.dataset = s.dataset;
   input.source_names = core::GatherNames(s.kg1, s.source_ids);
   input.target_names = core::GatherNames(s.kg2, s.target_ids);
 
-  CEAFF_ASSIGN_OR_RETURN(
-      const matching::MatchResult match,
-      matching::DeferredAcceptanceWithPrefs(s.fused, s.prefs));
   for (size_t i = 0; i < match.target_of_source.size(); ++i) {
     const int64_t t = match.target_of_source[i];
     if (t < 0) continue;

@@ -10,6 +10,7 @@
 #include "ceaff/delta/delta_repair.h"
 #include "ceaff/delta/delta_state.h"
 #include "ceaff/delta/delta_verify.h"
+#include "ceaff/matching/matching.h"
 #include "ceaff/serve/alignment_index.h"
 
 namespace ceaff::delta {
@@ -58,9 +59,10 @@ bool IsQuarantined(const std::string& journal_dir);
 
 /// Replays every journal record past the current state's watermark through
 /// the bounded repair, verifies, and publishes state (and index) as new
-/// generations. Crash-safe at every step: the publish order is index
-/// first, state last, so a crash between them leaves the state watermark
-/// stale and the next cycle idempotently republishes.
+/// generations; the index carries the matching the gate verified.
+/// Crash-safe at every step: the publish order is index first, state last,
+/// so a crash between them leaves the state watermark stale and the next
+/// cycle idempotently republishes.
 ///
 /// A batch that fails to apply or fails the verification gate is
 /// QUARANTINED: a marker file is written (atomic, failpoint scope
@@ -76,13 +78,17 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options);
 /// a quarantine as a self-check.
 StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options);
 
-/// Distills a DeltaState into the serving artifact — names, the DAA match
-/// implied by (fused, prefs), L2-normalised embeddings, flattened fusion
-/// weights, optional ANN sections. Mirrors the batch pipeline's export
-/// stage, so a delta publish is indistinguishable to the serving layer.
-/// ANN training runs on `ctx` (same bits at any thread count).
+/// Distills a DeltaState into the serving artifact — names, the pairs of
+/// `match` (the deferred-acceptance matching of state.fused, as
+/// VerifyDeltaState returns it) with their fused scores, L2-normalised
+/// embeddings, flattened fusion weights, optional ANN sections. Mirrors
+/// the batch pipeline's export stage, so a delta publish is
+/// indistinguishable to the serving layer. ANN training runs on `ctx`
+/// (same bits at any thread count). InvalidArgument when `match` does not
+/// cover the serving sources.
 StatusOr<serve::AlignmentIndex> BuildIndexFromState(
-    const DeltaState& state, bool export_ann, size_t ann_centroids,
+    const DeltaState& state, const matching::MatchResult& match,
+    bool export_ann, size_t ann_centroids,
     const la::KernelContext& ctx = {});
 
 }  // namespace ceaff::delta

@@ -9,7 +9,6 @@
 #include "ceaff/common/string_util.h"
 #include "ceaff/kg/adjacency.h"
 #include "ceaff/la/ops.h"
-#include "ceaff/matching/matching.h"
 #include "ceaff/text/name_embedding.h"
 #include "ceaff/text/ngram_similarity.h"
 
@@ -163,55 +162,6 @@ StatusOr<la::Matrix> FuseStrips(const DeltaState& s, const la::Matrix* ms,
     return Status::DataLoss("delta state weight count mismatch");
   }
   return la::WeightedSum(enabled, s.final_weights);
-}
-
-/// Descending-score order with ascending-index tie break — the exact
-/// comparator of matching::BuildPreferenceLists.
-struct PrefLess {
-  const float* row;
-  bool operator()(uint32_t a, uint32_t b) const {
-    return row[a] != row[b] ? row[a] > row[b] : a < b;
-  }
-};
-
-std::vector<std::vector<uint32_t>> RepairPreferenceLists(
-    const std::vector<std::vector<uint32_t>>& old_prefs,
-    const la::Matrix& fused, const std::set<uint32_t>& dirty_rows,
-    const std::vector<uint32_t>& dirty_cols, size_t* resorted) {
-  const size_t n1 = fused.rows();
-  const size_t n2 = fused.cols();
-  const std::set<uint32_t> dc_set(dirty_cols.begin(), dirty_cols.end());
-  std::vector<std::vector<uint32_t>> prefs(n1);
-  for (size_t i = 0; i < n1; ++i) {
-    const PrefLess less{fused.row(i)};
-    if (dirty_rows.count(static_cast<uint32_t>(i)) != 0) {
-      prefs[i].resize(n2);
-      for (size_t j = 0; j < n2; ++j) prefs[i][j] = static_cast<uint32_t>(j);
-      std::sort(prefs[i].begin(), prefs[i].end(), less);
-      ++*resorted;
-      continue;
-    }
-    // Clean row: its scores at clean columns are unchanged, so the old
-    // order of those entries is still valid under the new row. Strip the
-    // dirty columns out (order-preserving) and merge them back sorted by
-    // their new scores.
-    const std::vector<uint32_t>& old_row = old_prefs[i];
-    if (dirty_cols.empty()) {
-      prefs[i] = old_row;
-      continue;
-    }
-    std::vector<uint32_t> kept;
-    kept.reserve(n2);
-    for (uint32_t c : old_row) {
-      if (dc_set.count(c) == 0) kept.push_back(c);
-    }
-    std::vector<uint32_t> inserted = dirty_cols;
-    std::sort(inserted.begin(), inserted.end(), less);
-    prefs[i].resize(n2);
-    std::merge(kept.begin(), kept.end(), inserted.begin(), inserted.end(),
-               prefs[i].begin(), less);
-  }
-  return prefs;
 }
 
 }  // namespace
@@ -530,11 +480,6 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
     }
   }
   s.fused = std::move(fused);
-
-  CEAFF_FAILPOINT("delta.repair.match");
-  s.prefs = RepairPreferenceLists(old_state.prefs, s.fused, dirty_rows,
-                                  out.dirty_cols,
-                                  &out.stats.resorted_pref_rows);
   return out;
 }
 
@@ -565,7 +510,6 @@ Status RecomputeStateExhaustive(DeltaState* state,
   CEAFF_ASSIGN_OR_RETURN(s.fused,
                          ComputeFusedStrip(s, all_rows, /*row_strip=*/true,
                                            ctx));
-  s.prefs = matching::BuildPreferenceLists(s.fused);
   return Status::OK();
 }
 

@@ -30,8 +30,8 @@ namespace ceaff::delta {
 ///               entities (hash-fallback store; frozen-name reuse rule)
 ///   fuse        rebuild fused rows/columns whose feature scores changed,
 ///               with the frozen fusion weights
-///   match       re-sort preference rows that changed (clean rows get a
-///               remove+merge patch, not a re-sort) and replay DAA
+/// The matching is not part of the state: the verification gate derives it
+/// from the repaired fused matrix and the publish serves that result.
 
 /// What a repair touched — surfaced in reports and bench output.
 struct RepairStats {
@@ -46,9 +46,6 @@ struct RepairStats {
   /// Serving fused-matrix rows / columns recomputed.
   size_t dirty_rows = 0;
   size_t dirty_cols = 0;
-  /// Preference rows fully re-sorted (dirty rows); the rest got the
-  /// cheaper remove+merge patch.
-  size_t resorted_pref_rows = 0;
 };
 
 /// Result of ApplyPatchesToState: the candidate state (watermark already
@@ -118,11 +115,11 @@ void PropagateStructEmbeddings(DeltaState* state,
                                const la::KernelContext& ctx);
 
 /// The from-scratch oracle: recomputes struct embeddings (full two-hop
-/// propagation), every enabled feature matrix, the fused matrix, the
-/// preference lists and the matching of `state` exhaustively from its own
-/// stored inputs (graphs, X, name embeddings, frozen weights), overwriting
-/// the derived fields in place. The reference the gate's divergence audit
-/// compares against, and the repair path of RebuildDelta.
+/// propagation), every enabled feature matrix and the fused matrix of
+/// `state` exhaustively from its own stored inputs (graphs, X, name
+/// embeddings, frozen weights), overwriting the derived fields in place.
+/// The reference the gate's divergence audit compares against, and the
+/// repair path of RebuildDelta.
 Status RecomputeStateExhaustive(DeltaState* state,
                                 const la::KernelContext& ctx);
 

@@ -6,7 +6,6 @@
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/la/matrix_io.h"
-#include "ceaff/matching/matching.h"
 #include "ceaff/text/name_embedding.h"
 
 namespace ceaff::delta {
@@ -14,8 +13,17 @@ namespace ceaff::delta {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'D', 'L', 'T'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
+/// The format that also stored full preference lists. Still recognised,
+/// so the refusal can say how to recover instead of calling it corrupt.
+constexpr uint32_t kVersionWithPrefs = 1;
 constexpr size_t kTrailerBytes = 4;
+
+uint32_t VersionOf(std::string_view bytes) {
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
+  return version;
+}
 
 }  // namespace
 
@@ -26,9 +34,8 @@ Status ValidateDeltaStateBytes(std::string_view bytes) {
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::DataLoss("bad delta-state magic");
   }
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  if (version != kVersion) {
+  const uint32_t version = VersionOf(bytes);
+  if (version != kVersion && version != kVersionWithPrefs) {
     return Status::DataLoss(
         StrFormat("unsupported delta-state version %u", version));
   }
@@ -170,12 +177,6 @@ std::string SerializeDeltaState(const DeltaState& state) {
         &state.src_name_emb, &state.tgt_name_emb, &state.fused}) {
     la::WriteMatrixSection(*m, &w);
   }
-  w.U64(state.prefs.size());
-  w.U64(state.target_ids.size());
-  for (const std::vector<uint32_t>& row : state.prefs) {
-    CEAFF_CHECK(row.size() == state.target_ids.size());
-    w.Bytes(row.data(), row.size() * sizeof(uint32_t));
-  }
   std::string bytes = w.Take();
   const uint32_t crc = Crc32Of(bytes.data(), bytes.size());
   bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
@@ -184,6 +185,12 @@ std::string SerializeDeltaState(const DeltaState& state) {
 
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
   CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
+  if (VersionOf(bytes) == kVersionWithPrefs) {
+    return Status::FailedPrecondition(
+        "delta state is CEAFFDLT version 1, which this build no longer "
+        "reads (version 2 dropped the stored preference lists); re-export "
+        "it with `ceaff align --data DIR --export_delta_state STATE_DIR`");
+  }
   // Parse in place: the reader borrows the caller's bytes.
   BinReader r(bytes.substr(0, bytes.size() - kTrailerBytes));
   const char* header = nullptr;
@@ -214,21 +221,6 @@ StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
        {&state.x1, &state.x2, &state.src_struct_emb, &state.tgt_struct_emb,
         &state.src_name_emb, &state.tgt_name_emb, &state.fused}) {
     CEAFF_ASSIGN_OR_RETURN(*m, la::ReadMatrixSection(&r));
-  }
-  uint64_t pref_rows = 0;
-  uint64_t pref_cols = 0;
-  // pref_cols equals target_ids.size(), which the buffer already bounds,
-  // so the row size below cannot overflow.
-  if (!r.U64(&pref_rows) || !r.U64(&pref_cols) ||
-      pref_rows != state.source_ids.size() ||
-      pref_cols != state.target_ids.size() ||
-      (pref_cols > 0 && !r.Count(pref_rows, pref_cols * sizeof(uint32_t)))) {
-    return Status::DataLoss("delta-state preference shape mismatch");
-  }
-  state.prefs.resize(pref_rows);
-  for (std::vector<uint32_t>& row : state.prefs) {
-    row.resize(pref_cols);
-    r.Bytes(row.data(), row.size() * sizeof(uint32_t));  // Count passed
   }
   if (!r.Done()) {
     return Status::DataLoss("trailing bytes in delta state");
@@ -341,7 +333,6 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
         store, core::GatherNames(pair.kg2, state.target_ids));
   }
   state.fused = result.fused;
-  state.prefs = matching::BuildPreferenceLists(result.fused);
   return state;
 }
 

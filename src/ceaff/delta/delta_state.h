@@ -28,8 +28,10 @@ namespace ceaff::delta {
 /// frozen model, so repaired and rebuilt results are bit-identical.
 ///
 /// Persisted as the artifact "state" in a GenerationalStore (failpoint
-/// scope "delta_state"): container magic "CEAFFDLT", version 1,
-/// little-endian, whole-file CRC-32 trailer.
+/// scope "delta_state"): container magic "CEAFFDLT", version 2,
+/// little-endian, whole-file CRC-32 trailer. Version 1 also stored every
+/// source's full preference list; it is refused with kFailedPrecondition
+/// (re-export the state from `ceaff align --export_delta_state`).
 struct DeltaState {
   /// Highest journal record id folded into this state. Records at or
   /// below it are skipped on replay.
@@ -83,11 +85,9 @@ struct DeltaState {
   la::Matrix tgt_name_emb;
 
   /// Fused similarity over the serving split (|source_ids| x |target_ids|).
+  /// The matching is derived from it on demand; deferred acceptance builds
+  /// only the preference blocks it reads (matching.h).
   la::Matrix fused;
-  /// Per-source preference lists (each a permutation of 0..|target_ids|-1,
-  /// scores descending, ties by ascending index) — the DAA input, kept so
-  /// repair only re-sorts rows whose scores changed.
-  std::vector<std::vector<uint32_t>> prefs;
 };
 
 /// Serialises to the container format above (CRC trailer included).
@@ -95,10 +95,13 @@ std::string SerializeDeltaState(const DeltaState& state);
 
 /// Cheap integrity check (magic, version, whole-file CRC) — the
 /// GenerationalStore validator, so a corrupt newest generation falls back
-/// to the previous one instead of failing the load.
+/// to the previous one instead of failing the load. An intact version-1
+/// file passes, so the store keeps it rather than quarantining it; the
+/// parse refuses it.
 Status ValidateDeltaStateBytes(std::string_view bytes);
 
-/// Full parse. kDataLoss on any corruption.
+/// Full parse. kDataLoss on any corruption; kFailedPrecondition, naming
+/// the re-export command, on an intact version-1 file.
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes);
 
 /// Opens (and Init()s) the generational store at `dir` used for delta

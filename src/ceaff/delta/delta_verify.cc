@@ -47,16 +47,6 @@ Status CheckShapes(const DeltaState& s) {
     return GateFail(StrFormat("fused is %zux%zu, serving split is %zux%zu",
                               s.fused.rows(), s.fused.cols(), n1, n2));
   }
-  if (s.prefs.size() != n1) {
-    return GateFail(StrFormat("%zu preference rows for %zu sources",
-                              s.prefs.size(), n1));
-  }
-  for (size_t i = 0; i < n1; ++i) {
-    if (s.prefs[i].size() != n2) {
-      return GateFail(StrFormat("preference row %zu has %zu entries, want %zu",
-                                i, s.prefs[i].size(), n2));
-    }
-  }
   if (s.use_structural) {
     if (s.x1.rows() != s.kg1.num_entities() ||
         s.x2.rows() != s.kg2.num_entities()) {
@@ -131,10 +121,9 @@ std::vector<uint32_t> PickAuditRows(const DeltaState& s,
 
 }  // namespace
 
-Status VerifyDeltaState(const DeltaState& candidate,
-                        const std::vector<uint32_t>& dirty_rows,
-                        const VerifyOptions& options,
-                        const la::KernelContext& ctx) {
+StatusOr<matching::MatchResult> VerifyDeltaState(
+    const DeltaState& candidate, const std::vector<uint32_t>& dirty_rows,
+    const VerifyOptions& options, const la::KernelContext& ctx) {
   CEAFF_FAILPOINT("delta.verify.gate");
   // Arm this site with `error` to force a *verdict* failure (kDataLoss, so
   // the apply layer quarantines) as opposed to the transient I/O failure
@@ -147,13 +136,15 @@ Status VerifyDeltaState(const DeltaState& candidate,
   CEAFF_RETURN_IF_ERROR(CheckShapes(s));
   CEAFF_RETURN_IF_ERROR(CheckFrozenWeights(s));
 
-  // Stability: the matching implied by (fused, prefs) must admit no
-  // blocking pair. DeferredAcceptanceWithPrefs also validates that every
-  // preference row is a permutation.
-  CEAFF_ASSIGN_OR_RETURN(const matching::MatchResult match,
-                         matching::DeferredAcceptanceWithPrefs(s.fused,
-                                                               s.prefs));
-  if (const size_t blocking = matching::CountBlockingPairs(s.fused, match);
+  // Stability: the matching of the fused matrix must admit no blocking
+  // pair. This is the matching the publish serves.
+  StatusOr<matching::MatchResult> match =
+      matching::DeferredAcceptanceChecked(s.fused, ctx);
+  if (match.status().IsInvalidArgument()) {
+    return GateFail(match.status().message());  // a NaN fused cell
+  }
+  CEAFF_RETURN_IF_ERROR(match.status());
+  if (const size_t blocking = matching::CountBlockingPairs(s.fused, *match);
       blocking != 0) {
     return GateFail(StrFormat("matching admits %zu blocking pairs",
                               blocking));
@@ -161,7 +152,7 @@ Status VerifyDeltaState(const DeltaState& candidate,
 
   const std::vector<uint32_t> audit =
       PickAuditRows(s, dirty_rows, options.audit_rows);
-  if (audit.empty()) return Status::OK();
+  if (audit.empty()) return match;
 
   // Independent recomputation for the audited rows. The structural side
   // redoes the FULL two-hop propagation (O(nnz·d), cheap relative to the
@@ -203,21 +194,8 @@ Status VerifyDeltaState(const DeltaState& candidate,
             static_cast<double>(got[j]), static_cast<double>(want[j])));
       }
     }
-    // The stored preference row must be the exact argsort of the fused row.
-    std::vector<uint32_t> want_prefs(s.fused.cols());
-    for (size_t j = 0; j < want_prefs.size(); ++j) {
-      want_prefs[j] = static_cast<uint32_t>(j);
-    }
-    std::sort(want_prefs.begin(), want_prefs.end(),
-              [got](uint32_t a, uint32_t b) {
-                return got[a] != got[b] ? got[a] > got[b] : a < b;
-              });
-    if (want_prefs != s.prefs[i]) {
-      return GateFail(StrFormat("preference row %u is not the argsort of "
-                                "its fused row", i));
-    }
   }
-  return Status::OK();
+  return match;
 }
 
 }  // namespace ceaff::delta

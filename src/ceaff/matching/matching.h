@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "ceaff/common/cancellation.h"
 #include "ceaff/common/statusor.h"
 #include "ceaff/kg/knowledge_graph.h"
+#include "ceaff/la/kernels.h"
 #include "ceaff/la/matrix.h"
 
 namespace ceaff::matching {
@@ -37,35 +37,27 @@ MatchResult GreedyOneToOne(const la::Matrix& similarity);
 /// descending with lower index breaking ties, and the match is produced by
 /// the source-proposing Deferred Acceptance Algorithm (Gale–Shapley).
 ///
-/// Complexity O(n1·n2·log n2 + n1·n2); every source is matched when
-/// n1 <= n2, and the result admits no blocking pair (CountBlockingPairs
-/// returns 0) with respect to these preferences.
+/// Source lists are built lazily (DESIGN.md §11): a first block of the 32
+/// best targets per source, then a block of twice the previous size each
+/// time a source has proposed to its whole block. Each block is a bounded
+/// selection over the row, O(n2 log k), so the cost is O(n1·n2) for the
+/// first blocks plus O(n2 log k) per refill; a source making p proposals
+/// refills about log2(p / 32) times. The ranking is a strict total order on
+/// a NaN-free matrix, so every block is a prefix of the full sort and the
+/// matching is exactly the one full sorting gives. Every source is matched
+/// when n1 <= n2, and the result admits no blocking pair
+/// (CountBlockingPairs returns 0) with respect to these preferences.
+/// CHECK-fails on a NaN cell; DeferredAcceptanceChecked reports it.
 MatchResult DeferredAcceptance(const la::Matrix& similarity);
 
-/// DeferredAcceptance with cooperative cancellation: `cancel` (may be
-/// null) is polled once per batch of |sources| proposals, returning
+/// DeferredAcceptance on a kernel context: the first blocks are selected
+/// in fixed row panels on `ctx.pool` (null runs inline; the result is the
+/// same at any thread count), and `ctx.cancel` (may be null) is polled per
+/// panel and once per batch of |sources| proposals, returning
 /// kCancelled/kDeadlineExceeded instead of completing the matching.
+/// InvalidArgument when `similarity` holds a NaN.
 StatusOr<MatchResult> DeferredAcceptanceChecked(
-    const la::Matrix& similarity, const CancellationToken* cancel);
-
-/// The preference lists DeferredAcceptance builds internally: row i holds
-/// every target id sorted by descending similarity(i, ·), ties to the
-/// lower index. Exposed so incremental callers (the delta-repair path) can
-/// persist the lists, patch only the rows whose scores changed, and replay
-/// the proposal loop without re-sorting every row.
-std::vector<std::vector<uint32_t>> BuildPreferenceLists(
-    const la::Matrix& similarity);
-
-/// DeferredAcceptance over caller-provided preference lists. `prefs` must
-/// be exactly what BuildPreferenceLists(similarity) would return (every
-/// row a permutation of all target ids in descending-score order); the
-/// target-side comparisons still read `similarity` directly. The result is
-/// bit-identical to DeferredAcceptance(similarity). InvalidArgument on a
-/// shape mismatch.
-StatusOr<MatchResult> DeferredAcceptanceWithPrefs(
-    const la::Matrix& similarity,
-    const std::vector<std::vector<uint32_t>>& prefs,
-    const CancellationToken* cancel = nullptr);
+    const la::Matrix& similarity, const la::KernelContext& ctx);
 
 /// Target-proposing deferred acceptance: the mirror matching in which
 /// targets propose to sources. Gale–Shapley is proposer-optimal, so this

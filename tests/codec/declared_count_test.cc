@@ -30,7 +30,6 @@ TEST(DeclaredCountTest, DeltaStateIdCountThatWrapsIsDataLoss) {
   delta::DeltaState state;
   state.source_ids = {0x5EED0001u, 0x5EED0002u};
   state.target_ids = {0};
-  state.prefs = {{0}, {0}};
   std::string image = delta::SerializeDeltaState(state);
   ASSERT_TRUE(delta::ParseDeltaState(image).ok());
 
@@ -43,6 +42,32 @@ TEST(DeclaredCountTest, DeltaStateIdCountThatWrapsIsDataLoss) {
   ASSERT_NE(at, std::string::npos);
   const uint64_t hostile = (1ull << 62) + 1;
   std::memcpy(image.data() + at, &hostile, sizeof(hostile));
+  ResealCrc(&image);
+
+  auto parsed = delta::ParseDeltaState(image);
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss)
+      << parsed.status().ToString();
+}
+
+TEST(DeclaredCountTest, DeltaStateFusedShapeThatWrapsIsDataLoss) {
+  delta::DeltaState state;
+  state.source_ids = {0, 1};
+  state.target_ids = {0};
+  state.fused = la::Matrix(2, 1);
+  state.fused.Fill(-1.0f);
+  std::string image = delta::SerializeDeltaState(state);
+  ASSERT_TRUE(delta::ParseDeltaState(image).ok());
+
+  // The fused section is the last one: [u64 rows = 2][u64 cols = 1] then
+  // the cells. Declare 2^62 x 4, whose element count wraps to 0.
+  BinWriter pattern;
+  pattern.U64(2);
+  pattern.U64(1);
+  pattern.F32(-1.0f);
+  const size_t at = image.rfind(pattern.Take());
+  ASSERT_NE(at, std::string::npos);
+  const uint64_t hostile[2] = {1ull << 62, 4};
+  std::memcpy(image.data() + at, hostile, sizeof(hostile));
   ResealCrc(&image);
 
   auto parsed = delta::ParseDeltaState(image);

@@ -104,7 +104,6 @@ delta::DeltaState GoldenDeltaState() {
   s.src_name_emb = Ramp(2, 3, 4.0f);
   s.tgt_name_emb = Ramp(3, 3, -4.0f);
   s.fused = Ramp(2, 3, 0.0f);
-  s.prefs = {{2, 1, 0}, {0, 2, 1}};
   return s;
 }
 
@@ -133,9 +132,12 @@ TEST(GoldenBytesTest, AlignmentIndexWithAnnIsV3) {
             "1105:1c74ebb80a8be3b0");
 }
 
+// CEAFFDLT v2: the v1 pin's bytes with the version field set to 2, the
+// 40-byte preference section (two lists over three targets) removed and
+// the CRC recomputed.
 TEST(GoldenBytesTest, DeltaState) {
   EXPECT_EQ(Fingerprint(delta::SerializeDeltaState(GoldenDeltaState())),
-            "714:949320dfd54da70e");
+            "674:5796e7d626a6d887");
 }
 
 TEST(GoldenBytesTest, MatrixArtifact) {

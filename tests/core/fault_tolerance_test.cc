@@ -137,9 +137,10 @@ TEST(KernelCancellationTest, DeferredAcceptanceReturnsCancelled) {
   }
   CancellationToken token;
   token.RequestCancel();
-  EXPECT_TRUE(matching::DeferredAcceptanceChecked(m, &token)
-                  .status()
-                  .IsCancelled());
+  la::KernelContext ctx;
+  ctx.cancel = &token;
+  EXPECT_TRUE(
+      matching::DeferredAcceptanceChecked(m, ctx).status().IsCancelled());
 }
 
 TEST(KernelCancellationTest, DeferredAcceptanceWithNullTokenMatchesLegacy) {
@@ -147,7 +148,7 @@ TEST(KernelCancellationTest, DeferredAcceptanceWithNullTokenMatchesLegacy) {
   for (size_t i = 0; i < m.size(); ++i) {
     m.data()[i] = static_cast<float>((i * 13) % 11) / 11.0f;
   }
-  auto checked = matching::DeferredAcceptanceChecked(m, nullptr);
+  auto checked = matching::DeferredAcceptanceChecked(m, la::KernelContext{});
   ASSERT_TRUE(checked.ok());
   matching::MatchResult legacy = matching::DeferredAcceptance(m);
   EXPECT_EQ(checked->target_of_source, legacy.target_of_source);

@@ -20,6 +20,7 @@
 #include "ceaff/delta/delta_repair.h"
 #include "ceaff/delta/delta_state.h"
 #include "ceaff/la/kernels.h"
+#include "ceaff/matching/matching.h"
 #include "ceaff/serve/alignment_index.h"
 #include "testing/crash_harness.h"
 
@@ -135,7 +136,8 @@ TEST(DeltaCrashTest, ApplyDeltaSurvivesKillAtEverySite) {
     auto store = OpenDeltaStateStore(options.state_dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE(SaveDeltaState(base, store->get()).ok());
-    auto index = BuildIndexFromState(base, false, 0);
+    auto index = BuildIndexFromState(
+        base, matching::DeferredAcceptance(base.fused), false, 0);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     ASSERT_TRUE(
         serve::SaveAlignmentIndexGenerational(*index, options.index_dir)

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "ceaff/delta/delta_state.h"
 #include "ceaff/delta/delta_verify.h"
 #include "ceaff/la/kernels.h"
+#include "ceaff/matching/matching.h"
 
 namespace ceaff::delta {
 namespace {
@@ -269,8 +271,9 @@ TEST_F(DeltaEquivalenceTest, RandomBatchesMatchOracleBitwise) {
     // The repaired state must also clear its own verification gate.
     VerifyOptions verify;
     verify.audit_rows = 4;
-    Status gate =
-        VerifyDeltaState(outcome->state, outcome->dirty_rows, verify, ctx_);
+    const Status gate =
+        VerifyDeltaState(outcome->state, outcome->dirty_rows, verify, ctx_)
+            .status();
     EXPECT_TRUE(gate.ok()) << gate.ToString();
     if (::testing::Test::HasFailure()) return;  // one seed is enough detail
   }
@@ -365,7 +368,8 @@ struct DiskFixture {
     auto store = OpenDeltaStateStore(state_dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE(SaveDeltaState(base, store->get()).ok());
-    auto index = BuildIndexFromState(base, false, 0);
+    auto index = BuildIndexFromState(
+        base, matching::DeferredAcceptance(base.fused), false, 0);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     ASSERT_TRUE(
         serve::SaveAlignmentIndexGenerational(*index, index_dir).ok());
@@ -490,16 +494,23 @@ TEST_F(DeltaEquivalenceTest, VerifyGateCatchesTamperedState) {
   tampered.fused.at(0, 0) += 0.25f;
   VerifyOptions verify;
   verify.audit_rows = static_cast<size_t>(tampered.fused.rows());
-  Status st = VerifyDeltaState(tampered, {0}, verify, ctx_);
+  Status st = VerifyDeltaState(tampered, {0}, verify, ctx_).status();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
 
   // Broken weights fail the cheap structural checks.
   DeltaState bad_weights = base;
   bad_weights.final_weights = {0.9, 0.9};
-  st = VerifyDeltaState(bad_weights, {}, verify, ctx_);
+  st = VerifyDeltaState(bad_weights, {}, verify, ctx_).status();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsDataLoss());
+
+  // A NaN fused cell has no place in the preference order: the
+  // stable-matching check refuses it as a verdict, not a crash.
+  DeltaState nan_cell = base;
+  nan_cell.fused.at(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  st = VerifyDeltaState(nan_cell, {}, verify, ctx_).status();
+  EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
 }
 
 TEST_F(DeltaEquivalenceTest, StateSerializationRoundTripsAndDetectsRot) {

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 
 #include "ceaff/common/crc32.h"
+#include "ceaff/common/durable_io.h"
 #include "ceaff/delta/delta_state.h"
 
 namespace ceaff::delta {
@@ -69,7 +74,6 @@ DeltaState SmallState() {
   s.x1.Fill(0.5f);
   s.fused = la::Matrix(2, 1);
   s.fused.Fill(-1.0f);
-  s.prefs = {{0}, {0}};
   return s;
 }
 
@@ -78,7 +82,6 @@ TEST(DeltaStateCodecTest, RoundTripIsByteIdentical) {
   auto parsed = ParseDeltaState(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->kg2.entity_name(1), "");
-  EXPECT_EQ(parsed->prefs, SmallState().prefs);
   EXPECT_EQ(SerializeDeltaState(*parsed), bytes);
 }
 
@@ -93,6 +96,51 @@ TEST(DeltaStateCodecTest, EveryResealedTruncationIsDataLoss) {
     auto parsed = ParseDeltaState(cut);
     ASSERT_FALSE(parsed.ok()) << "cut at " << keep;
     EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss) << keep;
+  }
+}
+
+/// The bytes of a version-1 file: same layout up to the fused matrix,
+/// then one preference list per source. Only the version field and the
+/// CRC matter to the refusal, so the section itself is left out.
+std::string VersionOneImage() {
+  std::string bytes = SerializeDeltaState(SmallState());
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));  // after the magic
+  const uint32_t crc = Crc32Of(bytes.data(), bytes.size() - sizeof(crc));
+  std::memcpy(bytes.data() + bytes.size() - sizeof(crc), &crc, sizeof(crc));
+  return bytes;
+}
+
+TEST(DeltaStateCodecTest, VersionOneIsRefusedWithTheReexportCommand) {
+  const std::string bytes = VersionOneImage();
+  // Intact, so the generational store must not quarantine it as corrupt.
+  EXPECT_TRUE(ValidateDeltaStateBytes(bytes).ok());
+  auto parsed = ParseDeltaState(bytes);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kFailedPrecondition);
+  const std::string& message = parsed.status().message();
+  EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("ceaff align"), std::string::npos) << message;
+  EXPECT_NE(message.find("--export_delta_state"), std::string::npos)
+      << message;
+
+  // An unknown version is still corruption.
+  std::string v9 = bytes;
+  v9[8] = 9;
+  EXPECT_EQ(ValidateDeltaStateBytes(v9).code(), StatusCode::kDataLoss);
+}
+
+TEST(DeltaStateCodecTest, VersionOneInTheStoreFailsToLoadAndIsKept) {
+  char tmpl[] = "/tmp/ceaff_dlt_v1_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  auto store = OpenDeltaStateStore(tmpl);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->Put("state", VersionOneImage()).ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto loaded = LoadDeltaState(store->get());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+        << loaded.status().ToString();
   }
 }
 

@@ -406,10 +406,10 @@ void PrintDeltaReport(const delta::DeltaApplyReport& report) {
               report.stats.triples_added, report.stats.triples_removed,
               report.stats.entities_renamed, report.stats.serve_added);
   std::printf("delta timing: repair %.3fs, verify %.3fs, publish %.3fs"
-              "  dirty rows/cols %zu/%zu, re-sorted pref rows %zu\n",
+              "  dirty rows/cols %zu/%zu\n",
               report.seconds_repair, report.seconds_verify,
               report.seconds_publish, report.stats.dirty_rows,
-              report.stats.dirty_cols, report.stats.resorted_pref_rows);
+              report.stats.dirty_cols);
   if (report.published_index_generation != 0) {
     std::printf("delta: serving index now at generation %llu\n",
                 static_cast<unsigned long long>(

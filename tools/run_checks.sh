@@ -9,7 +9,8 @@
 # micro_kernels run asserting a clean parity bill), an end-to-end serving
 # smoke (export an index from a tiny synthetic run, then drive ceaff_serve
 # against it), a thread-count identity drill (`align --threads 1` and
-# `--threads 4` must write byte-identical predictions and index), an ANN
+# `--threads 4` must write byte-identical predictions, index and delta
+# state), an ANN
 # smoke (the exported artifact must be format v3, ANN answers must overlap
 # >= 95% with exhaustive top-10 over 20 queries, and STATS must show the
 # ANN path engaged with zero fallbacks; the
@@ -23,8 +24,10 @@
 # and the degraded counter must stay 0), and a rolling-reload hammer
 # (RELOAD mid-session on a 2x1 and a 2x2 fleet: zero failed queries, also
 # rerun under ASan), and a delta smoke (journal a patch batch, apply it
-# beside a live server and assert RELOAD serves the patch, then SIGKILL
-# mid-publish and assert the journal replay converges on the next apply);
+# beside a live server and assert RELOAD serves the patch, assert
+# `delta rebuild` of the same batch writes the same state bytes, then
+# SIGKILL mid-publish and assert the journal replay converges on the next
+# apply);
 # the `shard`-labelled drills — including the
 # replication/rolling-reload/rollback suite — also rerun under ASan, the
 # `delta`-labelled suites (WAL units, repair-vs-rebuild equivalence,
@@ -186,18 +189,20 @@ if [[ "$skip_smoke" == 0 ]]; then
   grep -q '"scrub"' "$smoke/fp_replies.txt"
 
   echo "==> Thread-count identity: align --threads 1 vs --threads 4"
-  # GCN training runs one pool task per KG and every kernel is thread-count
-  # deterministic, so neither the predictions nor the exported index may
-  # differ by a byte between pool sizes.
+  # GCN training runs one pool task per KG, every kernel is thread-count
+  # deterministic and deferred acceptance builds its first preference
+  # blocks in fixed row panels, so neither the predictions, the exported
+  # index nor the delta state may differ by a byte between pool sizes.
   "$repo/build/tools/ceaff" generate --config DBP15K_ZH_EN --scale 0.25 \
     --out "$smoke/tdata"
   for t in 1 4; do
     "$repo/build/tools/ceaff" align --data "$smoke/tdata" --threads "$t" \
       --export_index "$smoke/threads$t.idx" --out "$smoke/threads$t.tsv" \
-      > /dev/null
+      --export_delta_state "$smoke/threads$t.state" > /dev/null
   done
   cmp "$smoke/threads1.tsv" "$smoke/threads4.tsv"
   cmp "$smoke/threads1.idx" "$smoke/threads4.idx"
+  cmp "$smoke/threads1.state/state.g1" "$smoke/threads4.state/state.g1"
 
   echo "==> ANN smoke: v3 artifact, recall@10 vs exhaustive, ANN serving path"
   # The serving smoke's corpus is too small for ANN to engage (the range
@@ -408,11 +413,20 @@ if [[ "$skip_smoke" == 0 ]]; then
     sleep 0.2
   done
   grep -q '^NONE PAIR' "$delta/serve_out.txt"
+  # Keep a copy of the pre-apply state and journal for the rebuild below.
+  cp -r "$delta/state" "$delta/rebuild_state"
+  cp -r "$delta/wal" "$delta/rebuild_wal"
   # Apply the journaled batch while the service keeps running, then RELOAD
   # the same directory: the renamed entity must now answer its PAIR.
   "$repo/build/tools/ceaff" delta apply --journal "$delta/wal" \
     --state "$delta/state" --index "$delta/index" | tee "$delta/apply.txt"
   grep -q 'watermark 0 -> 3' "$delta/apply.txt"
+  # Repair equals rebuild on the CLI path: the exhaustive rebuild of the
+  # same batch must write the same state bytes as the bounded repair.
+  "$repo/build/tools/ceaff" delta rebuild --journal "$delta/rebuild_wal" \
+    --state "$delta/rebuild_state" | tee "$delta/rebuild.txt"
+  grep -q 'watermark 0 -> 3' "$delta/rebuild.txt"
+  cmp "$delta/state/state.g2" "$delta/rebuild_state/state.g2"
   printf 'RELOAD %s\nPAIR delta renamed smoke entity\nQUIT\n' \
     "$delta/index" >&7
   exec 7>&-
