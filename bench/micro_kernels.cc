@@ -1,10 +1,11 @@
-// Microbenchmark of the la/kernels.h compute layer, IVF k-means training
-// and CRC-32 against their naive references (ceaff_reference and the
-// bench-local ones below), emitting
+// Microbenchmark of the la/kernels.h compute layer, the GCN's margin
+// loss, IVF k-means training and CRC-32 against their naive references
+// (ceaff_reference and the bench-local ones below), emitting
 // BENCH_kernels.json (tracked in-repo as the perf baseline). For every
 // (kernel, shape) it times the naive reference once and the kernel at
 // several thread counts, reporting GFLOP/s (Mcell/s for the string and
-// CSLS kernels, MB/s for CRC-32) and the speedup over naive.
+// CSLS kernels, million scored pairs/s for the margin loss, MB/s for
+// CRC-32) and the speedup over naive.
 //
 //   micro_kernels [--out FILE] [--quick] [--smoke]
 //
@@ -39,8 +40,10 @@
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/random.h"
 #include "ceaff/common/thread_pool.h"
+#include "ceaff/embed/gcn.h"
 #include "ceaff/la/kernels.h"
 #include "ceaff/la/sparse_matrix.h"
+#include "ceaff/reference/embed_reference.h"
 #include "ceaff/reference/la_reference.h"
 #include "ceaff/reference/text_reference.h"
 
@@ -401,6 +404,75 @@ void BenchSpmm(size_t n, size_t d, size_t nnz_per_row,
   }
 }
 
+/// Embeddings, seeds and negatives of one margin-loss call: n x d
+/// embeddings per KG, one seed pair per `n / positives` rows and
+/// `negatives / positives` uniform corruptions of each. KG2's seed rows
+/// are KG1's plus small noise, so some hinges are positive and some not.
+struct MarginLossInput {
+  Matrix z1, z2;
+  std::vector<kg::AlignmentPair> positives;
+  std::vector<embed::NegativePair> negatives;
+};
+
+MarginLossInput MakeMarginLossInput(size_t n, size_t d, size_t positives,
+                                    size_t negatives, uint64_t seed) {
+  MarginLossInput in;
+  in.z1 = RandomMatrix(n, d, seed);
+  in.z2 = RandomMatrix(n, d, seed + 1);
+  Rng rng(seed + 2);
+  for (size_t i = 0; i < positives; ++i) {
+    const uint32_t u = static_cast<uint32_t>(i * n / positives);
+    in.positives.push_back({u, u});
+    for (size_t c = 0; c < d; ++c) {
+      in.z2.at(u, c) = in.z1.at(u, c) +
+                       static_cast<float>(rng.NextUniform(-0.6, 0.6));
+    }
+  }
+  in.negatives = embed::SampleNegatives(in.positives, n, n,
+                                        negatives / positives, &rng);
+  return in;
+}
+
+void BenchMarginLoss(size_t n, size_t d, size_t negatives,
+                     const std::vector<int>& thread_counts, int reps) {
+  const size_t positives = negatives / 5;
+  const MarginLossInput in = MakeMarginLossInput(n, d, positives, negatives,
+                                                 111);
+  char shape[64];
+  std::snprintf(shape, sizeof(shape), "%zux%zu neg=%zu", n, d,
+                in.negatives.size());
+  const double pairs =
+      static_cast<double>(in.positives.size() + in.negatives.size());
+
+  Matrix want1(n, d), want2(n, d);
+  double want_loss = 0.0;
+  const double naive_s = TimeBest(reps, [&] {
+    want_loss = embed::MarginRankingLossGradSerial(
+        in.z1, in.z2, in.positives, in.negatives, 3.0f, &want1, &want2);
+  });
+  g_rows.push_back({"margin_loss_naive", shape, 0, naive_s,
+                    pairs / naive_s / 1e6, "mpairs", 1.0});
+
+  for (int threads : thread_counts) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    Matrix dz1(n, d), dz2(n, d);
+    double loss = 0.0;
+    const double s = TimeBest(reps, [&] {
+      loss = embed::MarginRankingLossGrad(in.z1, in.z2, in.positives,
+                                          in.negatives, 3.0f, &dz1, &dz2,
+                                          pool.get());
+    });
+    if (loss != want_loss || !BitIdentical(dz1, want1) ||
+        !BitIdentical(dz2, want2)) {
+      Fail("margin loss diverged from the serial reference at " +
+           std::string(shape));
+    }
+    g_rows.push_back({"margin_loss_kernel", shape, threads, s,
+                      pairs / s / 1e6, "mpairs", naive_s / s});
+  }
+}
+
 /// Byte-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: the
 /// implementation the slicing-by-8 Crc32::Update replaced.
 uint32_t NaiveCrc32(const unsigned char* data, size_t len) {
@@ -666,6 +738,21 @@ int RunSmoke() {
     }
   }
   {
+    const MarginLossInput in = MakeMarginLossInput(301, 37, 40, 200, 10);
+    Matrix want1(301, 37), want2(301, 37);
+    const double want = embed::MarginRankingLossGradSerial(
+        in.z1, in.z2, in.positives, in.negatives, 3.0f, &want1, &want2);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      Matrix dz1(301, 37), dz2(301, 37);
+      if (embed::MarginRankingLossGrad(in.z1, in.z2, in.positives,
+                                       in.negatives, 3.0f, &dz1, &dz2,
+                                       p) != want ||
+          !BitIdentical(dz1, want1) || !BitIdentical(dz2, want2)) {
+        Fail("margin loss parity");
+      }
+    }
+  }
+  {
     const Matrix points = RandomMatrix(203, 19, 8);
     ann::IvfOptions options;
     options.num_centroids = 10;
@@ -760,6 +847,7 @@ int main(int argc, char** argv) {
     BenchCsls(256, 10, threads, 3);
     BenchSpmm(2000, 32, 8, threads, 3);
     BenchIvfTrain(2000, 64, 45, threads, 3);
+    BenchMarginLoss(500, 64, 600, {1, 4}, 3);
     BenchCrc32(size_t{4} << 20, 3);
   } else {
     BenchCosine(512, 64, threads, 5);
@@ -776,6 +864,9 @@ int main(int argc, char** argv) {
     // The TOPK index's ANN training shape: 10k fused target rows of
     // 300 + 200 dims, ceil(sqrt(n)) centroids.
     BenchIvfTrain(10000, 500, 100, threads, 3);
+    // The GCN's loss at ZH-EN scale 2: 2200 entities per KG at d = 128,
+    // 600 seed pairs with 5 negatives each.
+    BenchMarginLoss(2200, 128, 3000, {1, 4}, 7);
     // About the size of that index's CEAFFIDX file.
     BenchCrc32(size_t{40} << 20, 5);
   }

@@ -437,7 +437,7 @@ StatusOr<std::string> GenerationalStore::Get(
     std::string bytes;
     auto bytes_or = ReadFileToString(path);
     if (!bytes_or.ok()) {
-      verdict = bytes_or.status();
+      verdict = Status::DataLoss(bytes_or.status().message());
     } else {
       bytes = std::move(bytes_or).value();
       if (e.has_crc && (bytes.size() != e.size ||
@@ -460,6 +460,14 @@ StatusOr<std::string> GenerationalStore::Get(
         (void)CommitManifestLocked();
       }
       return bytes;
+    }
+    if (verdict.code() != StatusCode::kDataLoss) {
+      // The validator refused intact bytes (say, a format version this
+      // build does not read): report it and leave the generation, the
+      // older ones and the MANIFEST as they are (quarantines already made
+      // still stand).
+      if (quarantined_any) (void)CommitManifestLocked();
+      return verdict;
     }
 
     // Quarantine and fall back to the previous generation. This is the

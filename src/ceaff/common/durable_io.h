@@ -83,12 +83,16 @@ using ArtifactValidator = std::function<Status(const std::string& bytes)>;
 ///
 /// Read protocol for Get(name): walk the manifest's generations newest
 /// first; for each, check size + CRC against the manifest entry and run
-/// the caller's validator. A generation failing either check is renamed
-/// to `*.corrupt` (quarantined, with a kDataLoss warning logged) and the
-/// next-older generation is tried. Only when no listed generation
-/// survives does Get fail with kDataLoss — torn or bit-flipped files
-/// degrade to older data, never to an error-on-arrival, and never to
-/// silently wrong bytes.
+/// the caller's validator. A generation that cannot be read, fails the
+/// size + CRC check, or gets a kDataLoss verdict is renamed to `*.corrupt`
+/// (quarantined, with a kDataLoss warning logged) and the next-older
+/// generation is tried. Only when no listed generation survives does Get
+/// fail with kDataLoss — torn or bit-flipped files degrade to older data,
+/// never to an error-on-arrival, and never to silently wrong bytes. Any
+/// other validator verdict (say, an intact file of a format version this
+/// build does not read) is returned as is, and that generation, the older
+/// ones and the MANIFEST are left untouched: a reader must not destroy a
+/// state it merely cannot read.
 ///
 /// A missing or corrupt MANIFEST (bit flip — atomic writes make torn
 /// manifests unreachable) is itself recoverable: Init quarantines it and
@@ -131,7 +135,8 @@ class GenerationalStore {
 
   /// Newest valid generation's bytes (see the read protocol above).
   /// kNotFound when the artifact has no committed generation at all;
-  /// kDataLoss when generations exist but every one is corrupt.
+  /// kDataLoss when generations exist but every one is corrupt; the
+  /// verdict itself when it is neither OK nor kDataLoss.
   StatusOr<std::string> Get(const std::string& name,
                             const ArtifactValidator& validate = nullptr);
 

@@ -2,10 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "ceaff/common/random.h"
 
 namespace ceaff {
+
+namespace {
+
+/// Blocks per worker in ParallelFor: enough that the threads even out
+/// when some run late, few enough that claiming costs nothing.
+constexpr size_t kBlocksPerThread = 4;
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads, size_t queue_capacity)
     : capacity_(std::max<size_t>(1, queue_capacity)) {
@@ -78,44 +87,54 @@ void ThreadPool::WorkerLoop() {
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (pool == nullptr || pool->num_threads() <= 1) {
+  if (pool == nullptr || pool->num_threads() <= 1 || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Contiguous blocks, one per worker, so false sharing on row-major output
-  // buffers stays minimal. The caller's thread waits (it does not steal
-  // work: blocks are balanced, so the tail wait is short).
-  const size_t num_blocks = std::min(pool->num_threads(), n);
+  // Contiguous blocks, a few per worker, so false sharing on row-major
+  // output buffers stays minimal while no block waits for a thread the
+  // OS has not scheduled: the workers and the caller each claim the next
+  // unclaimed block until none is left.
+  const size_t num_blocks = std::min(n, kBlocksPerThread * pool->num_threads());
   const size_t block = (n + num_blocks - 1) / num_blocks;
-  // `done` is guarded by `mu`, not an atomic: the caller may only observe
-  // completion after the finishing worker has *released* `mu`, so no worker
-  // can still be touching `mu`/`cv` when the caller returns and destroys
-  // them. (With an atomic counter bumped outside the lock, the caller's
-  // predicate could turn true between a worker's increment and its
-  // notify-under-lock, and the worker would then lock a dead mutex.)
-  size_t done = 0;
-  std::mutex mu;
-  std::condition_variable cv;
-  auto finish_block = [&] {
-    std::lock_guard<std::mutex> lock(mu);
-    if (++done == num_blocks) cv.notify_one();
+  // Shared with the helper tasks, which may start after the call returned:
+  // such a task finds every block claimed and touches nothing else. `fn`
+  // is only called for a claimed block, and the call cannot return before
+  // that block has run. `ran` is guarded by `mu`, so the caller observes
+  // completion only after the last worker released it.
+  struct Claims {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable all_ran;
+    size_t ran = 0;
   };
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t begin = b * block;
-    const size_t end = std::min(n, begin + block);
-    const SubmitResult submitted = pool->Submit([&, begin, end] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-      finish_block();
-    });
-    if (submitted != SubmitResult::kAccepted) {
-      // Pool is shutting down; run the block on the caller so the barrier
-      // below can never deadlock on a task that was silently dropped.
-      for (size_t i = begin; i < end; ++i) fn(i);
-      finish_block();
+  const auto claims = std::make_shared<Claims>();
+  const auto run_claimed = [n, num_blocks, block](
+                               Claims* c,
+                               const std::function<void(size_t)>* f) {
+    size_t ran = 0;
+    for (size_t b;
+         (b = c->next.fetch_add(1, std::memory_order_relaxed)) < num_blocks;
+         ++ran) {
+      const size_t end = std::min(n, (b + 1) * block);
+      for (size_t i = b * block; i < end; ++i) (*f)(i);
     }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(c->mu);
+    c->ran += ran;
+    if (c->ran == num_blocks) c->all_ran.notify_one();
+  };
+  const size_t helpers = std::min(pool->num_threads(), num_blocks - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    // A refused task (pool shutting down) leaves its share to the caller,
+    // so the wait below never hangs on a dropped task.
+    (void)pool->Submit([claims, run_claimed, f = &fn] {
+      run_claimed(claims.get(), f);
+    });
   }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done == num_blocks; });
+  run_claimed(claims.get(), &fn);
+  std::unique_lock<std::mutex> lock(claims->mu);
+  claims->all_ran.wait(lock, [&] { return claims->ran == num_blocks; });
 }
 
 }  // namespace ceaff

@@ -75,8 +75,10 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(0), ..., fn(n-1), partitioned into contiguous index blocks across
-/// the pool's workers, and blocks until all calls finished. Falls back to a
+/// Runs fn(0), ..., fn(n-1), partitioned into contiguous index blocks that
+/// the pool's workers and the calling thread claim in turn, and blocks
+/// until all calls finished. Within a block indices run in ascending order
+/// on one thread; which thread runs a block is not fixed. Falls back to a
 /// plain sequential loop when `pool` is null or has a single thread.
 /// `fn` must be safe to call concurrently for distinct indices.
 void ParallelFor(ThreadPool* pool, size_t n,

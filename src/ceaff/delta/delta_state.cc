@@ -15,7 +15,7 @@ namespace {
 constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'D', 'L', 'T'};
 constexpr uint32_t kVersion = 2;
 /// The format that also stored full preference lists. Still recognised,
-/// so the refusal can say how to recover instead of calling it corrupt.
+/// so the refusal can say how to recover.
 constexpr uint32_t kVersionWithPrefs = 1;
 constexpr size_t kTrailerBytes = 4;
 
@@ -34,16 +34,26 @@ Status ValidateDeltaStateBytes(std::string_view bytes) {
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::DataLoss("bad delta-state magic");
   }
-  const uint32_t version = VersionOf(bytes);
-  if (version != kVersion && version != kVersionWithPrefs) {
-    return Status::DataLoss(
-        StrFormat("unsupported delta-state version %u", version));
-  }
   uint32_t stored = 0;
   std::memcpy(&stored, bytes.data() + bytes.size() - kTrailerBytes,
               sizeof(stored));
   if (stored != Crc32Of(bytes.data(), bytes.size() - kTrailerBytes)) {
     return Status::DataLoss("delta-state CRC mismatch");
+  }
+  // The checksum holds, so another version is a format this build does
+  // not read, not corruption: it must not be quarantined.
+  const uint32_t version = VersionOf(bytes);
+  if (version == kVersionWithPrefs) {
+    return Status::FailedPrecondition(
+        "delta state is CEAFFDLT version 1, which this build no longer "
+        "reads (version 2 dropped the stored preference lists); re-export "
+        "it with `ceaff align --data DIR --export_delta_state STATE_DIR`");
+  }
+  if (version != kVersion) {
+    return Status::FailedPrecondition(StrFormat(
+        "unsupported delta-state version %u (this build reads version %u); "
+        "read it with the build that wrote it",
+        version, kVersion));
   }
   return Status::OK();
 }
@@ -185,12 +195,6 @@ std::string SerializeDeltaState(const DeltaState& state) {
 
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
   CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
-  if (VersionOf(bytes) == kVersionWithPrefs) {
-    return Status::FailedPrecondition(
-        "delta state is CEAFFDLT version 1, which this build no longer "
-        "reads (version 2 dropped the stored preference lists); re-export "
-        "it with `ceaff align --data DIR --export_delta_state STATE_DIR`");
-  }
   // Parse in place: the reader borrows the caller's bytes.
   BinReader r(bytes.substr(0, bytes.size() - kTrailerBytes));
   const char* header = nullptr;

@@ -93,15 +93,16 @@ struct DeltaState {
 /// Serialises to the container format above (CRC trailer included).
 std::string SerializeDeltaState(const DeltaState& state);
 
-/// Cheap integrity check (magic, version, whole-file CRC) — the
-/// GenerationalStore validator, so a corrupt newest generation falls back
-/// to the previous one instead of failing the load. An intact version-1
-/// file passes, so the store keeps it rather than quarantining it; the
-/// parse refuses it.
+/// Cheap integrity check (magic, whole-file CRC, version) — the
+/// GenerationalStore validator, so a corrupt newest generation (kDataLoss)
+/// falls back to the previous one instead of failing the load. An intact
+/// file of any other version is kFailedPrecondition, which the store
+/// returns without quarantining the file: for version 1 the message names
+/// the re-export command, otherwise the version this build reads.
 Status ValidateDeltaStateBytes(std::string_view bytes);
 
-/// Full parse. kDataLoss on any corruption; kFailedPrecondition, naming
-/// the re-export command, on an intact version-1 file.
+/// Full parse. kDataLoss on any corruption; ValidateDeltaStateBytes's
+/// kFailedPrecondition on an intact file of another version.
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes);
 
 /// Opens (and Init()s) the generational store at `dir` used for delta

@@ -8,6 +8,7 @@
 #include "ceaff/common/cancellation.h"
 #include "ceaff/common/random.h"
 #include "ceaff/common/statusor.h"
+#include "ceaff/common/thread_pool.h"
 #include "ceaff/kg/knowledge_graph.h"
 #include "ceaff/la/kernels.h"
 #include "ceaff/la/matrix.h"
@@ -68,11 +69,15 @@ struct GcnOptions {
   /// epoch. Train() returns kCancelled/kDeadlineExceeded when it fires
   /// (embeddings reflect the last completed epoch). Not owned.
   const CancellationToken* cancel = nullptr;
-  /// Optional kernel context for the forward and backward passes. Each
-  /// KG's chain runs as one task on its pool, with its block sizes and
-  /// cancellation token; null runs both chains sequentially with default
-  /// blocks. The embeddings are identical either way (the kernels are
-  /// thread-count deterministic). Not owned.
+  /// Optional kernel context for the forward and backward passes; null
+  /// runs everything sequentially. On the propagation-only default each
+  /// phase of an epoch (both SpMMs of the forward pass, the loss, both of
+  /// the backward pass) is one dispatch on its pool over KG × row-panel
+  /// tasks, 2 × threads panels per KG, claimed by the workers and the
+  /// calling thread; with use_weight_transform each KG's chain is one
+  /// task, with the kernels inline. The embeddings and the loss are
+  /// bit-identical at any pool size and blocking (every output row is
+  /// computed by one task in a fixed order). Not owned.
   const la::KernelContext* kernel = nullptr;
 };
 
@@ -139,21 +144,39 @@ class GcnAligner {
     la::Matrix dw1, dw2;          // this KG's share of dL/dW1, dL/dW2
   };
 
-  /// Runs fn(0) and fn(1) — one call per KG — as two tasks on the kernel
-  /// pool, and hands each the caller's kernel context without its pool so
+  /// Rows [r0, r1) of KG `kg`: one task of a propagation phase.
+  struct Panel {
+    size_t kg, r0, r1;
+  };
+
+  /// Runs fn once per panel, all of them as one dispatch on the kernel
+  /// pool and the calling thread (inline without a pool).
+  void ForEachPanel(const std::vector<Panel>& panels,
+                    const std::function<void(const Panel&)>& fn) const;
+  /// Runs fn(0) and fn(1) — one call per KG — as one dispatch on the
+  /// kernel pool, and hands each the caller's kernel context without its pool so
   /// the kernels inside run inline on the task's thread.
   void ForEachKg(
       const std::function<void(const la::KernelContext&, size_t)>& fn) const;
+  /// Refreshes both KGs' Z from X (and W1/W2) into the given buffers.
+  void ForwardAll(Workspace ws[2]);
+  /// Weight-transform forward of one KG.
   void ForwardKg(const la::KernelContext& ctx, Side* side,
                  Workspace* ws) const;
-  /// dL/dX (and this KG's dL/dW1, dL/dW2 with use_weight_transform) from
-  /// ws->dz; then, when train_inputs, applies the SGD step to side->x.
+  /// dL/dX from ws[k].dz and, when train_inputs, the SGD step on both
+  /// KGs' X; with use_weight_transform also the step on W1/W2.
+  void Backward(float lr, Workspace ws[2], la::Matrix* dw1, la::Matrix* dw2);
+  /// Weight-transform backward of one KG: dL/dX and this KG's dL/dW1,
+  /// dL/dW2 from ws->dz; then, when train_inputs, the SGD step on side->x.
   void BackwardKg(const la::KernelContext& ctx, float lr, Side* side,
                   Workspace* ws) const;
 
   GcnOptions options_;
   Side kg_[2];
   la::Matrix w1_, w2_;  // shared layer weights
+  /// The propagation phases' tasks: each KG's rows of A (forward) and of
+  /// Aᵀ (backward) cut into panels of about equal nonzero count.
+  std::vector<Panel> forward_panels_, backward_panels_;
 };
 
 /// A corrupted (negative) seed pair plus the positive it was derived from.
@@ -178,11 +201,21 @@ std::vector<NegativePair> SampleHardNegatives(
 
 /// Margin ranking loss (Eq. 1) and its gradient with respect to the two
 /// embedding matrices. Returns the summed loss; `dz1`/`dz2` (same shapes as
-/// z1/z2) receive the gradients (overwritten, not accumulated).
+/// z1/z2) receive the gradients (overwritten, not accumulated). Fewer than
+/// 2²³ negatives.
+///
+/// Parallel over `pool` (null = sequential) and bit-identical at any pool
+/// size to the serial loop of ceaff_reference (embed_reference.h): the L1
+/// distances are computed in parallel index chunks, the loss is summed
+/// serially in negative-index order, and each dZ row panel is zeroed and
+/// filled by the one task that owns it. Every dZ entry is a sum of ±1.0f
+/// terms, exact in float below 2²⁴, so the owner's order of adding them
+/// cannot change a bit.
 double MarginRankingLossGrad(const la::Matrix& z1, const la::Matrix& z2,
                              const std::vector<kg::AlignmentPair>& positives,
                              const std::vector<NegativePair>& negatives,
-                             float margin, la::Matrix* dz1, la::Matrix* dz2);
+                             float margin, la::Matrix* dz1, la::Matrix* dz2,
+                             ThreadPool* pool = nullptr);
 
 }  // namespace ceaff::embed
 

@@ -239,6 +239,64 @@ Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
 // Sparse-dense (GCN layer)
 // ---------------------------------------------------------------------------
 
+void SpMMRowsInto(const SparseMatrix& a, const Matrix& x, size_t r0,
+                  size_t r1, Matrix* out) {
+  CEAFF_CHECK(a.cols() == x.rows() && out->rows() == a.rows() &&
+              out->cols() == x.cols() && out != &x && r0 <= r1 &&
+              r1 <= a.rows())
+      << "spmm rows [" << r0 << ", " << r1 << ") of " << a.rows() << "x"
+      << a.cols() << " * " << x.rows() << "x" << x.cols() << " into "
+      << out->rows() << "x" << out->cols();
+  const size_t n = x.cols();
+  const uint32_t* rp = a.row_ptr().data();
+  const uint32_t* ci = a.col_idx().data();
+  const float* vals = a.values().data();
+  const size_t nnz = a.nnz();
+  // Fused CSR sweep with raw pointers hoisted out of the loop. Each output
+  // row is built in column blocks of 16 floats (then 4, then a scalar
+  // remainder): a block's partial sums stay in registers for the whole nnz
+  // walk of the row and are stored once, instead of a load and a store of
+  // the output row per nonzero. Every lane adds v·x over ascending
+  // nonzeros starting from 0.0f — la::SparseMultiply's per-element chain —
+  // and every element of the row is stored, so the result is bit-identical
+  // to it whatever `out` held before and however the rows are split. When
+  // the dense operand is too big to sit in L2, the walk also prefetches
+  // the head of a *later* nonzero's dense row: the gathers
+  // x.row(col_idx[k]) are the kernel's only random accesses, and on
+  // cache-resident operands the prefetches are pure overhead, so the
+  // footprint decides. col_idx is contiguous across row boundaries, so the
+  // lookahead index k + dist is valid anywhere below nnz (prefetching into
+  // another panel's rows is harmless — prefetch has no architectural
+  // effect).
+  const bool use_prefetch = x.size() * sizeof(float) > (size_t{1} << 20);
+  for (size_t r = r0; r < r1; ++r) {
+    float* orow = out->row(r);
+    const uint32_t k0 = rp[r];
+    const uint32_t k1 = rp[r + 1];
+    // Only the row's first column block prefetches: the later blocks
+    // re-walk the same nonzeros, and a prefetch per block cost more than
+    // it saved at the GCN's d = 128.
+    size_t j0 = 0;
+    for (; j0 + 16 <= n; j0 += 16) {
+      SpmmRowBlock<4>(ci, vals, k0, k1, nnz, x, j0, use_prefetch && j0 == 0,
+                      orow);
+    }
+    for (; j0 + 4 <= n; j0 += 4) {
+      SpmmRowBlock<1>(ci, vals, k0, k1, nnz, x, j0, use_prefetch && j0 == 0,
+                      orow);
+    }
+    if (j0 == n) continue;
+    // The scalar remainder: at most three lanes, each from 0.0f.
+    float tail[3] = {0.0f, 0.0f, 0.0f};
+    for (uint32_t k = k0; k < k1; ++k) {
+      const float v = vals[k];
+      const float* drow = x.row(ci[k]);
+      for (size_t j = j0; j < n; ++j) tail[j - j0] += v * drow[j];
+    }
+    std::memcpy(orow + j0, tail, (n - j0) * sizeof(float));
+  }
+}
+
 void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
                const Matrix& x, Matrix* out) {
   CEAFF_CHECK(a.cols() == x.rows())
@@ -246,63 +304,16 @@ void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
       << x.rows() << "x" << x.cols();
   CEAFF_CHECK(out != &x) << "spmm output must not alias its dense operand";
   const size_t rows = a.rows();
-  const size_t n = x.cols();
-  if (out->rows() == rows && out->cols() == n) {
-    out->SetZero();
-  } else {
-    *out = Matrix(rows, n);
+  // The sweep stores every element, so a reused output needs no zero-fill.
+  if (out->rows() != rows || out->cols() != x.cols()) {
+    *out = Matrix(rows, x.cols());
   }
-  const uint32_t* rp = a.row_ptr().data();
-  const uint32_t* ci = a.col_idx().data();
-  const float* vals = a.values().data();
-  const size_t nnz = a.nnz();
-  // Fused CSR panel sweep with raw pointers hoisted out of the loop. Each
-  // output row is built in column blocks of 16 floats (then 4, then a
-  // scalar remainder): a block's partial sums stay in registers for the
-  // whole nnz walk of the row and are stored once, instead of a load and a
-  // store of the output row per nonzero. Every lane still adds v·x over
-  // ascending nonzeros starting from 0.0f — la::SparseMultiply's
-  // per-element chain — so the result is bit-identical to it at any thread
-  // count and blocking. When the dense operand is too big to sit in L2,
-  // the walk also prefetches the head of a *later* nonzero's dense row:
-  // the gathers x.row(col_idx[k]) are the kernel's only random accesses,
-  // and on cache-resident operands the prefetches are pure overhead, so
-  // the footprint decides once per call. col_idx is contiguous across row
-  // boundaries, so the lookahead index k + dist is valid anywhere below
-  // nnz (prefetching into a neighbouring task's rows is harmless —
-  // prefetch has no architectural effect).
-  const bool use_prefetch = x.size() * sizeof(float) > (size_t{1} << 20);
-  const auto sweep = [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      float* orow = out->row(r);
-      const uint32_t k0 = rp[r];
-      const uint32_t k1 = rp[r + 1];
-      // Only the row's first column block prefetches: the later blocks
-      // re-walk the same nonzeros, and a prefetch per block cost more
-      // than it saved at the GCN's d = 128.
-      size_t j0 = 0;
-      for (; j0 + 16 <= n; j0 += 16) {
-        SpmmRowBlock<4>(ci, vals, k0, k1, nnz, x, j0,
-                        use_prefetch && j0 == 0, orow);
-      }
-      for (; j0 + 4 <= n; j0 += 4) {
-        SpmmRowBlock<1>(ci, vals, k0, k1, nnz, x, j0,
-                        use_prefetch && j0 == 0, orow);
-      }
-      if (j0 == n) continue;
-      for (uint32_t k = k0; k < k1; ++k) {
-        const float v = vals[k];
-        const float* drow = x.row(ci[k]);
-        for (size_t j = j0; j < n; ++j) orow[j] += v * drow[j];
-      }
-    }
-  };
   // SpMM panels are far cheaper than the dense kernels' (a row costs
   // O(nnz_row·n), typically a handful of axpys), so on the sequential path
   // even the per-panel std::function dispatch of ParallelPanels costs a
-  // measurable slice of the whole kernel. Run the fused sweep directly,
-  // polling the token at the panel boundaries the parallel partition would
-  // have had.
+  // measurable slice of the whole kernel. Run the sweep directly, polling
+  // the token at the panel boundaries the parallel partition would have
+  // had.
   if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1) {
     const size_t block =
         std::max<size_t>(1, std::max(ctx.opts.row_block, ctx.opts.grain));
@@ -310,13 +321,15 @@ void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
       if (ctx.cancel != nullptr && !ctx.cancel->Check("kernel panel").ok()) {
         return;  // partial; surfaced via KernelContext::CheckCancelled
       }
-      sweep(r0, std::min(rows, r0 + block));
+      SpMMRowsInto(a, x, r0, std::min(rows, r0 + block), out);
     }
     return;
   }
   // Parallel path: each task owns a panel of output rows and runs the same
-  // fused sweep over it.
-  ParallelPanels(ctx, rows, ctx.opts.row_block, sweep);
+  // sweep over it.
+  ParallelPanels(ctx, rows, ctx.opts.row_block, [&](size_t r0, size_t r1) {
+    SpMMRowsInto(a, x, r0, r1, out);
+  });
 }
 
 Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a,

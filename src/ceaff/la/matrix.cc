@@ -1,5 +1,6 @@
 #include "ceaff/la/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -87,10 +88,15 @@ void Matrix::Scale(float s) {
 }
 
 void Matrix::Axpy(float s, const Matrix& other) {
+  AxpyRows(s, other, 0, rows_);
+}
+
+void Matrix::AxpyRows(float s, const Matrix& other, size_t r0, size_t r1) {
   CEAFF_DCHECK(!is_view());
   CEAFF_CHECK(SameShape(other));
+  CEAFF_DCHECK(r0 <= r1 && r1 <= rows_);
   const float* o = other.data();
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += s * o[i];
+  for (size_t i = r0 * cols_; i < r1 * cols_; ++i) data_[i] += s * o[i];
 }
 
 void Matrix::ReluInPlace() {
@@ -98,15 +104,31 @@ void Matrix::ReluInPlace() {
   for (float& x : data_) x = x > 0.0f ? x : 0.0f;
 }
 
-void Matrix::L2NormalizeRows() {
+void Matrix::L2NormalizeRows() { L2NormalizeRows(0, rows_); }
+
+void Matrix::L2NormalizeRows(size_t r0, size_t r1) {
   CEAFF_DCHECK(!is_view());
-  for (size_t r = 0; r < rows_; ++r) {
-    float* p = row(r);
-    double sq = 0.0;
-    for (size_t c = 0; c < cols_; ++c) sq += static_cast<double>(p[c]) * p[c];
-    if (sq <= 0.0) continue;
-    float inv = static_cast<float>(1.0 / std::sqrt(sq));
-    for (size_t c = 0; c < cols_; ++c) p[c] *= inv;
+  CEAFF_DCHECK(r0 <= r1 && r1 <= rows_);
+  // Each row's squared norm is one double chain over ascending columns.
+  // Four rows advance in lockstep, so their adds overlap instead of each
+  // waiting on the previous one; a row's own order, and so its bits, do
+  // not depend on its neighbours.
+  constexpr size_t kRows = 4;
+  for (size_t r = r0; r < r1; r += kRows) {
+    const size_t count = std::min(kRows, r1 - r);
+    float* p[kRows];
+    for (size_t l = 0; l < kRows; ++l) p[l] = row(r + std::min(l, count - 1));
+    double sq[kRows] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t c = 0; c < cols_; ++c) {
+      for (size_t l = 0; l < kRows; ++l) {
+        sq[l] += static_cast<double>(p[l][c]) * p[l][c];
+      }
+    }
+    for (size_t l = 0; l < count; ++l) {
+      if (sq[l] <= 0.0) continue;
+      const float inv = static_cast<float>(1.0 / std::sqrt(sq[l]));
+      for (size_t c = 0; c < cols_; ++c) p[l][c] *= inv;
+    }
   }
 }
 

@@ -98,12 +98,16 @@ class Matrix {
   void Scale(float s);
   /// this += s * other (axpy, same shape).
   void Axpy(float s, const Matrix& other);
+  /// Axpy over rows [r0, r1) only; those rows get Axpy's bits.
+  void AxpyRows(float s, const Matrix& other, size_t r0, size_t r1);
 
   /// Element-wise maximum with zero, in place (ReLU).
   void ReluInPlace();
 
   /// L2-normalises every row in place; all-zero rows are left untouched.
   void L2NormalizeRows();
+  /// L2NormalizeRows over rows [r0, r1) only.
+  void L2NormalizeRows(size_t r0, size_t r1);
 
   /// Frobenius norm.
   float FrobeniusNorm() const;

@@ -284,6 +284,48 @@ TEST(GenerationalStoreTest, CallerValidatorRejectionAlsoQuarantines) {
   EXPECT_TRUE(fs::exists(dir.File("a.g2.corrupt")));
 }
 
+// Only a kDataLoss verdict quarantines. Any other (here, bytes of a format
+// the reader does not know) is returned as is, and the generation, its
+// fallback and the MANIFEST stay as they were.
+TEST(GenerationalStoreTest, NonDataLossVerdictIsReturnedWithoutQuarantine) {
+  ScratchDir dir("gen_unreadable");
+  GenerationalStore store(dir.path());
+  ASSERT_TRUE(store.Init().ok());
+  ASSERT_TRUE(store.Put("a", "format-1").ok());
+  ASSERT_TRUE(store.Put("a", "format-9").ok());
+  const std::string manifest = MustRead(dir.File("MANIFEST"));
+  auto validator = [](const std::string& bytes) {
+    return bytes == "format-1"
+               ? Status::OK()
+               : Status::FailedPrecondition("unknown format " + bytes);
+  };
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto bytes = store.Get("a", validator);
+    ASSERT_FALSE(bytes.ok());
+    EXPECT_EQ(bytes.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(bytes.status().message().find("format-9"), std::string::npos);
+  }
+  EXPECT_TRUE(fs::exists(dir.File("a.g2")));
+  EXPECT_FALSE(fs::exists(dir.File("a.g2.corrupt")));
+  EXPECT_EQ(store.Generations("a"), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(MustRead(dir.File("MANIFEST")), manifest);
+}
+
+// A committed generation whose file is gone is lost data: it is dropped
+// and the previous generation serves.
+TEST(GenerationalStoreTest, MissingNewestGenerationFallsBack) {
+  ScratchDir dir("gen_missing");
+  GenerationalStore store(dir.path());
+  ASSERT_TRUE(store.Init().ok());
+  ASSERT_TRUE(store.Put("a", "older").ok());
+  ASSERT_TRUE(store.Put("a", "newer").ok());
+  ASSERT_TRUE(fs::remove(dir.File("a.g2")));
+  auto bytes = store.Get("a");
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(bytes.value(), "older");
+  EXPECT_EQ(store.Generations("a"), (std::vector<uint64_t>{1}));
+}
+
 TEST(GenerationalStoreTest, CorruptManifestIsQuarantinedAndRebuilt) {
   ScratchDir dir("gen_manifest");
   {

@@ -103,10 +103,11 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 }
 
 // Regression: ParallelFor's completion barrier must not let the caller
-// return (destroying the stack-local mutex/condvar) while the finishing
-// worker is still between bumping the done-count and notifying. Many
-// tiny back-to-back calls maximise that window; under TSan the old
-// atomic-counter barrier showed up as a worker locking a dead mutex.
+// return while a worker still touches the barrier's state (a finishing
+// worker between bumping the done-count and notifying, or a helper task
+// that starts after every block was claimed). Many tiny back-to-back
+// calls maximise that window; under TSan the old atomic-counter barrier
+// showed up as a worker locking a dead mutex.
 TEST(ParallelForTest, RapidSmallCallsNeverRaceTheBarrierTeardown) {
   ThreadPool pool(4);
   std::atomic<size_t> total{0};
@@ -116,6 +117,33 @@ TEST(ParallelForTest, RapidSmallCallsNeverRaceTheBarrierTeardown) {
     });
   }
   EXPECT_EQ(total.load(), 2000u);
+}
+
+// The calling thread claims blocks too, so a ParallelFor issued from
+// inside pool tasks completes even when every worker is one of those
+// callers and none is free to help.
+TEST(ParallelForTest, NestedCallsFromEveryWorkerComplete) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(2 * 100);
+  ParallelFor(&pool, 2, [&](size_t outer) {
+    ParallelFor(&pool, 100, [&](size_t inner) {
+      hits[outer * 100 + inner].fetch_add(1);
+    });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+// A pool that refuses the helper tasks leaves every block to the caller.
+TEST(ParallelForTest, ShutDownPoolRunsEveryIndexOnTheCaller) {
+  ThreadPool pool(4);
+  pool.Shutdown();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(50, 0);
+  ParallelFor(&pool, hits.size(), [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    hits[i]++;
+  });
+  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ParallelForTest, NullPoolFallsBackToSequential) {

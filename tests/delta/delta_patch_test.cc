@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -99,35 +100,86 @@ TEST(DeltaStateCodecTest, EveryResealedTruncationIsDataLoss) {
   }
 }
 
-/// The bytes of a version-1 file: same layout up to the fused matrix,
-/// then one preference list per source. Only the version field and the
-/// CRC matter to the refusal, so the section itself is left out.
-std::string VersionOneImage() {
-  std::string bytes = SerializeDeltaState(SmallState());
-  const uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));  // after the magic
+/// `bytes` with its version field set to `version` and the CRC resealed.
+std::string WithVersion(std::string bytes, uint32_t version) {
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));  // after magic
   const uint32_t crc = Crc32Of(bytes.data(), bytes.size() - sizeof(crc));
   std::memcpy(bytes.data() + bytes.size() - sizeof(crc), &crc, sizeof(crc));
   return bytes;
 }
 
+/// The bytes of a version-1 file: same layout up to the fused matrix,
+/// then one preference list per source. Only the version field and the
+/// CRC matter to the refusal, so the section itself is left out.
+std::string VersionOneImage() {
+  return WithVersion(SerializeDeltaState(SmallState()), 1);
+}
+
+std::string ReadAll(const std::string& path) {
+  auto bytes = ReadFileToString(path);
+  return bytes.ok() ? std::move(bytes).value() : std::string();
+}
+
 TEST(DeltaStateCodecTest, VersionOneIsRefusedWithTheReexportCommand) {
   const std::string bytes = VersionOneImage();
-  // Intact, so the generational store must not quarantine it as corrupt.
-  EXPECT_TRUE(ValidateDeltaStateBytes(bytes).ok());
-  auto parsed = ParseDeltaState(bytes);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kFailedPrecondition);
-  const std::string& message = parsed.status().message();
-  EXPECT_NE(message.find("version 1"), std::string::npos) << message;
-  EXPECT_NE(message.find("ceaff align"), std::string::npos) << message;
-  EXPECT_NE(message.find("--export_delta_state"), std::string::npos)
-      << message;
+  // Intact, so the verdict is not kDataLoss and the generational store
+  // must not quarantine it as corrupt.
+  for (const Status& status :
+       {ValidateDeltaStateBytes(bytes), ParseDeltaState(bytes).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+    const std::string& message = status.message();
+    EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("ceaff align"), std::string::npos) << message;
+    EXPECT_NE(message.find("--export_delta_state"), std::string::npos)
+        << message;
+  }
 
-  // An unknown version is still corruption.
+  // A version field that breaks the CRC is corruption.
   std::string v9 = bytes;
   v9[8] = 9;
   EXPECT_EQ(ValidateDeltaStateBytes(v9).code(), StatusCode::kDataLoss);
+}
+
+// An intact file of a version this build does not know (a newer writer's)
+// is refused by name, not called corrupt.
+TEST(DeltaStateCodecTest, UnknownIntactVersionIsRefusedNotCorrupt) {
+  const std::string v3 = WithVersion(SerializeDeltaState(SmallState()), 3);
+  for (const Status& status :
+       {ValidateDeltaStateBytes(v3), ParseDeltaState(v3).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+    EXPECT_NE(status.message().find("version 3"), std::string::npos)
+        << status;
+  }
+}
+
+// A reader must not destroy a state it cannot read: loading the unknown
+// version fails, and the generation and the MANIFEST stay byte for byte.
+TEST(DeltaStateCodecTest, UnknownVersionInTheStoreIsLeftUntouched) {
+  char tmpl[] = "/tmp/ceaff_dlt_v3_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string v3 = WithVersion(SerializeDeltaState(SmallState()), 3);
+  {
+    auto store = OpenDeltaStateStore(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put("state", v3).ok());
+  }
+  const std::string manifest = ReadAll(dir + "/MANIFEST");
+  ASSERT_FALSE(manifest.empty());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto store = OpenDeltaStateStore(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto loaded = LoadDeltaState(store->get());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("version 3"), std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_EQ(ReadAll(dir + "/state.g1"), v3);
+    EXPECT_EQ(ReadAll(dir + "/MANIFEST"), manifest);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/state.g1.corrupt"));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DeltaStateCodecTest, VersionOneInTheStoreFailsToLoadAndIsKept) {

@@ -6,11 +6,13 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "ceaff/common/thread_pool.h"
 #include "ceaff/data/synthetic.h"
 #include "ceaff/kg/adjacency.h"
 #include "ceaff/la/ops.h"
+#include "ceaff/reference/embed_reference.h"
 #include "ceaff/reference/la_reference.h"
 
 namespace ceaff::embed {
@@ -196,22 +198,26 @@ bool SameBits(const la::Matrix& a, const la::Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-// Training runs its two KG chains as pool tasks and the kernels inline in
-// them; neither the pool size nor the blocking may change a bit of the
-// features, the embeddings or the loss.
+// Training runs each phase as pool tasks over KG x row panels (one task
+// per KG chain with the weight transform); neither the pool size, which
+// sets the panel cuts (uneven at 3 threads), nor the blocking may change
+// a bit of the features, the embeddings or the loss.
 void ExpectThreadDeterministic(bool weight_transform) {
   const TrainedGcn base = TrainSynthetic(weight_transform, nullptr);
-  ThreadPool pool1(1), pool4(4);
-  la::KernelContext one, four, tiny;
+  ThreadPool pool1(1), pool2(2), pool3(3), pool4(4);
+  la::KernelContext one, two, three, four, tiny;
   one.pool = &pool1;
+  two.pool = &pool2;
+  three.pool = &pool3;
   four.pool = &pool4;
   tiny.pool = &pool4;
   tiny.opts.row_block = 3;
   tiny.opts.grain = 1;
-  for (const la::KernelContext* ctx : {&one, &four, &tiny}) {
+  for (const la::KernelContext* ctx : {&one, &two, &three, &four, &tiny}) {
     const TrainedGcn got = TrainSynthetic(weight_transform, ctx);
     const std::string label =
-        ctx == &one ? "1 thread" : ctx == &four ? "4 threads" : "tiny blocks";
+        ctx == &tiny ? "tiny blocks"
+                     : std::to_string(ctx->pool->num_threads()) + " threads";
     EXPECT_EQ(got.loss, base.loss) << label;
     EXPECT_TRUE(SameBits(got.x1, base.x1)) << label;
     EXPECT_TRUE(SameBits(got.x2, base.x2)) << label;
@@ -313,6 +319,123 @@ TEST(MarginLossTest, GradientMatchesFiniteDifference) {
     // The L1 subgradient is exact except at kinks; allow loose tolerance.
     EXPECT_NEAR(numeric, d1.data()[i], 0.15);
   }
+}
+
+// The parallel loss against the serial oracle: the loss bits and every
+// bit of dz1/dz2, with no pool and with pools of 1-4 threads (1-2 row
+// panels per KG, odd splits included).
+void ExpectLossMatchesSerial(const la::Matrix& z1, const la::Matrix& z2,
+                             const std::vector<kg::AlignmentPair>& pos,
+                             const std::vector<NegativePair>& negs,
+                             const std::string& label) {
+  la::Matrix want1(z1.rows(), z1.cols()), want2(z2.rows(), z2.cols());
+  const double want =
+      MarginRankingLossGradSerial(z1, z2, pos, negs, 3.0f, &want1, &want2);
+  ThreadPool pool1(1), pool2(2), pool3(3), pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1, &pool2,
+                           &pool3, &pool4}) {
+    const std::string where =
+        label + " at " +
+        std::to_string(pool != nullptr ? pool->num_threads() : 0) +
+        " threads";
+    // Stale values in the outputs must not survive: every entry is
+    // overwritten.
+    la::Matrix dz1(z1.rows(), z1.cols()), dz2(z2.rows(), z2.cols());
+    dz1.Fill(7.0f);
+    dz2.Fill(-7.0f);
+    const double got =
+        MarginRankingLossGrad(z1, z2, pos, negs, 3.0f, &dz1, &dz2, pool);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+        << where << ": " << got << " vs " << want;
+    EXPECT_TRUE(SameBits(dz1, want1)) << where;
+    EXPECT_TRUE(SameBits(dz2, want2)) << where;
+  }
+}
+
+TEST(MarginLossTest, ParallelMatchesSerialOnSeededShapes) {
+  const struct {
+    size_t n1, n2, d, positives, per;
+  } shapes[] = {{40, 40, 8, 10, 5}, {97, 61, 13, 23, 3}, {7, 300, 33, 7, 9},
+                {250, 4, 5, 4, 20}, {64, 64, 1, 30, 2}};
+  for (const auto& s : shapes) {
+    Rng rng(101 + s.n1 * 7 + s.d);
+    la::Matrix z1 = la::Matrix::TruncatedNormal(s.n1, s.d, 1.0f, &rng);
+    la::Matrix z2 = la::Matrix::TruncatedNormal(s.n2, s.d, 1.0f, &rng);
+    std::vector<kg::AlignmentPair> pos;
+    for (size_t i = 0; i < s.positives; ++i) {
+      pos.push_back({static_cast<uint32_t>(rng.NextBounded(s.n1)),
+                     static_cast<uint32_t>(rng.NextBounded(s.n2))});
+    }
+    const std::vector<NegativePair> negs =
+        SampleNegatives(pos, s.n1, s.n2, s.per, &rng);
+    ExpectLossMatchesSerial(z1, z2, pos, negs,
+                            std::to_string(s.n1) + "x" + std::to_string(s.n2) +
+                                " d=" + std::to_string(s.d));
+  }
+}
+
+TEST(MarginLossTest, ParallelMatchesSerialOnDuplicateNegatives) {
+  Rng rng(17);
+  const la::Matrix z1 = la::Matrix::TruncatedNormal(30, 6, 1.0f, &rng);
+  const la::Matrix z2 = la::Matrix::TruncatedNormal(30, 6, 1.0f, &rng);
+  // Repeated seed pairs and repeated negatives, each counted every time.
+  const std::vector<kg::AlignmentPair> pos{{3, 4}, {3, 4}, {9, 1}};
+  const std::vector<NegativePair> negs{{0, 5, 4}, {0, 5, 4}, {1, 5, 4},
+                                       {1, 3, 20}, {2, 9, 20}, {2, 9, 20},
+                                       {0, 5, 4}};
+  ExpectLossMatchesSerial(z1, z2, pos, negs, "duplicates");
+}
+
+TEST(MarginLossTest, ParallelMatchesSerialWhenNoHingeIsPositive) {
+  // Positives coincide and negatives sit far beyond the margin: loss 0 and
+  // all-zero gradients, over outputs that held stale values.
+  la::Matrix z1(20, 4), z2(20, 4);
+  for (size_t r = 0; r < 20; ++r) {
+    for (size_t c = 0; c < 4; ++c) {
+      z1.at(r, c) = static_cast<float>(r * 10 + c);
+      z2.at(r, c) = z1.at(r, c);
+    }
+  }
+  const std::vector<kg::AlignmentPair> pos{{2, 2}, {7, 7}, {15, 15}};
+  std::vector<NegativePair> negs;
+  for (uint32_t i = 0; i < pos.size(); ++i) {
+    negs.push_back({i, (pos[i].source + 5) % 20, pos[i].target});
+    negs.push_back({i, pos[i].source, (pos[i].target + 11) % 20});
+  }
+  la::Matrix d1(20, 4), d2(20, 4);
+  ASSERT_EQ(MarginRankingLossGradSerial(z1, z2, pos, negs, 3.0f, &d1, &d2),
+            0.0);
+  ExpectLossMatchesSerial(z1, z2, pos, negs, "no positive hinge");
+}
+
+TEST(MarginLossTest, ParallelMatchesSerialOnSingleRowKg) {
+  // KG1 has one entity, so every panel but one of dz1 is empty.
+  Rng rng(23);
+  const la::Matrix z1 = la::Matrix::TruncatedNormal(1, 9, 1.0f, &rng);
+  const la::Matrix z2 = la::Matrix::TruncatedNormal(12, 9, 1.0f, &rng);
+  const std::vector<kg::AlignmentPair> pos{{0, 3}, {0, 8}};
+  const std::vector<NegativePair> negs = SampleNegatives(pos, 1, 12, 5, &rng);
+  ExpectLossMatchesSerial(z1, z2, pos, negs, "single-row KG1");
+  ExpectLossMatchesSerial(z2, z1, {{3, 0}, {8, 0}},
+                          SampleNegatives({{3, 0}, {8, 0}}, 12, 1, 5, &rng),
+                          "single-row KG2");
+}
+
+TEST(MarginLossTest, ParallelMatchesSerialWhenPanelsHitOneRow) {
+  // Seed pairs spread over every row panel, and every negative corrupts
+  // into the same row of each KG, so one owner gathers sign rows derived
+  // from all panels.
+  Rng rng(29);
+  const la::Matrix z1 = la::Matrix::TruncatedNormal(40, 11, 1.0f, &rng);
+  const la::Matrix z2 = la::Matrix::TruncatedNormal(40, 11, 1.0f, &rng);
+  std::vector<kg::AlignmentPair> pos;
+  std::vector<NegativePair> negs;
+  for (uint32_t i = 0; i < 10; ++i) {
+    pos.push_back({4 * i + 1, 39 - 4 * i});
+    negs.push_back({i, 20, pos.back().target});
+    negs.push_back({i, pos.back().source, 20});
+  }
+  ExpectLossMatchesSerial(z1, z2, pos, negs, "shared row");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -276,6 +277,70 @@ TEST(KernelSpmmTest, IntoVariantOverwritesOrReshapesOutput) {
   Matrix reshaped = RandomMatrix(4, 2, 28);
   SpMMKInto(KernelContext(), a, x, &reshaped);
   EXPECT_TRUE(BitIdentical(reshaped, want));
+}
+
+// The sweep stores every output element instead of accumulating into a
+// zero-filled row, so a reused output's stale values must never leak. The
+// widths cover the 16- and 4-float blocks, a scalar remainder of 1-3 lanes
+// on its own (n = 5, 7) and behind full blocks, and rows without entries.
+TEST(KernelSpmmTest, ReusedOutputHoldsNoStaleValuesAtAnyWidth) {
+  ThreadPool pool(3);
+  KernelContext par;
+  par.pool = &pool;
+  par.opts.row_block = 4;
+  for (const size_t n : {1, 2, 3, 4, 5, 7, 16, 17, 23, 35}) {
+    std::vector<Triplet> triplets;
+    Rng rng(31 + n);
+    for (uint32_t r = 0; r < 20; ++r) {
+      if (r % 5 == 3) continue;  // an empty row
+      for (int e = 0; e < 4; ++e) {
+        triplets.push_back({r, static_cast<uint32_t>(rng.NextBounded(25)),
+                            static_cast<float>(rng.NextUniform(-1.0, 1.0))});
+      }
+    }
+    const SparseMatrix a = SparseMatrix::Build(20, 25, std::move(triplets));
+    const Matrix x = RandomMatrix(25, n, 40 + n);
+    const Matrix want = SparseMultiply(a, x);
+    KernelContext seq;
+    for (const KernelContext* ctx : {&seq, &par}) {
+      Matrix out(20, n);
+      out.Fill(std::nanf(""));
+      SpMMKInto(*ctx, a, x, &out);
+      EXPECT_TRUE(BitIdentical(out, want)) << "n = " << n;
+    }
+  }
+}
+
+// SpMMRowsInto over any split of the rows, in any order, builds SpMMK's
+// bits and touches no row outside its range.
+TEST(KernelSpmmTest, RowRangesOfAnySplitMatchTheWholeProduct) {
+  const SparseMatrix a = RandomSparse(53, 41, 300, 45);
+  for (const size_t n : {5, 7, 128}) {
+    const Matrix x = RandomMatrix(41, n, 46 + n);
+    const Matrix want = SparseMultiply(a, x);
+    Rng rng(47 + n);
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<size_t> cuts{0, 53};
+      for (int c = 0; c < trial; ++c) cuts.push_back(rng.NextBounded(54));
+      std::sort(cuts.begin(), cuts.end());
+      Matrix out(53, n);
+      out.Fill(-3.0f);
+      for (size_t p = cuts.size() - 1; p > 0; --p) {  // last panel first
+        SpMMRowsInto(a, x, cuts[p - 1], cuts[p], &out);
+      }
+      EXPECT_TRUE(BitIdentical(out, want)) << "n = " << n << " trial " << trial;
+    }
+    Matrix part(53, n);
+    part.Fill(-3.0f);
+    SpMMRowsInto(a, x, 10, 20, &part);
+    for (size_t r = 0; r < 53; ++r) {
+      for (size_t c = 0; c < n; ++c) {
+        const float expected = r >= 10 && r < 20 ? want.at(r, c) : -3.0f;
+        EXPECT_EQ(std::memcmp(&part.at(r, c), &expected, sizeof(float)), 0)
+            << "row " << r << " col " << c;
+      }
+    }
+  }
 }
 
 // The fused single-sweep CSR path is the default for the parallel case

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "ceaff/common/random.h"
 #include "ceaff/reference/la_reference.h"
@@ -65,6 +67,42 @@ TEST(MatrixTest, L2NormalizeRowsMakesUnitRows) {
   // Zero rows stay zero (no NaN).
   EXPECT_EQ(m.at(1, 0), 0.0f);
   EXPECT_NEAR(std::hypot(m.at(2, 0), m.at(2, 1)), 1.0, 1e-6);
+}
+
+// The row-range forms touch only their rows, and every row they touch gets
+// the bits of the one-row computation (sequential double sum of squares,
+// then one float scale), whatever the range's length or the neighbours.
+TEST(MatrixTest, RowRangeUpdatesMatchPerRowComputation) {
+  Rng rng(12);
+  const Matrix orig = Matrix::TruncatedNormal(11, 37, 1.0f, &rng);
+  const Matrix step = Matrix::TruncatedNormal(11, 37, 1.0f, &rng);
+  for (size_t r0 = 0; r0 <= 11; ++r0) {
+    for (size_t r1 = r0; r1 <= 11; ++r1) {
+      Matrix m = orig;
+      for (size_t c = 0; c < m.cols(); ++c) m.at(5, c) = 0.0f;  // zero row
+      const Matrix before = m;
+      m.AxpyRows(-0.25f, step, r0, r1);
+      m.L2NormalizeRows(r0, r1);
+      for (size_t r = 0; r < m.rows(); ++r) {
+        std::vector<float> want(before.row(r), before.row(r) + m.cols());
+        if (r >= r0 && r < r1) {
+          for (size_t c = 0; c < want.size(); ++c) {
+            want[c] += -0.25f * step.at(r, c);
+          }
+          double sq = 0.0;
+          for (const float v : want) sq += static_cast<double>(v) * v;
+          if (sq > 0.0) {
+            const float inv = static_cast<float>(1.0 / std::sqrt(sq));
+            for (float& v : want) v *= inv;
+          }
+        }
+        EXPECT_EQ(std::memcmp(m.row(r), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "row " << r << " of [" << r0 << ", " << r1 << ")";
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, FrobeniusNorm) {

@@ -188,21 +188,25 @@ if [[ "$skip_smoke" == 0 ]]; then
   grep -q 'OK PAIR' "$smoke/fp_replies.txt"
   grep -q '"scrub"' "$smoke/fp_replies.txt"
 
-  echo "==> Thread-count identity: align --threads 1 vs --threads 4"
-  # GCN training runs one pool task per KG, every kernel is thread-count
+  echo "==> Thread-count identity: align --threads 1 vs --threads 3 and 4"
+  # GCN training runs each phase over KG x row-panel tasks, each row
+  # computed by one task in a fixed order (the panel cuts move with the
+  # pool size and are uneven at 3 threads); every kernel is thread-count
   # deterministic and deferred acceptance builds its first preference
   # blocks in fixed row panels, so neither the predictions, the exported
   # index nor the delta state may differ by a byte between pool sizes.
   "$repo/build/tools/ceaff" generate --config DBP15K_ZH_EN --scale 0.25 \
     --out "$smoke/tdata"
-  for t in 1 4; do
+  for t in 1 3 4; do
     "$repo/build/tools/ceaff" align --data "$smoke/tdata" --threads "$t" \
       --export_index "$smoke/threads$t.idx" --out "$smoke/threads$t.tsv" \
       --export_delta_state "$smoke/threads$t.state" > /dev/null
   done
-  cmp "$smoke/threads1.tsv" "$smoke/threads4.tsv"
-  cmp "$smoke/threads1.idx" "$smoke/threads4.idx"
-  cmp "$smoke/threads1.state/state.g1" "$smoke/threads4.state/state.g1"
+  for t in 3 4; do
+    cmp "$smoke/threads1.tsv" "$smoke/threads$t.tsv"
+    cmp "$smoke/threads1.idx" "$smoke/threads$t.idx"
+    cmp "$smoke/threads1.state/state.g1" "$smoke/threads$t.state/state.g1"
+  done
 
   echo "==> ANN smoke: v3 artifact, recall@10 vs exhaustive, ANN serving path"
   # The serving smoke's corpus is too small for ANN to engage (the range
@@ -461,6 +465,42 @@ if [[ "$skip_smoke" == 0 ]]; then
     --journal "$delta/wal" --state "$delta/state" | tee "$delta/status2.txt"
   grep -q 'watermark 5' "$delta/status2.txt"
   grep -q '0 pending' "$delta/status2.txt"
+  # A state of a format version this build does not read (as a newer
+  # build would write it: version 3, valid CRC, matching MANIFEST) must be
+  # refused by name and left alone, never quarantined as corrupt.
+  newer="$smoke/newer_state"
+  "$repo/build/tools/ceaff" generate --config DBP15K_ZH_EN --scale 0.1 \
+    --out "$smoke/v3data"
+  "$repo/build/tools/ceaff" align --data "$smoke/v3data" \
+    --gcn-epochs 3 --gcn-dim 16 --export_delta_state "$newer" \
+    --out "$smoke/v3pred.tsv"
+  python3 - "$newer" <<'PY'
+import struct, sys, zlib
+d = sys.argv[1]
+state = bytearray(open(d + "/state.g1", "rb").read())
+state[8:12] = struct.pack("<I", 3)  # the version, after the magic
+state[-4:] = struct.pack("<I", zlib.crc32(bytes(state[:-4])))
+open(d + "/state.g1", "wb").write(state)
+lines = open(d + "/MANIFEST").read().splitlines()[:-1]  # drop crc trailer
+for i, line in enumerate(lines):
+    f = line.split("\t")
+    if f[0] == "state":
+        lines[i] = "\t".join(f[:2] + [str(len(state)),
+                                      "%08x" % zlib.crc32(bytes(state))])
+body = "".join(line + "\n" for line in lines)
+open(d + "/MANIFEST", "w").write(body + "crc %08x\n" % zlib.crc32(body.encode()))
+PY
+  cp -r "$newer" "$smoke/newer_state.before"
+  rc=0
+  "$repo/build/tools/ceaff" delta status --journal "$delta/wal" \
+    --state "$newer" > /dev/null 2> "$smoke/newer_status.txt" || rc=$?
+  if [[ "$rc" != 1 ]]; then
+    echo "delta status on a version-3 state exited $rc, expected 1" >&2; exit 1
+  fi
+  grep -q 'version 3' "$smoke/newer_status.txt"
+  cmp "$newer/state.g1" "$smoke/newer_state.before/state.g1"
+  cmp "$newer/MANIFEST" "$smoke/newer_state.before/MANIFEST"
+  [[ ! -e "$newer/state.g1.corrupt" ]]
 
   echo "==> SIGTERM drill: drain mid-stream, exit 0, stats on stderr"
   "$repo/build/tools/ceaff_serve" --index "$smoke/run.idx" --threads 2 \
