@@ -5,7 +5,9 @@
 // (kernel, shape) it times the naive reference once and the kernel at
 // several thread counts, reporting GFLOP/s (Mcell/s for the string and
 // CSLS kernels, million scored pairs/s for the margin loss, MB/s for
-// CRC-32) and the speedup over naive.
+// CRC-32) and the speedup over naive. The delta_repair rows time the
+// bounded delta repair against the exhaustive rebuild of the same batch
+// (the rebuild is the reference, so its rows read 1.00).
 //
 //   micro_kernels [--out FILE] [--quick] [--smoke]
 //
@@ -40,6 +42,10 @@
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/random.h"
 #include "ceaff/common/thread_pool.h"
+#include "ceaff/core/pipeline.h"
+#include "ceaff/data/synthetic.h"
+#include "ceaff/delta/delta_repair.h"
+#include "ceaff/delta/delta_state.h"
 #include "ceaff/embed/gcn.h"
 #include "ceaff/la/kernels.h"
 #include "ceaff/la/sparse_matrix.h"
@@ -627,6 +633,110 @@ void BenchIvfTrain(size_t n, size_t d, size_t k,
   }
 }
 
+/// A delta state exported from an alignment of synthetic DBP15K_ZH_EN at
+/// `scale`, with `ceaff align`'s defaults except a short GCN training run
+/// (the repair works under the frozen model, so training length does not
+/// enter what is timed).
+delta::DeltaState MakeDeltaFixture(double scale) {
+  auto config = data::BenchmarkConfigByName("DBP15K_ZH_EN", scale);
+  CEAFF_CHECK(config.ok()) << config.status();
+  auto bench = data::GenerateBenchmark(*config);
+  CEAFF_CHECK(bench.ok()) << bench.status();
+  core::CeaffOptions options;
+  options.gcn.dim = 128;
+  options.gcn.epochs = 20;
+  options.gcn.learning_rate = 1.0f;
+  options.fusion.theta1 = 0.98;
+  options.fusion.theta2 = 0.1;
+  options.force_exact_string_kernel = true;  // what delta export requires
+  core::CeaffPipeline pipe(&bench->pair, &bench->store, options);
+  auto features = pipe.GenerateFeatures();
+  CEAFF_CHECK(features.ok()) << features.status();
+  auto result = pipe.RunOnFeatures(*features);
+  CEAFF_CHECK(result.ok()) << result.status();
+  auto state = delta::BuildDeltaState(bench->pair, bench->store, options,
+                                      *features, *result, "micro_kernels");
+  CEAFF_CHECK(state.ok()) << state.status();
+  return std::move(*state);
+}
+
+/// Four records: a rename of a serving source, a triple between two
+/// existing KG1 entities, and a new KG2 entity linked by one triple.
+std::vector<delta::PatchRecord> MakeDeltaBatch(const delta::DeltaState& s) {
+  std::vector<delta::PatchRecord> batch(4);
+  batch[0].op = delta::PatchOp::kRenameEntity;
+  batch[0].kg = 1;
+  batch[0].uri = s.kg1.entity_uri(s.source_ids[s.source_ids.size() / 2]);
+  batch[0].name = "zoqu xivy renamed";
+  batch[1].op = delta::PatchOp::kAddTriple;
+  batch[1].kg = 1;
+  batch[1].head = s.kg1.entity_uri(s.source_ids[0]);
+  batch[1].tail = s.kg1.entity_uri(s.source_ids[1]);
+  batch[1].rel = s.kg1.relation_uri(0);
+  batch[2].op = delta::PatchOp::kAddEntity;
+  batch[2].kg = 2;
+  batch[2].uri = "micro_kernels:new";
+  batch[2].name = "vyzu qaxe new";
+  batch[3].op = delta::PatchOp::kAddTriple;
+  batch[3].kg = 2;
+  batch[3].head = batch[2].uri;
+  batch[3].tail = s.kg2.entity_uri(s.target_ids[0]);
+  batch[3].rel = s.kg2.relation_uri(0);
+  for (size_t i = 0; i < batch.size(); ++i) batch[i].id = s.watermark + i + 1;
+  return batch;
+}
+
+/// Serialised states of the bounded repair and the exhaustive rebuild of
+/// `batch`; they must be equal byte for byte.
+bool DeltaRepairParity(const delta::DeltaState& base,
+                       const std::vector<delta::PatchRecord>& batch,
+                       const KernelContext& ctx) {
+  auto bounded = delta::ApplyPatchesToState(base, batch, ctx);
+  CEAFF_CHECK(bounded.ok()) << bounded.status();
+  delta::DeltaState rebuilt = base;
+  CEAFF_CHECK(delta::RebuildPatchedState(&rebuilt, batch, ctx).ok());
+  return delta::SerializeDeltaState(bounded->state) ==
+         delta::SerializeDeltaState(rebuilt);
+}
+
+/// Bounded repair (ApplyPatchesToState) against the exhaustive rebuild
+/// (patch, then RecomputeStateExhaustive) of one batch. Both copy the base
+/// state once; the rate is fused-matrix cells of the patched state per
+/// second.
+void BenchDeltaRepair(double scale, const std::vector<int>& thread_counts,
+                      int reps) {
+  const delta::DeltaState base = MakeDeltaFixture(scale);
+  const std::vector<delta::PatchRecord> batch = MakeDeltaBatch(base);
+  char shape[64];
+  std::snprintf(shape, sizeof(shape), "ZH-EN s=%g %zux%zu 4 records", scale,
+                base.source_ids.size(), base.target_ids.size());
+  const double mcells = static_cast<double>(base.source_ids.size()) *
+                        static_cast<double>(base.target_ids.size()) / 1e6;
+  for (int threads : thread_counts) {
+    std::unique_ptr<ThreadPool> pool;
+    KernelContext ctx;
+    if (threads > 1) {
+      pool = std::make_unique<ThreadPool>(threads);
+      ctx.pool = pool.get();
+    }
+    if (!DeltaRepairParity(base, batch, ctx)) {
+      Fail("delta repair diverged from the rebuild at " + std::string(shape));
+    }
+    const double exhaustive_s = TimeBest(reps, [&] {
+      delta::DeltaState s = base;
+      CEAFF_CHECK(delta::RebuildPatchedState(&s, batch, ctx).ok());
+    });
+    const double bounded_s = TimeBest(reps, [&] {
+      CEAFF_CHECK(delta::ApplyPatchesToState(base, batch, ctx).ok());
+    });
+    g_rows.push_back({"delta_repair_exhaustive", shape, threads, exhaustive_s,
+                      mcells / exhaustive_s, "mcells", 1.0});
+    g_rows.push_back({"delta_repair_bounded", shape, threads, bounded_s,
+                      mcells / bounded_s, "mcells",
+                      exhaustive_s / bounded_s});
+  }
+}
+
 /// The --smoke perf-regression gate: times naive vs the default-options
 /// kernel on modest shapes (min-of-7 wall) and fails when a kernel is more
 /// than 10% slower than its naive baseline — the blocked kernels exist to
@@ -773,6 +883,14 @@ int RunSmoke() {
       }
     }
   }
+  {
+    const delta::DeltaState base = MakeDeltaFixture(0.1);
+    const std::vector<delta::PatchRecord> batch = MakeDeltaBatch(base);
+    if (!DeltaRepairParity(base, batch, seq) ||
+        !DeltaRepairParity(base, batch, par)) {
+      Fail("delta repair parity");
+    }
+  }
   const char* skip_gate = std::getenv("CEAFF_SKIP_PERF_GATE");
 #if defined(CEAFF_BENCH_SANITIZED)
   std::fprintf(stderr, "perf gate: skipped (sanitizer build)\n");
@@ -849,6 +967,7 @@ int main(int argc, char** argv) {
     BenchIvfTrain(2000, 64, 45, threads, 3);
     BenchMarginLoss(500, 64, 600, {1, 4}, 3);
     BenchCrc32(size_t{4} << 20, 3);
+    BenchDeltaRepair(0.25, {1, 4}, 3);
   } else {
     BenchCosine(512, 64, threads, 5);
     // The tracked headline shape: 2k x 2k pairwise cosine at d = 128.
@@ -869,6 +988,8 @@ int main(int argc, char** argv) {
     BenchMarginLoss(2200, 128, 3000, {1, 4}, 7);
     // About the size of that index's CEAFFIDX file.
     BenchCrc32(size_t{40} << 20, 5);
+    // One delta batch at perfbench delta_ingest's data size.
+    BenchDeltaRepair(1.0, {1, 4}, 5);
   }
   WriteJson(out);
 

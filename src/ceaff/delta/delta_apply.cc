@@ -107,7 +107,7 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options) {
   const Runtime rt = MakeRuntime(options);
   WallTimer timer;
   StatusOr<RepairOutcome> outcome =
-      ApplyPatchesToState(state, records, rt.ctx);
+      ApplyPatchesToState(std::move(state), records, rt.ctx);
   if (!outcome.ok()) {
     if (outcome.status().IsInvalidArgument()) {
       // A malformed batch fails identically on every replay — quarantine
@@ -163,34 +163,8 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
 
   const Runtime rt = MakeRuntime(options);
   WallTimer timer;
-  if (!records.empty()) {
-    // Patch stage only — every derived quantity is recomputed from
-    // scratch below, so the bounded repair's dirty tracking is not needed
-    // (and, after a quarantine, not trusted).
-    CEAFF_ASSIGN_OR_RETURN(GraphPatchResult patched,
-                           ApplyGraphPatches(state, records));
-    const size_t old_sr = state.source_ids.size();
-    const size_t old_tc = state.target_ids.size();
-    report.stats = patched.stats;
-    state.kg1 = std::move(patched.kg1);
-    state.kg2 = std::move(patched.kg2);
-    state.source_ids = std::move(patched.source_ids);
-    state.target_ids = std::move(patched.target_ids);
-    state.watermark = records.back().id;
-    if (state.use_structural) {
-      state.x1 = ExtendInputFeatures(state.x1, state.kg1, state.gcn_seed);
-      state.x2 = ExtendInputFeatures(state.x2, state.kg2, state.gcn_seed);
-    }
-    if (state.use_semantic) {
-      state.src_name_emb = RepairNameEmbeddings(
-          state.src_name_emb, old_sr, state.source_ids, state.kg1,
-          patched.renamed1, state.semantic_dim, state.semantic_seed);
-      state.tgt_name_emb = RepairNameEmbeddings(
-          state.tgt_name_emb, old_tc, state.target_ids, state.kg2,
-          patched.renamed2, state.semantic_dim, state.semantic_seed);
-    }
-  }
-  CEAFF_RETURN_IF_ERROR(RecomputeStateExhaustive(&state, rt.ctx));
+  CEAFF_ASSIGN_OR_RETURN(report.stats,
+                         RebuildPatchedState(&state, records, rt.ctx));
   report.seconds_repair = timer.ElapsedSeconds();
 
   timer.Restart();

@@ -1,7 +1,9 @@
 #include "ceaff/delta/delta_repair.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "ceaff/common/failpoint.h"
@@ -24,114 +26,42 @@ kg::AdjacencyOptions AdjOptionsOf(const DeltaState& s) {
   return opts;
 }
 
-/// Whether CSR row `r` of `a` and `b` store the same (col, value) sequence,
-/// compared bitwise — symmetric normalisation and functionality weighting
-/// spread one triple's effect across many rows, and a value changed in the
-/// last float bit still dirties the row.
-bool SameRow(const la::SparseMatrix& a, const la::SparseMatrix& b,
-             uint32_t r) {
-  const uint32_t a_begin = a.row_ptr()[r], a_end = a.row_ptr()[r + 1];
-  const uint32_t b_begin = b.row_ptr()[r], b_end = b.row_ptr()[r + 1];
-  const uint32_t len = a_end - a_begin;
-  if (len != b_end - b_begin) return false;
-  return std::memcmp(a.col_idx().data() + a_begin,
-                     b.col_idx().data() + b_begin, len * sizeof(uint32_t)) ==
-             0 &&
-         std::memcmp(a.values().data() + a_begin,
-                     b.values().data() + b_begin, len * sizeof(float)) == 0;
+/// Marks stored serving row i (< stored_rows) dirty when its fresh
+/// structural row differs bitwise from the stored one. A fused cell reads
+/// only its own row's and column's inputs, so this is exact, and a stale
+/// stored row is recomputed rather than carried forward. A stored matrix
+/// of another shape marks every row.
+void MarkChangedStructRows(const la::Matrix& stored, const la::Matrix& fresh,
+                           size_t stored_rows, std::vector<char>* dirty) {
+  const bool same_shape =
+      stored.rows() == stored_rows && stored.cols() == fresh.cols();
+  for (size_t i = 0; i < stored_rows; ++i) {
+    if (!same_shape || std::memcmp(stored.row(i), fresh.row(i),
+                                   fresh.cols() * sizeof(float)) != 0) {
+      (*dirty)[i] = 1;
+    }
+  }
 }
 
-/// One KG side of the structural repair: the dirty-Z frontier plus the
-/// freshly propagated rows for frontier ∪ extra_ids.
-struct StructRepair {
-  std::set<uint32_t> dirty;
-  std::vector<uint32_t> strip_ids;  // ascending
-  la::Matrix strip;                 // |strip_ids| x dim
-};
-
-StructRepair RepairStructSide(const kg::KnowledgeGraph& old_kg,
-                              const kg::KnowledgeGraph& new_kg,
-                              const la::Matrix& x_new, const DeltaState& s,
-                              const std::vector<uint32_t>& extra_ids,
-                              const la::KernelContext& ctx) {
-  StructRepair out;
-  const kg::AdjacencyOptions opts = AdjOptionsOf(s);
-  const la::SparseMatrix a_old = kg::BuildAdjacency(old_kg, opts);
-  const la::SparseMatrix a_new = kg::BuildAdjacency(new_kg, opts);
-  const uint32_t old_n = static_cast<uint32_t>(old_kg.num_entities());
-  const uint32_t new_n = static_cast<uint32_t>(new_kg.num_entities());
-
-  // changed[r]: row r of A' differs from A (new rows count as changed).
-  std::vector<char> changed(new_n, 0);
-  for (uint32_t r = 0; r < new_n; ++r) {
-    changed[r] = r >= old_n || !SameRow(a_old, a_new, r);
+/// Marks the stored serving positions of renamed entities dirty.
+void MarkRenamed(const std::vector<uint32_t>& serving_ids,
+                 size_t stored_count, const std::set<uint32_t>& renamed,
+                 std::vector<char>* dirty) {
+  for (size_t i = 0; i < stored_count; ++i) {
+    if (renamed.count(serving_ids[i]) != 0) (*dirty)[i] = 1;
   }
-  // z_r = Σ_s A'(r,s)·(A'X')_s is dirty when row r changed or any
-  // neighbour's (A'X') row changed; (A'X')_s only changes when row s
-  // changed (X is frozen for old ids, and rows referencing new ids must
-  // themselves have changed). Self-loops put r in its own neighbourhood.
-  for (uint32_t r = 0; r < new_n; ++r) {
-    if (changed[r]) {
-      out.dirty.insert(r);
-      continue;
-    }
-    for (uint32_t k = a_new.row_ptr()[r]; k < a_new.row_ptr()[r + 1]; ++k) {
-      if (changed[a_new.col_idx()[k]]) {
-        out.dirty.insert(r);
-        break;
-      }
-    }
-  }
-
-  std::set<uint32_t> strip_set(out.dirty);
-  strip_set.insert(extra_ids.begin(), extra_ids.end());
-  out.strip_ids.assign(strip_set.begin(), strip_set.end());
-  if (out.strip_ids.empty()) return out;
-
-  // Two-hop strip: ax rows for the union neighbourhood S, then the final
-  // propagation restricted to the strip rows with columns remapped into S.
-  std::set<uint32_t> hop_set;
-  for (uint32_t r : out.strip_ids) {
-    for (uint32_t k = a_new.row_ptr()[r]; k < a_new.row_ptr()[r + 1]; ++k) {
-      hop_set.insert(a_new.col_idx()[k]);
-    }
-  }
-  const std::vector<uint32_t> hop(hop_set.begin(), hop_set.end());
-  const la::Matrix ax = la::SpMMK(ctx, GatherCsrRows(a_new, hop), x_new);
-  out.strip =
-      la::SpMMK(ctx, GatherCsrRowsRemapCols(a_new, out.strip_ids, hop), ax);
-  return out;
 }
 
-/// Serving embedding rows after a repair: clean rows are copied from the
-/// old matrix, dirty/new rows come from the strip.
-la::Matrix RebuildServingRows(const la::Matrix& old_emb, size_t old_serving,
-                              const std::vector<uint32_t>& serving_ids,
-                              const StructRepair& repair) {
-  la::Matrix out(serving_ids.size(),
-                 old_emb.empty() ? repair.strip.cols() : old_emb.cols());
-  for (size_t i = 0; i < serving_ids.size(); ++i) {
-    const uint32_t e = serving_ids[i];
-    const float* src = nullptr;
-    if (i < old_serving && repair.dirty.count(e) == 0) {
-      src = old_emb.row(i);
-    } else {
-      const auto it = std::lower_bound(repair.strip_ids.begin(),
-                                       repair.strip_ids.end(), e);
-      CEAFF_CHECK(it != repair.strip_ids.end() && *it == e)
-          << "serving entity " << e << " missing from struct repair strip";
-      src = repair.strip.row(
-          static_cast<size_t>(it - repair.strip_ids.begin()));
-    }
-    std::memcpy(out.row(i), src, out.cols() * sizeof(float));
-  }
-  return out;
+std::vector<uint32_t> Iota(size_t n) {
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
 }
 
-/// Fuses aligned feature strips with the state's frozen weights —
+/// Fuses aligned feature blocks with the state's frozen weights —
 /// cell-local arithmetic identical to the pipeline's FuseFeatures, so a
-/// strip cell equals the corresponding full-matrix cell bit-for-bit.
-StatusOr<la::Matrix> FuseStrips(const DeltaState& s, const la::Matrix* ms,
+/// block cell equals the corresponding full-matrix cell bit-for-bit.
+StatusOr<la::Matrix> FuseBlocks(const DeltaState& s, const la::Matrix* ms,
                                 const la::Matrix* mn, const la::Matrix* ml) {
   std::vector<const la::Matrix*> enabled;
   if (s.use_structural) enabled.push_back(ms);
@@ -142,7 +72,7 @@ StatusOr<la::Matrix> FuseStrips(const DeltaState& s, const la::Matrix* ms,
   }
   for (const la::Matrix* m : enabled) {
     if (m == nullptr || m->empty()) {
-      return Status::FailedPrecondition("missing feature strip");
+      return Status::FailedPrecondition("missing feature block");
     }
   }
   if (enabled.size() == 1) {
@@ -166,81 +96,36 @@ StatusOr<la::Matrix> FuseStrips(const DeltaState& s, const la::Matrix* ms,
 
 }  // namespace
 
-StatusOr<la::Matrix> ComputeFusedStrip(const DeltaState& s,
-                                       const std::vector<uint32_t>& subset,
-                                       bool row_strip,
+StatusOr<la::Matrix> ComputeFusedBlock(const DeltaState& s,
+                                       const std::vector<uint32_t>& rows,
+                                       const std::vector<uint32_t>& cols,
                                        const la::KernelContext& ctx) {
   la::Matrix ms, mn, ml;
   if (s.use_structural) {
-    ms = row_strip
-             ? la::CosineSimilarityK(
-                   ctx, core::GatherRows(s.src_struct_emb, subset),
-                   s.tgt_struct_emb)
-             : la::CosineSimilarityK(
-                   ctx, s.src_struct_emb,
-                   core::GatherRows(s.tgt_struct_emb, subset));
+    ms = la::CosineSimilarityK(ctx, core::GatherRows(s.src_struct_emb, rows),
+                               core::GatherRows(s.tgt_struct_emb, cols));
   }
   if (s.use_semantic) {
-    mn = row_strip ? la::CosineSimilarityK(
-                         ctx, core::GatherRows(s.src_name_emb, subset),
-                         s.tgt_name_emb)
-                   : la::CosineSimilarityK(
-                         ctx, s.src_name_emb,
-                         core::GatherRows(s.tgt_name_emb, subset));
+    mn = la::CosineSimilarityK(ctx, core::GatherRows(s.src_name_emb, rows),
+                               core::GatherRows(s.tgt_name_emb, cols));
   }
   if (s.use_string) {
-    std::vector<std::string> src_names, tgt_names;
-    if (row_strip) {
-      std::vector<uint32_t> sub_ids;
-      for (uint32_t i : subset) sub_ids.push_back(s.source_ids[i]);
-      src_names = core::GatherNames(s.kg1, sub_ids);
-      tgt_names = core::GatherNames(s.kg2, s.target_ids);
-    } else {
-      std::vector<uint32_t> sub_ids;
-      for (uint32_t j : subset) sub_ids.push_back(s.target_ids[j]);
-      src_names = core::GatherNames(s.kg1, s.source_ids);
-      tgt_names = core::GatherNames(s.kg2, sub_ids);
-    }
+    std::vector<uint32_t> src_ids, tgt_ids;
+    src_ids.reserve(rows.size());
+    tgt_ids.reserve(cols.size());
+    for (uint32_t i : rows) src_ids.push_back(s.source_ids[i]);
+    for (uint32_t j : cols) tgt_ids.push_back(s.target_ids[j]);
+    const std::vector<std::string> src_names =
+        core::GatherNames(s.kg1, src_ids);
+    const std::vector<std::string> tgt_names =
+        core::GatherNames(s.kg2, tgt_ids);
     ml = s.string_metric ==
                  static_cast<uint8_t>(
                      core::CeaffOptions::StringMetric::kNgramDice)
              ? text::NgramSimilarityMatrix(src_names, tgt_names)
              : la::StringSimilarityMatrixK(ctx, src_names, tgt_names);
   }
-  return FuseStrips(s, &ms, &mn, &ml);
-}
-
-la::SparseMatrix GatherCsrRows(const la::SparseMatrix& a,
-                               const std::vector<uint32_t>& rows) {
-  std::vector<la::Triplet> triplets;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const uint32_t r = rows[i];
-    for (uint32_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      triplets.push_back({static_cast<uint32_t>(i), a.col_idx()[k],
-                          a.values()[k]});
-    }
-  }
-  return la::SparseMatrix::Build(rows.size(), a.cols(), std::move(triplets));
-}
-
-la::SparseMatrix GatherCsrRowsRemapCols(const la::SparseMatrix& a,
-                                        const std::vector<uint32_t>& rows,
-                                        const std::vector<uint32_t>& col_pos) {
-  std::vector<la::Triplet> triplets;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const uint32_t r = rows[i];
-    for (uint32_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      const uint32_t c = a.col_idx()[k];
-      const auto it = std::lower_bound(col_pos.begin(), col_pos.end(), c);
-      CEAFF_CHECK(it != col_pos.end() && *it == c)
-          << "column " << c << " missing from sub-CSR column map";
-      triplets.push_back({static_cast<uint32_t>(i),
-                          static_cast<uint32_t>(it - col_pos.begin()),
-                          a.values()[k]});
-    }
-  }
-  return la::SparseMatrix::Build(rows.size(), col_pos.size(),
-                                 std::move(triplets));
+  return FuseBlocks(s, &ms, &mn, &ml);
 }
 
 StatusOr<GraphPatchResult> ApplyGraphPatches(
@@ -370,16 +255,23 @@ la::Matrix RepairNameEmbeddings(const la::Matrix& old_emb,
 }
 
 StatusOr<RepairOutcome> ApplyPatchesToState(
-    const DeltaState& old_state, const std::vector<PatchRecord>& records,
+    DeltaState state, const std::vector<PatchRecord>& records,
     const la::KernelContext& ctx) {
   RepairOutcome out;
-  out.state = old_state;
+  out.state = std::move(state);
   if (records.empty()) return out;
+  DeltaState& s = out.state;
 
   CEAFF_FAILPOINT("delta.repair.patch_kg");
   CEAFF_ASSIGN_OR_RETURN(GraphPatchResult patched,
-                         ApplyGraphPatches(old_state, records));
-  DeltaState& s = out.state;
+                         ApplyGraphPatches(s, records));
+  const size_t old_sr = s.source_ids.size();
+  const size_t old_tc = s.target_ids.size();
+  if (s.fused.rows() != old_sr || s.fused.cols() != old_tc) {
+    return Status::DataLoss(StrFormat(
+        "stored fused matrix is %zux%zu for a %zux%zu serving split",
+        s.fused.rows(), s.fused.cols(), old_sr, old_tc));
+  }
   s.kg1 = std::move(patched.kg1);
   s.kg2 = std::move(patched.kg2);
   s.source_ids = std::move(patched.source_ids);
@@ -387,100 +279,121 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
   s.watermark = records.back().id;
   out.stats = patched.stats;
 
-  const size_t old_sr = old_state.source_ids.size();
-  const size_t old_tc = old_state.target_ids.size();
-  std::set<uint32_t> dirty_rows, dirty_cols;  // serving indices
-  for (size_t i = old_sr; i < s.source_ids.size(); ++i) {
-    dirty_rows.insert(static_cast<uint32_t>(i));
-  }
-  for (size_t j = old_tc; j < s.target_ids.size(); ++j) {
-    dirty_cols.insert(static_cast<uint32_t>(j));
-  }
+  // Serving rows / columns whose fused cells must be recomputed; newly
+  // served entities always are.
+  std::vector<char> row_dirty(s.source_ids.size(), 0);
+  std::vector<char> col_dirty(s.target_ids.size(), 0);
+  std::fill(row_dirty.begin() + static_cast<ptrdiff_t>(old_sr),
+            row_dirty.end(), 1);
+  std::fill(col_dirty.begin() + static_cast<ptrdiff_t>(old_tc),
+            col_dirty.end(), 1);
 
   CEAFF_FAILPOINT("delta.repair.structural");
   if (s.use_structural) {
-    s.x1 = ExtendInputFeatures(old_state.x1, s.kg1, s.gcn_seed);
-    s.x2 = ExtendInputFeatures(old_state.x2, s.kg2, s.gcn_seed);
-    std::vector<uint32_t> extra1(s.source_ids.begin() + old_sr,
-                                 s.source_ids.end());
-    std::vector<uint32_t> extra2(s.target_ids.begin() + old_tc,
-                                 s.target_ids.end());
-    const StructRepair r1 =
-        RepairStructSide(old_state.kg1, s.kg1, s.x1, s, extra1, ctx);
-    const StructRepair r2 =
-        RepairStructSide(old_state.kg2, s.kg2, s.x2, s, extra2, ctx);
-    out.stats.dirty_struct_entities = r1.dirty.size() + r2.dirty.size();
-    s.src_struct_emb =
-        RebuildServingRows(old_state.src_struct_emb, old_sr, s.source_ids, r1);
-    s.tgt_struct_emb =
-        RebuildServingRows(old_state.tgt_struct_emb, old_tc, s.target_ids, r2);
-    for (size_t i = 0; i < old_sr; ++i) {
-      if (r1.dirty.count(s.source_ids[i]) != 0) {
-        dirty_rows.insert(static_cast<uint32_t>(i));
-      }
-    }
-    for (size_t j = 0; j < old_tc; ++j) {
-      if (r2.dirty.count(s.target_ids[j]) != 0) {
-        dirty_cols.insert(static_cast<uint32_t>(j));
-      }
-    }
+    // The full two-hop propagation costs O(nnz·d), little next to the n²
+    // fused stage; on a power-law graph two hops from one new edge reach
+    // most entities anyway, so a frontier would save nothing.
+    const la::Matrix stored_src = std::move(s.src_struct_emb);
+    const la::Matrix stored_tgt = std::move(s.tgt_struct_emb);
+    s.x1 = ExtendInputFeatures(s.x1, s.kg1, s.gcn_seed);
+    s.x2 = ExtendInputFeatures(s.x2, s.kg2, s.gcn_seed);
+    PropagateStructEmbeddings(&s, ctx);
+    MarkChangedStructRows(stored_src, s.src_struct_emb, old_sr, &row_dirty);
+    MarkChangedStructRows(stored_tgt, s.tgt_struct_emb, old_tc, &col_dirty);
+    out.stats.dirty_struct_entities =
+        static_cast<size_t>(std::count(row_dirty.begin(), row_dirty.end(), 1) +
+                            std::count(col_dirty.begin(), col_dirty.end(), 1));
   }
 
   CEAFF_FAILPOINT("delta.repair.textual");
   if (s.use_semantic) {
     s.src_name_emb =
-        RepairNameEmbeddings(old_state.src_name_emb, old_sr, s.source_ids,
-                             s.kg1, patched.renamed1, s.semantic_dim,
+        RepairNameEmbeddings(s.src_name_emb, old_sr, s.source_ids, s.kg1,
+                             patched.renamed1, s.semantic_dim,
                              s.semantic_seed);
     s.tgt_name_emb =
-        RepairNameEmbeddings(old_state.tgt_name_emb, old_tc, s.target_ids,
-                             s.kg2, patched.renamed2, s.semantic_dim,
+        RepairNameEmbeddings(s.tgt_name_emb, old_tc, s.target_ids, s.kg2,
+                             patched.renamed2, s.semantic_dim,
                              s.semantic_seed);
   }
   if (s.use_semantic || s.use_string) {
-    for (size_t i = 0; i < old_sr; ++i) {
-      if (patched.renamed1.count(s.source_ids[i]) != 0) {
-        dirty_rows.insert(static_cast<uint32_t>(i));
-      }
-    }
-    for (size_t j = 0; j < old_tc; ++j) {
-      if (patched.renamed2.count(s.target_ids[j]) != 0) {
-        dirty_cols.insert(static_cast<uint32_t>(j));
-      }
-    }
+    MarkRenamed(s.source_ids, old_sr, patched.renamed1, &row_dirty);
+    MarkRenamed(s.target_ids, old_tc, patched.renamed2, &col_dirty);
   }
 
   CEAFF_FAILPOINT("delta.repair.fuse");
-  out.dirty_rows.assign(dirty_rows.begin(), dirty_rows.end());
-  out.dirty_cols.assign(dirty_cols.begin(), dirty_cols.end());
+  std::vector<uint32_t> clean_cols;
+  for (size_t i = 0; i < row_dirty.size(); ++i) {
+    if (row_dirty[i]) out.dirty_rows.push_back(static_cast<uint32_t>(i));
+  }
+  for (size_t j = 0; j < col_dirty.size(); ++j) {
+    (col_dirty[j] ? out.dirty_cols : clean_cols)
+        .push_back(static_cast<uint32_t>(j));
+  }
   out.stats.dirty_rows = out.dirty_rows.size();
   out.stats.dirty_cols = out.dirty_cols.size();
-  la::Matrix fused(s.source_ids.size(), s.target_ids.size());
-  for (size_t i = 0; i < old_sr; ++i) {
-    std::memcpy(fused.row(i), old_state.fused.row(i),
-                old_tc * sizeof(float));
-  }
-  if (!out.dirty_rows.empty()) {
-    CEAFF_ASSIGN_OR_RETURN(
-        const la::Matrix strip,
-        ComputeFusedStrip(s, out.dirty_rows, /*row_strip=*/true, ctx));
-    for (size_t k = 0; k < out.dirty_rows.size(); ++k) {
-      std::memcpy(fused.row(out.dirty_rows[k]), strip.row(k),
-                  fused.cols() * sizeof(float));
+  // Only the clean rows × clean columns keep their stored cells. Every row
+  // over the dirty columns, then the dirty rows over the clean columns, is
+  // recomputed: n² - |clean rows|·|clean cols| cells, never more than a
+  // rebuild. The kernels split a block by rows, so both blocks span many
+  // rows when a structural change dirties most of them.
+  la::Matrix& fused = s.fused;
+  if (fused.rows() != s.source_ids.size() ||
+      fused.cols() != s.target_ids.size()) {
+    la::Matrix grown(s.source_ids.size(), s.target_ids.size());
+    for (size_t i = 0; i < old_sr; ++i) {
+      std::memcpy(grown.row(i), fused.row(i), old_tc * sizeof(float));
     }
+    fused = std::move(grown);
   }
-  if (!out.dirty_cols.empty()) {
-    CEAFF_ASSIGN_OR_RETURN(
-        const la::Matrix strip,
-        ComputeFusedStrip(s, out.dirty_cols, /*row_strip=*/false, ctx));
-    for (size_t i = 0; i < fused.rows(); ++i) {
-      for (size_t k = 0; k < out.dirty_cols.size(); ++k) {
-        fused.at(i, out.dirty_cols[k]) = strip.at(i, k);
-      }
+  auto recompute = [&](const std::vector<uint32_t>& rows,
+                       const std::vector<uint32_t>& cols) -> Status {
+    if (rows.empty() || cols.empty()) return Status::OK();
+    CEAFF_ASSIGN_OR_RETURN(const la::Matrix block,
+                           ComputeFusedBlock(s, rows, cols, ctx));
+    for (size_t k = 0; k < rows.size(); ++k) {
+      float* row = fused.row(rows[k]);
+      const float* b = block.row(k);
+      for (size_t c = 0; c < cols.size(); ++c) row[cols[c]] = b[c];
     }
-  }
-  s.fused = std::move(fused);
+    return Status::OK();
+  };
+  CEAFF_RETURN_IF_ERROR(recompute(Iota(fused.rows()), out.dirty_cols));
+  CEAFF_RETURN_IF_ERROR(recompute(out.dirty_rows, clean_cols));
   return out;
+}
+
+StatusOr<RepairStats> RebuildPatchedState(
+    DeltaState* state, const std::vector<PatchRecord>& records,
+    const la::KernelContext& ctx) {
+  DeltaState& s = *state;
+  RepairStats stats;
+  if (!records.empty()) {
+    CEAFF_ASSIGN_OR_RETURN(GraphPatchResult patched,
+                           ApplyGraphPatches(s, records));
+    const size_t old_sr = s.source_ids.size();
+    const size_t old_tc = s.target_ids.size();
+    stats = patched.stats;
+    s.kg1 = std::move(patched.kg1);
+    s.kg2 = std::move(patched.kg2);
+    s.source_ids = std::move(patched.source_ids);
+    s.target_ids = std::move(patched.target_ids);
+    s.watermark = records.back().id;
+    if (s.use_structural) {
+      s.x1 = ExtendInputFeatures(s.x1, s.kg1, s.gcn_seed);
+      s.x2 = ExtendInputFeatures(s.x2, s.kg2, s.gcn_seed);
+    }
+    if (s.use_semantic) {
+      s.src_name_emb = RepairNameEmbeddings(
+          s.src_name_emb, old_sr, s.source_ids, s.kg1, patched.renamed1,
+          s.semantic_dim, s.semantic_seed);
+      s.tgt_name_emb = RepairNameEmbeddings(
+          s.tgt_name_emb, old_tc, s.target_ids, s.kg2, patched.renamed2,
+          s.semantic_dim, s.semantic_seed);
+    }
+  }
+  CEAFF_RETURN_IF_ERROR(RecomputeStateExhaustive(&s, ctx));
+  return stats;
 }
 
 void PropagateStructEmbeddings(DeltaState* state,
@@ -503,13 +416,9 @@ Status RecomputeStateExhaustive(DeltaState* state,
                                 const la::KernelContext& ctx) {
   DeltaState& s = *state;
   if (s.use_structural) PropagateStructEmbeddings(&s, ctx);
-  std::vector<uint32_t> all_rows(s.source_ids.size());
-  for (size_t i = 0; i < all_rows.size(); ++i) {
-    all_rows[i] = static_cast<uint32_t>(i);
-  }
   CEAFF_ASSIGN_OR_RETURN(s.fused,
-                         ComputeFusedStrip(s, all_rows, /*row_strip=*/true,
-                                           ctx));
+                         ComputeFusedBlock(s, Iota(s.source_ids.size()),
+                                           Iota(s.target_ids.size()), ctx));
   return Status::OK();
 }
 

@@ -13,23 +13,28 @@
 namespace ceaff::delta {
 
 /// Bounded repair: fold a batch of journaled patches into a DeltaState by
-/// recomputing ONLY what the patches can have changed, under the frozen
-/// model (see delta_state.h). Every recomputed value is produced by the
-/// same blocked kernels the full pipeline uses, on gathered row strips and
-/// sub-CSR matrices whose per-element accumulation order equals the full
-/// computation's — so a repaired state is bit-identical to
-/// RecomputeStateExhaustive over the same patched inputs (the property the
-/// verification gate's sampled audit and the equivalence test suite pin).
+/// recomputing only the fused cells the patches can have changed, under
+/// the frozen model (see delta_state.h). Every recomputed value is
+/// produced by the same kernels the full pipeline uses, whose per-cell
+/// arithmetic does not depend on which rows and columns a call covers —
+/// so a repaired state is bit-identical to RecomputeStateExhaustive over
+/// the same patched inputs (the property the verification gate's sampled
+/// audit and the equivalence test suite pin), and it never computes more
+/// cells than that rebuild.
 ///
 /// Repair stages (each with a failpoint site `delta.repair.<stage>`):
 ///   patch_kg    apply patches to the graph snapshots + serving split
-///   structural  re-propagate Z = A'·(A'·X') for the dirty frontier
-///               (changed adjacency rows ∪ their A'-neighbourhood ∪ new
-///               entities) via sub-CSR SpMM strips
+///   structural  extend X' with the new entities' rows, then run the full
+///               two-hop propagation Z = A'·(A'·X')
+///               (PropagateStructEmbeddings, O(nnz·d)); a stored serving
+///               row or column is dirty when its new structural row
+///               differs bitwise from the stored one
 ///   textual     refresh name-embedding rows of renamed/new serving
-///               entities (hash-fallback store; frozen-name reuse rule)
-///   fuse        rebuild fused rows/columns whose feature scores changed,
-///               with the frozen fusion weights
+///               entities (hash-fallback store; frozen-name reuse rule);
+///               renamed entities are dirty
+///   fuse        recompute every row over the dirty columns, then the dirty
+///               rows over the clean columns, with the frozen fusion weights;
+///               only the clean × clean cells are copied
 /// The matching is not part of the state: the verification gate derives it
 /// from the repaired fused matrix and the publish serves that result.
 
@@ -41,7 +46,8 @@ struct RepairStats {
   size_t triples_removed = 0;
   size_t entities_renamed = 0;
   size_t serve_added = 0;
-  /// Entities whose structural embedding row was re-propagated (both KGs).
+  /// Serving rows and columns (both KGs) whose structural embedding row
+  /// differs bitwise from the stored one, newly served entities included.
   size_t dirty_struct_entities = 0;
   /// Serving fused-matrix rows / columns recomputed.
   size_t dirty_rows = 0;
@@ -101,10 +107,23 @@ la::Matrix RepairNameEmbeddings(const la::Matrix& old_emb,
                                 uint64_t semantic_seed);
 
 /// Bounded repair of one batch. `records` must be in journal order with
-/// ids above old_state.watermark; the outcome's watermark is the last
-/// record's id. An empty batch returns the state unchanged.
+/// ids above state.watermark; the outcome's watermark is the last
+/// record's id. The state is taken by value so a caller that no longer
+/// needs it can move it in and the repair updates its matrices in place.
+/// An empty batch returns the state unchanged. kDataLoss when the stored
+/// fused matrix does not match the stored serving split.
 StatusOr<RepairOutcome> ApplyPatchesToState(
-    const DeltaState& old_state, const std::vector<PatchRecord>& records,
+    DeltaState state, const std::vector<PatchRecord>& records,
+    const la::KernelContext& ctx);
+
+/// The exhaustive counterpart of ApplyPatchesToState and the repair path of
+/// RebuildDelta: patches the graph layer, extends X and refreshes the name
+/// embeddings exactly as the bounded repair does, then recomputes every
+/// derived field with RecomputeStateExhaustive. It tracks nothing dirty
+/// (after a quarantine that tracking is not trusted). An empty batch only
+/// recomputes.
+StatusOr<RepairStats> RebuildPatchedState(
+    DeltaState* state, const std::vector<PatchRecord>& records,
     const la::KernelContext& ctx);
 
 /// The full two-hop structural propagation Z = A·(A·X) for both KGs from
@@ -123,28 +142,15 @@ void PropagateStructEmbeddings(DeltaState* state,
 Status RecomputeStateExhaustive(DeltaState* state,
                                 const la::KernelContext& ctx);
 
-/// The fused similarity strip for a subset of serving rows (over all
-/// columns, row_strip=true) or serving columns (over all rows), computed
-/// from the state's stored embeddings/names and fused with the frozen
-/// weights — the exact per-cell arithmetic of the full pipeline, shared by
-/// the bounded repair, the exhaustive oracle and the verification gate's
-/// divergence audit.
-StatusOr<la::Matrix> ComputeFusedStrip(const DeltaState& state,
-                                       const std::vector<uint32_t>& subset,
-                                       bool row_strip,
+/// The fused similarity block of serving rows `rows` × serving columns
+/// `cols` (any order, any subset), computed from the state's stored
+/// embeddings/names and fused with the frozen weights — the exact per-cell
+/// arithmetic of the full pipeline, shared by the bounded repair, the
+/// exhaustive oracle and the verification gate's divergence audit.
+StatusOr<la::Matrix> ComputeFusedBlock(const DeltaState& state,
+                                       const std::vector<uint32_t>& rows,
+                                       const std::vector<uint32_t>& cols,
                                        const la::KernelContext& ctx);
-
-/// Builds the sub-CSR of `a` holding `rows` (ascending) over the full
-/// column space, for SpMM strips. Exposed for tests.
-la::SparseMatrix GatherCsrRows(const la::SparseMatrix& a,
-                               const std::vector<uint32_t>& rows);
-
-/// As above but with columns remapped through `col_pos` (ascending ids →
-/// their position), producing a |rows| x |col_pos| sub-CSR. Every stored
-/// column of the gathered rows must appear in `col_pos`.
-la::SparseMatrix GatherCsrRowsRemapCols(const la::SparseMatrix& a,
-                                        const std::vector<uint32_t>& rows,
-                                        const std::vector<uint32_t>& col_pos);
 
 }  // namespace ceaff::delta
 

@@ -193,12 +193,16 @@ std::string SerializeDeltaState(const DeltaState& state) {
   return bytes;
 }
 
-StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
-  CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
+namespace {
+
+/// The parse proper, for bytes that already passed
+/// ValidateDeltaStateBytes (a second CRC pass over a multi-megabyte state
+/// would find nothing new). Every section is still bounds-checked.
+StatusOr<DeltaState> ParseValidatedDeltaState(std::string_view bytes) {
   // Parse in place: the reader borrows the caller's bytes.
   BinReader r(bytes.substr(0, bytes.size() - kTrailerBytes));
   const char* header = nullptr;
-  r.View(sizeof(kMagic) + sizeof(kVersion), &header);  // validated above
+  r.View(sizeof(kMagic) + sizeof(kVersion), &header);  // validated already
 
   DeltaState state;
   if (!r.U64(&state.watermark) || !r.Str(&state.dataset) ||
@@ -232,6 +236,13 @@ StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
   return state;
 }
 
+}  // namespace
+
+StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
+  CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
+  return ParseValidatedDeltaState(bytes);
+}
+
 StatusOr<std::unique_ptr<GenerationalStore>> OpenDeltaStateStore(
     const std::string& dir) {
   GenerationalStore::Options options;
@@ -248,7 +259,8 @@ Status SaveDeltaState(const DeltaState& state, GenerationalStore* store) {
 StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store) {
   CEAFF_ASSIGN_OR_RETURN(std::string bytes,
                          store->Get("state", ValidateDeltaStateBytes));
-  return ParseDeltaState(bytes);
+  // Get ran the validator on exactly these bytes.
+  return ParseValidatedDeltaState(bytes);
 }
 
 StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -156,7 +157,7 @@ StatusOr<matching::MatchResult> VerifyDeltaState(
 
   // Independent recomputation for the audited rows. The structural side
   // redoes the FULL two-hop propagation (O(nnz·d), cheap relative to the
-  // similarity matrices) rather than trusting the repair's strips.
+  // similarity matrices) rather than trusting the repair's output.
   DeltaState oracle = s;
   if (s.use_structural) {
     PropagateStructEmbeddings(&oracle, ctx);
@@ -174,13 +175,14 @@ StatusOr<matching::MatchResult> VerifyDeltaState(
     }
   }
 
-  CEAFF_ASSIGN_OR_RETURN(
-      const la::Matrix strip,
-      ComputeFusedStrip(oracle, audit, /*row_strip=*/true, ctx));
+  std::vector<uint32_t> all_cols(s.target_ids.size());
+  std::iota(all_cols.begin(), all_cols.end(), 0u);
+  CEAFF_ASSIGN_OR_RETURN(const la::Matrix recomputed,
+                         ComputeFusedBlock(oracle, audit, all_cols, ctx));
   for (size_t k = 0; k < audit.size(); ++k) {
     const uint32_t i = audit[k];
     const float* got = s.fused.row(i);
-    const float* want = strip.row(k);
+    const float* want = recomputed.row(k);
     for (size_t j = 0; j < s.fused.cols(); ++j) {
       const bool ok =
           options.audit_tolerance == 0.0

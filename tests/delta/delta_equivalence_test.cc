@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "ceaff/common/failpoint.h"
 #include "ceaff/common/random.h"
 #include "ceaff/common/string_util.h"
+#include "ceaff/common/thread_pool.h"
 #include "ceaff/delta/delta_apply.h"
 #include "ceaff/delta/delta_journal.h"
 #include "ceaff/delta/delta_patch.h"
@@ -43,6 +47,8 @@ struct StateConfig {
   bool use_semantic = true;
   bool use_string = true;
   uint8_t string_metric = 0;  // 0 = exact Levenshtein, 1 = trigram Dice
+  size_t num_source = 9;      // serving rows
+  size_t num_target = 10;     // serving columns
 };
 
 /// A random baseline "export": two small graphs, a serving split, frozen
@@ -77,7 +83,9 @@ DeltaState MakeBaseState(uint64_t seed, const StateConfig& config,
 
   for (int g = 1; g <= 2; ++g) {
     kg::KnowledgeGraph& kg = g == 1 ? s.kg1 : s.kg2;
-    const size_t n = 12 + rng.NextBounded(6);
+    const size_t serving =
+        g == 1 ? config.num_source : config.num_target;
+    const size_t n = std::max<size_t>(12, serving + 2) + rng.NextBounded(6);
     for (size_t e = 0; e < n; ++e) {
       // Cross-graph name overlap so the string/semantic features carry
       // real signal.
@@ -95,8 +103,8 @@ DeltaState MakeBaseState(uint64_t seed, const StateConfig& config,
     }
   }
   // Serving split: a prefix subset of each side, shuffled.
-  for (uint32_t e = 0; e < 9; ++e) s.source_ids.push_back(e);
-  for (uint32_t e = 0; e < 10; ++e) s.target_ids.push_back(e);
+  for (uint32_t e = 0; e < config.num_source; ++e) s.source_ids.push_back(e);
+  for (uint32_t e = 0; e < config.num_target; ++e) s.target_ids.push_back(e);
   rng.Shuffle(&s.source_ids);
   rng.Shuffle(&s.target_ids);
 
@@ -347,6 +355,152 @@ TEST_F(DeltaEquivalenceTest, BadBatchIsRejectedWhole) {
   EXPECT_TRUE(outcome.status().IsInvalidArgument())
       << outcome.status().ToString();
 }
+
+TEST_F(DeltaEquivalenceTest, StaleStoredStructRowIsHealed) {
+  DeltaState base = MakeBaseState(13, StateConfig(), ctx_);
+  // Flip the last bit of one stored source structural row: a repair that
+  // copied unchanged rows would carry the stale row forward.
+  const uint32_t stale = 2;
+  float* cell = base.src_struct_emb.row(stale) + base.src_struct_emb.cols() - 1;
+  uint32_t bits = 0;
+  std::memcpy(&bits, cell, sizeof(bits));
+  bits ^= 1u;
+  std::memcpy(cell, &bits, sizeof(bits));
+  PatchRecord rename;
+  rename.op = PatchOp::kRenameEntity;
+  rename.kg = 1;
+  rename.uri = base.kg1.entity_uri(base.source_ids[5]);
+  rename.name = "a different entity renamed";
+  rename.id = 1;
+  auto outcome = ApplyPatchesToState(base, {rename}, ctx_);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ExpectBitIdentical(outcome->state, Oracle(base, {rename}, ctx_),
+                     "stale structural row");
+  EXPECT_EQ(outcome->dirty_rows, (std::vector<uint32_t>{stale, 5}));
+}
+
+TEST_F(DeltaEquivalenceTest, FusedShapeMismatchIsDataLoss) {
+  DeltaState base = MakeBaseState(17, StateConfig(), ctx_);
+  base.fused = la::Matrix(base.source_ids.size() - 1, base.target_ids.size());
+  PatchRecord rename;
+  rename.op = PatchOp::kRenameEntity;
+  rename.kg = 2;
+  rename.uri = base.kg2.entity_uri(base.target_ids[0]);
+  rename.name = "renamed over a torn state";
+  rename.id = 1;
+  auto outcome = ApplyPatchesToState(base, {rename}, ctx_);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_TRUE(outcome.status().IsDataLoss()) << outcome.status().ToString();
+}
+
+/// Serving splits past the cosine kernel's row_block (64) and col_block
+/// (128), so the repair's blocks cross panel boundaries.
+class DeltaEquivalenceAtKernelShapes
+    : public DeltaEquivalenceTest,
+      public ::testing::WithParamInterface<size_t> {
+ protected:
+  void SetUp() override {
+    DeltaEquivalenceTest::SetUp();
+    if (GetParam() > 1) {
+      pool_ = std::make_unique<ThreadPool>(GetParam());
+      ctx_.pool = pool_.get();
+    }
+    StateConfig config;
+    config.num_source = 150;
+    config.num_target = 140;
+    base_ = MakeBaseState(4242, config, ctx_);
+  }
+
+  /// Applies `batch`, asserts the outcome equals the oracle byte for byte
+  /// and clears the gate, and returns its stats.
+  RepairStats ApplyAndCheck(const std::vector<PatchRecord>& batch,
+                            const std::string& what) {
+    auto outcome = ApplyPatchesToState(base_, batch, ctx_);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (!outcome.ok()) return {};
+    ExpectBitIdentical(outcome->state, Oracle(base_, batch, ctx_), what);
+    VerifyOptions verify;
+    verify.audit_rows = 8;
+    const Status gate =
+        VerifyDeltaState(outcome->state, outcome->dirty_rows, verify, ctx_)
+            .status();
+    EXPECT_TRUE(gate.ok()) << what << ": " << gate.ToString();
+    return outcome->stats;
+  }
+
+  PatchRecord Rename(uint8_t kg, uint32_t entity, uint64_t id) const {
+    PatchRecord r;
+    r.op = PatchOp::kRenameEntity;
+    r.kg = kg;
+    r.uri = (kg == 1 ? base_.kg1 : base_.kg2).entity_uri(entity);
+    r.name = StrFormat("renamed entity %u side %d", entity, int{kg});
+    r.id = id;
+    return r;
+  }
+
+  std::unique_ptr<ThreadPool> pool_;
+  DeltaState base_;
+};
+
+TEST_P(DeltaEquivalenceAtKernelShapes, AddTripleWithExistingRelation) {
+  PatchRecord t;
+  t.op = PatchOp::kAddTriple;
+  t.kg = 1;
+  t.head = base_.kg1.entity_uri(base_.source_ids[0]);
+  t.tail = base_.kg1.entity_uri(base_.source_ids[1]);
+  t.rel = base_.kg1.relation_uri(0);
+  t.id = 1;
+  const RepairStats stats = ApplyAndCheck({t}, "add_triple");
+  // The relation's functionality weight moves, so its every triple's
+  // adjacency entries do: far more rows than the two endpoints.
+  EXPECT_GT(stats.dirty_rows, 2u);
+}
+
+TEST_P(DeltaEquivalenceAtKernelShapes, TargetOnlyRename) {
+  const RepairStats stats =
+      ApplyAndCheck({Rename(2, base_.target_ids[7], 1)}, "target rename");
+  EXPECT_EQ(stats.dirty_rows, 0u);
+  EXPECT_EQ(stats.dirty_cols, 1u);
+}
+
+TEST_P(DeltaEquivalenceAtKernelShapes, EveryServingRowDirty) {
+  std::vector<PatchRecord> batch;
+  for (uint32_t e : base_.source_ids) {
+    batch.push_back(Rename(1, e, batch.size() + 1));
+  }
+  const RepairStats stats = ApplyAndCheck(batch, "every row dirty");
+  EXPECT_EQ(stats.dirty_rows, base_.source_ids.size());
+}
+
+TEST_P(DeltaEquivalenceAtKernelShapes, AddAndServeOnly) {
+  std::vector<PatchRecord> batch;
+  for (uint8_t kg = 1; kg <= 2; ++kg) {
+    PatchRecord add;
+    add.op = PatchOp::kAddEntity;
+    add.kg = kg;
+    add.uri = StrFormat("kg%d:added", int{kg});
+    add.name = StrFormat("entity 3 variant %d", int{kg});
+    add.id = batch.size() + 1;
+    batch.push_back(add);
+    PatchRecord serve;
+    serve.op = PatchOp::kServeEntity;
+    serve.kg = kg;
+    serve.uri = add.uri;
+    serve.id = batch.size() + 1;
+    batch.push_back(serve);
+  }
+  const RepairStats stats = ApplyAndCheck(batch, "add and serve");
+  EXPECT_EQ(stats.serve_added, 2u);
+  EXPECT_GE(stats.dirty_rows, 1u);
+  EXPECT_GE(stats.dirty_cols, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, DeltaEquivalenceAtKernelShapes,
+                         ::testing::Values(size_t{1}, size_t{3}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return info.param == 1 ? std::string("NoPool")
+                                                  : std::string("Pool3");
+                         });
 
 // ---------------------------------------------------------------------------
 // Full on-disk cycle: journal → ApplyDelta → generational publish.

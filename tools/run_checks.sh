@@ -23,9 +23,10 @@
 # in turn: every answer must stay byte-identical to single-process serving
 # and the degraded counter must stay 0), and a rolling-reload hammer
 # (RELOAD mid-session on a 2x1 and a 2x2 fleet: zero failed queries, also
-# rerun under ASan), and a delta smoke (journal a patch batch, apply it
-# beside a live server and assert RELOAD serves the patch, assert
-# `delta rebuild` of the same batch writes the same state bytes, then
+# rerun under ASan), and a delta smoke (journal a patch batch with a
+# rename, an added triple and a new served entity, apply it beside a live
+# server and assert RELOAD serves the patch, assert `delta rebuild` of the
+# same batch and a `--threads 3` apply write the same state bytes, then
 # SIGKILL mid-publish and assert the journal replay converges on the next
 # apply);
 # the `shard`-labelled drills — including the
@@ -384,11 +385,17 @@ if [[ "$skip_smoke" == 0 ]]; then
     --export_delta_state "$delta/state" --export_index "$delta/index" \
     --out "$delta/pred.tsv"
   # Patch: rename a known matched source entity (the PAIR probe — its new
-  # name only answers once the publish is served) plus a brand-new served
-  # entity for add/serve coverage.
+  # name only answers once the publish is served), a triple between two
+  # existing KG1 entities (so the structural repair runs), plus a
+  # brand-new served entity for add/serve coverage.
   uri="$(head -n 1 "$smoke/data/entities1.tsv" | cut -f1)"
   printf 'rename_entity\t1\t%s\tdelta renamed smoke entity\n' "$uri" \
     > "$delta/patch.tsv"
+  head_uri="$(sed -n 2p "$smoke/data/entities1.tsv" | cut -f1)"
+  tail_uri="$(sed -n 3p "$smoke/data/entities1.tsv" | cut -f1)"
+  rel="$(head -n 1 "$smoke/data/triples1.tsv" | cut -f2)"
+  printf 'add_triple\t1\t%s\t%s\t%s\n' "$head_uri" "$rel" "$tail_uri" \
+    >> "$delta/patch.tsv"
   printf 'add_entity\t1\thttp://smoke/brand_new\tbrand new smoke entity\n' \
     >> "$delta/patch.tsv"
   printf 'serve_entity\t1\thttp://smoke/brand_new\n' >> "$delta/patch.tsv"
@@ -417,20 +424,28 @@ if [[ "$skip_smoke" == 0 ]]; then
     sleep 0.2
   done
   grep -q '^NONE PAIR' "$delta/serve_out.txt"
-  # Keep a copy of the pre-apply state and journal for the rebuild below.
+  # Keep copies of the pre-apply state and journal for the rebuild and the
+  # thread-count check below.
   cp -r "$delta/state" "$delta/rebuild_state"
   cp -r "$delta/wal" "$delta/rebuild_wal"
+  cp -r "$delta/state" "$delta/threads3_state"
+  cp -r "$delta/wal" "$delta/threads3_wal"
   # Apply the journaled batch while the service keeps running, then RELOAD
   # the same directory: the renamed entity must now answer its PAIR.
   "$repo/build/tools/ceaff" delta apply --journal "$delta/wal" \
     --state "$delta/state" --index "$delta/index" | tee "$delta/apply.txt"
-  grep -q 'watermark 0 -> 3' "$delta/apply.txt"
+  grep -q 'watermark 0 -> 4' "$delta/apply.txt"
   # Repair equals rebuild on the CLI path: the exhaustive rebuild of the
   # same batch must write the same state bytes as the bounded repair.
   "$repo/build/tools/ceaff" delta rebuild --journal "$delta/rebuild_wal" \
     --state "$delta/rebuild_state" | tee "$delta/rebuild.txt"
-  grep -q 'watermark 0 -> 3' "$delta/rebuild.txt"
+  grep -q 'watermark 0 -> 4' "$delta/rebuild.txt"
   cmp "$delta/state/state.g2" "$delta/rebuild_state/state.g2"
+  # Threads only partition the work: a 3-thread apply of the same journal
+  # writes the same state bytes as the single-thread one.
+  "$repo/build/tools/ceaff" delta apply --journal "$delta/threads3_wal" \
+    --state "$delta/threads3_state" --threads 3 > /dev/null
+  cmp "$delta/state/state.g2" "$delta/threads3_state/state.g2"
   printf 'RELOAD %s\nPAIR delta renamed smoke entity\nQUIT\n' \
     "$delta/index" >&7
   exec 7>&-
@@ -451,19 +466,19 @@ if [[ "$skip_smoke" == 0 ]]; then
   if [[ "$rc" != 77 ]]; then
     echo "delta apply crash action exited $rc, expected 77" >&2; exit 1
   fi
-  # Old-or-new: the store still serves the pre-crash state (watermark 3,
+  # Old-or-new: the store still serves the pre-crash state (watermark 4,
   # pending records), never a torn one, and a crash never quarantines.
   "$repo/build/tools/ceaff" delta status \
     --journal "$delta/wal" --state "$delta/state" | tee "$delta/status.txt"
-  grep -q 'watermark 3' "$delta/status.txt"
+  grep -q 'watermark 4' "$delta/status.txt"
   grep -q '2 pending' "$delta/status.txt"
   # The replay folds the survivors in and drains the journal.
   "$repo/build/tools/ceaff" delta apply --journal "$delta/wal" \
     --state "$delta/state" --index "$delta/index" | tee "$delta/replay.txt"
-  grep -q 'watermark 3 -> 5' "$delta/replay.txt"
+  grep -q 'watermark 4 -> 6' "$delta/replay.txt"
   "$repo/build/tools/ceaff" delta status \
     --journal "$delta/wal" --state "$delta/state" | tee "$delta/status2.txt"
-  grep -q 'watermark 5' "$delta/status2.txt"
+  grep -q 'watermark 6' "$delta/status2.txt"
   grep -q '0 pending' "$delta/status2.txt"
   # A state of a format version this build does not read (as a newer
   # build would write it: version 3, valid CRC, matching MANIFEST) must be
