@@ -817,13 +817,6 @@ int RunSmoke() {
     }
   }
   {
-    const Matrix a = RandomMatrix(18, 25, 3);
-    const Matrix b = RandomMatrix(25, 11, 4);
-    if (!BitIdentical(la::MatMulK(par, a, b), la::MatMul(a, b))) {
-      Fail("matmul parity");
-    }
-  }
-  {
     const auto src = RandomNames(15, 20, 5);
     const auto tgt = RandomNames(13, 20, 6);
     if (!BitIdentical(la::StringSimilarityMatrixK(par, src, tgt),

@@ -168,11 +168,11 @@ struct CeaffFeatures {
   la::Matrix structural_src_emb;
   la::Matrix structural_tgt_emb;
   /// The trained GCN *input* feature matrices over ALL entities of each
-  /// graph (n x d). Kept because the propagation-only GCN (no weight
-  /// transform) makes Z = A·(A·X) a pure function of (A, X): persisting X
-  /// lets the delta path re-propagate structural embeddings after a graph
-  /// patch without retraining. Empty when the structural feature is
-  /// disabled or restored from a checkpoint that predates these artifacts.
+  /// graph (n x d). Kept because the GCN's embeddings Z = A·(A·X) are a
+  /// pure function of (A, X) (embed/gcn.h): persisting X lets the delta
+  /// path re-propagate structural embeddings after a graph patch without
+  /// retraining. Empty when the structural feature is disabled or restored
+  /// from a checkpoint that predates these artifacts.
   la::Matrix structural_x1;
   la::Matrix structural_x2;
   la::Matrix seed_structural;

@@ -293,13 +293,13 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
     // The full two-hop propagation costs O(nnz·d), little next to the n²
     // fused stage; on a power-law graph two hops from one new edge reach
     // most entities anyway, so a frontier would save nothing.
-    const la::Matrix stored_src = std::move(s.src_struct_emb);
-    const la::Matrix stored_tgt = std::move(s.tgt_struct_emb);
     s.x1 = ExtendInputFeatures(s.x1, s.kg1, s.gcn_seed);
     s.x2 = ExtendInputFeatures(s.x2, s.kg2, s.gcn_seed);
-    PropagateStructEmbeddings(&s, ctx);
-    MarkChangedStructRows(stored_src, s.src_struct_emb, old_sr, &row_dirty);
-    MarkChangedStructRows(stored_tgt, s.tgt_struct_emb, old_tc, &col_dirty);
+    StructEmbeddings fresh = PropagateStructEmbeddings(s, ctx);
+    MarkChangedStructRows(s.src_struct_emb, fresh.src, old_sr, &row_dirty);
+    MarkChangedStructRows(s.tgt_struct_emb, fresh.tgt, old_tc, &col_dirty);
+    s.src_struct_emb = std::move(fresh.src);
+    s.tgt_struct_emb = std::move(fresh.tgt);
     out.stats.dirty_struct_entities =
         static_cast<size_t>(std::count(row_dirty.begin(), row_dirty.end(), 1) +
                             std::count(col_dirty.begin(), col_dirty.end(), 1));
@@ -396,9 +396,8 @@ StatusOr<RepairStats> RebuildPatchedState(
   return stats;
 }
 
-void PropagateStructEmbeddings(DeltaState* state,
-                               const la::KernelContext& ctx) {
-  DeltaState& s = *state;
+StructEmbeddings PropagateStructEmbeddings(const DeltaState& s,
+                                           const la::KernelContext& ctx) {
   // Serial on purpose: at GCN shapes a pool fan-out of SpMMK is no faster
   // than one sweep, and grain never changes bits (DESIGN.md §11).
   la::KernelContext serial = ctx;
@@ -408,14 +407,18 @@ void PropagateStructEmbeddings(DeltaState* state,
   const la::SparseMatrix a2 = kg::BuildAdjacency(s.kg2, opts);
   const la::Matrix z1 = la::SpMMK(serial, a1, la::SpMMK(serial, a1, s.x1));
   const la::Matrix z2 = la::SpMMK(serial, a2, la::SpMMK(serial, a2, s.x2));
-  s.src_struct_emb = core::GatherRows(z1, s.source_ids);
-  s.tgt_struct_emb = core::GatherRows(z2, s.target_ids);
+  return {core::GatherRows(z1, s.source_ids),
+          core::GatherRows(z2, s.target_ids)};
 }
 
 Status RecomputeStateExhaustive(DeltaState* state,
                                 const la::KernelContext& ctx) {
   DeltaState& s = *state;
-  if (s.use_structural) PropagateStructEmbeddings(&s, ctx);
+  if (s.use_structural) {
+    StructEmbeddings fresh = PropagateStructEmbeddings(s, ctx);
+    s.src_struct_emb = std::move(fresh.src);
+    s.tgt_struct_emb = std::move(fresh.tgt);
+  }
   CEAFF_ASSIGN_OR_RETURN(s.fused,
                          ComputeFusedBlock(s, Iota(s.source_ids.size()),
                                            Iota(s.target_ids.size()), ctx));

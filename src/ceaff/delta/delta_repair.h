@@ -126,12 +126,20 @@ StatusOr<RepairStats> RebuildPatchedState(
     DeltaState* state, const std::vector<PatchRecord>& records,
     const la::KernelContext& ctx);
 
+/// Structural embedding rows of the serving split: source rows over KG1,
+/// target rows over KG2.
+struct StructEmbeddings {
+  la::Matrix src;
+  la::Matrix tgt;
+};
+
 /// The full two-hop structural propagation Z = A·(A·X) for both KGs from
 /// `state`'s stored graphs and frozen features, gathered onto the serving
-/// rows and written to its struct embeddings. Runs on `ctx` without its
-/// pool. Shared by the exhaustive oracle and the verification gate.
-void PropagateStructEmbeddings(DeltaState* state,
-                               const la::KernelContext& ctx);
+/// rows. Runs on `ctx` without its pool. Shared by the bounded repair, the
+/// exhaustive oracle (which store the result) and the verification gate
+/// (which compares it with the candidate's).
+StructEmbeddings PropagateStructEmbeddings(const DeltaState& state,
+                                           const la::KernelContext& ctx);
 
 /// The from-scratch oracle: recomputes struct embeddings (full two-hop
 /// propagation), every enabled feature matrix and the fused matrix of

@@ -285,11 +285,6 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
     return Status::FailedPrecondition(
         "delta export does not support learned fusion");
   }
-  if (options.use_structural && options.gcn.use_weight_transform) {
-    return Status::FailedPrecondition(
-        "delta export requires the propagation-only GCN "
-        "(gcn.use_weight_transform = false)");
-  }
   if (options.use_string &&
       options.string_metric ==
           core::CeaffOptions::StringMetric::kLevenshteinRatio &&

@@ -123,7 +123,6 @@ StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store);
 ///   - csls_k > 0 (a fused-matrix post-pass with global row dependence)
 ///   - decision_mode other than kCollective
 ///   - fusion_mode kLearned
-///   - gcn.use_weight_transform (repair relies on propagation-only Z)
 ///   - the Levenshtein string metric without
 ///     CeaffOptions::force_exact_string_kernel (la::ChooseStringKernel may
 ///     pick the pruned kernel, whose non-maximal cells are upper bounds

@@ -56,6 +56,10 @@ Status CheckShapes(const DeltaState& s) {
     if (s.src_struct_emb.rows() != n1 || s.tgt_struct_emb.rows() != n2) {
       return GateFail("structural embedding rows do not cover the split");
     }
+    if (s.src_struct_emb.cols() != s.x1.cols() ||
+        s.tgt_struct_emb.cols() != s.x2.cols()) {
+      return GateFail("structural embedding width differs from X's");
+    }
   }
   if (s.use_semantic) {
     if (s.src_name_emb.rows() != n1 || s.tgt_name_emb.rows() != n2 ||
@@ -155,30 +159,32 @@ StatusOr<matching::MatchResult> VerifyDeltaState(
       PickAuditRows(s, dirty_rows, options.audit_rows);
   if (audit.empty()) return match;
 
-  // Independent recomputation for the audited rows. The structural side
-  // redoes the FULL two-hop propagation (O(nnz·d), cheap relative to the
-  // similarity matrices) rather than trusting the repair's output.
-  DeltaState oracle = s;
+  // The structural side redoes the FULL two-hop propagation (O(nnz·d),
+  // cheap relative to the similarity matrices) from the graphs and the
+  // frozen X rather than trusting the repair's output: the audited source
+  // rows and every target row must match it bitwise.
   if (s.use_structural) {
-    PropagateStructEmbeddings(&oracle, ctx);
+    const StructEmbeddings fresh = PropagateStructEmbeddings(s, ctx);
     for (uint32_t i : audit) {
-      if (std::memcmp(oracle.src_struct_emb.row(i), s.src_struct_emb.row(i),
+      if (std::memcmp(fresh.src.row(i), s.src_struct_emb.row(i),
                       s.src_struct_emb.cols() * sizeof(float)) != 0) {
         return GateFail(StrFormat(
             "structural embedding of serving row %u (entity %u) diverges",
             i, s.source_ids[i]));
       }
     }
-    if (std::memcmp(oracle.tgt_struct_emb.data(), s.tgt_struct_emb.data(),
+    if (std::memcmp(fresh.tgt.data(), s.tgt_struct_emb.data(),
                     s.tgt_struct_emb.size() * sizeof(float)) != 0) {
       return GateFail("target-side structural embeddings diverge");
     }
   }
 
+  // Those rows now equal the propagation's, so the audited fused rows are
+  // recomputed from the candidate's own inputs.
   std::vector<uint32_t> all_cols(s.target_ids.size());
   std::iota(all_cols.begin(), all_cols.end(), 0u);
   CEAFF_ASSIGN_OR_RETURN(const la::Matrix recomputed,
-                         ComputeFusedBlock(oracle, audit, all_cols, ctx));
+                         ComputeFusedBlock(s, audit, all_cols, ctx));
   for (size_t k = 0; k < audit.size(); ++k) {
     const uint32_t i = audit[k];
     const float* got = s.fused.row(i);

@@ -11,6 +11,9 @@ namespace ceaff::embed {
 
 namespace {
 
+/// Negatives are re-sampled every this many epochs.
+constexpr size_t kResampleEvery = 10;
+
 /// Kernel context for the forward/backward passes: the caller's when
 /// provided, otherwise a shared default (sequential, default blocks).
 const la::KernelContext& Ctx(const GcnOptions& options) {
@@ -71,8 +74,6 @@ GcnAligner::GcnAligner(la::SparseMatrix a1, la::SparseMatrix a2,
                                          &rng);
     side.x.L2NormalizeRows();
   }
-  w1_ = la::Matrix::GlorotUniform(options_.dim, options_.dim, &rng);
-  w2_ = la::Matrix::GlorotUniform(options_.dim, options_.dim, &rng);
   const size_t parts = PanelsPerKg(Ctx(options_).pool);
   for (size_t k = 0; k < 2; ++k) {
     const std::vector<size_t> fwd = NnzBalancedCuts(kg_[k].a, parts);
@@ -92,43 +93,14 @@ void GcnAligner::ForEachPanel(
                  [&](size_t i) { fn(panels[i]); });
 }
 
-void GcnAligner::ForEachKg(
-    const std::function<void(const la::KernelContext&, size_t)>& fn) const {
-  // At GCN shapes a kernel is too short to pay for fanning out: one pool
-  // dispatch per phase, with the kernels inside each task inline, beats
-  // one dispatch per kernel.
-  const la::KernelContext& caller = Ctx(options_);
-  la::KernelContext inline_ctx = caller;
-  inline_ctx.pool = nullptr;
-  ParallelFor(caller.pool, 2, [&](size_t k) { fn(inline_ctx, k); });
-}
-
 void GcnAligner::ForwardAll(Workspace ws[2]) {
-  if (!options_.use_weight_transform) {
-    // Z = A·(A·X): pure propagation, each phase one dispatch over the
-    // panels.
-    ForEachPanel(forward_panels_, [&](const Panel& p) {
-      la::SpMMRowsInto(kg_[p.kg].a, kg_[p.kg].x, p.r0, p.r1, &ws[p.kg].tmp);
-    });
-    ForEachPanel(forward_panels_, [&](const Panel& p) {
-      la::SpMMRowsInto(kg_[p.kg].a, ws[p.kg].tmp, p.r0, p.r1, &kg_[p.kg].z);
-    });
-    return;
-  }
-  ForEachKg([&](const la::KernelContext& ctx, size_t k) {
-    ForwardKg(ctx, &kg_[k], &ws[k]);
+  // Z = A·(A·X), each phase one dispatch over the panels.
+  ForEachPanel(forward_panels_, [&](const Panel& p) {
+    la::SpMMRowsInto(kg_[p.kg].a, kg_[p.kg].x, p.r0, p.r1, &ws[p.kg].tmp);
   });
-}
-
-void GcnAligner::ForwardKg(const la::KernelContext& ctx, Side* side,
-                           Workspace* ws) const {
-  // Z = A·ReLU(A·X·W1)·W2
-  la::SpMMKInto(ctx, side->a, side->x, &ws->ax);
-  ws->pre = la::MatMulK(ctx, ws->ax, w1_);
-  ws->h1 = ws->pre;
-  if (options_.use_relu) ws->h1.ReluInPlace();
-  la::SpMMKInto(ctx, side->a, ws->h1, &ws->ah1);
-  side->z = la::MatMulK(ctx, ws->ah1, w2_);
+  ForEachPanel(forward_panels_, [&](const Panel& p) {
+    la::SpMMRowsInto(kg_[p.kg].a, ws[p.kg].tmp, p.r0, p.r1, &kg_[p.kg].z);
+  });
 }
 
 void GcnAligner::Forward() {
@@ -140,64 +112,19 @@ void GcnAligner::Forward() {
   ForwardAll(ws);
 }
 
-void GcnAligner::Backward(float lr, Workspace ws[2], la::Matrix* dw1,
-                          la::Matrix* dw2) {
-  if (!options_.use_weight_transform) {
-    // Z = A·(A·X): dX = Aᵀ·(Aᵀ·dZ), then the SGD step on the rows each
-    // task just produced — no task reads X, so the update needs no
-    // barrier of its own.
-    if (!options_.train_inputs) return;
-    ForEachPanel(backward_panels_, [&](const Panel& p) {
-      la::SpMMRowsInto(kg_[p.kg].at, ws[p.kg].dz, p.r0, p.r1, &ws[p.kg].tmp);
-    });
-    ForEachPanel(backward_panels_, [&](const Panel& p) {
-      Side& side = kg_[p.kg];
-      la::SpMMRowsInto(side.at, ws[p.kg].tmp, p.r0, p.r1, &ws[p.kg].dx);
-      side.x.AxpyRows(-lr, ws[p.kg].dx, p.r0, p.r1);
-      if (options_.renormalize_inputs) side.x.L2NormalizeRows(p.r0, p.r1);
-    });
-    return;
-  }
-  ForEachKg([&](const la::KernelContext& ctx, size_t k) {
-    BackwardKg(ctx, lr, &kg_[k], &ws[k]);
+void GcnAligner::Backward(float lr, Workspace ws[2]) {
+  // dX = Aᵀ·(Aᵀ·dZ), then the SGD step and the row renormalisation (like
+  // TransE's entity renormalisation) on the rows each task just produced —
+  // no task reads X, so the update needs no barrier of its own.
+  ForEachPanel(backward_panels_, [&](const Panel& p) {
+    la::SpMMRowsInto(kg_[p.kg].at, ws[p.kg].dz, p.r0, p.r1, &ws[p.kg].tmp);
   });
-  // Each task filled its own share; sum them into zeroed buffers, KG1 then
-  // KG2, exactly as the serial loop accumulated them.
-  dw1->SetZero();
-  dw2->SetZero();
-  for (size_t k = 0; k < 2; ++k) {
-    dw1->Add(ws[k].dw1);
-    dw2->Add(ws[k].dw2);
-  }
-  w1_.Axpy(-lr, *dw1);
-  w2_.Axpy(-lr, *dw2);
-  // Rescale weights that outgrow the cap; the margin objective otherwise
-  // inflates the embedding scale without bound.
-  const float cap = options_.weight_norm_cap_factor *
-                    std::sqrt(static_cast<float>(options_.dim));
-  for (la::Matrix* w : {&w1_, &w2_}) {
-    float norm = w->FrobeniusNorm();
-    if (norm > cap) w->Scale(cap / norm);
-  }
-}
-
-void GcnAligner::BackwardKg(const la::KernelContext& ctx, float lr,
-                            Side* side, Workspace* ws) const {
-  // Z = (A·H1)·W2
-  ws->dw2 = la::MatMulATK(ctx, ws->ah1, ws->dz);
-  // dL/dH1 = Aᵀ·(dZ·W2ᵀ), masked by the ReLU.
-  la::SpMMKInto(ctx, side->at, la::MatMulBTK(ctx, ws->dz, w2_), &ws->tmp);
-  if (options_.use_relu) {
-    for (size_t i = 0; i < ws->tmp.size(); ++i) {
-      if (ws->pre.data()[i] <= 0.0f) ws->tmp.data()[i] = 0.0f;
-    }
-  }
-  // P = (A·X)·W1
-  ws->dw1 = la::MatMulATK(ctx, ws->ax, ws->tmp);
-  if (!options_.train_inputs) return;
-  la::SpMMKInto(ctx, side->at, la::MatMulBTK(ctx, ws->tmp, w1_), &ws->dx);
-  side->x.Axpy(-lr, ws->dx);
-  if (options_.renormalize_inputs) side->x.L2NormalizeRows();
+  ForEachPanel(backward_panels_, [&](const Panel& p) {
+    Side& side = kg_[p.kg];
+    la::SpMMRowsInto(side.at, ws[p.kg].tmp, p.r0, p.r1, &ws[p.kg].dx);
+    side.x.AxpyRows(-lr, ws[p.kg].dx, p.r0, p.r1);
+    side.x.L2NormalizeRows(p.r0, p.r1);
+  });
 }
 
 StatusOr<double> GcnAligner::Train(
@@ -231,38 +158,24 @@ StatusOr<double> GcnAligner::Train(
       Shape(m, kg_[k].x.rows(), options_.dim);
     }
   }
-  la::Matrix dw1(w1_.rows(), w1_.cols());
-  la::Matrix dw2(w2_.rows(), w2_.cols());
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "gcn training"));
     ForwardAll(ws);
     const la::Matrix& z1 = kg_[0].z;
     const la::Matrix& z2 = kg_[1].z;
-    if (epoch % std::max<size_t>(1, options_.negative_resample_every) == 0) {
-      if (options_.hard_negative_topk > 0) {
-        negatives = SampleHardNegatives(seed_pairs, z1, z2,
-                                        options_.negatives_per_positive,
-                                        options_.hard_negative_topk, &rng);
-      } else {
-        negatives = SampleNegatives(seed_pairs, z1.rows(), z2.rows(),
-                                    options_.negatives_per_positive, &rng);
-      }
+    if (epoch % kResampleEvery == 0) {
+      negatives = SampleNegatives(seed_pairs, z1.rows(), z2.rows(),
+                                  options_.negatives_per_positive, &rng);
     }
 
     double loss = MarginRankingLossGrad(z1, z2, seed_pairs, negatives,
                                         options_.margin, &ws[0].dz,
                                         &ws[1].dz, Ctx(options_).pool);
     mean_loss = loss / static_cast<double>(seed_pairs.size());
-    Backward(lr, ws, &dw1, &dw2);
+    Backward(lr, ws);
   }
   ForwardAll(ws);
   return mean_loss;
-}
-
-size_t GcnAligner::NumParameters() const {
-  size_t n = 2 * options_.dim * options_.dim;
-  if (options_.train_inputs) n += kg_[0].x.size() + kg_[1].x.size();
-  return n;
 }
 
 std::vector<NegativePair> SampleNegatives(
@@ -281,61 +194,6 @@ std::vector<NegativePair> SampleNegatives(
         np.source = static_cast<uint32_t>(rng->NextBounded(n1));
       } else {
         np.target = static_cast<uint32_t>(rng->NextBounded(n2));
-      }
-      out.push_back(np);
-    }
-  }
-  return out;
-}
-
-std::vector<NegativePair> SampleHardNegatives(
-    const std::vector<kg::AlignmentPair>& positives, const la::Matrix& z1,
-    const la::Matrix& z2, size_t k, size_t topk, Rng* rng) {
-  // Nearest candidates are computed around the *positive* pair's entities:
-  // corrupting the target draws from entities near v in KG2 (they are the
-  // confusable ones), and symmetrically for the source.
-  std::vector<NegativePair> out;
-  out.reserve(positives.size() * k);
-  // Normalised copies once; per-seed similarity rows afterwards.
-  la::Matrix z1n = z1, z2n = z2;
-  z1n.L2NormalizeRows();
-  z2n.L2NormalizeRows();
-  auto nearest = [&](const la::Matrix& zn, uint32_t anchor, size_t exclude,
-                     std::vector<uint32_t>* cand) {
-    const float* a = zn.row(anchor);
-    std::vector<std::pair<float, uint32_t>> scored;
-    scored.reserve(zn.rows());
-    for (size_t r = 0; r < zn.rows(); ++r) {
-      if (r == exclude) continue;
-      const float* b = zn.row(r);
-      float dot = 0.0f;
-      for (size_t c = 0; c < zn.cols(); ++c) dot += a[c] * b[c];
-      scored.push_back({dot, static_cast<uint32_t>(r)});
-    }
-    size_t take = std::min(topk, scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<long>(take), scored.end(),
-                      [](const auto& x, const auto& y) {
-                        return x.first > y.first;
-                      });
-    cand->clear();
-    for (size_t i = 0; i < take; ++i) cand->push_back(scored[i].second);
-  };
-  std::vector<uint32_t> cand1, cand2;
-  for (size_t i = 0; i < positives.size(); ++i) {
-    // Confusable substitutes for the source (in KG1, near u) and for the
-    // target (in KG2, near v).
-    nearest(z1n, positives[i].source, positives[i].source, &cand1);
-    nearest(z2n, positives[i].target, positives[i].target, &cand2);
-    for (size_t j = 0; j < k; ++j) {
-      NegativePair np;
-      np.positive_index = static_cast<uint32_t>(i);
-      np.source = positives[i].source;
-      np.target = positives[i].target;
-      if (rng->NextBounded(2) == 0 && !cand1.empty()) {
-        np.source = cand1[rng->NextBounded(cand1.size())];
-      } else if (!cand2.empty()) {
-        np.target = cand2[rng->NextBounded(cand2.size())];
       }
       out.push_back(np);
     }

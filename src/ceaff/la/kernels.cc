@@ -176,55 +176,6 @@ Matrix MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
   return BlockedMatMulBT(ctx, a, b, nullptr, nullptr);
 }
 
-Matrix MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
-  CEAFF_CHECK(a.cols() == b.rows())
-      << "matmul shape mismatch: " << a.rows() << "x" << a.cols() << " * "
-      << b.rows() << "x" << b.cols();
-  Matrix out(a.rows(), b.cols());
-  const size_t k = a.cols(), n = b.cols();
-  // i-k-j per row panel: out rows accumulate over k in ascending order, the
-  // same order as the naive MatMul, so the two are bit-identical.
-  ParallelPanels(ctx, a.rows(), ctx.opts.row_block, [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out.row(i);
-      for (size_t kk = 0; kk < k; ++kk) {
-        const float aik = arow[kk];
-        if (aik == 0.0f) continue;
-        const float* brow = b.row(kk);
-        for (size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-      }
-    }
-  });
-  return out;
-}
-
-Matrix MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
-  CEAFF_CHECK(a.rows() == b.rows())
-      << "matmulAT shape mismatch: (" << a.rows() << "x" << a.cols()
-      << ")^T * " << b.rows() << "x" << b.cols();
-  Matrix out(a.cols(), b.cols());
-  const size_t k = a.rows(), n = b.cols(), acols = a.cols();
-  // Parallel over *output* row panels: each task owns rows [r0, r1) of the
-  // result and scans the shared k dimension in ascending order — race-free
-  // and thread-count independent. (The naive MatMulAT scans k outermost;
-  // the per-element accumulation order — ascending kk — is the same, so the
-  // two are bit-identical.)
-  ParallelPanels(ctx, acols, ctx.opts.row_block, [&](size_t r0, size_t r1) {
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.row(kk);
-      const float* brow = b.row(kk);
-      for (size_t i = r0; i < r1; ++i) {
-        const float aki = arow[i];
-        if (aki == 0.0f) continue;
-        float* orow = out.row(i);
-        for (size_t j = 0; j < n; ++j) orow[j] += aki * brow[j];
-      }
-    }
-  });
-  return out;
-}
-
 Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
                          const Matrix& b) {
   CEAFF_CHECK(a.cols() == b.cols())

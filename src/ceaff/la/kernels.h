@@ -32,11 +32,10 @@ namespace ceaff::la {
 /// references live in the `ceaff_reference` library
 /// (ceaff/reference/la_reference.h, text_reference.h), which only tests/
 /// and bench/ link. Agreement with them is documented per kernel: the
-/// Sinkhorn, CSLS, SpMM, MatMulK and MatMulATK kernels are bit-identical
-/// to their references; MatMulBTK and CosineSimilarityK use float
-/// lane-split accumulation instead of the references' sequential
-/// double-precision order, so they agree to a relative error of
-/// O(d · eps_f32) per element (the parity tests in tests/la/kernels_test.cc
+/// Sinkhorn, CSLS and SpMM kernels are bit-identical to their references;
+/// MatMulBTK and CosineSimilarityK use float lane-split accumulation
+/// instead of the references' sequential double-precision order, so they
+/// agree to a relative error of O(d · eps_f32) per element (the parity tests in tests/la/kernels_test.cc
 /// pin the bound).
 
 /// Blocking parameters. Defaults target a ~1 MiB L2: a column panel of
@@ -80,12 +79,6 @@ struct KernelContext {
 /// out = a · bᵀ ((m,d) x (n,d) -> (m,n)), cache-blocked and row-panel
 /// parallel. The similarity-matrix workhorse.
 Matrix MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b);
-
-/// out = a · b ((m,k) x (k,n) -> (m,n)).
-Matrix MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b);
-
-/// out = aᵀ · b ((k,m)ᵀ x (k,n) -> (m,n)). Backprop helper.
-Matrix MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b);
 
 /// Pairwise cosine similarity with per-row norms hoisted out of the pair
 /// loop: one pass computes inverse row norms of `a` and `b` (exactly zero

@@ -54,15 +54,6 @@ Matrix Matrix::TruncatedNormal(size_t rows, size_t cols, float stddev,
   return m;
 }
 
-Matrix Matrix::GlorotUniform(size_t rows, size_t cols, Rng* rng) {
-  Matrix m(rows, cols);
-  double limit = std::sqrt(6.0 / static_cast<double>(rows + cols));
-  for (float& v : m.data_) {
-    v = static_cast<float>(rng->NextUniform(-limit, limit));
-  }
-  return m;
-}
-
 void Matrix::Fill(float v) {
   CEAFF_DCHECK(!is_view());
   for (float& x : data_) x = v;
@@ -97,11 +88,6 @@ void Matrix::AxpyRows(float s, const Matrix& other, size_t r0, size_t r1) {
   CEAFF_DCHECK(r0 <= r1 && r1 <= rows_);
   const float* o = other.data();
   for (size_t i = r0 * cols_; i < r1 * cols_; ++i) data_[i] += s * o[i];
-}
-
-void Matrix::ReluInPlace() {
-  CEAFF_DCHECK(!is_view());
-  for (float& x : data_) x = x > 0.0f ? x : 0.0f;
 }
 
 void Matrix::L2NormalizeRows() { L2NormalizeRows(0, rows_); }

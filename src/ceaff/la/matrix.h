@@ -49,10 +49,6 @@ class Matrix {
   static Matrix TruncatedNormal(size_t rows, size_t cols, float stddev,
                                 Rng* rng);
 
-  /// rows x cols with i.i.d. Glorot/Xavier-uniform entries, the standard
-  /// init for GCN weight matrices.
-  static Matrix GlorotUniform(size_t rows, size_t cols, Rng* rng);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   size_t size() const { return rows_ * cols_; }
@@ -100,9 +96,6 @@ class Matrix {
   void Axpy(float s, const Matrix& other);
   /// Axpy over rows [r0, r1) only; those rows get Axpy's bits.
   void AxpyRows(float s, const Matrix& other, size_t r0, size_t r1);
-
-  /// Element-wise maximum with zero, in place (ReLU).
-  void ReluInPlace();
 
   /// L2-normalises every row in place; all-zero rows are left untouched.
   void L2NormalizeRows();

@@ -85,25 +85,6 @@ Matrix MatMulBT(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix MatMulAT(const Matrix& a, const Matrix& b) {
-  CEAFF_CHECK(a.rows() == b.rows())
-      << "matmulAT shape mismatch: (" << a.rows() << "x" << a.cols()
-      << ")^T * " << b.rows() << "x" << b.cols();
-  Matrix out(a.cols(), b.cols());
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (size_t kk = 0; kk < k; ++kk) {
-    const float* arow = a.row(kk);
-    const float* brow = b.row(kk);
-    for (size_t i = 0; i < m; ++i) {
-      float aki = arow[i];
-      if (aki == 0.0f) continue;
-      float* orow = out.row(i);
-      for (size_t j = 0; j < n; ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
-}
-
 Matrix CosineSimilarity(const Matrix& a, const Matrix& b) {
   CEAFF_CHECK(a.cols() == b.cols())
       << "cosine similarity dimension mismatch: " << a.cols() << " vs "

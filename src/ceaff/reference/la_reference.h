@@ -16,14 +16,12 @@ namespace ceaff::la {
 
 /// out = a * b ((m,k) x (k,n) -> (m,n)), i-k-j order: every output element
 /// accumulates in float over ascending k, skipping zero entries of `a`.
+/// The dense oracle of the SpMM tests (a sparse matrix's ToDense() times X).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// out = a * b^T ((m,k) x (n,k) -> (m,n)), one sequential double
 /// accumulator per element.
 Matrix MatMulBT(const Matrix& a, const Matrix& b);
-
-/// out = a^T * b ((k,m) x (k,n) -> (m,n)), same per-element order as MatMul.
-Matrix MatMulAT(const Matrix& a, const Matrix& b);
 
 /// Pairwise cosine similarity: out(i, j) = cos(a_i, b_j) for row vectors of
 /// `a` (n1 x d) and `b` (n2 x d), with double-precision inverse row norms

@@ -42,6 +42,14 @@ std::string TempDir() {
   return dir;
 }
 
+/// Flips the lowest mantissa bit of `*cell`.
+void FlipLowBit(float* cell) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, cell, sizeof(bits));
+  bits ^= 1u;
+  std::memcpy(cell, &bits, sizeof(bits));
+}
+
 struct StateConfig {
   bool use_structural = true;
   bool use_semantic = true;
@@ -361,11 +369,7 @@ TEST_F(DeltaEquivalenceTest, StaleStoredStructRowIsHealed) {
   // Flip the last bit of one stored source structural row: a repair that
   // copied unchanged rows would carry the stale row forward.
   const uint32_t stale = 2;
-  float* cell = base.src_struct_emb.row(stale) + base.src_struct_emb.cols() - 1;
-  uint32_t bits = 0;
-  std::memcpy(&bits, cell, sizeof(bits));
-  bits ^= 1u;
-  std::memcpy(cell, &bits, sizeof(bits));
+  FlipLowBit(base.src_struct_emb.row(stale) + base.src_struct_emb.cols() - 1);
   PatchRecord rename;
   rename.op = PatchOp::kRenameEntity;
   rename.kg = 1;
@@ -664,6 +668,30 @@ TEST_F(DeltaEquivalenceTest, VerifyGateCatchesTamperedState) {
   DeltaState nan_cell = base;
   nan_cell.fused.at(0, 0) = std::numeric_limits<float>::quiet_NaN();
   st = VerifyDeltaState(nan_cell, {}, verify, ctx_).status();
+  EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+
+  // One flipped bit in an audited source structural row, or in any target
+  // row, is caught by the structural comparison itself, before the fused
+  // audit reads those rows.
+  DeltaState bad_src = base;
+  FlipLowBit(bad_src.src_struct_emb.row(3));
+  st = VerifyDeltaState(bad_src, {}, verify, ctx_).status();
+  EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+  EXPECT_NE(st.message().find("structural embedding"), std::string::npos)
+      << st.ToString();
+  DeltaState bad_tgt = base;
+  FlipLowBit(bad_tgt.tgt_struct_emb.row(bad_tgt.tgt_struct_emb.rows() - 1) +
+             bad_tgt.tgt_struct_emb.cols() - 1);
+  st = VerifyDeltaState(bad_tgt, {}, verify, ctx_).status();
+  EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+  EXPECT_NE(st.message().find("structural embedding"), std::string::npos)
+      << st.ToString();
+  // A structural row wider than X's is refused before any comparison
+  // reads past the propagation's rows.
+  DeltaState wide = base;
+  wide.src_struct_emb =
+      la::Matrix(wide.src_struct_emb.rows(), wide.src_struct_emb.cols() + 1);
+  st = VerifyDeltaState(wide, {}, verify, ctx_).status();
   EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -117,34 +116,6 @@ TEST(GcnAlignerTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST(GcnAlignerTest, WeightTransformModeAlsoTrains) {
-  kg::KnowledgeGraph g1, g2;
-  MakeRingPair(&g1, &g2);
-  std::vector<kg::AlignmentPair> seeds{{0, 0}, {3, 3}, {6, 6}, {9, 9}};
-  GcnOptions opt = SmallOptions();
-  opt.use_weight_transform = true;
-  opt.epochs = 1;
-  GcnAligner gcn(kg::BuildAdjacency(g1), kg::BuildAdjacency(g2), opt);
-  double first = gcn.Train(seeds).value();
-  double last = first;
-  for (int e = 0; e < 60; ++e) last = gcn.Train(seeds).value();
-  EXPECT_LT(last, first);
-  EXPECT_FALSE(std::isnan(gcn.embeddings1().FrobeniusNorm()));
-}
-
-TEST(GcnAlignerTest, NumParametersAccounting) {
-  kg::KnowledgeGraph g1, g2;
-  MakeRingPair(&g1, &g2);
-  GcnOptions opt = SmallOptions();
-  opt.train_inputs = false;
-  GcnAligner gcn(kg::BuildAdjacency(g1), kg::BuildAdjacency(g2), opt);
-  EXPECT_EQ(gcn.NumParameters(), 2 * 16u * 16u);
-  opt.train_inputs = true;
-  GcnAligner gcn2(kg::BuildAdjacency(g1), kg::BuildAdjacency(g2), opt);
-  EXPECT_EQ(gcn2.NumParameters(),
-            2 * 16u * 16u + (g1.num_entities() + g2.num_entities()) * 16u);
-}
-
 /// A fixed DBP15K_ZH_EN-shaped pair from the synthetic generator (100 gold
 /// pairs, 30 of them seeds).
 const kg::KgPair& SyntheticPair() {
@@ -173,14 +144,12 @@ struct TrainedGcn {
   la::Matrix x1, x2, z1, z2;
 };
 
-TrainedGcn TrainSynthetic(bool weight_transform,
-                          const la::KernelContext* kernel) {
+TrainedGcn TrainSynthetic(const la::KernelContext* kernel) {
   const kg::KgPair& pair = SyntheticPair();
   GcnOptions o;
   o.dim = 32;
   o.epochs = 20;
   o.seed = 5;
-  o.use_weight_transform = weight_transform;
   o.kernel = kernel;
   GcnAligner gcn(kg::BuildAdjacency(pair.kg1), kg::BuildAdjacency(pair.kg2),
                  o);
@@ -198,12 +167,11 @@ bool SameBits(const la::Matrix& a, const la::Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-// Training runs each phase as pool tasks over KG x row panels (one task
-// per KG chain with the weight transform); neither the pool size, which
-// sets the panel cuts (uneven at 3 threads), nor the blocking may change
-// a bit of the features, the embeddings or the loss.
-void ExpectThreadDeterministic(bool weight_transform) {
-  const TrainedGcn base = TrainSynthetic(weight_transform, nullptr);
+// Training runs each phase as pool tasks over KG x row panels; neither the
+// pool size, which sets the panel cuts (uneven at 3 threads), nor the
+// blocking may change a bit of the features, the embeddings or the loss.
+TEST(GcnAlignerTest, TrainIsThreadDeterministic) {
+  const TrainedGcn base = TrainSynthetic(nullptr);
   ThreadPool pool1(1), pool2(2), pool3(3), pool4(4);
   la::KernelContext one, two, three, four, tiny;
   one.pool = &pool1;
@@ -214,7 +182,7 @@ void ExpectThreadDeterministic(bool weight_transform) {
   tiny.opts.row_block = 3;
   tiny.opts.grain = 1;
   for (const la::KernelContext* ctx : {&one, &two, &three, &four, &tiny}) {
-    const TrainedGcn got = TrainSynthetic(weight_transform, ctx);
+    const TrainedGcn got = TrainSynthetic(ctx);
     const std::string label =
         ctx == &tiny ? "tiny blocks"
                      : std::to_string(ctx->pool->num_threads()) + " threads";
@@ -226,28 +194,14 @@ void ExpectThreadDeterministic(bool weight_transform) {
   }
 }
 
-TEST(GcnAlignerTest, TrainIsThreadDeterministic) {
-  ExpectThreadDeterministic(/*weight_transform=*/false);
-}
-
-TEST(GcnAlignerTest, WeightTransformTrainIsThreadDeterministic) {
-  ExpectThreadDeterministic(/*weight_transform=*/true);
-}
-
 // Golden pins: hashes of x1, x2, z1, z2 after 20 epochs, recorded from the
 // implementation that scattered Aᵀ·dZ column panel by column panel and
 // allocated every epoch's buffers afresh. Any change to a bit of the
 // trained model fails here.
 TEST(GcnAlignerTest, TrainedModelMatchesGoldenHash) {
-  const TrainedGcn got = TrainSynthetic(false, nullptr);
+  const TrainedGcn got = TrainSynthetic(nullptr);
   EXPECT_EQ(Fnv1a({&got.x1, &got.x2, &got.z1, &got.z2}),
             0x145659f95581b422ull);
-}
-
-TEST(GcnAlignerTest, WeightTransformModelMatchesGoldenHash) {
-  const TrainedGcn got = TrainSynthetic(true, nullptr);
-  EXPECT_EQ(Fnv1a({&got.x1, &got.x2, &got.z1, &got.z2}),
-            0x4911a2540b417c79ull);
 }
 
 TEST(SampleNegativesTest, CorruptsExactlyOneSide) {
@@ -262,29 +216,6 @@ TEST(SampleNegativesTest, CorruptsExactlyOneSide) {
     EXPECT_TRUE(src_same || tgt_same);
     EXPECT_LT(n.source, 10u);
     EXPECT_LT(n.target, 10u);
-  }
-}
-
-TEST(SampleHardNegativesTest, DrawsFromNearestNeighbours) {
-  // z1: three well-separated clusters; the nearest entity to 0 is 1.
-  la::Matrix z1 = la::Matrix::FromRows(
-      {{1, 0}, {0.95f, 0.05f}, {0, 1}, {-1, 0}});
-  la::Matrix z2 = z1;
-  std::vector<kg::AlignmentPair> pos{{0, 0}};
-  Rng rng(7);
-  std::vector<NegativePair> negs =
-      SampleHardNegatives(pos, z1, z2, 20, 1, &rng);
-  for (const NegativePair& n : negs) {
-    // With topk = 1 the only allowed corruption on either side is index 1.
-    bool corrupt_src = n.source != 0;
-    bool corrupt_tgt = n.target != 0;
-    EXPECT_NE(corrupt_src, corrupt_tgt);
-    if (corrupt_src) {
-      EXPECT_EQ(n.source, 1u);
-    }
-    if (corrupt_tgt) {
-      EXPECT_EQ(n.target, 1u);
-    }
   }
 }
 

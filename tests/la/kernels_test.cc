@@ -120,24 +120,6 @@ TEST(KernelGemmTest, MatMulBTMatchesNaiveWithinTolerance) {
   ExpectNear(fast, naive, kGemmRelTol);
 }
 
-TEST(KernelGemmTest, MatMulMatchesNaiveBitwise) {
-  const Matrix a = RandomMatrix(21, 34, 3);
-  const Matrix b = RandomMatrix(34, 17, 4);
-  const Matrix naive = MatMul(a, b);
-  const Matrix fast = CheckDeterministic(
-      [&](const KernelContext& ctx) { return MatMulK(ctx, a, b); });
-  EXPECT_TRUE(BitIdentical(fast, naive));
-}
-
-TEST(KernelGemmTest, MatMulATMatchesNaiveBitwise) {
-  const Matrix a = RandomMatrix(34, 21, 5);
-  const Matrix b = RandomMatrix(34, 17, 6);
-  const Matrix naive = MatMulAT(a, b);
-  const Matrix fast = CheckDeterministic(
-      [&](const KernelContext& ctx) { return MatMulATK(ctx, a, b); });
-  EXPECT_TRUE(BitIdentical(fast, naive));
-}
-
 TEST(KernelGemmTest, CosineMatchesNaiveWithinTolerance) {
   const Matrix a = RandomMatrix(40, 64, 7);
   const Matrix b = RandomMatrix(35, 64, 8);
@@ -399,7 +381,6 @@ TEST(KernelSpmmTest, SerializeGrainIsBitIdenticalToFanOut) {
     const size_t d = 1 + rng.NextBounded(48);
     const Matrix ra = RandomMatrix(m, d, 100 + trial);
     const Matrix rbt = RandomMatrix(n, d, 200 + trial);
-    const Matrix rb = RandomMatrix(d, n, 300 + trial);
     const SparseMatrix rsp = RandomSparse(m, m, m * 4, 400 + trial);
     const Matrix rx = RandomMatrix(m, n, 500 + trial);
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool2, &pool3}) {
@@ -411,7 +392,6 @@ TEST(KernelSpmmTest, SerializeGrainIsBitIdenticalToFanOut) {
       KernelContext grain = base;
       grain.opts.grain = 1u << 20;
       const Matrix want_bt = MatMulBTK(base, ra, rbt);
-      const Matrix want_mm = MatMulK(base, ra, rb);
       const Matrix want_sp = SpMMK(base, rsp, rx);
       for (const KernelContext* ctx : {&tiny, &grain}) {
         const std::string label =
@@ -420,8 +400,6 @@ TEST(KernelSpmmTest, SerializeGrainIsBitIdenticalToFanOut) {
             " threads " + std::to_string(p ? p->num_threads() : 1);
         EXPECT_TRUE(BitIdentical(MatMulBTK(*ctx, ra, rbt), want_bt))
             << "matmul_bt " << label;
-        EXPECT_TRUE(BitIdentical(MatMulK(*ctx, ra, rb), want_mm))
-            << "matmul " << label;
         EXPECT_TRUE(BitIdentical(SpMMK(*ctx, rsp, rx), want_sp))
             << "spmm " << label;
       }

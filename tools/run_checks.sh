@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification sweep: plain Release build + test run, an ASan+UBSan
+# Full verification sweep: plain Release build (recompiled from scratch; any
+# compiler warning fails the sweep) + test run, an ASan+UBSan
 # build + test run (-DCEAFF_SANITIZE=ON), a TSan build of the concurrency
 # and chaos tests (-DCEAFF_TSAN=ON), a crash-recovery soak (the fork-based
 # kill-the-process drills with the per-site iteration count raised, once
@@ -65,8 +66,21 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$jobs"
 }
 
-echo "==> Release build + tests"
-run_suite "$repo/build"
+echo "==> Release build (every translation unit, warning-free) + tests"
+# --clean-first recompiles every translation unit, so a warning in a file
+# an incremental build would skip (say, an unused static left behind by a
+# deletion) still shows; any `warning:` line fails the sweep.
+cmake -B "$repo/build" -S "$repo"
+build_log="$(mktemp)"
+cmake --build "$repo/build" -j "$jobs" --clean-first 2>&1 | tee "$build_log"
+if grep -q 'warning:' "$build_log"; then
+  echo "Release build printed warnings:" >&2
+  grep 'warning:' "$build_log" >&2
+  rm -f "$build_log"
+  exit 1
+fi
+rm -f "$build_log"
+ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 if [[ "$skip_sanitize" == 0 ]]; then
   echo "==> ASan+UBSan build + tests (includes the serve hammer test)"
