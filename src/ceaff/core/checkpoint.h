@@ -14,8 +14,8 @@ namespace ceaff::core {
 /// directory, using the checksummed binary format of la/matrix_io.h on top
 /// of the generational store of common/durable_io.h. Each artifact keeps
 /// its newest generations as `<dir>/<name>.ckpt.g<N>`, committed through
-/// the directory's MANIFEST; flat `<dir>/<name>.ckpt` files written by
-/// older builds are still readable.
+/// the directory's MANIFEST. Nothing reads flat `<dir>/<name>.ckpt` files
+/// of pre-generational builds: such a stage is a cache miss and recomputes.
 ///
 /// Guarantees:
 ///   * writes are crash-durable (unique temp + fsync(file) + rename +

@@ -4,41 +4,23 @@
 #include <numeric>
 
 #include "ceaff/common/logging.h"
-#include "ceaff/common/thread_pool.h"
+#include "ceaff/common/string_util.h"
 #include "ceaff/common/timer.h"
 #include "ceaff/core/checkpoint.h"
 #include "ceaff/la/kernels.h"
 #include "ceaff/la/ops.h"
-#include "ceaff/serve/alignment_index.h"
 #include "ceaff/serve/ann_build.h"
 #include "ceaff/text/name_embedding.h"
 #include "ceaff/text/ngram_similarity.h"
 
 namespace ceaff::core {
 
-namespace {
-
-/// The pipeline's shared kernel runtime: one pool for every stage (created
-/// only when the caller asked for threads) plus the KernelContext that
-/// threads it — with the run's cancellation token — through each kernel
-/// call. Kernels poll the token per row panel, so a deadline interrupts
-/// even a single huge similarity matrix mid-build.
-struct KernelRuntime {
-  std::unique_ptr<ThreadPool> pool;
-  la::KernelContext ctx;
-};
-
-KernelRuntime MakeKernelRuntime(const CeaffOptions& options) {
-  KernelRuntime rt;
-  if (options.num_threads > 1) {
-    rt.pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  rt.ctx.pool = rt.pool.get();
-  rt.ctx.cancel = options.cancel;
-  return rt;
+KernelRuntime::KernelRuntime(size_t num_threads,
+                             const CancellationToken* cancel) {
+  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+  ctx.pool = pool.get();
+  ctx.cancel = cancel;
 }
-
-}  // namespace
 
 la::Matrix GatherRows(const la::Matrix& emb,
                       const std::vector<uint32_t>& ids) {
@@ -69,10 +51,94 @@ void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,
   }
 }
 
+StatusOr<serve::AlignmentIndex> BuildServingIndex(
+    ServingIndexInputs inputs, const la::KernelContext& ctx) {
+  const la::Matrix& fused = *inputs.fused;
+  const std::vector<int64_t>& target_of = inputs.match->target_of_source;
+  if (target_of.size() != fused.rows()) {
+    return Status::InvalidArgument(
+        StrFormat("match covers %zu sources, the fused matrix has %zu rows",
+                  target_of.size(), fused.rows()));
+  }
+  serve::AlignmentIndexInput input;
+  input.dataset = std::move(inputs.dataset);
+  input.source_names = std::move(inputs.source_names);
+  input.target_names = std::move(inputs.target_names);
+  for (size_t i = 0; i < target_of.size(); ++i) {
+    const int64_t t = target_of[i];
+    if (t < 0) continue;
+    input.pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(t),
+                           fused.at(i, static_cast<size_t>(t))});
+  }
+
+  // Flatten the fusion weights to effective per-serving-feature weights
+  // (structural, semantic, string). The canonical two-stage run reports
+  // final = (w_s, w_textual) and textual = (w_n, w_l); every other
+  // configuration reports final_weights in enabled-feature order. Weights
+  // of features the service does not serve (attribute, relation) are
+  // dropped — the index builder renormalises.
+  const std::vector<double>& final_w = inputs.final_weights;
+  const std::vector<double>& textual_w = inputs.textual_weights;
+  double w_struct = 0.0, w_sem = 0.0, w_str = 0.0;
+  if (!textual_w.empty() && final_w.size() >= 2 && textual_w.size() >= 2) {
+    w_struct = final_w[0];
+    w_sem = final_w[1] * textual_w[0];
+    w_str = final_w[1] * textual_w[1];
+  } else {
+    size_t idx = 0;
+    auto take = [&]() {
+      return idx < final_w.size() ? final_w[idx++] : 0.0;
+    };
+    if (inputs.use_structural) w_struct = take();
+    if (inputs.use_semantic) w_sem = take();
+    if (inputs.use_string) w_str = take();
+  }
+  input.weights = {w_struct, w_sem, w_str};
+
+  // Stored embeddings are pre-normalised so query-time cosine reduces to a
+  // dot product.
+  if (!inputs.source_name_emb.empty()) {
+    input.semantic_seed = inputs.semantic_seed;
+    input.source_name_emb = std::move(inputs.source_name_emb);
+    input.target_name_emb = std::move(inputs.target_name_emb);
+    input.source_name_emb.L2NormalizeRows();
+    input.target_name_emb.L2NormalizeRows();
+  }
+  if (!inputs.source_struct_emb.empty() &&
+      !inputs.target_struct_emb.empty()) {
+    input.source_struct_emb = std::move(inputs.source_struct_emb);
+    input.target_struct_emb = std::move(inputs.target_struct_emb);
+    input.source_struct_emb.L2NormalizeRows();
+    input.target_struct_emb.L2NormalizeRows();
+  }
+
+  CEAFF_ASSIGN_OR_RETURN(serve::AlignmentIndex index,
+                         serve::BuildAlignmentIndex(std::move(input)));
+  if (inputs.export_ann) {
+    serve::AnnBuildOptions ann_options;
+    ann_options.num_centroids = inputs.ann_centroids;
+    const Status ann = serve::BuildAnnSections(&index, ann_options, ctx);
+    if (ann.ok()) {
+      CEAFF_LOG(Info) << "trained ANN sections: "
+                      << index.ann_centroids.rows() << " centroids over "
+                      << index.ann_codes.rows() << " int8-coded targets";
+    } else if (ann.IsFailedPrecondition()) {
+      // No dense target features to quantize — a plain v2 artifact.
+      CEAFF_LOG(Info) << "skipping ANN sections: " << ann.message();
+    } else {
+      return ann;
+    }
+  }
+  return index;
+}
+
 CeaffPipeline::CeaffPipeline(const kg::KgPair* pair,
                              const text::WordEmbeddingStore* store,
                              const CeaffOptions& options)
-    : pair_(pair), store_(store), options_(options) {}
+    : pair_(pair),
+      store_(store),
+      options_(options),
+      runtime_(options.num_threads, options.cancel) {}
 
 StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
   if (pair_->test_alignment.empty()) {
@@ -97,7 +163,7 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
         "alignment references an entity id outside its KG");
   }
   WallTimer timer;
-  KernelRuntime rt = MakeKernelRuntime(options_);
+  const la::KernelContext& ctx = runtime_.ctx;
   CeaffFeatures features;
   std::vector<uint32_t> test_src, test_tgt, seed_src, seed_tgt;
   TestIds(*pair_, &test_src, &test_tgt);
@@ -114,15 +180,24 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
     CEAFF_RETURN_IF_ERROR(store->Init());
   }
 
-  // Attempts to restore a feature stage (test matrix, seed matrix when
-  // seeds exist, optional scalar) from its checkpoint artifacts. Returns
-  // false when the stage must be recomputed — artifacts absent, corrupted
-  // (kDataLoss from the CRC/size/magic validation) or shaped for a
-  // different dataset. Corruption is a cache miss here, not an error: the
-  // stage is cleanly re-run and its fresh artifacts overwrite the bad
-  // ones.
+  // A matrix artifact of a stage and the shape the current run needs.
+  struct Artifact {
+    std::string name;
+    size_t rows;
+    size_t cols;
+    la::Matrix* out;
+  };
+  // Restores a feature stage — its test matrix, its seed matrix when seeds
+  // exist, `extra` matrices and the optional scalar — only when every one
+  // of these artifacts loads with the shape of the current run. Returns
+  // false, writing nothing, when the stage must be recomputed: an artifact
+  // absent, corrupted (kDataLoss from the CRC/size/magic validation) or
+  // shaped for a different dataset. Corruption is a cache miss here, not
+  // an error: the stage is cleanly re-run and its fresh artifacts
+  // overwrite the bad ones.
   auto restore_stage = [&](const std::string& stage, la::Matrix* test,
-                           la::Matrix* seed, double* loss) -> bool {
+                           la::Matrix* seed, double* loss,
+                           std::vector<Artifact> extra = {}) -> bool {
     if (store == nullptr || !options_.resume) return false;
     if (!store->Has(stage)) return false;
     auto unusable = [&](const std::string& name, const Status& st) {
@@ -131,23 +206,20 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
                          << "); re-running stage '" << stage << "'";
       return false;
     };
-    auto test_or = store->LoadMatrix(stage);
-    if (!test_or.ok()) return unusable(stage, test_or.status());
-    if (test_or.value().rows() != n_test ||
-        test_or.value().cols() != n_test) {
-      return unusable(
-          stage, Status::DataLoss("shape mismatch vs current test split"));
+    std::vector<Artifact> artifacts = {{stage, n_test, n_test, test}};
+    if (n_seed > 0) {
+      artifacts.push_back({stage + ".seed", n_seed, n_seed, seed});
     }
-    la::Matrix seed_matrix;
-    if (seed != nullptr && n_seed > 0) {
-      auto seed_or = store->LoadMatrix(stage + ".seed");
-      if (!seed_or.ok()) return unusable(stage + ".seed", seed_or.status());
-      if (seed_or.value().rows() != n_seed ||
-          seed_or.value().cols() != n_seed) {
-        return unusable(stage + ".seed", Status::DataLoss(
-                            "shape mismatch vs current seed split"));
+    artifacts.insert(artifacts.end(), extra.begin(), extra.end());
+    std::vector<la::Matrix> loaded;
+    for (const Artifact& a : artifacts) {
+      auto m = store->LoadMatrix(a.name);
+      if (!m.ok()) return unusable(a.name, m.status());
+      if (m->rows() != a.rows || m->cols() != a.cols) {
+        return unusable(a.name,
+                        Status::DataLoss("shape mismatch vs current run"));
       }
-      seed_matrix = std::move(seed_or).value();
+      loaded.push_back(std::move(m).value());
     }
     double loss_value = 0.0;
     if (loss != nullptr) {
@@ -155,8 +227,9 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
       if (!loss_or.ok()) return unusable(stage + ".loss", loss_or.status());
       loss_value = loss_or.value();
     }
-    *test = std::move(test_or).value();
-    if (seed != nullptr && n_seed > 0) *seed = std::move(seed_matrix);
+    for (size_t k = 0; k < artifacts.size(); ++k) {
+      *artifacts[k].out = std::move(loaded[k]);
+    }
     if (loss != nullptr) *loss = loss_value;
     return true;
   };
@@ -185,40 +258,19 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
 
   if (options_.use_structural) {
     CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "structural stage"));
-    bool restored =
-        restore_stage("structural", &features.structural,
-                      &features.seed_structural, &features.gcn_final_loss);
-    if (restored) {
-      // The raw entity embeddings ride along for the serving-index export.
-      // Checkpoints written before they existed lack the artifacts; that is
-      // only a cache miss when the export actually needs them.
-      auto src_or = store->LoadMatrix("structural.src_emb");
-      auto tgt_or = store->LoadMatrix("structural.tgt_emb");
-      if (src_or.ok() && tgt_or.ok() && src_or.value().rows() == n_test &&
-          tgt_or.value().rows() == n_test) {
-        features.structural_src_emb = std::move(src_or).value();
-        features.structural_tgt_emb = std::move(tgt_or).value();
-        // The GCN input features ride along too (for the delta-ingestion
-        // state export); their absence — checkpoints predating them — is
-        // tolerated and only surfaces if a delta export is attempted.
-        auto x1_or = store->LoadMatrix("structural.x1");
-        auto x2_or = store->LoadMatrix("structural.x2");
-        if (x1_or.ok() && x2_or.ok() &&
-            x1_or.value().rows() == pair_->kg1.num_entities() &&
-            x2_or.value().rows() == pair_->kg2.num_entities()) {
-          features.structural_x1 = std::move(x1_or).value();
-          features.structural_x2 = std::move(x2_or).value();
-        }
-      } else if (!options_.export_index_path.empty()) {
-        CEAFF_LOG(Warning)
-            << "structural checkpoint lacks usable entity embeddings needed "
-               "for the index export; re-running stage 'structural'";
-        restored = false;
-        features.structural = la::Matrix();
-        features.seed_structural = la::Matrix();
-        features.gcn_final_loss = 0.0;
-      }
-    }
+    // The raw entity embeddings (for the index export) and the GCN input
+    // features (for the delta state) belong to the stage: it is restored
+    // with all of them or recomputed.
+    const size_t dim = options_.gcn.dim;
+    const bool restored = restore_stage(
+        "structural", &features.structural, &features.seed_structural,
+        &features.gcn_final_loss,
+        {{"structural.src_emb", n_test, dim, &features.structural_src_emb},
+         {"structural.tgt_emb", n_test, dim, &features.structural_tgt_emb},
+         {"structural.x1", pair_->kg1.num_entities(), dim,
+          &features.structural_x1},
+         {"structural.x2", pair_->kg2.num_entities(), dim,
+          &features.structural_x2}});
     if (!restored) {
       la::SparseMatrix a1 =
           kg::BuildAdjacency(pair_->kg1, options_.adjacency);
@@ -226,7 +278,7 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
           kg::BuildAdjacency(pair_->kg2, options_.adjacency);
       embed::GcnOptions gcn_options = options_.gcn;
       gcn_options.cancel = options_.cancel;
-      gcn_options.kernel = &rt.ctx;
+      gcn_options.kernel = &ctx;
       embed::GcnAligner gcn(std::move(a1), std::move(a2), gcn_options);
       CEAFF_ASSIGN_OR_RETURN(features.gcn_final_loss,
                              gcn.Train(pair_->seed_alignment));
@@ -235,16 +287,16 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
       features.structural_x1 = gcn.features1();
       features.structural_x2 = gcn.features2();
       features.structural =
-          la::CosineSimilarityK(rt.ctx, features.structural_src_emb,
+          la::CosineSimilarityK(ctx, features.structural_src_emb,
                                 features.structural_tgt_emb);
       if (!seed_src.empty()) {
         features.seed_structural = la::CosineSimilarityK(
-            rt.ctx, GatherRows(gcn.embeddings1(), seed_src),
+            ctx, GatherRows(gcn.embeddings1(), seed_src),
             GatherRows(gcn.embeddings2(), seed_tgt));
       }
       // A token firing mid-kernel leaves the matrices partially built; the
       // panel polls only skip work, so surface the cancellation here.
-      CEAFF_RETURN_IF_ERROR(rt.ctx.CheckCancelled("structural stage"));
+      CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("structural stage"));
       CEAFF_RETURN_IF_ERROR(persist_stage("structural", features.structural,
                                           &features.seed_structural,
                                           &features.gcn_final_loss));
@@ -273,14 +325,14 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
                                   &features.seed_semantic, nullptr);
     if (!restored) {
       features.semantic = text::SemanticSimilarityMatrix(*store_, src_names,
-                                                         tgt_names, &rt.ctx);
+                                                         tgt_names, &ctx);
       if (!seed_src.empty()) {
         features.seed_semantic = text::SemanticSimilarityMatrix(
-            *store_, seed_src_names, seed_tgt_names, &rt.ctx);
+            *store_, seed_src_names, seed_tgt_names, &ctx);
       }
       // A token firing mid-kernel leaves the matrix partially built; the
       // panel polls only skip work, so surface the cancellation here.
-      CEAFF_RETURN_IF_ERROR(rt.ctx.CheckCancelled("semantic stage"));
+      CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("semantic stage"));
       CEAFF_RETURN_IF_ERROR(persist_stage("semantic", features.semantic,
                                           &features.seed_semantic, nullptr));
     }
@@ -303,12 +355,12 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
         // delta-ingestion export) recompute individual rows and compare
         // bitwise; the pruned kernel's skipped cells would diverge.
         features.string_sim =
-            la::StringSimilarityMatrixK(rt.ctx, src_names, tgt_names);
+            la::StringSimilarityMatrixK(ctx, src_names, tgt_names);
         if (!seed_src.empty()) {
           features.seed_string = la::StringSimilarityMatrixK(
-              rt.ctx, seed_src_names, seed_tgt_names);
+              ctx, seed_src_names, seed_tgt_names);
         }
-        CEAFF_RETURN_IF_ERROR(rt.ctx.CheckCancelled("string stage"));
+        CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("string stage"));
       } else {
         // The Levenshtein scan dominates feature time on large splits; the
         // kernel splits it across the shared pool and polls the run's
@@ -317,7 +369,7 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
         // row-max-exact kernel, everything else the exact one.
         la::StringKernelChoice choice;
         features.string_sim = la::StringSimilarityMatrixAuto(
-            rt.ctx, src_names, tgt_names, &choice);
+            ctx, src_names, tgt_names, &choice);
         if (choice.pruned) {
           CEAFF_LOG(Info) << "string stage: pruned kernel selected "
                           << "(mean chars " << choice.mean_chars
@@ -325,9 +377,9 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
         }
         if (!seed_src.empty()) {
           features.seed_string = la::StringSimilarityMatrixAuto(
-              rt.ctx, seed_src_names, seed_tgt_names);
+              ctx, seed_src_names, seed_tgt_names);
         }
-        CEAFF_RETURN_IF_ERROR(rt.ctx.CheckCancelled("string stage"));
+        CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("string stage"));
       }
       CEAFF_RETURN_IF_ERROR(persist_stage("string", features.string_sim,
                                           &features.seed_string, nullptr));
@@ -491,17 +543,14 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
 StatusOr<CeaffResult> CeaffPipeline::RunOnFeatures(
     const CeaffFeatures& features) {
   CeaffResult result;
-  result.structural = features.structural;
-  result.semantic = features.semantic;
-  result.string_sim = features.string_sim;
   result.gcn_final_loss = features.gcn_final_loss;
   result.seconds_features = features.seconds;
-  KernelRuntime rt = MakeKernelRuntime(options_);
+  const la::KernelContext& ctx = runtime_.ctx;
   CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "fusion stage"));
   CEAFF_RETURN_IF_ERROR(FuseFeatures(features, &result));
   if (options_.csls_k > 0) {
-    result.fused = la::CslsRescaleK(rt.ctx, result.fused, options_.csls_k);
-    CEAFF_RETURN_IF_ERROR(rt.ctx.CheckCancelled("csls rescale"));
+    result.fused = la::CslsRescaleK(ctx, result.fused, options_.csls_k);
+    CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("csls rescale"));
   }
 
   CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "decision stage"));
@@ -510,7 +559,7 @@ StatusOr<CeaffResult> CeaffPipeline::RunOnFeatures(
     case DecisionMode::kCollective: {
       CEAFF_ASSIGN_OR_RETURN(
           result.match,
-          matching::DeferredAcceptanceChecked(result.fused, rt.ctx));
+          matching::DeferredAcceptanceChecked(result.fused, ctx));
       break;
     }
     case DecisionMode::kIndependent:
@@ -527,7 +576,7 @@ StatusOr<CeaffResult> CeaffPipeline::RunOnFeatures(
     case DecisionMode::kSinkhorn: {
       matching::SinkhornOptions sinkhorn;
       sinkhorn.cancel = options_.cancel;
-      sinkhorn.kernel = &rt.ctx;
+      sinkhorn.kernel = &ctx;
       CEAFF_ASSIGN_OR_RETURN(
           result.match,
           matching::SinkhornMatchChecked(result.fused, sinkhorn));
@@ -548,78 +597,29 @@ Status CeaffPipeline::ExportIndex(const CeaffFeatures& features,
                                   const CeaffResult& result) const {
   std::vector<uint32_t> test_src, test_tgt;
   TestIds(*pair_, &test_src, &test_tgt);
-
-  serve::AlignmentIndexInput input;
-  input.dataset = options_.export_dataset;
-  input.source_names = GatherNames(pair_->kg1, test_src);
-  input.target_names = GatherNames(pair_->kg2, test_tgt);
-
-  for (size_t i = 0; i < result.match.target_of_source.size(); ++i) {
-    const int64_t t = result.match.target_of_source[i];
-    if (t < 0) continue;
-    input.pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(t),
-                           result.fused.at(i, static_cast<size_t>(t))});
-  }
-
-  // Flatten the run's fusion weights to effective per-serving-feature
-  // weights (structural, semantic, string). The canonical two-stage run
-  // reports final = (w_s, w_textual) and textual = (w_n, w_l); every other
-  // configuration reports final_weights in enabled-feature order. Weights
-  // of features the service does not serve (attribute, relation) are
-  // dropped — the index builder renormalises.
-  double w_struct = 0.0, w_sem = 0.0, w_str = 0.0;
-  if (!result.textual_weights.empty() && result.final_weights.size() >= 2 &&
-      result.textual_weights.size() >= 2) {
-    w_struct = result.final_weights[0];
-    w_sem = result.final_weights[1] * result.textual_weights[0];
-    w_str = result.final_weights[1] * result.textual_weights[1];
-  } else {
-    size_t idx = 0;
-    auto take = [&]() {
-      return idx < result.final_weights.size() ? result.final_weights[idx++]
-                                               : 0.0;
-    };
-    if (options_.use_structural) w_struct = take();
-    if (options_.use_semantic) w_sem = take();
-    if (options_.use_string) w_str = take();
-  }
-  input.weights = {w_struct, w_sem, w_str};
-
+  ServingIndexInputs inputs;
+  inputs.dataset = options_.export_dataset;
+  inputs.source_names = GatherNames(pair_->kg1, test_src);
+  inputs.target_names = GatherNames(pair_->kg2, test_tgt);
+  inputs.fused = &result.fused;
+  inputs.match = &result.match;
+  inputs.final_weights = result.final_weights;
+  inputs.textual_weights = result.textual_weights;
+  inputs.use_structural = options_.use_structural;
+  inputs.use_semantic = options_.use_semantic;
+  inputs.use_string = options_.use_string;
   if (options_.use_semantic && store_ != nullptr) {
-    input.semantic_seed = store_->seed();
-    input.source_name_emb = text::EmbedNames(*store_, input.source_names);
-    input.target_name_emb = text::EmbedNames(*store_, input.target_names);
-    // Stored embeddings are pre-normalised so query-time cosine reduces to
-    // a dot product.
-    input.source_name_emb.L2NormalizeRows();
-    input.target_name_emb.L2NormalizeRows();
+    inputs.semantic_seed = store_->seed();
+    inputs.source_name_emb = text::EmbedNames(*store_, inputs.source_names);
+    inputs.target_name_emb = text::EmbedNames(*store_, inputs.target_names);
   }
-  if (!features.structural_src_emb.empty() &&
-      !features.structural_tgt_emb.empty()) {
-    input.source_struct_emb = features.structural_src_emb;
-    input.target_struct_emb = features.structural_tgt_emb;
-    input.source_struct_emb.L2NormalizeRows();
-    input.target_struct_emb.L2NormalizeRows();
-  }
-
-  CEAFF_ASSIGN_OR_RETURN(serve::AlignmentIndex index,
-                         serve::BuildAlignmentIndex(std::move(input)));
-  if (options_.export_ann) {
-    serve::AnnBuildOptions ann_options;
-    ann_options.num_centroids = options_.ann_centroids;
-    const KernelRuntime rt = MakeKernelRuntime(options_);
-    const Status ann = serve::BuildAnnSections(&index, ann_options, rt.ctx);
-    if (ann.ok()) {
-      CEAFF_LOG(Info) << "trained ANN sections: "
-                      << index.ann_centroids.rows() << " centroids over "
-                      << index.ann_codes.rows() << " int8-coded targets";
-    } else if (ann.IsFailedPrecondition()) {
-      // No dense target features to quantize — export a plain v2 artifact.
-      CEAFF_LOG(Info) << "skipping ANN sections: " << ann.message();
-    } else {
-      return ann;
-    }
-  }
+  inputs.source_struct_emb = features.structural_src_emb;
+  inputs.target_struct_emb = features.structural_tgt_emb;
+  inputs.export_ann = options_.export_ann;
+  inputs.ann_centroids = options_.ann_centroids;
+  CEAFF_ASSIGN_OR_RETURN(
+      const serve::AlignmentIndex index,
+      BuildServingIndex(std::move(inputs), runtime_.ctx));
   CEAFF_RETURN_IF_ERROR(
       serve::SaveAlignmentIndex(index, options_.export_index_path));
   CEAFF_LOG(Info) << "exported alignment index (" << index.num_sources()

@@ -2,11 +2,13 @@
 #define CEAFF_CORE_PIPELINE_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ceaff/common/cancellation.h"
 #include "ceaff/common/statusor.h"
+#include "ceaff/common/thread_pool.h"
 #include "ceaff/embed/gcn.h"
 #include "ceaff/eval/metrics.h"
 #include "ceaff/fusion/adaptive_fusion.h"
@@ -15,9 +17,11 @@
 #include "ceaff/kg/attribute_similarity.h"
 #include "ceaff/kg/relation_similarity.h"
 #include "ceaff/kg/knowledge_graph.h"
+#include "ceaff/la/kernels.h"
 #include "ceaff/la/matrix.h"
 #include "ceaff/matching/matching.h"
 #include "ceaff/matching/sinkhorn.h"
+#include "ceaff/serve/alignment_index.h"
 #include "ceaff/text/word_embedding.h"
 
 namespace ceaff::core {
@@ -119,22 +123,21 @@ struct CeaffOptions {
   /// IVF centroid count for the exported ANN sections. 0 = auto
   /// (ceil(sqrt(n_targets))).
   size_t ann_centroids = 0;
-  /// Worker threads for the compute kernels behind every feature stage
-  /// (GCN forward/backward, cosine matrices, the Levenshtein scan, CSLS
-  /// and Sinkhorn sweeps). The pipeline owns one shared ThreadPool and
-  /// threads it to the stages through a la::KernelContext. 1 (default)
-  /// keeps everything single-threaded; the kernels are thread-count
+  /// Worker threads for the compute kernels behind every stage (GCN
+  /// forward/backward, cosine matrices, the Levenshtein scan, CSLS and
+  /// Sinkhorn sweeps, DAA, ANN training at export). Each CeaffPipeline
+  /// creates one ThreadPool, when it is constructed, and threads it to
+  /// every stage through a la::KernelContext. 1 (default) creates no pool
+  /// and keeps everything single-threaded; the kernels are thread-count
   /// deterministic, so results do not change with this knob.
   size_t num_threads = 1;
 };
 
-/// Everything a CEAFF run produces. Feature/fused matrices are restricted
-/// to test rows (sources) x test columns (targets), ordered like
-/// KgPair::test_alignment, so ground truth for row i is column i.
+/// What fusion and decision make of one feature set. The fused matrix is
+/// restricted to test rows (sources) x test columns (targets), ordered
+/// like KgPair::test_alignment, so ground truth for row i is column i. The
+/// feature matrices it was fused from stay in CeaffFeatures.
 struct CeaffResult {
-  la::Matrix structural;  // Ms (empty when disabled)
-  la::Matrix semantic;    // Mn
-  la::Matrix string_sim;  // Ml
   la::Matrix fused;
   /// Stage-one weights (Mn, Ml) — empty unless all three features fused
   /// adaptively.
@@ -153,26 +156,25 @@ struct CeaffResult {
 
 /// The generated feature matrices of one run, both over the test split
 /// (rows/cols ordered by test_alignment; gold on the diagonal) and over the
-/// seed split (for the learned-fusion baseline). Disabled features stay
-/// empty.
+/// seed split (for the learned-fusion baseline). The only copy of each
+/// feature matrix: CeaffResult keeps the fused one alone. Disabled
+/// features stay empty.
 struct CeaffFeatures {
-  la::Matrix structural;
-  la::Matrix semantic;
-  la::Matrix string_sim;
+  la::Matrix structural;  // Ms
+  la::Matrix semantic;    // Mn
+  la::Matrix string_sim;  // Ml
   la::Matrix attribute;
   la::Matrix relation;
   /// Raw GCN embeddings of the test-split entities (row i belongs to test
   /// pair i), kept for the serving-index export; empty when the structural
-  /// feature is disabled or was restored from a checkpoint that predates
-  /// them.
+  /// feature is disabled.
   la::Matrix structural_src_emb;
   la::Matrix structural_tgt_emb;
   /// The trained GCN *input* feature matrices over ALL entities of each
   /// graph (n x d). Kept because the GCN's embeddings Z = A·(A·X) are a
   /// pure function of (A, X) (embed/gcn.h): persisting X lets the delta
   /// path re-propagate structural embeddings after a graph patch without
-  /// retraining. Empty when the structural feature is disabled or restored
-  /// from a checkpoint that predates these artifacts.
+  /// retraining. Empty when the structural feature is disabled.
   la::Matrix structural_x1;
   la::Matrix structural_x2;
   la::Matrix seed_structural;
@@ -182,6 +184,17 @@ struct CeaffFeatures {
   la::Matrix seed_relation;
   double gcn_final_loss = 0.0;
   double seconds = 0.0;
+};
+
+/// A compute pool, created only for num_threads > 1, and the KernelContext
+/// that threads it, with the cancellation token, through every kernel
+/// call. Kernels poll the token per row panel, so a deadline interrupts
+/// even a single huge similarity matrix mid-build.
+struct KernelRuntime {
+  KernelRuntime(size_t num_threads, const CancellationToken* cancel);
+
+  std::unique_ptr<ThreadPool> pool;
+  la::KernelContext ctx;
 };
 
 /// End-to-end CEAFF (Fig. 2): feature generation → adaptive fusion →
@@ -210,9 +223,9 @@ class CeaffPipeline {
   StatusOr<CeaffResult> RunOnFeatures(const CeaffFeatures& features);
 
   /// The export stage Run() appends when export_index_path is set: builds
-  /// a serve::AlignmentIndex from the run's outputs and writes it
-  /// atomically. Exposed so callers composing GenerateFeatures() +
-  /// RunOnFeatures() by hand can export too.
+  /// a serve::AlignmentIndex from the run's outputs with BuildServingIndex
+  /// and writes it atomically. Exposed so callers composing
+  /// GenerateFeatures() + RunOnFeatures() by hand can export too.
   Status ExportIndex(const CeaffFeatures& features,
                      const CeaffResult& result) const;
 
@@ -223,6 +236,7 @@ class CeaffPipeline {
   const kg::KgPair* pair_;
   const text::WordEmbeddingStore* store_;
   CeaffOptions options_;
+  KernelRuntime runtime_;
 };
 
 /// Extracts the rows of `emb` listed in `ids` (order preserved).
@@ -235,6 +249,46 @@ std::vector<std::string> GatherNames(const kg::KnowledgeGraph& g,
 /// Test-set source/target entity ids of a pair, in test_alignment order.
 void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,
              std::vector<uint32_t>* targets);
+
+/// One run's outputs over its serving split, which the serving index is a
+/// projection of. Row i of every source-side input belongs to source i,
+/// row j of every target-side input to target j. `fused` and `match` are
+/// borrowed for the BuildServingIndex call and must be non-null.
+struct ServingIndexInputs {
+  std::string dataset;
+  std::vector<std::string> source_names;
+  std::vector<std::string> target_names;
+  const la::Matrix* fused = nullptr;
+  /// The committed matching of `fused`.
+  const matching::MatchResult* match = nullptr;
+  /// The fusion weights, as CeaffResult reports them.
+  std::vector<double> final_weights;
+  std::vector<double> textual_weights;
+  bool use_structural = false;
+  bool use_semantic = false;
+  bool use_string = false;
+  /// Raw name embeddings; empty leaves the index without name embeddings.
+  la::Matrix source_name_emb;
+  la::Matrix target_name_emb;
+  uint64_t semantic_seed = 0;  // stored only beside name embeddings
+  /// Raw GCN embeddings; either empty leaves the index without them.
+  la::Matrix source_struct_emb;
+  la::Matrix target_struct_emb;
+  /// Train the ANN sections (CeaffOptions::export_ann / ann_centroids).
+  bool export_ann = true;
+  size_t ann_centroids = 0;
+};
+
+/// Builds the serving artifact from a run's outputs: the names, the
+/// committed pairs with their fused scores, the fusion weights flattened
+/// to effective (structural, semantic, string) weights, the L2-normalised
+/// name and GCN embeddings and, with export_ann, the ANN sections trained
+/// on `ctx` (an index with no dense target features to quantize stays a
+/// plain v2 artifact). The batch export (CeaffPipeline::ExportIndex) and
+/// the delta publish (delta::BuildIndexFromState) both build through it.
+/// InvalidArgument when `match` does not cover the rows of `fused`.
+StatusOr<serve::AlignmentIndex> BuildServingIndex(
+    ServingIndexInputs inputs, const la::KernelContext& ctx);
 
 }  // namespace ceaff::core
 

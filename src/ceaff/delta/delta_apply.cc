@@ -9,31 +9,13 @@
 #include "ceaff/common/durable_io.h"
 #include "ceaff/common/failpoint.h"
 #include "ceaff/common/logging.h"
-#include "ceaff/common/string_util.h"
-#include "ceaff/common/thread_pool.h"
 #include "ceaff/common/timer.h"
 #include "ceaff/delta/delta_journal.h"
 #include "ceaff/matching/matching.h"
-#include "ceaff/serve/ann_build.h"
 
 namespace ceaff::delta {
 
 namespace {
-
-struct Runtime {
-  std::unique_ptr<ThreadPool> pool;
-  la::KernelContext ctx;
-};
-
-Runtime MakeRuntime(const DeltaApplyOptions& options) {
-  Runtime rt;
-  if (options.num_threads > 1) {
-    rt.pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  rt.ctx.pool = rt.pool.get();
-  rt.ctx.cancel = options.cancel;
-  return rt;
-}
 
 Status WriteQuarantineMarker(const std::string& journal_dir,
                              const Status& verdict) {
@@ -104,7 +86,7 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options) {
     return report;
   }
 
-  const Runtime rt = MakeRuntime(options);
+  const core::KernelRuntime rt(options.num_threads, options.cancel);
   WallTimer timer;
   StatusOr<RepairOutcome> outcome =
       ApplyPatchesToState(std::move(state), records, rt.ctx);
@@ -161,7 +143,7 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
   CEAFF_ASSIGN_OR_RETURN(const std::vector<PatchRecord> records,
                          journal->ReadAfter(state.watermark));
 
-  const Runtime rt = MakeRuntime(options);
+  const core::KernelRuntime rt(options.num_threads, options.cancel);
   WallTimer timer;
   CEAFF_ASSIGN_OR_RETURN(report.stats,
                          RebuildPatchedState(&state, records, rt.ctx));
@@ -192,70 +174,27 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
 StatusOr<serve::AlignmentIndex> BuildIndexFromState(
     const DeltaState& s, const matching::MatchResult& match, bool export_ann,
     size_t ann_centroids, const la::KernelContext& ctx) {
-  if (match.target_of_source.size() != s.fused.rows()) {
-    return Status::InvalidArgument(
-        StrFormat("match covers %zu sources, the state serves %zu",
-                  match.target_of_source.size(), s.fused.rows()));
-  }
-  serve::AlignmentIndexInput input;
-  input.dataset = s.dataset;
-  input.source_names = core::GatherNames(s.kg1, s.source_ids);
-  input.target_names = core::GatherNames(s.kg2, s.target_ids);
-
-  for (size_t i = 0; i < match.target_of_source.size(); ++i) {
-    const int64_t t = match.target_of_source[i];
-    if (t < 0) continue;
-    input.pairs.push_back({static_cast<uint32_t>(i),
-                           static_cast<uint32_t>(t),
-                           s.fused.at(i, static_cast<size_t>(t))});
-  }
-
-  // Flatten the frozen fusion weights to effective per-serving-feature
-  // weights, exactly as the batch pipeline's export stage does.
-  double w_struct = 0.0, w_sem = 0.0, w_str = 0.0;
-  if (s.two_stage && s.final_weights.size() >= 2 &&
-      s.textual_weights.size() >= 2) {
-    w_struct = s.final_weights[0];
-    w_sem = s.final_weights[1] * s.textual_weights[0];
-    w_str = s.final_weights[1] * s.textual_weights[1];
-  } else {
-    size_t idx = 0;
-    auto take = [&]() {
-      return idx < s.final_weights.size() ? s.final_weights[idx++] : 0.0;
-    };
-    if (s.use_structural) w_struct = take();
-    if (s.use_semantic) w_sem = take();
-    if (s.use_string) w_str = take();
-  }
-  input.weights = {w_struct, w_sem, w_str};
-
+  core::ServingIndexInputs inputs;
+  inputs.dataset = s.dataset;
+  inputs.source_names = core::GatherNames(s.kg1, s.source_ids);
+  inputs.target_names = core::GatherNames(s.kg2, s.target_ids);
+  inputs.fused = &s.fused;
+  inputs.match = &match;
+  inputs.final_weights = s.final_weights;
+  if (s.two_stage) inputs.textual_weights = s.textual_weights;
+  inputs.use_structural = s.use_structural;
+  inputs.use_semantic = s.use_semantic;
+  inputs.use_string = s.use_string;
   if (s.use_semantic) {
-    input.semantic_seed = s.semantic_seed;
-    input.source_name_emb = s.src_name_emb;
-    input.target_name_emb = s.tgt_name_emb;
-    input.source_name_emb.L2NormalizeRows();
-    input.target_name_emb.L2NormalizeRows();
+    inputs.semantic_seed = s.semantic_seed;
+    inputs.source_name_emb = s.src_name_emb;
+    inputs.target_name_emb = s.tgt_name_emb;
   }
-  if (!s.src_struct_emb.empty() && !s.tgt_struct_emb.empty()) {
-    input.source_struct_emb = s.src_struct_emb;
-    input.target_struct_emb = s.tgt_struct_emb;
-    input.source_struct_emb.L2NormalizeRows();
-    input.target_struct_emb.L2NormalizeRows();
-  }
-
-  CEAFF_ASSIGN_OR_RETURN(serve::AlignmentIndex index,
-                         serve::BuildAlignmentIndex(std::move(input)));
-  if (export_ann) {
-    serve::AnnBuildOptions ann_options;
-    ann_options.num_centroids = ann_centroids;
-    const Status ann = serve::BuildAnnSections(&index, ann_options, ctx);
-    if (!ann.ok() && !ann.IsFailedPrecondition()) return ann;
-    if (ann.IsFailedPrecondition()) {
-      CEAFF_LOG(Info) << "delta publish: skipping ANN sections: "
-                      << ann.message();
-    }
-  }
-  return index;
+  inputs.source_struct_emb = s.src_struct_emb;
+  inputs.target_struct_emb = s.tgt_struct_emb;
+  inputs.export_ann = export_ann;
+  inputs.ann_centroids = ann_centroids;
+  return core::BuildServingIndex(std::move(inputs), ctx);
 }
 
 }  // namespace ceaff::delta

@@ -78,14 +78,13 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options);
 /// a quarantine as a self-check.
 StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options);
 
-/// Distills a DeltaState into the serving artifact — names, the pairs of
-/// `match` (the deferred-acceptance matching of state.fused, as
-/// VerifyDeltaState returns it) with their fused scores, L2-normalised
-/// embeddings, flattened fusion weights, optional ANN sections. Mirrors
-/// the batch pipeline's export stage, so a delta publish is
-/// indistinguishable to the serving layer. ANN training runs on `ctx`
-/// (same bits at any thread count). InvalidArgument when `match` does not
-/// cover the serving sources.
+/// Distills a DeltaState into the serving artifact: hands the state's
+/// names, fused matrix, `match` (the deferred-acceptance matching of
+/// state.fused, as VerifyDeltaState returns it), frozen fusion weights and
+/// raw embeddings to core::BuildServingIndex, the builder the batch export
+/// stage runs, so a delta publish is indistinguishable to the serving
+/// layer. ANN training runs on `ctx` (same bits at any thread count).
+/// InvalidArgument when `match` does not cover the serving sources.
 StatusOr<serve::AlignmentIndex> BuildIndexFromState(
     const DeltaState& state, const matching::MatchResult& match,
     bool export_ann, size_t ann_centroids,

@@ -254,6 +254,44 @@ la::Matrix RepairNameEmbeddings(const la::Matrix& old_emb,
   return out;
 }
 
+namespace {
+
+/// The patch step of both the bounded repair and the rebuild: applies
+/// `records` (non-empty) to the graphs and the serving split, advances the
+/// watermark, extends X with the new entities' rows and refreshes the name
+/// embeddings. The graphs and split of the returned patch result have
+/// been moved into `state`; its renames and stats remain.
+StatusOr<GraphPatchResult> PatchFrozenInputs(
+    DeltaState* state, const std::vector<PatchRecord>& records) {
+  DeltaState& s = *state;
+  CEAFF_ASSIGN_OR_RETURN(GraphPatchResult patched,
+                         ApplyGraphPatches(s, records));
+  const size_t old_sr = s.source_ids.size();
+  const size_t old_tc = s.target_ids.size();
+  s.kg1 = std::move(patched.kg1);
+  s.kg2 = std::move(patched.kg2);
+  s.source_ids = std::move(patched.source_ids);
+  s.target_ids = std::move(patched.target_ids);
+  s.watermark = records.back().id;
+  if (s.use_structural) {
+    s.x1 = ExtendInputFeatures(s.x1, s.kg1, s.gcn_seed);
+    s.x2 = ExtendInputFeatures(s.x2, s.kg2, s.gcn_seed);
+  }
+  if (s.use_semantic) {
+    s.src_name_emb =
+        RepairNameEmbeddings(s.src_name_emb, old_sr, s.source_ids, s.kg1,
+                             patched.renamed1, s.semantic_dim,
+                             s.semantic_seed);
+    s.tgt_name_emb =
+        RepairNameEmbeddings(s.tgt_name_emb, old_tc, s.target_ids, s.kg2,
+                             patched.renamed2, s.semantic_dim,
+                             s.semantic_seed);
+  }
+  return patched;
+}
+
+}  // namespace
+
 StatusOr<RepairOutcome> ApplyPatchesToState(
     DeltaState state, const std::vector<PatchRecord>& records,
     const la::KernelContext& ctx) {
@@ -263,8 +301,6 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
   DeltaState& s = out.state;
 
   CEAFF_FAILPOINT("delta.repair.patch_kg");
-  CEAFF_ASSIGN_OR_RETURN(GraphPatchResult patched,
-                         ApplyGraphPatches(s, records));
   const size_t old_sr = s.source_ids.size();
   const size_t old_tc = s.target_ids.size();
   if (s.fused.rows() != old_sr || s.fused.cols() != old_tc) {
@@ -272,11 +308,8 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
         "stored fused matrix is %zux%zu for a %zux%zu serving split",
         s.fused.rows(), s.fused.cols(), old_sr, old_tc));
   }
-  s.kg1 = std::move(patched.kg1);
-  s.kg2 = std::move(patched.kg2);
-  s.source_ids = std::move(patched.source_ids);
-  s.target_ids = std::move(patched.target_ids);
-  s.watermark = records.back().id;
+  CEAFF_ASSIGN_OR_RETURN(const GraphPatchResult patched,
+                         PatchFrozenInputs(&s, records));
   out.stats = patched.stats;
 
   // Serving rows / columns whose fused cells must be recomputed; newly
@@ -293,8 +326,6 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
     // The full two-hop propagation costs O(nnz·d), little next to the n²
     // fused stage; on a power-law graph two hops from one new edge reach
     // most entities anyway, so a frontier would save nothing.
-    s.x1 = ExtendInputFeatures(s.x1, s.kg1, s.gcn_seed);
-    s.x2 = ExtendInputFeatures(s.x2, s.kg2, s.gcn_seed);
     StructEmbeddings fresh = PropagateStructEmbeddings(s, ctx);
     MarkChangedStructRows(s.src_struct_emb, fresh.src, old_sr, &row_dirty);
     MarkChangedStructRows(s.tgt_struct_emb, fresh.tgt, old_tc, &col_dirty);
@@ -306,16 +337,6 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
   }
 
   CEAFF_FAILPOINT("delta.repair.textual");
-  if (s.use_semantic) {
-    s.src_name_emb =
-        RepairNameEmbeddings(s.src_name_emb, old_sr, s.source_ids, s.kg1,
-                             patched.renamed1, s.semantic_dim,
-                             s.semantic_seed);
-    s.tgt_name_emb =
-        RepairNameEmbeddings(s.tgt_name_emb, old_tc, s.target_ids, s.kg2,
-                             patched.renamed2, s.semantic_dim,
-                             s.semantic_seed);
-  }
   if (s.use_semantic || s.use_string) {
     MarkRenamed(s.source_ids, old_sr, patched.renamed1, &row_dirty);
     MarkRenamed(s.target_ids, old_tc, patched.renamed2, &col_dirty);
@@ -366,33 +387,13 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
 StatusOr<RepairStats> RebuildPatchedState(
     DeltaState* state, const std::vector<PatchRecord>& records,
     const la::KernelContext& ctx) {
-  DeltaState& s = *state;
   RepairStats stats;
   if (!records.empty()) {
-    CEAFF_ASSIGN_OR_RETURN(GraphPatchResult patched,
-                           ApplyGraphPatches(s, records));
-    const size_t old_sr = s.source_ids.size();
-    const size_t old_tc = s.target_ids.size();
+    CEAFF_ASSIGN_OR_RETURN(const GraphPatchResult patched,
+                           PatchFrozenInputs(state, records));
     stats = patched.stats;
-    s.kg1 = std::move(patched.kg1);
-    s.kg2 = std::move(patched.kg2);
-    s.source_ids = std::move(patched.source_ids);
-    s.target_ids = std::move(patched.target_ids);
-    s.watermark = records.back().id;
-    if (s.use_structural) {
-      s.x1 = ExtendInputFeatures(s.x1, s.kg1, s.gcn_seed);
-      s.x2 = ExtendInputFeatures(s.x2, s.kg2, s.gcn_seed);
-    }
-    if (s.use_semantic) {
-      s.src_name_emb = RepairNameEmbeddings(
-          s.src_name_emb, old_sr, s.source_ids, s.kg1, patched.renamed1,
-          s.semantic_dim, s.semantic_seed);
-      s.tgt_name_emb = RepairNameEmbeddings(
-          s.tgt_name_emb, old_tc, s.target_ids, s.kg2, patched.renamed2,
-          s.semantic_dim, s.semantic_seed);
-    }
   }
-  CEAFF_RETURN_IF_ERROR(RecomputeStateExhaustive(&s, ctx));
+  CEAFF_RETURN_IF_ERROR(RecomputeStateExhaustive(state, ctx));
   return stats;
 }
 

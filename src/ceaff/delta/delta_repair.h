@@ -23,15 +23,16 @@ namespace ceaff::delta {
 /// cells than that rebuild.
 ///
 /// Repair stages (each with a failpoint site `delta.repair.<stage>`):
-///   patch_kg    apply patches to the graph snapshots + serving split
-///   structural  extend X' with the new entities' rows, then run the full
-///               two-hop propagation Z = A'·(A'·X')
+///   patch_kg    the patch step RebuildPatchedState runs too: apply the
+///               patches to the graph snapshots + serving split, extend X'
+///               with the new entities' rows, refresh the name-embedding
+///               rows of renamed/new serving entities (hash-fallback
+///               store; frozen-name reuse rule)
+///   structural  run the full two-hop propagation Z = A'·(A'·X')
 ///               (PropagateStructEmbeddings, O(nnz·d)); a stored serving
 ///               row or column is dirty when its new structural row
 ///               differs bitwise from the stored one
-///   textual     refresh name-embedding rows of renamed/new serving
-///               entities (hash-fallback store; frozen-name reuse rule);
-///               renamed entities are dirty
+///   textual     renamed entities are dirty
 ///   fuse        recompute every row over the dirty columns, then the dirty
 ///               rows over the clean columns, with the frozen fusion weights;
 ///               only the clean × clean cells are copied
@@ -117,8 +118,8 @@ StatusOr<RepairOutcome> ApplyPatchesToState(
     const la::KernelContext& ctx);
 
 /// The exhaustive counterpart of ApplyPatchesToState and the repair path of
-/// RebuildDelta: patches the graph layer, extends X and refreshes the name
-/// embeddings exactly as the bounded repair does, then recomputes every
+/// RebuildDelta: runs the bounded repair's patch step (graphs, serving
+/// split, watermark, X, name embeddings), then recomputes every
 /// derived field with RecomputeStateExhaustive. It tracks nothing dirty
 /// (after a quarantine that tracking is not trusted). An empty batch only
 /// recomputes.

@@ -329,8 +329,7 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
         features.structural_src_emb.empty() ||
         features.structural_tgt_emb.empty()) {
       return Status::FailedPrecondition(
-          "delta export needs the GCN input features and raw embeddings "
-          "(structural stage restored from a pre-delta checkpoint?)");
+          "delta export needs the GCN input features and raw embeddings");
     }
     state.x1 = features.structural_x1;
     state.x2 = features.structural_x2;

@@ -129,8 +129,7 @@ StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store);
 ///     that depend on the rest of the row, so a recomputed row is not
 ///     bitwise equal to a rebuilt one)
 /// `features` must carry structural_x1/x2 and structural_src/tgt_emb when
-/// the structural feature is enabled (run the pipeline with delta export
-/// in mind — see pipeline.h).
+/// the structural feature is enabled, as GenerateFeatures' always do.
 StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
                                      const text::WordEmbeddingStore& store,
                                      const core::CeaffOptions& options,

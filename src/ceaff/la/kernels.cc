@@ -248,17 +248,13 @@ void SpMMRowsInto(const SparseMatrix& a, const Matrix& x, size_t r0,
   }
 }
 
-void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
-               const Matrix& x, Matrix* out) {
+Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a,
+             const Matrix& x) {
   CEAFF_CHECK(a.cols() == x.rows())
       << "spmm shape mismatch: " << a.rows() << "x" << a.cols() << " * "
       << x.rows() << "x" << x.cols();
-  CEAFF_CHECK(out != &x) << "spmm output must not alias its dense operand";
   const size_t rows = a.rows();
-  // The sweep stores every element, so a reused output needs no zero-fill.
-  if (out->rows() != rows || out->cols() != x.cols()) {
-    *out = Matrix(rows, x.cols());
-  }
+  Matrix out(rows, x.cols());
   // SpMM panels are far cheaper than the dense kernels' (a row costs
   // O(nnz_row·n), typically a handful of axpys), so on the sequential path
   // even the per-panel std::function dispatch of ParallelPanels costs a
@@ -270,23 +266,17 @@ void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
         std::max<size_t>(1, std::max(ctx.opts.row_block, ctx.opts.grain));
     for (size_t r0 = 0; r0 < rows; r0 += block) {
       if (ctx.cancel != nullptr && !ctx.cancel->Check("kernel panel").ok()) {
-        return;  // partial; surfaced via KernelContext::CheckCancelled
+        return out;  // partial; surfaced via KernelContext::CheckCancelled
       }
-      SpMMRowsInto(a, x, r0, std::min(rows, r0 + block), out);
+      SpMMRowsInto(a, x, r0, std::min(rows, r0 + block), &out);
     }
-    return;
+    return out;
   }
   // Parallel path: each task owns a panel of output rows and runs the same
   // sweep over it.
   ParallelPanels(ctx, rows, ctx.opts.row_block, [&](size_t r0, size_t r1) {
-    SpMMRowsInto(a, x, r0, r1, out);
+    SpMMRowsInto(a, x, r0, r1, &out);
   });
-}
-
-Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a,
-             const Matrix& x) {
-  Matrix out;
-  SpMMKInto(ctx, a, x, &out);
   return out;
 }
 

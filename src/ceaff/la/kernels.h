@@ -100,14 +100,8 @@ Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
 /// it.
 Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x);
 
-/// SpMMK writing into a caller-owned `out`: an `out` already shaped (m,n)
-/// is overwritten in place without allocating, any other is replaced by a
-/// fresh (m,n) matrix. `out` must not alias `x`. Same bits as SpMMK.
-void SpMMKInto(const KernelContext& ctx, const SparseMatrix& a,
-               const Matrix& x, Matrix* out);
-
 /// Rows [r0, r1) of out = a · x, swept on the calling thread: the row
-/// sweep SpMMKInto runs over each of its panels, for callers that
+/// sweep SpMMK runs over each of its panels, for callers that
 /// partition the rows themselves. `out` must already be shaped (m,n) and
 /// must not alias `x`; rows outside [r0, r1) are left untouched, and every
 /// row written has SpMMK's bits whatever `out` held before.

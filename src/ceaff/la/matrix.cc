@@ -59,20 +59,6 @@ void Matrix::Fill(float v) {
   for (float& x : data_) x = v;
 }
 
-void Matrix::Add(const Matrix& other) {
-  CEAFF_DCHECK(!is_view());
-  CEAFF_CHECK(SameShape(other));
-  const float* o = other.data();
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += o[i];
-}
-
-void Matrix::Sub(const Matrix& other) {
-  CEAFF_DCHECK(!is_view());
-  CEAFF_CHECK(SameShape(other));
-  const float* o = other.data();
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= o[i];
-}
-
 void Matrix::Scale(float s) {
   CEAFF_DCHECK(!is_view());
   for (float& x : data_) x *= s;

@@ -86,10 +86,6 @@ class Matrix {
   void Fill(float v);
   void SetZero() { Fill(0.0f); }
 
-  /// this += other (same shape).
-  void Add(const Matrix& other);
-  /// this -= other (same shape).
-  void Sub(const Matrix& other);
   /// this *= s.
   void Scale(float s);
   /// this += s * other (axpy, same shape).

@@ -15,6 +15,7 @@
 #include "ceaff/core/checkpoint.h"
 #include "ceaff/core/pipeline.h"
 #include "ceaff/data/synthetic.h"
+#include "ceaff/delta/delta_state.h"
 #include "ceaff/matching/matching.h"
 #include "ceaff/matching/sinkhorn.h"
 #include "testing/fault_injection.h"
@@ -353,6 +354,48 @@ TEST_F(FaultToleranceTest, TruncatedCheckpointIsAlsoACleanCacheMiss) {
   EXPECT_FALSE(events[1].second);  // semantic recomputed
   EXPECT_TRUE(events[2].second);   // string restored
   ExpectIdentical(resumed.value(), Baseline());
+}
+
+// The structural stage is restored only with all seven of its artifacts
+// (matrix, .seed, .loss, src_emb, tgt_emb, x1, x2). A checkpoint missing
+// one recomputes the stage, and the run's fused matrix and delta state are
+// byte-identical to a fresh run's.
+TEST_F(FaultToleranceTest, StructuralStageMissingAnArtifactIsRecomputed) {
+  ft::ScratchDir ckpt("partial");
+  CeaffOptions options = FastOptions();
+  options.force_exact_string_kernel = true;  // what a delta state needs
+  auto run = [](const CeaffOptions& o) {
+    CeaffPipeline pipe(&bench_->pair, &bench_->store, o);
+    const CeaffFeatures features = pipe.GenerateFeatures().value();
+    CeaffResult result = pipe.RunOnFeatures(features).value();
+    const std::string state =
+        delta::SerializeDeltaState(delta::BuildDeltaState(
+            bench_->pair, bench_->store, o, features, result, "partial")
+                                       .value());
+    return std::make_pair(std::move(result), state);
+  };
+  const auto fresh = run(options);
+
+  options.checkpoint_dir = ckpt.path();
+  run(options);  // persists every stage
+  CheckpointStore probe(ckpt.path());
+  ASSERT_TRUE(probe.Init().ok());
+  ASSERT_TRUE(probe.Has("structural.x1"));
+  ASSERT_TRUE(probe.Remove("structural.x1").ok());
+
+  StageEvents events;
+  options.resume = true;
+  options.stage_callback = [&events](const std::string& stage,
+                                     bool from_checkpoint) {
+    events.emplace_back(stage, from_checkpoint);
+  };
+  const auto resumed = run(options);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0], std::make_pair(std::string("structural"), false));
+  EXPECT_EQ(events[1], std::make_pair(std::string("semantic"), true));
+  EXPECT_EQ(events[2], std::make_pair(std::string("string"), true));
+  ExpectIdentical(resumed.first, fresh.first);
+  EXPECT_EQ(resumed.second, fresh.second) << "delta-state bytes differ";
 }
 
 }  // namespace

@@ -47,13 +47,14 @@ data::SyntheticBenchmark* PipelineTest::bench_ = nullptr;
 
 TEST_F(PipelineTest, RunProducesTestShapedMatrices) {
   CeaffPipeline pipe(&bench_->pair, &bench_->store, FastOptions());
-  CeaffResult r = pipe.Run().value();
+  const CeaffFeatures f = pipe.GenerateFeatures().value();
+  CeaffResult r = pipe.RunOnFeatures(f).value();
   size_t n_test = bench_->pair.test_alignment.size();
   EXPECT_EQ(r.fused.rows(), n_test);
   EXPECT_EQ(r.fused.cols(), n_test);
-  EXPECT_EQ(r.structural.rows(), n_test);
-  EXPECT_EQ(r.semantic.rows(), n_test);
-  EXPECT_EQ(r.string_sim.rows(), n_test);
+  EXPECT_EQ(f.structural.rows(), n_test);
+  EXPECT_EQ(f.semantic.rows(), n_test);
+  EXPECT_EQ(f.string_sim.rows(), n_test);
   EXPECT_EQ(r.match.target_of_source.size(), n_test);
   EXPECT_GT(r.accuracy, 0.5);  // features are informative on this config
   EXPECT_EQ(r.textual_weights.size(), 2u);
@@ -239,12 +240,13 @@ TEST_F(PipelineTest, NgramStringMetricIsDropInReplacement) {
   CeaffOptions o = FastOptions();
   o.string_metric = CeaffOptions::StringMetric::kNgramDice;
   CeaffPipeline pipe(&bench_->pair, &bench_->store, o);
-  CeaffResult r = pipe.Run().value();
+  const CeaffFeatures f = pipe.GenerateFeatures().value();
+  CeaffResult r = pipe.RunOnFeatures(f).value();
   EXPECT_GT(r.accuracy, 0.5);
   // String matrix values are Dice scores in [0, 1].
-  for (size_t i = 0; i < r.string_sim.size(); ++i) {
-    EXPECT_GE(r.string_sim.data()[i], 0.0f);
-    EXPECT_LE(r.string_sim.data()[i], 1.0f);
+  for (size_t i = 0; i < f.string_sim.size(); ++i) {
+    EXPECT_GE(f.string_sim.data()[i], 0.0f);
+    EXPECT_LE(f.string_sim.data()[i], 1.0f);
   }
 }
 

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -23,6 +25,8 @@
 #include "ceaff/common/random.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/common/thread_pool.h"
+#include "ceaff/core/pipeline.h"
+#include "ceaff/data/synthetic.h"
 #include "ceaff/delta/delta_apply.h"
 #include "ceaff/delta/delta_journal.h"
 #include "ceaff/delta/delta_patch.h"
@@ -31,6 +35,7 @@
 #include "ceaff/delta/delta_verify.h"
 #include "ceaff/la/kernels.h"
 #include "ceaff/matching/matching.h"
+#include "testing/fault_injection.h"
 
 namespace ceaff::delta {
 namespace {
@@ -705,6 +710,63 @@ TEST_F(DeltaEquivalenceTest, StateSerializationRoundTripsAndDetectsRot) {
   bytes[bytes.size() / 2] ^= 0x10;
   EXPECT_FALSE(ValidateDeltaStateBytes(bytes).ok());
   EXPECT_FALSE(ParseDeltaState(bytes).ok());
+}
+
+// ---------------------------------------------------------------------------
+// One index builder: a delta publish of a freshly exported state is the
+// batch export stage's artifact, byte for byte.
+
+TEST(BatchExportVsDeltaPublishTest, PublishOfFreshStateEqualsExportedIndex) {
+  data::SyntheticKgOptions kg;
+  kg.name = "export-vs-publish";
+  kg.num_entities = 120;
+  kg.extra_entities = 8;
+  kg.avg_degree = 6.0;
+  kg.lang2.code = "fr";
+  kg.lang2.edit_fraction = 0.3;
+  kg.lang2.semantic_noise = 0.5;
+  kg.embedding_dim = 32;
+  kg.seed = 11;
+  const data::SyntheticBenchmark bench = data::GenerateBenchmark(kg).value();
+  ceaff::testing::ScratchDir dir("export_vs_publish");
+
+  core::CeaffOptions options;
+  options.gcn.dim = 32;
+  options.gcn.epochs = 40;
+  options.force_exact_string_kernel = true;  // what a delta state needs
+  options.export_index_path = dir.path() + "/index";
+  ASSERT_TRUE(options.export_ann);
+  core::CeaffPipeline pipe(&bench.pair, &bench.store, options);
+  auto features = pipe.GenerateFeatures();
+  ASSERT_TRUE(features.ok()) << features.status().ToString();
+  auto result = pipe.RunOnFeatures(*features);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Both stage-one weights nonzero, so the index weights depend on how
+  // the two stages are flattened.
+  ASSERT_EQ(result->textual_weights.size(), 2u);
+  ASSERT_GT(result->textual_weights[0], 0.0);
+  ASSERT_GT(result->textual_weights[1], 0.0);
+  ASSERT_TRUE(pipe.ExportIndex(*features, *result).ok());
+  std::ifstream in(options.export_index_path, std::ios::binary);
+  const std::string exported((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  ASSERT_FALSE(exported.empty());
+
+  auto state = BuildDeltaState(bench.pair, bench.store, options, *features,
+                               *result, options.export_dataset);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  ThreadPool pool(3);
+  la::KernelContext pooled;
+  pooled.pool = &pool;
+  for (const la::KernelContext& ctx : {la::KernelContext(), pooled}) {
+    auto index = BuildIndexFromState(
+        *state, matching::DeferredAcceptance(state->fused), true, 0, ctx);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_TRUE(index->has_ann());
+    EXPECT_TRUE(serve::SerializeAlignmentIndex(*index) == exported)
+        << "delta publish differs from the batch export, pool "
+        << (ctx.pool == nullptr ? "none" : "3 threads");
+  }
 }
 
 }  // namespace

@@ -245,31 +245,12 @@ TEST(KernelSpmmTest, SpMMOverTransposeMatchesMultiplyTransposedBitwise) {
   }
 }
 
-// SpMMKInto reuses a correctly shaped output (overwriting whatever it
-// held) and replaces a mis-shaped one; both give SpMMK's bits.
-TEST(KernelSpmmTest, IntoVariantOverwritesOrReshapesOutput) {
-  const SparseMatrix a = RandomSparse(30, 40, 150, 25);
-  const Matrix x = RandomMatrix(40, 9, 26);
-  const Matrix want = SparseMultiply(a, x);
-  Matrix reused = RandomMatrix(30, 9, 27);
-  const float* storage = reused.data();
-  SpMMKInto(KernelContext(), a, x, &reused);
-  EXPECT_TRUE(BitIdentical(reused, want));
-  EXPECT_EQ(reused.data(), storage);
-  Matrix reshaped = RandomMatrix(4, 2, 28);
-  SpMMKInto(KernelContext(), a, x, &reshaped);
-  EXPECT_TRUE(BitIdentical(reshaped, want));
-}
-
 // The sweep stores every output element instead of accumulating into a
-// zero-filled row, so a reused output's stale values must never leak. The
-// widths cover the 16- and 4-float blocks, a scalar remainder of 1-3 lanes
-// on its own (n = 5, 7) and behind full blocks, and rows without entries.
+// zero-filled row, so a reused output's stale values must never leak (the
+// GCN epoch reuses its buffers). The widths cover the 16- and 4-float
+// blocks, a scalar remainder of 1-3 lanes on its own (n = 5, 7) and behind
+// full blocks, and rows without entries.
 TEST(KernelSpmmTest, ReusedOutputHoldsNoStaleValuesAtAnyWidth) {
-  ThreadPool pool(3);
-  KernelContext par;
-  par.pool = &pool;
-  par.opts.row_block = 4;
   for (const size_t n : {1, 2, 3, 4, 5, 7, 16, 17, 23, 35}) {
     std::vector<Triplet> triplets;
     Rng rng(31 + n);
@@ -283,13 +264,10 @@ TEST(KernelSpmmTest, ReusedOutputHoldsNoStaleValuesAtAnyWidth) {
     const SparseMatrix a = SparseMatrix::Build(20, 25, std::move(triplets));
     const Matrix x = RandomMatrix(25, n, 40 + n);
     const Matrix want = SparseMultiply(a, x);
-    KernelContext seq;
-    for (const KernelContext* ctx : {&seq, &par}) {
-      Matrix out(20, n);
-      out.Fill(std::nanf(""));
-      SpMMKInto(*ctx, a, x, &out);
-      EXPECT_TRUE(BitIdentical(out, want)) << "n = " << n;
-    }
+    Matrix out(20, n);
+    out.Fill(std::nanf(""));
+    for (size_t r0 = 0; r0 < 20; r0 += 4) SpMMRowsInto(a, x, r0, r0 + 4, &out);
+    EXPECT_TRUE(BitIdentical(out, want)) << "n = " << n;
   }
 }
 
