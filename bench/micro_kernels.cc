@@ -215,8 +215,8 @@ void BenchMatMulBT(size_t m, size_t n, size_t d,
 /// Long multi-word entity-style names, the shape alignment corpora take:
 /// each source name is 3–7 vocabulary words, and its target counterpart is
 /// a lightly perturbed copy (one word swapped, one character edited). Every
-/// row therefore has a near-duplicate maximum, which is what gives the
-/// pruned kernel's row-threshold bound its teeth.
+/// row therefore has a near-duplicate maximum, and names often pass the
+/// 64 bytes that put the LCS on its multi-word recurrence.
 std::pair<std::vector<std::string>, std::vector<std::string>>
 MultiWordNamePairs(size_t n, uint64_t seed) {
   static const char* const kVocab[] = {
@@ -283,27 +283,6 @@ void BenchStringMatrixNamed(const std::vector<std::string>& src,
     }
     g_rows.push_back({"string_kernel", shape, threads, s, cells / s / 1e6,
                       "mcells", naive_s / s});
-
-    // The pruned variant is benchmarked at the retrieval-style floor it is
-    // designed for; only row maxima above the floor are contractually exact.
-    constexpr double kFloor = 0.5;
-    Matrix pruned;
-    const double ps = TimeBest(reps, [&] {
-      pruned = la::StringSimilarityMatrixPruned(ctx, src, tgt, kFloor);
-    });
-    for (size_t r = 0; r < naive_out.rows(); ++r) {
-      float want = 0.0f, got = 0.0f;
-      for (size_t c = 0; c < naive_out.cols(); ++c) {
-        want = std::max(want, naive_out.at(r, c));
-        got = std::max(got, pruned.at(r, c));
-      }
-      if (want > kFloor && want != got) {
-        Fail("pruned string kernel lost a row maximum");
-        break;
-      }
-    }
-    g_rows.push_back({"string_pruned", shape, threads, ps, cells / ps / 1e6,
-                      "mcells", naive_s / ps});
   }
 }
 
@@ -317,10 +296,9 @@ void BenchStringMatrix(size_t n, const std::vector<int>& thread_counts,
   BenchStringMatrixNamed(src, tgt, shape, thread_counts, reps);
 }
 
-/// The workload the pruned kernel (and the pipeline's length-aware
-/// dispatch) exists for: long multi-word names with near-duplicate
-/// matches, where row maxima are high enough for the length-ratio bound
-/// to skip real work on top of the per-row mask amortization.
+/// Long multi-word names with near-duplicate matches, the name shape of
+/// alignment corpora with descriptive labels: longer names than the
+/// random-name workload and, past 64 bytes, the multi-word LCS path.
 void BenchStringMatrixMultiWord(size_t n,
                                 const std::vector<int>& thread_counts,
                                 int reps) {
@@ -648,7 +626,6 @@ delta::DeltaState MakeDeltaFixture(double scale) {
   options.gcn.learning_rate = 1.0f;
   options.fusion.theta1 = 0.98;
   options.fusion.theta2 = 0.1;
-  options.force_exact_string_kernel = true;  // what delta export requires
   core::CeaffPipeline pipe(&bench->pair, &bench->store, options);
   auto features = pipe.GenerateFeatures();
   CEAFF_CHECK(features.ok()) << features.status();
@@ -967,9 +944,8 @@ int main(int argc, char** argv) {
     BenchCosine(2048, 128, threads, 5);
     BenchMatMulBT(1024, 1024, 128, threads, 5);
     BenchStringMatrix(400, threads, 3);
-    // Long multi-word near-duplicate names: the shape the pruned kernel
-    // (and the pipeline's length-aware dispatch) is for — row maxima are
-    // high, so the length-ratio bound skips most of the row.
+    // Long multi-word near-duplicate names: the exact kernel on its
+    // multi-word LCS path.
     BenchStringMatrixMultiWord(400, threads, 3);
     BenchCsls(1024, 10, threads, 5);
     BenchSpmm(20000, 64, 10, threads, 5);

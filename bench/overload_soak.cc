@@ -613,10 +613,10 @@ int Main() {
       base.source_ids.push_back(static_cast<uint32_t>(e));
       base.target_ids.push_back(static_cast<uint32_t>(e));
     }
-    base.x1 = delta::ExtendInputFeatures(la::Matrix(0, base.gcn_dim),
-                                         base.kg1, base.gcn_seed);
-    base.x2 = delta::ExtendInputFeatures(la::Matrix(0, base.gcn_dim),
-                                         base.kg2, base.gcn_seed);
+    base.x1 = la::Matrix(0, base.gcn_dim);
+    base.x2 = la::Matrix(0, base.gcn_dim);
+    delta::ExtendInputFeatures(&base.x1, base.kg1, base.gcn_seed);
+    delta::ExtendInputFeatures(&base.x2, base.kg2, base.gcn_seed);
     base.src_name_emb = delta::RepairNameEmbeddings(
         la::Matrix(), 0, base.source_ids, base.kg1, {}, base.semantic_dim,
         base.semantic_seed);

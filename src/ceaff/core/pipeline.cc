@@ -41,6 +41,16 @@ std::vector<std::string> GatherNames(const kg::KnowledgeGraph& g,
   return out;
 }
 
+la::Matrix StringFeatureMatrix(CeaffOptions::StringMetric metric,
+                               const la::KernelContext& ctx,
+                               const std::vector<std::string>& source_names,
+                               const std::vector<std::string>& target_names) {
+  if (metric == CeaffOptions::StringMetric::kNgramDice) {
+    return text::NgramSimilarityMatrix(source_names, target_names);
+  }
+  return la::StringSimilarityMatrixK(ctx, source_names, target_names);
+}
+
 void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,
              std::vector<uint32_t>* targets) {
   sources->clear();
@@ -167,9 +177,13 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
   CeaffFeatures features;
   std::vector<uint32_t> test_src, test_tgt, seed_src, seed_tgt;
   TestIds(*pair_, &test_src, &test_tgt);
-  for (const kg::AlignmentPair& p : pair_->seed_alignment) {
-    seed_src.push_back(p.source);
-    seed_tgt.push_back(p.target);
+  // Only learned fusion reads the seed-split matrices (it fits on them), so
+  // every other run leaves them empty and neither computes nor persists them.
+  if (options_.fusion_mode == FusionMode::kLearned) {
+    for (const kg::AlignmentPair& p : pair_->seed_alignment) {
+      seed_src.push_back(p.source);
+      seed_tgt.push_back(p.target);
+    }
   }
   const size_t n_test = test_src.size();
   const size_t n_seed = seed_src.size();
@@ -187,9 +201,10 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
     size_t cols;
     la::Matrix* out;
   };
-  // Restores a feature stage — its test matrix, its seed matrix when seeds
-  // exist, `extra` matrices and the optional scalar — only when every one
-  // of these artifacts loads with the shape of the current run. Returns
+  // Restores a feature stage — its test matrix, its seed matrix when this
+  // run computes seed matrices, `extra` matrices and the optional scalar —
+  // only when every one of these artifacts loads with the shape of the
+  // current run. Returns
   // false, writing nothing, when the stage must be recomputed: an artifact
   // absent, corrupted (kDataLoss from the CRC/size/magic validation) or
   // shaped for a different dataset. Corruption is a cache miss here, not
@@ -235,14 +250,18 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
   };
 
   // Persists a completed stage. Write failures are real errors (the
-  // caller asked for durability and is not getting it).
+  // caller asked for durability and is not getting it). A run without seed
+  // matrices drops the stage's older `.seed` artifact, so a later learned
+  // resume never pairs it with this run's test matrix.
   auto persist_stage = [&](const std::string& stage, const la::Matrix& test,
                            const la::Matrix* seed,
                            const double* loss) -> Status {
     if (store == nullptr) return Status::OK();
     CEAFF_RETURN_IF_ERROR(store->SaveMatrix(stage, test));
-    if (seed != nullptr && !seed->empty()) {
+    if (!seed->empty()) {
       CEAFF_RETURN_IF_ERROR(store->SaveMatrix(stage + ".seed", *seed));
+    } else if (store->Has(stage + ".seed")) {
+      CEAFF_RETURN_IF_ERROR(store->Remove(stage + ".seed"));
     }
     if (loss != nullptr) {
       CEAFF_RETURN_IF_ERROR(store->SaveScalar(stage + ".loss", *loss));
@@ -343,44 +362,16 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
     bool restored = restore_stage("string", &features.string_sim,
                                   &features.seed_string, nullptr);
     if (!restored) {
-      if (options_.string_metric == CeaffOptions::StringMetric::kNgramDice) {
-        features.string_sim =
-            text::NgramSimilarityMatrix(src_names, tgt_names);
-        if (!seed_src.empty()) {
-          features.seed_string =
-              text::NgramSimilarityMatrix(seed_src_names, seed_tgt_names);
-        }
-      } else if (options_.force_exact_string_kernel) {
-        // Every cell exact — required when downstream consumers (the
-        // delta-ingestion export) recompute individual rows and compare
-        // bitwise; the pruned kernel's skipped cells would diverge.
-        features.string_sim =
-            la::StringSimilarityMatrixK(ctx, src_names, tgt_names);
-        if (!seed_src.empty()) {
-          features.seed_string = la::StringSimilarityMatrixK(
-              ctx, seed_src_names, seed_tgt_names);
-        }
-        CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("string stage"));
-      } else {
-        // The Levenshtein scan dominates feature time on large splits; the
-        // kernel splits it across the shared pool and polls the run's
-        // cancellation token per row panel. Kernel selection is
-        // length-aware: long multi-word name corpora take the pruned
-        // row-max-exact kernel, everything else the exact one.
-        la::StringKernelChoice choice;
-        features.string_sim = la::StringSimilarityMatrixAuto(
-            ctx, src_names, tgt_names, &choice);
-        if (choice.pruned) {
-          CEAFF_LOG(Info) << "string stage: pruned kernel selected "
-                          << "(mean chars " << choice.mean_chars
-                          << ", mean tokens " << choice.mean_tokens << ")";
-        }
-        if (!seed_src.empty()) {
-          features.seed_string = la::StringSimilarityMatrixAuto(
-              ctx, seed_src_names, seed_tgt_names);
-        }
-        CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("string stage"));
+      // The Levenshtein scan dominates feature time on large splits; the
+      // kernel splits it across the shared pool and polls the run's
+      // cancellation token per row panel.
+      features.string_sim = StringFeatureMatrix(options_.string_metric, ctx,
+                                                src_names, tgt_names);
+      if (!seed_src.empty()) {
+        features.seed_string = StringFeatureMatrix(
+            options_.string_metric, ctx, seed_src_names, seed_tgt_names);
       }
+      CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("string stage"));
       CEAFF_RETURN_IF_ERROR(persist_stage("string", features.string_sim,
                                           &features.seed_string, nullptr));
     }
@@ -466,35 +457,16 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
     case FusionMode::kAdaptive: {
       if (options_.use_structural && options_.use_semantic &&
           options_.use_string) {
+        // Two-stage pipeline: (Mn ⊕ Ml) → textual, then
+        // Ms ⊕ textual ⊕ extras in the final stage.
         std::vector<const la::Matrix*> extras;
         if (options_.use_attribute) extras.push_back(&features.attribute);
         if (options_.use_relation) extras.push_back(&features.relation);
-        if (!extras.empty()) {
-          // Extended two-stage pipeline: (Mn ⊕ Ml) → textual, then
-          // Ms ⊕ textual ⊕ extras in the final stage.
-          fusion::FeatureWeightReport rep1;
-          la::Matrix textual;
-          CEAFF_ASSIGN_OR_RETURN(
-              textual, fusion::AdaptiveFuse(
-                           {&features.semantic, &features.string_sim},
-                           options_.fusion, &rep1));
-          result->textual_weights = rep1.weights;
-          std::vector<const la::Matrix*> final_inputs = {
-              &features.structural, &textual};
-          final_inputs.insert(final_inputs.end(), extras.begin(),
-                              extras.end());
-          fusion::FeatureWeightReport rep2;
-          CEAFF_ASSIGN_OR_RETURN(
-              result->fused,
-              fusion::AdaptiveFuse(final_inputs, options_.fusion, &rep2));
-          result->final_weights = rep2.weights;
-          return Status::OK();
-        }
-        // Full two-stage pipeline: (Mn ⊕ Ml) → textual, then Ms ⊕ textual.
         CEAFF_ASSIGN_OR_RETURN(
             fusion::TwoStageFusionResult two,
             fusion::TwoStageFuse(features.structural, features.semantic,
-                                 features.string_sim, options_.fusion));
+                                 features.string_sim, extras,
+                                 options_.fusion));
         result->fused = std::move(two.fused);
         result->textual_weights = std::move(two.textual_weights);
         result->final_weights = std::move(two.final_weights);
@@ -523,7 +495,8 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
       for (const la::Matrix* m : enabled_seed) {
         if (m->empty()) {
           return Status::FailedPrecondition(
-              "learned fusion requires seed feature matrices");
+              "learned fusion requires seed feature matrices (features "
+              "generated with fusion_mode kLearned)");
         }
       }
       std::vector<kg::AlignmentPair> seed_gold;

@@ -61,11 +61,10 @@ struct CeaffOptions {
   /// ablation).
   enum class StringMetric { kLevenshteinRatio, kNgramDice };
   StringMetric string_metric = StringMetric::kLevenshteinRatio;
-  /// Force the exact Levenshtein kernel instead of the length-aware
-  /// auto-selection (which may pick the pruned row-max-exact kernel on
-  /// long-name corpora). Required by the delta-ingestion path: its bounded
-  /// repair recomputes individual matrix rows, which only matches the
-  /// batch computation when every cell is exact.
+  /// Inert: Ml always comes from the one exact Levenshtein kernel, which
+  /// the delta path's row-wise repair and the adaptive weights' column
+  /// maxima both need. Kept only so existing callers that still set it
+  /// compile; it changes nothing.
   bool force_exact_string_kernel = false;
   FusionMode fusion_mode = FusionMode::kAdaptive;
   DecisionMode decision_mode = DecisionMode::kCollective;
@@ -154,11 +153,12 @@ struct CeaffResult {
   double seconds_decision = 0.0;
 };
 
-/// The generated feature matrices of one run, both over the test split
-/// (rows/cols ordered by test_alignment; gold on the diagonal) and over the
-/// seed split (for the learned-fusion baseline). The only copy of each
-/// feature matrix: CeaffResult keeps the fused one alone. Disabled
-/// features stay empty.
+/// The generated feature matrices of one run over the test split
+/// (rows/cols ordered by test_alignment; gold on the diagonal) and, for
+/// learned fusion only, over the seed split (the LR baseline fits on
+/// them). The only copy of each feature matrix: CeaffResult keeps the
+/// fused one alone. Disabled features, and the seed matrices of every
+/// other fusion mode, stay empty.
 struct CeaffFeatures {
   la::Matrix structural;  // Ms
   la::Matrix semantic;    // Mn
@@ -219,7 +219,9 @@ class CeaffPipeline {
 
   /// Stages 2–3 on precomputed features. Features required by the options
   /// (use_*) must be non-empty in `features` (FailedPrecondition
-  /// otherwise), so a superset feature set can serve every ablation.
+  /// otherwise), so a superset feature set can serve every ablation;
+  /// learned fusion also needs the seed matrices, which GenerateFeatures
+  /// computes only under FusionMode::kLearned.
   StatusOr<CeaffResult> RunOnFeatures(const CeaffFeatures& features);
 
   /// The export stage Run() appends when export_index_path is set: builds
@@ -245,6 +247,14 @@ la::Matrix GatherRows(const la::Matrix& emb, const std::vector<uint32_t>& ids);
 /// The display names of the given entities.
 std::vector<std::string> GatherNames(const kg::KnowledgeGraph& g,
                                      const std::vector<uint32_t>& ids);
+
+/// The string feature Ml over the given names: the exact lev* ratio matrix
+/// (la::StringSimilarityMatrixK, on `ctx`) or the trigram Dice matrix. The
+/// batch string stage and the delta fused block both compute Ml here.
+la::Matrix StringFeatureMatrix(CeaffOptions::StringMetric metric,
+                               const la::KernelContext& ctx,
+                               const std::vector<std::string>& source_names,
+                               const std::vector<std::string>& target_names);
 
 /// Test-set source/target entity ids of a pair, in test_alignment order.
 void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,

@@ -12,7 +12,6 @@
 #include "ceaff/kg/adjacency.h"
 #include "ceaff/la/ops.h"
 #include "ceaff/text/name_embedding.h"
-#include "ceaff/text/ngram_similarity.h"
 
 namespace ceaff::delta {
 
@@ -119,11 +118,9 @@ StatusOr<la::Matrix> ComputeFusedBlock(const DeltaState& s,
         core::GatherNames(s.kg1, src_ids);
     const std::vector<std::string> tgt_names =
         core::GatherNames(s.kg2, tgt_ids);
-    ml = s.string_metric ==
-                 static_cast<uint8_t>(
-                     core::CeaffOptions::StringMetric::kNgramDice)
-             ? text::NgramSimilarityMatrix(src_names, tgt_names)
-             : la::StringSimilarityMatrixK(ctx, src_names, tgt_names);
+    ml = core::StringFeatureMatrix(
+        static_cast<core::CeaffOptions::StringMetric>(s.string_metric), ctx,
+        src_names, tgt_names);
   }
   return FuseBlocks(s, &ms, &mn, &ml);
 }
@@ -207,25 +204,25 @@ StatusOr<GraphPatchResult> ApplyGraphPatches(
   return out;
 }
 
-la::Matrix ExtendInputFeatures(const la::Matrix& x,
-                               const kg::KnowledgeGraph& g,
-                               uint64_t gcn_seed) {
-  if (g.num_entities() == x.rows()) return x;
-  la::Matrix out(g.num_entities(), x.cols());
+void ExtendInputFeatures(la::Matrix* x, const kg::KnowledgeGraph& g,
+                         uint64_t gcn_seed) {
+  if (g.num_entities() == x->rows()) return;
+  la::Matrix out(g.num_entities(), x->cols());
   // An empty matrix has a null data(), and memcpy with a null pointer is
   // undefined even for zero bytes.
-  if (out.size() == 0) return out;
-  if (x.size() > 0) {
-    std::memcpy(out.data(), x.data(), x.size() * sizeof(float));
+  if (out.size() > 0) {
+    if (x->size() > 0) {
+      std::memcpy(out.data(), x->data(), x->size() * sizeof(float));
+    }
+    for (size_t e = x->rows(); e < g.num_entities(); ++e) {
+      const std::string& uri = g.entity_uri(static_cast<uint32_t>(e));
+      Rng rng(Rng::SplitMix64(HashBytes(uri.data(), uri.size()) ^ gcn_seed));
+      la::Matrix row = la::Matrix::TruncatedNormal(1, x->cols(), 1.0f, &rng);
+      row.L2NormalizeRows();
+      std::memcpy(out.row(e), row.data(), x->cols() * sizeof(float));
+    }
   }
-  for (size_t e = x.rows(); e < g.num_entities(); ++e) {
-    const std::string& uri = g.entity_uri(static_cast<uint32_t>(e));
-    Rng rng(Rng::SplitMix64(HashBytes(uri.data(), uri.size()) ^ gcn_seed));
-    la::Matrix row = la::Matrix::TruncatedNormal(1, x.cols(), 1.0f, &rng);
-    row.L2NormalizeRows();
-    std::memcpy(out.row(e), row.data(), x.cols() * sizeof(float));
-  }
-  return out;
+  *x = std::move(out);
 }
 
 la::Matrix RepairNameEmbeddings(const la::Matrix& old_emb,
@@ -274,8 +271,8 @@ StatusOr<GraphPatchResult> PatchFrozenInputs(
   s.target_ids = std::move(patched.target_ids);
   s.watermark = records.back().id;
   if (s.use_structural) {
-    s.x1 = ExtendInputFeatures(s.x1, s.kg1, s.gcn_seed);
-    s.x2 = ExtendInputFeatures(s.x2, s.kg2, s.gcn_seed);
+    ExtendInputFeatures(&s.x1, s.kg1, s.gcn_seed);
+    ExtendInputFeatures(&s.x2, s.kg2, s.gcn_seed);
   }
   if (s.use_semantic) {
     s.src_name_emb =

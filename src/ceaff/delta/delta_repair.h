@@ -86,14 +86,14 @@ struct GraphPatchResult {
 StatusOr<GraphPatchResult> ApplyGraphPatches(
     const DeltaState& old_state, const std::vector<PatchRecord>& records);
 
-/// Extends the frozen GCN input features with one row per new entity of
-/// `g` (ids >= old_rows). A new row is TruncatedNormal(1, dim, 1.0) from
-/// an Rng seeded with SplitMix64(HashBytes(uri) ^ gcn_seed), then row-L2
-/// normalised — a pure function of (uri, gcn_seed), so repair and oracle
-/// derive identical rows in any order.
-la::Matrix ExtendInputFeatures(const la::Matrix& x,
-                               const kg::KnowledgeGraph& g,
-                               uint64_t gcn_seed);
+/// Extends the frozen GCN input features `x` in place with one row per new
+/// entity of `g` (ids >= x->rows()); leaves `x` untouched when `g` did not
+/// grow. A new row is TruncatedNormal(1, dim, 1.0) from an Rng seeded with
+/// SplitMix64(HashBytes(uri) ^ gcn_seed), then row-L2 normalised — a pure
+/// function of (uri, gcn_seed), so repair and oracle derive identical rows
+/// in any order.
+void ExtendInputFeatures(la::Matrix* x, const kg::KnowledgeGraph& g,
+                         uint64_t gcn_seed);
 
 /// The frozen name-embedding rule, shared by repair and oracle: serving
 /// row i reuses `old_emb` row i when it existed and the entity's name is

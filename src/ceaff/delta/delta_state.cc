@@ -285,15 +285,6 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
     return Status::FailedPrecondition(
         "delta export does not support learned fusion");
   }
-  if (options.use_string &&
-      options.string_metric ==
-          core::CeaffOptions::StringMetric::kLevenshteinRatio &&
-      !options.force_exact_string_kernel) {
-    return Status::FailedPrecondition(
-        "delta export with the Levenshtein metric requires "
-        "force_exact_string_kernel (the pruned kernel ChooseStringKernel "
-        "may pick stores row-dependent upper bounds)");
-  }
   if (result.fused.empty() || result.match.target_of_source.empty()) {
     return Status::FailedPrecondition("delta export needs a finished run");
   }

@@ -123,11 +123,6 @@ StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store);
 ///   - csls_k > 0 (a fused-matrix post-pass with global row dependence)
 ///   - decision_mode other than kCollective
 ///   - fusion_mode kLearned
-///   - the Levenshtein string metric without
-///     CeaffOptions::force_exact_string_kernel (la::ChooseStringKernel may
-///     pick the pruned kernel, whose non-maximal cells are upper bounds
-///     that depend on the rest of the row, so a recomputed row is not
-///     bitwise equal to a rebuilt one)
 /// `features` must carry structural_x1/x2 and structural_src/tgt_emb when
 /// the structural feature is enabled, as GenerateFeatures' always do.
 StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,

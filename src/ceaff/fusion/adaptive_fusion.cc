@@ -107,20 +107,23 @@ StatusOr<la::Matrix> FixedFuse(
   return la::WeightedSum(features, weights);
 }
 
-StatusOr<TwoStageFusionResult> TwoStageFuse(const la::Matrix& structural,
-                                            const la::Matrix& semantic,
-                                            const la::Matrix& string_sim,
-                                            const FusionOptions& options) {
+StatusOr<TwoStageFusionResult> TwoStageFuse(
+    const la::Matrix& structural, const la::Matrix& semantic,
+    const la::Matrix& string_sim,
+    const std::vector<const la::Matrix*>& extras,
+    const FusionOptions& options) {
   TwoStageFusionResult result;
   FeatureWeightReport rep1;
   CEAFF_ASSIGN_OR_RETURN(
       result.textual,
       AdaptiveFuse({&semantic, &string_sim}, options, &rep1));
   result.textual_weights = rep1.weights;
+  std::vector<const la::Matrix*> final_inputs = {&structural,
+                                                 &result.textual};
+  final_inputs.insert(final_inputs.end(), extras.begin(), extras.end());
   FeatureWeightReport rep2;
-  CEAFF_ASSIGN_OR_RETURN(
-      result.fused,
-      AdaptiveFuse({&structural, &result.textual}, options, &rep2));
+  CEAFF_ASSIGN_OR_RETURN(result.fused,
+                         AdaptiveFuse(final_inputs, options, &rep2));
   result.final_weights = rep2.weights;
   return result;
 }

@@ -75,21 +75,24 @@ StatusOr<la::Matrix> AdaptiveFuse(
 StatusOr<la::Matrix> FixedFuse(const std::vector<const la::Matrix*>& features);
 
 /// Result of the paper's two-stage pipeline: Mn ⊕ Ml → textual, then
-/// Ms ⊕ textual → fused (Fig. 2).
+/// Ms ⊕ textual ⊕ extras → fused (Fig. 2).
 struct TwoStageFusionResult {
   la::Matrix textual;
   la::Matrix fused;
   /// Weights of (Mn, Ml) in stage one.
   std::vector<double> textual_weights;
-  /// Weights of (Ms, textual) in stage two.
+  /// Weights of (Ms, textual, extras...) in stage two.
   std::vector<double> final_weights;
 };
 
 /// Runs the two-stage adaptive fusion over the three CEAFF features.
-StatusOr<TwoStageFusionResult> TwoStageFuse(const la::Matrix& structural,
-                                            const la::Matrix& semantic,
-                                            const la::Matrix& string_sim,
-                                            const FusionOptions& options = {});
+/// `extras` (the attribute/relation extension features, same shape) join
+/// Ms and the textual matrix in the final stage, in the given order.
+StatusOr<TwoStageFusionResult> TwoStageFuse(
+    const la::Matrix& structural, const la::Matrix& semantic,
+    const la::Matrix& string_sim,
+    const std::vector<const la::Matrix*>& extras = {},
+    const FusionOptions& options = {});
 
 }  // namespace ceaff::fusion
 

@@ -488,162 +488,4 @@ Matrix StringSimilarityMatrixK(const KernelContext& ctx,
   return m;
 }
 
-namespace {
-
-/// LCS between the row string whose character masks were prebuilt by the
-/// caller (`masks` is 256 × `words` with `n` masked positions) and
-/// `stream` — the same recurrence as LcsBitParallel, minus the per-pair
-/// mask build (the dominant cost on short-to-medium names). `scratch` is
-/// the multi-word state vector, reused across cells of one row panel.
-size_t LcsWithMasks(const uint64_t* masks, size_t words, size_t n,
-                    std::string_view stream,
-                    std::vector<uint64_t>* scratch) {
-  if (n == 0 || stream.empty()) return 0;
-  if (words == 1) {
-    uint64_t v = ~uint64_t{0};
-    for (char c : stream) {
-      const uint64_t m = masks[static_cast<unsigned char>(c)];
-      const uint64_t u = v & m;
-      v = (v + u) | (v & ~m);
-    }
-    const uint64_t valid =
-        n == 64 ? ~uint64_t{0} : ((uint64_t{1} << n) - 1);
-    return static_cast<size_t>(__builtin_popcountll(~v & valid));
-  }
-  scratch->assign(words, ~uint64_t{0});
-  uint64_t* v = scratch->data();
-  for (char c : stream) {
-    const uint64_t* m = masks + static_cast<unsigned char>(c) * words;
-    uint64_t carry = 0;
-    for (size_t w = 0; w < words; ++w) {
-      const uint64_t u = v[w] & m[w];
-      uint64_t sum = 0;
-      uint64_t c1 = __builtin_add_overflow(v[w], u, &sum) ? 1 : 0;
-      c1 += __builtin_add_overflow(sum, carry, &sum) ? 1 : 0;
-      v[w] = sum | (v[w] & ~m[w]);
-      carry = c1;
-    }
-  }
-  size_t lcs = 0;
-  for (size_t w = 0; w < words; ++w) {
-    const size_t bits = std::min<size_t>(64, n - w * 64);
-    const uint64_t valid =
-        bits == 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
-    lcs += static_cast<size_t>(__builtin_popcountll(~v[w] & valid));
-  }
-  return lcs;
-}
-
-}  // namespace
-
-Matrix StringSimilarityMatrixPruned(
-    const KernelContext& ctx, const std::vector<std::string>& source_names,
-    const std::vector<std::string>& target_names, double floor) {
-  Matrix m(source_names.size(), target_names.size());
-  ParallelPanels(ctx, source_names.size(), ctx.opts.row_block, [&](
-                                                                   size_t r0,
-                                                                   size_t r1) {
-    std::vector<uint64_t> masks;
-    std::vector<uint64_t> scratch;
-    for (size_t i = r0; i < r1; ++i) {
-      const std::string& a = source_names[i];
-      // Build the bit-parallel character masks for this source name ONCE
-      // and stream every target over them — LevenshteinRatioFast rebuilds
-      // (and zeroes) the 2 KiB table per pair, which dominates its cost.
-      // Skipping the per-pair affix strip keeps lev* unchanged
-      // (lev* = |a|+|b| − 2·LCS holds on the originals too), so computed
-      // cells stay bit-identical to the exact kernel.
-      const size_t words = (a.size() + 63) / 64;
-      masks.assign(256 * words, 0);
-      for (size_t j = 0; j < a.size(); ++j) {
-        masks[static_cast<unsigned char>(a[j]) * words + j / 64] |=
-            uint64_t{1} << (j % 64);
-      }
-      float* row = m.row(i);
-      double threshold = floor;
-      for (size_t j = 0; j < target_names.size(); ++j) {
-        const std::string& b = target_names[j];
-        const size_t total = a.size() + b.size();
-        if (total == 0) {  // both empty: ratio is exactly 1
-          row[j] = 1.0f;
-          threshold = std::max(threshold, 1.0);
-          continue;
-        }
-        // Length-ratio upper bound: LCS <= min(|a|,|b|), so the ratio can
-        // never exceed 2·min(|a|,|b|) / (|a|+|b|). Below the running row
-        // threshold this pair cannot produce a new maximum — record the
-        // bound and skip the LCS entirely.
-        const size_t min_len = std::min(a.size(), b.size());
-        const double ub =
-            2.0 * static_cast<double>(min_len) / static_cast<double>(total);
-        if (ub <= threshold) {
-          row[j] = static_cast<float>(ub);
-          continue;
-        }
-        const size_t lev =
-            total - 2 * LcsWithMasks(masks.data(), words, a.size(), b,
-                                     &scratch);
-        const double ratio = static_cast<double>(total - lev) /
-                             static_cast<double>(total);
-        row[j] = static_cast<float>(ratio);
-        threshold = std::max(threshold, ratio);
-      }
-    }
-  });
-  return m;
-}
-
-namespace {
-
-/// Accumulates byte length and whitespace-token count over one name list.
-void AccumulateNameStats(const std::vector<std::string>& names,
-                         uint64_t* chars, uint64_t* tokens) {
-  for (const std::string& name : names) {
-    *chars += name.size();
-    bool in_token = false;
-    for (char c : name) {
-      const bool space = c == ' ' || c == '\t';
-      if (!space && !in_token) ++*tokens;
-      in_token = !space;
-    }
-  }
-}
-
-/// Dispatch thresholds — see the header comment on ChooseStringKernel.
-constexpr double kPrunedMinMeanChars = 32.0;
-constexpr double kPrunedMinMeanTokens = 3.0;
-
-}  // namespace
-
-StringKernelChoice ChooseStringKernel(
-    const std::vector<std::string>& source_names,
-    const std::vector<std::string>& target_names) {
-  StringKernelChoice choice;
-  const size_t total = source_names.size() + target_names.size();
-  if (total == 0) return choice;
-  uint64_t chars = 0;
-  uint64_t tokens = 0;
-  AccumulateNameStats(source_names, &chars, &tokens);
-  AccumulateNameStats(target_names, &chars, &tokens);
-  choice.mean_chars = static_cast<double>(chars) / static_cast<double>(total);
-  choice.mean_tokens =
-      static_cast<double>(tokens) / static_cast<double>(total);
-  choice.pruned = choice.mean_chars >= kPrunedMinMeanChars &&
-                  choice.mean_tokens >= kPrunedMinMeanTokens;
-  return choice;
-}
-
-Matrix StringSimilarityMatrixAuto(
-    const KernelContext& ctx, const std::vector<std::string>& source_names,
-    const std::vector<std::string>& target_names,
-    StringKernelChoice* choice_out) {
-  const StringKernelChoice choice =
-      ChooseStringKernel(source_names, target_names);
-  if (choice_out != nullptr) *choice_out = choice;
-  if (choice.pruned) {
-    return StringSimilarityMatrixPruned(ctx, source_names, target_names);
-  }
-  return StringSimilarityMatrixK(ctx, source_names, target_names);
-}
-
 }  // namespace ceaff::la

@@ -162,62 +162,12 @@ double LevenshteinRatioFast(std::string_view a, std::string_view b);
 /// The string similarity matrix Ml: out(i, j) = lev*-ratio of source i and
 /// target j via LevenshteinRatioFast, parallel over source-row panels.
 /// Exactly equal to the reference text::LevenshteinRatioMatrix (a plain
-/// loop over the full-DP ratio) at any thread count.
+/// loop over the full-DP ratio) at any thread count. Ml's only kernel:
+/// the adaptive weights count cells that are both row and column maxima,
+/// and the targets' DAA preferences read columns, so every cell is exact.
 Matrix StringSimilarityMatrixK(const KernelContext& ctx,
                                const std::vector<std::string>& source_names,
                                const std::vector<std::string>& target_names);
-
-/// Pruned variant for retrieval-style consumers that only need each row's
-/// maxima to be exact. Per row a running threshold starts at `floor` and
-/// tracks the best ratio seen so far; a pair whose length-ratio upper
-/// bound
-///
-///   ub = 2·min(|a|,|b|) / (|a|+|b|)    (since LCS <= min(|a|,|b|))
-///
-/// cannot beat it (ub <= threshold) skips the computation entirely and
-/// records ub. Surviving pairs run the bit-parallel LCS with the source
-/// name's character masks built ONCE per row and streamed over every
-/// target — amortizing the mask table LevenshteinRatioFast rebuilds per
-/// pair — and record the exact ratio (bit-identical to the exact kernel's
-/// value for that cell). Row maxima (value and argmax, up to ties at
-/// equal score) match the exact matrix; pruned cells hold upper bounds,
-/// not exact ratios.
-Matrix StringSimilarityMatrixPruned(
-    const KernelContext& ctx, const std::vector<std::string>& source_names,
-    const std::vector<std::string>& target_names, double floor = 0.0);
-
-/// Outcome of the length-aware string-kernel dispatch: which kernel to
-/// run, plus the corpus statistics the decision was made on (logged by the
-/// pipeline so a surprising choice is explainable from the run log).
-struct StringKernelChoice {
-  bool pruned = false;
-  double mean_chars = 0.0;
-  double mean_tokens = 0.0;
-};
-
-/// Decides between the exact kernel and the pruned one from the shape of
-/// the names themselves. The pruned kernel is faster (per-row mask
-/// amortization + length-ratio skipping; see BENCH_kernels.json's
-/// `multi-word names` rows) but only contractually exact at row maxima,
-/// so the dispatch trades exactness for speed only where the exact
-/// kernel gets expensive: long multi-word names. Short single-word names
-/// (every DBP15K translation split) pick the exact kernel, keeping those
-/// runs bit-identical to the pre-dispatch pipeline. The thresholds are
-/// deliberately conservative: mean name length >= 32 bytes and >= 3
-/// whitespace-separated tokens across both sides.
-StringKernelChoice ChooseStringKernel(
-    const std::vector<std::string>& source_names,
-    const std::vector<std::string>& target_names);
-
-/// Length-aware dispatch: runs StringSimilarityMatrixPruned when
-/// ChooseStringKernel says pruning wins, StringSimilarityMatrixK
-/// otherwise. When the pruned kernel is chosen, every row's maxima (value
-/// and argmax) are still exact; pruned cells hold upper bounds — callers
-/// that need every cell exact must call StringSimilarityMatrixK directly.
-Matrix StringSimilarityMatrixAuto(
-    const KernelContext& ctx, const std::vector<std::string>& source_names,
-    const std::vector<std::string>& target_names,
-    StringKernelChoice* choice_out = nullptr);
 
 }  // namespace ceaff::la
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -356,14 +357,13 @@ TEST_F(FaultToleranceTest, TruncatedCheckpointIsAlsoACleanCacheMiss) {
   ExpectIdentical(resumed.value(), Baseline());
 }
 
-// The structural stage is restored only with all seven of its artifacts
-// (matrix, .seed, .loss, src_emb, tgt_emb, x1, x2). A checkpoint missing
-// one recomputes the stage, and the run's fused matrix and delta state are
-// byte-identical to a fresh run's.
+// The structural stage is restored only with all of its artifacts (matrix,
+// .loss, src_emb, tgt_emb, x1, x2; .seed too under learned fusion). A
+// checkpoint missing one recomputes the stage, and the run's fused matrix
+// and delta state are byte-identical to a fresh run's.
 TEST_F(FaultToleranceTest, StructuralStageMissingAnArtifactIsRecomputed) {
   ft::ScratchDir ckpt("partial");
   CeaffOptions options = FastOptions();
-  options.force_exact_string_kernel = true;  // what a delta state needs
   auto run = [](const CeaffOptions& o) {
     CeaffPipeline pipe(&bench_->pair, &bench_->store, o);
     const CeaffFeatures features = pipe.GenerateFeatures().value();
@@ -396,6 +396,75 @@ TEST_F(FaultToleranceTest, StructuralStageMissingAnArtifactIsRecomputed) {
   EXPECT_EQ(events[2], std::make_pair(std::string("string"), true));
   ExpectIdentical(resumed.first, fresh.first);
   EXPECT_EQ(resumed.second, fresh.second) << "delta-state bytes differ";
+}
+
+// Only learned fusion reads the seed-split matrices, so only it computes
+// and checkpoints them. A learned resume from an adaptive run's checkpoint
+// lacks the `.seed` artifacts and recomputes every stage; a learned run's
+// own checkpoint restores every stage.
+TEST_F(FaultToleranceTest, SeedArtifactsAreCheckpointedOnlyForLearnedFusion) {
+  ft::ScratchDir ckpt("seed_artifacts");
+  const std::vector<std::string> stages = {"structural", "semantic",
+                                           "string"};
+  CeaffOptions adaptive = FastOptions();
+  adaptive.checkpoint_dir = ckpt.path();
+  ASSERT_TRUE(CeaffPipeline(&bench_->pair, &bench_->store, adaptive)
+                  .Run()
+                  .ok());
+  // A store caches its manifest, so each check opens the directory afresh.
+  auto has = [&ckpt](const std::string& artifact) {
+    CheckpointStore probe(ckpt.path());
+    EXPECT_TRUE(probe.Init().ok());
+    return probe.Has(artifact);
+  };
+  for (const std::string& stage : stages) {
+    EXPECT_TRUE(has(stage)) << stage;
+    EXPECT_FALSE(has(stage + ".seed")) << stage;
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(ckpt.path())) {
+    EXPECT_EQ(entry.path().filename().string().find(".seed"),
+              std::string::npos)
+        << entry.path();
+  }
+
+  CeaffOptions learned = FastOptions();
+  learned.fusion_mode = FusionMode::kLearned;
+  const CeaffResult fresh =
+      CeaffPipeline(&bench_->pair, &bench_->store, learned).Run().value();
+  learned.checkpoint_dir = ckpt.path();
+  learned.resume = true;
+  StageEvents events;
+  learned.stage_callback = [&events](const std::string& stage,
+                                     bool from_checkpoint) {
+    events.emplace_back(stage, from_checkpoint);
+  };
+  auto recomputed = CeaffPipeline(&bench_->pair, &bench_->store, learned).Run();
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  ASSERT_EQ(events.size(), stages.size());
+  for (size_t k = 0; k < stages.size(); ++k) {
+    EXPECT_EQ(events[k], std::make_pair(stages[k], false));
+    EXPECT_TRUE(has(stages[k] + ".seed")) << stages[k];
+  }
+  ExpectIdentical(recomputed.value(), fresh);
+
+  events.clear();
+  auto restored = CeaffPipeline(&bench_->pair, &bench_->store, learned).Run();
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(events.size(), stages.size());
+  for (size_t k = 0; k < stages.size(); ++k) {
+    EXPECT_EQ(events[k], std::make_pair(stages[k], true));
+  }
+  ExpectIdentical(restored.value(), fresh);
+
+  // An adaptive run over the learned checkpoint drops the now-stale `.seed`
+  // artifacts along with rewriting the stages.
+  adaptive.resume = false;
+  ASSERT_TRUE(CeaffPipeline(&bench_->pair, &bench_->store, adaptive)
+                  .Run()
+                  .ok());
+  for (const std::string& stage : stages) {
+    EXPECT_FALSE(has(stage + ".seed")) << stage;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
+#include "ceaff/common/random.h"
 #include "ceaff/data/synthetic.h"
+#include "ceaff/delta/delta_state.h"
+#include "ceaff/reference/text_reference.h"
 
 namespace ceaff::core {
 namespace {
@@ -263,6 +267,58 @@ TEST_F(PipelineTest, OutOfRangeAlignmentIdsRejected) {
   broken.test_alignment.push_back({999999, 0});
   CeaffPipeline pipe(&broken, &bench_->store, FastOptions());
   EXPECT_TRUE(pipe.Run().status().IsInvalidArgument());
+}
+
+// Long multi-word names (mean >= 32 bytes, >= 3 tokens): every cell of Ml
+// is still the exact lev* ratio, and the delta state, which recomputes
+// rows and columns of it, exports on default options.
+TEST_F(PipelineTest, LongMultiWordNamesGetTheExactStringMatrix) {
+  const std::vector<std::string> words = {
+      "north", "river", "valley", "grand", "old", "saint", "upper",
+      "royal", "museum", "station", "county", "college", "harbour"};
+  kg::KgPair pair = bench_->pair;
+  Rng rng(41);
+  auto long_name = [&](const std::string& base) {
+    std::string name = base;
+    const size_t extra = 4 + rng.NextBounded(4);
+    for (size_t w = 0; w < extra; ++w) {
+      name += " " + words[rng.NextBounded(words.size())];
+    }
+    return name;
+  };
+  for (const kg::AlignmentPair& p : pair.test_alignment) {
+    const std::string name = long_name(pair.kg1.entity_name(p.source));
+    pair.kg1.SetEntityName(p.source, name);
+    // The gold target shares most of its words, so rows have high maxima.
+    pair.kg2.SetEntityName(p.target, long_name(name.substr(0, 24)));
+  }
+  std::vector<uint32_t> src, tgt;
+  TestIds(pair, &src, &tgt);
+  const std::vector<std::string> src_names = GatherNames(pair.kg1, src);
+  const std::vector<std::string> tgt_names = GatherNames(pair.kg2, tgt);
+  size_t bytes = 0, tokens = 0;
+  for (const auto* names : {&src_names, &tgt_names}) {
+    for (const std::string& n : *names) {
+      bytes += n.size();
+      tokens += 1 + static_cast<size_t>(std::count(n.begin(), n.end(), ' '));
+    }
+  }
+  const double count = static_cast<double>(src_names.size() * 2);
+  ASSERT_GE(static_cast<double>(bytes) / count, 32.0);
+  ASSERT_GE(static_cast<double>(tokens) / count, 3.0);
+
+  const CeaffOptions options = FastOptions();
+  CeaffPipeline pipe(&pair, &bench_->store, options);
+  const CeaffFeatures f = pipe.GenerateFeatures().value();
+  const la::Matrix exact = text::LevenshteinRatioMatrix(src_names, tgt_names);
+  ASSERT_TRUE(f.string_sim.SameShape(exact));
+  EXPECT_EQ(std::memcmp(f.string_sim.data(), exact.data(),
+                        exact.size() * sizeof(float)),
+            0);
+  const CeaffResult r = pipe.RunOnFeatures(f).value();
+  const auto state =
+      delta::BuildDeltaState(pair, bench_->store, options, f, r, "long");
+  EXPECT_TRUE(state.ok()) << state.status().ToString();
 }
 
 TEST(PipelineHelperTest, GatherRowsPreservesOrder) {

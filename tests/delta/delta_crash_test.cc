@@ -61,8 +61,10 @@ DeltaState MakeState(const la::KernelContext& ctx) {
   }
   s.source_ids = {0, 1, 2, 3, 4, 5};
   s.target_ids = {0, 1, 2, 3, 4, 5, 6};
-  s.x1 = ExtendInputFeatures(la::Matrix(0, s.gcn_dim), s.kg1, s.gcn_seed);
-  s.x2 = ExtendInputFeatures(la::Matrix(0, s.gcn_dim), s.kg2, s.gcn_seed);
+  s.x1 = la::Matrix(0, s.gcn_dim);
+  s.x2 = la::Matrix(0, s.gcn_dim);
+  ExtendInputFeatures(&s.x1, s.kg1, s.gcn_seed);
+  ExtendInputFeatures(&s.x2, s.kg2, s.gcn_seed);
   s.src_name_emb = RepairNameEmbeddings(la::Matrix(), 0, s.source_ids, s.kg1,
                                         {}, s.semantic_dim, s.semantic_seed);
   s.tgt_name_emb = RepairNameEmbeddings(la::Matrix(), 0, s.target_ids, s.kg2,
@@ -99,8 +101,8 @@ DeltaState Oracle(const DeltaState& base,
   s.source_ids = std::move(patched->source_ids);
   s.target_ids = std::move(patched->target_ids);
   s.watermark = watermark;
-  s.x1 = ExtendInputFeatures(base.x1, s.kg1, s.gcn_seed);
-  s.x2 = ExtendInputFeatures(base.x2, s.kg2, s.gcn_seed);
+  ExtendInputFeatures(&s.x1, s.kg1, s.gcn_seed);
+  ExtendInputFeatures(&s.x2, s.kg2, s.gcn_seed);
   s.src_name_emb =
       RepairNameEmbeddings(base.src_name_emb, old_sr, s.source_ids, s.kg1,
                            patched->renamed1, s.semantic_dim, s.semantic_seed);

@@ -122,8 +122,10 @@ DeltaState MakeBaseState(uint64_t seed, const StateConfig& config,
   rng.Shuffle(&s.target_ids);
 
   if (config.use_structural) {
-    s.x1 = ExtendInputFeatures(la::Matrix(0, s.gcn_dim), s.kg1, s.gcn_seed);
-    s.x2 = ExtendInputFeatures(la::Matrix(0, s.gcn_dim), s.kg2, s.gcn_seed);
+    s.x1 = la::Matrix(0, s.gcn_dim);
+    s.x2 = la::Matrix(0, s.gcn_dim);
+    ExtendInputFeatures(&s.x1, s.kg1, s.gcn_seed);
+    ExtendInputFeatures(&s.x2, s.kg2, s.gcn_seed);
   }
   if (config.use_semantic) {
     s.src_name_emb = RepairNameEmbeddings(la::Matrix(), 0, s.source_ids,
@@ -244,8 +246,8 @@ DeltaState Oracle(const DeltaState& old_state,
   s.target_ids = std::move(patched->target_ids);
   s.watermark = records.empty() ? old_state.watermark : records.back().id;
   if (s.use_structural) {
-    s.x1 = ExtendInputFeatures(old_state.x1, s.kg1, s.gcn_seed);
-    s.x2 = ExtendInputFeatures(old_state.x2, s.kg2, s.gcn_seed);
+    ExtendInputFeatures(&s.x1, s.kg1, s.gcn_seed);
+    ExtendInputFeatures(&s.x2, s.kg2, s.gcn_seed);
   }
   if (s.use_semantic) {
     s.src_name_emb =
@@ -733,7 +735,6 @@ TEST(BatchExportVsDeltaPublishTest, PublishOfFreshStateEqualsExportedIndex) {
   core::CeaffOptions options;
   options.gcn.dim = 32;
   options.gcn.epochs = 40;
-  options.force_exact_string_kernel = true;  // what a delta state needs
   options.export_index_path = dir.path() + "/index";
   ASSERT_TRUE(options.export_ann);
   core::CeaffPipeline pipe(&bench.pair, &bench.store, options);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ceaff/common/random.h"
 #include "ceaff/la/ops.h"
 
@@ -146,6 +148,33 @@ TEST(TwoStageFuseTest, RunsBothStages) {
   EXPECT_NEAR(result.final_weights[0] + result.final_weights[1], 1.0, 1e-9);
   EXPECT_TRUE(result.fused.SameShape(ms));
   EXPECT_TRUE(result.textual.SameShape(ms));
+}
+
+// The extension features join the final stage: the result is bit-identical
+// to chaining the two AdaptiveFuse calls by hand, options included.
+TEST(TwoStageFuseTest, ExtraFeatureJoinsTheFinalStage) {
+  la::Matrix ms = FigureMs(), mn = FigureMn(), ml = FigureMl();
+  la::Matrix ma = la::Matrix::FromRows(
+      {{0.7f, 0.3f, 0.1f}, {0.1f, 0.9f, 0.2f}, {0.3f, 0.1f, 0.5f}});
+  FusionOptions opt;
+  opt.use_score_clamp = false;
+  auto result = TwoStageFuse(ms, mn, ml, {&ma}, opt).value();
+
+  FeatureWeightReport rep1, rep2;
+  const la::Matrix textual = AdaptiveFuse({&mn, &ml}, opt, &rep1).value();
+  const la::Matrix fused =
+      AdaptiveFuse({&ms, &textual, &ma}, opt, &rep2).value();
+  EXPECT_EQ(result.textual_weights, rep1.weights);
+  ASSERT_EQ(result.final_weights.size(), 3u);
+  EXPECT_EQ(result.final_weights, rep2.weights);
+  ASSERT_TRUE(result.fused.SameShape(fused));
+  EXPECT_EQ(std::memcmp(result.fused.data(), fused.data(),
+                        fused.size() * sizeof(float)),
+            0);
+  ASSERT_TRUE(result.textual.SameShape(textual));
+  EXPECT_EQ(std::memcmp(result.textual.data(), textual.data(),
+                        textual.size() * sizeof(float)),
+            0);
 }
 
 // Property: adaptive weights always form a distribution, and fusing

@@ -487,85 +487,11 @@ std::vector<std::string> RandomNames(size_t n, size_t max_len, uint64_t seed) {
 }
 
 TEST(KernelStringTest, SimilarityMatrixMatchesNaiveExactly) {
-  const auto src = RandomNames(23, 20, 24);
-  const auto tgt = RandomNames(17, 20, 25);
-  const Matrix naive = text::LevenshteinRatioMatrix(src, tgt);
-  const Matrix fast = CheckDeterministic([&](const KernelContext& ctx) {
-    return StringSimilarityMatrixK(ctx, src, tgt);
-  });
-  EXPECT_TRUE(BitIdentical(fast, naive));
-}
-
-TEST(KernelStringTest, PrunedMatrixKeepsExactRowMaximaAndUpperBounds) {
-  const auto src = RandomNames(20, 24, 26);
-  const auto tgt = RandomNames(30, 24, 27);
-  const Matrix exact = text::LevenshteinRatioMatrix(src, tgt);
-  EXPECT_TRUE(
-      BitIdentical(StringSimilarityMatrixK(KernelContext(), src, tgt), exact));
-  const Matrix pruned = CheckDeterministic([&](const KernelContext& ctx) {
-    return StringSimilarityMatrixPruned(ctx, src, tgt);
-  });
-  ASSERT_EQ(pruned.rows(), exact.rows());
-  ASSERT_EQ(pruned.cols(), exact.cols());
-  for (size_t r = 0; r < exact.rows(); ++r) {
-    float exact_max = 0.0f, pruned_max = 0.0f;
-    for (size_t c = 0; c < exact.cols(); ++c) {
-      // Pruned cells hold upper bounds — never less than the true ratio.
-      EXPECT_GE(pruned.at(r, c), exact.at(r, c) - 1e-6f)
-          << "(" << r << ", " << c << ")";
-      exact_max = std::max(exact_max, exact.at(r, c));
-      pruned_max = std::max(pruned_max, pruned.at(r, c));
-    }
-    // Row maxima are exact: the best candidate is never pruned below its
-    // true score, and no upper bound exceeds the row's true maximum...
-    EXPECT_EQ(pruned_max, exact_max) << "row " << r;
-    // ...and the argmax set (ties included) is preserved.
-    for (size_t c = 0; c < exact.cols(); ++c) {
-      if (exact.at(r, c) == exact_max) {
-        EXPECT_EQ(pruned.at(r, c), exact_max) << "(" << r << ", " << c << ")";
-      }
-    }
-  }
-}
-
-TEST(KernelStringTest, ChooseStringKernelPicksExactForShortNames) {
-  // Typical translated DBP15K names: short, one or two tokens.
-  const std::vector<std::string> src = {"alpha", "beta two", "gamma"};
-  const std::vector<std::string> tgt = {"uno", "dos", "tres"};
-  const auto choice = ChooseStringKernel(src, tgt);
-  EXPECT_FALSE(choice.pruned);
-  EXPECT_LT(choice.mean_chars, 32.0);
-}
-
-TEST(KernelStringTest, ChooseStringKernelPicksPrunedForLongMultiWordNames) {
-  std::vector<std::string> src(8), tgt(8);
-  for (size_t i = 0; i < 8; ++i) {
-    src[i] = "the quite long descriptive entity name number " +
-             std::to_string(i);
-    tgt[i] = "another rather long descriptive entity label number " +
-             std::to_string(i);
-  }
-  const auto choice = ChooseStringKernel(src, tgt);
-  EXPECT_TRUE(choice.pruned);
-  EXPECT_GE(choice.mean_chars, 32.0);
-  EXPECT_GE(choice.mean_tokens, 3.0);
-}
-
-TEST(KernelStringTest, ChooseStringKernelEmptyInputPicksExact) {
-  EXPECT_FALSE(ChooseStringKernel({}, {}).pruned);
-}
-
-TEST(KernelStringTest, AutoDispatchIsBitIdenticalOnShortNames) {
-  const auto src = RandomNames(15, 18, 30);
-  const auto tgt = RandomNames(15, 18, 31);
-  KernelContext ctx;
-  StringKernelChoice choice;
-  const Matrix autod = StringSimilarityMatrixAuto(ctx, src, tgt, &choice);
-  ASSERT_FALSE(choice.pruned);
-  EXPECT_TRUE(BitIdentical(autod, StringSimilarityMatrixK(ctx, src, tgt)));
-}
-
-TEST(KernelStringTest, AutoDispatchKeepsRowMaximaExactOnLongNames) {
+  // Short random names, then long multi-word ones: six words of up to ten
+  // letters, so many names pass 64 bytes and the matrix runs the
+  // multi-word LCS recurrence as well as the one-word one.
+  std::vector<std::pair<std::vector<std::string>, std::vector<std::string>>>
+      inputs = {{RandomNames(23, 20, 24), RandomNames(17, 20, 25)}};
   std::vector<std::string> src(10), tgt(14);
   Rng rng(32);
   for (std::string& s : src) {
@@ -574,41 +500,13 @@ TEST(KernelStringTest, AutoDispatchKeepsRowMaximaExactOnLongNames) {
   for (std::string& s : tgt) {
     for (int w = 0; w < 6; ++w) s += RandomName(&rng, 10) + " ";
   }
-  KernelContext ctx;
-  StringKernelChoice choice;
-  const Matrix autod = StringSimilarityMatrixAuto(ctx, src, tgt, &choice);
-  ASSERT_TRUE(choice.pruned);
-  const Matrix exact = text::LevenshteinRatioMatrix(src, tgt);
-  EXPECT_TRUE(BitIdentical(StringSimilarityMatrixK(ctx, src, tgt), exact));
-  for (size_t r = 0; r < exact.rows(); ++r) {
-    float exact_max = 0.0f, auto_max = 0.0f;
-    for (size_t c = 0; c < exact.cols(); ++c) {
-      EXPECT_GE(autod.at(r, c), exact.at(r, c) - 1e-6f);
-      exact_max = std::max(exact_max, exact.at(r, c));
-      auto_max = std::max(auto_max, autod.at(r, c));
-    }
-    EXPECT_EQ(auto_max, exact_max) << "row " << r;
-  }
-}
-
-TEST(KernelStringTest, PrunedMatrixHonoursFloor) {
-  const auto src = RandomNames(12, 18, 28);
-  const auto tgt = RandomNames(12, 18, 29);
-  const Matrix exact = text::LevenshteinRatioMatrix(src, tgt);
-  KernelContext ctx;
-  EXPECT_TRUE(BitIdentical(StringSimilarityMatrixK(ctx, src, tgt), exact));
-  const double floor = 0.8;
-  const Matrix pruned = StringSimilarityMatrixPruned(ctx, src, tgt, floor);
-  // Entries above the floor are exact; the rest are upper bounds.
-  for (size_t r = 0; r < exact.rows(); ++r) {
-    for (size_t c = 0; c < exact.cols(); ++c) {
-      if (exact.at(r, c) > floor) {
-        EXPECT_EQ(pruned.at(r, c), exact.at(r, c))
-            << "(" << r << ", " << c << ")";
-      } else {
-        EXPECT_GE(pruned.at(r, c), exact.at(r, c) - 1e-6f);
-      }
-    }
+  inputs.emplace_back(src, tgt);
+  for (const auto& in : inputs) {
+    const Matrix naive = text::LevenshteinRatioMatrix(in.first, in.second);
+    const Matrix fast = CheckDeterministic([&](const KernelContext& ctx) {
+      return StringSimilarityMatrixK(ctx, in.first, in.second);
+    });
+    EXPECT_TRUE(BitIdentical(fast, naive));
   }
 }
 

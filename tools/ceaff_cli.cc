@@ -323,11 +323,6 @@ int CmdAlign(const FlagParser& flags) {
                 store.explicit_tokens().size(), embeddings_path.c_str());
   }
   const std::string delta_state_dir = flags.GetString("export_delta_state", "");
-  if (!delta_state_dir.empty()) {
-    // The delta repair path recomputes individual matrix rows and demands
-    // bit-exact agreement, which the pruned Levenshtein kernel cannot give.
-    options.force_exact_string_kernel = true;
-  }
 
   core::CeaffPipeline pipe(&pair, &store, options);
   WallTimer timer;
