@@ -16,8 +16,14 @@ namespace {
 double FlatThreeWayAccuracy(const core::CeaffFeatures& f,
                             const fusion::FusionOptions& fopt) {
   // Flat alternative: fuse {Ms, Mn, Ml} in a single adaptive stage.
-  auto fused = fusion::AdaptiveFuse(
-      {&f.structural, &f.semantic, &f.string_sim}, fopt);
+  const la::KernelContext ctx;
+  auto fused = fusion::AdaptiveFuseRows(
+      {fusion::FeatureRows::Cosine(ctx, f.structural_src_emb,
+                                   f.structural_tgt_emb),
+       fusion::FeatureRows::Cosine(ctx, f.semantic_src_emb,
+                                   f.semantic_tgt_emb),
+       fusion::FeatureRows(&f.string_sim)},
+      fopt, ctx);
   CEAFF_CHECK(fused.ok()) << fused.status();
   matching::MatchResult match = matching::DeferredAcceptance(fused.value());
   std::vector<int64_t> gold(fused->rows());

@@ -62,11 +62,17 @@ int main() {
   }
   core::CeaffFeatures features = std::move(features_or).value();
 
+  // Ms and Mn are kept as embeddings; their matrices are one cosine away.
+  const la::KernelContext ctx;
   std::printf("per-feature accuracy (independent top-1):\n");
   std::printf("  structural (GCN)     : %.3f\n",
-              IndependentAccuracy(features.structural));
+              IndependentAccuracy(la::CosineSimilarityK(
+                  ctx, features.structural_src_emb,
+                  features.structural_tgt_emb)));
   std::printf("  semantic (name emb.) : %.3f\n",
-              IndependentAccuracy(features.semantic));
+              IndependentAccuracy(la::CosineSimilarityK(
+                  ctx, features.semantic_src_emb,
+                  features.semantic_tgt_emb)));
   std::printf("  string (Levenshtein) : %.3f   <- different scripts\n\n",
               IndependentAccuracy(features.string_sim));
 

@@ -37,16 +37,56 @@ StatusOr<FlagParser> FlagParser::Parse(int argc, const char* const* argv) {
   return p;
 }
 
+namespace {
+
+bool ParsesAs(const std::string& v, FlagParser::Type type) {
+  char* end = nullptr;
+  switch (type) {
+    case FlagParser::Type::kString:
+      return true;
+    case FlagParser::Type::kInt:
+      std::strtoll(v.c_str(), &end, 10);
+      break;
+    case FlagParser::Type::kDouble:
+      std::strtod(v.c_str(), &end);
+      break;
+    case FlagParser::Type::kBool:
+      for (const char* spelling :
+           {"true", "false", "1", "0", "yes", "no", "on", "off"}) {
+        if (v == spelling) return true;
+      }
+      return false;
+  }
+  return !v.empty() && end == v.c_str() + v.size();
+}
+
+}  // namespace
+
+Status FlagParser::Validate(const std::vector<Spec>& specs) const {
+  for (const auto& [name, value] : flags_) {
+    const Spec* spec = nullptr;
+    for (const Spec& s : specs) {
+      if (name == s.name) spec = &s;
+    }
+    if (spec == nullptr) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+    if (!ParsesAs(value, spec->type)) {
+      return Status::InvalidArgument(StrFormat(
+          "--%s: malformed value '%s'", name.c_str(), value.c_str()));
+    }
+  }
+  return Status::OK();
+}
+
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& fallback) const {
   auto it = flags_.find(name);
-  read_[name] = true;
   return it == flags_.end() ? fallback : it->second;
 }
 
 double FlagParser::GetDouble(const std::string& name, double fallback) const {
   auto it = flags_.find(name);
-  read_[name] = true;
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
@@ -55,7 +95,6 @@ double FlagParser::GetDouble(const std::string& name, double fallback) const {
 
 int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
   auto it = flags_.find(name);
-  read_[name] = true;
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
   long long v = std::strtoll(it->second.c_str(), &end, 10);
@@ -64,18 +103,9 @@ int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
 
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {
   auto it = flags_.find(name);
-  read_[name] = true;
   if (it == flags_.end()) return fallback;
   const std::string& v = it->second;
   return v == "true" || v == "1" || v == "yes" || v == "on";
-}
-
-std::vector<std::string> FlagParser::UnreadFlags() const {
-  std::vector<std::string> out;
-  for (const auto& [name, value] : flags_) {
-    if (!read_.count(name)) out.push_back(name);
-  }
-  return out;
 }
 
 }  // namespace ceaff

@@ -8,7 +8,6 @@
 #include "ceaff/common/timer.h"
 #include "ceaff/core/checkpoint.h"
 #include "ceaff/la/kernels.h"
-#include "ceaff/la/ops.h"
 #include "ceaff/serve/ann_build.h"
 #include "ceaff/text/name_embedding.h"
 #include "ceaff/text/ngram_similarity.h"
@@ -201,31 +200,28 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
     size_t cols;
     la::Matrix* out;
   };
-  // Restores a feature stage — its test matrix, its seed matrix when this
-  // run computes seed matrices, `extra` matrices and the optional scalar —
-  // only when every one of these artifacts loads with the shape of the
-  // current run. Returns
-  // false, writing nothing, when the stage must be recomputed: an artifact
+  // Restores a feature stage — its artifacts, its seed matrix when this run
+  // computes seed matrices, and the optional loss scalar — only when every
+  // one of them loads with the shape of the current run. Returns false,
+  // writing nothing, when the stage must be recomputed: an artifact
   // absent, corrupted (kDataLoss from the CRC/size/magic validation) or
   // shaped for a different dataset. Corruption is a cache miss here, not
   // an error: the stage is cleanly re-run and its fresh artifacts
   // overwrite the bad ones.
-  auto restore_stage = [&](const std::string& stage, la::Matrix* test,
-                           la::Matrix* seed, double* loss,
-                           std::vector<Artifact> extra = {}) -> bool {
+  auto restore_stage = [&](const std::string& stage,
+                           std::vector<Artifact> artifacts, la::Matrix* seed,
+                           double* loss) -> bool {
     if (store == nullptr || !options_.resume) return false;
-    if (!store->Has(stage)) return false;
+    if (!store->Has(artifacts[0].name)) return false;
     auto unusable = [&](const std::string& name, const Status& st) {
       CEAFF_LOG(Warning) << "checkpoint artifact '" << name << "' in "
                          << store->dir() << " unusable (" << st
                          << "); re-running stage '" << stage << "'";
       return false;
     };
-    std::vector<Artifact> artifacts = {{stage, n_test, n_test, test}};
     if (n_seed > 0) {
       artifacts.push_back({stage + ".seed", n_seed, n_seed, seed});
     }
-    artifacts.insert(artifacts.end(), extra.begin(), extra.end());
     std::vector<la::Matrix> loaded;
     for (const Artifact& a : artifacts) {
       auto m = store->LoadMatrix(a.name);
@@ -252,14 +248,17 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
   // Persists a completed stage. Write failures are real errors (the
   // caller asked for durability and is not getting it). A run without seed
   // matrices drops the stage's older `.seed` artifact, so a later learned
-  // resume never pairs it with this run's test matrix.
-  auto persist_stage = [&](const std::string& stage, const la::Matrix& test,
-                           const la::Matrix* seed,
+  // resume never pairs it with this run's other artifacts.
+  auto persist_stage = [&](const std::string& stage,
+                           const std::vector<Artifact>& artifacts,
+                           const la::Matrix& seed,
                            const double* loss) -> Status {
     if (store == nullptr) return Status::OK();
-    CEAFF_RETURN_IF_ERROR(store->SaveMatrix(stage, test));
-    if (!seed->empty()) {
-      CEAFF_RETURN_IF_ERROR(store->SaveMatrix(stage + ".seed", *seed));
+    for (const Artifact& a : artifacts) {
+      CEAFF_RETURN_IF_ERROR(store->SaveMatrix(a.name, *a.out));
+    }
+    if (!seed.empty()) {
+      CEAFF_RETURN_IF_ERROR(store->SaveMatrix(stage + ".seed", seed));
     } else if (store->Has(stage + ".seed")) {
       CEAFF_RETURN_IF_ERROR(store->Remove(stage + ".seed"));
     }
@@ -277,19 +276,20 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
 
   if (options_.use_structural) {
     CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "structural stage"));
-    // The raw entity embeddings (for the index export) and the GCN input
-    // features (for the delta state) belong to the stage: it is restored
+    // The stage is its embeddings (Ms is recomputed from them at fusion)
+    // and the GCN input features (for the delta state): it is restored
     // with all of them or recomputed.
     const size_t dim = options_.gcn.dim;
-    const bool restored = restore_stage(
-        "structural", &features.structural, &features.seed_structural,
-        &features.gcn_final_loss,
-        {{"structural.src_emb", n_test, dim, &features.structural_src_emb},
-         {"structural.tgt_emb", n_test, dim, &features.structural_tgt_emb},
-         {"structural.x1", pair_->kg1.num_entities(), dim,
-          &features.structural_x1},
-         {"structural.x2", pair_->kg2.num_entities(), dim,
-          &features.structural_x2}});
+    const std::vector<Artifact> artifacts = {
+        {"structural.src_emb", n_test, dim, &features.structural_src_emb},
+        {"structural.tgt_emb", n_test, dim, &features.structural_tgt_emb},
+        {"structural.x1", pair_->kg1.num_entities(), dim,
+         &features.structural_x1},
+        {"structural.x2", pair_->kg2.num_entities(), dim,
+         &features.structural_x2}};
+    const bool restored =
+        restore_stage("structural", artifacts, &features.seed_structural,
+                      &features.gcn_final_loss);
     if (!restored) {
       la::SparseMatrix a1 =
           kg::BuildAdjacency(pair_->kg1, options_.adjacency);
@@ -305,9 +305,6 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
       features.structural_tgt_emb = GatherRows(gcn.embeddings2(), test_tgt);
       features.structural_x1 = gcn.features1();
       features.structural_x2 = gcn.features2();
-      features.structural =
-          la::CosineSimilarityK(ctx, features.structural_src_emb,
-                                features.structural_tgt_emb);
       if (!seed_src.empty()) {
         features.seed_structural = la::CosineSimilarityK(
             ctx, GatherRows(gcn.embeddings1(), seed_src),
@@ -316,19 +313,9 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
       // A token firing mid-kernel leaves the matrices partially built; the
       // panel polls only skip work, so surface the cancellation here.
       CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("structural stage"));
-      CEAFF_RETURN_IF_ERROR(persist_stage("structural", features.structural,
-                                          &features.seed_structural,
+      CEAFF_RETURN_IF_ERROR(persist_stage("structural", artifacts,
+                                          features.seed_structural,
                                           &features.gcn_final_loss));
-      if (store != nullptr) {
-        CEAFF_RETURN_IF_ERROR(store->SaveMatrix("structural.src_emb",
-                                                features.structural_src_emb));
-        CEAFF_RETURN_IF_ERROR(store->SaveMatrix("structural.tgt_emb",
-                                                features.structural_tgt_emb));
-        CEAFF_RETURN_IF_ERROR(store->SaveMatrix("structural.x1",
-                                                features.structural_x1));
-        CEAFF_RETURN_IF_ERROR(store->SaveMatrix("structural.x2",
-                                                features.structural_x2));
-      }
     }
     notify("structural", restored);
   }
@@ -340,11 +327,17 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
       GatherNames(pair_->kg2, seed_tgt);
   if (options_.use_semantic) {
     CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "semantic stage"));
-    bool restored = restore_stage("semantic", &features.semantic,
+    // The name embeddings; Mn is recomputed from them at fusion.
+    const std::vector<Artifact> artifacts = {
+        {"semantic.src_emb", n_test, store_->dim(),
+         &features.semantic_src_emb},
+        {"semantic.tgt_emb", n_test, store_->dim(),
+         &features.semantic_tgt_emb}};
+    bool restored = restore_stage("semantic", artifacts,
                                   &features.seed_semantic, nullptr);
     if (!restored) {
-      features.semantic = text::SemanticSimilarityMatrix(*store_, src_names,
-                                                         tgt_names, &ctx);
+      features.semantic_src_emb = text::EmbedNames(*store_, src_names, &ctx);
+      features.semantic_tgt_emb = text::EmbedNames(*store_, tgt_names, &ctx);
       if (!seed_src.empty()) {
         features.seed_semantic = text::SemanticSimilarityMatrix(
             *store_, seed_src_names, seed_tgt_names, &ctx);
@@ -352,103 +345,125 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
       // A token firing mid-kernel leaves the matrix partially built; the
       // panel polls only skip work, so surface the cancellation here.
       CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("semantic stage"));
-      CEAFF_RETURN_IF_ERROR(persist_stage("semantic", features.semantic,
-                                          &features.seed_semantic, nullptr));
+      CEAFF_RETURN_IF_ERROR(persist_stage("semantic", artifacts,
+                                          features.seed_semantic, nullptr));
     }
     notify("semantic", restored);
   }
-  if (options_.use_string) {
-    CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "string stage"));
-    bool restored = restore_stage("string", &features.string_sim,
-                                  &features.seed_string, nullptr);
+  // A stage kept as one n×n test matrix under the stage's own name.
+  auto matrix_stage = [&](const std::string& stage, la::Matrix* test,
+                          la::Matrix* seed,
+                          const std::function<la::Matrix(
+                              const std::vector<uint32_t>&,
+                              const std::vector<uint32_t>&,
+                              const std::vector<std::string>&,
+                              const std::vector<std::string>&)>& compute)
+      -> Status {
+    const std::string what = stage + " stage";
+    CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, what.c_str()));
+    const std::vector<Artifact> artifacts = {{stage, n_test, n_test, test}};
+    const bool restored = restore_stage(stage, artifacts, seed, nullptr);
     if (!restored) {
-      // The Levenshtein scan dominates feature time on large splits; the
-      // kernel splits it across the shared pool and polls the run's
-      // cancellation token per row panel.
-      features.string_sim = StringFeatureMatrix(options_.string_metric, ctx,
-                                                src_names, tgt_names);
+      *test = compute(test_src, test_tgt, src_names, tgt_names);
       if (!seed_src.empty()) {
-        features.seed_string = StringFeatureMatrix(
-            options_.string_metric, ctx, seed_src_names, seed_tgt_names);
+        *seed = compute(seed_src, seed_tgt, seed_src_names, seed_tgt_names);
       }
-      CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("string stage"));
-      CEAFF_RETURN_IF_ERROR(persist_stage("string", features.string_sim,
-                                          &features.seed_string, nullptr));
+      CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled(what.c_str()));
+      CEAFF_RETURN_IF_ERROR(persist_stage(stage, artifacts, *seed, nullptr));
     }
-    notify("string", restored);
+    notify(stage, restored);
+    return Status::OK();
+  };
+  if (options_.use_string) {
+    // The Levenshtein scan dominates feature time on large splits; the
+    // kernel splits it across the shared pool and polls the run's
+    // cancellation token per row panel.
+    CEAFF_RETURN_IF_ERROR(matrix_stage(
+        "string", &features.string_sim, &features.seed_string,
+        [&](const std::vector<uint32_t>&, const std::vector<uint32_t>&,
+            const std::vector<std::string>& src,
+            const std::vector<std::string>& tgt) {
+          return StringFeatureMatrix(options_.string_metric, ctx, src, tgt);
+        }));
   }
   if (options_.use_relation) {
-    CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "relation stage"));
-    bool restored = restore_stage("relation", &features.relation,
-                                  &features.seed_relation, nullptr);
-    if (!restored) {
-      features.relation = kg::RelationSimilarityMatrix(
-          pair_->kg1, pair_->kg2, test_src, test_tgt, options_.relation);
-      if (!seed_src.empty()) {
-        features.seed_relation = kg::RelationSimilarityMatrix(
-            pair_->kg1, pair_->kg2, seed_src, seed_tgt, options_.relation);
-      }
-      CEAFF_RETURN_IF_ERROR(persist_stage("relation", features.relation,
-                                          &features.seed_relation, nullptr));
-    }
-    notify("relation", restored);
+    CEAFF_RETURN_IF_ERROR(matrix_stage(
+        "relation", &features.relation, &features.seed_relation,
+        [&](const std::vector<uint32_t>& src, const std::vector<uint32_t>& tgt,
+            const std::vector<std::string>&,
+            const std::vector<std::string>&) {
+          return kg::RelationSimilarityMatrix(pair_->kg1, pair_->kg2, src,
+                                              tgt, options_.relation);
+        }));
   }
   if (options_.use_attribute) {
-    CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "attribute stage"));
-    bool restored = restore_stage("attribute", &features.attribute,
-                                  &features.seed_attribute, nullptr);
-    if (!restored) {
-      features.attribute = kg::AttributeSimilarityMatrix(
-          pair_->kg1, pair_->kg2, test_src, test_tgt, options_.attribute);
-      if (!seed_src.empty()) {
-        features.seed_attribute = kg::AttributeSimilarityMatrix(
-            pair_->kg1, pair_->kg2, seed_src, seed_tgt, options_.attribute);
-      }
-      CEAFF_RETURN_IF_ERROR(persist_stage("attribute", features.attribute,
-                                          &features.seed_attribute,
-                                          nullptr));
-    }
-    notify("attribute", restored);
+    CEAFF_RETURN_IF_ERROR(matrix_stage(
+        "attribute", &features.attribute, &features.seed_attribute,
+        [&](const std::vector<uint32_t>& src, const std::vector<uint32_t>& tgt,
+            const std::vector<std::string>&,
+            const std::vector<std::string>&) {
+          return kg::AttributeSimilarityMatrix(pair_->kg1, pair_->kg2, src,
+                                               tgt, options_.attribute);
+        }));
   }
   features.seconds = timer.ElapsedSeconds();
   return features;
 }
 
+StatusOr<la::Matrix> FuseWithWeights(
+    const std::vector<fusion::FeatureRows>& features,
+    const std::vector<double>& textual_weights,
+    const std::vector<double>& final_weights, const la::KernelContext& ctx) {
+  if (features.size() == 1) return features[0].Materialize(ctx);
+  return fusion::FuseRowsWithWeights(features, textual_weights, final_weights,
+                                     ctx);
+}
+
 Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
                                    CeaffResult* result) {
-  std::vector<const la::Matrix*> enabled;
+  const la::KernelContext& ctx = runtime_.ctx;
+  std::vector<fusion::FeatureRows> enabled;
   std::vector<const la::Matrix*> enabled_seed;
+  bool missing = false;
+  // Ms and Mn are read as cosine row panels of their embeddings.
+  auto add_cosine = [&](const la::Matrix& src, const la::Matrix& tgt,
+                        const la::Matrix& seed) {
+    missing |= src.empty() || tgt.empty();
+    if (!missing) enabled.push_back(fusion::FeatureRows::Cosine(ctx, src, tgt));
+    enabled_seed.push_back(&seed);
+  };
+  auto add_matrix = [&](const la::Matrix& test, const la::Matrix& seed) {
+    missing |= test.empty();
+    enabled.emplace_back(&test);
+    enabled_seed.push_back(&seed);
+  };
   if (options_.use_structural) {
-    enabled.push_back(&features.structural);
-    enabled_seed.push_back(&features.seed_structural);
+    add_cosine(features.structural_src_emb, features.structural_tgt_emb,
+               features.seed_structural);
   }
   if (options_.use_semantic) {
-    enabled.push_back(&features.semantic);
-    enabled_seed.push_back(&features.seed_semantic);
+    add_cosine(features.semantic_src_emb, features.semantic_tgt_emb,
+               features.seed_semantic);
   }
   if (options_.use_string) {
-    enabled.push_back(&features.string_sim);
-    enabled_seed.push_back(&features.seed_string);
+    add_matrix(features.string_sim, features.seed_string);
   }
   if (options_.use_attribute) {
-    enabled.push_back(&features.attribute);
-    enabled_seed.push_back(&features.seed_attribute);
+    add_matrix(features.attribute, features.seed_attribute);
   }
   if (options_.use_relation) {
-    enabled.push_back(&features.relation);
-    enabled_seed.push_back(&features.seed_relation);
+    add_matrix(features.relation, features.seed_relation);
   }
-  if (enabled.empty()) {
+  if (enabled_seed.empty()) {
     return Status::InvalidArgument("all features disabled");
   }
-  for (const la::Matrix* m : enabled) {
-    if (m->empty()) {
-      return Status::FailedPrecondition(
-          "an enabled feature is missing from the provided feature set");
-    }
+  if (missing) {
+    return Status::FailedPrecondition(
+        "an enabled feature is missing from the provided feature set");
   }
   if (enabled.size() == 1) {
-    result->fused = *enabled[0];
+    CEAFF_ASSIGN_OR_RETURN(result->fused, FuseWithWeights(enabled, {}, {1.0},
+                                                          ctx));
     result->final_weights = {1.0};
     return Status::OK();
   }
@@ -458,15 +473,13 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
       if (options_.use_structural && options_.use_semantic &&
           options_.use_string) {
         // Two-stage pipeline: (Mn ⊕ Ml) → textual, then
-        // Ms ⊕ textual ⊕ extras in the final stage.
-        std::vector<const la::Matrix*> extras;
-        if (options_.use_attribute) extras.push_back(&features.attribute);
-        if (options_.use_relation) extras.push_back(&features.relation);
+        // Ms ⊕ textual ⊕ extras (attribute, relation) in the final stage.
+        const std::vector<fusion::FeatureRows> extras(enabled.begin() + 3,
+                                                      enabled.end());
         CEAFF_ASSIGN_OR_RETURN(
             fusion::TwoStageFusionResult two,
-            fusion::TwoStageFuse(features.structural, features.semantic,
-                                 features.string_sim, extras,
-                                 options_.fusion));
+            fusion::TwoStageFuseRows(enabled[0], enabled[1], enabled[2],
+                                     extras, options_.fusion, ctx));
         result->fused = std::move(two.fused);
         result->textual_weights = std::move(two.textual_weights);
         result->final_weights = std::move(two.final_weights);
@@ -474,20 +487,22 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
         fusion::FeatureWeightReport report;
         CEAFF_ASSIGN_OR_RETURN(
             result->fused,
-            fusion::AdaptiveFuse(enabled, options_.fusion, &report));
+            fusion::AdaptiveFuseRows(enabled, options_.fusion, ctx, &report));
         result->final_weights = report.weights;
       }
       return Status::OK();
     }
     case FusionMode::kFixed: {
-      CEAFF_ASSIGN_OR_RETURN(result->fused, fusion::FixedFuse(enabled));
       result->final_weights.assign(enabled.size(),
                                    1.0 / static_cast<double>(enabled.size()));
+      CEAFF_ASSIGN_OR_RETURN(
+          result->fused,
+          FuseWithWeights(enabled, {}, result->final_weights, ctx));
       return Status::OK();
     }
     case FusionMode::kLearned: {
       // Fit LR on the seed-restricted matrices (gold pairs are (i, i)),
-      // then apply the learned weights to the test matrices.
+      // then apply the learned weights to the test features.
       if (pair_->seed_alignment.empty()) {
         return Status::FailedPrecondition(
             "learned fusion requires seed alignment");
@@ -505,8 +520,10 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
       }
       fusion::LogisticRegressionFusion lr(options_.lr);
       CEAFF_RETURN_IF_ERROR(lr.Train(enabled_seed, seed_gold));
-      CEAFF_ASSIGN_OR_RETURN(result->fused, lr.Fuse(enabled));
       result->final_weights = lr.FusionWeights();
+      CEAFF_ASSIGN_OR_RETURN(
+          result->fused,
+          FuseWithWeights(enabled, {}, result->final_weights, ctx));
       return Status::OK();
     }
   }
@@ -583,8 +600,8 @@ Status CeaffPipeline::ExportIndex(const CeaffFeatures& features,
   inputs.use_string = options_.use_string;
   if (options_.use_semantic && store_ != nullptr) {
     inputs.semantic_seed = store_->seed();
-    inputs.source_name_emb = text::EmbedNames(*store_, inputs.source_names);
-    inputs.target_name_emb = text::EmbedNames(*store_, inputs.target_names);
+    inputs.source_name_emb = features.semantic_src_emb;
+    inputs.target_name_emb = features.semantic_tgt_emb;
   }
   inputs.source_struct_emb = features.structural_src_emb;
   inputs.target_struct_emb = features.structural_tgt_emb;
@@ -606,6 +623,12 @@ Status CeaffPipeline::ExportIndex(const CeaffFeatures& features,
 StatusOr<CeaffResult> CeaffPipeline::Run() {
   CEAFF_ASSIGN_OR_RETURN(CeaffFeatures features, GenerateFeatures());
   CEAFF_ASSIGN_OR_RETURN(CeaffResult result, RunOnFeatures(features));
+  // The export reads names and embeddings only. Dropping the n×n feature
+  // matrices first keeps its working set from stacking on top of them.
+  for (la::Matrix* m : {&features.string_sim, &features.attribute,
+                        &features.relation}) {
+    *m = la::Matrix();
+  }
   if (!options_.export_index_path.empty()) {
     CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "export stage"));
     CEAFF_RETURN_IF_ERROR(ExportIndex(features, result));

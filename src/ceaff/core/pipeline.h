@@ -135,7 +135,7 @@ struct CeaffOptions {
 /// What fusion and decision make of one feature set. The fused matrix is
 /// restricted to test rows (sources) x test columns (targets), ordered
 /// like KgPair::test_alignment, so ground truth for row i is column i. The
-/// feature matrices it was fused from stay in CeaffFeatures.
+/// features it was fused from stay in CeaffFeatures.
 struct CeaffResult {
   la::Matrix fused;
   /// Stage-one weights (Mn, Ml) — empty unless all three features fused
@@ -153,21 +153,18 @@ struct CeaffResult {
   double seconds_decision = 0.0;
 };
 
-/// The generated feature matrices of one run over the test split
-/// (rows/cols ordered by test_alignment; gold on the diagonal) and, for
-/// learned fusion only, over the seed split (the LR baseline fits on
-/// them). The only copy of each feature matrix: CeaffResult keeps the
-/// fused one alone. Disabled features, and the seed matrices of every
-/// other fusion mode, stay empty.
+/// The generated features of one run over the test split (rows/cols
+/// ordered by test_alignment; gold on the diagonal). Ms and Mn are kept as
+/// their embeddings, not as n×n matrices: the fused pass recomputes them
+/// panel by panel (fusion::FeatureRows::Cosine, bit-identical to
+/// la::CosineSimilarityK over the two embedding matrices), so a run holds
+/// Ml and the fused matrix as its only n×n matrices. Learned fusion also
+/// gets the seed-split matrices (the LR baseline fits on them). Disabled
+/// features, and the seed matrices of every other fusion mode, stay empty.
 struct CeaffFeatures {
-  la::Matrix structural;  // Ms
-  la::Matrix semantic;    // Mn
-  la::Matrix string_sim;  // Ml
-  la::Matrix attribute;
-  la::Matrix relation;
   /// Raw GCN embeddings of the test-split entities (row i belongs to test
-  /// pair i), kept for the serving-index export; empty when the structural
-  /// feature is disabled.
+  /// pair i): Ms = cos(structural_src_emb, structural_tgt_emb). Also the
+  /// serving index's structural rows.
   la::Matrix structural_src_emb;
   la::Matrix structural_tgt_emb;
   /// The trained GCN *input* feature matrices over ALL entities of each
@@ -177,6 +174,14 @@ struct CeaffFeatures {
   /// retraining. Empty when the structural feature is disabled.
   la::Matrix structural_x1;
   la::Matrix structural_x2;
+  /// Raw name embeddings of the test-split names (text::EmbedNames):
+  /// Mn = cos(semantic_src_emb, semantic_tgt_emb). Also the serving index's
+  /// and the delta state's name rows.
+  la::Matrix semantic_src_emb;
+  la::Matrix semantic_tgt_emb;
+  la::Matrix string_sim;  // Ml
+  la::Matrix attribute;
+  la::Matrix relation;
   la::Matrix seed_structural;
   la::Matrix seed_semantic;
   la::Matrix seed_string;
@@ -214,7 +219,7 @@ class CeaffPipeline {
   /// the pair has no test alignment.
   StatusOr<CeaffResult> Run();
 
-  /// Stage 1 only: builds the enabled feature matrices.
+  /// Stage 1 only: builds the enabled features.
   StatusOr<CeaffFeatures> GenerateFeatures();
 
   /// Stages 2–3 on precomputed features. Features required by the options
@@ -232,7 +237,8 @@ class CeaffPipeline {
                      const CeaffResult& result) const;
 
  private:
-  /// Fuses the enabled features into result->fused.
+  /// Fuses the enabled features into result->fused with the streamed
+  /// fused pass, on the run's pool.
   Status FuseFeatures(const CeaffFeatures& features, CeaffResult* result);
 
   const kg::KgPair* pair_;
@@ -255,6 +261,19 @@ la::Matrix StringFeatureMatrix(CeaffOptions::StringMetric metric,
                                const la::KernelContext& ctx,
                                const std::vector<std::string>& source_names,
                                const std::vector<std::string>& target_names);
+
+/// The fused matrix of features with known weights, read by row panels:
+/// the fused pass of fixed and learned fusion, and of the delta path's
+/// frozen weights (delta::ComputeFusedBlock), so batch and delta share
+/// one per-cell arithmetic (fusion::WeightedRow). `features` are in
+/// enabled order; non-empty `textual_weights` selects the two-stage
+/// topology (features Ms, Mn, Ml). A single feature is copied, not
+/// weighted, as every fusion mode does: 0.0f + 1·x would turn -0.0 into
+/// +0.0.
+StatusOr<la::Matrix> FuseWithWeights(
+    const std::vector<fusion::FeatureRows>& features,
+    const std::vector<double>& textual_weights,
+    const std::vector<double>& final_weights, const la::KernelContext& ctx);
 
 /// Test-set source/target entity ids of a pair, in test_alignment order.
 void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,

@@ -10,7 +10,6 @@
 #include "ceaff/common/random.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/kg/adjacency.h"
-#include "ceaff/la/ops.h"
 #include "ceaff/text/name_embedding.h"
 
 namespace ceaff::delta {
@@ -57,56 +56,26 @@ std::vector<uint32_t> Iota(size_t n) {
   return ids;
 }
 
-/// Fuses aligned feature blocks with the state's frozen weights —
-/// cell-local arithmetic identical to the pipeline's FuseFeatures, so a
-/// block cell equals the corresponding full-matrix cell bit-for-bit.
-StatusOr<la::Matrix> FuseBlocks(const DeltaState& s, const la::Matrix* ms,
-                                const la::Matrix* mn, const la::Matrix* ml) {
-  std::vector<const la::Matrix*> enabled;
-  if (s.use_structural) enabled.push_back(ms);
-  if (s.use_semantic) enabled.push_back(mn);
-  if (s.use_string) enabled.push_back(ml);
-  if (enabled.empty()) {
-    return Status::FailedPrecondition("delta state has no enabled feature");
-  }
-  for (const la::Matrix* m : enabled) {
-    if (m == nullptr || m->empty()) {
-      return Status::FailedPrecondition("missing feature block");
-    }
-  }
-  if (enabled.size() == 1) {
-    // Mirror the pipeline's single-feature path: a direct copy, NOT a
-    // WeightedSum with weight 1.0 (0.0f + w·x can flip the sign bit of
-    // negative zeros).
-    return la::Matrix(*enabled[0]);
-  }
-  if (s.two_stage) {
-    if (s.textual_weights.size() != 2 || s.final_weights.size() != 2) {
-      return Status::DataLoss("two-stage delta state with malformed weights");
-    }
-    const la::Matrix textual = la::WeightedSum({mn, ml}, s.textual_weights);
-    return la::WeightedSum({ms, &textual}, s.final_weights);
-  }
-  if (s.final_weights.size() != enabled.size()) {
-    return Status::DataLoss("delta state weight count mismatch");
-  }
-  return la::WeightedSum(enabled, s.final_weights);
-}
-
 }  // namespace
 
 StatusOr<la::Matrix> ComputeFusedBlock(const DeltaState& s,
                                        const std::vector<uint32_t>& rows,
                                        const std::vector<uint32_t>& cols,
                                        const la::KernelContext& ctx) {
-  la::Matrix ms, mn, ml;
+  // The block's slice of what the batch fused pass reads: Ms and Mn as
+  // cosine row panels of the block's embedding rows, Ml as a matrix.
+  la::Matrix src_struct, tgt_struct, src_name, tgt_name, ml;
+  std::vector<fusion::FeatureRows> enabled;
   if (s.use_structural) {
-    ms = la::CosineSimilarityK(ctx, core::GatherRows(s.src_struct_emb, rows),
-                               core::GatherRows(s.tgt_struct_emb, cols));
+    src_struct = core::GatherRows(s.src_struct_emb, rows);
+    tgt_struct = core::GatherRows(s.tgt_struct_emb, cols);
+    enabled.push_back(
+        fusion::FeatureRows::Cosine(ctx, src_struct, tgt_struct));
   }
   if (s.use_semantic) {
-    mn = la::CosineSimilarityK(ctx, core::GatherRows(s.src_name_emb, rows),
-                               core::GatherRows(s.tgt_name_emb, cols));
+    src_name = core::GatherRows(s.src_name_emb, rows);
+    tgt_name = core::GatherRows(s.tgt_name_emb, cols);
+    enabled.push_back(fusion::FeatureRows::Cosine(ctx, src_name, tgt_name));
   }
   if (s.use_string) {
     std::vector<uint32_t> src_ids, tgt_ids;
@@ -114,15 +83,28 @@ StatusOr<la::Matrix> ComputeFusedBlock(const DeltaState& s,
     tgt_ids.reserve(cols.size());
     for (uint32_t i : rows) src_ids.push_back(s.source_ids[i]);
     for (uint32_t j : cols) tgt_ids.push_back(s.target_ids[j]);
-    const std::vector<std::string> src_names =
-        core::GatherNames(s.kg1, src_ids);
-    const std::vector<std::string> tgt_names =
-        core::GatherNames(s.kg2, tgt_ids);
     ml = core::StringFeatureMatrix(
         static_cast<core::CeaffOptions::StringMetric>(s.string_metric), ctx,
-        src_names, tgt_names);
+        core::GatherNames(s.kg1, src_ids), core::GatherNames(s.kg2, tgt_ids));
+    enabled.emplace_back(&ml);
   }
-  return FuseBlocks(s, &ms, &mn, &ml);
+  if (enabled.empty()) {
+    return Status::FailedPrecondition("delta state has no enabled feature");
+  }
+  if (rows.empty() || cols.empty()) {
+    return Status::FailedPrecondition("empty fused block");
+  }
+  if (s.two_stage) {
+    if (s.textual_weights.size() != 2 || s.final_weights.size() != 2) {
+      return Status::DataLoss("two-stage delta state with malformed weights");
+    }
+    return core::FuseWithWeights(enabled, s.textual_weights, s.final_weights,
+                                 ctx);
+  }
+  if (enabled.size() > 1 && s.final_weights.size() != enabled.size()) {
+    return Status::DataLoss("delta state weight count mismatch");
+  }
+  return core::FuseWithWeights(enabled, {}, s.final_weights, ctx);
 }
 
 StatusOr<GraphPatchResult> ApplyGraphPatches(

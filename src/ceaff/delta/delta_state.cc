@@ -6,7 +6,6 @@
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/la/matrix_io.h"
-#include "ceaff/text/name_embedding.h"
 
 namespace ceaff::delta {
 
@@ -328,10 +327,13 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
     state.tgt_struct_emb = features.structural_tgt_emb;
   }
   if (options.use_semantic) {
-    state.src_name_emb = text::EmbedNames(
-        store, core::GatherNames(pair.kg1, state.source_ids));
-    state.tgt_name_emb = text::EmbedNames(
-        store, core::GatherNames(pair.kg2, state.target_ids));
+    if (features.semantic_src_emb.empty() ||
+        features.semantic_tgt_emb.empty()) {
+      return Status::FailedPrecondition(
+          "delta export needs the name embeddings");
+    }
+    state.src_name_emb = features.semantic_src_emb;
+    state.tgt_name_emb = features.semantic_tgt_emb;
   }
   state.fused = result.fused;
   return state;

@@ -124,7 +124,8 @@ StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store);
 ///   - decision_mode other than kCollective
 ///   - fusion_mode kLearned
 /// `features` must carry structural_x1/x2 and structural_src/tgt_emb when
-/// the structural feature is enabled, as GenerateFeatures' always do.
+/// the structural feature is enabled, and semantic_src/tgt_emb when the
+/// semantic one is, as GenerateFeatures' always do.
 StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
                                      const text::WordEmbeddingStore& store,
                                      const core::CeaffOptions& options,

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "ceaff/la/ops.h"
+#include "ceaff/fusion/adaptive_fusion.h"
 
 namespace ceaff::fusion {
 
@@ -99,7 +99,9 @@ StatusOr<la::Matrix> LogisticRegressionFusion::Fuse(
     return Status::FailedPrecondition(
         "Fuse called with a different feature count than Train");
   }
-  return la::WeightedSum(features, FusionWeights());
+  std::vector<FeatureRows> rows;
+  for (const la::Matrix* m : features) rows.emplace_back(m);
+  return FuseRowsWithWeights(rows, {}, FusionWeights(), la::KernelContext{});
 }
 
 }  // namespace ceaff::fusion

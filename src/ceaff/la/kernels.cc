@@ -70,21 +70,57 @@ inline void SpmmRowBlock(const uint32_t* ci, const float* vals, uint32_t k0,
   std::memcpy(orow + j0, acc, sizeof(acc));
 }
 
-/// Runs fn(begin, end) over the fixed partition of [0, n) into panels of
-/// max(block, ctx.opts.grain), parallel across ctx.pool. The grain floor
-/// keeps small shapes from splitting into tasks too fine to pay for their
-/// dispatch; when it leaves a single panel the sweep runs inline on the
-/// caller's thread, skipping the pool entirely (a grain >= n serializes
-/// the kernel). The partition depends only on n, `block` and the grain —
-/// never the thread count — so each output element is produced by exactly
-/// one task whose internal order is thread-count independent. Once the
-/// context's cancellation token fires, remaining panels are skipped —
-/// callers must surface the error via KernelContext::CheckCancelled and
-/// discard the (partial) output.
+/// Rows [r0, r1) of a·bᵀ into `out` (row r0 first, stride b.rows()), on
+/// the calling thread, with an optional per-row/per-column scale (null =
+/// unscaled). B is walked in col_block-row panels so one panel stays
+/// L2-resident while the rows of A stream over it. A cell's bits depend
+/// only on its own two rows and scales, never on r0, r1 or the blocks.
+void MatMulBTRows(const Matrix& a, const Matrix& b, const float* scale_a,
+                  const float* scale_b, size_t col_block, size_t r0,
+                  size_t r1, float* out) {
+  const size_t d = a.cols();
+  const size_t n = b.rows();
+  col_block = std::max<size_t>(1, col_block);
+  for (size_t c0 = 0; c0 < n; c0 += col_block) {
+    const size_t c1 = std::min(n, c0 + col_block);
+    for (size_t i = r0; i < r1; ++i) {
+      const float* ai = a.row(i);
+      float* oi = out + (i - r0) * n;
+      const float sa = scale_a != nullptr ? scale_a[i] : 1.0f;
+      for (size_t j = c0; j < c1; ++j) {
+        float v = DotLanes(ai, b.row(j), d);
+        if (scale_a != nullptr) v = (v * sa) * scale_b[j];
+        oi[j] = v;
+      }
+    }
+  }
+}
+
+/// Mean of the k largest of `values` (consumed in place): partial-sorted
+/// descending, then summed in that order. Identical multiset + identical
+/// summation order = bit-identical result between the naive and blocked
+/// CSLS implementations.
+double TopKMeanSortedDesc(std::vector<float>* values, size_t k) {
+  k = std::min(k, values->size());
+  if (k == 0) return 0.0;
+  std::partial_sort(values->begin(),
+                    values->begin() + static_cast<long>(k), values->end(),
+                    std::greater<float>());
+  double sum = 0.0;
+  for (size_t i = 0; i < k; ++i) sum += (*values)[i];
+  return sum / static_cast<double>(k);
+}
+
+}  // namespace
+
+size_t PanelRows(const KernelContext& ctx, size_t block) {
+  return std::max<size_t>(1, std::max(block, ctx.opts.grain));
+}
+
 void ParallelPanels(const KernelContext& ctx, size_t n, size_t block,
                     const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
-  block = std::max<size_t>(1, std::max(block, ctx.opts.grain));
+  block = PanelRows(ctx, block);
   const size_t panels = (n + block - 1) / block;
   if (panels == 1) {
     if (ctx.cancel != nullptr && !ctx.cancel->Check("kernel panel").ok()) {
@@ -105,6 +141,8 @@ void ParallelPanels(const KernelContext& ctx, size_t n, size_t block,
   });
 }
 
+namespace {
+
 /// Per-row inverse L2 norms with the same lane-split accumulation as the
 /// dot kernels; exactly 0 for zero-norm rows so cosine rows/columns of a
 /// zero vector come out as exact zeros, never NaN.
@@ -120,52 +158,6 @@ std::vector<float> InverseRowNorms(const KernelContext& ctx, const Matrix& m) {
   return inv;
 }
 
-/// Shared core of MatMulBTK / CosineSimilarityK: out = a·bᵀ with an
-/// optional per-row/per-column scale (null = unscaled). B is walked in
-/// col_block-row panels so one panel stays L2-resident while a row panel
-/// of A streams over it.
-Matrix BlockedMatMulBT(const KernelContext& ctx, const Matrix& a,
-                       const Matrix& b, const float* scale_a,
-                       const float* scale_b) {
-  CEAFF_CHECK(a.cols() == b.cols())
-      << "matmulBT shape mismatch: " << a.rows() << "x" << a.cols() << " * ("
-      << b.rows() << "x" << b.cols() << ")^T";
-  Matrix out(a.rows(), b.rows());
-  const size_t d = a.cols();
-  const size_t col_block = std::max<size_t>(1, ctx.opts.col_block);
-  ParallelPanels(ctx, a.rows(), ctx.opts.row_block, [&](size_t r0, size_t r1) {
-    for (size_t c0 = 0; c0 < b.rows(); c0 += col_block) {
-      const size_t c1 = std::min(b.rows(), c0 + col_block);
-      for (size_t i = r0; i < r1; ++i) {
-        const float* ai = a.row(i);
-        float* oi = out.row(i);
-        const float sa = scale_a != nullptr ? scale_a[i] : 1.0f;
-        for (size_t j = c0; j < c1; ++j) {
-          float v = DotLanes(ai, b.row(j), d);
-          if (scale_a != nullptr) v = (v * sa) * scale_b[j];
-          oi[j] = v;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-/// Mean of the k largest of `values` (consumed in place): partial-sorted
-/// descending, then summed in that order. Identical multiset + identical
-/// summation order = bit-identical result between the naive and blocked
-/// CSLS implementations.
-double TopKMeanSortedDesc(std::vector<float>* values, size_t k) {
-  k = std::min(k, values->size());
-  if (k == 0) return 0.0;
-  std::partial_sort(values->begin(),
-                    values->begin() + static_cast<long>(k), values->end(),
-                    std::greater<float>());
-  double sum = 0.0;
-  for (size_t i = 0; i < k; ++i) sum += (*values)[i];
-  return sum / static_cast<double>(k);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -173,17 +165,43 @@ double TopKMeanSortedDesc(std::vector<float>* values, size_t k) {
 // ---------------------------------------------------------------------------
 
 Matrix MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
-  return BlockedMatMulBT(ctx, a, b, nullptr, nullptr);
+  CEAFF_CHECK(a.cols() == b.cols())
+      << "matmulBT shape mismatch: " << a.rows() << "x" << a.cols() << " * ("
+      << b.rows() << "x" << b.cols() << ")^T";
+  Matrix out(a.rows(), b.rows());
+  ParallelPanels(ctx, a.rows(), ctx.opts.row_block, [&](size_t r0, size_t r1) {
+    MatMulBTRows(a, b, nullptr, nullptr, ctx.opts.col_block, r0, r1,
+                 out.data() + r0 * out.cols());
+  });
+  return out;
+}
+
+CosineRows::CosineRows(const KernelContext& ctx, const Matrix& a,
+                       const Matrix& b)
+    : a_(&a),
+      b_(&b),
+      col_block_(ctx.opts.col_block),
+      inv_a_(InverseRowNorms(ctx, a)),
+      inv_b_(InverseRowNorms(ctx, b)) {
+  CEAFF_CHECK(a.cols() == b.cols())
+      << "cosine shape mismatch: " << a.rows() << "x" << a.cols() << " vs "
+      << b.rows() << "x" << b.cols();
+}
+
+void CosineRows::Rows(size_t r0, size_t r1, float* out) const {
+  CEAFF_DCHECK(r0 <= r1 && r1 <= a_->rows());
+  MatMulBTRows(*a_, *b_, inv_a_.data(), inv_b_.data(), col_block_, r0, r1,
+               out);
 }
 
 Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
                          const Matrix& b) {
-  CEAFF_CHECK(a.cols() == b.cols())
-      << "cosine shape mismatch: " << a.rows() << "x" << a.cols() << " vs "
-      << b.rows() << "x" << b.cols();
-  const std::vector<float> inv_a = InverseRowNorms(ctx, a);
-  const std::vector<float> inv_b = InverseRowNorms(ctx, b);
-  return BlockedMatMulBT(ctx, a, b, inv_a.data(), inv_b.data());
+  const CosineRows cosine(ctx, a, b);
+  Matrix out(a.rows(), b.rows());
+  ParallelPanels(ctx, a.rows(), ctx.opts.row_block, [&](size_t r0, size_t r1) {
+    cosine.Rows(r0, r1, out.data() + r0 * out.cols());
+  });
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #define CEAFF_LA_KERNELS_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +73,25 @@ struct KernelContext {
   }
 };
 
+/// Rows per panel of the partition ParallelPanels cuts for `block`:
+/// max(block, ctx.opts.grain), at least 1.
+size_t PanelRows(const KernelContext& ctx, size_t block);
+
+/// Runs fn(begin, end) over the fixed partition of [0, n) into panels of
+/// PanelRows(ctx, block), parallel across ctx.pool; panel p is
+/// [p·PanelRows, min(n, (p+1)·PanelRows)). The grain floor keeps small
+/// shapes from splitting into tasks too fine to pay for their dispatch;
+/// when it leaves a single panel the sweep runs inline on the caller's
+/// thread, skipping the pool entirely (a grain >= n serializes the
+/// kernel). The partition depends only on n, `block` and the grain —
+/// never the thread count — so each output element is produced by exactly
+/// one task whose internal order is thread-count independent. Once the
+/// context's cancellation token fires, remaining panels are skipped —
+/// callers must surface the error via KernelContext::CheckCancelled and
+/// discard the (partial) output.
+void ParallelPanels(const KernelContext& ctx, size_t n, size_t block,
+                    const std::function<void(size_t, size_t)>& fn);
+
 // ---------------------------------------------------------------------------
 // GEMM family
 // ---------------------------------------------------------------------------
@@ -87,6 +107,31 @@ Matrix MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b);
 /// zeros, never NaN.
 Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
                          const Matrix& b);
+
+/// CosineSimilarityK one row panel at a time, for callers that stream the
+/// matrix instead of holding it (the fused pass recomputes Ms and Mn this
+/// way). The constructor hoists both inverse-norm vectors, on ctx's pool;
+/// Rows() sweeps rows [r0, r1) of `a` against every row of `b` on the
+/// calling thread. Each cell has CosineSimilarityK's bits whatever the
+/// panel, which is how CosineSimilarityK itself is built. `a` and `b` are
+/// borrowed and must outlive this object.
+class CosineRows {
+ public:
+  CosineRows(const KernelContext& ctx, const Matrix& a, const Matrix& b);
+
+  size_t rows() const { return a_->rows(); }
+  size_t cols() const { return b_->rows(); }
+
+  /// Writes rows [r0, r1) to `out`, row-major with stride cols().
+  void Rows(size_t r0, size_t r1, float* out) const;
+
+ private:
+  const Matrix* a_;
+  const Matrix* b_;
+  size_t col_block_;
+  std::vector<float> inv_a_;
+  std::vector<float> inv_b_;
+};
 
 // ---------------------------------------------------------------------------
 // Sparse-dense (GCN layer)

@@ -1,11 +1,15 @@
 #include "ceaff/text/embedding_io.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
 
 #include "ceaff/common/durable_io.h"
 #include "ceaff/common/string_util.h"
+#include "ceaff/text/tokenizer.h"
 
 namespace ceaff::text {
 
@@ -103,6 +107,7 @@ Status LoadTextEmbeddings(const std::string& path, WordEmbeddingStore* store,
 Status SaveTextEmbeddings(const WordEmbeddingStore& store,
                           const std::string& path) {
   std::ostringstream out;
+  out.precision(std::numeric_limits<float>::max_digits10);
   out << store.explicit_tokens().size() << ' ' << store.dim() << '\n';
   std::vector<float> vec;
   for (const std::string& token : store.explicit_tokens()) {
@@ -114,6 +119,50 @@ Status SaveTextEmbeddings(const WordEmbeddingStore& store,
   if (!out) return Status::IOError("serialization failed: " + path);
   // Published through the crash-durable protocol, failpoint scope "embed".
   return WriteFileAtomic(path, std::move(out).str(), "embed");
+}
+
+Status SaveNameVocabulary(const WordEmbeddingStore& store,
+                          const std::vector<std::string>& names,
+                          const std::string& path) {
+  WordEmbeddingStore vocabulary(store.dim(), store.seed());
+  std::set<std::string> seen;
+  std::vector<float> vec;
+  for (const std::string& name : names) {
+    for (const std::string& token : TokenizeName(name)) {
+      if (!seen.insert(token).second || !store.Lookup(token, &vec)) continue;
+      CEAFF_RETURN_IF_ERROR(vocabulary.SetVector(token, vec));
+    }
+  }
+  CEAFF_RETURN_IF_ERROR(SaveTextEmbeddings(vocabulary, path));
+  return WriteFileAtomic(
+      path + ".meta",
+      StrFormat("%zu %llu\n", store.dim(),
+                static_cast<unsigned long long>(store.seed())),
+      "embed");
+}
+
+StatusOr<WordEmbeddingStore> LoadNameVocabulary(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) {
+    return Status::NotFound("no word store at " + path);
+  }
+  CEAFF_ASSIGN_OR_RETURN(const std::string meta,
+                         ReadFileToString(path + ".meta"));
+  const std::vector<std::string> fields = SplitWhitespace(meta);
+  char* end_dim = nullptr;
+  char* end_seed = nullptr;
+  const unsigned long long dim =
+      fields.size() == 2 ? std::strtoull(fields[0].c_str(), &end_dim, 10) : 0;
+  const unsigned long long seed =
+      fields.size() == 2 ? std::strtoull(fields[1].c_str(), &end_seed, 10)
+                         : 0;
+  if (dim == 0 || *end_dim != '\0' || *end_seed != '\0') {
+    return Status::InvalidArgument(path + ".meta: expected `<dim> <seed>`");
+  }
+  WordEmbeddingStore store(static_cast<size_t>(dim), seed);
+  store.set_hash_fallback(false);
+  CEAFF_RETURN_IF_ERROR(LoadTextEmbeddings(path, &store));
+  return store;
 }
 
 }  // namespace ceaff::text

@@ -3,8 +3,11 @@
 
 #include <string>
 
+#include <vector>
+
 #include "ceaff/common/parse_report.h"
 #include "ceaff/common/status.h"
+#include "ceaff/common/statusor.h"
 #include "ceaff/text/word_embedding.h"
 
 namespace ceaff::text {
@@ -40,9 +43,26 @@ Status LoadTextEmbeddings(const std::string& path, WordEmbeddingStore* store,
                           ParseReport* report = nullptr);
 
 /// Writes every explicit vector of `store` in the same text format (with a
-/// fastText-style header line).
+/// fastText-style header line), each value with enough digits to parse
+/// back to the same float.
 Status SaveTextEmbeddings(const WordEmbeddingStore& store,
                           const std::string& path);
+
+/// The word store a generated dataset carries (`ceaff generate` writes it
+/// beside the KG files, `ceaff align` reads it): the vectors `store`
+/// resolves for every token of `names`, in first-occurrence order, saved
+/// with SaveTextEmbeddings to `path`, and the store's dimension and
+/// hash-fallback seed as `<dim> <seed>` in `path` + ".meta". Tokens the
+/// store has no vector for (out of vocabulary) are left out.
+Status SaveNameVocabulary(const WordEmbeddingStore& store,
+                          const std::vector<std::string>& names,
+                          const std::string& path);
+
+/// Loads what SaveNameVocabulary wrote into a store of the saved dimension
+/// and seed with the hash fallback off, so EmbedNames over the saved names
+/// is bit-identical to the saving store's. kNotFound when `path` does not
+/// exist; InvalidArgument (with the path) on a malformed file.
+StatusOr<WordEmbeddingStore> LoadNameVocabulary(const std::string& path);
 
 }  // namespace ceaff::text
 

@@ -58,7 +58,11 @@ Status WordEmbeddingStore::SetVector(const std::string& token,
     return Status::InvalidArgument(
         "vector dimensionality does not match the store");
   }
-  Renormalize(&vector);
+  // A vector already of unit norm (as every vector Lookup returns is) is
+  // kept bit for bit, so a saved store loads back exactly.
+  double sq = 0.0;
+  for (float x : vector) sq += static_cast<double>(x) * x;
+  if (std::abs(sq - 1.0) > 1e-6) Renormalize(&vector);
   if (!explicit_.count(token)) explicit_order_.push_back(token);
   explicit_[token] = std::move(vector);
   return Status::OK();

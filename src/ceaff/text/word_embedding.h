@@ -42,7 +42,8 @@ class WordEmbeddingStore {
                      double noise_scale);
 
   /// Pins an explicit vector for `token` (must have size dim(); it is
-  /// L2-normalised on insertion). Explicit vectors take precedence over
+  /// L2-normalised on insertion unless its squared norm is already within
+  /// 1e-6 of 1, in which case it is stored as given). Explicit vectors take precedence over
   /// concept registrations and the hash fallback — this is how real
   /// pretrained embeddings (see embedding_io.h) enter the store.
   Status SetVector(const std::string& token, std::vector<float> vector);

@@ -59,12 +59,29 @@ TEST(FlagParserTest, DoubleDashEndsFlagParsing) {
             (std::vector<std::string>{"--not-a-flag"}));
 }
 
-TEST(FlagParserTest, UnreadFlagsReportsTypos) {
-  FlagParser p = ParseArgs({"--used=1", "--typo=2"});
-  EXPECT_EQ(p.GetInt("used", 0), 1);
-  std::vector<std::string> unread = p.UnreadFlags();
-  ASSERT_EQ(unread.size(), 1u);
-  EXPECT_EQ(unread[0], "typo");
+TEST(FlagParserTest, ValidateRejectsUnknownAndMalformedFlags) {
+  const std::vector<FlagParser::Spec> specs = {
+      {"n", FlagParser::Type::kInt},
+      {"x", FlagParser::Type::kDouble},
+      {"b", FlagParser::Type::kBool},
+      {"s", FlagParser::Type::kString}};
+  EXPECT_TRUE(ParseArgs({"--n=-3", "--x=2.5e-1", "--b=off", "--s=anything"})
+                  .Validate(specs)
+                  .ok());
+  EXPECT_TRUE(ParseArgs({"--b"}).Validate(specs).ok());  // bare = "true"
+  EXPECT_TRUE(ParseArgs({}).Validate(specs).ok());
+  for (std::vector<const char*> bad :
+       {std::vector<const char*>{"--typo=2"},
+        std::vector<const char*>{"--n=12abc"},
+        std::vector<const char*>{"--n=1.5"}, std::vector<const char*>{"--n="},
+        std::vector<const char*>{"--x=abc"},
+        std::vector<const char*>{"--b=maybe"}}) {
+    const Status st = ParseArgs(bad).Validate(specs);
+    EXPECT_TRUE(st.IsInvalidArgument()) << bad[0];
+    const std::string arg = bad[0];
+    const std::string name = arg.substr(0, arg.find('='));  // "--typo"
+    EXPECT_NE(st.message().find(name), std::string::npos) << st.message();
+  }
 }
 
 }  // namespace

@@ -215,8 +215,8 @@ TEST_F(FaultToleranceTest, CancelAfterStructuralThenResumeIsByteIdentical) {
   // never ran.
   CheckpointStore probe(ckpt.path());
   ASSERT_TRUE(probe.Init().ok());
-  EXPECT_TRUE(probe.Has("structural"));
-  EXPECT_FALSE(probe.Has("semantic"));
+  EXPECT_TRUE(probe.Has("structural.src_emb"));
+  EXPECT_FALSE(probe.Has("semantic.src_emb"));
 
   // Second run: resume. The structural stage must come from the
   // checkpoint, the remaining stages must be computed.
@@ -253,7 +253,7 @@ TEST_F(FaultToleranceTest, CorruptedCheckpointIsDetectedAndRecomputed) {
   ASSERT_TRUE(writer.Run().ok());
   CheckpointStore probe(ckpt.path());
   ASSERT_TRUE(probe.Init().ok());
-  auto structural_path = probe.CurrentPath("structural");
+  auto structural_path = probe.CurrentPath("structural.src_emb");
   ASSERT_TRUE(structural_path.ok()) << structural_path.status().ToString();
 
   // Silent corruption: flip one payload bit — the file size and header
@@ -337,7 +337,7 @@ TEST_F(FaultToleranceTest, TruncatedCheckpointIsAlsoACleanCacheMiss) {
 
   CheckpointStore probe(ckpt.path());
   ASSERT_TRUE(probe.Init().ok());
-  auto semantic_path = probe.CurrentPath("semantic");
+  auto semantic_path = probe.CurrentPath("semantic.src_emb");
   ASSERT_TRUE(semantic_path.ok()) << semantic_path.status().ToString();
   ft::TruncateTail(semantic_path.value(), 64);
 
@@ -357,8 +357,8 @@ TEST_F(FaultToleranceTest, TruncatedCheckpointIsAlsoACleanCacheMiss) {
   ExpectIdentical(resumed.value(), Baseline());
 }
 
-// The structural stage is restored only with all of its artifacts (matrix,
-// .loss, src_emb, tgt_emb, x1, x2; .seed too under learned fusion). A
+// The structural stage is restored only with all of its artifacts (src_emb,
+// tgt_emb, x1, x2, .loss; .seed too under learned fusion). A
 // checkpoint missing one recomputes the stage, and the run's fused matrix
 // and delta state are byte-identical to a fresh run's.
 TEST_F(FaultToleranceTest, StructuralStageMissingAnArtifactIsRecomputed) {
@@ -406,6 +406,9 @@ TEST_F(FaultToleranceTest, SeedArtifactsAreCheckpointedOnlyForLearnedFusion) {
   ft::ScratchDir ckpt("seed_artifacts");
   const std::vector<std::string> stages = {"structural", "semantic",
                                            "string"};
+  // Each stage's first artifact: Ms and Mn are kept as their embeddings.
+  const std::vector<std::string> firsts = {"structural.src_emb",
+                                           "semantic.src_emb", "string"};
   CeaffOptions adaptive = FastOptions();
   adaptive.checkpoint_dir = ckpt.path();
   ASSERT_TRUE(CeaffPipeline(&bench_->pair, &bench_->store, adaptive)
@@ -417,9 +420,9 @@ TEST_F(FaultToleranceTest, SeedArtifactsAreCheckpointedOnlyForLearnedFusion) {
     EXPECT_TRUE(probe.Init().ok());
     return probe.Has(artifact);
   };
-  for (const std::string& stage : stages) {
-    EXPECT_TRUE(has(stage)) << stage;
-    EXPECT_FALSE(has(stage + ".seed")) << stage;
+  for (size_t k = 0; k < stages.size(); ++k) {
+    EXPECT_TRUE(has(firsts[k])) << stages[k];
+    EXPECT_FALSE(has(stages[k] + ".seed")) << stages[k];
   }
   for (const auto& entry : std::filesystem::directory_iterator(ckpt.path())) {
     EXPECT_EQ(entry.path().filename().string().find(".seed"),

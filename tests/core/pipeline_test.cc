@@ -56,8 +56,10 @@ TEST_F(PipelineTest, RunProducesTestShapedMatrices) {
   size_t n_test = bench_->pair.test_alignment.size();
   EXPECT_EQ(r.fused.rows(), n_test);
   EXPECT_EQ(r.fused.cols(), n_test);
-  EXPECT_EQ(f.structural.rows(), n_test);
-  EXPECT_EQ(f.semantic.rows(), n_test);
+  EXPECT_EQ(f.structural_src_emb.rows(), n_test);
+  EXPECT_EQ(f.structural_tgt_emb.rows(), n_test);
+  EXPECT_EQ(f.semantic_src_emb.rows(), n_test);
+  EXPECT_EQ(f.semantic_tgt_emb.rows(), n_test);
   EXPECT_EQ(f.string_sim.rows(), n_test);
   EXPECT_EQ(r.match.target_of_source.size(), n_test);
   EXPECT_GT(r.accuracy, 0.5);  // features are informative on this config

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+
+#include "ceaff/data/synthetic.h"
+#include "ceaff/text/name_embedding.h"
 
 namespace ceaff::text {
 namespace {
@@ -114,6 +118,39 @@ TEST_F(EmbeddingIoTest, ExplicitVectorBeatsHashFallback) {
   ASSERT_TRUE(b.Lookup("token", &explicit_vec));
   EXPECT_NE(hash_vec, explicit_vec);
   EXPECT_FLOAT_EQ(explicit_vec[0], 1.0f);
+}
+
+// The word store `ceaff generate` writes beside a dataset loads back into a
+// store that embeds every name of the pair bit for bit like the
+// generator's: registered vectors, out-of-vocabulary tokens and the
+// hash-fallback vectors of unregistered tokens alike.
+TEST_F(EmbeddingIoTest, NameVocabularyRoundTripKeepsEmbedNamesBits) {
+  auto cfg = data::BenchmarkConfigByName("DBP15K_ZH_EN", 0.1, 7);
+  ASSERT_TRUE(cfg.ok());
+  auto bench = data::GenerateBenchmark(*cfg);
+  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  std::vector<std::string> names;
+  for (const kg::KnowledgeGraph* g : {&bench->pair.kg1, &bench->pair.kg2}) {
+    for (uint32_t e = 0; e < g->num_entities(); ++e) {
+      names.push_back(g->entity_name(e));
+    }
+  }
+  ASSERT_TRUE(
+      SaveNameVocabulary(bench->store, names, Path("words.vec")).ok());
+  auto loaded = LoadNameVocabulary(Path("words.vec"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->dim(), bench->store.dim());
+  EXPECT_EQ(loaded->seed(), bench->store.seed());
+  const la::Matrix want = EmbedNames(bench->store, names);
+  const la::Matrix got = EmbedNames(*loaded, names);
+  ASSERT_TRUE(got.SameShape(want));
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0);
+
+  EXPECT_TRUE(LoadNameVocabulary(Path("absent.vec")).status().IsNotFound());
+  WriteFile("words.vec.meta", "64\n");
+  EXPECT_TRUE(
+      LoadNameVocabulary(Path("words.vec")).status().IsInvalidArgument());
 }
 
 }  // namespace

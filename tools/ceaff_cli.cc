@@ -149,8 +149,10 @@ int Usage() {
                "           [--no-structural] [--no-semantic] [--no-string] "
                "[--attributes]\n"
                "           [--gcn-dim N] [--gcn-epochs N] [--theta1 X] "
-               "[--embeddings FILE] "
                "[--theta2 X]\n"
+               "           [--embeddings FILE]  word vectors (default: the "
+               "dataset's word_vectors.vec,\n"
+               "           else hash vectors of --embed-dim N)\n"
                "           [--checkpoint_dir DIR] [--resume] "
                "[--deadline_ms N]\n"
                "           [--export_index FILE] [--export_ann BOOL] "
@@ -174,15 +176,10 @@ int Usage() {
   return 2;
 }
 
-/// Default store when no --embeddings file is given: deterministic
-/// hash-fallback vectors (identical spellings align — right for
-/// mono-lingual and closely-related pairs). Pass --embeddings with
-/// pretrained multilingual vectors (word2vec/GloVe/fastText text format)
-/// for distant language pairs.
-text::WordEmbeddingStore MakeStore(const kg::KgPair& pair, size_t dim) {
-  (void)pair;
-  return text::WordEmbeddingStore(dim, /*seed=*/17);
-}
+/// The word store `generate` writes beside a dataset: the generator's own
+/// word vectors (text::SaveNameVocabulary), so `align` on generated data
+/// computes the semantic feature the benchmarks measure.
+constexpr char kWordVectorsFile[] = "word_vectors.vec";
 
 int CmdGenerate(const FlagParser& flags) {
   std::string config = flags.GetString("config", "DBP15K_FR_EN");
@@ -198,6 +195,15 @@ int CmdGenerate(const FlagParser& flags) {
   auto bench = data::GenerateBenchmark(cfg.value());
   if (!bench.ok()) return Fail(bench.status());
   Status st = kg::SaveKgPair(bench->pair, out);
+  if (!st.ok()) return Fail(st);
+  std::vector<std::string> names;
+  for (const kg::KnowledgeGraph* g : {&bench->pair.kg1, &bench->pair.kg2}) {
+    for (uint32_t e = 0; e < g->num_entities(); ++e) {
+      names.push_back(g->entity_name(e));
+    }
+  }
+  st = text::SaveNameVocabulary(bench->store, names,
+                                out + "/" + kWordVectorsFile);
   if (!st.ok()) return Fail(st);
   std::printf("wrote %s (%zu + %zu entities, %zu + %zu triples, %zu seed / "
               "%zu test links) to %s\n",
@@ -306,10 +312,24 @@ int CmdAlign(const FlagParser& flags) {
     return 2;
   }
 
-  text::WordEmbeddingStore store =
-      MakeStore(pair, static_cast<size_t>(flags.GetInt("embed-dim", 64)));
+  // Without --embeddings, the generator's store when the dataset carries
+  // one; otherwise deterministic hash-fallback vectors only (identical
+  // spellings align — right for mono-lingual and closely-related pairs).
+  // Pass --embeddings with pretrained multilingual vectors
+  // (word2vec/GloVe/fastText text format) for distant language pairs.
+  text::WordEmbeddingStore store(
+      static_cast<size_t>(flags.GetInt("embed-dim", 64)), /*seed=*/17);
   std::string embeddings_path = flags.GetString("embeddings", "");
-  if (!embeddings_path.empty()) {
+  if (embeddings_path.empty()) {
+    auto generated = text::LoadNameVocabulary(dir + "/" + kWordVectorsFile);
+    if (generated.ok()) {
+      store = std::move(generated).value();
+      std::printf("loaded the generator's word store (%zu vectors)\n",
+                  store.explicit_tokens().size());
+    } else if (!generated.status().IsNotFound()) {
+      return Fail(generated.status());
+    }
+  } else {
     // Pretrained text-format vectors (word2vec/GloVe/fastText). Dimension
     // must match --embed-dim.
     text::EmbeddingIoOptions embedding_options;
@@ -545,6 +565,50 @@ int CmdEval(const FlagParser& flags) {
   return 0;
 }
 
+/// The flags each subcommand accepts, checked before it acts: an unknown
+/// flag or a malformed value is a usage error (exit 2) that writes
+/// nothing.
+std::vector<FlagParser::Spec> FlagSpecs(const std::string& cmd) {
+  using T = FlagParser::Type;
+  // Ingestion flags every subcommand takes.
+  std::vector<FlagParser::Spec> specs = {{"lenient_io", T::kBool},
+                                         {"io_error_budget", T::kInt},
+                                         {"lenient_drop_threshold",
+                                          T::kDouble}};
+  std::vector<FlagParser::Spec> own;
+  if (cmd == "generate") {
+    own = {{"config", T::kString},
+           {"scale", T::kDouble},
+           {"out", T::kString},
+           {"seed", T::kInt}};
+  } else if (cmd == "stats") {
+    own = {{"data", T::kString}};
+  } else if (cmd == "align") {
+    own = {{"data", T::kString},          {"out", T::kString},
+           {"checkpoint_dir", T::kString}, {"resume", T::kBool},
+           {"deadline_ms", T::kInt},       {"export_index", T::kString},
+           {"export_dataset", T::kString}, {"export_ann", T::kBool},
+           {"ann_centroids", T::kInt},     {"threads", T::kInt},
+           {"no-structural", T::kBool},    {"no-semantic", T::kBool},
+           {"no-string", T::kBool},        {"attributes", T::kBool},
+           {"gcn-dim", T::kInt},           {"gcn-epochs", T::kInt},
+           {"gcn-lr", T::kDouble},         {"theta1", T::kDouble},
+           {"theta2", T::kDouble},         {"fusion", T::kString},
+           {"decision", T::kString},       {"embed-dim", T::kInt},
+           {"embeddings", T::kString},     {"export_delta_state", T::kString}};
+  } else if (cmd == "eval") {
+    own = {{"data", T::kString}, {"pred", T::kString}};
+  } else if (cmd == "delta") {
+    own = {{"journal", T::kString},         {"state", T::kString},
+           {"index", T::kString},           {"patch", T::kString},
+           {"audit_tolerance", T::kDouble}, {"audit_rows", T::kInt},
+           {"export_ann", T::kBool},        {"ann_centroids", T::kInt},
+           {"threads", T::kInt}};
+  }
+  specs.insert(specs.end(), own.begin(), own.end());
+  return specs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -553,6 +617,11 @@ int main(int argc, char** argv) {
   if (!flags_or.ok()) return Fail(flags_or.status());
   const FlagParser& flags = flags_or.value();
   std::string cmd = argv[1];
+  const Status valid = flags.Validate(FlagSpecs(cmd));
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), valid.message().c_str());
+    return Usage();
+  }
 
   int rc;
   if (cmd == "generate") {
@@ -567,9 +636,6 @@ int main(int argc, char** argv) {
     rc = CmdDelta(flags);
   } else {
     return Usage();
-  }
-  for (const std::string& f : flags.UnreadFlags()) {
-    std::fprintf(stderr, "warning: unknown flag --%s ignored\n", f.c_str());
   }
   return FinishWithIngestSummary(flags, rc);
 }

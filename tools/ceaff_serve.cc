@@ -423,16 +423,9 @@ int Run(const FlagParser& flags) {
     return 2;
   }
   if (shards > 1 || replicas > 1) {
-    // Touch the single-process-only flags so they do not warn as unknown.
-    (void)flags.GetInt("threads", 4);
-    (void)flags.GetInt("cache", 1024);
-    (void)flags.GetInt("scrub_ms", 0);
     return RunSharded(flags, static_cast<size_t>(shards),
                       static_cast<size_t>(replicas));
   }
-  // Touch the sharded-only flags for the same reason.
-  (void)flags.GetInt("respawn_flap_ms", 10'000);
-  (void)flags.GetInt("respawn_cooldown_ms", 2'000);
   serve::ServiceOptions options;
   serve::AnnOptions ann;
   if (!ParseAnnFlags(flags, &ann)) return 2;
@@ -485,11 +478,21 @@ int main(int argc, char** argv) {
                  flags.status().ToString().c_str());
     return ceaff::Usage();
   }
-  if (flags->GetBool("help", false)) return ceaff::Usage();
-  const int rc = ceaff::Run(flags.value());
-  for (const std::string& f : flags->UnreadFlags()) {
-    std::fprintf(stderr, "ceaff_serve: warning: unknown flag --%s\n",
-                 f.c_str());
+  // An unknown flag or a malformed value is a usage error before anything
+  // is loaded or served.
+  using T = ceaff::FlagParser::Type;
+  const ceaff::Status valid = flags->Validate(
+      {{"index", T::kString},          {"requests", T::kString},
+       {"threads", T::kInt},           {"cache", T::kInt},
+       {"deadline_ms", T::kInt},       {"scrub_ms", T::kInt},
+       {"shards", T::kInt},            {"replicas", T::kInt},
+       {"respawn_flap_ms", T::kInt},   {"respawn_cooldown_ms", T::kInt},
+       {"ann", T::kBool},              {"nprobe", T::kInt},
+       {"shortlist", T::kInt},         {"help", T::kBool}});
+  if (!valid.ok()) {
+    std::fprintf(stderr, "ceaff_serve: %s\n", valid.message().c_str());
+    return ceaff::Usage();
   }
-  return rc;
+  if (flags->GetBool("help", false)) return ceaff::Usage();
+  return ceaff::Run(flags.value());
 }

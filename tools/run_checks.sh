@@ -9,9 +9,12 @@
 # a kernels smoke (the `bench`-labelled parity ctest plus a quick
 # micro_kernels run asserting a clean parity bill), an end-to-end serving
 # smoke (export an index from a tiny synthetic run, then drive ceaff_serve
-# against it), a thread-count identity drill (`align --threads 1` and
-# `--threads 4` must write byte-identical predictions, index and delta
-# state), an ANN
+# against it; an unknown flag or a malformed number must exit 2 before
+# writing anything), a thread-count identity drill (`align --threads 1`,
+# 3 and 4 must write byte-identical predictions, index and delta state,
+# under adaptive, fixed and learned fusion and with the attribute
+# feature) that also asserts the CLI's ZH-EN hits@1 lands in the
+# EXPERIMENTS.md band, an ANN
 # smoke (the exported artifact must be format v3, ANN answers must overlap
 # >= 95% with exhaustive top-10 over 20 queries, and STATS must show the
 # ANN path engaged with zero fallbacks; the
@@ -203,25 +206,72 @@ if [[ "$skip_smoke" == 0 ]]; then
   grep -q 'OK PAIR' "$smoke/fp_replies.txt"
   grep -q '"scrub"' "$smoke/fp_replies.txt"
 
+  # An unknown flag or a malformed number is a usage error (exit 2) that
+  # writes nothing: no prediction file, no reply.
+  for bad in '--block_size 32' '--threads 4x' '--theta1 high' \
+      '--resume maybe'; do
+    rc=0
+    "$repo/build/tools/ceaff" align --data "$smoke/data" --gcn-epochs 3 \
+      --gcn-dim 16 --out "$smoke/bad_pred.tsv" $bad >/dev/null 2>&1 || rc=$?
+    if [[ "$rc" != 2 || -e "$smoke/bad_pred.tsv" ]]; then
+      echo "align $bad exited $rc (expected 2) or wrote output" >&2; exit 1
+    fi
+  done
+  for bad in '--no_such_flag 1' '--threads two' '--nprobe 8.5'; do
+    rc=0
+    printf 'PAIR %s\nQUIT\n' "$name" \
+      | "$repo/build/tools/ceaff_serve" --index "$smoke/run.idx" $bad \
+        > "$smoke/bad_replies.txt" 2>/dev/null || rc=$?
+    if [[ "$rc" != 2 || -s "$smoke/bad_replies.txt" ]]; then
+      echo "ceaff_serve $bad exited $rc (expected 2) or replied" >&2; exit 1
+    fi
+  done
+
   echo "==> Thread-count identity: align --threads 1 vs --threads 3 and 4"
   # GCN training runs each phase over KG x row-panel tasks, each row
   # computed by one task in a fixed order (the panel cuts move with the
-  # pool size and are uneven at 3 threads); every kernel is thread-count
+  # pool size and are uneven at 3 threads); every kernel, the streamed
+  # fused pass of every fusion mode included, is thread-count
   # deterministic and deferred acceptance builds its first preference
   # blocks in fixed row panels, so neither the predictions, the exported
   # index nor the delta state may differ by a byte between pool sizes.
+  # Learned fusion and the attribute feature have no delta state.
   "$repo/build/tools/ceaff" generate --config DBP15K_ZH_EN --scale 0.25 \
     --out "$smoke/tdata"
-  for t in 1 3 4; do
-    "$repo/build/tools/ceaff" align --data "$smoke/tdata" --threads "$t" \
-      --export_index "$smoke/threads$t.idx" --out "$smoke/threads$t.tsv" \
-      --export_delta_state "$smoke/threads$t.state" > /dev/null
+  for mode in adaptive fixed learned attributes; do
+    case "$mode" in
+      adaptive) mode_args=() ;;
+      fixed|learned) mode_args=(--fusion "$mode") ;;
+      attributes) mode_args=(--attributes) ;;
+    esac
+    for t in 1 3 4; do
+      state_args=()
+      if [[ "$mode" == adaptive || "$mode" == fixed ]]; then
+        state_args=(--export_delta_state "$smoke/threads_$mode$t.state")
+      fi
+      "$repo/build/tools/ceaff" align --data "$smoke/tdata" --threads "$t" \
+        "${mode_args[@]}" "${state_args[@]}" \
+        --export_index "$smoke/threads_$mode$t.idx" \
+        --out "$smoke/threads_$mode$t.tsv" > "$smoke/threads_$mode$t.log"
+    done
+    for t in 3 4; do
+      cmp "$smoke/threads_${mode}1.tsv" "$smoke/threads_$mode$t.tsv"
+      cmp "$smoke/threads_${mode}1.idx" "$smoke/threads_$mode$t.idx"
+      if [[ "$mode" == adaptive || "$mode" == fixed ]]; then
+        cmp "$smoke/threads_${mode}1.state/state.g1" \
+          "$smoke/threads_$mode$t.state/state.g1"
+      fi
+    done
   done
-  for t in 3 4; do
-    cmp "$smoke/threads1.tsv" "$smoke/threads$t.tsv"
-    cmp "$smoke/threads1.idx" "$smoke/threads$t.idx"
-    cmp "$smoke/threads1.state/state.g1" "$smoke/threads$t.state/state.g1"
-  done
+  # The CLI reproduces the paper: `generate` writes the generator's word
+  # store and `align` embeds names with it, so hits@1 lands in the
+  # EXPERIMENTS.md band (CEAFF on ZH-EN at scale 0.25: 0.869), far above
+  # the 0.349 of dropping Mn.
+  hits1="$(awk '/^accuracy:/ {print $2}' "$smoke/threads_adaptive1.log")"
+  if ! awk -v h="$hits1" 'BEGIN { exit !(h >= 0.80 && h <= 0.95) }'; then
+    echo "CLI hits@1 on ZH-EN scale 0.25 is $hits1, outside [0.80, 0.95]" >&2
+    exit 1
+  fi
 
   echo "==> ANN smoke: v3 artifact, recall@10 vs exhaustive, ANN serving path"
   # The serving smoke's corpus is too small for ANN to engage (the range
@@ -416,8 +466,9 @@ if [[ "$skip_smoke" == 0 ]]; then
   "$repo/build/tools/ceaff" delta append \
     --journal "$delta/wal" --patch "$delta/patch.tsv"
   # Sizing flags are validated like align's: a zero thread count is a
-  # usage error (exit 2), never a wrapped size_t.
-  for bad in '--threads 0'; do
+  # usage error (exit 2), never a wrapped size_t; so are an unknown flag
+  # and a malformed number.
+  for bad in '--threads 0' '--threads 1.5' '--no_such_flag 1'; do
     rc=0
     "$repo/build/tools/ceaff" delta append --journal "$delta/wal_bad" \
       --patch "$delta/patch.tsv" $bad >/dev/null 2>&1 || rc=$?
