@@ -11,7 +11,6 @@
 #include "ceaff/fusion/adaptive_fusion.h"
 #include "ceaff/kg/adjacency.h"
 #include "ceaff/la/kernels.h"
-#include "ceaff/text/ngram_similarity.h"
 #include "ceaff/text/name_embedding.h"
 
 namespace {
@@ -47,16 +46,6 @@ void BM_StringSimilarityMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StringSimilarityMatrix)->Arg(100)->Arg(300);
-
-void BM_NgramSimilarityMatrix(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::string> src = RandomNames(n, 1);
-  std::vector<std::string> dst = RandomNames(n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(text::NgramSimilarityMatrix(src, dst));
-  }
-}
-BENCHMARK(BM_NgramSimilarityMatrix)->Arg(100)->Arg(300);
 
 void BM_SemanticSimilarityMatrix(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

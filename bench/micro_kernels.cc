@@ -3,8 +3,8 @@
 // (ceaff_reference and the bench-local ones below), emitting
 // BENCH_kernels.json (tracked in-repo as the perf baseline). For every
 // (kernel, shape) it times the naive reference once and the kernel at
-// several thread counts, reporting GFLOP/s (Mcell/s for the string and
-// CSLS kernels, million scored pairs/s for the margin loss, MB/s for
+// several thread counts, reporting GFLOP/s (Mcell/s for the string
+// kernel, million scored pairs/s for the margin loss, MB/s for
 // CRC-32) and the speedup over naive. The delta_repair rows time the
 // bounded delta repair against the exhaustive rebuild of the same batch
 // (the rebuild is the reference, so its rows read 1.00).
@@ -307,37 +307,6 @@ void BenchStringMatrixMultiWord(size_t n,
   std::snprintf(shape, sizeof(shape), "%zux%zu multi-word names", n, n);
   BenchStringMatrixNamed(names.first, names.second, shape, thread_counts,
                          reps);
-}
-
-void BenchCsls(size_t n, size_t k, const std::vector<int>& thread_counts,
-               int reps) {
-  const Matrix m = RandomMatrix(n, n, 105);
-  char shape[64];
-  std::snprintf(shape, sizeof(shape), "%zux%zu k=%zu", n, n, k);
-  const double cells = static_cast<double>(n) * n;
-
-  Matrix naive_out;
-  const double naive_s =
-      TimeBest(reps, [&] { naive_out = la::CslsRescale(m, k); });
-  g_rows.push_back({"csls_naive", shape, 0, naive_s, cells / naive_s / 1e6,
-                    "mcells", 1.0});
-
-  for (int threads : thread_counts) {
-    std::unique_ptr<ThreadPool> pool;
-    KernelContext ctx;
-    if (threads > 1) {
-      pool = std::make_unique<ThreadPool>(threads);
-      ctx.pool = pool.get();
-    }
-    Matrix out;
-    const double s =
-        TimeBest(reps, [&] { out = la::CslsRescaleK(ctx, m, k); });
-    if (!BitIdentical(out, naive_out)) {
-      Fail("csls kernel diverged from naive at " + std::string(shape));
-    }
-    g_rows.push_back({"csls_kernel", shape, threads, s, cells / s / 1e6,
-                      "mcells", naive_s / s});
-  }
 }
 
 /// n x n CSR with `nnz_per_row` uniformly placed entries per row
@@ -802,12 +771,6 @@ int RunSmoke() {
     }
   }
   {
-    const Matrix m = RandomMatrix(14, 19, 7);
-    if (!BitIdentical(la::CslsRescaleK(par, m, 5), la::CslsRescale(m, 5))) {
-      Fail("csls parity");
-    }
-  }
-  {
     // Cache-resident dense operand: the sweep without prefetch.
     const la::SparseMatrix a = RandomSparse(4000, 8, 15);
     const Matrix x = RandomMatrix(4000, 32, 16);
@@ -932,7 +895,6 @@ int main(int argc, char** argv) {
     BenchMatMulBT(256, 256, 64, threads, 3);
     BenchStringMatrix(120, threads, 3);
     BenchStringMatrixMultiWord(120, threads, 3);
-    BenchCsls(256, 10, threads, 3);
     BenchSpmm(2000, 32, 8, threads, 3);
     BenchIvfTrain(2000, 64, 45, threads, 3);
     BenchMarginLoss(500, 64, 600, {1, 4}, 3);
@@ -947,7 +909,6 @@ int main(int argc, char** argv) {
     // Long multi-word near-duplicate names: the exact kernel on its
     // multi-word LCS path.
     BenchStringMatrixMultiWord(400, threads, 3);
-    BenchCsls(1024, 10, threads, 5);
     BenchSpmm(20000, 64, 10, threads, 5);
     // The TOPK index's ANN training shape: 10k fused target rows of
     // 300 + 200 dims, ceil(sqrt(n)) centroids.

@@ -7,10 +7,13 @@
 #include "ceaff/common/string_util.h"
 #include "ceaff/common/timer.h"
 #include "ceaff/core/checkpoint.h"
+#include "ceaff/fusion/logistic_regression.h"
+#include "ceaff/kg/adjacency.h"
+#include "ceaff/kg/attribute_similarity.h"
+#include "ceaff/kg/relation_similarity.h"
 #include "ceaff/la/kernels.h"
 #include "ceaff/serve/ann_build.h"
 #include "ceaff/text/name_embedding.h"
-#include "ceaff/text/ngram_similarity.h"
 
 namespace ceaff::core {
 
@@ -38,16 +41,6 @@ std::vector<std::string> GatherNames(const kg::KnowledgeGraph& g,
   out.reserve(ids.size());
   for (uint32_t id : ids) out.push_back(g.entity_name(id));
   return out;
-}
-
-la::Matrix StringFeatureMatrix(CeaffOptions::StringMetric metric,
-                               const la::KernelContext& ctx,
-                               const std::vector<std::string>& source_names,
-                               const std::vector<std::string>& target_names) {
-  if (metric == CeaffOptions::StringMetric::kNgramDice) {
-    return text::NgramSimilarityMatrix(source_names, target_names);
-  }
-  return la::StringSimilarityMatrixK(ctx, source_names, target_names);
 }
 
 void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,
@@ -291,10 +284,8 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
         restore_stage("structural", artifacts, &features.seed_structural,
                       &features.gcn_final_loss);
     if (!restored) {
-      la::SparseMatrix a1 =
-          kg::BuildAdjacency(pair_->kg1, options_.adjacency);
-      la::SparseMatrix a2 =
-          kg::BuildAdjacency(pair_->kg2, options_.adjacency);
+      la::SparseMatrix a1 = kg::BuildAdjacency(pair_->kg1);
+      la::SparseMatrix a2 = kg::BuildAdjacency(pair_->kg2);
       embed::GcnOptions gcn_options = options_.gcn;
       gcn_options.cancel = options_.cancel;
       gcn_options.kernel = &ctx;
@@ -383,7 +374,7 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
         [&](const std::vector<uint32_t>&, const std::vector<uint32_t>&,
             const std::vector<std::string>& src,
             const std::vector<std::string>& tgt) {
-          return StringFeatureMatrix(options_.string_metric, ctx, src, tgt);
+          return la::StringSimilarityMatrixK(ctx, src, tgt);
         }));
   }
   if (options_.use_relation) {
@@ -393,7 +384,7 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
             const std::vector<std::string>&,
             const std::vector<std::string>&) {
           return kg::RelationSimilarityMatrix(pair_->kg1, pair_->kg2, src,
-                                              tgt, options_.relation);
+                                              tgt);
         }));
   }
   if (options_.use_attribute) {
@@ -403,20 +394,11 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
             const std::vector<std::string>&,
             const std::vector<std::string>&) {
           return kg::AttributeSimilarityMatrix(pair_->kg1, pair_->kg2, src,
-                                               tgt, options_.attribute);
+                                               tgt);
         }));
   }
   features.seconds = timer.ElapsedSeconds();
   return features;
-}
-
-StatusOr<la::Matrix> FuseWithWeights(
-    const std::vector<fusion::FeatureRows>& features,
-    const std::vector<double>& textual_weights,
-    const std::vector<double>& final_weights, const la::KernelContext& ctx) {
-  if (features.size() == 1) return features[0].Materialize(ctx);
-  return fusion::FuseRowsWithWeights(features, textual_weights, final_weights,
-                                     ctx);
 }
 
 Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
@@ -462,8 +444,8 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
         "an enabled feature is missing from the provided feature set");
   }
   if (enabled.size() == 1) {
-    CEAFF_ASSIGN_OR_RETURN(result->fused, FuseWithWeights(enabled, {}, {1.0},
-                                                          ctx));
+    CEAFF_ASSIGN_OR_RETURN(
+        result->fused, fusion::FuseRowsWithWeights(enabled, {}, {1.0}, ctx));
     result->final_weights = {1.0};
     return Status::OK();
   }
@@ -497,7 +479,8 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
                                    1.0 / static_cast<double>(enabled.size()));
       CEAFF_ASSIGN_OR_RETURN(
           result->fused,
-          FuseWithWeights(enabled, {}, result->final_weights, ctx));
+          fusion::FuseRowsWithWeights(enabled, {}, result->final_weights,
+                                      ctx));
       return Status::OK();
     }
     case FusionMode::kLearned: {
@@ -518,12 +501,13 @@ Status CeaffPipeline::FuseFeatures(const CeaffFeatures& features,
       for (uint32_t i = 0; i < pair_->seed_alignment.size(); ++i) {
         seed_gold.push_back({i, i});
       }
-      fusion::LogisticRegressionFusion lr(options_.lr);
+      fusion::LogisticRegressionFusion lr;
       CEAFF_RETURN_IF_ERROR(lr.Train(enabled_seed, seed_gold));
       result->final_weights = lr.FusionWeights();
       CEAFF_ASSIGN_OR_RETURN(
           result->fused,
-          FuseWithWeights(enabled, {}, result->final_weights, ctx));
+          fusion::FuseRowsWithWeights(enabled, {}, result->final_weights,
+                                      ctx));
       return Status::OK();
     }
   }
@@ -538,10 +522,6 @@ StatusOr<CeaffResult> CeaffPipeline::RunOnFeatures(
   const la::KernelContext& ctx = runtime_.ctx;
   CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "fusion stage"));
   CEAFF_RETURN_IF_ERROR(FuseFeatures(features, &result));
-  if (options_.csls_k > 0) {
-    result.fused = la::CslsRescaleK(ctx, result.fused, options_.csls_k);
-    CEAFF_RETURN_IF_ERROR(ctx.CheckCancelled("csls rescale"));
-  }
 
   CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "decision stage"));
   WallTimer decision_timer;
@@ -563,15 +543,6 @@ StatusOr<CeaffResult> CeaffPipeline::RunOnFeatures(
     case DecisionMode::kGreedyOneToOne:
       result.match = matching::GreedyOneToOne(result.fused);
       break;
-    case DecisionMode::kSinkhorn: {
-      matching::SinkhornOptions sinkhorn;
-      sinkhorn.cancel = options_.cancel;
-      sinkhorn.kernel = &ctx;
-      CEAFF_ASSIGN_OR_RETURN(
-          result.match,
-          matching::SinkhornMatchChecked(result.fused, sinkhorn));
-      break;
-    }
   }
   result.seconds_decision = decision_timer.ElapsedSeconds();
 

@@ -12,15 +12,10 @@
 #include "ceaff/embed/gcn.h"
 #include "ceaff/eval/metrics.h"
 #include "ceaff/fusion/adaptive_fusion.h"
-#include "ceaff/fusion/logistic_regression.h"
-#include "ceaff/kg/adjacency.h"
-#include "ceaff/kg/attribute_similarity.h"
-#include "ceaff/kg/relation_similarity.h"
 #include "ceaff/kg/knowledge_graph.h"
 #include "ceaff/la/kernels.h"
 #include "ceaff/la/matrix.h"
 #include "ceaff/matching/matching.h"
-#include "ceaff/matching/sinkhorn.h"
 #include "ceaff/serve/alignment_index.h"
 #include "ceaff/text/word_embedding.h"
 
@@ -39,7 +34,6 @@ enum class DecisionMode {
   kIndependent,    // row-argmax, the "w/o C" ablation / prior-work default
   kHungarian,      // max-weight bipartite matching (Sec. VI discussion)
   kGreedyOneToOne,  // globally greedy one-to-one (extra design baseline)
-  kSinkhorn,       // entropic transport plan + one-to-one decoding
 };
 
 /// Full configuration of a CEAFF run. Every Table V ablation is a toggle
@@ -52,15 +46,8 @@ struct CeaffOptions {
   /// CEAFF uses exactly Ms/Mn/Ml; enabling this exercises the adaptive
   /// fusion with a fourth signal).
   bool use_attribute = false;
-  kg::AttributeSimilarityOptions attribute;
   /// Mr — the relation-signature extension feature (off by default).
   bool use_relation = false;
-  kg::RelationSimilarityOptions relation;
-  /// Metric behind Ml: the paper's Levenshtein ratio (lev*, default) or
-  /// the O(n)-per-pair character-trigram Dice alternative (a DESIGN.md
-  /// ablation).
-  enum class StringMetric { kLevenshteinRatio, kNgramDice };
-  StringMetric string_metric = StringMetric::kLevenshteinRatio;
   /// Inert: Ml always comes from the one exact Levenshtein kernel, which
   /// the delta path's row-wise repair and the adaptive weights' column
   /// maxima both need. Kept only so existing callers that still set it
@@ -69,13 +56,7 @@ struct CeaffOptions {
   FusionMode fusion_mode = FusionMode::kAdaptive;
   DecisionMode decision_mode = DecisionMode::kCollective;
   fusion::FusionOptions fusion;  // θ1 / θ2 ("w/o θ1,θ2" via use_score_clamp)
-  /// Apply CSLS hubness correction with this neighbourhood size to the
-  /// fused matrix before the decision stage. 0 (default, the paper's
-  /// setting) disables it; an extension ablation, see la::CslsRescaleK.
-  size_t csls_k = 0;
-  fusion::LrOptions lr;          // kLearned parameters
   embed::GcnOptions gcn;         // structural feature training
-  kg::AdjacencyOptions adjacency;
 
   // ---- Fault tolerance & run control (DESIGN.md "Failure model") ----
 
@@ -91,8 +72,7 @@ struct CeaffOptions {
   /// miss (it is logged).
   bool resume = false;
   /// Cooperative cancellation/deadline signal, polled at every stage
-  /// boundary and inside the iterative kernels (GCN epochs, Sinkhorn
-  /// iterations, DAA rounds). When it fires, Run() returns kCancelled or
+  /// boundary and inside the iterative kernels (GCN epochs, DAA rounds). When it fires, Run() returns kCancelled or
   /// kDeadlineExceeded; stages already persisted to checkpoint_dir remain
   /// on disk, so a later resume continues from the last completed stage.
   /// Not owned.
@@ -123,8 +103,8 @@ struct CeaffOptions {
   /// (ceil(sqrt(n_targets))).
   size_t ann_centroids = 0;
   /// Worker threads for the compute kernels behind every stage (GCN
-  /// forward/backward, cosine matrices, the Levenshtein scan, CSLS and
-  /// Sinkhorn sweeps, DAA, ANN training at export). Each CeaffPipeline
+  /// forward/backward, cosine matrices, the Levenshtein scan, DAA, ANN
+  /// training at export). Each CeaffPipeline
   /// creates one ThreadPool, when it is constructed, and threads it to
   /// every stage through a la::KernelContext. 1 (default) creates no pool
   /// and keeps everything single-threaded; the kernels are thread-count
@@ -253,27 +233,6 @@ la::Matrix GatherRows(const la::Matrix& emb, const std::vector<uint32_t>& ids);
 /// The display names of the given entities.
 std::vector<std::string> GatherNames(const kg::KnowledgeGraph& g,
                                      const std::vector<uint32_t>& ids);
-
-/// The string feature Ml over the given names: the exact lev* ratio matrix
-/// (la::StringSimilarityMatrixK, on `ctx`) or the trigram Dice matrix. The
-/// batch string stage and the delta fused block both compute Ml here.
-la::Matrix StringFeatureMatrix(CeaffOptions::StringMetric metric,
-                               const la::KernelContext& ctx,
-                               const std::vector<std::string>& source_names,
-                               const std::vector<std::string>& target_names);
-
-/// The fused matrix of features with known weights, read by row panels:
-/// the fused pass of fixed and learned fusion, and of the delta path's
-/// frozen weights (delta::ComputeFusedBlock), so batch and delta share
-/// one per-cell arithmetic (fusion::WeightedRow). `features` are in
-/// enabled order; non-empty `textual_weights` selects the two-stage
-/// topology (features Ms, Mn, Ml). A single feature is copied, not
-/// weighted, as every fusion mode does: 0.0f + 1·x would turn -0.0 into
-/// +0.0.
-StatusOr<la::Matrix> FuseWithWeights(
-    const std::vector<fusion::FeatureRows>& features,
-    const std::vector<double>& textual_weights,
-    const std::vector<double>& final_weights, const la::KernelContext& ctx);
 
 /// Test-set source/target entity ids of a pair, in test_alignment order.
 void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,

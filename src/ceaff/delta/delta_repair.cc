@@ -16,14 +16,6 @@ namespace ceaff::delta {
 
 namespace {
 
-kg::AdjacencyOptions AdjOptionsOf(const DeltaState& s) {
-  kg::AdjacencyOptions opts;
-  opts.functionality_weighted = s.adj_functionality_weighted;
-  opts.add_self_loops = s.adj_add_self_loops;
-  opts.symmetric_normalize = s.adj_symmetric_normalize;
-  return opts;
-}
-
 /// Marks stored serving row i (< stored_rows) dirty when its fresh
 /// structural row differs bitwise from the stored one. A fused cell reads
 /// only its own row's and column's inputs, so this is exact, and a stale
@@ -83,9 +75,8 @@ StatusOr<la::Matrix> ComputeFusedBlock(const DeltaState& s,
     tgt_ids.reserve(cols.size());
     for (uint32_t i : rows) src_ids.push_back(s.source_ids[i]);
     for (uint32_t j : cols) tgt_ids.push_back(s.target_ids[j]);
-    ml = core::StringFeatureMatrix(
-        static_cast<core::CeaffOptions::StringMetric>(s.string_metric), ctx,
-        core::GatherNames(s.kg1, src_ids), core::GatherNames(s.kg2, tgt_ids));
+    ml = la::StringSimilarityMatrixK(ctx, core::GatherNames(s.kg1, src_ids),
+                                     core::GatherNames(s.kg2, tgt_ids));
     enabled.emplace_back(&ml);
   }
   if (enabled.empty()) {
@@ -98,13 +89,13 @@ StatusOr<la::Matrix> ComputeFusedBlock(const DeltaState& s,
     if (s.textual_weights.size() != 2 || s.final_weights.size() != 2) {
       return Status::DataLoss("two-stage delta state with malformed weights");
     }
-    return core::FuseWithWeights(enabled, s.textual_weights, s.final_weights,
-                                 ctx);
+    return fusion::FuseRowsWithWeights(enabled, s.textual_weights,
+                                       s.final_weights, ctx);
   }
-  if (enabled.size() > 1 && s.final_weights.size() != enabled.size()) {
+  if (s.final_weights.size() != enabled.size()) {
     return Status::DataLoss("delta state weight count mismatch");
   }
-  return core::FuseWithWeights(enabled, {}, s.final_weights, ctx);
+  return fusion::FuseRowsWithWeights(enabled, {}, s.final_weights, ctx);
 }
 
 StatusOr<GraphPatchResult> ApplyGraphPatches(
@@ -382,9 +373,8 @@ StructEmbeddings PropagateStructEmbeddings(const DeltaState& s,
   // than one sweep, and grain never changes bits (DESIGN.md §11).
   la::KernelContext serial = ctx;
   serial.pool = nullptr;
-  const kg::AdjacencyOptions opts = AdjOptionsOf(s);
-  const la::SparseMatrix a1 = kg::BuildAdjacency(s.kg1, opts);
-  const la::SparseMatrix a2 = kg::BuildAdjacency(s.kg2, opts);
+  const la::SparseMatrix a1 = kg::BuildAdjacency(s.kg1);
+  const la::SparseMatrix a2 = kg::BuildAdjacency(s.kg2);
   const la::Matrix z1 = la::SpMMK(serial, a1, la::SpMMK(serial, a1, s.x1));
   const la::Matrix z2 = la::SpMMK(serial, a2, la::SpMMK(serial, a2, s.x2));
   return {core::GatherRows(z1, s.source_ids),

@@ -12,10 +12,10 @@ namespace ceaff::delta {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'D', 'L', 'T'};
-constexpr uint32_t kVersion = 2;
-/// The format that also stored full preference lists. Still recognised,
-/// so the refusal can say how to recover.
-constexpr uint32_t kVersionWithPrefs = 1;
+/// Older versions (1 also stored full preference lists, 2 the string metric
+/// and three adjacency switches) are still recognised, so the refusal can
+/// say how to recover.
+constexpr uint32_t kVersion = 3;
 constexpr size_t kTrailerBytes = 4;
 
 uint32_t VersionOf(std::string_view bytes) {
@@ -42,11 +42,12 @@ Status ValidateDeltaStateBytes(std::string_view bytes) {
   // The checksum holds, so another version is a format this build does
   // not read, not corruption: it must not be quarantined.
   const uint32_t version = VersionOf(bytes);
-  if (version == kVersionWithPrefs) {
-    return Status::FailedPrecondition(
-        "delta state is CEAFFDLT version 1, which this build no longer "
-        "reads (version 2 dropped the stored preference lists); re-export "
-        "it with `ceaff align --data DIR --export_delta_state STATE_DIR`");
+  if (version < kVersion) {
+    return Status::FailedPrecondition(StrFormat(
+        "delta state is CEAFFDLT version %u, which this build no longer "
+        "reads (it reads version %u); re-export it with "
+        "`ceaff align --data DIR --export_delta_state STATE_DIR`",
+        version, kVersion));
   }
   if (version != kVersion) {
     return Status::FailedPrecondition(StrFormat(
@@ -170,11 +171,7 @@ std::string SerializeDeltaState(const DeltaState& state) {
   w.Bool(state.use_structural);
   w.Bool(state.use_semantic);
   w.Bool(state.use_string);
-  w.U8(state.string_metric);
   w.Bool(state.two_stage);
-  w.Bool(state.adj_functionality_weighted);
-  w.Bool(state.adj_add_self_loops);
-  w.Bool(state.adj_symmetric_normalize);
   WriteWeights(state.textual_weights, &w);
   WriteWeights(state.final_weights, &w);
   WriteKg(state.kg1, &w);
@@ -208,11 +205,7 @@ StatusOr<DeltaState> ParseValidatedDeltaState(std::string_view bytes) {
       !r.U32(&state.semantic_dim) || !r.U64(&state.semantic_seed) ||
       !r.U32(&state.gcn_dim) || !r.U64(&state.gcn_seed) ||
       !r.Bool(&state.use_structural) || !r.Bool(&state.use_semantic) ||
-      !r.Bool(&state.use_string) || !r.U8(&state.string_metric) ||
-      !r.Bool(&state.two_stage) ||
-      !r.Bool(&state.adj_functionality_weighted) ||
-      !r.Bool(&state.adj_add_self_loops) ||
-      !r.Bool(&state.adj_symmetric_normalize)) {
+      !r.Bool(&state.use_string) || !r.Bool(&state.two_stage)) {
     return Status::DataLoss("malformed delta-state header");
   }
   if (!ReadWeights(&r, &state.textual_weights) ||
@@ -272,10 +265,6 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
     return Status::FailedPrecondition(
         "delta export does not support the attribute/relation features");
   }
-  if (options.csls_k > 0) {
-    return Status::FailedPrecondition(
-        "delta export does not support CSLS post-processing");
-  }
   if (options.decision_mode != core::DecisionMode::kCollective) {
     return Status::FailedPrecondition(
         "delta export requires the collective (DAA) decision mode");
@@ -298,13 +287,9 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
   state.use_structural = options.use_structural;
   state.use_semantic = options.use_semantic;
   state.use_string = options.use_string;
-  state.string_metric = static_cast<uint8_t>(options.string_metric);
   state.two_stage = options.fusion_mode == core::FusionMode::kAdaptive &&
                     options.use_structural && options.use_semantic &&
                     options.use_string;
-  state.adj_functionality_weighted = options.adjacency.functionality_weighted;
-  state.adj_add_self_loops = options.adjacency.add_self_loops;
-  state.adj_symmetric_normalize = options.adjacency.symmetric_normalize;
   state.textual_weights = result.textual_weights;
   state.final_weights = result.final_weights;
   state.kg1 = pair.kg1;

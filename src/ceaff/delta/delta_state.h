@@ -28,10 +28,11 @@ namespace ceaff::delta {
 /// frozen model, so repaired and rebuilt results are bit-identical.
 ///
 /// Persisted as the artifact "state" in a GenerationalStore (failpoint
-/// scope "delta_state"): container magic "CEAFFDLT", version 2,
-/// little-endian, whole-file CRC-32 trailer. Version 1 also stored every
-/// source's full preference list; it is refused with kFailedPrecondition
-/// (re-export the state from `ceaff align --export_delta_state`).
+/// scope "delta_state"): container magic "CEAFFDLT", version 3,
+/// little-endian, whole-file CRC-32 trailer. Older versions (1 also stored
+/// every source's full preference list, 2 the string metric and three
+/// adjacency switches) are refused with kFailedPrecondition: re-export the
+/// state from `ceaff align --export_delta_state`.
 struct DeltaState {
   /// Highest journal record id folded into this state. Records at or
   /// below it are skipped on replay.
@@ -46,14 +47,9 @@ struct DeltaState {
   bool use_structural = true;
   bool use_semantic = true;
   bool use_string = true;
-  /// Numeric value of core::CeaffOptions::StringMetric.
-  uint8_t string_metric = 0;
   /// Whether fusion composes as (Mn ⊕ Ml) → textual, then Ms ⊕ textual
   /// (true exactly when all three base features fuse adaptively).
   bool two_stage = false;
-  bool adj_functionality_weighted = true;
-  bool adj_add_self_loops = true;
-  bool adj_symmetric_normalize = true;
   /// Frozen fusion weights: stage-one (Mn, Ml) weights when two_stage,
   /// else empty; and the final-stage weights over the matrices entering
   /// the last fusion (a single 1.0 for a single enabled feature).
@@ -97,8 +93,9 @@ std::string SerializeDeltaState(const DeltaState& state);
 /// GenerationalStore validator, so a corrupt newest generation (kDataLoss)
 /// falls back to the previous one instead of failing the load. An intact
 /// file of any other version is kFailedPrecondition, which the store
-/// returns without quarantining the file: for version 1 the message names
-/// the re-export command, otherwise the version this build reads.
+/// returns without quarantining the file: for an older version the message
+/// names the re-export command, for a newer one the version this build
+/// reads.
 Status ValidateDeltaStateBytes(std::string_view bytes);
 
 /// Full parse. kDataLoss on any corruption; ValidateDeltaStateBytes's
@@ -120,7 +117,6 @@ StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store);
 /// (kFailedPrecondition) configurations the frozen-model repair path
 /// cannot replay exactly:
 ///   - use_attribute / use_relation (no incremental recompute path)
-///   - csls_k > 0 (a fused-matrix post-pass with global row dependence)
 ///   - decision_mode other than kCollective
 ///   - fusion_mode kLearned
 /// `features` must carry structural_x1/x2 and structural_src/tgt_emb when

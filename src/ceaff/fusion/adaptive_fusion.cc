@@ -191,7 +191,7 @@ class Maxima {
   }
 
   /// Cells that are the first maximum of both their row and their column,
-  /// in row order (FindConfidentCorrespondences' order).
+  /// in row order.
   std::vector<Correspondence> Candidates() const {
     std::vector<Correspondence> out;
     if (cols_ == 0 || panels_ == 0) return out;
@@ -300,11 +300,6 @@ StatusOr<la::Matrix> TwoStagePasses(
 }
 
 }  // namespace
-
-std::vector<Correspondence> FindConfidentCorrespondences(const la::Matrix& m) {
-  const FeatureRows rows(&m);
-  return CollectCandidates({&rows}, la::KernelContext{}).value()[0];
-}
 
 FeatureWeightReport WeightsFromCandidates(
     std::vector<std::vector<Correspondence>> candidates,
@@ -425,6 +420,8 @@ StatusOr<la::Matrix> FuseRowsWithWeights(
     if (final_weights.size() != features.size()) {
       return Status::InvalidArgument("one weight per feature expected");
     }
+    // Copied, not weighted: 0.0f + 1·x would turn -0.0 into +0.0.
+    if (features.size() == 1) return features[0].Materialize(ctx);
     la::Matrix out(features[0].rows(), features[0].cols());
     CEAFF_RETURN_IF_ERROR(WeightPass(ptrs, final_weights, ctx, &out, nullptr));
     return out;
@@ -452,13 +449,6 @@ std::vector<FeatureRows> StoredRows(
 
 }  // namespace
 
-StatusOr<FeatureWeightReport> ComputeAdaptiveWeights(
-    const std::vector<const la::Matrix*>& features,
-    const FusionOptions& options) {
-  return AdaptiveWeightsOfRows(StoredRows(features), options,
-                               la::KernelContext{});
-}
-
 StatusOr<la::Matrix> AdaptiveFuse(
     const std::vector<const la::Matrix*>& features,
     const FusionOptions& options, FeatureWeightReport* report) {
@@ -472,16 +462,6 @@ StatusOr<la::Matrix> FixedFuse(
                               1.0 / static_cast<double>(features.size()));
   return FuseRowsWithWeights(StoredRows(features), {}, weights,
                              la::KernelContext{});
-}
-
-StatusOr<TwoStageFusionResult> TwoStageFuse(
-    const la::Matrix& structural, const la::Matrix& semantic,
-    const la::Matrix& string_sim,
-    const std::vector<const la::Matrix*>& extras,
-    const FusionOptions& options) {
-  return TwoStageFuseRows(FeatureRows(&structural), FeatureRows(&semantic),
-                          FeatureRows(&string_sim), StoredRows(extras),
-                          options, la::KernelContext{});
 }
 
 }  // namespace ceaff::fusion

@@ -95,11 +95,6 @@ void WeightedRow(const std::vector<float>& weights,
                  const std::vector<const float*>& rows, size_t cols,
                  float* out);
 
-/// Stage 1 — finds all cells of `m` that are simultaneously row- and
-/// column-maxima. Ties are resolved to the first (lowest-index) maximum so
-/// results are deterministic.
-std::vector<Correspondence> FindConfidentCorrespondences(const la::Matrix& m);
-
 /// Stages 2–4 on the candidate sets of stage 1, one per feature:
 /// filtering, correspondence weights and the normalised feature weights.
 /// When every retained set is empty the weights fall back to uniform,
@@ -161,8 +156,12 @@ StatusOr<TwoStageFusionResult> TwoStageFuseRows(
     const FeatureRows& string_sim, const std::vector<FeatureRows>& extras,
     const FusionOptions& options, const la::KernelContext& ctx);
 
-/// Fusion with known weights. Flat when `textual_weights` is empty:
-/// Σ_k final_weights[k] · features[k]. Otherwise `features` are
+/// Fusion with known weights — the fused pass of fixed and learned fusion
+/// and of the delta path's frozen weights (delta::ComputeFusedBlock), so
+/// batch and delta share one per-cell arithmetic (WeightedRow). Flat when
+/// `textual_weights` is empty: Σ_k final_weights[k] · features[k], except
+/// that a single feature is copied, not weighted, as every fusion mode
+/// does: 0.0f + 1·x would turn -0.0 into +0.0. Otherwise `features` are
 /// (Ms, Mn, Ml, extras...) and passes 2–3 of TwoStageFuseRows run with the
 /// given weights. InvalidArgument on a shape or weight-count mismatch.
 StatusOr<la::Matrix> FuseRowsWithWeights(
@@ -172,11 +171,6 @@ StatusOr<la::Matrix> FuseRowsWithWeights(
 
 // Whole-matrix adapters over the streamed pass, on the calling thread.
 
-/// Stages 1–4 for stored matrices (AdaptiveWeightsOfRows).
-StatusOr<FeatureWeightReport> ComputeAdaptiveWeights(
-    const std::vector<const la::Matrix*>& features,
-    const FusionOptions& options = {});
-
 /// Stages 1–5 — fused = Σ_k w_k · M_k using adaptive weights. If `report`
 /// is non-null the full weight computation is copied out.
 StatusOr<la::Matrix> AdaptiveFuse(
@@ -185,15 +179,6 @@ StatusOr<la::Matrix> AdaptiveFuse(
 
 /// Equal-weight fusion (the Table V "w/o AFF" baseline).
 StatusOr<la::Matrix> FixedFuse(const std::vector<const la::Matrix*>& features);
-
-/// Runs the two-stage adaptive fusion over the three CEAFF features.
-/// `extras` (the attribute/relation extension features, same shape) join
-/// Ms and the textual matrix in the final stage, in the given order.
-StatusOr<TwoStageFusionResult> TwoStageFuse(
-    const la::Matrix& structural, const la::Matrix& semantic,
-    const la::Matrix& string_sim,
-    const std::vector<const la::Matrix*>& extras = {},
-    const FusionOptions& options = {});
 
 }  // namespace ceaff::fusion
 

@@ -1,12 +1,21 @@
 #include "ceaff/fusion/logistic_regression.h"
 
 #include <cmath>
+#include <cstdint>
 
-#include "ceaff/fusion/adaptive_fusion.h"
+#include "ceaff/common/random.h"
 
 namespace ceaff::fusion {
 
 namespace {
+
+/// Negatives sampled per positive seed pair (paper: 10).
+constexpr size_t kNegativesPerPositive = 10;
+constexpr float kLearningRate = 0.1f;
+constexpr size_t kEpochs = 200;
+constexpr float kL2 = 1e-4f;
+constexpr uint64_t kSamplingSeed = 29;
+
 double Sigmoid(double x) {
   if (x >= 0) {
     double e = std::exp(-x);
@@ -15,6 +24,7 @@ double Sigmoid(double x) {
   double e = std::exp(x);
   return e / (1.0 + e);
 }
+
 }  // namespace
 
 Status LogisticRegressionFusion::Train(
@@ -38,13 +48,13 @@ Status LogisticRegressionFusion::Train(
   // (source, target) example.
   std::vector<std::vector<double>> xs;
   std::vector<int> ys;
-  Rng rng(options_.seed);
+  Rng rng(kSamplingSeed);
   for (const kg::AlignmentPair& p : seeds) {
     std::vector<double> row(k);
     for (size_t f = 0; f < k; ++f) row[f] = features[f]->at(p.source, p.target);
     xs.push_back(row);
     ys.push_back(1);
-    for (size_t j = 0; j < options_.negatives_per_positive; ++j) {
+    for (size_t j = 0; j < kNegativesPerPositive; ++j) {
       uint32_t neg = static_cast<uint32_t>(rng.NextBounded(n_targets));
       if (neg == p.target) neg = (neg + 1) % n_targets;
       std::vector<double> nrow(k);
@@ -57,7 +67,7 @@ Status LogisticRegressionFusion::Train(
   coef_.assign(k, 0.0);
   intercept_ = 0.0;
   const double inv_n = 1.0 / static_cast<double>(xs.size());
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
+  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
     std::vector<double> grad(k, 0.0);
     double grad_b = 0.0;
     for (size_t i = 0; i < xs.size(); ++i) {
@@ -68,10 +78,10 @@ Status LogisticRegressionFusion::Train(
       grad_b += err;
     }
     for (size_t f = 0; f < k; ++f) {
-      grad[f] = grad[f] * inv_n + options_.l2 * coef_[f];
-      coef_[f] -= options_.learning_rate * grad[f];
+      grad[f] = grad[f] * inv_n + kL2 * coef_[f];
+      coef_[f] -= kLearningRate * grad[f];
     }
-    intercept_ -= options_.learning_rate * grad_b * inv_n;
+    intercept_ -= kLearningRate * grad_b * inv_n;
   }
   return Status::OK();
 }
@@ -91,17 +101,6 @@ std::vector<double> LogisticRegressionFusion::FusionWeights() const {
     for (double& x : w) x /= total;
   }
   return w;
-}
-
-StatusOr<la::Matrix> LogisticRegressionFusion::Fuse(
-    const std::vector<const la::Matrix*>& features) const {
-  if (features.size() != coef_.size()) {
-    return Status::FailedPrecondition(
-        "Fuse called with a different feature count than Train");
-  }
-  std::vector<FeatureRows> rows;
-  for (const la::Matrix* m : features) rows.emplace_back(m);
-  return FuseRowsWithWeights(rows, {}, FusionWeights(), la::KernelContext{});
 }
 
 }  // namespace ceaff::fusion

@@ -1,11 +1,9 @@
 #ifndef CEAFF_FUSION_LOGISTIC_REGRESSION_H_
 #define CEAFF_FUSION_LOGISTIC_REGRESSION_H_
 
-#include <cstdint>
 #include <vector>
 
-#include "ceaff/common/random.h"
-#include "ceaff/common/statusor.h"
+#include "ceaff/common/status.h"
 #include "ceaff/kg/knowledge_graph.h"
 #include "ceaff/la/matrix.h"
 
@@ -14,21 +12,11 @@ namespace ceaff::fusion {
 /// The learning-based weighting baseline of Sec. VII-E ("LR" row of
 /// Table V): EA as binary classification over per-feature similarity
 /// scores, fit with logistic regression, learned coefficients reused as
-/// fusion weights.
-struct LrOptions {
-  /// Negatives sampled per positive seed pair (paper: 10).
-  size_t negatives_per_positive = 10;
-  float learning_rate = 0.1f;
-  size_t epochs = 200;
-  float l2 = 1e-4f;
-  uint64_t seed = 29;
-};
-
+/// fusion weights. The fit's constants (10 negatives per positive, as in
+/// the paper; learning rate, epochs, L2 and sampling seed) are fixed in
+/// logistic_regression.cc.
 class LogisticRegressionFusion {
  public:
-  explicit LogisticRegressionFusion(const LrOptions& options = {})
-      : options_(options) {}
-
   /// Builds the training set from `seeds` (positives labelled 1; negatives
   /// from target corruption labelled 0) and fits the model. `features` are
   /// the full similarity matrices, all the same shape.
@@ -43,12 +31,7 @@ class LogisticRegressionFusion {
   /// weights actually applied to the matrices.
   std::vector<double> FusionWeights() const;
 
-  /// fused = Σ_k FusionWeights()[k] · M_k.
-  StatusOr<la::Matrix> Fuse(
-      const std::vector<const la::Matrix*>& features) const;
-
  private:
-  LrOptions options_;
   std::vector<double> coef_;
   double intercept_ = 0.0;
 };

@@ -26,21 +26,15 @@ RelationFunctionality ComputeFunctionality(const KnowledgeGraph& kg) {
   return f;
 }
 
-la::SparseMatrix BuildAdjacency(const KnowledgeGraph& kg,
-                                const AdjacencyOptions& options) {
+la::SparseMatrix BuildAdjacency(const KnowledgeGraph& kg) {
   const size_t n = kg.num_entities();
   std::vector<la::Triplet> triplets;
-  triplets.reserve(kg.num_triples() * 2 + (options.add_self_loops ? n : 0));
+  triplets.reserve(kg.num_triples() * 2 + n);
 
-  RelationFunctionality f;
-  if (options.functionality_weighted) f = ComputeFunctionality(kg);
-
+  const RelationFunctionality f = ComputeFunctionality(kg);
   for (const Triple& t : kg.triples()) {
-    float fwd = 1.0f, bwd = 1.0f;
-    if (options.functionality_weighted) {
-      fwd = static_cast<float>(f.ifun[t.relation]);
-      bwd = static_cast<float>(f.fun[t.relation]);
-    }
+    const float fwd = static_cast<float>(f.ifun[t.relation]);
+    const float bwd = static_cast<float>(f.fun[t.relation]);
     if (t.head != t.tail) {
       triplets.push_back({t.head, t.tail, fwd});
       triplets.push_back({t.tail, t.head, bwd});
@@ -48,15 +42,11 @@ la::SparseMatrix BuildAdjacency(const KnowledgeGraph& kg,
       triplets.push_back({t.head, t.tail, fwd + bwd});
     }
   }
-  if (options.add_self_loops) {
-    for (size_t i = 0; i < n; ++i) {
-      triplets.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(i),
-                          1.0f});
-    }
+  for (size_t i = 0; i < n; ++i) {
+    triplets.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(i),
+                        1.0f});
   }
-  la::SparseMatrix a = la::SparseMatrix::Build(n, n, std::move(triplets));
-  if (options.symmetric_normalize) a = a.SymNormalized();
-  return a;
+  return la::SparseMatrix::Build(n, n, std::move(triplets)).SymNormalized();
 }
 
 }  // namespace ceaff::kg

@@ -8,20 +8,6 @@
 
 namespace ceaff::kg {
 
-/// Options for the GCN input adjacency. Defaults reproduce the GCN-Align
-/// construction ([25] in the paper) the authors reference: relation
-/// functionality-weighted edges, self-loops, symmetric normalisation.
-struct AdjacencyOptions {
-  /// Weight edges by relation functionality / inverse functionality
-  /// (GCN-Align); if false every edge weighs 1.
-  bool functionality_weighted = true;
-  /// Add identity self-loops before normalisation (Kipf renormalisation
-  /// trick).
-  bool add_self_loops = true;
-  /// Apply D^-1/2 A D^-1/2; if false A is returned unnormalised.
-  bool symmetric_normalize = true;
-};
-
 /// Per-relation functionality statistics.
 ///
 /// fun(r)  = #distinct head entities of r / #triples of r,
@@ -37,13 +23,14 @@ struct RelationFunctionality {
 /// Computes functionality statistics for every relation in `kg`.
 RelationFunctionality ComputeFunctionality(const KnowledgeGraph& kg);
 
-/// Builds the (n x n) GCN propagation matrix of `kg`.
-///
-/// With functionality weighting, a triple (h, r, t) contributes
-/// ifun(r) to A[h][t] and fun(r) to A[t][h], per GCN-Align; contributions
-/// of parallel edges accumulate.
-la::SparseMatrix BuildAdjacency(const KnowledgeGraph& kg,
-                                const AdjacencyOptions& options = {});
+/// Builds the (n x n) GCN propagation matrix of `kg` with the GCN-Align
+/// construction ([25] in the paper): a triple (h, r, t) contributes
+/// ifun(r) to A[h][t] and fun(r) to A[t][h] (a self-loop triple
+/// contributes their sum to A[h][h]), contributions of parallel edges
+/// accumulate, every entity gets an identity self-loop (Kipf's
+/// renormalisation trick), and the result is normalised to
+/// D^-1/2 A D^-1/2.
+la::SparseMatrix BuildAdjacency(const KnowledgeGraph& kg);
 
 }  // namespace ceaff::kg
 

@@ -34,26 +34,21 @@ RelationVocab BuildVocab(const KnowledgeGraph& kg1,
 std::vector<Profile> BuildProfiles(
     const KnowledgeGraph& kg,
     const std::unordered_map<RelationId, uint32_t>& map, size_t vocab_size,
-    const std::vector<uint32_t>& ids,
-    const RelationSimilarityOptions& options) {
+    const std::vector<uint32_t>& ids) {
   std::unordered_map<uint32_t, size_t> position;
   for (size_t i = 0; i < ids.size(); ++i) position.emplace(ids[i], i);
   std::vector<Profile> profiles(ids.size());
   for (const Triple& t : kg.triples()) {
     auto shared = map.find(t.relation);
     if (shared == map.end()) continue;
-    if (options.use_outgoing) {
-      auto pos = position.find(t.head);
-      if (pos != position.end()) {
-        profiles[pos->second][shared->second] += 1.0f;
-      }
+    auto head = position.find(t.head);
+    if (head != position.end()) {
+      profiles[head->second][shared->second] += 1.0f;
     }
-    if (options.use_incoming) {
-      auto pos = position.find(t.tail);
-      if (pos != position.end()) {
-        profiles[pos->second][shared->second +
-                              static_cast<uint32_t>(vocab_size)] += 1.0f;
-      }
+    auto tail = position.find(t.tail);
+    if (tail != position.end()) {
+      profiles[tail->second][shared->second +
+                             static_cast<uint32_t>(vocab_size)] += 1.0f;
     }
   }
   return profiles;
@@ -61,16 +56,15 @@ std::vector<Profile> BuildProfiles(
 
 }  // namespace
 
-la::Matrix RelationSimilarityMatrix(
-    const KnowledgeGraph& kg1, const KnowledgeGraph& kg2,
-    const std::vector<uint32_t>& sources,
-    const std::vector<uint32_t>& targets,
-    const RelationSimilarityOptions& options) {
+la::Matrix RelationSimilarityMatrix(const KnowledgeGraph& kg1,
+                                    const KnowledgeGraph& kg2,
+                                    const std::vector<uint32_t>& sources,
+                                    const std::vector<uint32_t>& targets) {
   RelationVocab vocab = BuildVocab(kg1, kg2);
   std::vector<Profile> p1 =
-      BuildProfiles(kg1, vocab.map1, vocab.size, sources, options);
+      BuildProfiles(kg1, vocab.map1, vocab.size, sources);
   std::vector<Profile> p2 =
-      BuildProfiles(kg2, vocab.map2, vocab.size, targets, options);
+      BuildProfiles(kg2, vocab.map2, vocab.size, targets);
 
   // IDF over signature dimensions (both KGs' profiled entities pooled).
   std::unordered_map<uint32_t, size_t> df;

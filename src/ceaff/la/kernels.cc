@@ -96,21 +96,6 @@ void MatMulBTRows(const Matrix& a, const Matrix& b, const float* scale_a,
   }
 }
 
-/// Mean of the k largest of `values` (consumed in place): partial-sorted
-/// descending, then summed in that order. Identical multiset + identical
-/// summation order = bit-identical result between the naive and blocked
-/// CSLS implementations.
-double TopKMeanSortedDesc(std::vector<float>* values, size_t k) {
-  k = std::min(k, values->size());
-  if (k == 0) return 0.0;
-  std::partial_sort(values->begin(),
-                    values->begin() + static_cast<long>(k), values->end(),
-                    std::greater<float>());
-  double sum = 0.0;
-  for (size_t i = 0; i < k; ++i) sum += (*values)[i];
-  return sum / static_cast<double>(k);
-}
-
 }  // namespace
 
 size_t PanelRows(const KernelContext& ctx, size_t block) {
@@ -339,56 +324,6 @@ void ColNormalizeK(const KernelContext& ctx, Matrix* m, double target) {
       for (size_t c = c0; c < c1; ++c) row[c] *= scales[c - c0];
     }
   });
-}
-
-// ---------------------------------------------------------------------------
-// CSLS
-// ---------------------------------------------------------------------------
-
-Matrix CslsRescaleK(const KernelContext& ctx, const Matrix& m, size_t k) {
-  if (k == 0 || m.empty()) return m;
-  const size_t rows = m.rows(), cols = m.cols();
-
-  std::vector<double> row_mean(rows);
-  ParallelPanels(ctx, rows, ctx.opts.row_block, [&](size_t r0, size_t r1) {
-    std::vector<float> values;
-    for (size_t i = r0; i < r1; ++i) {
-      values.assign(m.row(i), m.row(i) + cols);
-      row_mean[i] = TopKMeanSortedDesc(&values, k);
-    }
-  });
-
-  std::vector<double> col_mean(cols);
-  ParallelPanels(ctx, cols, ctx.opts.col_block, [&](size_t c0, size_t c1) {
-    // Gather the column panel with one cache-friendly row-major sweep into
-    // a (panel width x rows) scratch transpose, then reduce each column
-    // contiguously — same values in the same ascending-row order as the
-    // naive strided walk.
-    const size_t width = c1 - c0;
-    std::vector<float> panel(width * rows);
-    for (size_t i = 0; i < rows; ++i) {
-      const float* row = m.row(i);
-      for (size_t c = c0; c < c1; ++c) panel[(c - c0) * rows + i] = row[c];
-    }
-    std::vector<float> values;
-    for (size_t c = c0; c < c1; ++c) {
-      values.assign(panel.begin() + static_cast<long>((c - c0) * rows),
-                    panel.begin() + static_cast<long>((c - c0 + 1) * rows));
-      col_mean[c] = TopKMeanSortedDesc(&values, k);
-    }
-  });
-
-  Matrix out(rows, cols);
-  ParallelPanels(ctx, rows, ctx.opts.row_block, [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      const float* src = m.row(i);
-      float* dst = out.row(i);
-      for (size_t j = 0; j < cols; ++j) {
-        dst[j] = static_cast<float>(2.0 * src[j] - row_mean[i] - col_mean[j]);
-      }
-    }
-  });
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ namespace ceaff::la {
 /// High-performance compute kernels (DESIGN.md §11).
 ///
 /// Every CEAFF stage reduces to dense pairwise-similarity compute: the GCN
-/// forward/backward, the name-embedding cosine matrix Mn, CSLS re-ranking,
-/// Sinkhorn normalisation and the Levenshtein matrix Ml. The kernels here
+/// forward/backward, the name-embedding cosine matrix Mn, Sinkhorn
+/// normalisation and the Levenshtein matrix Ml. The kernels here
 /// are the shared fast path for all of them: cache-blocked, register-tiled
 /// (lane-split accumulators the compiler can keep in SIMD registers) and
 /// row-panel parallel over a common/thread_pool.h ParallelFor.
@@ -33,7 +33,7 @@ namespace ceaff::la {
 /// references live in the `ceaff_reference` library
 /// (ceaff/reference/la_reference.h, text_reference.h), which only tests/
 /// and bench/ link. Agreement with them is documented per kernel: the
-/// Sinkhorn, CSLS and SpMM kernels are bit-identical to their references;
+/// Sinkhorn and SpMM kernels are bit-identical to their references;
 /// MatMulBTK and CosineSimilarityK use float lane-split accumulation
 /// instead of the references' sequential double-precision order, so they
 /// agree to a relative error of O(d · eps_f32) per element (the parity tests in tests/la/kernels_test.cc
@@ -167,30 +167,6 @@ void RowNormalizeK(const KernelContext& ctx, Matrix* m);
 /// row-major (cache-friendly) in ascending row order — the same order as
 /// the naive column walk, so the result is bit-identical to it.
 void ColNormalizeK(const KernelContext& ctx, Matrix* m, double target);
-
-// ---------------------------------------------------------------------------
-// CSLS
-// ---------------------------------------------------------------------------
-
-/// Cross-domain Similarity Local Scaling (Conneau et al., ICLR'18), the
-/// hubness correction used throughout the EA literature (and by several of
-/// the paper's competitors). Each similarity is penalised by the mean
-/// similarity of its row's and column's k nearest neighbours:
-///
-///   csls(i, j) = 2·sim(i, j) − r_row(i) − r_col(j)
-///
-/// where r_row(i) is the mean of row i's top-k entries and r_col(j) the
-/// mean of column j's top-k entries. Hub targets that are near everything
-/// lose score; mutually-close pairs gain. An optional rescaling of the
-/// fused matrix (an extension ablation; the paper's CEAFF uses raw
-/// cosine). k is clamped to the matrix dimensions; k = 0 returns `m`
-/// unchanged.
-///
-/// Blocked and parallel: row top-k means are parallel over rows, column
-/// top-k means gather each column panel with one row-major sweep (instead
-/// of a strided column walk). Bit-identical to the reference
-/// la::CslsRescale at any thread count.
-Matrix CslsRescaleK(const KernelContext& ctx, const Matrix& m, size_t k);
 
 // ---------------------------------------------------------------------------
 // String kernels

@@ -29,7 +29,10 @@ la::Matrix ReferenceAdaptiveFuse(const std::vector<const la::Matrix*>& features,
   }
   FeatureWeightReport rep =
       WeightsFromCandidates(std::move(candidates), options);
-  la::Matrix fused = la::WeightedSum(features, rep.weights);
+  // A single feature is copied, as the streamed pass does.
+  la::Matrix fused = features.size() == 1
+                         ? *features[0]
+                         : la::WeightedSum(features, rep.weights);
   if (report != nullptr) *report = std::move(rep);
   return fused;
 }

@@ -1,8 +1,6 @@
 #include "ceaff/reference/la_reference.h"
 
-#include <algorithm>
 #include <cmath>
-#include <functional>
 #include <vector>
 
 #include "ceaff/common/logging.h"
@@ -25,23 +23,6 @@ std::vector<double> InverseRowNorms(const Matrix& m) {
     if (sq > 0.0) inv[r] = 1.0 / std::sqrt(sq);
   }
   return inv;
-}
-
-/// Mean of the `k` largest values in [begin, end) with stride `stride`.
-/// The top-k are summed in descending sorted order (not nth_element's
-/// arbitrary order) so this reference and the blocked la/kernels.h
-/// CslsRescaleK accumulate identically and stay bit-identical.
-double TopKMean(const float* begin, size_t count, size_t stride, size_t k) {
-  std::vector<float> values;
-  values.reserve(count);
-  for (size_t i = 0; i < count; ++i) values.push_back(begin[i * stride]);
-  k = std::min(k, values.size());
-  if (k == 0) return 0.0;
-  std::partial_sort(values.begin(), values.begin() + static_cast<long>(k),
-                    values.end(), std::greater<float>());
-  double sum = 0.0;
-  for (size_t i = 0; i < k; ++i) sum += values[i];
-  return sum / static_cast<double>(k);
 }
 
 }  // namespace
@@ -102,27 +83,6 @@ Matrix CosineSimilarity(const Matrix& a, const Matrix& b) {
       double acc = 0.0;
       for (size_t k = 0; k < d; ++k) acc += ai[k] * bj[k];
       oi[j] = static_cast<float>(acc * inv_a[i] * inv_b[j]);
-    }
-  }
-  return out;
-}
-
-Matrix CslsRescale(const Matrix& m, size_t k) {
-  if (k == 0 || m.empty()) return m;
-  std::vector<double> row_mean(m.rows());
-  for (size_t i = 0; i < m.rows(); ++i) {
-    row_mean[i] = TopKMean(m.row(i), m.cols(), 1, k);
-  }
-  std::vector<double> col_mean(m.cols());
-  for (size_t j = 0; j < m.cols(); ++j) {
-    col_mean[j] = TopKMean(m.data() + j, m.rows(), m.cols(), k);
-  }
-  Matrix out(m.rows(), m.cols());
-  for (size_t i = 0; i < m.rows(); ++i) {
-    const float* src = m.row(i);
-    float* dst = out.row(i);
-    for (size_t j = 0; j < m.cols(); ++j) {
-      dst[j] = static_cast<float>(2.0 * src[j] - row_mean[i] - col_mean[j]);
     }
   }
   return out;

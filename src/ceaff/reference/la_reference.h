@@ -28,16 +28,6 @@ Matrix MatMulBT(const Matrix& a, const Matrix& b);
 /// and dot products. Zero rows yield similarity 0.
 Matrix CosineSimilarity(const Matrix& a, const Matrix& b);
 
-/// Cross-domain Similarity Local Scaling (Conneau et al., ICLR'18), the
-/// hubness correction used throughout the EA literature:
-///
-///   csls(i, j) = 2·sim(i, j) − r_row(i) − r_col(j)
-///
-/// where r_row(i) is the mean of row i's top-k entries and r_col(j) the
-/// mean of column j's top-k entries, each summed in descending order. k is
-/// clamped to the matrix dimensions; k = 0 returns `m` unchanged.
-Matrix CslsRescale(const Matrix& m, size_t k = 10);
-
 /// out = a * dense (CSR (m,k) x dense (k,n) -> (m,n)): per output row, the
 /// nonzeros in ascending column order, each adding v·x to every element.
 Matrix SparseMultiply(const SparseMatrix& a, const Matrix& dense);

@@ -166,9 +166,9 @@ struct AlignmentIndex {
 
 /// The padded byte trigrams of `name`, deduplicated and sorted — the unit
 /// the index's posting lists and the query-time string score are built
-/// from. Padding follows text/ngram_similarity ("^^name$$"), but with set
-/// (not multiset) semantics: serving trades exact Dice multiplicities for
-/// posting lists that stay one-entry-per-target.
+/// from. Names are padded with two boundary markers a side ("^^name$$") so
+/// short names still produce trigrams, and kept with set (not multiset)
+/// semantics: posting lists stay one-entry-per-target.
 std::vector<std::string> NameTrigrams(const std::string& name);
 
 /// Everything the export stage hands over. Weights must be (structural,

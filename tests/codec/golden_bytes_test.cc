@@ -82,9 +82,7 @@ delta::DeltaState GoldenDeltaState() {
   s.semantic_seed = 11;
   s.gcn_dim = 2;
   s.gcn_seed = 13;
-  s.string_metric = 1;
   s.two_stage = true;
-  s.adj_add_self_loops = false;
   s.textual_weights = {0.75, 0.25};
   s.final_weights = {0.5, 0.5};
   for (kg::KnowledgeGraph* g : {&s.kg1, &s.kg2}) {
@@ -137,7 +135,7 @@ TEST(GoldenBytesTest, AlignmentIndexWithAnnIsV3) {
 // the CRC recomputed.
 TEST(GoldenBytesTest, DeltaState) {
   EXPECT_EQ(Fingerprint(delta::SerializeDeltaState(GoldenDeltaState())),
-            "674:5796e7d626a6d887");
+            "670:a2352697db2d8637");
 }
 
 TEST(GoldenBytesTest, MatrixArtifact) {

@@ -59,9 +59,8 @@ struct StateConfig {
   bool use_structural = true;
   bool use_semantic = true;
   bool use_string = true;
-  uint8_t string_metric = 0;  // 0 = exact Levenshtein, 1 = trigram Dice
-  size_t num_source = 9;      // serving rows
-  size_t num_target = 10;     // serving columns
+  size_t num_source = 9;   // serving rows
+  size_t num_target = 10;  // serving columns
 };
 
 /// A random baseline "export": two small graphs, a serving split, frozen
@@ -80,7 +79,6 @@ DeltaState MakeBaseState(uint64_t seed, const StateConfig& config,
   s.use_structural = config.use_structural;
   s.use_semantic = config.use_semantic;
   s.use_string = config.use_string;
-  s.string_metric = config.string_metric;
   const int enabled = (config.use_structural ? 1 : 0) +
                       (config.use_semantic ? 1 : 0) +
                       (config.use_string ? 1 : 0);
@@ -281,9 +279,7 @@ class DeltaEquivalenceTest : public ::testing::Test {
 
 TEST_F(DeltaEquivalenceTest, RandomBatchesMatchOracleBitwise) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    StateConfig config;
-    config.string_metric = seed % 2;  // alternate lev* / trigram Dice
-    const DeltaState base = MakeBaseState(seed * 1000, config, ctx_);
+    const DeltaState base = MakeBaseState(seed * 1000, StateConfig(), ctx_);
     Rng rng(seed * 7 + 3);
     const std::vector<PatchRecord> batch = MakeRandomBatch(base, &rng);
     auto outcome = ApplyPatchesToState(base, batch, ctx_);
@@ -304,10 +300,10 @@ TEST_F(DeltaEquivalenceTest, RandomBatchesMatchOracleBitwise) {
 
 TEST_F(DeltaEquivalenceTest, SingleFeatureConfigsMatchOracle) {
   const StateConfig configs[] = {
-      {true, false, false, 0},   // structural only
-      {false, true, false, 0},   // semantic only
-      {false, false, true, 1},   // string only (trigram)
-      {true, false, true, 0},    // structural + string, flat fusion
+      {true, false, false},  // structural only
+      {false, true, false},  // semantic only
+      {false, false, true},  // string only
+      {true, false, true},   // structural + string, flat fusion
   };
   uint64_t seed = 100;
   for (const StateConfig& config : configs) {

@@ -12,9 +12,11 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/durable_io.h"
+#include "ceaff/common/string_util.h"
 #include "ceaff/delta/delta_state.h"
 
 namespace ceaff::delta {
@@ -100,6 +102,13 @@ TEST(DeltaStateCodecTest, EveryResealedTruncationIsDataLoss) {
   }
 }
 
+/// The version field of a serialised state (after the 8-byte magic).
+uint32_t VersionOf(const std::string& bytes) {
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  return version;
+}
+
 /// `bytes` with its version field set to `version` and the CRC resealed.
 std::string WithVersion(std::string bytes, uint32_t version) {
   std::memcpy(bytes.data() + 8, &version, sizeof(version));  // after magic
@@ -108,11 +117,26 @@ std::string WithVersion(std::string bytes, uint32_t version) {
   return bytes;
 }
 
-/// The bytes of a version-1 file: same layout up to the fused matrix,
-/// then one preference list per source. Only the version field and the
-/// CRC matter to the refusal, so the section itself is left out.
-std::string VersionOneImage() {
-  return WithVersion(SerializeDeltaState(SmallState()), 1);
+/// The versions before the one this build writes: 1 also stored one
+/// preference list per source, 2 the string metric and three adjacency
+/// switches. Only the version field and the CRC matter to the refusal,
+/// so the image keeps today's layout.
+std::vector<uint32_t> OlderVersions() {
+  std::vector<uint32_t> versions;
+  const uint32_t current = VersionOf(SerializeDeltaState(SmallState()));
+  for (uint32_t v = 1; v < current; ++v) versions.push_back(v);
+  return versions;
+}
+
+std::string OlderVersionImage(uint32_t version) {
+  return WithVersion(SerializeDeltaState(SmallState()), version);
+}
+
+/// An intact image of the version after the one this build writes (a
+/// newer writer's).
+std::string NewerVersionImage() {
+  const std::string bytes = SerializeDeltaState(SmallState());
+  return WithVersion(bytes, VersionOf(bytes) + 1);
 }
 
 std::string ReadAll(const std::string& path) {
@@ -121,48 +145,54 @@ std::string ReadAll(const std::string& path) {
 }
 
 TEST(DeltaStateCodecTest, VersionOneIsRefusedWithTheReexportCommand) {
-  const std::string bytes = VersionOneImage();
-  // Intact, so the verdict is not kDataLoss and the generational store
-  // must not quarantine it as corrupt.
-  for (const Status& status :
-       {ValidateDeltaStateBytes(bytes), ParseDeltaState(bytes).status()}) {
-    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
-    const std::string& message = status.message();
-    EXPECT_NE(message.find("version 1"), std::string::npos) << message;
-    EXPECT_NE(message.find("ceaff align"), std::string::npos) << message;
-    EXPECT_NE(message.find("--export_delta_state"), std::string::npos)
-        << message;
-  }
+  ASSERT_GE(OlderVersions().size(), 2u);  // at least versions 1 and 2
+  for (uint32_t version : OlderVersions()) {
+    const std::string bytes = OlderVersionImage(version);
+    // Intact, so the verdict is not kDataLoss and the generational store
+    // must not quarantine it as corrupt.
+    for (const Status& status :
+         {ValidateDeltaStateBytes(bytes), ParseDeltaState(bytes).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+      const std::string& message = status.message();
+      EXPECT_NE(message.find(StrFormat("version %u", version)),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("ceaff align"), std::string::npos) << message;
+      EXPECT_NE(message.find("--export_delta_state"), std::string::npos)
+          << message;
+    }
 
-  // A version field that breaks the CRC is corruption.
-  std::string v9 = bytes;
-  v9[8] = 9;
-  EXPECT_EQ(ValidateDeltaStateBytes(v9).code(), StatusCode::kDataLoss);
+    // A version field that breaks the CRC is corruption.
+    std::string v9 = bytes;
+    v9[8] = 9;
+    EXPECT_EQ(ValidateDeltaStateBytes(v9).code(), StatusCode::kDataLoss);
+  }
 }
 
 // An intact file of a version this build does not know (a newer writer's)
 // is refused by name, not called corrupt.
 TEST(DeltaStateCodecTest, UnknownIntactVersionIsRefusedNotCorrupt) {
-  const std::string v3 = WithVersion(SerializeDeltaState(SmallState()), 3);
+  const std::string newer = NewerVersionImage();
+  const std::string name = StrFormat("version %u", VersionOf(newer));
   for (const Status& status :
-       {ValidateDeltaStateBytes(v3), ParseDeltaState(v3).status()}) {
+       {ValidateDeltaStateBytes(newer), ParseDeltaState(newer).status()}) {
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
-    EXPECT_NE(status.message().find("version 3"), std::string::npos)
-        << status;
+    EXPECT_NE(status.message().find(name), std::string::npos) << status;
   }
 }
 
 // A reader must not destroy a state it cannot read: loading the unknown
 // version fails, and the generation and the MANIFEST stay byte for byte.
 TEST(DeltaStateCodecTest, UnknownVersionInTheStoreIsLeftUntouched) {
-  char tmpl[] = "/tmp/ceaff_dlt_v3_XXXXXX";
+  char tmpl[] = "/tmp/ceaff_dlt_newer_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
-  const std::string v3 = WithVersion(SerializeDeltaState(SmallState()), 3);
+  const std::string newer = NewerVersionImage();
+  const std::string name = StrFormat("version %u", VersionOf(newer));
   {
     auto store = OpenDeltaStateStore(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Put("state", v3).ok());
+    ASSERT_TRUE((*store)->Put("state", newer).ok());
   }
   const std::string manifest = ReadAll(dir + "/MANIFEST");
   ASSERT_FALSE(manifest.empty());
@@ -173,9 +203,9 @@ TEST(DeltaStateCodecTest, UnknownVersionInTheStoreIsLeftUntouched) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
         << loaded.status().ToString();
-    EXPECT_NE(loaded.status().message().find("version 3"), std::string::npos)
+    EXPECT_NE(loaded.status().message().find(name), std::string::npos)
         << loaded.status().ToString();
-    EXPECT_EQ(ReadAll(dir + "/state.g1"), v3);
+    EXPECT_EQ(ReadAll(dir + "/state.g1"), newer);
     EXPECT_EQ(ReadAll(dir + "/MANIFEST"), manifest);
     EXPECT_FALSE(std::filesystem::exists(dir + "/state.g1.corrupt"));
   }
@@ -183,16 +213,23 @@ TEST(DeltaStateCodecTest, UnknownVersionInTheStoreIsLeftUntouched) {
 }
 
 TEST(DeltaStateCodecTest, VersionOneInTheStoreFailsToLoadAndIsKept) {
-  char tmpl[] = "/tmp/ceaff_dlt_v1_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  auto store = OpenDeltaStateStore(tmpl);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_TRUE((*store)->Put("state", VersionOneImage()).ok());
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    auto loaded = LoadDeltaState(store->get());
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
-        << loaded.status().ToString();
+  for (uint32_t version : OlderVersions()) {
+    char tmpl[] = "/tmp/ceaff_dlt_older_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    const std::string image = OlderVersionImage(version);
+    auto store = OpenDeltaStateStore(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put("state", image).ok());
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      auto loaded = LoadDeltaState(store->get());
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+          << loaded.status().ToString();
+      EXPECT_EQ(ReadAll(dir + "/state.g1"), image) << "version " << version;
+      EXPECT_FALSE(std::filesystem::exists(dir + "/state.g1.corrupt"));
+    }
+    std::filesystem::remove_all(dir);
   }
 }
 

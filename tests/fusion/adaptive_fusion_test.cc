@@ -28,8 +28,22 @@ la::Matrix FigureMl() {
       {{0.6f, 0.5f, 0.4f}, {0.1f, 0.3f, 0.6f}, {0.4f, 0.4f, 0.3f}});
 }
 
+/// The streamed weight pass over stored matrices, on the calling thread.
+StatusOr<FeatureWeightReport> Weights(
+    const std::vector<const la::Matrix*>& features,
+    const FusionOptions& options = {}) {
+  std::vector<FeatureRows> rows;
+  for (const la::Matrix* m : features) rows.emplace_back(m);
+  return AdaptiveWeightsOfRows(rows, options, la::KernelContext{});
+}
+
+/// Stage 1 on one matrix: the candidates of a one-feature weight pass.
+std::vector<Correspondence> Candidates(const la::Matrix& m) {
+  return Weights({&m}).value().candidates[0];
+}
+
 TEST(ConfidentCorrespondenceTest, FindsRowAndColumnMaxima) {
-  std::vector<Correspondence> c = FindConfidentCorrespondences(FigureMs());
+  std::vector<Correspondence> c = Candidates(FigureMs());
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c[0].source, 1u);
   EXPECT_EQ(c[0].target, 1u);
@@ -40,11 +54,11 @@ TEST(ConfidentCorrespondenceTest, FindsRowAndColumnMaxima) {
 }
 
 TEST(ConfidentCorrespondenceTest, EmptyAndDegenerateMatrices) {
-  EXPECT_TRUE(FindConfidentCorrespondences(la::Matrix()).empty());
+  EXPECT_TRUE(Candidates(la::Matrix()).empty());
   // A constant matrix: ties resolve to the first cell only.
   la::Matrix flat(2, 2);
   flat.Fill(0.5f);
-  std::vector<Correspondence> c = FindConfidentCorrespondences(flat);
+  std::vector<Correspondence> c = Candidates(flat);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].source, 0u);
   EXPECT_EQ(c[0].target, 0u);
@@ -52,7 +66,7 @@ TEST(ConfidentCorrespondenceTest, EmptyAndDegenerateMatrices) {
 
 TEST(ConfidentCorrespondenceTest, SingleRow) {
   la::Matrix m = la::Matrix::FromRows({{0.2f, 0.7f, 0.3f}});
-  std::vector<Correspondence> c = FindConfidentCorrespondences(m);
+  std::vector<Correspondence> c = Candidates(m);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].target, 1u);
 }
@@ -60,7 +74,7 @@ TEST(ConfidentCorrespondenceTest, SingleRow) {
 TEST(AdaptiveWeightsTest, ReproducesFigure3) {
   la::Matrix ms = FigureMs(), mn = FigureMn(), ml = FigureMl();
   FusionOptions opt;  // θ1 = 0.98, θ2 = 0.1
-  auto report_or = ComputeAdaptiveWeights({&ms, &mn, &ml}, opt);
+  auto report_or = Weights({&ms, &mn, &ml}, opt);
   ASSERT_TRUE(report_or.ok());
   const FeatureWeightReport& rep = report_or.value();
 
@@ -89,7 +103,7 @@ TEST(AdaptiveWeightsTest, WithoutClampHighScoreKeepsFullWeight) {
   la::Matrix ms = FigureMs(), mn = FigureMn(), ml = FigureMl();
   FusionOptions opt;
   opt.use_score_clamp = false;  // the Table V "w/o θ1, θ2" row
-  auto rep = ComputeAdaptiveWeights({&ms, &mn, &ml}, opt).value();
+  auto rep = Weights({&ms, &mn, &ml}, opt).value();
   EXPECT_NEAR(rep.scores[1], 0.5, 1e-9);  // 1/2, no θ2 clamp
   EXPECT_NEAR(rep.weights[0], 1.0 / 2.0, 1e-9);
 }
@@ -99,24 +113,23 @@ TEST(AdaptiveWeightsTest, CandidateSharedByAllFeaturesIsDropped) {
   // and filtered, so weights fall back to uniform.
   la::Matrix m = la::Matrix::FromRows({{0.9f, 0.1f}, {0.1f, 0.8f}});
   la::Matrix m2 = m, m3 = m;
-  auto rep = ComputeAdaptiveWeights({&m, &m2, &m3}).value();
+  auto rep = Weights({&m, &m2, &m3}).value();
   for (const auto& retained : rep.retained) EXPECT_TRUE(retained.empty());
   for (double w : rep.weights) EXPECT_NEAR(w, 1.0 / 3.0, 1e-9);
 }
 
 TEST(AdaptiveWeightsTest, SingleFeatureKeepsItsCandidates) {
   la::Matrix m = la::Matrix::FromRows({{0.9f, 0.1f}, {0.1f, 0.8f}});
-  auto rep = ComputeAdaptiveWeights({&m}).value();
+  auto rep = Weights({&m}).value();
   // k = 1: the shared-by-all rule must not fire.
   EXPECT_EQ(rep.retained[0].size(), 2u);
   EXPECT_NEAR(rep.weights[0], 1.0, 1e-9);
 }
 
 TEST(AdaptiveWeightsTest, RejectsEmptyAndMismatchedInputs) {
-  EXPECT_TRUE(ComputeAdaptiveWeights({}).status().IsInvalidArgument());
+  EXPECT_TRUE(Weights({}).status().IsInvalidArgument());
   la::Matrix a(2, 2), b(3, 2);
-  EXPECT_TRUE(
-      ComputeAdaptiveWeights({&a, &b}).status().IsInvalidArgument());
+  EXPECT_TRUE(Weights({&a, &b}).status().IsInvalidArgument());
 }
 
 TEST(AdaptiveFuseTest, FusedIsWeightedSum) {
@@ -140,7 +153,10 @@ TEST(FixedFuseTest, EqualWeights) {
 
 TEST(TwoStageFuseTest, RunsBothStages) {
   la::Matrix ms = FigureMs(), mn = FigureMn(), ml = FigureMl();
-  auto result = TwoStageFuse(ms, mn, ml).value();
+  auto result = TwoStageFuseRows(FeatureRows(&ms), FeatureRows(&mn),
+                                 FeatureRows(&ml), {}, FusionOptions(),
+                                 la::KernelContext{})
+                    .value();
   ASSERT_EQ(result.textual_weights.size(), 2u);
   ASSERT_EQ(result.final_weights.size(), 2u);
   EXPECT_NEAR(result.textual_weights[0] + result.textual_weights[1], 1.0,
@@ -157,7 +173,10 @@ TEST(TwoStageFuseTest, ExtraFeatureJoinsTheFinalStage) {
       {{0.7f, 0.3f, 0.1f}, {0.1f, 0.9f, 0.2f}, {0.3f, 0.1f, 0.5f}});
   FusionOptions opt;
   opt.use_score_clamp = false;
-  auto result = TwoStageFuse(ms, mn, ml, {&ma}, opt).value();
+  auto result = TwoStageFuseRows(FeatureRows(&ms), FeatureRows(&mn),
+                                 FeatureRows(&ml), {FeatureRows(&ma)}, opt,
+                                 la::KernelContext{})
+                    .value();
 
   FeatureWeightReport rep1, rep2;
   const la::Matrix textual = AdaptiveFuse({&mn, &ml}, opt, &rep1).value();
@@ -189,7 +208,7 @@ TEST_P(FusionPropertyTest, WeightsFormDistribution) {
     mats.push_back(std::move(m));
   }
   for (const la::Matrix& m : mats) ptrs.push_back(&m);
-  auto rep = ComputeAdaptiveWeights(ptrs).value();
+  auto rep = Weights(ptrs).value();
   double sum = 0.0;
   for (double w : rep.weights) {
     EXPECT_GE(w, 0.0);

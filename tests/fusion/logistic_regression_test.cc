@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ceaff/common/random.h"
+#include "ceaff/fusion/adaptive_fusion.h"
 
 namespace ceaff::fusion {
 namespace {
@@ -50,7 +51,10 @@ TEST(LrFusionTest, FuseAppliesLearnedWeights) {
   for (uint32_t i = 0; i < n; ++i) seeds.push_back({i, i});
   LogisticRegressionFusion lr;
   ASSERT_TRUE(lr.Train({&good, &bad}, seeds).ok());
-  la::Matrix fused = lr.Fuse({&good, &bad}).value();
+  la::Matrix fused =
+      FuseRowsWithWeights({FeatureRows(&good), FeatureRows(&bad)}, {},
+                          lr.FusionWeights(), la::KernelContext{})
+          .value();
   // Fused matrix must remain diagonal-dominant if the good feature won.
   EXPECT_GT(fused.at(3, 3), fused.at(3, 7));
 }
@@ -65,14 +69,23 @@ TEST(LrFusionTest, ErrorsOnBadInput) {
   EXPECT_TRUE(lr.Train({&a, &b}, seeds).IsInvalidArgument());
 }
 
+// An untrained model has no weights, and a trained one has one weight per
+// feature it was trained on: fusing with either count mismatch fails.
 TEST(LrFusionTest, FuseBeforeTrainOrArityMismatchFails) {
   la::Matrix a(2, 2);
   LogisticRegressionFusion lr;
-  EXPECT_TRUE(lr.Fuse({&a}).status().code() == ceaff::StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(lr.FusionWeights().empty());
+  EXPECT_TRUE(FuseRowsWithWeights({FeatureRows(&a)}, {}, lr.FusionWeights(),
+                                  la::KernelContext{})
+                  .status()
+                  .IsInvalidArgument());
   std::vector<kg::AlignmentPair> seeds{{0, 0}, {1, 1}};
   ASSERT_TRUE(lr.Train({&a}, seeds).ok());
   la::Matrix b(2, 2);
-  EXPECT_TRUE(lr.Fuse({&a, &b}).status().code() == ceaff::StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(FuseRowsWithWeights({FeatureRows(&a), FeatureRows(&b)}, {},
+                                  lr.FusionWeights(), la::KernelContext{})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(LrFusionTest, DegenerateFitFallsBackToUniform) {
@@ -82,9 +95,7 @@ TEST(LrFusionTest, DegenerateFitFallsBackToUniform) {
   a.Fill(0.5f);
   b.Fill(0.5f);
   std::vector<kg::AlignmentPair> seeds{{0, 0}, {1, 1}};
-  LrOptions opt;
-  opt.epochs = 5;
-  LogisticRegressionFusion lr(opt);
+  LogisticRegressionFusion lr;
   ASSERT_TRUE(lr.Train({&a, &b}, seeds).ok());
   std::vector<double> w = lr.FusionWeights();
   double sum = 0;

@@ -20,7 +20,6 @@
 #include "ceaff/la/kernels.h"
 #include "ceaff/la/ops.h"
 #include "ceaff/reference/fusion_reference.h"
-#include "ceaff/reference/la_reference.h"
 
 namespace ceaff::fusion {
 namespace {
@@ -215,7 +214,7 @@ TEST_P(StreamedFusionTest, FixedAndLearnedWeightsMatchWeightedSum) {
     std::vector<double> learned;
     for (size_t k = 0; k < mats.size(); ++k) learned.push_back(rng.NextDouble());
     for (const std::vector<double>& w : {fixed, learned}) {
-      auto got = core::FuseWithWeights(rows, {}, w, c.ctx);
+      auto got = FuseRowsWithWeights(rows, {}, w, c.ctx);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_TRUE(SameBits(*got, la::WeightedSum(ptrs, w)));
     }
@@ -230,15 +229,19 @@ TEST_P(StreamedFusionTest, SingleFeatureIsCopiedBitForBit) {
   Case c = MakeCase(&rng);
   la::Matrix m = TiedMatrix(c.rows, c.cols, &rng);
   m.at(0, 0) = -0.0f;  // a weighted sum would turn it into +0.0
-  auto got = core::FuseWithWeights({FeatureRows(&m)}, {}, {1.0}, c.ctx);
+  auto got = FuseRowsWithWeights({FeatureRows(&m)}, {}, {1.0}, c.ctx);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(SameBits(*got, m));
+  auto adaptive = AdaptiveFuseRows({FeatureRows(&m)}, {}, c.ctx);
+  ASSERT_TRUE(adaptive.ok());
+  EXPECT_TRUE(SameBits(*adaptive, m));
+  FeatureWeightReport rep;
+  EXPECT_TRUE(SameBits(ReferenceAdaptiveFuse({&m}, {}, &rep), m));
   const size_t dim = 1 + rng.NextBounded(16);
   const la::Matrix a = TiedEmbeddings(c.rows, dim, &rng);
   const la::Matrix b = TiedEmbeddings(c.cols, dim, &rng);
-  auto cosine =
-      core::FuseWithWeights({FeatureRows::Cosine(c.ctx, a, b)}, {}, {1.0},
-                            c.ctx);
+  auto cosine = FuseRowsWithWeights({FeatureRows::Cosine(c.ctx, a, b)}, {},
+                                    {1.0}, c.ctx);
   ASSERT_TRUE(cosine.ok());
   EXPECT_TRUE(SameBits(*cosine, la::CosineSimilarityK({}, a, b)));
 }
@@ -248,8 +251,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamedFusionTest,
 
 // ---------------------------------------------------------------------------
 // End to end: the pipeline's fused matrix is the whole-matrix reference
-// over its own features at 1 and 4 threads, in every fusion mode and with
-// CSLS; a delta fused block row is the batch fused row.
+// over its own features at 1 and 4 threads, in every fusion mode; a delta
+// fused block row is the batch fused row.
 
 class PipelineFusionTest : public ::testing::Test {
  protected:
@@ -291,49 +294,45 @@ TEST_F(PipelineFusionTest, EveryModeMatchesTheReferenceAtAnyThreadCount) {
        {core::FusionMode::kAdaptive, core::FusionMode::kFixed,
         core::FusionMode::kLearned}) {
     for (bool attributes : {false, true}) {
-      for (size_t csls_k : {size_t{0}, size_t{5}}) {
-        core::CeaffOptions o = Options(mode, 1);
-        o.use_attribute = attributes;
-        o.csls_k = csls_k;
-        core::CeaffPipeline pipe(&bench_->pair, &bench_->store, o);
-        const core::CeaffFeatures f = pipe.GenerateFeatures().value();
-        const core::CeaffResult r1 = pipe.RunOnFeatures(f).value();
-        o.num_threads = 4;
-        const core::CeaffResult r4 =
-            core::CeaffPipeline(&bench_->pair, &bench_->store, o)
-                .RunOnFeatures(f)
-                .value();
-        EXPECT_TRUE(SameBits(r1.fused, r4.fused));
-        EXPECT_EQ(r1.final_weights, r4.final_weights);
+      core::CeaffOptions o = Options(mode, 1);
+      o.use_attribute = attributes;
+      core::CeaffPipeline pipe(&bench_->pair, &bench_->store, o);
+      const core::CeaffFeatures f = pipe.GenerateFeatures().value();
+      const core::CeaffResult r1 = pipe.RunOnFeatures(f).value();
+      o.num_threads = 4;
+      const core::CeaffResult r4 =
+          core::CeaffPipeline(&bench_->pair, &bench_->store, o)
+              .RunOnFeatures(f)
+              .value();
+      EXPECT_TRUE(SameBits(r1.fused, r4.fused));
+      EXPECT_EQ(r1.final_weights, r4.final_weights);
 
-        const la::Matrix ms = la::CosineSimilarityK(
-            {}, f.structural_src_emb, f.structural_tgt_emb);
-        const la::Matrix mn = la::CosineSimilarityK(
-            {}, f.semantic_src_emb, f.semantic_tgt_emb);
-        std::vector<const la::Matrix*> all = {&ms, &mn, &f.string_sim};
-        std::vector<const la::Matrix*> extras;
-        if (attributes) {
-          all.push_back(&f.attribute);
-          extras.push_back(&f.attribute);
-        }
-        la::Matrix want;
-        if (mode == core::FusionMode::kAdaptive) {
-          TwoStageFusionResult two = ReferenceTwoStageFuse(
-              ms, mn, f.string_sim, extras, o.fusion);
-          EXPECT_EQ(r1.textual_weights, two.textual_weights);
-          want = std::move(two.fused);
-        } else {
-          want = la::WeightedSum(all, r1.final_weights);
-        }
-        if (mode == core::FusionMode::kFixed) {
-          EXPECT_EQ(r1.final_weights,
-                    std::vector<double>(all.size(), 1.0 / all.size()));
-        }
-        if (csls_k > 0) want = la::CslsRescale(want, csls_k);
-        EXPECT_TRUE(SameBits(r1.fused, want))
-            << "mode " << static_cast<int>(mode) << " attributes "
-            << attributes << " csls " << csls_k;
+      const la::Matrix ms = la::CosineSimilarityK(
+          {}, f.structural_src_emb, f.structural_tgt_emb);
+      const la::Matrix mn = la::CosineSimilarityK(
+          {}, f.semantic_src_emb, f.semantic_tgt_emb);
+      std::vector<const la::Matrix*> all = {&ms, &mn, &f.string_sim};
+      std::vector<const la::Matrix*> extras;
+      if (attributes) {
+        all.push_back(&f.attribute);
+        extras.push_back(&f.attribute);
       }
+      la::Matrix want;
+      if (mode == core::FusionMode::kAdaptive) {
+        TwoStageFusionResult two = ReferenceTwoStageFuse(
+            ms, mn, f.string_sim, extras, o.fusion);
+        EXPECT_EQ(r1.textual_weights, two.textual_weights);
+        want = std::move(two.fused);
+      } else {
+        want = la::WeightedSum(all, r1.final_weights);
+      }
+      if (mode == core::FusionMode::kFixed) {
+        EXPECT_EQ(r1.final_weights,
+                  std::vector<double>(all.size(), 1.0 / all.size()));
+      }
+      EXPECT_TRUE(SameBits(r1.fused, want))
+          << "mode " << static_cast<int>(mode) << " attributes "
+          << attributes;
     }
   }
 }

@@ -39,70 +39,77 @@ TEST(FunctionalityTest, UnusedRelationScoresZero) {
   EXPECT_EQ(f.ifun[0], 0.0);
 }
 
-TEST(AdjacencyTest, UnweightedUnnormalizedStructure) {
-  KnowledgeGraph g;
-  g.AddTriple("a", "r", "b");
-  AdjacencyOptions opt;
-  opt.functionality_weighted = false;
-  opt.add_self_loops = false;
-  opt.symmetric_normalize = false;
-  la::SparseMatrix a = BuildAdjacency(g, opt);
-  EXPECT_EQ(a.rows(), 2u);
-  EXPECT_EQ(a.at(0, 1), 1.0f);  // forward edge
-  EXPECT_EQ(a.at(1, 0), 1.0f);  // reverse edge
-  EXPECT_EQ(a.at(0, 0), 0.0f);  // no self-loop requested
-}
+// The one construction is D^-1/2 (W + I) D^-1/2, where W carries ifun(r)
+// forward and fun(r) backward per triple (h, r, t) and D holds the row
+// sums of W + I. The expected values below are worked out by hand.
 
-TEST(AdjacencyTest, SelfLoopsAdded) {
+TEST(AdjacencyTest, SingleTripleGraphIsExactlyNormalized) {
+  // a --r--> b: fun(r) = ifun(r) = 1, so W + I is all ones and both row
+  // degrees are 2; every entry becomes 1 / sqrt(2 · 2).
   KnowledgeGraph g;
   g.AddTriple("a", "r", "b");
-  AdjacencyOptions opt;
-  opt.functionality_weighted = false;
-  opt.symmetric_normalize = false;
-  la::SparseMatrix a = BuildAdjacency(g, opt);
-  EXPECT_EQ(a.at(0, 0), 1.0f);
-  EXPECT_EQ(a.at(1, 1), 1.0f);
+  la::SparseMatrix a = BuildAdjacency(g);
+  ASSERT_EQ(a.rows(), 2u);
+  ASSERT_EQ(a.cols(), 2u);
+  EXPECT_EQ(a.nnz(), 4u);
+  for (size_t i = 0; i < 2; ++i) {
+    for (size_t j = 0; j < 2; ++j) EXPECT_FLOAT_EQ(a.at(i, j), 0.5f);
+  }
 }
 
 TEST(AdjacencyTest, FunctionalityWeightsApplied) {
+  // Star graph row degrees of W + I: hub 1 + 3·ifun(r) = 4; leaf1 and
+  // leaf2 1 + fun(r) + 1 = 7/3 (the f edge weighs 1 both ways); leaf3
+  // 1 + fun(r) = 4/3.
   KnowledgeGraph g = StarGraph();
-  AdjacencyOptions opt;
-  opt.add_self_loops = false;
-  opt.symmetric_normalize = false;
-  la::SparseMatrix a = BuildAdjacency(g, opt);
+  la::SparseMatrix a = BuildAdjacency(g);
   EntityId hub = g.FindEntity("hub").value();
   EntityId leaf1 = g.FindEntity("leaf1").value();
-  // Forward hub->leaf1 carries ifun(r) = 1; reverse carries fun(r) = 1/3.
-  EXPECT_NEAR(a.at(hub, leaf1), 1.0f, 1e-6);
-  EXPECT_NEAR(a.at(leaf1, hub), 1.0f / 3.0f, 1e-6);
+  EntityId leaf2 = g.FindEntity("leaf2").value();
+  EntityId leaf3 = g.FindEntity("leaf3").value();
+  // Forward hub->leaf carries ifun(r) = 1; reverse carries fun(r) = 1/3.
+  EXPECT_FLOAT_EQ(a.at(hub, leaf1), 1.0 / std::sqrt(4.0 * 7.0 / 3.0));
+  EXPECT_FLOAT_EQ(a.at(leaf1, hub), (1.0 / 3.0) / std::sqrt(4.0 * 7.0 / 3.0));
+  EXPECT_FLOAT_EQ(a.at(hub, leaf3), 1.0 / std::sqrt(4.0 * 4.0 / 3.0));
+  EXPECT_FLOAT_EQ(a.at(leaf3, hub), (1.0 / 3.0) / std::sqrt(4.0 * 4.0 / 3.0));
+  // leaf1 --f--> leaf2: ifun(f) = fun(f) = 1 both ways.
+  EXPECT_FLOAT_EQ(a.at(leaf1, leaf2), 3.0 / 7.0);
+  EXPECT_FLOAT_EQ(a.at(leaf2, leaf1), 3.0 / 7.0);
+  // No edge, no entry.
+  EXPECT_EQ(a.at(leaf1, leaf3), 0.0f);
+  EXPECT_EQ(a.at(leaf3, leaf2), 0.0f);
+  // 3 forward + 3 reverse star edges, 2 f edges, 4 self-loops.
+  EXPECT_EQ(a.nnz(), 12u);
+}
+
+TEST(AdjacencyTest, SelfLoopsAdded) {
+  // The identity self-loop normalised by its own row degree.
+  KnowledgeGraph g = StarGraph();
+  la::SparseMatrix a = BuildAdjacency(g);
+  EXPECT_FLOAT_EQ(a.at(g.FindEntity("hub").value(),
+                       g.FindEntity("hub").value()), 1.0 / 4.0);
+  EXPECT_FLOAT_EQ(a.at(g.FindEntity("leaf1").value(),
+                       g.FindEntity("leaf1").value()), 3.0 / 7.0);
+  EXPECT_FLOAT_EQ(a.at(g.FindEntity("leaf2").value(),
+                       g.FindEntity("leaf2").value()), 3.0 / 7.0);
+  EXPECT_FLOAT_EQ(a.at(g.FindEntity("leaf3").value(),
+                       g.FindEntity("leaf3").value()), 3.0 / 4.0);
 }
 
 TEST(AdjacencyTest, SelfLoopTripleAccumulatesBothDirections) {
+  // (a, r, a) and (b, r, a): fun(r) = 2 heads / 2 = 1, ifun(r) = 1 tail /
+  // 2 = 0.5. The self-loop triple puts ifun + fun = 1.5 on a's diagonal,
+  // on top of the identity self-loop: W + I = [[2.5, 1], [0.5, 1]], row
+  // degrees 3.5 and 1.5.
   KnowledgeGraph g;
   g.AddTriple("a", "r", "a");
-  AdjacencyOptions opt;
-  opt.functionality_weighted = false;
-  opt.add_self_loops = false;
-  opt.symmetric_normalize = false;
-  la::SparseMatrix a = BuildAdjacency(g, opt);
-  // One triple contributes forward + backward onto the diagonal once.
-  EXPECT_EQ(a.at(0, 0), 2.0f);
-}
-
-TEST(AdjacencyTest, UnweightedDefaultIsSymmetric) {
-  // Without functionality weighting, forward and reverse edges carry the
-  // same weight and the normalised matrix is symmetric.
-  KnowledgeGraph g = StarGraph();
-  AdjacencyOptions opt;
-  opt.functionality_weighted = false;
-  la::SparseMatrix a = BuildAdjacency(g, opt);
-  ASSERT_EQ(a.rows(), a.cols());
-  la::Matrix d = a.ToDense();
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_NEAR(d.at(i, j), d.at(j, i), 1e-5);
-    }
-  }
+  g.AddTriple("b", "r", "a");
+  la::SparseMatrix a = BuildAdjacency(g);
+  const double da = 3.5, db = 1.5;
+  EXPECT_FLOAT_EQ(a.at(0, 0), 2.5 / da);
+  EXPECT_FLOAT_EQ(a.at(0, 1), 1.0 / std::sqrt(da * db));
+  EXPECT_FLOAT_EQ(a.at(1, 0), 0.5 / std::sqrt(da * db));
+  EXPECT_FLOAT_EQ(a.at(1, 1), 1.0 / db);
 }
 
 TEST(AdjacencyTest, WeightedDefaultIsNormalizedAndNonNegative) {

@@ -38,19 +38,12 @@ TEST(RelationSimilarityTest, DirectionsAreDistinct) {
       {g2.FindEntity("c").value(), g2.FindEntity("d").value()});
   EXPECT_EQ(m.at(0, 0), 0.0f);   // a (head) vs c (tail)
   EXPECT_GT(m.at(0, 1), 0.9f);   // a (head) vs d (head)
-}
-
-TEST(RelationSimilarityTest, DirectionsCanBeDisabled) {
-  KnowledgeGraph g1, g2;
-  g1.AddTriple("a", "r", "b");
-  g2.AddTriple("d", "r", "c");
-  RelationSimilarityOptions opt;
-  opt.use_incoming = false;
-  la::Matrix m = RelationSimilarityMatrix(
+  // Incoming edges count too: the tail b matches the tail c.
+  la::Matrix tails = RelationSimilarityMatrix(
       g1, g2, {g1.FindEntity("b").value()},
-      {g2.FindEntity("c").value()}, opt);
-  // Both are tails only; with incoming disabled their profiles are empty.
-  EXPECT_EQ(m.at(0, 0), 0.0f);
+      {g2.FindEntity("c").value(), g2.FindEntity("d").value()});
+  EXPECT_GT(tails.at(0, 0), 0.9f);  // b (tail) vs c (tail)
+  EXPECT_EQ(tails.at(0, 1), 0.0f);  // b (tail) vs d (head)
 }
 
 TEST(RelationSimilarityTest, UnsharedVocabularyYieldsZeros) {

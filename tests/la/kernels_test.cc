@@ -2,7 +2,7 @@
 // (la/kernels.h) against the naive references of ceaff_reference. The
 // determinism contract — bit-identical output at every thread count — and the
 // documented agreement with the references (bit-identical for the
-// Sinkhorn/CSLS/SpMM family, O(d·eps) relative for the float-accumulating
+// Sinkhorn/SpMM family, O(d·eps) relative for the float-accumulating
 // GEMM family) are pinned here; a kernel change that silently reorders an
 // accumulation breaks these tests, not an alignment benchmark three layers
 // up.
@@ -424,20 +424,6 @@ TEST(KernelNormalizeTest, SinkhornPlanIsIdenticalWithAndWithoutKernels) {
   auto parallel = matching::SinkhornNormalizeChecked(sim, with_kernel);
   ASSERT_TRUE(parallel.ok());
   EXPECT_TRUE(BitIdentical(*reference, *parallel));
-}
-
-// ---------------------------------------------------------------------------
-// CSLS
-// ---------------------------------------------------------------------------
-
-TEST(KernelCslsTest, MatchesNaiveBitwiseIncludingEdgeK) {
-  const Matrix m = RandomMatrix(26, 31, 21);
-  for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{31}, size_t{99}}) {
-    const Matrix naive = CslsRescale(m, k);
-    const Matrix fast = CheckDeterministic(
-        [&](const KernelContext& ctx) { return CslsRescaleK(ctx, m, k); });
-    EXPECT_TRUE(BitIdentical(fast, naive)) << "k = " << k;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -546,19 +546,22 @@ if [[ "$skip_smoke" == 0 ]]; then
   grep -q 'watermark 6' "$delta/status2.txt"
   grep -q '0 pending' "$delta/status2.txt"
   # A state of a format version this build does not read (as a newer
-  # build would write it: version 3, valid CRC, matching MANIFEST) must be
-  # refused by name and left alone, never quarantined as corrupt.
+  # build would write it: the written version + 1, valid CRC, matching
+  # MANIFEST) must be refused by name and left alone, never quarantined as
+  # corrupt.
   newer="$smoke/newer_state"
   "$repo/build/tools/ceaff" generate --config DBP15K_ZH_EN --scale 0.1 \
-    --out "$smoke/v3data"
-  "$repo/build/tools/ceaff" align --data "$smoke/v3data" \
+    --out "$smoke/newer_data"
+  "$repo/build/tools/ceaff" align --data "$smoke/newer_data" \
     --gcn-epochs 3 --gcn-dim 16 --export_delta_state "$newer" \
-    --out "$smoke/v3pred.tsv"
-  python3 - "$newer" <<'PY'
+    --out "$smoke/newer_pred.tsv"
+  newer_version=$(python3 - "$newer" <<'PY'
 import struct, sys, zlib
 d = sys.argv[1]
 state = bytearray(open(d + "/state.g1", "rb").read())
-state[8:12] = struct.pack("<I", 3)  # the version, after the magic
+# The version, after the magic: one past the version this build writes.
+version = struct.unpack("<I", bytes(state[8:12]))[0] + 1
+state[8:12] = struct.pack("<I", version)
 state[-4:] = struct.pack("<I", zlib.crc32(bytes(state[:-4])))
 open(d + "/state.g1", "wb").write(state)
 lines = open(d + "/MANIFEST").read().splitlines()[:-1]  # drop crc trailer
@@ -569,15 +572,18 @@ for i, line in enumerate(lines):
                                       "%08x" % zlib.crc32(bytes(state))])
 body = "".join(line + "\n" for line in lines)
 open(d + "/MANIFEST", "w").write(body + "crc %08x\n" % zlib.crc32(body.encode()))
+print(version)
 PY
+)
   cp -r "$newer" "$smoke/newer_state.before"
   rc=0
   "$repo/build/tools/ceaff" delta status --journal "$delta/wal" \
     --state "$newer" > /dev/null 2> "$smoke/newer_status.txt" || rc=$?
   if [[ "$rc" != 1 ]]; then
-    echo "delta status on a version-3 state exited $rc, expected 1" >&2; exit 1
+    echo "delta status on a version-$newer_version state exited $rc," \
+      "expected 1" >&2; exit 1
   fi
-  grep -q 'version 3' "$smoke/newer_status.txt"
+  grep -q "version $newer_version" "$smoke/newer_status.txt"
   cmp "$newer/state.g1" "$smoke/newer_state.before/state.g1"
   cmp "$newer/MANIFEST" "$smoke/newer_state.before/MANIFEST"
   [[ ! -e "$newer/state.g1.corrupt" ]]
