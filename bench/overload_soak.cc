@@ -168,7 +168,8 @@ Calibration Calibrate(
   serve::ServiceOptions options;
   options.num_threads = 1;
   options.cache_capacity = 0;
-  options.overload_protection = false;
+  // A sequential loop never has more requests in flight than workers, so
+  // the service estimates zero queue delay and scores every query in full.
   serve::AlignmentService service(index, options);
   (void)service.TopK(queries.front(), k);  // untimed first-touch warmup
 
@@ -646,7 +647,7 @@ int Main() {
         base, matching::DeferredAcceptance(base.fused), false, 0);
     CEAFF_CHECK(base_index.ok()) << base_index.status().ToString();
     const Status index_saved = serve::SaveAlignmentIndexGenerational(
-        *base_index, apply_options.index_dir);
+        *base_index, apply_options.index_dir).status();
     CEAFF_CHECK(index_saved.ok()) << index_saved.ToString();
 
     // Journal the batch: new entities wired into the ring, served on the

@@ -4,10 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <string_view>
 
 #include "ceaff/common/crc32.h"
+#include "ceaff/common/statusor.h"
 
 namespace ceaff {
 
@@ -151,6 +153,59 @@ class BinReader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// The checksummed container every persisted binary format (CEAFFIDX,
+/// CEAFFMAT, CEAFFDLT) is framed in:
+///
+///   bytes 0..7     magic
+///   bytes 8..11    format version (u32)
+///   ...            body
+///   last 4 bytes   CRC-32 of every byte before it
+///
+/// The container settles integrity only; each format owns its version
+/// policy and its body layout.
+struct ContainerFormat {
+  /// Exactly kContainerMagicBytes characters.
+  std::string_view magic;
+  /// What the format holds, for error messages ("index").
+  const char* noun;
+  /// Bytes every valid body starts with (a fixed leading field), so an
+  /// image too short for them fails the size check.
+  size_t min_body_bytes = 0;
+};
+
+constexpr size_t kContainerMagicBytes = 8;
+constexpr size_t kContainerHeaderBytes =
+    kContainerMagicBytes + sizeof(uint32_t);
+constexpr size_t kContainerTrailerBytes = sizeof(uint32_t);
+
+/// An opened container: its version and its body, borrowed from the image.
+struct ContainerView {
+  uint32_t version = 0;
+  std::string_view body;
+};
+
+/// Writes magic and `version`, lets `write_body` append the body to the
+/// same writer (so BinWriter::PadTo counts from the first byte of the
+/// image), and appends the CRC-32 trailer.
+std::string SealContainer(const ContainerFormat& format, uint32_t version,
+                          const std::function<void(BinWriter*)>& write_body);
+
+/// Checks, in this order, the minimum size, the magic and the CRC over the
+/// whole image; each failure is kDataLoss, prefixed with `label` (a path,
+/// an artifact name) unless it is empty. Copies nothing: the body view
+/// borrows `image`, so a mapped image stays zero-copy.
+StatusOr<ContainerView> OpenContainer(std::string_view image,
+                                      const ContainerFormat& format,
+                                      const std::string& label);
+
+/// The body of an image that OpenContainer already accepted. No check and
+/// no second CRC pass.
+inline std::string_view ContainerBody(std::string_view image) {
+  return image.substr(kContainerHeaderBytes, image.size() -
+                                                 kContainerHeaderBytes -
+                                                 kContainerTrailerBytes);
+}
 
 }  // namespace ceaff
 

@@ -26,24 +26,6 @@ namespace fs = std::filesystem;
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestHeader[] = "CEAFF-MANIFEST v1";
 
-std::string ErrnoMessage(const char* what, const std::string& path) {
-  return StrFormat("%s %s: %s", what, path.c_str(), std::strerror(errno));
-}
-
-Status WriteAll(int fd, const char* data, size_t len,
-                const std::string& path) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(ErrnoMessage("write", path));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 std::string ParentDirOf(const std::string& path) {
   const std::string parent = fs::path(path).parent_path().string();
   return parent.empty() ? std::string(".") : parent;
@@ -60,6 +42,23 @@ std::string UniqueTmpPath(const std::string& path) {
 }
 
 }  // namespace
+
+std::string ErrnoMessage(const char* what, const std::string& path) {
+  return StrFormat("%s %s: %s", what, path.c_str(), std::strerror(errno));
+}
+
+Status WriteAll(int fd, std::string_view bytes, const std::string& path) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(ErrnoMessage("write", path));
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
 
 Status FsyncDir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
@@ -87,7 +86,7 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes,
     return st;
   };
 
-  Status st = WriteAll(fd, bytes.data(), bytes.size(), tmp);
+  Status st = WriteAll(fd, bytes, tmp);
   if (!st.ok()) return fail(fd, std::move(st));
 
   // Payload written but not yet on stable storage: a crash here may leave

@@ -53,6 +53,13 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes,
 /// Slurps a whole file. kIOError when it cannot be opened or read.
 StatusOr<std::string> ReadFileToString(const std::string& path);
 
+/// `"<what> <path>: <strerror(errno)>"`, the text of every errno failure.
+std::string ErrnoMessage(const char* what, const std::string& path);
+
+/// Writes all of `bytes` to `fd`, retrying short writes and EINTR.
+/// kIOError naming `path` on any other failure.
+Status WriteAll(int fd, std::string_view bytes, const std::string& path);
+
 /// fsyncs the directory itself (its entry table, not its files' contents).
 Status FsyncDir(const std::string& dir);
 

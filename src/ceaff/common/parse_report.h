@@ -2,8 +2,12 @@
 #define CEAFF_COMMON_PARSE_REPORT_H_
 
 #include <cstddef>
+#include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "ceaff/common/status.h"
 
 namespace ceaff {
 
@@ -51,6 +55,44 @@ struct ParseReport {
     }
     return out;
   }
+};
+
+/// The one strict/lenient line reader behind the TSV and word-vector
+/// loaders. It owns opening the file, line numbering, the report's
+/// bookkeeping, `path:line:` context in strict mode, and the lenient issue
+/// list and error budget; a loader only parses the lines Next() returns
+/// and hands each verdict to Settle().
+class LinePump {
+ public:
+  /// `report` may be null; it is reset here and filled as lines go by.
+  LinePump(const std::string& path, const ParseOptions& options,
+           ParseReport* report);
+  // Neither copied nor moved: report_ may point at local_.
+  LinePump(const LinePump&) = delete;
+  LinePump& operator=(const LinePump&) = delete;
+
+  /// kIOError when the file cannot be opened.
+  Status Open();
+  /// Reads the next line into `*line` (valid until the next call); false
+  /// at end of file.
+  bool Next(std::string_view* line);
+  /// The report so far; `lines_scanned` is the number of the line Next
+  /// returned last.
+  const ParseReport& report() const { return *report_; }
+
+  /// Settles the current line's verdict. OK counts a loaded record. An
+  /// error is returned with `path:line:` context in strict mode; lenient
+  /// mode records it as an issue and fails only once more than
+  /// `max_errors` lines were skipped.
+  Status Settle(const Status& verdict);
+
+ private:
+  std::string path_;
+  ParseOptions options_;
+  ParseReport local_;
+  ParseReport* report_;
+  std::ifstream in_;
+  std::string buf_;
 };
 
 }  // namespace ceaff

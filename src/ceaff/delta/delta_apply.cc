@@ -40,11 +40,9 @@ Status PublishState(const DeltaState& state,
         const serve::AlignmentIndex index,
         BuildIndexFromState(state, match, options.export_ann,
                             options.ann_centroids, ctx));
-    CEAFF_RETURN_IF_ERROR(
-        serve::SaveAlignmentIndexGenerational(index, options.index_dir));
     CEAFF_ASSIGN_OR_RETURN(
         report->published_index_generation,
-        serve::AlignmentIndexDirGeneration(options.index_dir));
+        serve::SaveAlignmentIndexGenerational(index, options.index_dir));
   }
   CEAFF_FAILPOINT("delta.publish.state");
   CEAFF_ASSIGN_OR_RETURN(const std::unique_ptr<GenerationalStore> store,

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
@@ -28,24 +27,6 @@ constexpr size_t kFrameBytes = 4 + 4;
 /// Hard cap on one record's payload — anything larger in a frame header is
 /// corruption, not data.
 constexpr uint32_t kMaxPayloadBytes = 16u << 20;
-
-std::string ErrnoMessage(const char* what, const std::string& path) {
-  return StrFormat("%s %s: %s", what, path.c_str(), std::strerror(errno));
-}
-
-Status WriteAll(int fd, const char* data, size_t len,
-                const std::string& path) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(ErrnoMessage("write", path));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 std::string SegmentHeader(uint64_t seq) {
   BinWriter w;
@@ -195,7 +176,7 @@ Status DeltaJournal::OpenImpl() {
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
     if (fd < 0) return Status::IOError(ErrnoMessage("create", path));
     const std::string header = SegmentHeader(tail_seq_);
-    Status st = WriteAll(fd, header.data(), header.size(), path);
+    Status st = WriteAll(fd, header, path);
     if (st.ok() && ::fsync(fd) != 0) {
       st = Status::IOError(ErrnoMessage("fsync", path));
     }
@@ -255,7 +236,7 @@ Status DeltaJournal::RotateLocked() {
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) return Status::IOError(ErrnoMessage("create", path));
   const std::string header = SegmentHeader(next_seq);
-  Status st = WriteAll(fd, header.data(), header.size(), path);
+  Status st = WriteAll(fd, header, path);
   if (st.ok() && ::fsync(fd) != 0) {
     st = Status::IOError(ErrnoMessage("fsync", path));
   }
@@ -288,7 +269,7 @@ StatusOr<uint64_t> DeltaJournal::Append(const PatchRecord& record) {
   const std::string frame = w.Take();
 
   const std::string path = SegmentPath(tail_seq_);
-  Status st = WriteAll(tail_fd_, frame.data(), frame.size(), path);
+  Status st = WriteAll(tail_fd_, frame, path);
   if (!st.ok()) {
     // A partial frame in the tail would corrupt every later append; wind
     // the file back to the last committed record (best effort — a replay

@@ -1,9 +1,6 @@
 #include "ceaff/delta/delta_state.h"
 
-#include <cstring>
-
 #include "ceaff/common/bin_codec.h"
-#include "ceaff/common/crc32.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/la/matrix_io.h"
 
@@ -11,49 +8,31 @@ namespace ceaff::delta {
 
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'D', 'L', 'T'};
+constexpr ContainerFormat kFormat = {"CEAFFDLT", "delta state"};
 /// Older versions (1 also stored full preference lists, 2 the string metric
 /// and three adjacency switches) are still recognised, so the refusal can
 /// say how to recover.
 constexpr uint32_t kVersion = 3;
-constexpr size_t kTrailerBytes = 4;
-
-uint32_t VersionOf(std::string_view bytes) {
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  return version;
-}
 
 }  // namespace
 
 Status ValidateDeltaStateBytes(std::string_view bytes) {
-  if (bytes.size() < sizeof(kMagic) + sizeof(kVersion) + kTrailerBytes) {
-    return Status::DataLoss("delta state too small");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::DataLoss("bad delta-state magic");
-  }
-  uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - kTrailerBytes,
-              sizeof(stored));
-  if (stored != Crc32Of(bytes.data(), bytes.size() - kTrailerBytes)) {
-    return Status::DataLoss("delta-state CRC mismatch");
-  }
+  CEAFF_ASSIGN_OR_RETURN(const ContainerView container,
+                         OpenContainer(bytes, kFormat, ""));
   // The checksum holds, so another version is a format this build does
   // not read, not corruption: it must not be quarantined.
-  const uint32_t version = VersionOf(bytes);
-  if (version < kVersion) {
+  if (container.version < kVersion) {
     return Status::FailedPrecondition(StrFormat(
         "delta state is CEAFFDLT version %u, which this build no longer "
         "reads (it reads version %u); re-export it with "
         "`ceaff align --data DIR --export_delta_state STATE_DIR`",
-        version, kVersion));
+        container.version, kVersion));
   }
-  if (version != kVersion) {
+  if (container.version != kVersion) {
     return Status::FailedPrecondition(StrFormat(
         "unsupported delta-state version %u (this build reads version %u); "
         "read it with the build that wrote it",
-        version, kVersion));
+        container.version, kVersion));
   }
   return Status::OK();
 }
@@ -159,47 +138,39 @@ Status ReadKg(BinReader* r, kg::KnowledgeGraph* g) {
 }  // namespace
 
 std::string SerializeDeltaState(const DeltaState& state) {
-  BinWriter w;
-  w.Bytes(kMagic, sizeof(kMagic));
-  w.U32(kVersion);
-  w.U64(state.watermark);
-  w.Str(state.dataset);
-  w.U32(state.semantic_dim);
-  w.U64(state.semantic_seed);
-  w.U32(state.gcn_dim);
-  w.U64(state.gcn_seed);
-  w.Bool(state.use_structural);
-  w.Bool(state.use_semantic);
-  w.Bool(state.use_string);
-  w.Bool(state.two_stage);
-  WriteWeights(state.textual_weights, &w);
-  WriteWeights(state.final_weights, &w);
-  WriteKg(state.kg1, &w);
-  WriteKg(state.kg2, &w);
-  WriteIds(state.source_ids, &w);
-  WriteIds(state.target_ids, &w);
-  for (const la::Matrix* m :
-       {&state.x1, &state.x2, &state.src_struct_emb, &state.tgt_struct_emb,
-        &state.src_name_emb, &state.tgt_name_emb, &state.fused}) {
-    la::WriteMatrixSection(*m, &w);
-  }
-  std::string bytes = w.Take();
-  const uint32_t crc = Crc32Of(bytes.data(), bytes.size());
-  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return bytes;
+  return SealContainer(kFormat, kVersion, [&state](BinWriter* w) {
+    w->U64(state.watermark);
+    w->Str(state.dataset);
+    w->U32(state.semantic_dim);
+    w->U64(state.semantic_seed);
+    w->U32(state.gcn_dim);
+    w->U64(state.gcn_seed);
+    w->Bool(state.use_structural);
+    w->Bool(state.use_semantic);
+    w->Bool(state.use_string);
+    w->Bool(state.two_stage);
+    WriteWeights(state.textual_weights, w);
+    WriteWeights(state.final_weights, w);
+    WriteKg(state.kg1, w);
+    WriteKg(state.kg2, w);
+    WriteIds(state.source_ids, w);
+    WriteIds(state.target_ids, w);
+    for (const la::Matrix* m :
+         {&state.x1, &state.x2, &state.src_struct_emb, &state.tgt_struct_emb,
+          &state.src_name_emb, &state.tgt_name_emb, &state.fused}) {
+      la::WriteMatrixSection(*m, w);
+    }
+  });
 }
 
 namespace {
 
-/// The parse proper, for bytes that already passed
-/// ValidateDeltaStateBytes (a second CRC pass over a multi-megabyte state
+/// The parse proper, over the body of an image whose container and
+/// version already passed (a second CRC pass over a multi-megabyte state
 /// would find nothing new). Every section is still bounds-checked.
-StatusOr<DeltaState> ParseValidatedDeltaState(std::string_view bytes) {
+StatusOr<DeltaState> ParseValidatedDeltaState(std::string_view body) {
   // Parse in place: the reader borrows the caller's bytes.
-  BinReader r(bytes.substr(0, bytes.size() - kTrailerBytes));
-  const char* header = nullptr;
-  r.View(sizeof(kMagic) + sizeof(kVersion), &header);  // validated already
-
+  BinReader r(body);
   DeltaState state;
   if (!r.U64(&state.watermark) || !r.Str(&state.dataset) ||
       !r.U32(&state.semantic_dim) || !r.U64(&state.semantic_seed) ||
@@ -232,7 +203,7 @@ StatusOr<DeltaState> ParseValidatedDeltaState(std::string_view bytes) {
 
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
   CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
-  return ParseValidatedDeltaState(bytes);
+  return ParseValidatedDeltaState(ContainerBody(bytes));
 }
 
 StatusOr<std::unique_ptr<GenerationalStore>> OpenDeltaStateStore(
@@ -252,7 +223,7 @@ StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store) {
   CEAFF_ASSIGN_OR_RETURN(std::string bytes,
                          store->Get("state", ValidateDeltaStateBytes));
   // Get ran the validator on exactly these bytes.
-  return ParseValidatedDeltaState(bytes);
+  return ParseValidatedDeltaState(ContainerBody(bytes));
 }
 
 StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,

@@ -28,8 +28,8 @@ namespace ceaff::delta {
 /// frozen model, so repaired and rebuilt results are bit-identical.
 ///
 /// Persisted as the artifact "state" in a GenerationalStore (failpoint
-/// scope "delta_state"): container magic "CEAFFDLT", version 3,
-/// little-endian, whole-file CRC-32 trailer. Older versions (1 also stored
+/// scope "delta_state") in the common/bin_codec.h checksummed container:
+/// magic "CEAFFDLT", version 3, little-endian. Older versions (1 also stored
 /// every source's full preference list, 2 the string metric and three
 /// adjacency switches) are refused with kFailedPrecondition: re-export the
 /// state from `ceaff align --export_delta_state`.
@@ -89,9 +89,10 @@ struct DeltaState {
 /// Serialises to the container format above (CRC trailer included).
 std::string SerializeDeltaState(const DeltaState& state);
 
-/// Cheap integrity check (magic, whole-file CRC, version) — the
-/// GenerationalStore validator, so a corrupt newest generation (kDataLoss)
-/// falls back to the previous one instead of failing the load. An intact
+/// Cheap integrity check (the container's size, magic and whole-file CRC,
+/// then the version) — the GenerationalStore validator, so a corrupt
+/// newest generation (kDataLoss) falls back to the previous one instead of
+/// failing the load. An intact
 /// file of any other version is kFailedPrecondition, which the store
 /// returns without quarantining the file: for an older version the message
 /// names the re-export command, for a newer one the version this build

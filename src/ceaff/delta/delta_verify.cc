@@ -190,13 +190,9 @@ StatusOr<matching::MatchResult> VerifyDeltaState(
     const float* got = s.fused.row(i);
     const float* want = recomputed.row(k);
     for (size_t j = 0; j < s.fused.cols(); ++j) {
-      const bool ok =
-          options.audit_tolerance == 0.0
-              ? std::memcmp(&got[j], &want[j], sizeof(float)) == 0
-              : std::fabs(static_cast<double>(got[j]) -
-                          static_cast<double>(want[j])) <=
-                    options.audit_tolerance;
-      if (!ok) {
+      // Bitwise: the repair is bit-exact by contract, so any difference is
+      // a divergence.
+      if (std::memcmp(&got[j], &want[j], sizeof(float)) != 0) {
         return GateFail(StrFormat(
             "fused(%u, %zu) = %.9g diverges from recomputed %.9g", i, j,
             static_cast<double>(got[j]), static_cast<double>(want[j])));

@@ -21,9 +21,6 @@ struct VerifyOptions {
   /// audits the same sample) plus up to the same number of repair-dirty
   /// rows are recomputed exhaustively and compared against the candidate.
   size_t audit_rows = 8;
-  /// Maximum |candidate - recomputed| per audited fused cell. The default
-  /// 0.0 demands bit-exactness — the repair path is engineered for it.
-  double audit_tolerance = 0.0;
 };
 
 /// Runs the full gate over a candidate state:

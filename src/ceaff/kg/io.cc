@@ -1,7 +1,6 @@
 #include "ceaff/kg/io.h"
 
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <sstream>
 
@@ -22,61 +21,26 @@ std::string SanitizeTsvField(const std::string& s) {
   return out;
 }
 
-/// Prefixes `inner` with `path:line:` (preserving its code) unless the
-/// message already carries that context.
-Status WithLineContext(const std::string& path, size_t lineno,
-                       const Status& inner) {
-  return Status(inner.code(), StrFormat("%s:%zu: %s", path.c_str(), lineno,
-                                        inner.message().c_str()));
-}
-
-/// Shared strict/lenient TSV line pump. Opens `path`, splits each
-/// non-blank non-comment line on tabs, enforces `expected_fields`, and
-/// hands the fields to `consume`. Strict mode fails on the first problem;
-/// lenient mode records each problem in `report` and keeps going until
-/// `options.max_errors` is exceeded. Every emitted error carries
-/// `path:line:` context.
+/// The TSV loaders' per-line parsing, run by the shared LinePump: skips
+/// blank and `#` comment lines, splits the rest on tabs, enforces
+/// `expected_fields`, and hands the fields to `consume`.
 Status RunTsvLoader(
     const std::string& path, size_t expected_fields,
     const ParseOptions& options, ParseReport* report,
     const std::function<Status(const std::vector<std::string>&)>& consume) {
-  ParseReport local;
-  if (report == nullptr) report = &local;
-  report->path = path;
-  report->lines_scanned = 0;
-  report->records_loaded = 0;
-  report->issues.clear();
-
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    report->lines_scanned = lineno;
-    std::string_view sv = StripAsciiWhitespace(line);
-    if (sv.empty() || sv[0] == '#') continue;
-    std::vector<std::string> fields = Split(sv, '\t');
-    Status st;
-    if (fields.size() != expected_fields) {
-      st = Status::InvalidArgument(
-          StrFormat("expected %zu tab-separated fields, got %zu",
-                    expected_fields, fields.size()));
-    } else {
-      st = consume(fields);
-    }
-    if (st.ok()) {
-      ++report->records_loaded;
-      continue;
-    }
-    if (!options.lenient) return WithLineContext(path, lineno, st);
-    report->issues.push_back({lineno, st.ToString()});
-    if (report->issues.size() > options.max_errors) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: more than %zu malformed lines (last at line %zu: %s) — "
-          "aborting lenient parse",
-          path.c_str(), options.max_errors, lineno, st.message().c_str()));
-    }
+  LinePump pump(path, options, report);
+  CEAFF_RETURN_IF_ERROR(pump.Open());
+  std::string_view line;
+  while (pump.Next(&line)) {
+    line = StripAsciiWhitespace(line);
+    if (line.empty() || line[0] == '#') continue;
+    const std::vector<std::string> fields = Split(line, '\t');
+    CEAFF_RETURN_IF_ERROR(pump.Settle(
+        fields.size() == expected_fields
+            ? consume(fields)
+            : Status::InvalidArgument(
+                  StrFormat("expected %zu tab-separated fields, got %zu",
+                            expected_fields, fields.size()))));
   }
   return Status::OK();
 }

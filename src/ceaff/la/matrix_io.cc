@@ -3,18 +3,16 @@
 #include <cstdint>
 #include <cstring>
 
-#include "ceaff/common/crc32.h"
-#include "ceaff/common/durable_io.h"
 #include "ceaff/common/string_util.h"
 
 namespace ceaff::la {
 
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'M', 'A', 'T'};
+// The body starts with the reserved word and the shape: 20 bytes.
+constexpr ContainerFormat kFormat = {"CEAFFMAT", "matrix artifact",
+                                     /*min_body_bytes=*/20};
 constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderBytes = 32;  // magic, version, reserved, shape
-constexpr size_t kFooterBytes = 4;
 
 }  // namespace
 
@@ -56,55 +54,25 @@ StatusOr<Matrix> ReadMatrixSection(BinReader* r, bool view) {
 }
 
 std::string SerializeMatrixArtifact(const Matrix& m) {
-  BinWriter w;
-  w.Bytes(kMagic, sizeof(kMagic));
-  w.U32(kVersion);
-  w.U32(0);  // reserved
-  WriteMatrixSection(m, &w);
-  std::string bytes = w.Take();
-  const uint32_t checksum = Crc32Of(bytes.data(), bytes.size());
-  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  return bytes;
+  return SealContainer(kFormat, kVersion, [&m](BinWriter* w) {
+    w->U32(0);  // reserved
+    WriteMatrixSection(m, w);
+  });
 }
 
 StatusOr<Matrix> ParseMatrixArtifact(std::string_view bytes,
                                      const std::string& context) {
-  if (bytes.size() < kHeaderBytes + kFooterBytes) {
-    return Status::DataLoss(
-        StrFormat("%s: truncated artifact (%llu bytes, need at least %zu)",
-                  context.c_str(),
-                  static_cast<unsigned long long>(bytes.size()),
-                  kHeaderBytes + kFooterBytes));
-  }
-
-  BinReader r(bytes.substr(0, bytes.size() - kFooterBytes));
-  char magic[sizeof(kMagic)];
-  uint32_t version = 0;
-  uint32_t reserved = 0;
-  r.Bytes(magic, sizeof(magic));  // the size check above covers these
-  r.U32(&version);
-  r.U32(&reserved);
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::DataLoss(context +
-                            ": bad magic, not a CEAFF matrix artifact");
-  }
-  if (version != kVersion) {
+  CEAFF_ASSIGN_OR_RETURN(const ContainerView container,
+                         OpenContainer(bytes, kFormat, context));
+  if (container.version != kVersion) {
     return Status::DataLoss(
         StrFormat("%s: unsupported artifact version %u (expected %u)",
-                  context.c_str(), version, kVersion));
+                  context.c_str(), container.version, kVersion));
   }
-
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - kFooterBytes,
-              sizeof(stored_crc));
-  const uint32_t computed = Crc32Of(bytes.data(), bytes.size() - kFooterBytes);
-  if (computed != stored_crc) {
-    return Status::DataLoss(StrFormat(
-        "%s: CRC mismatch (stored %08x, computed %08x) — corrupted artifact",
-        context.c_str(), stored_crc, computed));
-  }
-
-  // The single-matrix artifact is exactly prefix + section + footer; any
+  BinReader r(container.body);
+  uint32_t reserved = 0;
+  r.U32(&reserved);  // the container's size check covers it
+  // The single-matrix artifact is exactly reserved word + section; any
   // slack either way means a writer bug or a foreign file.
   auto m = ReadMatrixSection(&r);
   if (!m.ok()) return Status::DataLoss(context + ": " + m.status().message());
@@ -112,16 +80,6 @@ StatusOr<Matrix> ParseMatrixArtifact(std::string_view bytes,
     return Status::DataLoss(context + ": trailing bytes after matrix section");
   }
   return m;
-}
-
-Status SaveMatrixArtifact(const Matrix& m, const std::string& path,
-                          const std::string& scope) {
-  return WriteFileAtomic(path, SerializeMatrixArtifact(m), scope);
-}
-
-StatusOr<Matrix> LoadMatrixArtifact(const std::string& path) {
-  CEAFF_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return ParseMatrixArtifact(bytes, path);
 }
 
 }  // namespace ceaff::la

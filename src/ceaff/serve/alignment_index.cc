@@ -10,7 +10,6 @@
 #include <string_view>
 
 #include "ceaff/common/bin_codec.h"
-#include "ceaff/common/crc32.h"
 #include "ceaff/common/durable_io.h"
 #include "ceaff/common/failpoint.h"
 #include "ceaff/common/mmap_file.h"
@@ -21,26 +20,24 @@ namespace ceaff::serve {
 
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'I', 'D', 'X'};
 /// v2 zero-pads each embedded matrix section to kSectionAlign so the float
 /// payloads are naturally aligned in the file and can be served as views
 /// straight out of a memory mapping. v3 appends the optional ANN sections
 /// (IVF centroids + posting lists + int8 codes/scales) after the trigram
 /// counts; an index without ANN sections serializes as v2, byte-identical
 /// to pre-ANN writers. The unpadded v1 layout is no longer read.
+constexpr ContainerFormat kFormat = {"CEAFFIDX", "index",
+                                     /*min_body_bytes=*/sizeof(uint32_t)};
 constexpr uint32_t kVersionAnn = 3;
 constexpr uint32_t kVersionAligned = 2;
 constexpr uint32_t kMinVersion = kVersionAligned;
-constexpr size_t kPrefixBytes = 16;
-constexpr size_t kFooterBytes = 4;
 constexpr size_t kTrigramWidth = 3;
 constexpr size_t kSectionAlign = alignof(float);
 // Pads are counted from the writer's (or reader's) first byte: the whole
-// image when serializing, the body alone when hashing or parsing it. The
-// prefix size being a multiple of the alignment makes both agree, and
-// aligns the payloads within the *file* (hence within a page-aligned
-// mapping).
-static_assert(kPrefixBytes % kSectionAlign == 0,
+// image when serializing, the container body when parsing. The container
+// header being a multiple of the alignment makes both agree, and aligns
+// the payloads within the *file* (hence within a page-aligned mapping).
+static_assert(kContainerHeaderBytes % kSectionAlign == 0,
               "body-relative alignment must match file alignment");
 
 /// Minimum encoded sizes, for BinReader::Count on declared lengths.
@@ -153,10 +150,13 @@ StatusOr<ann::Int8Matrix> ReadInt8Section(BinReader* r, bool zero_copy) {
   return m;
 }
 
+/// Reads a container body: the reserved word, then what WriteBody wrote.
 StatusOr<AlignmentIndex> ReadBody(std::string_view body, uint32_t version,
                                   bool zero_copy) {
   AlignmentIndex index;
   BinReader r(body);
+  uint32_t reserved = 0;
+  r.U32(&reserved);  // the container's size check covers it
   uint64_t n_src = 0, n_tgt = 0, n_pairs = 0;
   if (!r.Str(&index.dataset) || !r.Count64(&n_src, kStrBytes) ||
       !r.Count64(&n_tgt, kStrBytes) || !r.U64(&n_pairs) ||
@@ -437,49 +437,29 @@ GenerationalStore::Options IndexStoreOptions(size_t keep_generations) {
   return options;
 }
 
-/// Shared parse of one complete container image: prefix, CRC verdict,
-/// body, Finalize. `label` names the source in error messages; `backing`
-/// (optional) is the mapping the bytes live in — passing it enables the
-/// zero-copy path and hands ownership to the returned index.
+/// Shared parse of one complete container image: container check,
+/// version, body, Finalize. `label` names the source in error messages;
+/// `backing` (optional) is the mapping the bytes live in — passing it
+/// enables the zero-copy path and hands ownership to the returned index.
 StatusOr<AlignmentIndex> ParseIndexBytes(
     std::string_view bytes, const std::string& label,
     std::shared_ptr<const MappedFile> backing) {
-  // Settle the CRC verdict up front — every later parse step then runs
-  // over bytes known to be exactly what the writer produced (the reader's
-  // count rule still guards against writer bugs and forged CRCs).
-  if (bytes.size() < kPrefixBytes + kFooterBytes) {
-    return Status::DataLoss(
-        StrFormat("%s: truncated index (%zu bytes, need at least %zu)",
-                  label.c_str(), bytes.size(), kPrefixBytes + kFooterBytes));
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::DataLoss(label +
-                            ": bad magic, not a CEAFF alignment index");
-  }
-  if (version < kMinVersion || version > kVersionAnn) {
-    return Status::DataLoss(
-        StrFormat("%s: unsupported index version %u (expected %u..%u)",
-                  label.c_str(), version, kMinVersion, kVersionAnn));
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - kFooterBytes,
-              sizeof(stored_crc));
-  const uint32_t computed_crc =
-      Crc32Of(bytes.data(), bytes.size() - kFooterBytes);
-  if (computed_crc != stored_crc) {
+  // The container settles the CRC verdict up front — every later parse
+  // step then runs over bytes known to be exactly what the writer produced
+  // (the reader's count rule still guards against writer bugs and forged
+  // CRCs).
+  CEAFF_ASSIGN_OR_RETURN(const ContainerView container,
+                         OpenContainer(bytes, kFormat, label));
+  if (container.version < kMinVersion || container.version > kVersionAnn) {
     return Status::DataLoss(StrFormat(
-        "%s: CRC mismatch (stored %08x, computed %08x) — corrupted index",
-        label.c_str(), stored_crc, computed_crc));
+        "%s: unsupported index version %u (expected %u..%u)", label.c_str(),
+        container.version, kMinVersion, kVersionAnn));
   }
 
   // Zero-copy needs a mapping whose lifetime the index can own; heap
   // loads always copy.
   const bool zero_copy = backing != nullptr;
-  const std::string_view body = bytes.substr(
-      kPrefixBytes, bytes.size() - kPrefixBytes - kFooterBytes);
-  auto index = ReadBody(body, version, zero_copy);
+  auto index = ReadBody(container.body, container.version, zero_copy);
   if (!index.ok()) {
     return Status::DataLoss(label + ": " + index.status().message());
   }
@@ -518,60 +498,63 @@ StatusOr<AlignmentIndex> LoadAlignmentIndexFile(const std::string& path) {
 /// Generational-directory read: let the store settle quarantine (corrupt
 /// newer generations renamed `*.corrupt`, older ones tried), then serve
 /// the surviving generation through the regular mmap file path.
-StatusOr<AlignmentIndex> LoadAlignmentIndexGenerational(
+StatusOr<PinnedAlignmentIndex> LoadAlignmentIndexGenerational(
     const std::string& dir) {
   GenerationalStore store(dir, IndexStoreOptions(/*keep_generations=*/2));
   CEAFF_RETURN_IF_ERROR(store.Init());
-  // Get() walks newest-first with full validation and quarantines every
-  // generation that fails — after it returns OK, CurrentPath() names a
-  // generation known good a moment ago.
+  // Get() walks newest-first with full validation and drops every
+  // generation that fails from this instance's manifest, so the instance's
+  // current generation is the one whose bytes it returned — whatever
+  // another writer publishes meanwhile.
   CEAFF_ASSIGN_OR_RETURN(
       std::string bytes,
       store.Get(kGenerationalArtifact, ValidateAlignmentIndexBytes));
-  auto current = store.CurrentPath(kGenerationalArtifact);
-  if (current.ok()) {
-    auto index = LoadAlignmentIndexFile(current.value());
-    if (index.ok()) return index;
+  PinnedAlignmentIndex pinned;
+  CEAFF_ASSIGN_OR_RETURN(pinned.generation,
+                         store.CurrentGeneration(kGenerationalArtifact));
+  CEAFF_ASSIGN_OR_RETURN(pinned.file,
+                         store.CurrentPath(kGenerationalArtifact));
+  auto index = LoadAlignmentIndexFile(pinned.file);
+  if (!index.ok()) {
+    // The generation file vanished between Get and the mmap load
+    // (concurrent exporter GC'ing the keep window). The validated bytes in
+    // hand are still authoritative — parse them heap-side.
+    index = ParseIndexBytes(bytes, dir + " (generational)", nullptr);
   }
-  // The generation file vanished or changed between Get and the mmap load
-  // (concurrent exporter GC'ing the keep window). The validated bytes in
-  // hand are still authoritative — parse them heap-side.
-  return ParseIndexBytes(bytes, dir + " (generational)", nullptr);
+  CEAFF_ASSIGN_OR_RETURN(pinned.index, std::move(index));
+  return pinned;
 }
 
 }  // namespace
 
 std::string SerializeAlignmentIndex(const AlignmentIndex& index) {
-  BinWriter w;
-  w.Bytes(kMagic, sizeof(kMagic));
   // ANN-less indexes keep writing v2 so their artifacts stay byte-identical
   // to pre-ANN exports (and older readers keep loading them).
-  w.U32(index.has_ann() ? kVersionAnn : kVersionAligned);
-  w.U32(0);  // reserved
-  WriteBody(index, &w);
-  std::string bytes = w.Take();
-  const uint32_t checksum = Crc32Of(bytes.data(), bytes.size());
-  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  return bytes;
+  return SealContainer(kFormat, index.has_ann() ? kVersionAnn : kVersionAligned,
+                       [&index](BinWriter* w) {
+                         w->U32(0);  // reserved
+                         WriteBody(index, w);
+                       });
 }
 
 Status ValidateAlignmentIndexBytes(const std::string& bytes) {
   return ParseIndexBytes(bytes, "candidate index bytes", nullptr).status();
 }
 
-Status SaveAlignmentIndexGenerational(const AlignmentIndex& index,
-                                      const std::string& dir,
-                                      size_t keep_generations) {
+StatusOr<uint64_t> SaveAlignmentIndexGenerational(
+    const AlignmentIndex& index, const std::string& dir,
+    size_t keep_generations) {
   std::string bytes = SerializeAlignmentIndex(index);
   GenerationalStore store(dir, IndexStoreOptions(keep_generations));
   CEAFF_RETURN_IF_ERROR(store.Init());
-  return store.Put(kGenerationalArtifact, bytes);
+  CEAFF_RETURN_IF_ERROR(store.Put(kGenerationalArtifact, bytes));
+  return store.CurrentGeneration(kGenerationalArtifact);
 }
 
 Status SaveAlignmentIndex(const AlignmentIndex& index,
                           const std::string& path) {
   if (IsDirectory(path)) {
-    return SaveAlignmentIndexGenerational(index, path);
+    return SaveAlignmentIndexGenerational(index, path).status();
   }
   // Serialize the whole container in memory, then publish it with the
   // crash-durable protocol (unique temp name, fsync of file and
@@ -582,29 +565,21 @@ Status SaveAlignmentIndex(const AlignmentIndex& index,
   return WriteFileAtomic(path, std::move(bytes), "index");
 }
 
-StatusOr<AlignmentIndex> LoadAlignmentIndex(const std::string& path) {
+StatusOr<PinnedAlignmentIndex> LoadPinnedAlignmentIndex(
+    const std::string& path) {
   if (IsDirectory(path)) {
     return LoadAlignmentIndexGenerational(path);
   }
-  return LoadAlignmentIndexFile(path);
+  PinnedAlignmentIndex pinned;
+  CEAFF_ASSIGN_OR_RETURN(pinned.index, LoadAlignmentIndexFile(path));
+  pinned.file = path;
+  return pinned;
 }
 
-StatusOr<uint64_t> AlignmentIndexDirGeneration(const std::string& path) {
-  if (!IsDirectory(path)) {
-    return Status::NotFound(path + " is not a generational index directory");
-  }
-  GenerationalStore store(path, IndexStoreOptions(/*keep_generations=*/2));
-  CEAFF_RETURN_IF_ERROR(store.Init());
-  return store.CurrentGeneration(kGenerationalArtifact);
-}
-
-StatusOr<std::string> AlignmentIndexDirCurrentFile(const std::string& path) {
-  if (!IsDirectory(path)) {
-    return Status::NotFound(path + " is not a generational index directory");
-  }
-  GenerationalStore store(path, IndexStoreOptions(/*keep_generations=*/2));
-  CEAFF_RETURN_IF_ERROR(store.Init());
-  return store.CurrentPath(kGenerationalArtifact);
+StatusOr<AlignmentIndex> LoadAlignmentIndex(const std::string& path) {
+  CEAFF_ASSIGN_OR_RETURN(PinnedAlignmentIndex pinned,
+                         LoadPinnedAlignmentIndex(path));
+  return std::move(pinned.index);
 }
 
 Status QuarantineAlignmentIndexGeneration(const std::string& path,

@@ -36,15 +36,15 @@ struct AlignedPair {
 /// target vocabulary, and the adaptive fusion weights the run learned
 /// (flattened to one weight per serving feature).
 ///
-/// On disk this is a single CRC-32-checksummed container (magic
-/// `CEAFFIDX`), written atomically (tmp + rename); matrices are embedded
-/// with the la/matrix_io section framing. Format version 2 zero-pads each
-/// matrix section to a 4-byte boundary so the float payloads are naturally
-/// aligned within the file; the loader memory-maps the artifact and serves
-/// those payloads as read-only Matrix views straight out of the mapping
-/// (no heap copy of the embedding tables). A file whose mapping fails is
-/// loaded through the heap-copy path; the unpadded version-1 layout is
-/// refused.
+/// On disk this is the common/bin_codec.h checksummed container (magic
+/// `CEAFFIDX`; a reserved u32 leads the body), written atomically (tmp +
+/// rename); matrices are embedded with the la/matrix_io section framing.
+/// Format version 2 zero-pads each matrix section to a 4-byte boundary so
+/// the float payloads are naturally aligned within the file; the loader
+/// memory-maps the artifact and serves those payloads as read-only Matrix
+/// views straight out of the mapping (no heap copy of the embedding
+/// tables). A file whose mapping fails is loaded through the heap-copy
+/// path; the unpadded version-1 layout is refused.
 /// Version 3 appends the optional ANN retrieval sections (IVF centroids +
 /// posting lists + int8-quantized fused embeddings, see below); exports
 /// without ANN sections still write version 2, byte-identical to before. A
@@ -196,8 +196,9 @@ StatusOr<AlignmentIndex> BuildAlignmentIndex(AlignmentIndexInput input);
 /// CRC-32 footer) without touching the filesystem.
 std::string SerializeAlignmentIndex(const AlignmentIndex& index);
 
-/// Full validation of candidate container bytes: magic, version range,
-/// whole-file CRC, body parse, and Finalize()'s cross-field invariants.
+/// Full validation of candidate container bytes: size, magic and
+/// whole-file CRC (the container), version range, body parse, and
+/// Finalize()'s cross-field invariants.
 /// OK means LoadAlignmentIndex over these bytes would succeed. This is the
 /// GenerationalStore validator for generational index directories.
 Status ValidateAlignmentIndexBytes(const std::string& bytes);
@@ -208,9 +209,10 @@ Status ValidateAlignmentIndexBytes(const std::string& bytes);
 /// directory picks the newest generation that passes full validation,
 /// quarantining corrupt ones — so a torn or bit-flipped current generation
 /// falls back to the previous export instead of failing the reload.
-Status SaveAlignmentIndexGenerational(const AlignmentIndex& index,
-                                      const std::string& dir,
-                                      size_t keep_generations = 2);
+/// Returns the generation number it published.
+StatusOr<uint64_t> SaveAlignmentIndexGenerational(
+    const AlignmentIndex& index, const std::string& dir,
+    size_t keep_generations = 2);
 
 /// Writes the index to `path` as one checksummed container, through
 /// common/durable_io.h's WriteFileAtomic (unique temp file, fsync of both
@@ -224,10 +226,10 @@ Status SaveAlignmentIndexGenerational(const AlignmentIndex& index,
 Status SaveAlignmentIndex(const AlignmentIndex& index,
                           const std::string& path);
 
-/// Loads and fully validates an index artifact: magic, version (1..3),
-/// CRC over the entire file, then Finalize()'s invariant checks. kIOError
-/// when the file cannot be opened; kDataLoss when it exists but is
-/// corrupt. Never returns a partially valid index.
+/// Loads and fully validates an index artifact: size, magic and CRC over
+/// the entire file, version (2..3), then Finalize()'s invariant checks.
+/// kIOError when the file cannot be opened; kDataLoss when it exists but
+/// is corrupt. Never returns a partially valid index.
 ///
 /// Version-2 artifacts are memory-mapped and their matrix payloads served
 /// as zero-copy views into the mapping (index.backing keeps it alive); the
@@ -243,17 +245,25 @@ Status SaveAlignmentIndex(const AlignmentIndex& index,
 /// newer generations are quarantined as `*.corrupt` and older ones tried.
 StatusOr<AlignmentIndex> LoadAlignmentIndex(const std::string& path);
 
-/// Store generation number the "index" artifact in a generational directory
-/// currently serves (the one LoadAlignmentIndex would pick). kNotFound when
-/// `path` is not a generational index directory or holds no committed
-/// generation — a flat index file has no generation to pin or roll back.
-StatusOr<uint64_t> AlignmentIndexDirGeneration(const std::string& path);
+/// An index together with the generation it was loaded from.
+struct PinnedAlignmentIndex {
+  AlignmentIndex index;
+  /// Store generation of a generational directory; 0 for a flat file
+  /// (nothing to quarantine there).
+  uint64_t generation = 0;
+  /// The file the index was read from: `<dir>/index.g<N>` for a
+  /// directory, the path itself for a flat file. Shard workers load THIS
+  /// file, so a respawn mid-publish cannot pick up a newer generation
+  /// under an old generation id.
+  std::string file;
+};
 
-/// Path of the concrete generation file the directory currently serves
-/// (`<path>/index.g<N>`). Shard workers load THIS file, not the directory,
-/// so a respawn mid-publish cannot silently pick up a newer generation
-/// under an old generation id. kNotFound for flat files / empty stores.
-StatusOr<std::string> AlignmentIndexDirCurrentFile(const std::string& path);
+/// LoadAlignmentIndex that also names what it loaded. For a directory one
+/// store instance validates, resolves and maps the current generation, so
+/// the index, `generation` and `file` always belong to one generation,
+/// even when a publish lands mid-call.
+StatusOr<PinnedAlignmentIndex> LoadPinnedAlignmentIndex(
+    const std::string& path);
 
 /// Quarantines store generation `gen` of the index directory at `path`
 /// (renamed `*.corrupt`, dropped from the MANIFEST) so the next load falls

@@ -664,25 +664,16 @@ StatusOr<ShardRouter::GenerationInfo> ShardRouter::ProbeGeneration(
     const std::string& index_path) {
   // One validating load, discarded — the router itself never scores
   // anything. A corrupt artifact is refused before the fleet is touched.
-  // For generational directories the load also settles quarantine, so the
-  // store generation read right after names a file known good a moment ago.
+  // Generational directories pin each worker to the generation FILE the
+  // load validated, not the directory: a respawn after a concurrent Put
+  // must not silently load a newer index under an old generation id.
+  CEAFF_ASSIGN_OR_RETURN(PinnedAlignmentIndex probe,
+                         LoadPinnedAlignmentIndex(index_path));
   GenerationInfo gen;
-  {
-    CEAFF_ASSIGN_OR_RETURN(AlignmentIndex probe,
-                           LoadAlignmentIndex(index_path));
-    gen.n_targets = probe.num_targets();
-  }
   gen.path = index_path;
-  gen.resolved = index_path;
-  // Generational directories pin each worker to the CURRENT generation
-  // file, not the directory — a respawn after a concurrent Put must not
-  // silently load a newer index under an old generation id.
-  auto store_gen = AlignmentIndexDirGeneration(index_path);
-  if (store_gen.ok()) {
-    gen.store_gen = store_gen.value();
-    auto resolved = AlignmentIndexDirCurrentFile(index_path);
-    if (resolved.ok()) gen.resolved = resolved.value();
-  }
+  gen.resolved = std::move(probe.file);
+  gen.store_gen = probe.generation;
+  gen.n_targets = probe.index.num_targets();
   return gen;
 }
 

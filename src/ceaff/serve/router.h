@@ -298,8 +298,9 @@ class ShardRouter {
   Status CycleWorkerTo(size_t worker, const GenerationInfo& next);
   /// Validates the artifact at `index_path` with one full load and resolves
   /// what workers will load (the current generation file of a generational
-  /// directory). Fills path, resolved, store_gen and n_targets; the caller
-  /// assigns the id and the range split.
+  /// directory). Fills path, resolved, store_gen and n_targets, all from
+  /// the one generation the load pinned; the caller assigns the id and the
+  /// range split.
   static StatusOr<GenerationInfo> ProbeGeneration(
       const std::string& index_path);
   /// Points `worker`'s next (re)spawn at generation `gen`: its range on

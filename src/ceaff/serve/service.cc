@@ -296,16 +296,6 @@ StatusOr<TopKResult> AlignmentService::TopK(const std::string& query_name,
     return result;
   }
 
-  if (!options_.overload_protection) {
-    StatusOr<TopKResult> result = TopKUncached(
-        *index, *embedder, query_name, k, /*allow_structural=*/true, cancel);
-    if (result.ok()) {
-      cache_.Put(key, std::make_shared<const TopKResult>(result.value()));
-    }
-    stats_.topk().Record(NanosSince(start), result.ok());
-    return result;
-  }
-
   InFlightGuard guard(&in_flight_);
 
   // Load signal: how long would this request wait for a worker? With W

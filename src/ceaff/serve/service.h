@@ -36,11 +36,6 @@ struct ServiceOptions {
   size_t cache_capacity = 1024;
   size_t cache_shards = 8;
 
-  /// Master switch for the overload-protection layer (admission control +
-  /// graceful degradation on the TopK path). Off = PR-2 behaviour: every
-  /// request is scored in full. Exact pair lookups are never gated either
-  /// way — they are the tier the service degrades *to*.
-  bool overload_protection = true;
   /// Deadline-aware admission + CoDel shedding (see common/admission.h).
   AdmissionController::Options admission;
   /// Tier thresholds & hysteresis (see serve/degradation.h).
@@ -84,7 +79,8 @@ struct ServiceOptions {
 /// over string + semantic) -> exact-pair-lookup-only, with hysteresis so
 /// tiers do not flap. Degraded answers are marked (`TopKResult::degraded`)
 /// and never cached — the cache must not keep serving coarse answers
-/// after the service recovers.
+/// after the service recovers. Exact pair lookups are never gated: they are
+/// the tier the service degrades *to*.
 ///
 /// Per-request deadlines: every query accepts an optional
 /// CancellationToken, polled inside the candidate scan, and returns

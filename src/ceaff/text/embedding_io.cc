@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -45,25 +44,16 @@ Status ParseVectorLine(const std::vector<std::string>& fields, size_t dim,
 Status LoadTextEmbeddings(const std::string& path, WordEmbeddingStore* store,
                           const EmbeddingIoOptions& options,
                           ParseReport* report) {
-  ParseReport local;
-  if (report == nullptr) report = &local;
-  report->path = path;
-  report->lines_scanned = 0;
-  report->records_loaded = 0;
-  report->issues.clear();
-
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string line;
-  size_t lineno = 0;
+  LinePump pump(path, options.parse, report);
+  CEAFF_RETURN_IF_ERROR(pump.Open());
+  std::string_view line;
   std::string token;
   std::vector<float> vec;
-  while (std::getline(in, line)) {
-    ++lineno;
-    report->lines_scanned = lineno;
+  while (pump.Next(&line)) {
     std::vector<std::string> fields = SplitWhitespace(line);
     if (fields.empty()) continue;
-    if (lineno == 1 && options.allow_header && fields.size() == 2) {
+    if (pump.report().lines_scanned == 1 && options.allow_header &&
+        fields.size() == 2) {
       // fastText-style `<count> <dim>` header.
       char* end = nullptr;
       long dim = std::strtol(fields[1].c_str(), &end, 10);
@@ -80,25 +70,10 @@ Status LoadTextEmbeddings(const std::string& path, WordEmbeddingStore* store,
     Status st = ParseVectorLine(fields, store->dim(), options.lowercase,
                                 &token, &vec);
     if (st.ok()) st = store->SetVector(token, vec);
-    if (st.ok()) {
-      ++report->records_loaded;
-      if (options.max_vectors > 0 &&
-          report->records_loaded >= options.max_vectors) {
-        break;
-      }
-      continue;
-    }
-    if (!options.parse.lenient) {
-      return Status(st.code(), StrFormat("%s:%zu: %s", path.c_str(), lineno,
-                                         st.message().c_str()));
-    }
-    report->issues.push_back({lineno, st.ToString()});
-    if (report->issues.size() > options.parse.max_errors) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: more than %zu malformed lines (last at line %zu: %s) — "
-          "aborting lenient parse",
-          path.c_str(), options.parse.max_errors, lineno,
-          st.message().c_str()));
+    CEAFF_RETURN_IF_ERROR(pump.Settle(st));
+    if (st.ok() && options.max_vectors > 0 &&
+        pump.report().records_loaded >= options.max_vectors) {
+      break;
     }
   }
   return Status::OK();

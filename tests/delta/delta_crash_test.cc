@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,16 +24,10 @@
 #include "ceaff/matching/matching.h"
 #include "ceaff/serve/alignment_index.h"
 #include "testing/crash_harness.h"
+#include "testing/fault_injection.h"
 
 namespace ceaff::delta {
 namespace {
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/ceaff_delta_crash_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 /// Small deterministic baseline state (all three features, two-stage
 /// fusion) with every derived field from the exhaustive oracle.
@@ -125,13 +120,17 @@ TEST(DeltaCrashTest, ApplyDeltaSurvivesKillAtEverySite) {
       Oracle(base, batch, static_cast<uint64_t>(batch.size()), ctx);
   const std::string oracle_bytes = SerializeDeltaState(oracle);
 
+  // Each prepare gets a fresh directory; the previous one is removed. The
+  // forked children _exit, so only this process ever cleans up.
+  std::optional<testing::ScratchDir> scratch;
   std::string root;
   DeltaApplyOptions options;
   options.verify.audit_rows = 2;
   options.export_ann = false;
 
   const auto prepare = [&] {
-    root = TempDir();
+    scratch.reset();
+    root = scratch.emplace("delta_crash").path();
     options.journal_dir = root + "/wal";
     options.state_dir = root + "/state";
     options.index_dir = root + "/index";
@@ -213,12 +212,16 @@ TEST(DeltaCrashTest, ApplyDeltaSurvivesKillAtEverySite) {
 /// SIGKILL at every journal durability site: reopen must recover a clean
 /// prefix of the appended batch and keep assigning ids after it.
 TEST(DeltaCrashTest, JournalAppendSurvivesKillAtEverySite) {
+  std::optional<testing::ScratchDir> scratch;
   std::string dir;
   DeltaJournal::Options journal_options;
   journal_options.max_segment_bytes = 96;  // cross the rotate site too
   const std::vector<PatchRecord> batch = MakeBatch();
 
-  const auto prepare = [&] { dir = TempDir(); };
+  const auto prepare = [&] {
+    scratch.reset();
+    dir = scratch.emplace("delta_crash_wal").path();
+  };
 
   const auto operation = [&]() -> Status {
     auto journal = DeltaJournal::Open(dir, journal_options);

@@ -40,13 +40,6 @@
 namespace ceaff::delta {
 namespace {
 
-std::string TempDir() {
-  char tmpl[] = "/tmp/ceaff_delta_eq_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
 /// Flips the lowest mantissa bit of `*cell`.
 void FlipLowBit(float* cell) {
   uint32_t bits = 0;
@@ -513,11 +506,12 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, DeltaEquivalenceAtKernelShapes,
 // Full on-disk cycle: journal → ApplyDelta → generational publish.
 
 struct DiskFixture {
-  std::string root, journal_dir, state_dir, index_dir;
+  testing::ScratchDir scratch{"delta_eq"};
+  std::string root = scratch.path();
+  std::string journal_dir, state_dir, index_dir;
   DeltaApplyOptions options;
 
   void Init(const DeltaState& base) {
-    root = TempDir();
     journal_dir = root + "/wal";
     state_dir = root + "/state";
     index_dir = root + "/index";
@@ -578,7 +572,7 @@ TEST_F(DeltaEquivalenceTest, OnDiskCycleMatchesOracleAndRepublishes) {
   // NO new generation published.
   auto state_gen = store->get()->CurrentGeneration("state");
   ASSERT_TRUE(state_gen.ok());
-  auto index_gen = serve::AlignmentIndexDirGeneration(fx.index_dir);
+  auto index_gen = serve::LoadPinnedAlignmentIndex(fx.index_dir);
   ASSERT_TRUE(index_gen.ok());
   auto again = ApplyDelta(fx.options);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
@@ -586,9 +580,10 @@ TEST_F(DeltaEquivalenceTest, OnDiskCycleMatchesOracleAndRepublishes) {
   auto state_gen2 = store->get()->CurrentGeneration("state");
   ASSERT_TRUE(state_gen2.ok());
   EXPECT_EQ(*state_gen2, *state_gen) << "no-op published a state generation";
-  auto index_gen2 = serve::AlignmentIndexDirGeneration(fx.index_dir);
+  auto index_gen2 = serve::LoadPinnedAlignmentIndex(fx.index_dir);
   ASSERT_TRUE(index_gen2.ok());
-  EXPECT_EQ(*index_gen2, *index_gen) << "no-op published an index generation";
+  EXPECT_EQ(index_gen2->generation, index_gen->generation)
+      << "no-op published an index generation";
 }
 
 TEST_F(DeltaEquivalenceTest, GateFailureQuarantinesAndRebuildRecovers) {

@@ -16,16 +16,10 @@
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/delta/delta_patch.h"
+#include "testing/fault_injection.h"
 
 namespace ceaff::delta {
 namespace {
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/ceaff_wal_test_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 PatchRecord Rec(PatchOp op, uint8_t kg, const std::string& uri) {
   PatchRecord r;
@@ -53,7 +47,8 @@ void AppendBytes(const std::string& path, const std::string& bytes) {
 }
 
 TEST(DeltaJournalTest, AppendAssignsContiguousIdsAndReplays) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   auto journal = DeltaJournal::Open(dir);
   ASSERT_TRUE(journal.ok()) << journal.status().ToString();
   EXPECT_EQ((*journal)->last_record_id(), 0u);
@@ -76,7 +71,8 @@ TEST(DeltaJournalTest, AppendAssignsContiguousIdsAndReplays) {
 }
 
 TEST(DeltaJournalTest, ReopenRecoversLastIdAndRecords) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   {
     auto journal = DeltaJournal::Open(dir);
     ASSERT_TRUE(journal.ok());
@@ -98,7 +94,8 @@ TEST(DeltaJournalTest, ReopenRecoversLastIdAndRecords) {
 }
 
 TEST(DeltaJournalTest, ReadAfterSkipsWatermarkedRecords) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   auto journal = DeltaJournal::Open(dir);
   ASSERT_TRUE(journal.ok());
   for (int i = 0; i < 5; ++i) {
@@ -117,7 +114,8 @@ TEST(DeltaJournalTest, ReadAfterSkipsWatermarkedRecords) {
 }
 
 TEST(DeltaJournalTest, RotatesSegmentsAndReplaysAcrossThem) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   DeltaJournal::Options options;
   options.max_segment_bytes = 128;  // force rotation every couple of records
   auto journal = DeltaJournal::Open(dir, options);
@@ -142,7 +140,8 @@ TEST(DeltaJournalTest, RotatesSegmentsAndReplaysAcrossThem) {
 }
 
 TEST(DeltaJournalTest, TornTailIsTruncatedOnOpen) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   uint64_t tail_seq = 0;
   {
     auto journal = DeltaJournal::Open(dir);
@@ -174,7 +173,8 @@ TEST(DeltaJournalTest, TornTailIsTruncatedOnOpen) {
 }
 
 TEST(DeltaJournalTest, CorruptTailRecordIsDroppedByTruncation) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   uint64_t tail_seq = 0;
   off_t size_before_last = 0;
   {
@@ -209,7 +209,8 @@ TEST(DeltaJournalTest, CorruptTailRecordIsDroppedByTruncation) {
 }
 
 TEST(DeltaJournalTest, TornHeaderNewestSegmentIsDeleted) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   {
     auto journal = DeltaJournal::Open(dir);
     ASSERT_TRUE(journal.ok());
@@ -227,7 +228,8 @@ TEST(DeltaJournalTest, TornHeaderNewestSegmentIsDeleted) {
 }
 
 TEST(DeltaJournalTest, CorruptMiddleSegmentIsDataLoss) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   DeltaJournal::Options options;
   options.max_segment_bytes = 64;  // every record rotates
   uint64_t first_seq = 0;
@@ -253,7 +255,8 @@ TEST(DeltaJournalTest, CorruptMiddleSegmentIsDataLoss) {
 }
 
 TEST(DeltaJournalTest, DuplicateIdAfterManualSurgeryFirstWins) {
-  const std::string dir = TempDir();
+  const testing::ScratchDir scratch("wal");
+  const std::string& dir = scratch.path();
   uint64_t tail_seq = 0;
   std::string dup_frame;
   {

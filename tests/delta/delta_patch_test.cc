@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -18,6 +16,7 @@
 #include "ceaff/common/durable_io.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/delta/delta_state.h"
+#include "testing/fault_injection.h"
 
 namespace ceaff::delta {
 namespace {
@@ -184,9 +183,8 @@ TEST(DeltaStateCodecTest, UnknownIntactVersionIsRefusedNotCorrupt) {
 // A reader must not destroy a state it cannot read: loading the unknown
 // version fails, and the generation and the MANIFEST stay byte for byte.
 TEST(DeltaStateCodecTest, UnknownVersionInTheStoreIsLeftUntouched) {
-  char tmpl[] = "/tmp/ceaff_dlt_newer_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
+  const testing::ScratchDir scratch("dlt_newer");
+  const std::string& dir = scratch.path();
   const std::string newer = NewerVersionImage();
   const std::string name = StrFormat("version %u", VersionOf(newer));
   {
@@ -209,14 +207,12 @@ TEST(DeltaStateCodecTest, UnknownVersionInTheStoreIsLeftUntouched) {
     EXPECT_EQ(ReadAll(dir + "/MANIFEST"), manifest);
     EXPECT_FALSE(std::filesystem::exists(dir + "/state.g1.corrupt"));
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DeltaStateCodecTest, VersionOneInTheStoreFailsToLoadAndIsKept) {
   for (uint32_t version : OlderVersions()) {
-    char tmpl[] = "/tmp/ceaff_dlt_older_XXXXXX";
-    ASSERT_NE(mkdtemp(tmpl), nullptr);
-    const std::string dir = tmpl;
+    const testing::ScratchDir scratch("dlt_older");
+    const std::string& dir = scratch.path();
     const std::string image = OlderVersionImage(version);
     auto store = OpenDeltaStateStore(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -229,7 +225,6 @@ TEST(DeltaStateCodecTest, VersionOneInTheStoreFailsToLoadAndIsKept) {
       EXPECT_EQ(ReadAll(dir + "/state.g1"), image) << "version " << version;
       EXPECT_FALSE(std::filesystem::exists(dir + "/state.g1.corrupt"));
     }
-    std::filesystem::remove_all(dir);
   }
 }
 

@@ -363,5 +363,53 @@ TEST(AlignmentIndexGenerationalTest, KeepWindowBoundsHistory) {
   EXPECT_TRUE(LoadAlignmentIndex(store_dir).ok());
 }
 
+/// SmallIndex with a fifth target: a generation its target count tells
+/// apart from SmallIndex's.
+AlignmentIndex WiderIndex() {
+  AlignmentIndexInput input = SmallIndexInput();
+  input.target_names.push_back("epsilon cinco");
+  const text::WordEmbeddingStore store(16, input.semantic_seed);
+  input.target_name_emb = text::EmbedNames(store, input.target_names);
+  input.target_name_emb.L2NormalizeRows();
+  la::Matrix structural(5, 4);
+  for (size_t i = 0; i < 4; ++i) structural.at(i, i) = 1.0f;
+  input.target_struct_emb = structural;
+  auto index = BuildAlignmentIndex(std::move(input));
+  CEAFF_CHECK(index.ok()) << index.status().ToString();
+  return std::move(index).value();
+}
+
+// What the shard router's probe reads: the index, its generation and its
+// file must name the same generation, including after a fallback.
+TEST(AlignmentIndexGenerationalTest, PinnedLoadNamesOneGeneration) {
+  ScratchDir dir("idx_gen_pinned");
+  const std::string store_dir = dir.File("store");
+  ASSERT_TRUE(SaveAlignmentIndexGenerational(SmallIndex(), store_dir).ok());
+  ASSERT_TRUE(SaveAlignmentIndexGenerational(WiderIndex(), store_dir).ok());
+
+  auto pinned = LoadPinnedAlignmentIndex(store_dir);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(pinned->generation, 2u);
+  EXPECT_EQ(pinned->file, store_dir + "/index.g2");
+  EXPECT_EQ(pinned->index.num_targets(), 5u);
+
+  // A corrupt newest generation is quarantined; all three fall back.
+  FlipBit(store_dir + "/index.g2", FileSize(store_dir + "/index.g2") / 2);
+  pinned = LoadPinnedAlignmentIndex(store_dir);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(pinned->generation, 1u);
+  EXPECT_EQ(pinned->file, store_dir + "/index.g1");
+  EXPECT_EQ(pinned->index.num_targets(), 4u);
+
+  // A flat file has no generation.
+  const std::string flat = dir.File("flat.idx");
+  ASSERT_TRUE(SaveAlignmentIndex(WiderIndex(), flat).ok());
+  pinned = LoadPinnedAlignmentIndex(flat);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(pinned->generation, 0u);
+  EXPECT_EQ(pinned->file, flat);
+  EXPECT_EQ(pinned->index.num_targets(), 5u);
+}
+
 }  // namespace
 }  // namespace ceaff::serve

@@ -395,21 +395,6 @@ TEST(AlignmentServiceTest, DegradedAnswersAreNeverCached) {
   EXPECT_EQ(service.Stats().topk.cache_hits, 0u);
 }
 
-TEST(AlignmentServiceTest, OverloadProtectionOffIgnoresPinnedDegradation) {
-  ServiceOptions options = TestOptions();
-  options.overload_protection = false;
-  options.degradation = PinTier(ServiceTier::kPairOnly);
-  options.admission = ShedEverythingAfterFirst();
-  AlignmentService service(SharedSmallIndex(), options);
-  for (int i = 0; i < 5; ++i) {
-    auto result = service.TopK("alpha one", 4);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_FALSE(result->degraded);
-    EXPECT_EQ(result->tier, ServiceTier::kFull);
-  }
-  EXPECT_EQ(service.Stats().topk.shed, 0u);
-}
-
 TEST(AlignmentServiceTest, HopelessDeadlineIsRejectedAtAdmission) {
   ServiceOptions options = TestOptions();
   // An absurd headroom makes any finite deadline unmeetable once the

@@ -306,9 +306,9 @@ TEST_F(ShardReplicationTest, CanaryRollsBackAndQuarantinesBadGeneration) {
 
   // The bad store generation is quarantined on disk: the store serves
   // generation 1 again and the `.corrupt` tombstone exists.
-  auto store_gen = AlignmentIndexDirGeneration(store_dir);
-  ASSERT_TRUE(store_gen.ok()) << store_gen.status().ToString();
-  EXPECT_EQ(store_gen.value(), 1u);
+  auto served = LoadPinnedAlignmentIndex(store_dir);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->generation, 1u);
   EXPECT_TRUE(
       std::filesystem::exists(store_dir + "/index.g2.corrupt"));
 

@@ -163,8 +163,7 @@ int Usage() {
                "  eval     --data DIR --pred FILE\n"
                "  delta    <append|apply|rebuild|status> --journal DIR "
                "--state DIR\n"
-               "           [--index DIR] [--patch FILE] [--audit_rows N] "
-               "[--audit_tolerance X]\n"
+               "           [--index DIR] [--patch FILE] [--audit_rows N]\n"
                "           [--export_ann BOOL] [--ann_centroids N] "
                "[--threads N]\n"
                "common:    [--lenient_io] [--io_error_budget N]  skip up to N "
@@ -441,7 +440,6 @@ int CmdDelta(const FlagParser& flags) {
   options.journal_dir = flags.GetString("journal", "");
   options.state_dir = flags.GetString("state", "");
   options.index_dir = flags.GetString("index", "");
-  options.verify.audit_tolerance = flags.GetDouble("audit_tolerance", 0.0);
   options.export_ann = flags.GetBool("export_ann", true);
   if (!SizeFlag(flags, "delta", "audit_rows", 8, 0,
                 &options.verify.audit_rows) ||
@@ -599,11 +597,10 @@ std::vector<FlagParser::Spec> FlagSpecs(const std::string& cmd) {
   } else if (cmd == "eval") {
     own = {{"data", T::kString}, {"pred", T::kString}};
   } else if (cmd == "delta") {
-    own = {{"journal", T::kString},         {"state", T::kString},
-           {"index", T::kString},           {"patch", T::kString},
-           {"audit_tolerance", T::kDouble}, {"audit_rows", T::kInt},
-           {"export_ann", T::kBool},        {"ann_centroids", T::kInt},
-           {"threads", T::kInt}};
+    own = {{"journal", T::kString},  {"state", T::kString},
+           {"index", T::kString},    {"patch", T::kString},
+           {"audit_rows", T::kInt},  {"export_ann", T::kBool},
+           {"ann_centroids", T::kInt}, {"threads", T::kInt}};
   }
   specs.insert(specs.end(), own.begin(), own.end());
   return specs;
