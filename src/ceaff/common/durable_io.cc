@@ -10,6 +10,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include "ceaff/common/crc32.h"
@@ -128,164 +130,199 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   return std::move(buffer).str();
 }
 
+StatusOr<FileImage> ReadFileImage(const std::string& path) {
+  FileImage image;
+  if (failpoint::Hit("index.load.mmap").ok()) {
+    auto mapped = MappedFile::Open(path);
+    if (mapped.ok()) {
+      image.mapping =
+          std::make_shared<const MappedFile>(std::move(mapped).value());
+      return image;
+    }
+  }
+  CEAFF_ASSIGN_OR_RETURN(image.heap, ReadFileToString(path));
+  return image;
+}
+
 // ---------------------------------------------------------------------------
 // GenerationalStore
 
-GenerationalStore::GenerationalStore(std::string dir)
-    : GenerationalStore(std::move(dir), Options()) {}
+namespace {
 
-GenerationalStore::GenerationalStore(std::string dir, Options options)
-    : dir_(std::move(dir)), options_(std::move(options)) {
-  if (options_.keep_generations == 0) options_.keep_generations = 1;
+constexpr char kLockName[] = "LOCK";
+/// Generations of each artifact kept on disk: the committed one plus one
+/// fallback for torn-write recovery.
+constexpr size_t kKeepGenerations = 2;
+
+struct GenerationEntry {
+  uint64_t gen = 0;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+  /// False for entries rebuilt by scanning a manifest-less directory:
+  /// size/crc are unknown and reads trust the caller's decoder.
+  bool has_crc = true;
+};
+
+/// name -> committed generations, oldest first.
+using Manifest = std::map<std::string, std::vector<GenerationEntry>>;
+
+/// Splits a `<name>.g<gen>` file name; false for any other name.
+bool ParseGenFileName(const std::string& fname, std::string* name,
+                      uint64_t* gen) {
+  const size_t dot_g = fname.rfind(".g");
+  if (dot_g == std::string::npos || dot_g == 0) return false;
+  const char* digits = fname.c_str() + dot_g + 2;
+  if (*digits < '0' || *digits > '9') return false;
+  char* end = nullptr;
+  *gen = std::strtoull(digits, &end, 10);
+  if (*end != '\0') return false;
+  *name = fname.substr(0, dot_g);
+  return true;
 }
 
-std::string GenerationalStore::GenPath(const std::string& name,
-                                       uint64_t gen) const {
-  return StrFormat("%s/%s.g%llu", dir_.c_str(), name.c_str(),
-                   static_cast<unsigned long long>(gen));
+/// Holds the directory lock for one store operation. Classic fcntl record
+/// locks belong to the process, not the descriptor, so they exclude other
+/// processes only; the process-wide mutex excludes this process's threads
+/// and guarantees no other descriptor of LOCK is opened and closed (which
+/// would drop the lock) while one is held. Unlike flock or OFD locks, a
+/// record lock is not inherited by a child forked without exec, so a shard
+/// worker can never keep a lock a router thread held at fork time.
+class DirLock {
+ public:
+  explicit DirLock(const std::string& dir) : process_lock_(ProcessMutex()) {
+    const std::string path = dir + "/" + kLockName;
+    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (fd_ < 0) {
+      status_ = Status::IOError(ErrnoMessage("open", path));
+      return;
+    }
+    struct flock lock = {};
+    lock.l_type = F_WRLCK;
+    lock.l_whence = SEEK_SET;
+    while (::fcntl(fd_, F_SETLKW, &lock) != 0) {
+      if (errno == EINTR) continue;
+      status_ = Status::IOError(ErrnoMessage("lock", path));
+      return;
+    }
+  }
+  ~DirLock() {
+    if (fd_ >= 0) ::close(fd_);  // releases the record lock
+  }
+  DirLock(const DirLock&) = delete;
+  DirLock& operator=(const DirLock&) = delete;
+
+  const Status& status() const { return status_; }
+
+ private:
+  static std::mutex& ProcessMutex() {
+    static std::mutex mu;
+    return mu;
+  }
+
+  std::lock_guard<std::mutex> process_lock_;
+  int fd_ = -1;
+  Status status_;
+};
+
+std::string ManifestPath(const std::string& dir) {
+  return dir + "/" + kManifestName;
 }
 
-std::string GenerationalStore::ManifestPath() const {
-  return dir_ + "/" + kManifestName;
-}
-
-Status GenerationalStore::Init() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (initialized_) return Status::OK();
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec) return Status::IOError("mkdir " + dir_ + ": " + ec.message());
-
-  // Sweep temp files a crashed writer left behind. Nothing else can be
-  // mid-write in this directory (one store instance per directory), so
-  // every `*.tmp.*` here is dead.
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string fname = entry.path().filename().string();
-    if (fname.find(".tmp.") != std::string::npos) {
-      std::error_code rm_ec;
-      fs::remove(entry.path(), rm_ec);
-    }
-  }
-
-  CEAFF_RETURN_IF_ERROR(LoadOrRebuildManifestLocked());
-  initialized_ = true;
-  return Status::OK();
-}
-
-Status GenerationalStore::LoadOrRebuildManifestLocked() {
-  entries_.clear();
-  const std::string manifest_path = ManifestPath();
-
-  auto rebuild_from_scan = [this]() {
-    // Trust-nothing recovery: list whatever generation files exist and let
-    // read-time validation (the caller's validator — every CEAFF artifact
-    // is internally checksummed) decide which are good.
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-      const std::string fname = entry.path().filename().string();
-      if (fname == kManifestName || fname.find(".tmp.") != std::string::npos)
-        continue;
-      if (fname.size() > 8 && fname.ends_with(".corrupt")) continue;
-      const size_t dot_g = fname.rfind(".g");
-      if (dot_g == std::string::npos || dot_g == 0) continue;
-      char* end = nullptr;
-      const char* digits = fname.c_str() + dot_g + 2;
-      const unsigned long long gen = std::strtoull(digits, &end, 10);
-      if (end == digits || *end != '\0') continue;
-      GenerationEntry e;
-      e.gen = gen;
-      e.has_crc = false;
-      entries_[fname.substr(0, dot_g)].push_back(e);
-    }
-    for (auto& [name, gens] : entries_) {
-      std::sort(gens.begin(), gens.end(),
-                [](const GenerationEntry& a, const GenerationEntry& b) {
-                  return a.gen < b.gen;
-                });
-    }
-  };
-
-  std::error_code exists_ec;
-  if (!fs::exists(manifest_path, exists_ec)) {
-    rebuild_from_scan();
-    return Status::OK();
-  }
-
-  auto bytes_or = ReadFileToString(manifest_path);
-  bool manifest_ok = bytes_or.ok();
-  if (manifest_ok) {
-    const std::string& bytes = bytes_or.value();
-    // Trailer: last line is `crc <hex>` over everything before it.
-    manifest_ok = false;
-    const size_t trailer = bytes.rfind("crc ");
-    if (trailer != std::string::npos &&
-        (trailer == 0 || bytes[trailer - 1] == '\n')) {
-      char* end = nullptr;
-      const unsigned long stored =
-          std::strtoul(bytes.c_str() + trailer + 4, &end, 16);
-      if (end != bytes.c_str() + trailer + 4 &&
-          stored == Crc32Of(bytes.data(), trailer)) {
-        manifest_ok = true;
-        std::istringstream in(bytes.substr(0, trailer));
-        std::string line;
-        bool first = true;
-        while (manifest_ok && std::getline(in, line)) {
-          if (first) {
-            first = false;
-            manifest_ok = (line == kManifestHeader);
-            continue;
-          }
-          if (line.empty()) continue;
-          const std::vector<std::string> fields = Split(line, '\t');
-          if (fields.size() != 4) {
-            manifest_ok = false;
-            break;
-          }
-          GenerationEntry e;
-          char* gen_end = nullptr;
-          e.gen = std::strtoull(fields[1].c_str(), &gen_end, 10);
-          char* size_end = nullptr;
-          e.size = std::strtoull(fields[2].c_str(), &size_end, 10);
-          char* crc_end = nullptr;
-          e.crc = static_cast<uint32_t>(
-              std::strtoul(fields[3].c_str(), &crc_end, 16));
-          if (*gen_end != '\0' || *size_end != '\0' || *crc_end != '\0' ||
-              fields[0].empty()) {
-            manifest_ok = false;
-            break;
-          }
-          entries_[fields[0]].push_back(e);
-        }
-      }
-    }
-  }
-
-  if (!manifest_ok) {
-    // Bit-flipped manifest (atomic writes make torn ones unreachable):
-    // quarantine it and fall back to scanning the directory.
-    CEAFF_LOG(Warning) << "manifest " << manifest_path
-                       << " is corrupt; quarantining as .corrupt and "
-                          "rebuilding from directory scan (kDataLoss)";
-    std::error_code ec;
-    fs::rename(manifest_path, manifest_path + ".corrupt", ec);
-    entries_.clear();
-    rebuild_from_scan();
-    return Status::OK();
-  }
-
-  for (auto& [name, gens] : entries_) {
+void SortGenerations(Manifest* manifest) {
+  for (auto& [name, gens] : *manifest) {
     std::sort(gens.begin(), gens.end(),
               [](const GenerationEntry& a, const GenerationEntry& b) {
                 return a.gen < b.gen;
               });
   }
-  return Status::OK();
 }
 
-Status GenerationalStore::CommitManifestLocked() {
+/// Trust-nothing recovery: list whatever generation files exist and let
+/// read-time decoding (every CEAFF artifact is internally checksummed)
+/// decide which are good.
+Manifest ScanGenerations(const std::string& dir) {
+  Manifest manifest;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    std::string name;
+    GenerationEntry e;
+    if (!ParseGenFileName(entry.path().filename().string(), &name, &e.gen)) {
+      continue;
+    }
+    e.has_crc = false;
+    manifest[name].push_back(e);
+  }
+  SortGenerations(&manifest);
+  return manifest;
+}
+
+/// Parses MANIFEST bytes; false when the CRC trailer, the header or any
+/// line does not check out.
+bool ParseManifest(const std::string& bytes, Manifest* manifest) {
+  // Trailer: last line is `crc <hex>` over everything before it.
+  const size_t trailer = bytes.rfind("crc ");
+  if (trailer == std::string::npos ||
+      (trailer != 0 && bytes[trailer - 1] != '\n')) {
+    return false;
+  }
+  char* end = nullptr;
+  const unsigned long stored =
+      std::strtoul(bytes.c_str() + trailer + 4, &end, 16);
+  if (end == bytes.c_str() + trailer + 4 ||
+      stored != Crc32Of(bytes.data(), trailer)) {
+    return false;
+  }
+  std::istringstream in(bytes.substr(0, trailer));
+  std::string line;
+  if (!std::getline(in, line) || line != kManifestHeader) return false;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    const std::vector<std::string> fields = Split(line, '\t');
+    if (fields.size() != 4 || fields[0].empty()) return false;
+    GenerationEntry e;
+    char* gen_end = nullptr;
+    e.gen = std::strtoull(fields[1].c_str(), &gen_end, 10);
+    char* size_end = nullptr;
+    e.size = std::strtoull(fields[2].c_str(), &size_end, 10);
+    char* crc_end = nullptr;
+    e.crc =
+        static_cast<uint32_t>(std::strtoul(fields[3].c_str(), &crc_end, 16));
+    if (*gen_end != '\0' || *size_end != '\0' || *crc_end != '\0') {
+      return false;
+    }
+    (*manifest)[fields[0]].push_back(e);
+  }
+  SortGenerations(manifest);
+  return true;
+}
+
+/// Reads the committed state of `dir`; rebuilds it from a directory scan
+/// when MANIFEST is missing or corrupt (a corrupt one is quarantined).
+/// Caller holds the DirLock.
+Manifest LoadManifest(const std::string& dir) {
+  const std::string path = ManifestPath(dir);
+  std::error_code exists_ec;
+  if (!fs::exists(path, exists_ec)) return ScanGenerations(dir);
+  auto bytes = ReadFileToString(path);
+  Manifest manifest;
+  if (bytes.ok() && ParseManifest(bytes.value(), &manifest)) return manifest;
+  // Bit-flipped manifest (atomic writes make torn ones unreachable):
+  // quarantine it and fall back to scanning the directory.
+  CEAFF_LOG(Warning) << "manifest " << path
+                     << " is corrupt; quarantining as .corrupt and "
+                        "rebuilding from directory scan (kDataLoss)";
+  std::error_code ec;
+  fs::rename(path, path + ".corrupt", ec);
+  return ScanGenerations(dir);
+}
+
+/// Serialises and atomically writes the manifest. Caller holds the
+/// DirLock.
+Status CommitManifest(const std::string& dir, const Manifest& manifest,
+                      const std::string& failpoint_scope) {
   std::string body = kManifestHeader;
   body.push_back('\n');
-  for (const auto& [name, gens] : entries_) {
+  for (const auto& [name, gens] : manifest) {
     for (const GenerationEntry& e : gens) {
       body += StrFormat("%s\t%llu\t%llu\t%08x\n", name.c_str(),
                         static_cast<unsigned long long>(e.gen),
@@ -293,152 +330,130 @@ Status GenerationalStore::CommitManifestLocked() {
     }
   }
   body += StrFormat("crc %08x\n", Crc32Of(body.data(), body.size()));
-  return WriteFileAtomic(ManifestPath(), body,
-                         options_.failpoint_scope + ".manifest");
+  return WriteFileAtomic(ManifestPath(dir), body,
+                         failpoint_scope + ".manifest");
+}
+
+Status NoGeneration(const std::string& name, const std::string& dir) {
+  return Status::NotFound("artifact '" + name + "' has no generation in " +
+                          dir);
+}
+
+}  // namespace
+
+GenerationalStore::GenerationalStore(std::string dir)
+    : GenerationalStore(std::move(dir), Options()) {}
+
+GenerationalStore::GenerationalStore(std::string dir, Options options)
+    : dir_(std::move(dir)), options_(std::move(options)) {}
+
+std::string GenerationalStore::GenPath(const std::string& name,
+                                       uint64_t gen) const {
+  return StrFormat("%s/%s.g%llu", dir_.c_str(), name.c_str(),
+                   static_cast<unsigned long long>(gen));
+}
+
+Status GenerationalStore::Init() const {
+  std::error_code ec;
+  fs::create_directories(dir_, ec);
+  if (ec) return Status::IOError("mkdir " + dir_ + ": " + ec.message());
+  DirLock lock(dir_);
+  CEAFF_RETURN_IF_ERROR(lock.status());
+
+  // Every store write happens under the lock, so the temp files of store
+  // names seen here belong to writers that died mid-protocol.
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    const std::string fname = entry.path().filename().string();
+    const size_t tmp = fname.find(".tmp.");
+    if (tmp == std::string::npos) continue;
+    const std::string target = fname.substr(0, tmp);
+    std::string name;
+    uint64_t gen = 0;
+    if (target == kManifestName || ParseGenFileName(target, &name, &gen)) {
+      std::error_code rm_ec;
+      fs::remove(entry.path(), rm_ec);
+    }
+  }
+  // Reading the manifest quarantines a corrupt one.
+  LoadManifest(dir_);
+  return Status::OK();
 }
 
 Status GenerationalStore::Put(const std::string& name,
-                              std::string_view bytes) {
+                              std::string_view bytes) const {
   if (name.empty() || name.find('/') != std::string::npos ||
       name.find('\t') != std::string::npos ||
       name.find('\n') != std::string::npos) {
     return Status::InvalidArgument("bad artifact name '" + name + "'");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!initialized_) {
-    return Status::FailedPrecondition("GenerationalStore::Init not called");
-  }
-
-  std::vector<GenerationEntry>& gens = entries_[name];
-  const uint64_t next_gen = gens.empty() ? 1 : gens.back().gen + 1;
+  DirLock lock(dir_);
+  CEAFF_RETURN_IF_ERROR(lock.status());
+  Manifest manifest = LoadManifest(dir_);
+  std::vector<GenerationEntry>& gens = manifest[name];
+  GenerationEntry e;
+  e.gen = gens.empty() ? 1 : gens.back().gen + 1;
+  e.size = bytes.size();
+  e.crc = Crc32Of(bytes.data(), bytes.size());
 
   // Step 1: the generation file itself, fully durable before the manifest
   // ever mentions it.
-  CEAFF_RETURN_IF_ERROR(WriteFileAtomic(GenPath(name, next_gen), bytes,
-                                        options_.failpoint_scope));
+  CEAFF_RETURN_IF_ERROR(
+      WriteFileAtomic(GenPath(name, e.gen), bytes, options_.failpoint_scope));
 
   // Step 2: the commit point. If this fails (or we crash before it), the
-  // new generation file is an ignored orphan and the previous generation
-  // is still the committed truth.
-  GenerationEntry e;
-  e.gen = next_gen;
-  e.size = bytes.size();
-  e.crc = Crc32Of(bytes.data(), bytes.size());
+  // new generation file is an ignored orphan and the previous generations
+  // are still the committed truth.
   gens.push_back(e);
-  Status st = CommitManifestLocked();
-  if (!st.ok()) {
-    gens.pop_back();
-    if (gens.empty()) entries_.erase(name);
-    return st;
+  if (gens.size() > kKeepGenerations) {
+    gens.erase(gens.begin(), gens.end() - kKeepGenerations);
   }
+  CEAFF_RETURN_IF_ERROR(
+      CommitManifest(dir_, manifest, options_.failpoint_scope));
 
-  // Step 3: GC. Crash-safe because the manifest no longer lists what we
-  // unlink.
-  GcLocked(name);
-  return Status::OK();
-}
-
-void GenerationalStore::StampAccessLocked(const std::string& name,
-                                          uint64_t gen) const {
-  if (options_.gc_grace.count() <= 0) return;
-  access_stamps_[{name, gen}] = std::chrono::steady_clock::now();
-}
-
-bool GenerationalStore::InGraceLocked(const std::string& name,
-                                      uint64_t gen) const {
-  if (options_.gc_grace.count() <= 0) return false;
-  auto it = access_stamps_.find({name, gen});
-  if (it == access_stamps_.end()) return false;
-  if (std::chrono::steady_clock::now() - it->second >= options_.gc_grace) {
-    access_stamps_.erase(it);
-    return false;
-  }
-  return true;
-}
-
-void GenerationalStore::GcLocked(const std::string& name) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) return;
-  std::vector<GenerationEntry>& gens = it->second;
-  if (gens.size() > options_.keep_generations) {
-    const size_t drop = gens.size() - options_.keep_generations;
-    bool committed = true;
-    {
-      std::vector<GenerationEntry> kept(gens.begin() + drop, gens.end());
-      std::swap(gens, kept);
-      Status st = CommitManifestLocked();
-      if (!st.ok()) {
-        // Keep the old manifest's view; retry the GC on the next Put.
-        std::swap(gens, kept);
-        committed = false;
-      }
-      if (committed) {
-        for (const GenerationEntry& e : kept) {
-          if (std::find_if(gens.begin(), gens.end(),
-                           [&e](const GenerationEntry& g) {
-                             return g.gen == e.gen;
-                           }) == gens.end() &&
-              !InGraceLocked(name, e.gen)) {
-            // A dropped generation a reader resolved within the grace
-            // window stays on disk (it already left the manifest, so only
-            // that reader can still find it); the orphan sweep of a later
-            // Put removes it once the grace expires.
-            ::unlink(GenPath(name, e.gen).c_str());
-          }
-        }
-      }
-    }
-  }
-  // Orphans: generation files on disk that the manifest does not list
-  // (crash between file write and manifest commit, or a grace-protected
-  // generation from an earlier GC). Uncommitted ones were never visible,
-  // so dropping them is not data loss; grace-protected ones wait out
-  // their window.
+  // Step 3: GC. Crash-safe because the manifest no longer lists what is
+  // unlinked: generations that left the keep window, and orphans (a crash
+  // or a failed commit between file write and manifest commit) that were
+  // never visible, so dropping them is not data loss.
+  auto committed = [&gens](uint64_t gen) {
+    return std::any_of(
+        gens.begin(), gens.end(),
+        [gen](const GenerationEntry& e) { return e.gen == gen; });
+  };
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string fname = entry.path().filename().string();
-    const std::string prefix = name + ".g";
-    if (fname.rfind(prefix, 0) != 0) continue;
-    char* end = nullptr;
-    const char* digits = fname.c_str() + prefix.size();
-    const unsigned long long gen = std::strtoull(digits, &end, 10);
-    if (end == digits || *end != '\0') continue;  // .corrupt etc.
-    if (std::find_if(gens.begin(), gens.end(),
-                     [gen](const GenerationEntry& g) {
-                       return g.gen == gen;
-                     }) == gens.end() &&
-        !InGraceLocked(name, gen)) {
+    std::string file_name;
+    uint64_t gen = 0;
+    if (ParseGenFileName(entry.path().filename().string(), &file_name, &gen) &&
+        file_name == name && !committed(gen)) {
       std::error_code rm_ec;
       fs::remove(entry.path(), rm_ec);
     }
   }
+  return Status::OK();
 }
 
-StatusOr<std::string> GenerationalStore::Get(
-    const std::string& name, const ArtifactValidator& validate) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!initialized_) {
-    return Status::FailedPrecondition("GenerationalStore::Init not called");
-  }
-  auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.empty()) {
-    return Status::NotFound("artifact '" + name + "' has no generation in " +
-                            dir_);
+StatusOr<uint64_t> GenerationalStore::Get(
+    const std::string& name, const GenerationDecoder& decode) const {
+  DirLock lock(dir_);
+  CEAFF_RETURN_IF_ERROR(lock.status());
+  Manifest manifest = LoadManifest(dir_);
+  auto it = manifest.find(name);
+  if (it == manifest.end() || it->second.empty()) {
+    return NoGeneration(name, dir_);
   }
 
-  Status last_error = Status::DataLoss("no generation validated");
+  Status last_error;
   bool quarantined_any = false;
   std::vector<GenerationEntry>& gens = it->second;
   while (!gens.empty()) {
     const GenerationEntry e = gens.back();
     const std::string path = GenPath(name, e.gen);
     Status verdict;
-    std::string bytes;
-    auto bytes_or = ReadFileToString(path);
-    if (!bytes_or.ok()) {
-      verdict = Status::DataLoss(bytes_or.status().message());
+    auto image = ReadFileImage(path);
+    if (!image.ok()) {
+      verdict = Status::DataLoss(image.status().message());
     } else {
-      bytes = std::move(bytes_or).value();
+      const std::string_view bytes = image->bytes();
       if (e.has_crc && (bytes.size() != e.size ||
                         Crc32Of(bytes.data(), bytes.size()) != e.crc)) {
         verdict = Status::DataLoss(
@@ -446,27 +461,22 @@ StatusOr<std::string> GenerationalStore::Get(
                       "%llu committed)",
                       path.c_str(), bytes.size(),
                       static_cast<unsigned long long>(e.size)));
-      } else if (validate != nullptr) {
-        verdict = validate(bytes);
+      } else {
+        verdict = decode(bytes, image->mapping);
       }
-    }
-    if (verdict.ok()) {
-      StampAccessLocked(name, e.gen);
-      if (quarantined_any) {
-        // The quarantine shrank the committed set; persist that so the
-        // next reader does not re-validate known-bad files. Best-effort —
-        // the bytes being returned are already validated.
-        (void)CommitManifestLocked();
-      }
-      return bytes;
     }
     if (verdict.code() != StatusCode::kDataLoss) {
-      // The validator refused intact bytes (say, a format version this
-      // build does not read): report it and leave the generation, the
-      // older ones and the MANIFEST as they are (quarantines already made
-      // still stand).
-      if (quarantined_any) (void)CommitManifestLocked();
-      return verdict;
+      // Accepted, or intact bytes the decoder refused (say, a format
+      // version this build does not read): the generation, the older ones
+      // and the MANIFEST stay as they are. A quarantine made on the way
+      // shrank the committed set; persist that so the next reader does
+      // not re-decode known-bad files. Best-effort — the verdict stands
+      // either way.
+      if (quarantined_any) {
+        (void)CommitManifest(dir_, manifest, options_.failpoint_scope);
+      }
+      if (!verdict.ok()) return verdict;
+      return e.gen;
     }
 
     // Quarantine and fall back to the previous generation. This is the
@@ -481,82 +491,75 @@ StatusOr<std::string> GenerationalStore::Get(
     quarantined_any = true;
     last_error = std::move(verdict);
   }
-  entries_.erase(it);
-  if (quarantined_any) (void)CommitManifestLocked();
+  manifest.erase(it);
+  (void)CommitManifest(dir_, manifest, options_.failpoint_scope);
   return Status::DataLoss("artifact '" + name +
                           "': every committed generation is corrupt (last: " +
                           last_error.message() + ")");
 }
 
-bool GenerationalStore::Has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(name);
-  return it != entries_.end() && !it->second.empty();
+StatusOr<std::string> GenerationalStore::Get(
+    const std::string& name, const ArtifactValidator& validate) const {
+  std::string bytes;
+  CEAFF_RETURN_IF_ERROR(
+      Get(name, [&](std::string_view candidate,
+                    const std::shared_ptr<const MappedFile>&) {
+        bytes.assign(candidate);
+        return validate == nullptr ? Status::OK() : validate(bytes);
+      }).status());
+  return bytes;
 }
 
-Status GenerationalStore::Remove(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    entries_.erase(it);
-    CEAFF_RETURN_IF_ERROR(CommitManifestLocked());
+bool GenerationalStore::Has(const std::string& name) const {
+  return CurrentGeneration(name).ok();
+}
+
+Status GenerationalStore::Remove(const std::string& name) const {
+  DirLock lock(dir_);
+  CEAFF_RETURN_IF_ERROR(lock.status());
+  Manifest manifest = LoadManifest(dir_);
+  if (manifest.erase(name) > 0) {
+    CEAFF_RETURN_IF_ERROR(
+        CommitManifest(dir_, manifest, options_.failpoint_scope));
   }
   // Sweep every generation file for this artifact and any quarantined
   // twin — a quarantined generation was already dropped from the manifest,
   // so the entry list alone would miss it.
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string fname = entry.path().filename().string();
-    const std::string prefix = name + ".g";
-    if (fname.rfind(prefix, 0) != 0) continue;
-    std::string digits = fname.substr(prefix.size());
-    if (digits.size() > 8 && digits.ends_with(".corrupt")) {
-      digits.resize(digits.size() - 8);
+    std::string fname = entry.path().filename().string();
+    if (fname.ends_with(".corrupt")) fname.resize(fname.size() - 8);
+    std::string file_name;
+    uint64_t gen = 0;
+    if (ParseGenFileName(fname, &file_name, &gen) && file_name == name) {
+      std::error_code rm_ec;
+      fs::remove(entry.path(), rm_ec);
     }
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    std::error_code rm_ec;
-    fs::remove(entry.path(), rm_ec);
   }
   return Status::OK();
 }
 
 StatusOr<std::string> GenerationalStore::CurrentPath(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(name);
-  if (it != entries_.end() && !it->second.empty()) {
-    // The caller is about to open this path outside the lock; start its
-    // GC grace window so a concurrent Put cannot unlink it first.
-    StampAccessLocked(name, it->second.back().gen);
-    return GenPath(name, it->second.back().gen);
-  }
-  return Status::NotFound("artifact '" + name + "' has no generation in " +
-                          dir_);
+  CEAFF_ASSIGN_OR_RETURN(const uint64_t gen, CurrentGeneration(name));
+  return GenPath(name, gen);
 }
 
 StatusOr<uint64_t> GenerationalStore::CurrentGeneration(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.empty()) {
-    return Status::NotFound("artifact '" + name + "' has no generation in " +
-                            dir_);
-  }
-  return it->second.back().gen;
+  const std::vector<uint64_t> gens = Generations(name);
+  if (gens.empty()) return NoGeneration(name, dir_);
+  return gens.back();
 }
 
-Status GenerationalStore::Quarantine(const std::string& name, uint64_t gen) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!initialized_) {
-    return Status::FailedPrecondition("GenerationalStore::Init not called");
-  }
-  auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.empty()) {
-    return Status::NotFound("artifact '" + name + "' has no generation in " +
-                            dir_);
+Status GenerationalStore::Quarantine(const std::string& name,
+                                     uint64_t gen) const {
+  DirLock lock(dir_);
+  CEAFF_RETURN_IF_ERROR(lock.status());
+  Manifest manifest = LoadManifest(dir_);
+  auto it = manifest.find(name);
+  if (it == manifest.end() || it->second.empty()) {
+    return NoGeneration(name, dir_);
   }
   std::vector<GenerationEntry>& gens = it->second;
   auto target = std::find_if(
@@ -585,15 +588,17 @@ Status GenerationalStore::Quarantine(const std::string& name, uint64_t gen) {
   gens.erase(target);
   // Commit point: the manifest no longer lists the quarantined generation,
   // so the next reader's newest-first walk starts at the survivor.
-  return CommitManifestLocked();
+  return CommitManifest(dir_, manifest, options_.failpoint_scope);
 }
 
 std::vector<uint64_t> GenerationalStore::Generations(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint64_t> gens;
-  auto it = entries_.find(name);
-  if (it != entries_.end()) {
+  DirLock lock(dir_);
+  if (!lock.status().ok()) return gens;
+  const Manifest manifest = LoadManifest(dir_);
+  auto it = manifest.find(name);
+  if (it != manifest.end()) {
     for (const GenerationEntry& e : it->second) gens.push_back(e.gen);
   }
   return gens;

@@ -7,25 +7,8 @@
 
 namespace ceaff::core {
 
-namespace {
-
-GenerationalStore::Options CheckpointStoreOptions() {
-  GenerationalStore::Options options;
-  options.keep_generations = 2;
-  options.failpoint_scope = "checkpoint";
-  return options;
-}
-
-/// Every checkpoint artifact is a matrix artifact; a generation whose
-/// bytes do not parse is corrupt regardless of what the manifest says.
-Status ValidateMatrixBytes(const std::string& bytes) {
-  return la::ParseMatrixArtifact(bytes, "checkpoint artifact").status();
-}
-
-}  // namespace
-
 CheckpointStore::CheckpointStore(std::string dir)
-    : store_(std::move(dir), CheckpointStoreOptions()) {}
+    : store_(std::move(dir), {.failpoint_scope = "checkpoint"}) {}
 
 Status CheckpointStore::Init() const { return store_.Init(); }
 
@@ -50,10 +33,19 @@ Status CheckpointStore::SaveMatrix(const std::string& name,
 
 StatusOr<la::Matrix> CheckpointStore::LoadMatrix(
     const std::string& name) const {
-  CEAFF_ASSIGN_OR_RETURN(
-      std::string bytes,
-      store_.Get(ArtifactName(name), ValidateMatrixBytes));
-  return la::ParseMatrixArtifact(bytes, dir() + "/" + ArtifactName(name));
+  // Every checkpoint artifact is a matrix artifact; a generation whose
+  // bytes do not parse is corrupt regardless of what the manifest says.
+  la::Matrix m;
+  auto decode = [&](std::string_view bytes,
+                    const std::shared_ptr<const MappedFile>&) {
+    auto parsed =
+        la::ParseMatrixArtifact(bytes, dir() + "/" + ArtifactName(name));
+    if (!parsed.ok()) return parsed.status();
+    m = std::move(parsed).value();
+    return Status::OK();
+  };
+  CEAFF_RETURN_IF_ERROR(store_.Get(ArtifactName(name), decode).status());
+  return m;
 }
 
 Status CheckpointStore::SaveScalar(const std::string& name,

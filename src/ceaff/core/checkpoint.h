@@ -66,9 +66,7 @@ class CheckpointStore {
     return name + ".ckpt";
   }
 
-  /// mutable: reads can quarantine a corrupt generation, which rewrites
-  /// the manifest. Logically the store is still read-const.
-  mutable GenerationalStore store_;
+  GenerationalStore store_;
 };
 
 }  // namespace ceaff::core

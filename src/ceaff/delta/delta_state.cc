@@ -163,14 +163,10 @@ std::string SerializeDeltaState(const DeltaState& state) {
   });
 }
 
-namespace {
-
-/// The parse proper, over the body of an image whose container and
-/// version already passed (a second CRC pass over a multi-megabyte state
-/// would find nothing new). Every section is still bounds-checked.
-StatusOr<DeltaState> ParseValidatedDeltaState(std::string_view body) {
+StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
+  CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
   // Parse in place: the reader borrows the caller's bytes.
-  BinReader r(body);
+  BinReader r(ContainerBody(bytes));
   DeltaState state;
   if (!r.U64(&state.watermark) || !r.Str(&state.dataset) ||
       !r.U32(&state.semantic_dim) || !r.U64(&state.semantic_seed) ||
@@ -199,18 +195,10 @@ StatusOr<DeltaState> ParseValidatedDeltaState(std::string_view body) {
   return state;
 }
 
-}  // namespace
-
-StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
-  CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
-  return ParseValidatedDeltaState(ContainerBody(bytes));
-}
-
 StatusOr<std::unique_ptr<GenerationalStore>> OpenDeltaStateStore(
     const std::string& dir) {
-  GenerationalStore::Options options;
-  options.failpoint_scope = "delta_state";
-  auto store = std::make_unique<GenerationalStore>(dir, options);
+  auto store = std::make_unique<GenerationalStore>(
+      dir, GenerationalStore::Options{.failpoint_scope = "delta_state"});
   CEAFF_RETURN_IF_ERROR(store->Init());
   return store;
 }
@@ -220,10 +208,16 @@ Status SaveDeltaState(const DeltaState& state, GenerationalStore* store) {
 }
 
 StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store) {
-  CEAFF_ASSIGN_OR_RETURN(std::string bytes,
-                         store->Get("state", ValidateDeltaStateBytes));
-  // Get ran the validator on exactly these bytes.
-  return ParseValidatedDeltaState(ContainerBody(bytes));
+  DeltaState state;
+  auto decode = [&state](std::string_view bytes,
+                         const std::shared_ptr<const MappedFile>&) {
+    auto parsed = ParseDeltaState(bytes);
+    if (!parsed.ok()) return parsed.status();
+    state = std::move(parsed).value();
+    return Status::OK();
+  };
+  CEAFF_RETURN_IF_ERROR(store->Get("state", decode).status());
+  return state;
 }
 
 StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,

@@ -89,18 +89,16 @@ struct DeltaState {
 /// Serialises to the container format above (CRC trailer included).
 std::string SerializeDeltaState(const DeltaState& state);
 
-/// Cheap integrity check (the container's size, magic and whole-file CRC,
-/// then the version) — the GenerationalStore validator, so a corrupt
-/// newest generation (kDataLoss) falls back to the previous one instead of
-/// failing the load. An intact
-/// file of any other version is kFailedPrecondition, which the store
-/// returns without quarantining the file: for an older version the message
-/// names the re-export command, for a newer one the version this build
-/// reads.
+/// Cheap integrity check: the container's size, magic and whole-file CRC
+/// (kDataLoss), then the version. An intact file of any other version is
+/// kFailedPrecondition: for an older version the message names the
+/// re-export command, for a newer one the version this build reads.
 Status ValidateDeltaStateBytes(std::string_view bytes);
 
-/// Full parse. kDataLoss on any corruption; ValidateDeltaStateBytes's
-/// kFailedPrecondition on an intact file of another version.
+/// Full parse: ValidateDeltaStateBytes, then the body. kDataLoss on any
+/// corruption, a body that fails to parse behind an intact CRC included;
+/// ValidateDeltaStateBytes's kFailedPrecondition on an intact file of
+/// another version.
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes);
 
 /// Opens (and Init()s) the generational store at `dir` used for delta
@@ -111,7 +109,12 @@ StatusOr<std::unique_ptr<GenerationalStore>> OpenDeltaStateStore(
 /// Durably publishes `state` as the next generation of artifact "state".
 Status SaveDeltaState(const DeltaState& state, GenerationalStore* store);
 
-/// Loads the newest valid generation. kNotFound when none exists.
+/// Loads the newest generation ParseDeltaState accepts, decoding each
+/// candidate once. The one quarantine rule of every store artifact holds:
+/// a kDataLoss generation is quarantined as `state.g<N>.corrupt` and the
+/// previous one is tried, while an intact file of another version fails
+/// the load with kFailedPrecondition and stays untouched, as do the older
+/// generations and the MANIFEST. kNotFound when no generation exists.
 StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store);
 
 /// Assembles a DeltaState from one finished pipeline run. Refuses

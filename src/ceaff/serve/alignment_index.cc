@@ -11,7 +11,6 @@
 
 #include "ceaff/common/bin_codec.h"
 #include "ceaff/common/durable_io.h"
-#include "ceaff/common/failpoint.h"
 #include "ceaff/common/mmap_file.h"
 #include "ceaff/common/string_util.h"
 #include "ceaff/la/matrix_io.h"
@@ -430,11 +429,8 @@ bool IsDirectory(const std::string& path) {
 /// The artifact name an index directory stores its generations under.
 constexpr char kGenerationalArtifact[] = "index";
 
-GenerationalStore::Options IndexStoreOptions(size_t keep_generations) {
-  GenerationalStore::Options options;
-  options.keep_generations = keep_generations;
-  options.failpoint_scope = "index";
-  return options;
+GenerationalStore IndexStore(const std::string& dir) {
+  return GenerationalStore(dir, {.failpoint_scope = "index"});
 }
 
 /// Shared parse of one complete container image: container check,
@@ -471,57 +467,31 @@ StatusOr<AlignmentIndex> ParseIndexBytes(
   return index;
 }
 
-/// Loads one container file: mmap-first zero-copy, heap fallback.
+/// Loads one container file: mmap-first zero-copy, heap fallback (both
+/// parse the exact same bytes and produce identical indexes).
 StatusOr<AlignmentIndex> LoadAlignmentIndexFile(const std::string& path) {
-  // Preferred path: map the artifact read-only and serve the matrix
-  // payloads zero-copy. Any mapping failure — exotic filesystem, resource
-  // exhaustion, or the "index.load.mmap" failpoint in tests — falls back
-  // to slurping the file onto the heap; both paths parse the exact same
-  // bytes and produce identical indexes.
-  std::shared_ptr<const MappedFile> backing;
-  std::string heap_bytes;
-  std::string_view bytes;
-  if (failpoint::Hit("index.load.mmap").ok()) {
-    auto mapped = MappedFile::Open(path);
-    if (mapped.ok()) {
-      backing = std::make_shared<const MappedFile>(std::move(mapped).value());
-      bytes = std::string_view(backing->data(), backing->size());
-    }
-  }
-  if (backing == nullptr) {
-    CEAFF_ASSIGN_OR_RETURN(heap_bytes, ReadFileToString(path));
-    bytes = heap_bytes;
-  }
-  return ParseIndexBytes(bytes, path, std::move(backing));
+  CEAFF_ASSIGN_OR_RETURN(const FileImage file, ReadFileImage(path));
+  return ParseIndexBytes(file.bytes(), path, file.mapping);
 }
 
-/// Generational-directory read: let the store settle quarantine (corrupt
-/// newer generations renamed `*.corrupt`, older ones tried), then serve
-/// the surviving generation through the regular mmap file path.
+/// Generational-directory read: the store hands each candidate generation
+/// to the parse (zero-copy when mapped) and settles quarantine (corrupt
+/// newer generations renamed `*.corrupt`, older ones tried), so the index,
+/// its generation and its file come from one read of one generation.
 StatusOr<PinnedAlignmentIndex> LoadAlignmentIndexGenerational(
     const std::string& dir) {
-  GenerationalStore store(dir, IndexStoreOptions(/*keep_generations=*/2));
-  CEAFF_RETURN_IF_ERROR(store.Init());
-  // Get() walks newest-first with full validation and drops every
-  // generation that fails from this instance's manifest, so the instance's
-  // current generation is the one whose bytes it returned — whatever
-  // another writer publishes meanwhile.
-  CEAFF_ASSIGN_OR_RETURN(
-      std::string bytes,
-      store.Get(kGenerationalArtifact, ValidateAlignmentIndexBytes));
+  const GenerationalStore store = IndexStore(dir);
   PinnedAlignmentIndex pinned;
+  auto decode = [&](std::string_view bytes,
+                    const std::shared_ptr<const MappedFile>& mapping) {
+    auto index = ParseIndexBytes(bytes, dir + " (generational)", mapping);
+    if (!index.ok()) return index.status();
+    pinned.index = std::move(index).value();
+    return Status::OK();
+  };
   CEAFF_ASSIGN_OR_RETURN(pinned.generation,
-                         store.CurrentGeneration(kGenerationalArtifact));
-  CEAFF_ASSIGN_OR_RETURN(pinned.file,
-                         store.CurrentPath(kGenerationalArtifact));
-  auto index = LoadAlignmentIndexFile(pinned.file);
-  if (!index.ok()) {
-    // The generation file vanished between Get and the mmap load
-    // (concurrent exporter GC'ing the keep window). The validated bytes in
-    // hand are still authoritative — parse them heap-side.
-    index = ParseIndexBytes(bytes, dir + " (generational)", nullptr);
-  }
-  CEAFF_ASSIGN_OR_RETURN(pinned.index, std::move(index));
+                         store.Get(kGenerationalArtifact, decode));
+  pinned.file = store.GenPath(kGenerationalArtifact, pinned.generation);
   return pinned;
 }
 
@@ -541,11 +511,10 @@ Status ValidateAlignmentIndexBytes(const std::string& bytes) {
   return ParseIndexBytes(bytes, "candidate index bytes", nullptr).status();
 }
 
-StatusOr<uint64_t> SaveAlignmentIndexGenerational(
-    const AlignmentIndex& index, const std::string& dir,
-    size_t keep_generations) {
+StatusOr<uint64_t> SaveAlignmentIndexGenerational(const AlignmentIndex& index,
+                                                  const std::string& dir) {
   std::string bytes = SerializeAlignmentIndex(index);
-  GenerationalStore store(dir, IndexStoreOptions(keep_generations));
+  const GenerationalStore store = IndexStore(dir);
   CEAFF_RETURN_IF_ERROR(store.Init());
   CEAFF_RETURN_IF_ERROR(store.Put(kGenerationalArtifact, bytes));
   return store.CurrentGeneration(kGenerationalArtifact);
@@ -587,9 +556,7 @@ Status QuarantineAlignmentIndexGeneration(const std::string& path,
   if (!IsDirectory(path)) {
     return Status::NotFound(path + " is not a generational index directory");
   }
-  GenerationalStore store(path, IndexStoreOptions(/*keep_generations=*/2));
-  CEAFF_RETURN_IF_ERROR(store.Init());
-  return store.Quarantine(kGenerationalArtifact, gen);
+  return IndexStore(path).Quarantine(kGenerationalArtifact, gen);
 }
 
 }  // namespace ceaff::serve

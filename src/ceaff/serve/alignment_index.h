@@ -199,20 +199,18 @@ std::string SerializeAlignmentIndex(const AlignmentIndex& index);
 /// Full validation of candidate container bytes: size, magic and
 /// whole-file CRC (the container), version range, body parse, and
 /// Finalize()'s cross-field invariants.
-/// OK means LoadAlignmentIndex over these bytes would succeed. This is the
-/// GenerationalStore validator for generational index directories.
+/// OK means LoadAlignmentIndex over these bytes would succeed.
 Status ValidateAlignmentIndexBytes(const std::string& bytes);
 
 /// Publishes the index as the next generation of the "index" artifact in a
-/// GenerationalStore at `dir` (created if absent): keep-N history, CRC'd
-/// MANIFEST as the commit point, failpoint scope "index". Loading the
-/// directory picks the newest generation that passes full validation,
-/// quarantining corrupt ones — so a torn or bit-flipped current generation
-/// falls back to the previous export instead of failing the reload.
-/// Returns the generation number it published.
-StatusOr<uint64_t> SaveAlignmentIndexGenerational(
-    const AlignmentIndex& index, const std::string& dir,
-    size_t keep_generations = 2);
+/// GenerationalStore at `dir` (created if absent): the two newest
+/// generations kept, CRC'd MANIFEST as the commit point, failpoint scope
+/// "index". Loading the directory picks the newest generation that passes
+/// full validation, quarantining corrupt ones — so a torn or bit-flipped
+/// current generation falls back to the previous export instead of failing
+/// the reload. Returns the generation number it published.
+StatusOr<uint64_t> SaveAlignmentIndexGenerational(const AlignmentIndex& index,
+                                                  const std::string& dir);
 
 /// Writes the index to `path` as one checksummed container, through
 /// common/durable_io.h's WriteFileAtomic (unique temp file, fsync of both
@@ -221,7 +219,7 @@ StatusOr<uint64_t> SaveAlignmentIndexGenerational(
 ///
 /// When `path` is an existing directory the call routes through
 /// SaveAlignmentIndexGenerational instead — `--export_index DIR/` and
-/// `RELOAD DIR/` together give hot reloads a keep-N history with
+/// `RELOAD DIR/` together give hot reloads a keep-2 history with
 /// quarantine-and-fall-back.
 Status SaveAlignmentIndex(const AlignmentIndex& index,
                           const std::string& path);
@@ -240,9 +238,14 @@ Status SaveAlignmentIndex(const AlignmentIndex& index,
 /// the heap-copy path with identical results.
 ///
 /// When `path` is a directory it is treated as a generational store (see
-/// SaveAlignmentIndexGenerational): the newest generation that passes full
-/// validation is loaded (then mmap'd zero-copy like any file); corrupt
-/// newer generations are quarantined as `*.corrupt` and older ones tried.
+/// SaveAlignmentIndexGenerational): under the store's directory lock each
+/// candidate generation, newest first, is read once (mmap'd zero-copy like
+/// any file, with the same heap fallback) and parsed once; the first that
+/// passes full validation is the index, and corrupt newer generations are
+/// quarantined as `*.corrupt` on the way. Any number of loaders and
+/// publishers, in any processes, may share the directory: a load sees
+/// every publish that committed before it began and never disturbs one in
+/// flight.
 StatusOr<AlignmentIndex> LoadAlignmentIndex(const std::string& path);
 
 /// An index together with the generation it was loaded from.
@@ -258,10 +261,10 @@ struct PinnedAlignmentIndex {
   std::string file;
 };
 
-/// LoadAlignmentIndex that also names what it loaded. For a directory one
-/// store instance validates, resolves and maps the current generation, so
-/// the index, `generation` and `file` always belong to one generation,
-/// even when a publish lands mid-call.
+/// LoadAlignmentIndex that also names what it loaded. For a directory the
+/// index, `generation` and `file` come from the one store read that
+/// accepted the generation, so they always belong together, even when a
+/// publish lands mid-call.
 StatusOr<PinnedAlignmentIndex> LoadPinnedAlignmentIndex(
     const std::string& path);
 

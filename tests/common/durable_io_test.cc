@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "ceaff/common/failpoint.h"
+#include "ceaff/common/string_util.h"
 #include "testing/fault_injection.h"
 
 namespace ceaff {
@@ -154,9 +157,7 @@ TEST(GenerationalStoreTest, StateSurvivesReopen) {
 
 TEST(GenerationalStoreTest, KeepWindowGarbageCollectsOldGenerations) {
   ScratchDir dir("gen_gc");
-  GenerationalStore::Options options;
-  options.keep_generations = 2;
-  GenerationalStore store(dir.path(), options);
+  GenerationalStore store(dir.path());
   ASSERT_TRUE(store.Init().ok());
   for (const char* v : {"v1", "v2", "v3", "v4"}) {
     ASSERT_TRUE(store.Put("a", v).ok());
@@ -169,64 +170,91 @@ TEST(GenerationalStoreTest, KeepWindowGarbageCollectsOldGenerations) {
   EXPECT_EQ(store.Get("a").value(), "v4");
 }
 
-TEST(GenerationalStoreTest, GcGraceKeepsGenerationAReaderJustResolved) {
-  ScratchDir dir("gen_gc_grace");
-  GenerationalStore::Options options;
-  options.keep_generations = 1;
-  options.gc_grace = std::chrono::milliseconds(60000);
-  GenerationalStore store(dir.path(), options);
-  ASSERT_TRUE(store.Init().ok());
-  ASSERT_TRUE(store.Put("a", "v1").ok());
+// The store keeps no state between calls: an instance Init'ed before
+// another instance's Puts reads their newest generation, and its read
+// rewrites nothing a later instance depends on.
+TEST(GenerationalStoreTest, EarlierInstanceReadsAnotherInstancesPuts) {
+  ScratchDir dir("gen_two_instances");
+  GenerationalStore writer(dir.path());
+  ASSERT_TRUE(writer.Init().ok());
+  ASSERT_TRUE(writer.Put("a", "v1").ok());
+  ASSERT_TRUE(writer.Put("a", "v2").ok());
+  GenerationalStore reader(dir.path());
+  ASSERT_TRUE(reader.Init().ok());
+  ASSERT_TRUE(writer.Put("a", "v3").ok());
+  ASSERT_TRUE(writer.Put("a", "v4").ok());
 
-  // A reader resolves generation 1's path (think: a serving process about
-  // to mmap the file) ...
-  auto path = store.CurrentPath("a");
-  ASSERT_TRUE(path.ok());
-  EXPECT_TRUE(path.value().ends_with("a.g1"));
-
-  // ... and a writer Puts twice before the reader opens it. Generation 1
-  // leaves the manifest (new readers land on g3) but the file the first
-  // reader holds a path to must still be openable.
-  ASSERT_TRUE(store.Put("a", "v2").ok());
-  ASSERT_TRUE(store.Put("a", "v3").ok());
-  EXPECT_EQ(store.Generations("a"), (std::vector<uint64_t>{3}));
-  EXPECT_EQ(MustRead(path.value()), "v1");
-  // g2 was never handed to any reader, so it is GC'd normally.
-  EXPECT_FALSE(fs::exists(dir.File("a.g2")));
-  EXPECT_EQ(store.Get("a").value(), "v3");
+  auto bytes = reader.Get("a");
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(bytes.value(), "v4");
+  GenerationalStore fresh(dir.path());
+  EXPECT_EQ(fresh.Generations("a"), (std::vector<uint64_t>{3, 4}));
+  EXPECT_EQ(fresh.Get("a").value(), "v4");
 }
 
-TEST(GenerationalStoreTest, ZeroGcGraceRestoresEagerUnlink) {
-  ScratchDir dir("gen_gc_nograce");
-  GenerationalStore::Options options;
-  options.keep_generations = 1;
-  options.gc_grace = std::chrono::milliseconds(0);
-  GenerationalStore store(dir.path(), options);
+// Get reads each generation it tries once and hands those bytes, with the
+// mapping they live in, to the decoder exactly once.
+TEST(GenerationalStoreTest, GetDecodesEachTriedGenerationOnce) {
+  FailpointGuard guard;
+  ScratchDir dir("gen_decode_once");
+  GenerationalStore store(dir.path());
   ASSERT_TRUE(store.Init().ok());
-  ASSERT_TRUE(store.Put("a", "v1").ok());
-  ASSERT_TRUE(store.CurrentPath("a").ok());
-  ASSERT_TRUE(store.Put("a", "v2").ok());
-  EXPECT_FALSE(fs::exists(dir.File("a.g1")));
-  EXPECT_TRUE(fs::exists(dir.File("a.g2")));
+  for (const char* v : {"old", "good", "bad"}) {
+    ASSERT_TRUE(store.Put("a", v).ok());
+  }
+  std::vector<std::string> seen;
+  std::vector<bool> mapped;
+  auto decode = [&](std::string_view bytes,
+                    const std::shared_ptr<const MappedFile>& mapping) {
+    seen.emplace_back(bytes);
+    mapped.push_back(mapping != nullptr);
+    return bytes == "bad" ? Status::DataLoss("bad") : Status::OK();
+  };
+  auto gen = store.Get("a", decode);
+  ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+  EXPECT_EQ(gen.value(), 2u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"bad", "good"}));
+  EXPECT_EQ(mapped, (std::vector<bool>{true, true}));
+  EXPECT_TRUE(fs::exists(dir.File("a.g3.corrupt")));
+
+  // The quarantine was committed, so the next read decodes only the
+  // survivor — here through the heap fallback, with no mapping.
+  seen.clear();
+  mapped.clear();
+  ASSERT_TRUE(failpoint::Configure("index.load.mmap=error").ok());
+  EXPECT_EQ(store.Get("a", decode).value(), 2u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"good"}));
+  EXPECT_EQ(mapped, (std::vector<bool>{false}));
 }
 
-TEST(GenerationalStoreTest, ExpiredGraceOrphanIsSweptByNextPut) {
-  ScratchDir dir("gen_gc_expire");
-  GenerationalStore::Options options;
-  options.keep_generations = 1;
-  options.gc_grace = std::chrono::milliseconds(1);
-  GenerationalStore store(dir.path(), options);
-  ASSERT_TRUE(store.Init().ok());
-  ASSERT_TRUE(store.Put("a", "v1").ok());
-  ASSERT_TRUE(store.CurrentPath("a").ok());
-  ASSERT_TRUE(store.Put("a", "v2").ok());
-  // Whether g1 survived that Put depends on timing; after the 1 ms grace
-  // has certainly elapsed, the next Put's orphan sweep must remove it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_TRUE(store.Put("a", "v3").ok());
-  EXPECT_FALSE(fs::exists(dir.File("a.g1")));
-  EXPECT_FALSE(fs::exists(dir.File("a.g2")));
-  EXPECT_TRUE(fs::exists(dir.File("a.g3")));
+// Threads with an instance each share one directory through the lock
+// alone: no Put reuses or loses a generation number, and every Get reads a
+// committed payload.
+TEST(GenerationalStoreTest, ConcurrentInstancesNeverRepeatOrLoseGenerations) {
+  ScratchDir dir("gen_threads");
+  ASSERT_TRUE(GenerationalStore(dir.path()).Init().ok());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&dir, &failures, t] {
+      GenerationalStore store(dir.path());
+      for (int r = 0; r < kRounds; ++r) {
+        if (!store.Put("a", StrFormat("thread %d round %d", t, r)).ok()) {
+          ++failures;
+        }
+        auto bytes = store.Get("a");
+        if (!bytes.ok() || bytes->rfind("thread ", 0) != 0) ++failures;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  constexpr uint64_t kPuts = kThreads * kRounds;
+  EXPECT_EQ(GenerationalStore(dir.path()).Generations("a"),
+            (std::vector<uint64_t>{kPuts - 1, kPuts}));
+  EXPECT_TRUE(TempFilesIn(dir.path()).empty());
 }
 
 TEST(GenerationalStoreTest, CorruptNewestGenerationQuarantinesAndFallsBack) {

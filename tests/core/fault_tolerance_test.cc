@@ -414,15 +414,11 @@ TEST_F(FaultToleranceTest, SeedArtifactsAreCheckpointedOnlyForLearnedFusion) {
   ASSERT_TRUE(CeaffPipeline(&bench_->pair, &bench_->store, adaptive)
                   .Run()
                   .ok());
-  // A store caches its manifest, so each check opens the directory afresh.
-  auto has = [&ckpt](const std::string& artifact) {
-    CheckpointStore probe(ckpt.path());
-    EXPECT_TRUE(probe.Init().ok());
-    return probe.Has(artifact);
-  };
+  CheckpointStore probe(ckpt.path());
+  ASSERT_TRUE(probe.Init().ok());
   for (size_t k = 0; k < stages.size(); ++k) {
-    EXPECT_TRUE(has(firsts[k])) << stages[k];
-    EXPECT_FALSE(has(stages[k] + ".seed")) << stages[k];
+    EXPECT_TRUE(probe.Has(firsts[k])) << stages[k];
+    EXPECT_FALSE(probe.Has(stages[k] + ".seed")) << stages[k];
   }
   for (const auto& entry : std::filesystem::directory_iterator(ckpt.path())) {
     EXPECT_EQ(entry.path().filename().string().find(".seed"),
@@ -446,7 +442,7 @@ TEST_F(FaultToleranceTest, SeedArtifactsAreCheckpointedOnlyForLearnedFusion) {
   ASSERT_EQ(events.size(), stages.size());
   for (size_t k = 0; k < stages.size(); ++k) {
     EXPECT_EQ(events[k], std::make_pair(stages[k], false));
-    EXPECT_TRUE(has(stages[k] + ".seed")) << stages[k];
+    EXPECT_TRUE(probe.Has(stages[k] + ".seed")) << stages[k];
   }
   ExpectIdentical(recomputed.value(), fresh);
 
@@ -466,7 +462,7 @@ TEST_F(FaultToleranceTest, SeedArtifactsAreCheckpointedOnlyForLearnedFusion) {
                   .Run()
                   .ok());
   for (const std::string& stage : stages) {
-    EXPECT_FALSE(has(stage + ".seed")) << stage;
+    EXPECT_FALSE(probe.Has(stage + ".seed")) << stage;
   }
 }
 

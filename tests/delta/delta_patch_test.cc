@@ -228,5 +228,29 @@ TEST(DeltaStateCodecTest, VersionOneInTheStoreFailsToLoadAndIsKept) {
   }
 }
 
+// CEAFFDLT follows the one quarantine rule of every store artifact: a
+// generation whose CRC holds but whose body does not parse is corrupt, so
+// it is quarantined and the previous generation serves.
+TEST(DeltaStateCodecTest, UnparsableBodyInTheStoreFallsBackToThePrevious) {
+  const testing::ScratchDir scratch("dlt_unparsable");
+  const std::string& dir = scratch.path();
+  const std::string good = SerializeDeltaState(SmallState());
+  std::string cut = good.substr(0, good.size() / 2);
+  const uint32_t crc = Crc32Of(cut.data(), cut.size());
+  cut.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  ASSERT_EQ(ValidateDeltaStateBytes(cut).code(), StatusCode::kOk);
+
+  auto store = OpenDeltaStateStore(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->Put("state", good).ok());
+  ASSERT_TRUE((*store)->Put("state", cut).ok());
+  auto loaded = LoadDeltaState(store->get());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(SerializeDeltaState(*loaded), good);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/state.g2.corrupt"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/state.g2"));
+  EXPECT_EQ((*store)->Generations("state"), (std::vector<uint64_t>{1}));
+}
+
 }  // namespace
 }  // namespace ceaff::delta

@@ -1,7 +1,12 @@
 #include "ceaff/serve/alignment_index.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -353,8 +358,7 @@ TEST(AlignmentIndexGenerationalTest, KeepWindowBoundsHistory) {
   const std::string store_dir = dir.File("store");
   const AlignmentIndex index = SmallIndex();
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(
-        SaveAlignmentIndexGenerational(index, store_dir, /*keep=*/2).ok());
+    ASSERT_TRUE(SaveAlignmentIndexGenerational(index, store_dir).ok());
   }
   // Only the two newest generations survive the GC window.
   EXPECT_FALSE(std::filesystem::exists(store_dir + "/index.g2"));
@@ -409,6 +413,81 @@ TEST(AlignmentIndexGenerationalTest, PinnedLoadNamesOneGeneration) {
   EXPECT_EQ(pinned->generation, 0u);
   EXPECT_EQ(pinned->file, flat);
   EXPECT_EQ(pinned->index.num_targets(), 5u);
+}
+
+/// The index the forked publisher below writes as generation `gen`: its
+/// dataset tag names the generation.
+AlignmentIndex IndexOfGeneration(uint64_t gen) {
+  AlignmentIndexInput input = SmallIndexInput();
+  input.dataset = "generation " + std::to_string(gen);
+  auto index = BuildAlignmentIndex(std::move(input));
+  CEAFF_CHECK(index.ok()) << index.status().ToString();
+  return std::move(index).value();
+}
+
+// A publisher and a loader in different processes share one directory
+// through the store's lock alone: a load never disturbs a publish in
+// flight, never fails, and always returns the index published as the
+// generation it names.
+TEST(AlignmentIndexGenerationalTest, ForkedPublisherAndLoaderNeverFail) {
+  ScratchDir dir("idx_gen_fork");
+  const std::string store_dir = dir.File("store");
+  ASSERT_TRUE(
+      SaveAlignmentIndexGenerational(IndexOfGeneration(1), store_dir).ok());
+  constexpr uint64_t kPublishes = 200;
+
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    // Child: publish and _exit; never return into the test runner.
+    for (uint64_t gen = 2; gen <= kPublishes + 1; ++gen) {
+      auto published =
+          SaveAlignmentIndexGenerational(IndexOfGeneration(gen), store_dir);
+      if (!published.ok() || published.value() != gen) ::_exit(1);
+    }
+    ::_exit(0);
+  }
+
+  // Parent: load until the child is done, then once more. Failures are
+  // counted rather than asserted so the child is always reaped.
+  int wstatus = 0;
+  bool child_done = false;
+  size_t loads = 0;
+  size_t failures = 0;
+  uint64_t last_gen = 0;
+  while (!child_done) {
+    child_done = ::waitpid(pid, &wstatus, WNOHANG) == pid;
+    auto pinned = LoadPinnedAlignmentIndex(store_dir);
+    ++loads;
+    if (!pinned.ok()) {
+      ADD_FAILURE() << "load " << loads << ": " << pinned.status().ToString();
+      if (++failures > 5) break;
+      continue;
+    }
+    EXPECT_GE(pinned->generation, last_gen);
+    last_gen = pinned->generation;
+    EXPECT_EQ(pinned->file,
+              store_dir + "/index.g" + std::to_string(pinned->generation));
+    EXPECT_EQ(SerializeAlignmentIndex(pinned->index),
+              SerializeAlignmentIndex(IndexOfGeneration(pinned->generation)))
+        << "generation " << pinned->generation;
+  }
+  if (!child_done) {
+    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  }
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "a publish failed";
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(last_gen, kPublishes + 1);
+
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(store_dir)) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"LOCK", "MANIFEST", "index.g200",
+                                          "index.g201"}));
 }
 
 }  // namespace

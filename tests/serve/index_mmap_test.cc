@@ -90,21 +90,34 @@ TEST(IndexMmapTest, MmapLoadServesMatrixPayloadsAsViews) {
   EXPECT_EQ(index.ComputeContentCrc(), index.content_crc);
 }
 
+// Both inputs a load accepts, a flat file and a generational directory,
+// map the artifact by default and read it onto the heap under the
+// failpoint; all four loads agree.
 TEST(IndexMmapTest, HeapFallbackProducesAnIdenticalIndex) {
   ScratchDir dir("idx_mmap_parity");
-  const std::string path = dir.File("run.idx");
-  ASSERT_TRUE(SaveAlignmentIndex(SmallIndex(), path).ok());
+  const std::string flat = dir.File("run.idx");
+  const std::string generational = dir.File("store");
+  ASSERT_TRUE(SaveAlignmentIndex(SmallIndex(), flat).ok());
+  ASSERT_TRUE(
+      SaveAlignmentIndexGenerational(SmallIndex(), generational).ok());
 
-  auto mapped = LoadAlignmentIndex(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_NE(mapped->backing, nullptr);
+  auto reference = LoadAlignmentIndex(flat);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const std::string& path : {flat, generational}) {
+    SCOPED_TRACE(path);
+    auto mapped = LoadAlignmentIndex(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ASSERT_NE(mapped->backing, nullptr);
+    EXPECT_TRUE(mapped->source_name_emb.is_view());
 
-  ForceHeapLoad heap_only;
-  auto heap = LoadAlignmentIndex(path);
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  EXPECT_EQ(heap->backing, nullptr);
-  EXPECT_FALSE(heap->source_name_emb.is_view());
-  ExpectIndexesEqual(*mapped, *heap);
+    ForceHeapLoad heap_only;
+    auto heap = LoadAlignmentIndex(path);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    EXPECT_EQ(heap->backing, nullptr);
+    EXPECT_FALSE(heap->source_name_emb.is_view());
+    ExpectIndexesEqual(*mapped, *heap);
+    ExpectIndexesEqual(*reference, *heap);
+  }
 }
 
 TEST(IndexMmapTest, CopyingAMappedIndexMaterialisesTheViews) {

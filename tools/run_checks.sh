@@ -40,7 +40,8 @@
 # `codec`-labelled suites (the shared byte codec, golden byte pins,
 # hostile declared lengths, and the CEAFFMAT/CEAFFIDX/CEAFFDLT/patch/IPC
 # codecs) also rerun under ASan, and the RELOAD-vs-HEALTH-reap race test
-# runs under TSan.
+# and the GenerationalStore suite (threads sharing one store directory)
+# run under TSan.
 #
 # Usage: tools/run_checks.sh [--skip-sanitize] [--skip-tsan] [--skip-smoke]
 #                            [--skip-crash]
@@ -103,7 +104,7 @@ if [[ "$skip_tsan" == 0 ]]; then
     --target common_test la_test codec_test embed_test serve_test \
       serve_hammer_test serve_chaos_test serve_shard_replication_test
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|ParallelFor|ThreadLocalRng|Logging|Serve|AlignmentService|AlignmentIndex|IndexMmap|ParseRequest|Admission|RetryPolicy|CircuitBreaker|Degradation|OverloadChaos|Kernel|GcnAligner|ShardReplicationTest.WorkerDeathMidReload'
+    -R 'ThreadPool|ParallelFor|ThreadLocalRng|Logging|GenerationalStore|Serve|AlignmentService|AlignmentIndex|IndexMmap|ParseRequest|Admission|RetryPolicy|CircuitBreaker|Degradation|OverloadChaos|Kernel|GcnAligner|ShardReplicationTest.WorkerDeathMidReload'
 fi
 
 if [[ "$skip_crash" == 0 ]]; then
@@ -440,7 +441,7 @@ if [[ "$skip_smoke" == 0 ]]; then
 
   echo "==> Delta smoke: journal -> apply -> RELOAD, kill mid-apply -> replay"
   # The delta workflow needs the generational (directory) index form: the
-  # pre-created directory routes --export_index through the keep-N store
+  # pre-created directory routes --export_index through the keep-2 store
   # that `delta apply` republishes into and RELOAD hot-swaps from.
   delta="$smoke/delta"
   mkdir -p "$delta/index"
