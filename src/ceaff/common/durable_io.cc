@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -26,7 +28,9 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kManifestName[] = "MANIFEST";
-constexpr char kManifestHeader[] = "CEAFF-MANIFEST v1";
+constexpr char kManifestHeader[] = "CEAFF-MANIFEST v2";
+/// The header of earlier builds' four-column MANIFEST, still read.
+constexpr char kManifestHeaderV1[] = "CEAFF-MANIFEST v1";
 
 std::string ParentDirOf(const std::string& path) {
   const std::string parent = fs::path(path).parent_path().string();
@@ -150,34 +154,57 @@ StatusOr<FileImage> ReadFileImage(const std::string& path) {
 namespace {
 
 constexpr char kLockName[] = "LOCK";
+constexpr char kCorruptSuffix[] = ".corrupt";
 /// Generations of each artifact kept on disk: the committed one plus one
 /// fallback for torn-write recovery.
 constexpr size_t kKeepGenerations = 2;
 
-struct GenerationEntry {
-  uint64_t gen = 0;
-  uint64_t size = 0;
-  uint32_t crc = 0;
-  /// False for entries rebuilt by scanning a manifest-less directory:
-  /// size/crc are unknown and reads trust the caller's decoder.
-  bool has_crc = true;
+/// One artifact's committed state.
+struct Artifact {
+  /// Largest generation number ever given out; nothing lowers it.
+  uint64_t mark = 0;
+  /// Committed generations, oldest first.
+  std::vector<uint64_t> gens;
 };
 
-/// name -> committed generations, oldest first.
-using Manifest = std::map<std::string, std::vector<GenerationEntry>>;
+using Manifest = std::map<std::string, Artifact>;
+
+/// Parses a generation number as the store writes it: decimal digits, no
+/// sign, no leading zero, at most 2^64 - 1. So "", "0", "-1" and
+/// "18446744073709551616" are not generation numbers.
+bool ParseGeneration(std::string_view digits, uint64_t* gen) {
+  if (digits.empty() || digits[0] == '0') return false;
+  const char* last = digits.data() + digits.size();
+  const auto [end, ec] = std::from_chars(digits.data(), last, *gen);
+  return ec == std::errc() && end == last;
+}
 
 /// Splits a `<name>.g<gen>` file name; false for any other name.
-bool ParseGenFileName(const std::string& fname, std::string* name,
+bool ParseGenFileName(std::string_view fname, std::string* name,
                       uint64_t* gen) {
   const size_t dot_g = fname.rfind(".g");
-  if (dot_g == std::string::npos || dot_g == 0) return false;
-  const char* digits = fname.c_str() + dot_g + 2;
-  if (*digits < '0' || *digits > '9') return false;
-  char* end = nullptr;
-  *gen = std::strtoull(digits, &end, 10);
-  if (*end != '\0') return false;
+  if (dot_g == std::string_view::npos || dot_g == 0 ||
+      !ParseGeneration(fname.substr(dot_g + 2), gen)) {
+    return false;
+  }
   *name = fname.substr(0, dot_g);
   return true;
+}
+
+/// Calls `fn(name, gen, corrupt)` for every `<name>.g<gen>` and
+/// `<name>.g<gen>.corrupt` file in `dir`.
+void ForEachGenerationFile(
+    const std::string& dir,
+    const std::function<void(const std::string&, uint64_t, bool)>& fn) {
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    std::string fname = entry.path().filename().string();
+    const bool corrupt = fname.ends_with(kCorruptSuffix);
+    if (corrupt) fname.resize(fname.size() - (sizeof(kCorruptSuffix) - 1));
+    std::string name;
+    uint64_t gen = 0;
+    if (ParseGenFileName(fname, &name, &gen)) fn(name, gen, corrupt);
+  }
 }
 
 /// Holds the directory lock for one store operation. Classic fcntl record
@@ -228,31 +255,21 @@ std::string ManifestPath(const std::string& dir) {
   return dir + "/" + kManifestName;
 }
 
-void SortGenerations(Manifest* manifest) {
-  for (auto& [name, gens] : *manifest) {
-    std::sort(gens.begin(), gens.end(),
-              [](const GenerationEntry& a, const GenerationEntry& b) {
-                return a.gen < b.gen;
-              });
-  }
-}
-
 /// Trust-nothing recovery: list whatever generation files exist and let
-/// read-time decoding (every CEAFF artifact is internally checksummed)
-/// decide which are good.
+/// read-time decoding (every CEAFF artifact is a sealed container) decide
+/// which are good. A name's mark is its largest generation on disk,
+/// quarantined ones included.
 Manifest ScanGenerations(const std::string& dir) {
   Manifest manifest;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    std::string name;
-    GenerationEntry e;
-    if (!ParseGenFileName(entry.path().filename().string(), &name, &e.gen)) {
-      continue;
-    }
-    e.has_crc = false;
-    manifest[name].push_back(e);
+  ForEachGenerationFile(
+      dir, [&manifest](const std::string& name, uint64_t gen, bool corrupt) {
+        Artifact& artifact = manifest[name];
+        artifact.mark = std::max(artifact.mark, gen);
+        if (!corrupt) artifact.gens.push_back(gen);
+      });
+  for (auto& [name, artifact] : manifest) {
+    std::sort(artifact.gens.begin(), artifact.gens.end());
   }
-  SortGenerations(&manifest);
   return manifest;
 }
 
@@ -274,25 +291,39 @@ bool ParseManifest(const std::string& bytes, Manifest* manifest) {
   }
   std::istringstream in(bytes.substr(0, trailer));
   std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) return false;
+  if (!std::getline(in, line)) return false;
+  const bool v1 = line == kManifestHeaderV1;
+  if (!v1 && line != kManifestHeader) return false;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const std::vector<std::string> fields = Split(line, '\t');
-    if (fields.size() != 4 || fields[0].empty()) return false;
-    GenerationEntry e;
-    char* gen_end = nullptr;
-    e.gen = std::strtoull(fields[1].c_str(), &gen_end, 10);
-    char* size_end = nullptr;
-    e.size = std::strtoull(fields[2].c_str(), &size_end, 10);
-    char* crc_end = nullptr;
-    e.crc =
-        static_cast<uint32_t>(std::strtoul(fields[3].c_str(), &crc_end, 16));
-    if (*gen_end != '\0' || *size_end != '\0' || *crc_end != '\0') {
-      return false;
+    if (fields[0].empty() || fields.size() < 2) return false;
+    if (!v1 && manifest->count(fields[0]) > 0) return false;
+    Artifact& artifact = (*manifest)[fields[0]];
+    uint64_t gen = 0;
+    if (v1) {
+      // `<name> <gen> <size> <crc32>`, one line per generation, oldest
+      // first. The generation's own container CRC checks its bytes, so the
+      // size and CRC are not read.
+      if (fields.size() != 4 || !ParseGeneration(fields[1], &gen) ||
+          gen <= artifact.mark) {
+        return false;
+      }
+      artifact.gens.push_back(gen);
+      artifact.mark = gen;
+      continue;
     }
-    (*manifest)[fields[0]].push_back(e);
+    // `<name> <mark> <gen>...`: one line per name, generations oldest
+    // first and none past the mark.
+    if (!ParseGeneration(fields[1], &artifact.mark)) return false;
+    for (size_t i = 2; i < fields.size(); ++i) {
+      if (!ParseGeneration(fields[i], &gen) || gen > artifact.mark ||
+          (!artifact.gens.empty() && gen <= artifact.gens.back())) {
+        return false;
+      }
+      artifact.gens.push_back(gen);
+    }
   }
-  SortGenerations(manifest);
   return true;
 }
 
@@ -312,7 +343,7 @@ Manifest LoadManifest(const std::string& dir) {
                      << " is corrupt; quarantining as .corrupt and "
                         "rebuilding from directory scan (kDataLoss)";
   std::error_code ec;
-  fs::rename(path, path + ".corrupt", ec);
+  fs::rename(path, path + kCorruptSuffix, ec);
   return ScanGenerations(dir);
 }
 
@@ -322,12 +353,13 @@ Status CommitManifest(const std::string& dir, const Manifest& manifest,
                       const std::string& failpoint_scope) {
   std::string body = kManifestHeader;
   body.push_back('\n');
-  for (const auto& [name, gens] : manifest) {
-    for (const GenerationEntry& e : gens) {
-      body += StrFormat("%s\t%llu\t%llu\t%08x\n", name.c_str(),
-                        static_cast<unsigned long long>(e.gen),
-                        static_cast<unsigned long long>(e.size), e.crc);
+  for (const auto& [name, artifact] : manifest) {
+    body += StrFormat("%s\t%llu", name.c_str(),
+                      static_cast<unsigned long long>(artifact.mark));
+    for (const uint64_t gen : artifact.gens) {
+      body += StrFormat("\t%llu", static_cast<unsigned long long>(gen));
     }
+    body.push_back('\n');
   }
   body += StrFormat("crc %08x\n", Crc32Of(body.data(), body.size()));
   return WriteFileAtomic(ManifestPath(dir), body,
@@ -379,8 +411,8 @@ Status GenerationalStore::Init() const {
   return Status::OK();
 }
 
-Status GenerationalStore::Put(const std::string& name,
-                              std::string_view bytes) const {
+StatusOr<uint64_t> GenerationalStore::Put(const std::string& name,
+                                          std::string_view bytes) const {
   if (name.empty() || name.find('/') != std::string::npos ||
       name.find('\t') != std::string::npos ||
       name.find('\n') != std::string::npos) {
@@ -389,21 +421,29 @@ Status GenerationalStore::Put(const std::string& name,
   DirLock lock(dir_);
   CEAFF_RETURN_IF_ERROR(lock.status());
   Manifest manifest = LoadManifest(dir_);
-  std::vector<GenerationEntry>& gens = manifest[name];
-  GenerationEntry e;
-  e.gen = gens.empty() ? 1 : gens.back().gen + 1;
-  e.size = bytes.size();
-  e.crc = Crc32Of(bytes.data(), bytes.size());
+  Artifact& artifact = manifest[name];
+  // Number past the mark and past every file of `name` on disk, so neither
+  // a quarantined generation nor a crashed Put's orphan shares a number
+  // with the new one.
+  const Artifact on_disk = ScanGenerations(dir_)[name];
+  const uint64_t mark = std::max(artifact.mark, on_disk.mark);
+  if (mark == std::numeric_limits<uint64_t>::max()) {
+    return Status::FailedPrecondition("artifact '" + name +
+                                      "' has used every generation number");
+  }
+  const uint64_t gen = mark + 1;
 
   // Step 1: the generation file itself, fully durable before the manifest
   // ever mentions it.
   CEAFF_RETURN_IF_ERROR(
-      WriteFileAtomic(GenPath(name, e.gen), bytes, options_.failpoint_scope));
+      WriteFileAtomic(GenPath(name, gen), bytes, options_.failpoint_scope));
 
   // Step 2: the commit point. If this fails (or we crash before it), the
   // new generation file is an ignored orphan and the previous generations
   // are still the committed truth.
-  gens.push_back(e);
+  artifact.mark = gen;
+  std::vector<uint64_t>& gens = artifact.gens;
+  gens.push_back(gen);
   if (gens.size() > kKeepGenerations) {
     gens.erase(gens.begin(), gens.end() - kKeepGenerations);
   }
@@ -414,22 +454,13 @@ Status GenerationalStore::Put(const std::string& name,
   // unlinked: generations that left the keep window, and orphans (a crash
   // or a failed commit between file write and manifest commit) that were
   // never visible, so dropping them is not data loss.
-  auto committed = [&gens](uint64_t gen) {
-    return std::any_of(
-        gens.begin(), gens.end(),
-        [gen](const GenerationEntry& e) { return e.gen == gen; });
-  };
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    std::string file_name;
-    uint64_t gen = 0;
-    if (ParseGenFileName(entry.path().filename().string(), &file_name, &gen) &&
-        file_name == name && !committed(gen)) {
+  for (const uint64_t old : on_disk.gens) {
+    if (std::find(gens.begin(), gens.end(), old) == gens.end()) {
       std::error_code rm_ec;
-      fs::remove(entry.path(), rm_ec);
+      fs::remove(GenPath(name, old), rm_ec);
     }
   }
-  return Status::OK();
+  return gen;
 }
 
 StatusOr<uint64_t> GenerationalStore::Get(
@@ -438,33 +469,19 @@ StatusOr<uint64_t> GenerationalStore::Get(
   CEAFF_RETURN_IF_ERROR(lock.status());
   Manifest manifest = LoadManifest(dir_);
   auto it = manifest.find(name);
-  if (it == manifest.end() || it->second.empty()) {
+  if (it == manifest.end() || it->second.gens.empty()) {
     return NoGeneration(name, dir_);
   }
 
   Status last_error;
-  bool quarantined_any = false;
-  std::vector<GenerationEntry>& gens = it->second;
+  std::vector<uint64_t>& gens = it->second.gens;
+  const size_t committed = gens.size();
   while (!gens.empty()) {
-    const GenerationEntry e = gens.back();
-    const std::string path = GenPath(name, e.gen);
-    Status verdict;
+    const uint64_t gen = gens.back();
+    const std::string path = GenPath(name, gen);
     auto image = ReadFileImage(path);
-    if (!image.ok()) {
-      verdict = Status::DataLoss(image.status().message());
-    } else {
-      const std::string_view bytes = image->bytes();
-      if (e.has_crc && (bytes.size() != e.size ||
-                        Crc32Of(bytes.data(), bytes.size()) != e.crc)) {
-        verdict = Status::DataLoss(
-            StrFormat("%s: manifest CRC/size mismatch (%zu bytes on disk, "
-                      "%llu committed)",
-                      path.c_str(), bytes.size(),
-                      static_cast<unsigned long long>(e.size)));
-      } else {
-        verdict = decode(bytes, image->mapping);
-      }
-    }
+    Status verdict = image.ok() ? decode(image->bytes(), image->mapping)
+                                : Status::DataLoss(image.status().message());
     if (verdict.code() != StatusCode::kDataLoss) {
       // Accepted, or intact bytes the decoder refused (say, a format
       // version this build does not read): the generation, the older ones
@@ -472,11 +489,11 @@ StatusOr<uint64_t> GenerationalStore::Get(
       // shrank the committed set; persist that so the next reader does
       // not re-decode known-bad files. Best-effort — the verdict stands
       // either way.
-      if (quarantined_any) {
+      if (gens.size() < committed) {
         (void)CommitManifest(dir_, manifest, options_.failpoint_scope);
       }
       if (!verdict.ok()) return verdict;
-      return e.gen;
+      return gen;
     }
 
     // Quarantine and fall back to the previous generation. This is the
@@ -486,70 +503,44 @@ StatusOr<uint64_t> GenerationalStore::Get(
                        << "); quarantining as .corrupt and falling back to "
                           "the previous generation";
     std::error_code ec;
-    fs::rename(path, path + ".corrupt", ec);
+    fs::rename(path, path + kCorruptSuffix, ec);
     gens.pop_back();
-    quarantined_any = true;
     last_error = std::move(verdict);
   }
-  manifest.erase(it);
   (void)CommitManifest(dir_, manifest, options_.failpoint_scope);
   return Status::DataLoss("artifact '" + name +
                           "': every committed generation is corrupt (last: " +
                           last_error.message() + ")");
 }
 
-StatusOr<std::string> GenerationalStore::Get(
-    const std::string& name, const ArtifactValidator& validate) const {
-  std::string bytes;
-  CEAFF_RETURN_IF_ERROR(
-      Get(name, [&](std::string_view candidate,
-                    const std::shared_ptr<const MappedFile>&) {
-        bytes.assign(candidate);
-        return validate == nullptr ? Status::OK() : validate(bytes);
-      }).status());
-  return bytes;
-}
-
 bool GenerationalStore::Has(const std::string& name) const {
-  return CurrentGeneration(name).ok();
+  return !Generations(name).empty();
 }
 
 Status GenerationalStore::Remove(const std::string& name) const {
   DirLock lock(dir_);
   CEAFF_RETURN_IF_ERROR(lock.status());
   Manifest manifest = LoadManifest(dir_);
-  if (manifest.erase(name) > 0) {
-    CEAFF_RETURN_IF_ERROR(
-        CommitManifest(dir_, manifest, options_.failpoint_scope));
-  }
-  // Sweep every generation file for this artifact and any quarantined
-  // twin — a quarantined generation was already dropped from the manifest,
-  // so the entry list alone would miss it.
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    std::string fname = entry.path().filename().string();
-    if (fname.ends_with(".corrupt")) fname.resize(fname.size() - 8);
-    std::string file_name;
-    uint64_t gen = 0;
-    if (ParseGenFileName(fname, &file_name, &gen) && file_name == name) {
-      std::error_code rm_ec;
-      fs::remove(entry.path(), rm_ec);
-    }
+  // Every generation file of the artifact goes, quarantined ones included
+  // (the manifest no longer lists those, so its list alone would miss
+  // them). The mark takes their numbers first, so no later Put reuses one.
+  Artifact& artifact = manifest[name];
+  std::vector<std::string> files;
+  ForEachGenerationFile(
+      dir_, [&](const std::string& file_name, uint64_t gen, bool corrupt) {
+        if (file_name != name) return;
+        artifact.mark = std::max(artifact.mark, gen);
+        files.push_back(GenPath(name, gen) + (corrupt ? kCorruptSuffix : ""));
+      });
+  if (artifact.mark == 0) return Status::OK();  // never stored
+  artifact.gens.clear();
+  CEAFF_RETURN_IF_ERROR(
+      CommitManifest(dir_, manifest, options_.failpoint_scope));
+  for (const std::string& file : files) {
+    std::error_code rm_ec;
+    fs::remove(file, rm_ec);
   }
   return Status::OK();
-}
-
-StatusOr<std::string> GenerationalStore::CurrentPath(
-    const std::string& name) const {
-  CEAFF_ASSIGN_OR_RETURN(const uint64_t gen, CurrentGeneration(name));
-  return GenPath(name, gen);
-}
-
-StatusOr<uint64_t> GenerationalStore::CurrentGeneration(
-    const std::string& name) const {
-  const std::vector<uint64_t> gens = Generations(name);
-  if (gens.empty()) return NoGeneration(name, dir_);
-  return gens.back();
 }
 
 Status GenerationalStore::Quarantine(const std::string& name,
@@ -558,13 +549,11 @@ Status GenerationalStore::Quarantine(const std::string& name,
   CEAFF_RETURN_IF_ERROR(lock.status());
   Manifest manifest = LoadManifest(dir_);
   auto it = manifest.find(name);
-  if (it == manifest.end() || it->second.empty()) {
+  if (it == manifest.end() || it->second.gens.empty()) {
     return NoGeneration(name, dir_);
   }
-  std::vector<GenerationEntry>& gens = it->second;
-  auto target = std::find_if(
-      gens.begin(), gens.end(),
-      [gen](const GenerationEntry& e) { return e.gen == gen; });
+  std::vector<uint64_t>& gens = it->second.gens;
+  auto target = std::find(gens.begin(), gens.end(), gen);
   if (target == gens.end()) {
     return Status::NotFound(StrFormat(
         "artifact '%s' has no committed generation %llu", name.c_str(),
@@ -580,10 +569,10 @@ Status GenerationalStore::Quarantine(const std::string& name,
   CEAFF_LOG(Warning) << "quarantining generation " << path
                      << " as .corrupt by external verdict (canary rollback)";
   std::error_code ec;
-  fs::rename(path, path + ".corrupt", ec);
+  fs::rename(path, path + kCorruptSuffix, ec);
   if (ec) {
     return Status::IOError("rename " + path + " -> " + path +
-                           ".corrupt: " + ec.message());
+                           kCorruptSuffix + ": " + ec.message());
   }
   gens.erase(target);
   // Commit point: the manifest no longer lists the quarantined generation,
@@ -593,15 +582,11 @@ Status GenerationalStore::Quarantine(const std::string& name,
 
 std::vector<uint64_t> GenerationalStore::Generations(
     const std::string& name) const {
-  std::vector<uint64_t> gens;
   DirLock lock(dir_);
-  if (!lock.status().ok()) return gens;
+  if (!lock.status().ok()) return {};
   const Manifest manifest = LoadManifest(dir_);
   auto it = manifest.find(name);
-  if (it != manifest.end()) {
-    for (const GenerationEntry& e : it->second) gens.push_back(e.gen);
-  }
-  return gens;
+  return it == manifest.end() ? std::vector<uint64_t>() : it->second.gens;
 }
 
 }  // namespace ceaff

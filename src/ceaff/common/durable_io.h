@@ -90,53 +90,61 @@ Status FsyncDir(const std::string& dir);
 using GenerationDecoder = std::function<Status(
     std::string_view bytes, const std::shared_ptr<const MappedFile>& mapping)>;
 
-/// Checks candidate bytes for callers that want the bytes themselves (see
-/// the copying Get overload); same verdict rules as GenerationDecoder.
-using ArtifactValidator = std::function<Status(const std::string& bytes)>;
-
-/// Directory of named artifacts with numbered, CRC-checksummed
-/// generations and a manifest as the commit point.
+/// Directory of named artifacts with numbered generations and a manifest
+/// as the commit point. Every artifact is a sealed container (CEAFFIDX,
+/// CEAFFMAT, CEAFFDLT) with its own CRC trailer, and the caller's decoder
+/// is the one integrity check on its bytes.
 ///
 /// Layout under `dir`:
 ///
 ///   LOCK                    empty; every operation holds an exclusive
 ///                           record lock on it (see Concurrency below)
-///   MANIFEST                committed state: one `<name> <gen> <size>
-///                           <crc32>` line per retained generation,
+///   MANIFEST                committed state, header `CEAFF-MANIFEST v2`:
+///                           one `<name> <mark> <gen>...` line per
+///                           artifact (its high-water mark, then its
+///                           committed generations oldest first) and a
 ///                           whole-file CRC trailer; written atomically
 ///                           via WriteFileAtomic
-///   <name>.g<gen>           generation payload (opaque bytes)
-///   <name>.g<gen>.corrupt   quarantined generation that failed its CRC
-///                           or the caller's decoder at read time
+///   <name>.g<gen>           generation payload
+///   <name>.g<gen>.corrupt   quarantined generation that failed the
+///                           caller's decoder at read time, or was
+///                           rolled back by Quarantine
+///
+/// A v1 MANIFEST (earlier builds: one `<name> <gen> <size> <crc32>` line
+/// per committed generation) is read as is, its size and CRC unread; the
+/// next commit writes v2.
+///
+/// Numbering: the mark is the largest generation number ever given out
+/// for a name. Put numbers past it and past every file of the name on
+/// disk (a crashed Put's orphan, a quarantined generation), and nothing
+/// lowers it, so one number never names two different payloads.
 ///
 /// Commit protocol for Put(name, bytes): write the generation file with
 /// the full atomic protocol above, then rewrite MANIFEST (same protocol)
-/// listing the two newest generations, then unlink every other generation
-/// file of `name`. The MANIFEST rename is the commit point: a crash
-/// before it loses only the uncommitted new generation (the previous one
-/// is still listed and intact); a crash after it can lose only
-/// already-superseded generations.
+/// listing the two newest generations, then unlink every other
+/// unquarantined generation file of `name`. The MANIFEST rename is the
+/// commit point: a crash before it loses only the uncommitted new
+/// generation (the previous one is still listed and intact); a crash after
+/// it can lose only already-superseded generations.
 ///
 /// Read protocol for Get(name, decode): walk the manifest's generations
-/// newest first; for each, read the file once (ReadFileImage), check size
-/// + CRC against the manifest entry and hand the bytes to the caller's
-/// decoder. A generation that cannot be read, fails the size + CRC check,
-/// or gets a kDataLoss verdict is renamed to `*.corrupt` (quarantined,
-/// with a kDataLoss warning logged) and the next-older generation is
-/// tried. Only when no listed generation survives does Get fail with
-/// kDataLoss — torn or bit-flipped files degrade to older data, never to
-/// an error-on-arrival, and never to silently wrong bytes. Any other
-/// verdict (say, an intact file of a format version this build does not
-/// read) is returned as is, and that generation, the older ones and the
-/// MANIFEST are left untouched: a reader must not destroy a state it
-/// merely cannot read.
+/// newest first; for each, read the file once (ReadFileImage) and hand the
+/// bytes to the caller's decoder. A generation that cannot be read or gets
+/// a kDataLoss verdict is renamed to `*.corrupt` (quarantined, with a
+/// kDataLoss warning logged) and the next-older generation is tried. Only
+/// when no listed generation survives does Get fail with kDataLoss — torn
+/// or bit-flipped files degrade to older data, never to an
+/// error-on-arrival, and never to silently wrong bytes. Any other verdict
+/// (say, an intact file of a format version this build does not read) is
+/// returned as is, and that generation, the older ones and the MANIFEST
+/// are left untouched: a reader must not destroy a state it merely cannot
+/// read.
 ///
 /// A missing or corrupt MANIFEST (bit flip — atomic writes make torn
 /// manifests unreachable) is itself recoverable: the operation that reads
-/// it quarantines it and rebuilds the listing from the `<name>.g<gen>`
-/// files on disk. Rebuilt entries carry no expected CRC, so reads then
-/// rely on the caller's decoder alone (every CEAFF artifact format is
-/// internally checksummed).
+/// it quarantines it and rebuilds the listing from the files on disk, every
+/// `<name>.g<gen>` committed and each mark the largest `<name>.g<gen>` or
+/// `<name>.g<gen>.corrupt`.
 ///
 /// Concurrency: the store keeps no state between calls. Every operation
 /// takes an exclusive fcntl record lock on `<dir>/LOCK` (plus one
@@ -166,10 +174,11 @@ class GenerationalStore {
 
   const std::string& dir() const { return dir_; }
 
-  /// Durably publishes `bytes` as the next generation of `name`; the two
-  /// newest generations stay on disk (the committed one plus one fallback
-  /// for torn-write recovery).
-  Status Put(const std::string& name, std::string_view bytes) const;
+  /// Durably publishes `bytes` as the next generation of `name` and
+  /// returns its number; the two newest generations stay on disk (the
+  /// committed one plus one fallback for torn-write recovery).
+  StatusOr<uint64_t> Put(const std::string& name,
+                         std::string_view bytes) const;
 
   /// Runs the read protocol above and returns the number of the
   /// generation `decode` accepted. kNotFound when the artifact has no
@@ -179,26 +188,15 @@ class GenerationalStore {
   StatusOr<uint64_t> Get(const std::string& name,
                          const GenerationDecoder& decode) const;
 
-  /// The accepted generation's bytes, copied out of the read; `validate`
-  /// (optional) is the decoder.
-  StatusOr<std::string> Get(const std::string& name,
-                            const ArtifactValidator& validate = nullptr) const;
-
   /// Whether any committed generation of `name` exists (no validation).
   bool Has(const std::string& name) const;
 
   /// Drops every generation of `name` (quarantined files included) and
-  /// commits the removal to the manifest.
+  /// commits the removal to the manifest; the mark stays.
   Status Remove(const std::string& name) const;
 
   /// Path of generation `gen` of `name`, committed or not.
   std::string GenPath(const std::string& name, uint64_t gen) const;
-
-  /// Path of the newest committed generation. kNotFound when absent.
-  StatusOr<std::string> CurrentPath(const std::string& name) const;
-
-  /// Number of the newest committed generation. kNotFound when absent.
-  StatusOr<uint64_t> CurrentGeneration(const std::string& name) const;
 
   /// Quarantines generation `gen` of `name`: renames the file to
   /// `*.corrupt` and commits its removal from the manifest, exactly what
@@ -211,7 +209,7 @@ class GenerationalStore {
   /// not committed.
   Status Quarantine(const std::string& name, uint64_t gen) const;
 
-  /// Committed generation numbers of `name`, oldest first (tests).
+  /// Committed generation numbers of `name`, oldest first.
   std::vector<uint64_t> Generations(const std::string& name) const;
 
  private:

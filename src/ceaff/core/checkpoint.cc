@@ -16,11 +16,6 @@ bool CheckpointStore::Has(const std::string& name) const {
   return store_.Has(ArtifactName(name));
 }
 
-StatusOr<std::string> CheckpointStore::CurrentPath(
-    const std::string& name) const {
-  return store_.CurrentPath(ArtifactName(name));
-}
-
 std::vector<uint64_t> CheckpointStore::Generations(
     const std::string& name) const {
   return store_.Generations(ArtifactName(name));
@@ -28,7 +23,8 @@ std::vector<uint64_t> CheckpointStore::Generations(
 
 Status CheckpointStore::SaveMatrix(const std::string& name,
                                    const la::Matrix& m) const {
-  return store_.Put(ArtifactName(name), la::SerializeMatrixArtifact(m));
+  return store_.Put(ArtifactName(name), la::SerializeMatrixArtifact(m))
+      .status();
 }
 
 StatusOr<la::Matrix> CheckpointStore::LoadMatrix(

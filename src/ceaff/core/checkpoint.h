@@ -21,7 +21,8 @@ namespace ceaff::core {
 ///   * writes are crash-durable (unique temp + fsync(file) + rename +
 ///     fsync(dir), then a manifest commit) — a kill -9 or power cut
 ///     mid-save never loses the newest *committed* generation;
-///   * loads verify the manifest CRC and the artifact's own magic/size/CRC
+///   * loads check each generation once, through the artifact's own
+///     magic/size/CRC (the MANIFEST lists generations, not checksums)
 ///     — a truncated or bit-flipped generation is quarantined as
 ///     `*.corrupt` and the previous generation is served instead, with a
 ///     kDataLoss warning logged; only when no generation survives does
@@ -39,11 +40,6 @@ class CheckpointStore {
   /// Whether any committed generation exists for the artifact. No
   /// validation — Load still decides.
   bool Has(const std::string& name) const;
-
-  /// Path of the newest committed generation file. kNotFound when the
-  /// artifact does not exist. For tooling and tests that need to poke the
-  /// bytes on disk.
-  StatusOr<std::string> CurrentPath(const std::string& name) const;
 
   /// Committed generation numbers for the artifact, oldest first.
   std::vector<uint64_t> Generations(const std::string& name) const;

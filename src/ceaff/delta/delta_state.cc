@@ -204,7 +204,7 @@ StatusOr<std::unique_ptr<GenerationalStore>> OpenDeltaStateStore(
 }
 
 Status SaveDeltaState(const DeltaState& state, GenerationalStore* store) {
-  return store->Put("state", SerializeDeltaState(state));
+  return store->Put("state", SerializeDeltaState(state)).status();
 }
 
 StatusOr<DeltaState> LoadDeltaState(GenerationalStore* store) {

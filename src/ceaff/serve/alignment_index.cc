@@ -516,8 +516,7 @@ StatusOr<uint64_t> SaveAlignmentIndexGenerational(const AlignmentIndex& index,
   std::string bytes = SerializeAlignmentIndex(index);
   const GenerationalStore store = IndexStore(dir);
   CEAFF_RETURN_IF_ERROR(store.Init());
-  CEAFF_RETURN_IF_ERROR(store.Put(kGenerationalArtifact, bytes));
-  return store.CurrentGeneration(kGenerationalArtifact);
+  return store.Put(kGenerationalArtifact, bytes);
 }
 
 Status SaveAlignmentIndex(const AlignmentIndex& index,

@@ -204,7 +204,7 @@ Status ValidateAlignmentIndexBytes(const std::string& bytes);
 
 /// Publishes the index as the next generation of the "index" artifact in a
 /// GenerationalStore at `dir` (created if absent): the two newest
-/// generations kept, CRC'd MANIFEST as the commit point, failpoint scope
+/// generations kept, the MANIFEST as the commit point, failpoint scope
 /// "index". Loading the directory picks the newest generation that passes
 /// full validation, quarantining corrupt ones — so a torn or bit-flipped
 /// current generation falls back to the previous export instead of failing

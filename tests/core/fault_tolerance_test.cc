@@ -253,14 +253,16 @@ TEST_F(FaultToleranceTest, CorruptedCheckpointIsDetectedAndRecomputed) {
   ASSERT_TRUE(writer.Run().ok());
   CheckpointStore probe(ckpt.path());
   ASSERT_TRUE(probe.Init().ok());
-  auto structural_path = probe.CurrentPath("structural.src_emb");
-  ASSERT_TRUE(structural_path.ok()) << structural_path.status().ToString();
+  const std::vector<uint64_t> gens = probe.Generations("structural.src_emb");
+  ASSERT_FALSE(gens.empty());
+  const std::string structural_path = GenerationalStore(ckpt.path()).GenPath(
+      "structural.src_emb.ckpt", gens.back());
 
   // Silent corruption: flip one payload bit — the file size and header
   // stay plausible, only the CRC can notice. The run wrote a single
   // generation, so there is no older one to fall back to: the store
   // quarantines the damaged file and the stage is recomputed.
-  ft::FlipBit(structural_path.value(), /*offset=*/32 + 17, /*bit=*/5);
+  ft::FlipBit(structural_path, /*offset=*/32 + 17, /*bit=*/5);
 
   StageEvents events;
   CeaffOptions resume_options = FastOptions();
@@ -337,9 +339,11 @@ TEST_F(FaultToleranceTest, TruncatedCheckpointIsAlsoACleanCacheMiss) {
 
   CheckpointStore probe(ckpt.path());
   ASSERT_TRUE(probe.Init().ok());
-  auto semantic_path = probe.CurrentPath("semantic.src_emb");
-  ASSERT_TRUE(semantic_path.ok()) << semantic_path.status().ToString();
-  ft::TruncateTail(semantic_path.value(), 64);
+  const std::vector<uint64_t> gens = probe.Generations("semantic.src_emb");
+  ASSERT_FALSE(gens.empty());
+  ft::TruncateTail(GenerationalStore(ckpt.path()).GenPath(
+                       "semantic.src_emb.ckpt", gens.back()),
+                   64);
 
   StageEvents events;
   options.resume = true;

@@ -570,16 +570,16 @@ TEST_F(DeltaEquivalenceTest, OnDiskCycleMatchesOracleAndRepublishes) {
 
   // A second ApplyDelta over the same journal is a no-op: same watermark,
   // NO new generation published.
-  auto state_gen = store->get()->CurrentGeneration("state");
-  ASSERT_TRUE(state_gen.ok());
+  const std::vector<uint64_t> state_gens =
+      store->get()->Generations("state");
+  ASSERT_FALSE(state_gens.empty());
   auto index_gen = serve::LoadPinnedAlignmentIndex(fx.index_dir);
   ASSERT_TRUE(index_gen.ok());
   auto again = ApplyDelta(fx.options);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_TRUE(again->no_op);
-  auto state_gen2 = store->get()->CurrentGeneration("state");
-  ASSERT_TRUE(state_gen2.ok());
-  EXPECT_EQ(*state_gen2, *state_gen) << "no-op published a state generation";
+  EXPECT_EQ(store->get()->Generations("state"), state_gens)
+      << "no-op published a state generation";
   auto index_gen2 = serve::LoadPinnedAlignmentIndex(fx.index_dir);
   ASSERT_TRUE(index_gen2.ok());
   EXPECT_EQ(index_gen2->generation, index_gen->generation)
@@ -596,8 +596,9 @@ TEST_F(DeltaEquivalenceTest, GateFailureQuarantinesAndRebuildRecovers) {
   fx.Append(batch);
   auto store = OpenDeltaStateStore(fx.state_dir);
   ASSERT_TRUE(store.ok());
-  auto gen_before = store->get()->CurrentGeneration("state");
-  ASSERT_TRUE(gen_before.ok());
+  const std::vector<uint64_t> gens_before =
+      store->get()->Generations("state");
+  ASSERT_FALSE(gens_before.empty());
 
   // Force a gate verdict: the batch is quarantined, the old generation
   // keeps serving.
@@ -607,9 +608,8 @@ TEST_F(DeltaEquivalenceTest, GateFailureQuarantinesAndRebuildRecovers) {
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsDataLoss()) << report.status().ToString();
   EXPECT_TRUE(IsQuarantined(fx.journal_dir));
-  auto gen_after = store->get()->CurrentGeneration("state");
-  ASSERT_TRUE(gen_after.ok());
-  EXPECT_EQ(*gen_after, *gen_before) << "quarantined batch was published";
+  EXPECT_EQ(store->get()->Generations("state"), gens_before)
+      << "quarantined batch was published";
 
   // While quarantined, ApplyDelta refuses outright.
   auto refused = ApplyDelta(fx.options);

@@ -547,9 +547,9 @@ if [[ "$skip_smoke" == 0 ]]; then
   grep -q 'watermark 6' "$delta/status2.txt"
   grep -q '0 pending' "$delta/status2.txt"
   # A state of a format version this build does not read (as a newer
-  # build would write it: the written version + 1, valid CRC, matching
-  # MANIFEST) must be refused by name and left alone, never quarantined as
-  # corrupt.
+  # build would write it: the written version + 1 under a valid container
+  # CRC; MANIFEST lists generations only, so it stays as written) must be
+  # refused by name and left alone, never quarantined as corrupt.
   newer="$smoke/newer_state"
   "$repo/build/tools/ceaff" generate --config DBP15K_ZH_EN --scale 0.1 \
     --out "$smoke/newer_data"
@@ -565,14 +565,6 @@ version = struct.unpack("<I", bytes(state[8:12]))[0] + 1
 state[8:12] = struct.pack("<I", version)
 state[-4:] = struct.pack("<I", zlib.crc32(bytes(state[:-4])))
 open(d + "/state.g1", "wb").write(state)
-lines = open(d + "/MANIFEST").read().splitlines()[:-1]  # drop crc trailer
-for i, line in enumerate(lines):
-    f = line.split("\t")
-    if f[0] == "state":
-        lines[i] = "\t".join(f[:2] + [str(len(state)),
-                                      "%08x" % zlib.crc32(bytes(state))])
-body = "".join(line + "\n" for line in lines)
-open(d + "/MANIFEST", "w").write(body + "crc %08x\n" % zlib.crc32(body.encode()))
 print(version)
 PY
 )
